@@ -153,7 +153,7 @@ def test_columnar_pipeline_speedup(save_artifact, artifact_dir):
                 else sorted(answers, key=repr))
         renderer._send_query_response(
             _Sink(), query="P(X, Y)", engine="semi-naive", rows=rows,
-            duration_s=0.0, stats=stats_shape)
+            duration_s=0.0, stats=stats_shape, outcome="ok", epoch=0)
 
     results = [
         _measure("tc-20k-full-enum", system, tc_20k, repeats=4,

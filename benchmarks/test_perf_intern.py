@@ -13,8 +13,8 @@ answer set is ~112k rows and decoding them back to values eats the
 kernel win, so interning does not pay; sessions that enumerate
 everything should read that row, not the headline.
 
-The pickled sharded snapshot (what every pool worker receives) must
-also be strictly smaller interned: int codes beat repeated strings.
+The pickled database snapshot must also be strictly smaller
+interned: int codes beat repeated strings.
 Results land in ``benchmarks/output/BENCH_intern.json``, uploaded as a
 CI artifact and compared against ``benchmarks/baselines/`` by the
 bench-regression job.
@@ -27,14 +27,12 @@ import time
 
 from repro.core import text_table
 from repro.datalog.parser import parse_system
-from repro.engine import (EvaluationStats, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine)
+from repro.engine import EvaluationStats, Query, SemiNaiveEngine
 from repro.ra import Database
 
 TC_SYSTEM_TEXT = "P(x, y) :- A(x, z), P(z, y)."  # the paper's (s1a), class A1
 THREE_HOP_TEXT = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
 TARGET_SPEEDUP = 1.5
-WORKERS = 4
 
 
 def _cpus() -> int:
@@ -61,7 +59,7 @@ def _tc_relations(edges: list[tuple]) -> dict:
 
 def _layered_3hop_relations(width: int, levels: int,
                             branching: int = 3) -> dict:
-    """The layered DAG of the sharded bench: join-work-heavy 3-hop TC."""
+    """A layered DAG for the 3-hop rule: join-work-heavy TC."""
     relations: dict[str, list[tuple]] = {"A": [], "B": [], "C": []}
     for level in range(levels):
         rows = relations["ABC"[level % 3]]
@@ -95,13 +93,12 @@ def _time_engine(engine, system, db, query, repeats):
     return best, answers
 
 
-def _measure(name, system, twins, query=None, repeats=3,
-             engine_factory=SemiNaiveEngine) -> dict:
+def _measure(name, system, twins, query=None, repeats=3) -> dict:
     interned, raw = twins
     interned_s, interned_answers = _time_engine(
-        engine_factory(), system, interned, query, repeats)
+        SemiNaiveEngine(), system, interned, query, repeats)
     raw_s, raw_answers = _time_engine(
-        engine_factory(), system, raw, query, repeats)
+        SemiNaiveEngine(), system, raw, query, repeats)
     assert interned_answers == raw_answers, f"{name}: answers differ"
     return {
         "workload": name,
@@ -130,10 +127,6 @@ def test_interning_speedup(save_artifact, artifact_dir):
         _measure("tc-20k-full-enum", tc_system, tc_20k, repeats=3),
         _measure("3hop-20k-bound-query", hop_system, hop_20k,
                  query=Query.parse("P(l0_c0, Y)"), repeats=2),
-        _measure(f"tc-20k-bound-sharded-w{WORKERS}", tc_system, tc_20k,
-                 query=bound, repeats=2,
-                 engine_factory=lambda: ShardedSemiNaiveEngine(
-                     workers=WORKERS)),
     ]
 
     headline = results[0]
@@ -142,8 +135,8 @@ def test_interning_speedup(save_artifact, artifact_dir):
         f"interning only {headline['speedup']}x on the 20k-row TC "
         f"bound query (target {TARGET_SPEEDUP}x)")
 
-    # What a pool worker is shipped: the interned snapshot must be
-    # strictly smaller — dense int codes beat repeated node names.
+    # The pickled snapshot: the interned one must be strictly
+    # smaller — dense int codes beat repeated node names.
     interned_bytes = len(pickle.dumps(tc_20k[0]))
     raw_bytes = len(pickle.dumps(tc_20k[1]))
     assert interned_bytes < raw_bytes, (

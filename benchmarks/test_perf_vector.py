@@ -22,12 +22,10 @@ timed region:
   rule (``P(x,y) :- A(x,m), B(m,n), C(n,z), P(z,y)``) on a ~20k-row
   layered DAG.  Its three-step plan fails the vector certificate, so
   both runs take the tuple-set loop: this leg pins the fallback cost
-  at ~1x (no silent regression for uncertified shapes);
-* ``stub-20k-full-enum`` — the pure-python ``array`` stub forced on
-  the full-enum workload.  Reported honestly: the stub exists for
-  bit-identical portability when numpy is absent, not for speed — the
-  expectation is ~1x (within noise of the tuple-set loop), and the
-  floor only guards against collapse.
+  at ~1x (no silent regression for uncertified shapes).
+
+Without numpy every workload runs the tuple-set loop on both sides,
+so only the answer parity is checked.
 
 Results land in ``benchmarks/output/BENCH_vector.json`` and are gated
 against ``benchmarks/baselines/BENCH_vector.json`` by
@@ -41,7 +39,7 @@ import time
 from repro.core import text_table
 from repro.datalog.parser import parse_system
 from repro.engine import EvaluationStats, Query, SemiNaiveEngine
-from repro.engine.vector import HAVE_NUMPY, force_stub
+from repro.engine.vector import HAVE_NUMPY
 from repro.ra import Database
 
 TC_SYSTEM_TEXT = "P(x, y) :- A(x, z), P(z, y)."  # the paper's (s1a), class A1
@@ -51,8 +49,8 @@ THREE_HOP_TEXT = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
 #: the ISSUE's acceptance gate for the numpy kernel on both 20k TC
 #: workloads (full enumeration and the bound query)
 TARGET_SPEEDUP = 2.0
-#: the stub and the uncertified fallback are portability/correctness
-#: paths; they must stay within noise of the tuple-set loop
+#: the uncertified fallback is a correctness path; it must stay within
+#: noise of the tuple-set loop
 FLOOR_WITHIN_NOISE = 0.5
 
 
@@ -79,7 +77,7 @@ def _tc_database(edges: list[tuple]) -> Database:
 
 def _layered_3hop_database(width: int, levels: int,
                            branching: int = 3) -> Database:
-    """The sharded bench's layered DAG for the 3-hop rule: *levels*
+    """A layered DAG for the 3-hop rule: *levels*
     edge layers of *width* nodes, layer ``l`` stored in A/B/C by
     ``l % 3``, exits on the A-aligned levels only."""
     relations: dict[str, list[tuple]] = {"A": [], "B": [], "C": []}
@@ -110,21 +108,16 @@ def _time_backend(system, db, query, backend, repeats):
     return best, answers, stats
 
 
-def _measure(name, system, db, query=None, repeats=5, stub=False,
+def _measure(name, system, db, query=None, repeats=5,
              expect_vector=True) -> dict:
-    if stub:
-        force_stub(True)
-    try:
-        vector_s, vector_answers, vector_stats = _time_backend(
-            system, db, query, "vector", repeats)
-    finally:
-        force_stub(False)
+    vector_s, vector_answers, vector_stats = _time_backend(
+        system, db, query, "vector", repeats)
     python_s, python_answers, python_stats = _time_backend(
         system, db, query, "python", repeats)
     assert vector_answers == python_answers, f"{name}: answers differ"
     assert vector_answers.encoded == python_answers.encoded
     assert vector_stats.delta_sizes == python_stats.delta_sizes
-    if expect_vector:
+    if expect_vector and HAVE_NUMPY:
         assert vector_stats.vector_batches > 0, (
             f"{name}: the vector backend never engaged")
     else:
@@ -155,8 +148,6 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
         _measure("tc-20k-bound-query", tc_system, tc_20k, query=bound),
         _measure("3hop-20k-compressed-chain", hop_system, hop_20k,
                  repeats=3, expect_vector=False),
-        _measure("stub-20k-full-enum", tc_system, tc_20k, repeats=3,
-                 stub=True),
     ]
 
     by_name = {r["workload"]: r for r in results}
@@ -169,14 +160,10 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
             assert row["speedup"] >= TARGET_SPEEDUP, (
                 f"vector kernel: {gated} only {row['speedup']}x vs "
                 f"the tuple-set loop (gate {TARGET_SPEEDUP}x)")
-    stub = by_name["stub-20k-full-enum"]
-    assert stub["backend"] == "stub"
-    for within_noise in ("stub-20k-full-enum",
-                         "3hop-20k-compressed-chain"):
-        row = by_name[within_noise]
-        assert row["speedup"] >= FLOOR_WITHIN_NOISE, (
-            f"{within_noise} collapsed to {row['speedup']}x of the "
-            f"tuple-set loop (floor {FLOOR_WITHIN_NOISE}x)")
+    fallback = by_name["3hop-20k-compressed-chain"]
+    assert fallback["speedup"] >= FLOOR_WITHIN_NOISE, (
+        f"3hop-20k-compressed-chain collapsed to {fallback['speedup']}x "
+        f"of the tuple-set loop (floor {FLOOR_WITHIN_NOISE}x)")
 
     payload = {
         "bench": "vector",
@@ -199,7 +186,8 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
 
 def test_vector_smoke_parity():
     """The cheap always-on check: both backends agree on a small TC
-    and the vector counters move only on the vector side."""
+    and the vector counters move only on the vector side (and only
+    when numpy is installed)."""
     system = parse_system(TC_SYSTEM_TEXT)
     db = _tc_database(_parallel_chains(250, 8))
     stats_v, stats_p = EvaluationStats(), EvaluationStats()
@@ -208,5 +196,6 @@ def test_vector_smoke_parity():
     python = SemiNaiveEngine(backend="python").evaluate(
         system, db.copy(), None, stats_p)
     assert vector == python
-    assert stats_v.vector_batches > 0 and stats_p.vector_batches == 0
+    assert (stats_v.vector_batches > 0) == HAVE_NUMPY
+    assert stats_p.vector_batches == 0
     assert stats_v.delta_sizes == stats_p.delta_sizes

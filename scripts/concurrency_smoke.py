@@ -106,7 +106,6 @@ def _request_mix():
         ({"query": "Q(X, Y)", "engine": "naive"}, Q_CLOSURE),
         ({"query": "P(n0, Y)", "engine": "top-down"},
          {p for p in P_CLOSURE if p[0] == "n0"}),
-        ({"query": "P(X, Y)", "workers": 0}, P_CLOSURE),
         ({"query": "V(X, Y)"}, set(A_EDGES)),
         ({"query": "A(n0, Y)"}, {("n0", "n1")}),
         # row budget: a query shape asked *only* with the budget, so

@@ -4,8 +4,7 @@ families ``/metrics`` actually exposes must agree.
 Metric families are declared lazily (first write), so a plain boot
 exposes almost nothing.  The lint therefore boots ``repro serve`` and
 drives one request of every shape that owns a family — several
-engines including a sharded (``workers: 0``) round so the pool-health
-families appear, a cache-hit repeat, a deliberate timeout, a
+engines, a cache-hit repeat, a deliberate timeout, a
 deliberate truncation, a ``/facts`` batch, and one background job run
 to completion — with ``--trace-sample 1.0 --exemplars`` so the flight
 recorder and exemplar paths are live too.  Then:
@@ -13,7 +12,8 @@ recorder and exemplar paths are live too.  Then:
 * every family named in an ``observability.md`` table row must be
   exposed by ``GET /metrics`` (``# TYPE`` line), unless it is in
   ``ALLOWED_TIMING`` — families only a race can trigger (admission
-  rejections, cooperative cancellations, genuine evaluation errors);
+  rejections, cooperative cancellations, genuine evaluation errors) —
+  or, without numpy, in ``NUMPY_ONLY`` (the vector-kernel counters);
 * every exposed family must be documented — an undocumented family
   always fails, there is no allowlist in that direction.
 
@@ -40,6 +40,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
+from repro.engine.vector import HAVE_NUMPY  # noqa: E402
+
 DOC = os.path.join(os.path.dirname(SRC), "docs", "observability.md")
 
 #: documented families that only a race or a failure can write —
@@ -49,6 +51,11 @@ ALLOWED_TIMING = {
     "repro_queries_cancelled_total",  # needs a mid-evaluation cancel
     "repro_query_errors_total",       # needs a genuine engine failure
 }
+
+#: documented families only the numpy kernel writes — tolerated as
+#: absent when numpy is not installed (every round then runs the
+#: python loop), required when it is
+NUMPY_ONLY = {"repro_vector_batches_total", "repro_vector_rows_total"}
 
 _DOC_NAME = re.compile(r"`(repro_[a-z0-9_]+)`")
 _TYPE_LINE = re.compile(r"^# TYPE (repro_[a-z0-9_]+) "
@@ -90,7 +97,6 @@ def drive(base: str) -> None:
         ({"query": "P(n0, Y)"}, 200),                      # compiled
         ({"query": "P(X, Y)", "engine": "semi-naive"}, 200),
         ({"query": "P(n0, Y)", "engine": "top-down"}, 200),
-        ({"query": "P(X, Y)", "workers": 0}, 200),         # sharded
         ({"query": "P(n0, Y)"}, 200),                      # cache hit
         ({"query": "P(n2, Y)", "max_rows": 1}, 200),       # truncated
         ({"query": "P(n3, Y)", "timeout_s": 0}, 408),      # timeout
@@ -148,7 +154,8 @@ def main() -> int:
         print(f"undocumented: {name} is exposed by /metrics but "
               f"missing from docs/observability.md", file=sys.stderr)
         failures += 1
-    for name in sorted(documented - exposed - ALLOWED_TIMING):
+    tolerated = ALLOWED_TIMING | (set() if HAVE_NUMPY else NUMPY_ONLY)
+    for name in sorted(documented - exposed - tolerated):
         print(f"stale: {name} is documented in docs/observability.md "
               f"but never exposed by the driven server",
               file=sys.stderr)

@@ -14,9 +14,10 @@ End-to-end over a real subprocess and real sockets:
    per engine, ``repro_rounds_total``/``repro_probes_total``/
    ``repro_derived_total`` per engine, and the vectorised delta-loop
    counters ``repro_vector_batches_total{backend}`` /
-   ``repro_vector_rows_total`` (non-zero — the session's semi-naive
-   queries certify for the kernel — and equal to the summed
-   per-response stats, under a single agreed backend label);
+   ``repro_vector_rows_total`` (equal to the summed per-response
+   stats under the ``numpy`` backend label; non-zero when numpy is
+   installed — the session's semi-naive queries certify for the
+   kernel — and zero without it);
 4. assert the structured log emitted exactly one line per query;
 5. assert the three signals correlate on the query id: every
    response's ``query_id`` matches its log line, retrieves a full
@@ -48,6 +49,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src")
 sys.path.insert(0, SRC)
 
+from repro.engine.vector import HAVE_NUMPY  # noqa: E402
 from repro.metrics import parse_prometheus_text  # noqa: E402
 
 CHAIN = 8  # nodes n0 … n8
@@ -60,7 +62,6 @@ SESSION = [
     ("P(X, Y)", "semi-naive"),
     ("P(X, Y)", "naive"),
     ("P(n0, Y)", "top-down"),
-    ("P(X, Y)", "sharded"),
     ("A(n0, Y)", None),  # EDB path
     ("P(X, Y)", "semi-naive"),  # repeat: served by the answer cache
 ]
@@ -128,9 +129,7 @@ def main() -> int:
             vector_backends: set[str] = set()
             for query, engine in SESSION:
                 document = {"query": query}
-                if engine == "sharded":
-                    document["workers"] = 0
-                elif engine is not None:
+                if engine is not None:
                     document["engine"] = engine
                 response = _post(base, document)
                 answers = {tuple(row) for row in response["answers"]}
@@ -243,15 +242,17 @@ def main() -> int:
                 failures += 1
 
             # -- vectorised delta-loop counters reconcile exactly -----
-            # the session's semi-naive runs over the interned TC
-            # program certify for the vector kernel (numpy or its
-            # stub, whichever this interpreter has), so the backend
-            # counters must be non-zero AND equal the per-response
-            # stats sums; every contributing response must agree on
-            # one backend name, which must label the batch counter
-            if vector_sums["vector_batches"] <= 0:
-                print("no response reported vector_batches > 0 — the "
-                      "vector kernel never engaged", file=sys.stderr)
+            # with numpy the session's semi-naive runs over the
+            # interned TC program certify for the vector kernel, so
+            # the backend counters must be non-zero AND equal the
+            # per-response stats sums, all under backend="numpy";
+            # without numpy every round runs the python loop and the
+            # counters stay zero
+            if (vector_sums["vector_batches"] > 0) != HAVE_NUMPY:
+                print(f"vector_batches sum to "
+                      f"{vector_sums['vector_batches']} with numpy "
+                      f"{'installed' if HAVE_NUMPY else 'absent'}",
+                      file=sys.stderr)
                 failures += 1
             for name, field in (
                     ("repro_vector_batches_total", "vector_batches"),
@@ -261,20 +262,18 @@ def main() -> int:
                           f"stats sum to {vector_sums[field]}",
                           file=sys.stderr)
                     failures += 1
-            if len(vector_backends) == 1:
-                backend = next(iter(vector_backends))
-                labelled = series_sum("repro_vector_batches_total",
-                                      backend=backend)
-                if labelled != vector_sums["vector_batches"]:
-                    print(f"repro_vector_batches_total{{backend="
-                          f"{backend}}}: metrics say {labelled}, "
-                          f"stats sum to "
-                          f"{vector_sums['vector_batches']}",
-                          file=sys.stderr)
-                    failures += 1
-            else:
-                print(f"vectorised responses disagree on backend: "
-                      f"{sorted(vector_backends)}", file=sys.stderr)
+            if vector_backends - {"numpy"}:
+                print(f"vectorised responses name backends "
+                      f"{sorted(vector_backends)}, expected numpy",
+                      file=sys.stderr)
+                failures += 1
+            labelled = series_sum("repro_vector_batches_total",
+                                  backend="numpy")
+            if labelled != vector_sums["vector_batches"]:
+                print(f"repro_vector_batches_total{{backend=numpy}}: "
+                      f"metrics say {labelled}, stats sum to "
+                      f"{vector_sums['vector_batches']}",
+                      file=sys.stderr)
                 failures += 1
 
             # -- one structured log line per query --------------------

@@ -1,7 +1,7 @@
 """CI smoke: one traced query per engine, validated against the schema.
 
 Runs transitive closure through every engine (naive, semi-naive,
-sharded in-process and pooled, compiled, top-down, incremental) with a
+compiled, top-down, incremental) with a
 :class:`~repro.engine.trace.Tracer` attached, validates each emitted
 JSON document with
 :func:`~repro.engine.trace.validate_trace_dict`, and checks the
@@ -27,8 +27,7 @@ import sys
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, MaterializedRecursion,
                           NaiveEngine, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, TopDownEngine,
-                          Tracer, validate_trace_dict)
+                          TopDownEngine, Tracer, validate_trace_dict)
 from repro.engine.stats import EvaluationStats, delta_between
 from repro.ra import Database
 from repro.workloads import chain
@@ -38,9 +37,6 @@ ENGINES = {
     "semi-naive": SemiNaiveEngine(),
     "compiled": CompiledEngine(),
     "top-down": TopDownEngine(),
-    "sharded(workers=0)": ShardedSemiNaiveEngine(workers=0),
-    "sharded(workers=2)": ShardedSemiNaiveEngine(workers=2,
-                                                 min_parallel_rows=1),
 }
 
 

@@ -36,7 +36,6 @@ from .engine.compiled import CompiledEngine
 from .engine.naive import NaiveEngine
 from .engine.query import Query
 from .engine.seminaive import SemiNaiveEngine
-from .engine.sharded import ShardedSemiNaiveEngine
 from .engine.stats import EvaluationStats
 from .engine.topdown import TopDownEngine
 from .engine.trace import TRACE_SCHEMA_VERSION, Tracer
@@ -47,8 +46,7 @@ from .graphs.resolution import resolution_graph
 from .ra.database import Database
 
 _ENGINES = {"naive": NaiveEngine, "semi-naive": SemiNaiveEngine,
-            "compiled": CompiledEngine, "top-down": TopDownEngine,
-            "sharded": ShardedSemiNaiveEngine}
+            "compiled": CompiledEngine, "top-down": TopDownEngine}
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -184,15 +182,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         queries = [Query.from_atom(goal) for goal in program.queries]
     else:
         queries = [Query.all_free(system.predicate, system.dimension)]
-    if args.workers is not None and args.engine not in ("semi-naive",
-                                                        "sharded"):
-        print("error: --workers applies to --engine sharded or "
-              "semi-naive only", file=sys.stderr)
-        return 2
-    if args.engine == "sharded" or args.workers is not None:
-        engine = ShardedSemiNaiveEngine(workers=args.workers or 0,
-                                        backend=args.backend)
-    elif args.engine in ("semi-naive", "compiled"):
+    if args.engine in ("semi-naive", "compiled"):
         engine = _ENGINES[args.engine](backend=args.backend)
     else:
         # naive/top-down have no delta loop; --backend is moot there
@@ -263,7 +253,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     session.load(text)
     server = QueryServer(session, host=args.host, port=args.port,
                          default_engine=args.engine,
-                         default_workers=args.workers,
                          default_backend=args.backend,
                          max_inflight=args.max_inflight,
                          query_timeout_s=args.query_timeout,
@@ -307,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "(SIGMOD 1988) — analysis and evaluation tools")
     numpy_v = numpy_version()
     vector_info = (f"numpy {numpy_v}" if numpy_v
-                   else "stub (numpy unavailable)")
+                   else "none (numpy unavailable)")
     parser.add_argument(
         "--version", action="version",
         version=f"repro {__version__} "
@@ -392,14 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--query", help="e.g. 'P(a, Y)'")
     p_run.add_argument("--engine", choices=sorted(_ENGINES),
                        default="compiled")
-    p_run.add_argument("--workers", type=int, default=None,
-                       help="shard the fixpoint across N worker "
-                            "processes (0 = in-process sharding); "
-                            "implies the sharded engine")
     p_run.add_argument("--backend", choices=BACKENDS, default="auto",
                        help="delta-loop backend: auto/vector use the "
-                            "vectorised kernel (numpy, or its pure-"
-                            "python stub) for certified plan shapes; "
+                            "numpy kernel for certified plan shapes "
+                            "(the tuple-set loop without numpy); "
                             "python pins the tuple-set loop")
     p_run.add_argument("--trace", action="store_true",
                        help="print an EXPLAIN ANALYZE trace of each "
@@ -432,9 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--engine", choices=sorted(_ENGINES),
                          default="compiled",
                          help="default engine for /query requests")
-    p_serve.add_argument("--workers", type=int, default=None,
-                         help="default worker-pool size for /query "
-                              "requests (implies the sharded engine)")
     p_serve.add_argument("--backend", choices=BACKENDS,
                          default="auto",
                          help="default delta-loop backend for /query "

@@ -12,13 +12,11 @@ from .conjunctive import (Binding, pattern_of, satisfiable, solve,
 from .deadline import Deadline, QueryCancelled, QueryTimeout
 from .naive import NaiveEngine
 from .incremental import MaterializedRecursion
-from .partition import partition_rows, probe_key_positions
 from .plan import JoinPlan, JoinStep, compile_plan
 from .provenance import Derivation, explain_answer
 from .query import Query
 from .seminaive import SemiNaiveEngine
 from .setjoin import apply_rule, execute_plan, join_batch
-from .sharded import ShardedSemiNaiveEngine
 from .topdown import TopDownEngine
 from .stats import EvaluationStats
 from .trace import (TRACE_SCHEMA_VERSION, RoundSpan, RuleSpan, Trace,
@@ -31,10 +29,9 @@ __all__ = [
     "ALL_ENGINES", "Binding", "CompiledEngine", "Deadline",
     "EvaluationStats", "QueryCancelled", "QueryTimeout",
     "JoinPlan", "JoinStep", "NaiveEngine", "Query", "SemiNaiveEngine",
-    "ShardedSemiNaiveEngine",
     "TRACE_SCHEMA_VERSION", "RoundSpan", "RuleSpan", "Trace", "Tracer",
     "validate_trace_dict",
-    "pattern_of", "partition_rows", "probe_key_positions",
+    "pattern_of",
     "TopDownEngine", "Derivation", "MaterializedRecursion",
     "apply_rule", "compile_plan", "execute_plan", "explain_answer",
     "join_batch",

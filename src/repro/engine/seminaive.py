@@ -53,17 +53,11 @@ class SemiNaiveEngine:
     backend:
         Delta-loop backend selection: ``"auto"``/``"vector"`` hand
         certified plan shapes to the vectorised kernel
-        (:mod:`repro.engine.vector` — numpy when importable, the
-        bit-identical pure-python stub otherwise), ``"python"`` pins
-        the tuple-set loop.
+        (:mod:`repro.engine.vector`) when numpy imports and run the
+        tuple-set loop otherwise; ``"python"`` pins the tuple-set loop.
     """
 
     name = "semi-naive"
-
-    #: subclasses that override :meth:`_recursive_round` (the sharded
-    #: engine) set this False so the vector delegation — which owns
-    #: the whole loop — can never silently bypass their round hook
-    vector_rounds = True
 
     def __init__(self, set_at_a_time: bool = True,
                  backend: str = "auto") -> None:
@@ -123,70 +117,64 @@ class SemiNaiveEngine:
 
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
-                        query=query, workers=getattr(self, "workers", 0))
-        self._begin_fixpoint(system, database, stats)
-        try:
-            # Round 0: exit rules over the EDB.
+                        query=query)
+            trace.begin_round("exit", 0, stats)
+        # Round 0: exit rules over the EDB.
+        total: set[tuple] = set()
+        for position, exit_rule in enumerate(system.exits):
             if trace is not None:
-                trace.begin_round("exit", 0, stats)
-            total: set[tuple] = set()
-            for position, exit_rule in enumerate(system.exits):
-                if trace is not None:
-                    trace.begin_rule(f"exit[{position}]: {exit_rule}",
-                                     stats)
-                if self.set_at_a_time:
-                    total |= apply_rule(database, exit_rule.body, (),
-                                        exit_rule.head.args, [()], stats)
-                else:
-                    total |= solve_project(database, exit_rule.body,
-                                           exit_rule.head.args,
-                                           stats=stats)
-                if trace is not None:
-                    trace.end_rule(stats)
-            delta = set(total)
-            stats.record_round(len(delta))
-            if trace is not None:
-                trace.end_round(len(delta), stats)
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(len(total)):
-                    stats.truncated = True
-                    delta = set()  # round boundary: stop cleanly
-
-            if (self.set_at_a_time and self.vector_rounds
-                    and self.backend != "python"
-                    and _vector_eligible(database, recursive_vars)):
-                # the vector module owns the whole loop (including the
-                # tuple-set continuation for uncertified plan shapes),
-                # keeping every counter identical to the loop below
-                total = run_delta_loop(database, body_rest,
-                                       recursive_vars, head_args,
-                                       total, delta, stats, trace,
-                                       max_rounds)
+                trace.begin_rule(f"exit[{position}]: {exit_rule}", stats)
+            if self.set_at_a_time:
+                total |= apply_rule(database, exit_rule.body, (),
+                                    exit_rule.head.args, [()], stats)
             else:
-                rounds = 0
-                while delta:
-                    if max_rounds is not None and rounds >= max_rounds:
+                total |= solve_project(database, exit_rule.body,
+                                       exit_rule.head.args, stats=stats)
+            if trace is not None:
+                trace.end_rule(stats)
+        delta = set(total)
+        stats.record_round(len(delta))
+        if trace is not None:
+            trace.end_round(len(delta), stats)
+        if deadline is not None:
+            deadline.check_time()
+            if deadline.out_of_rows(len(total)):
+                stats.truncated = True
+                delta = set()  # round boundary: stop cleanly
+
+        if (self.set_at_a_time and self.backend != "python"
+                and _vector_eligible(database, recursive_vars)):
+            # the vector module owns the whole loop (including the
+            # tuple-set continuation for uncertified plan shapes),
+            # keeping every counter identical to the loop below
+            total = run_delta_loop(database, body_rest, recursive_vars,
+                                   head_args, total, delta, stats, trace,
+                                   max_rounds)
+        else:
+            rounds = 0
+            while delta:
+                if max_rounds is not None and rounds >= max_rounds:
+                    break
+                rounds += 1
+                if trace is not None:
+                    trace.begin_round("delta", len(delta), stats)
+                if self.set_at_a_time:
+                    new = apply_rule(database, body_rest, recursive_vars,
+                                     head_args, delta, stats)
+                else:
+                    new = self._tuple_at_a_time_round(
+                        database, body_rest, recursive_vars, head_args,
+                        delta, stats)
+                delta = new - total
+                total |= delta
+                stats.record_round(len(delta))
+                if trace is not None:
+                    trace.end_round(len(delta), stats)
+                if deadline is not None:
+                    deadline.check_time()
+                    if deadline.out_of_rows(len(total)):
+                        stats.truncated = True
                         break
-                    rounds += 1
-                    if trace is not None:
-                        trace.begin_round("delta", len(delta), stats)
-                    new = self._recursive_round(database, body_rest,
-                                                recursive_vars,
-                                                head_args, delta,
-                                                stats, trace)
-                    delta = new - total
-                    total |= delta
-                    stats.record_round(len(delta))
-                    if trace is not None:
-                        trace.end_round(len(delta), stats)
-                    if deadline is not None:
-                        deadline.check_time()
-                        if deadline.out_of_rows(len(total)):
-                            stats.truncated = True
-                            break
-        finally:
-            self._end_fixpoint(stats)
 
         if isinstance(total, ColumnarTotal):
             # the numpy kernel's product stays columnar through the
@@ -213,35 +201,6 @@ class SemiNaiveEngine:
         elif decode and database.interned:
             answers = AnswerSet(answers, database.symbols)
         return answers
-
-    # -- subclass hooks --------------------------------------------------
-
-    def _begin_fixpoint(self, system: RecursionSystem,
-                        database: Database,
-                        stats: EvaluationStats) -> None:
-        """Called once before round 0 (sharded engine: pool setup)."""
-
-    def _end_fixpoint(self, stats: EvaluationStats) -> None:
-        """Called once after the loop, even on error (pool teardown)."""
-
-    def _recursive_round(self, database: Database, body_rest,
-                         recursive_vars, head_args, delta: set[tuple],
-                         stats: EvaluationStats,
-                         trace: Tracer | None = None) -> set[tuple]:
-        """One application of the recursive rule to *delta*.
-
-        Subclasses override this to change the execution discipline of
-        a round; the delta bookkeeping around it stays shared, which is
-        what keeps per-round delta sizes comparable across engines.
-        *trace*, when given, is the open round span's tracer (the
-        sharded engine attaches shard sizes and fallback events to it).
-        """
-        if self.set_at_a_time:
-            return apply_rule(database, body_rest, recursive_vars,
-                              head_args, delta, stats)
-        return self._tuple_at_a_time_round(
-            database, body_rest, recursive_vars, head_args, delta,
-            stats)
 
     @staticmethod
     def _tuple_at_a_time_round(database: Database, body_rest,

@@ -18,8 +18,7 @@ row is made of dense int codes, which unlocks a second access path:
 single-column keys probe a plain Python *list* indexed by code
 (:meth:`Database.dense_table`) instead of hashing — no ``__hash__``,
 no ``__eq__``, one ``LIST_SUBSCR``.  :func:`probe_table` is the single
-place that picks between the two, so the sharded engine's pre-warm
-builds exactly the table the kernel will probe.  Multi-column keys and
+place that picks between the two.  Multi-column keys and
 ``intern=False`` databases keep the dict path verbatim; either way a
 (relation, key) table is built exactly once per version, so the
 ``hash_builds`` counter is identical across modes.

@@ -20,7 +20,11 @@ from dataclasses import dataclass, field
 #: Version 4 added ``backend`` (resolved execution backend) plus the
 #: ``vector_batches``/``vector_rows`` counters of the vectorised
 #: delta loop (see :mod:`repro.engine.vector`).
-STATS_SCHEMA_VERSION = 4
+#: Version 5 removed the worker-pool fields ``workers``,
+#: ``shard_counts``, ``shard_skew``, ``pool_round_trip_s``,
+#: ``pool_fallbacks`` and ``sequential_rounds``; ``backend`` is
+#: ``"numpy"`` or ``"python"``.
+STATS_SCHEMA_VERSION = 5
 
 #: The monotonically accumulating scalar fields of
 #: :class:`EvaluationStats` — the ones whose snapshot difference is a
@@ -28,14 +32,12 @@ STATS_SCHEMA_VERSION = 4
 ACCUMULATING_FIELDS = (
     "rounds", "probes", "derived", "plan_cache_hits",
     "plan_cache_misses", "hash_builds", "hash_lookups",
-    "pool_round_trip_s", "pool_fallbacks", "sequential_rounds",
     "answer_cache_hits", "vector_batches", "vector_rows",
 )
 
 #: The append-only list fields; their snapshot difference is the tail
 #: of entries added between the two snapshots.
-ACCUMULATING_LIST_FIELDS = ("delta_sizes", "batch_sizes",
-                            "shard_counts", "shard_skew")
+ACCUMULATING_LIST_FIELDS = ("delta_sizes", "batch_sizes")
 
 
 def delta_between(before: dict, after: dict) -> dict:
@@ -43,7 +45,7 @@ def delta_between(before: dict, after: dict) -> dict:
 
     Scalar counters subtract; list counters return the appended tail.
     Non-accumulating fields (``engine``, ``backend``, ``answers``,
-    ``workers``, ``measured_rank``, ``truncated``) carry *after*'s
+    ``measured_rank``, ``truncated``) carry *after*'s
     value — they describe the run, not an increment.  This is how a
     reused stats object feeds a metrics registry without double
     counting.
@@ -53,8 +55,8 @@ def delta_between(before: dict, after: dict) -> dict:
         delta[name] = after[name] - before[name]
     for name in ACCUMULATING_LIST_FIELDS:
         delta[name] = after[name][len(before[name]):]
-    for name in ("engine", "backend", "answers", "workers",
-                 "measured_rank", "truncated"):
+    for name in ("engine", "backend", "answers", "measured_rank",
+                 "truncated"):
         delta[name] = after[name]
     return delta
 
@@ -64,8 +66,8 @@ class EvaluationStats:
     """Mutable counters filled in during one evaluation."""
 
     engine: str = ""
-    #: resolved execution backend of the delta loop — ``"numpy"`` or
-    #: ``"stub"`` when the vectorised kernel ran at least one round,
+    #: resolved execution backend of the delta loop — ``"numpy"``
+    #: when the vectorised kernel ran at least one round,
     #: ``"python"`` when the tuple-set loop did, ``""`` for engines
     #: that never consider the vector seam (naive, top-down)
     backend: str = ""
@@ -83,21 +85,6 @@ class EvaluationStats:
     hash_lookups: int = 0
     #: bindings entering the set-at-a-time kernel, one entry per batch
     batch_sizes: list[int] = field(default_factory=list)
-    #: sharded execution — configured worker count (0 = in-process)
-    workers: int = 0
-    #: non-empty shards dispatched, one entry per partitioned round
-    shard_counts: list[int] = field(default_factory=list)
-    #: max/mean shard-size ratio, one entry per partitioned round
-    #: (1.0 is a perfectly balanced round)
-    shard_skew: list[float] = field(default_factory=list)
-    #: wall-clock seconds spent waiting on the worker pool
-    pool_round_trip_s: float = 0.0
-    #: rounds that fell back to sequential because the pool could not
-    #: be created, died, or returned an error
-    pool_fallbacks: int = 0
-    #: rounds run sequentially because the delta was below the
-    #: parallelism threshold (tiny shards are not worth the IPC)
-    sequential_rounds: int = 0
     #: queries answered from the session's cross-query answer cache
     #: (the evaluation was skipped outright)
     answer_cache_hits: int = 0
@@ -141,26 +128,17 @@ class EvaluationStats:
         """Log one set-at-a-time batch and its binding count."""
         self.batch_sizes.append(size)
 
-    def record_shards(self, sizes: list[int]) -> None:
-        """Log one partitioned round: shard count and size skew."""
-        self.shard_counts.append(len(sizes))
-        total = sum(sizes)
-        if sizes and total:
-            self.shard_skew.append(max(sizes) * len(sizes) / total)
-        else:
-            self.shard_skew.append(1.0)
-
     def merge(self, other: "EvaluationStats") -> None:
         """Fold *other*'s counters into this one (sub-evaluations).
 
         ``delta_sizes`` folds *positionally*: the merged list has the
         element-wise maximum length and each round's new-tuple counts
         are summed, so ``measured_rank`` after merging a
-        sub-evaluation (a parallel shard, a differentiated insert) is
+        sub-evaluation (a differentiated insert) is
         the rank of the combined run, not of whichever part happened
         to be folded last.  ``answers`` and ``engine`` are
         deliberately *not* merged: ``answers`` is a query-level result
-        (the final filtered set, not additive across parts — a shard's
+        (the final filtered set, not additive across parts — a part's
         answers overlap the total), and ``engine`` is the identity of
         the evaluation that owns this stats object, not a counter.
         """
@@ -179,11 +157,6 @@ class EvaluationStats:
         self.hash_builds += other.hash_builds
         self.hash_lookups += other.hash_lookups
         self.batch_sizes.extend(other.batch_sizes)
-        self.shard_counts.extend(other.shard_counts)
-        self.shard_skew.extend(other.shard_skew)
-        self.pool_round_trip_s += other.pool_round_trip_s
-        self.pool_fallbacks += other.pool_fallbacks
-        self.sequential_rounds += other.sequential_rounds
         self.answer_cache_hits += other.answer_cache_hits
         self.vector_batches += other.vector_batches
         self.vector_rows += other.vector_rows
@@ -215,12 +188,6 @@ class EvaluationStats:
             "hash_builds": self.hash_builds,
             "hash_lookups": self.hash_lookups,
             "batch_sizes": list(self.batch_sizes),
-            "workers": self.workers,
-            "shard_counts": list(self.shard_counts),
-            "shard_skew": list(self.shard_skew),
-            "pool_round_trip_s": self.pool_round_trip_s,
-            "pool_fallbacks": self.pool_fallbacks,
-            "sequential_rounds": self.sequential_rounds,
             "answer_cache_hits": self.answer_cache_hits,
             "vector_batches": self.vector_batches,
             "vector_rows": self.vector_rows,
@@ -229,11 +196,8 @@ class EvaluationStats:
 
     def summary(self) -> str:
         """One-line rendering for bench output."""
-        line = (f"{self.engine}: rounds={self.rounds} "
+        return (f"{self.engine}: rounds={self.rounds} "
                 f"probes={self.probes} "
                 f"derived={self.derived} answers={self.answers} "
                 f"plans={self.plan_cache_hits}h/{self.plan_cache_misses}m "
                 f"hash={self.hash_builds}b/{self.hash_lookups}l")
-        if self.workers:
-            line += f" workers={self.workers}"
-        return line

@@ -3,11 +3,9 @@
 :class:`EvaluationStats` summarises a whole run; a :class:`Trace`
 records *how the run unfolded*: one :class:`RoundSpan` per fixpoint
 round with the delta sizes flowing in and out, the join fan-out, the
-hash tables built versus reused, wall-clock time, and — for the
-sharded engine — per-shard row counts, worker wall-times and fallback
-events.  This is the runtime feedback layer the classification work
-promises: the compiled plan says what *should* happen, the trace shows
-what *did*.
+hash tables built versus reused, and wall-clock time.  This is the
+runtime feedback layer the classification work promises: the compiled
+plan says what *should* happen, the trace shows what *did*.
 
 Design:
 
@@ -41,7 +39,10 @@ from .stats import EvaluationStats
 #: Bump it whenever a field is added, removed or changes meaning; the
 #: CI smoke step validates every engine's output against
 #: :func:`validate_trace_dict`, so drift cannot land silently.
-TRACE_SCHEMA_VERSION = 1
+#: Version 2 removed the worker-pool fields: ``workers`` on the
+#: trace, ``shard_sizes``/``shard_wall_s`` on each round, and the
+#: ``events`` lists (pool fallbacks were their only producer).
+TRACE_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -60,7 +61,7 @@ class RuleSpan:
 
 @dataclass
 class RoundSpan:
-    """One fixpoint round: sizes, work counters, timing, shard info.
+    """One fixpoint round: sizes, work counters and timing.
 
     ``kind`` names what the round did — ``exit`` (round 0 of the
     delta engines), ``delta`` (a semi-naive round), ``round`` (one
@@ -81,11 +82,6 @@ class RoundSpan:
     hash_builds: int = 0
     hash_reuses: int = 0
     rules: list[RuleSpan] = field(default_factory=list)
-    #: sharded engine only: row counts of the non-empty shards
-    shard_sizes: list[int] | None = None
-    #: sharded engine only: per-shard worker wall-clock seconds
-    shard_wall_s: list[float] | None = None
-    events: list[dict] = field(default_factory=list)
     #: engine-specific extras (e.g. the top-down subgoal pattern)
     detail: dict = field(default_factory=dict)
 
@@ -106,9 +102,6 @@ class RoundSpan:
             "hash_reuses": self.hash_reuses,
             "fan_out": self.fan_out,
             "rules": [rule.to_dict() for rule in self.rules],
-            "shard_sizes": self.shard_sizes,
-            "shard_wall_s": self.shard_wall_s,
-            "events": list(self.events),
             "detail": dict(self.detail),
         }
 
@@ -120,11 +113,9 @@ class Trace:
     engine: str
     predicate: str | None
     query: str | None
-    workers: int
     answers: int
     total_s: float
     rounds: list[RoundSpan]
-    events: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
     @property
@@ -140,11 +131,9 @@ class Trace:
             "engine": self.engine,
             "predicate": self.predicate,
             "query": self.query,
-            "workers": self.workers,
             "answers": self.answers,
             "total_s": self.total_s,
             "rounds": [span.to_dict() for span in self.rounds],
-            "events": list(self.events),
             "meta": dict(self.meta),
         }
 
@@ -156,7 +145,6 @@ class Trace:
         """Human-readable EXPLAIN ANALYZE table."""
         lines = [f"engine={self.engine}"
                  + (f" query={self.query}" if self.query else "")
-                 + (f" workers={self.workers}" if self.workers else "")
                  + f" answers={self.answers}"
                  + f" rounds={len(self.rounds)}"
                  + f" total={_ms(self.total_s)}"]
@@ -179,29 +167,11 @@ class Trace:
                              f"derived={rule.derived} "
                              f"probes={rule.probes} "
                              f"[{_ms(rule.duration_s)}]")
-            if span.shard_sizes is not None:
-                shards = "+".join(str(s) for s in span.shard_sizes)
-                line = f"    shards: {shards or '(none)'}"
-                if span.shard_wall_s:
-                    walls = "/".join(_ms(w) for w in span.shard_wall_s)
-                    line += f"  worker walls: {walls}"
-                lines.append(line)
-            for event in span.events:
-                lines.append(f"    ! {_event_text(event)}")
-        for event in self.events:
-            lines.append(f"  ! {_event_text(event)}")
         return "\n".join(lines)
 
 
 def _ms(seconds: float) -> str:
     return f"{seconds * 1000:.2f}ms"
-
-
-def _event_text(event: dict) -> str:
-    name = event.get("name", "?")
-    extras = ", ".join(f"{k}={v}" for k, v in sorted(event.items())
-                       if k != "name")
-    return f"{name}({extras})" if extras else name
 
 
 class Tracer:
@@ -232,9 +202,7 @@ class Tracer:
         self._engine = ""
         self._predicate: str | None = None
         self._query: str | None = None
-        self._workers = 0
         self._meta: dict = {}
-        self._events: list[dict] = []
         self._spans: list[RoundSpan] = []
         self._current: RoundSpan | None = None
         self._current_rule: RuleSpan | None = None
@@ -245,7 +213,7 @@ class Tracer:
     # -- lifecycle -----------------------------------------------------
 
     def begin(self, engine: str, predicate: str | None = None,
-              query: object | None = None, workers: int = 0,
+              query: object | None = None,
               **meta: object) -> None:
         """Start (or restart) collecting for one evaluation."""
         self._reset()
@@ -253,7 +221,6 @@ class Tracer:
         self._engine = engine
         self._predicate = predicate
         self._query = str(query) if query is not None else None
-        self._workers = workers
         self._meta = dict(meta)
         self._started = perf_counter()
 
@@ -268,9 +235,9 @@ class Tracer:
             self.end_round(0, stats)
         self.trace = Trace(
             engine=self._engine, predicate=self._predicate,
-            query=self._query, workers=self._workers, answers=answers,
+            query=self._query, answers=answers,
             total_s=perf_counter() - self._started,
-            rounds=self._spans, events=self._events, meta=self._meta)
+            rounds=self._spans, meta=self._meta)
         return self.trace
 
     # -- rounds --------------------------------------------------------
@@ -332,35 +299,13 @@ class Tracer:
         rule.derived = now_derived - derived
         self._current.rules.append(rule)
 
-    # -- sharded extras ------------------------------------------------
-
-    def shards(self, sizes: list[int],
-               wall_s: list[float] | None = None) -> None:
-        """Attach per-shard row counts (and worker walls) to the
-        current round."""
-        if self._current is None:
-            return
-        self._current.shard_sizes = list(sizes)
-        self._current.shard_wall_s = (list(wall_s)
-                                      if wall_s is not None else None)
-
-    def event(self, name: str, **data: object) -> None:
-        """Record a notable event (pool fallback, sequential round…)
-        on the current round, or on the trace when between rounds."""
-        record = {"name": name, **data}
-        if self._current is not None:
-            self._current.events.append(record)
-        else:
-            self._events.append(record)
-
 
 # -- schema validation ----------------------------------------------------
 
 _TRACE_FIELDS = {
     "version": int, "engine": str, "predicate": (str, type(None)),
-    "query": (str, type(None)), "workers": int, "answers": int,
-    "total_s": (int, float), "rounds": list, "events": list,
-    "meta": dict,
+    "query": (str, type(None)), "answers": int,
+    "total_s": (int, float), "rounds": list, "meta": dict,
 }
 
 _ROUND_FIELDS = {
@@ -368,8 +313,7 @@ _ROUND_FIELDS = {
     "duration_s": (int, float), "probes": int, "derived": int,
     "hash_builds": int, "hash_reuses": int,
     "fan_out": (int, float, type(None)), "rules": list,
-    "shard_sizes": (list, type(None)),
-    "shard_wall_s": (list, type(None)), "events": list, "detail": dict,
+    "detail": dict,
 }
 
 _RULE_FIELDS = {
@@ -397,8 +341,8 @@ def validate_trace_dict(document: dict) -> None:
 
     Strict on field *presence* and types (unknown top-level or
     per-round fields are rejected — that is the drift the CI smoke
-    step exists to catch); ``detail``/``meta``/event payloads are
-    free-form by design.
+    step exists to catch); ``detail``/``meta`` payloads are free-form
+    by design.
     """
     _check_fields(document, _TRACE_FIELDS, "trace")
     if document["version"] != TRACE_SCHEMA_VERSION:
@@ -413,15 +357,3 @@ def validate_trace_dict(document: dict) -> None:
         for rule_position, rule in enumerate(span["rules"]):
             _check_fields(rule, _RULE_FIELDS,
                           f"{where}.rules[{rule_position}]")
-        for name in ("shard_sizes", "shard_wall_s"):
-            values = span[name]
-            if values is not None and not all(
-                    isinstance(v, (int, float)) for v in values):
-                raise ValueError(f"{where}.{name}: non-numeric entry")
-        for event in span["events"]:
-            if not isinstance(event, dict) or "name" not in event:
-                raise ValueError(
-                    f"{where}: event without a name: {event!r}")
-    for event in document["events"]:
-        if not isinstance(event, dict) or "name" not in event:
-            raise ValueError(f"trace: event without a name: {event!r}")

@@ -10,17 +10,12 @@ round is gather + concatenate + sorted-unique dedup — no Python tuple
 is built until the single boundary conversion back into the engine's
 answer set.
 
-Two interchangeable kernels implement the round:
-
-* **numpy** (when importable): ``np.repeat``/fancy-indexing gathers
-  over zero-copy ``np.frombuffer`` views of the CSR arrays, packed
-  ``a * N + b`` int64 keys deduplicated with ``np.unique`` +
-  ``np.searchsorted`` against the sorted seen-key vector;
-* **stub** (always available): the same CSR walk in pure Python over
-  ``array('q')`` vectors with a set-based dedup — answers, stats and
-  traces bit-identical to the numpy kernel (property-tested in
-  ``tests/test_vector_properties.py``), speed on par with the
-  row-bucket fused path it replaces.
+The kernel is numpy: ``np.repeat``/fancy-indexing gathers over
+zero-copy ``np.frombuffer`` views of the CSR arrays, packed
+``a * N + b`` int64 keys deduplicated by a sort plus
+``np.searchsorted`` against the sorted seen-key vector.  Without numpy
+every shape continues on the tuple-set path, so ``auto``/``vector``
+resolve to the python loop (``stats.backend == "python"``).
 
 The loop preserves the counting discipline of the pure-Python path
 *exactly*: per round one plan-cache touch, one ``record_batch``, one
@@ -35,7 +30,6 @@ a seam.
 
 from __future__ import annotations
 
-import os
 from array import array
 
 from ..datalog.errors import EvaluationError
@@ -48,7 +42,7 @@ from .trace import Tracer
 
 try:  # optional dependency: ``pip install repro[vector]``
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the stub leg
+except ImportError:  # pragma: no cover - exercised by the numpy-less legs
     _np = None
 
 #: True when the numpy kernel can run in this process.
@@ -58,23 +52,6 @@ HAVE_NUMPY = _np is not None
 #: the vectorised kernel with per-shape fallback, ``python`` pins the
 #: tuple-set loop (the ablation/debug escape hatch).
 BACKENDS = ("auto", "vector", "python")
-
-#: Test/bench hook: run the pure-python stub even when numpy imports
-#: (set the ``REPRO_VECTOR_STUB`` environment variable, or call
-#: :func:`force_stub`).  Parity suites flip this to prove the two
-#: kernels bit-identical on one machine.
-_FORCE_STUB = os.environ.get("REPRO_VECTOR_STUB", "") not in ("", "0")
-
-
-def force_stub(enabled: bool) -> None:
-    """Force (or stop forcing) the stub kernel — test/bench hook."""
-    global _FORCE_STUB
-    _FORCE_STUB = bool(enabled)
-
-
-def active_backend() -> str:
-    """The kernel a vector round would run: ``"numpy"`` or ``"stub"``."""
-    return "numpy" if HAVE_NUMPY and not _FORCE_STUB else "stub"
 
 
 def numpy_version() -> str | None:
@@ -261,53 +238,6 @@ class _NumpyState:
         return ColumnarTotal((first, second))
 
 
-class _StubState:
-    """The pure-python twin of :class:`_NumpyState`.
-
-    Walks the same CSR arrays (``array('q')`` slices instead of fancy
-    indexing) and dedups through a set of row pairs; every counter the
-    loop reads off a round is computed identically, so stats and
-    traces cannot diverge between kernels.
-    """
-
-    def __init__(self, total: set, delta: set, n_symbols: int) -> None:
-        self._total = set(total)
-        self._delta: list[tuple] = list(delta)
-
-    @property
-    def n_delta(self) -> int:
-        return len(self._delta)
-
-    @property
-    def total_size(self) -> int:
-        return len(self._total)
-
-    def round(self, spec: FusedTail, csr: tuple) -> tuple[int, int]:
-        values, offsets = csr
-        n_buckets = len(offsets) - 1
-        slot, keep, new_first = spec.slot, spec.keep, spec.new_first
-        out: list[tuple] = []
-        for row in self._delta:
-            code = row[slot]
-            if code >= n_buckets:
-                continue
-            start, end = offsets[code], offsets[code + 1]
-            if end == start:
-                continue
-            kept = row[keep]
-            if new_first:
-                out += [(value, kept) for value in values[start:end]]
-            else:
-                out += [(kept, value) for value in values[start:end]]
-        fresh = set(out) - self._total
-        self._total |= fresh
-        self._delta = list(fresh)
-        return len(out), len(fresh)
-
-    def finalize(self) -> set[tuple]:
-        return self._total
-
-
 # -- the delta loop -------------------------------------------------------
 
 
@@ -324,7 +254,7 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     compiles the plan exactly like the tuple-set loop (one counted
     miss on a cold cache), and only then reads the certificate off the
     compiled plan.  A certified shape runs vectorised rounds on the
-    :func:`active_backend` kernel; anything else continues on the
+    numpy kernel when numpy imports; anything else continues on the
     tuple-set path *reusing* the already-compiled plan for round 1
     (no second compile) and ``apply_rule`` — one counted hit per
     round — thereafter, keeping every counter identical to the
@@ -347,16 +277,14 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
         plan.fused is not None and len(plan.steps) == 1
         and layout.is_identity and database.interned
         and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
-    if not certified:
+    if not certified or _np is None:
         return _python_rounds(database, body, entry_terms, out_terms,
                               total, delta, stats, trace, max_rounds,
                               deadline, plan, layout)
-    backend = active_backend()
-    state = (_NumpyState if backend == "numpy" else _StubState)(
-        total, delta, n_symbols)
+    state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace, max_rounds,
-                          deadline, backend)
+                          deadline)
 
 
 def _python_rounds(database, body, entry_terms, out_terms, total,
@@ -396,9 +324,9 @@ def _python_rounds(database, body, entry_terms, out_terms, total,
 
 
 def _vector_rounds(database, body, entry_terms, out_terms, state,
-                   spec, stats, trace, max_rounds, deadline,
-                   backend) -> set[tuple]:
-    """Certified rounds on a kernel state (round 1's span is open)."""
+                   spec, stats, trace, max_rounds,
+                   deadline) -> ColumnarTotal:
+    """Certified rounds on the numpy state (round 1's span is open)."""
     rounds = 0
     while True:
         rounds += 1
@@ -432,5 +360,5 @@ def _vector_rounds(database, body, entry_terms, out_terms, state,
         # rounds >= 2 are counted plan-cache hits; touch the cache the
         # same way to keep the counters bit-identical.
         compile_plan(body, entry_terms, out_terms, database, stats)
-    stats.backend = backend
+    stats.backend = "numpy"
     return state.finalize()

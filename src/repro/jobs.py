@@ -99,14 +99,14 @@ class Job:
     running).
     """
 
-    __slots__ = ("id", "query", "query_id", "engine", "workers",
-                 "backend", "timeout_s", "max_rows", "epoch", "state",
+    __slots__ = ("id", "query", "query_id", "engine", "backend",
+                 "timeout_s", "max_rows", "epoch", "state",
                  "submitted_at", "started_at", "finished_at", "stats",
                  "cancel", "result", "error", "error_status", "trace",
                  "_queue_wait_s", "_run_s")
 
     def __init__(self, job_id: str, query: str, *, engine: str,
-                 workers: int | None, timeout_s: float | None,
+                 timeout_s: float | None,
                  max_rows: int | None, epoch,
                  query_id: str | None = None,
                  trace: bool = False,
@@ -119,7 +119,6 @@ class Job:
         #: force flight-recorder capture of the run
         self.trace = trace
         self.engine = engine
-        self.workers = workers
         #: delta-loop backend the run pins ("auto" lets the engine
         #: pick the vectorised kernel for certified shapes)
         self.backend = backend
@@ -178,8 +177,6 @@ class Job:
             "progress": self.progress(),
             "cancel_requested": self.cancel.is_set(),
         }
-        if self.workers is not None:
-            document["workers"] = self.workers
         if self.backend != "auto":
             document["backend"] = self.backend
         if self.timeout_s is not None:
@@ -266,7 +263,6 @@ class JobQueue:
         return self.service.metrics
 
     def submit(self, query: str, *, engine: str = "compiled",
-               workers: int | None = None,
                backend: str = "auto",
                timeout_s: float | None = None,
                max_rows: int | None = None,
@@ -283,7 +279,7 @@ class JobQueue:
         """
         epoch = self.service.manager.current
         job = Job(f"job-{secrets.token_hex(8)}", query, engine=engine,
-                  workers=workers, timeout_s=timeout_s,
+                  timeout_s=timeout_s,
                   max_rows=max_rows, epoch=epoch, query_id=query_id,
                   trace=trace, backend=backend)
         with self._lock:
@@ -428,7 +424,7 @@ class JobQueue:
                 try:
                     result = self.service.run(
                         job.query, engine=job.engine,
-                        workers=job.workers, backend=job.backend,
+                        backend=job.backend,
                         timeout_s=job.timeout_s,
                         max_rows=job.max_rows, epoch=job.epoch,
                         cancel=job.cancel, stats=job.stats,

@@ -53,10 +53,6 @@ metric                                labels                   kind
                                       vector
 ===================================== ======================== =========
 
-(The sharded engine's pool-health metrics are owned by
-:func:`repro.engine.sharded.record_pool_health` — same discipline,
-engine-local names.)
-
 The feed is the snapshot-delta discipline of
 :func:`repro.engine.stats.delta_between`: the session snapshots the
 query's :class:`~repro.engine.stats.EvaluationStats` around the
@@ -172,11 +168,6 @@ def observe_query(registry: MetricsRegistry, *, engine: str,
             "Rows emitted by vectorised batch probes (before "
             "dedup against the running total).",
         ).inc(stats_delta.get("vector_rows", 0))
-    if (stats_delta.get("shard_counts") or stats_delta.get("workers")
-            or stats_delta.get("pool_fallbacks")
-            or stats_delta.get("sequential_rounds")):
-        from ..engine.sharded import record_pool_health
-        record_pool_health(registry, stats_delta)
 
 
 def observe_decode(registry: MetricsRegistry, seconds: float,
@@ -395,7 +386,7 @@ def export_build_info(registry: MetricsRegistry, *,
 
     The standard build-info idiom: the interesting facts — package
     version, python version, intern mode, vector backend (the numpy
-    version, or ``stub`` when numpy is unavailable) — live in the
+    version, or ``none`` when numpy is unavailable) — live in the
     labels so dashboards and smoke logs can join any series against
     what is actually running.  Set once at server construction.
     """
@@ -411,4 +402,4 @@ def export_build_info(registry: MetricsRegistry, *,
         ("version", "python", "intern", "vector"),
     ).set(1, version=__version__, python=platform.python_version(),
           intern="on" if intern else "off",
-          vector=f"numpy {numpy_v}" if numpy_v else "stub")
+          vector=f"numpy {numpy_v}" if numpy_v else "none")

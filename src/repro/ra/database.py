@@ -39,11 +39,7 @@ version discipline, so cached hash tables never serve deleted rows.
 
 Databases pickle as *snapshots*: rows, arities, version counters and
 the symbol table cross the wire — lazily built indexes and hash tables
-are dropped and rebuilt on first use in the receiving process.  This
-is the serialization boundary the sharded engine's worker pool relies
-on: the symbol table ships once per pool warm-up, after which every
-delta shard is pure int tuples (each worker freezes its snapshot's
-table, so a code-space mix-up fails loudly).
+are dropped and rebuilt on first use in the receiving process.
 """
 
 from __future__ import annotations
@@ -200,11 +196,6 @@ class Database:
                     return None
                 out.append(code)
         return tuple(out)
-
-    def freeze_symbols(self) -> None:
-        """Freeze the symbol table (worker-side snapshot discipline)."""
-        if self._symbols is not None:
-            self._symbols.freeze()
 
     def decoded(self) -> "Database":
         """A raw (``intern=False``) copy holding decoded value rows —
@@ -747,7 +738,7 @@ class Database:
         boundary and rebuilt lazily on first use in the receiver,
         where the versioned cache makes each rebuild a one-time cost.
         Under interning the rows are int tuples and the dictionary
-        crosses the wire exactly once, which is why a sharded
+        crosses the wire exactly once, which is why an interned
         snapshot's pickle shrinks relative to raw string tuples.
         """
         return {

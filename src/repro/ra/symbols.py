@@ -13,11 +13,7 @@ dictionary: append-only, with an id→value list and a value→id dict, so
   .dense_table` — where value-keyed storage can only hash.
 
 Tables pickle as their value list (the code of a value is its list
-position, so the dict half is rebuilt on arrival) and support a
-*frozen* read-only mode for worker processes: a frozen table still
-encodes every value it has seen and decodes every code it has issued,
-but refuses to grow — exactly the discipline a read-only snapshot
-shipped to a worker pool needs.
+position, so the dict half is rebuilt on arrival).
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ class SymbolTable:
     2
     """
 
-    __slots__ = ("_values", "_codes", "_frozen", "token")
+    __slots__ = ("_values", "_codes", "token")
 
     def __init__(self, values: Iterable[object] = ()) -> None:
         self._values: list = list(values)
@@ -53,7 +49,6 @@ class SymbolTable:
                              for code, value in enumerate(self._values)}
         if len(self._codes) != len(self._values):
             raise ValueError("duplicate values in symbol table seed")
-        self._frozen = False
         #: process-unique identity of this table's code space
         self.token = next(_TOKENS)
 
@@ -63,10 +58,6 @@ class SymbolTable:
         """The code of *value*, interning it on first sight."""
         code = self._codes.get(value)
         if code is None:
-            if self._frozen:
-                raise KeyError(
-                    f"frozen symbol table cannot intern new value "
-                    f"{value!r}")
             code = len(self._values)
             self._codes[value] = code
             self._values.append(value)
@@ -124,17 +115,6 @@ class SymbolTable:
 
     # -- snapshots -----------------------------------------------------
 
-    def freeze(self) -> None:
-        """Make the table read-only: lookups keep working, interning a
-        *new* value raises.  Workers freeze their snapshot so a
-        mixed-up code space fails loudly instead of silently."""
-        self._frozen = True
-
-    @property
-    def frozen(self) -> bool:
-        """True when the table refuses to grow."""
-        return self._frozen
-
     def __len__(self) -> int:
         return len(self._values)
 
@@ -147,15 +127,13 @@ class SymbolTable:
 
     def __getstate__(self) -> dict:
         """Pickle as the value list (codes are list positions)."""
-        return {"values": self._values, "frozen": self._frozen}
+        return {"values": self._values}
 
     def __setstate__(self, state: dict) -> None:
         self._values = state["values"]
         self._codes = {value: code
                        for code, value in enumerate(self._values)}
-        self._frozen = state["frozen"]
         self.token = next(_TOKENS)
 
     def __repr__(self) -> str:
-        state = "frozen, " if self._frozen else ""
-        return f"SymbolTable({state}{len(self._values)} symbols)"
+        return f"SymbolTable({len(self._values)} symbols)"

@@ -4,7 +4,7 @@
 service built entirely on the stdlib:
 
 * ``POST /query`` — evaluate a query; JSON in
-  (``{"query": "P(a, Y)", "engine"?: ..., "workers"?: ...,
+  (``{"query": "P(a, Y)", "engine"?: ..., "backend"?: ...,
   "timeout_s"?: ..., "max_rows"?: ...}``), JSON out (answers, count,
   outcome, epoch, duration, the query's full
   :meth:`~repro.engine.stats.EvaluationStats.to_dict`).  The
@@ -50,11 +50,14 @@ line, the recorded trace, and (with ``--exemplars``) the duration
 histogram's exemplars, so the three observability signals join on one
 key.
 
-Request parameters (``engine``, ``workers``, ``backend``,
-``timeout_s``, ``max_rows``, ``mode``) are validated up front: a malformed value —
+Request parameters (``engine``, ``backend``, ``timeout_s``,
+``max_rows``, ``mode``) are validated up front: a malformed value —
 ``"timeout_s": "5"``, a negative row cap, an unknown mode — is a
 ``400`` with a field-specific error body, never a ``500`` out of the
-engine internals.
+engine internals.  Bodies are bounded before they are read: a missing
+or non-numeric ``Content-Length`` is a ``400``, one over
+:data:`MAX_BODY_BYTES` a ``413``, and a connection that stalls for
+:data:`REQUEST_TIMEOUT_S` is closed.
 
 Concurrency model (:mod:`repro.service`): there is **no query lock**.
 Reads run concurrently on the published epoch snapshot — an immutable
@@ -91,13 +94,21 @@ from .session import DeductiveDatabase
 
 __all__ = ["QueryServer"]
 
+#: Largest request body the server reads; a longer ``Content-Length``
+#: is refused with ``413`` before any byte of the body is read.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Socket timeout of every handler connection, in seconds: a client
+#: that stalls mid-request or idles on keep-alive this long is closed,
+#: so it cannot pin a handler thread forever.
+REQUEST_TIMEOUT_S = 120.0
+
 
 class _BadRequest(ValueError):
     """A request document failed validation (field-specific 400)."""
 
 
 def _validate_query_request(request: dict, *, default_engine: str,
-                            default_workers: int | None,
                             default_backend: str = "auto") -> dict:
     """Normalise a ``/query``-shaped document or raise :class:`_BadRequest`.
 
@@ -106,7 +117,7 @@ def _validate_query_request(request: dict, *, default_engine: str,
     ``{"timeout_s": "5"}`` is a clear 400 naming the field instead of
     a 500 out of ``Deadline.__init__``.  ``bool`` is a subclass of
     ``int`` in Python, so it is rejected explicitly wherever a number
-    is expected (``"workers": true`` must not mean ``workers=1``).
+    is expected (``"max_rows": true`` must not mean ``max_rows=1``).
     """
     query = request.get("query")
     if not isinstance(query, str) or not query.strip():
@@ -115,14 +126,6 @@ def _validate_query_request(request: dict, *, default_engine: str,
     if not isinstance(engine, str):
         raise _BadRequest('"engine" must be a string, got '
                           f'{type(engine).__name__}')
-    workers = request.get("workers", default_workers)
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, int):
-            raise _BadRequest('"workers" must be a non-negative '
-                              f'integer, got {workers!r}')
-        if workers < 0:
-            raise _BadRequest('"workers" must be non-negative, got '
-                              f'{workers}')
     timeout_s = request.get("timeout_s")
     if timeout_s is not None:
         if (isinstance(timeout_s, bool)
@@ -154,7 +157,7 @@ def _validate_query_request(request: dict, *, default_engine: str,
     if not isinstance(trace, bool):
         raise _BadRequest('"trace" must be a boolean, got '
                           f'{trace!r}')
-    return {"query": query, "engine": engine, "workers": workers,
+    return {"query": query, "engine": engine,
             "timeout_s": timeout_s, "max_rows": max_rows,
             "mode": mode, "trace": trace, "backend": backend}
 
@@ -172,7 +175,6 @@ class QueryServer:
     def __init__(self, session: DeductiveDatabase,
                  host: str = "127.0.0.1", port: int = 8080,
                  default_engine: str = "compiled",
-                 default_workers: int | None = None,
                  default_backend: str = "auto",
                  max_inflight: int = 8,
                  query_timeout_s: float | None = None,
@@ -188,7 +190,6 @@ class QueryServer:
                  exemplars: bool = False) -> None:
         self.session = session
         self.default_engine = default_engine
-        self.default_workers = default_workers
         self.default_backend = default_backend
         self.drain_grace_s = drain_grace_s
         self.epochs = EpochManager(session, metrics=session.metrics)
@@ -221,6 +222,7 @@ class QueryServer:
 
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
+            timeout = REQUEST_TIMEOUT_S
 
             def log_message(self, format, *args):  # noqa: A002
                 pass  # one structured line per query instead
@@ -556,8 +558,33 @@ class QueryServer:
         })
 
     def _read_body(self, handler) -> dict | None:
+        """The request's JSON object, or None once a 4xx is sent.
+
+        ``Content-Length`` is checked before any byte is read: a
+        negative length would read to EOF (a keep-alive client never
+        sends one) and a huge one would be allocated up front.  Both
+        refusals close the connection, since the unread body would
+        otherwise be parsed as the next request.
+        """
+        declared = handler.headers.get("Content-Length", "0")
         try:
-            length = int(handler.headers.get("Content-Length", 0))
+            length = int(declared)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_json(
+                handler, 400,
+                {"error": f"bad Content-Length: {declared!r}"},
+                headers={"Connection": "close"})
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_json(
+                handler, 413,
+                {"error": f"request body of {length} bytes exceeds "
+                          f"the {MAX_BODY_BYTES}-byte limit"},
+                headers={"Connection": "close"})
+            return None
+        try:
             request = json.loads(
                 handler.rfile.read(length).decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as error:
@@ -574,7 +601,6 @@ class QueryServer:
         try:
             return _validate_query_request(
                 request, default_engine=self.default_engine,
-                default_workers=self.default_workers,
                 default_backend=self.default_backend)
         except _BadRequest as error:
             self._send_json(handler, 400, {"error": str(error)})
@@ -616,7 +642,6 @@ class QueryServer:
         try:
             result = self.service.run(params["query"],
                                       engine=params["engine"],
-                                      workers=params["workers"],
                                       backend=params["backend"],
                                       timeout_s=params["timeout_s"],
                                       max_rows=params["max_rows"],
@@ -709,7 +734,6 @@ class QueryServer:
         try:
             job = self.jobs.submit(params["query"],
                                    engine=params["engine"],
-                                   workers=params["workers"],
                                    backend=params["backend"],
                                    timeout_s=params["timeout_s"],
                                    max_rows=params["max_rows"],

@@ -269,7 +269,6 @@ class QueryService:
     # -- querying ------------------------------------------------------
 
     def run(self, query: str, *, engine: str = "compiled",
-            workers: int | None = None,
             backend: str = "auto",
             timeout_s: float | None = None,
             max_rows: int | None = None,
@@ -338,7 +337,7 @@ class QueryService:
             engine_started = perf_counter()
             try:
                 answers = epoch.session.query(
-                    query, stats=stats, engine=engine, workers=workers,
+                    query, stats=stats, engine=engine,
                     trace=ctx.tracer if ctx is not None else None,
                     query_id=ctx.query_id if ctx is not None else None,
                     backend=backend)

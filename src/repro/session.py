@@ -25,6 +25,8 @@ pushed into the recursion whenever its class allows.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from time import perf_counter
 from typing import Iterable
 
@@ -42,7 +44,6 @@ from .engine.naive import NaiveEngine
 from .engine.topdown import TopDownEngine
 from .engine.query import Query
 from .engine.seminaive import SemiNaiveEngine
-from .engine.sharded import ShardedSemiNaiveEngine
 from .engine.stats import EvaluationStats
 from .engine.trace import Tracer
 from .engine.vector import validate_backend
@@ -53,8 +54,8 @@ from .ra.database import Database
 class DeductiveDatabase:
     """A mutable session over rules and facts with compiled queries."""
 
-    #: answer-cache capacity (FIFO); stale entries from old database
-    #: versions age out through this cap
+    #: answer-cache capacity (least recently used entries go first);
+    #: stale entries from old database versions age out through it
     _ANSWER_CACHE_LIMIT = 1024
 
     def __init__(self, indexed: bool = True, metrics=None,
@@ -66,7 +67,7 @@ class DeductiveDatabase:
                                CompiledFormula] = {}
         self._classification_cache: dict[str, Classification] = {}
         #: full answer sets keyed by (predicate, pattern, engine,
-        #: workers, database epoch) — any fact mutation moves the
+        #: backend, database epoch) — any fact mutation moves the
         #: epoch, so entries self-invalidate; rule changes clear it.
         #: Under interning the cached object is the *lazy* columnar
         #: :class:`~repro.ra.answers.AnswerSet` — codes plus the
@@ -74,9 +75,12 @@ class DeductiveDatabase:
         #: cached large enumeration costs one row set, not two, and a
         #: hit decodes only if the caller reads the values (the decode,
         #: once forced, is cached on the entry: this cache doubles as
-        #: the LRU of decoded columns, keyed by database epoch)
-        self._answer_cache: dict[
-            tuple, tuple[AnswerSet | frozenset, str]] = {}
+        #: the LRU of decoded columns, keyed by database epoch).
+        #: Concurrent readers of a fork share it, so every access
+        #: holds :attr:`_answer_lock`.
+        self._answer_cache: OrderedDict[
+            tuple, tuple[AnswerSet | frozenset, str]] = OrderedDict()
+        self._answer_lock = threading.Lock()
         #: optional :class:`~repro.metrics.MetricsRegistry`; when None
         #: (the default) :meth:`query` takes the uninstrumented path —
         #: bit-identical answers and stats, zero added work
@@ -156,7 +160,8 @@ class DeductiveDatabase:
             self._classification_cache.clear()
             # fact changes are covered by the epoch in the cache key;
             # rule changes alter derivations at the same epoch
-            self._answer_cache.clear()
+            with self._answer_lock:
+                self._answer_cache.clear()
 
     # -- snapshot forking ------------------------------------------------
 
@@ -177,11 +182,12 @@ class DeductiveDatabase:
         copies the database before materialising
         (:meth:`_materialise_below`), so per-request evaluation state
         is private; what *is* shared between the fork's readers — the
-        plan/classification caches, the answer cache, a lazily
-        computed view materialisation — is filled with deterministic,
+        plan/classification caches and a lazily computed view
+        materialisation — is filled with deterministic,
         interchangeable values under single dict-slot assignments
         (atomic under the GIL), so a race costs at most a duplicated
-        computation, never a wrong answer.
+        computation, never a wrong answer.  The answer cache, whose
+        LRU bookkeeping is not a single assignment, is lock-guarded.
         """
         clone = object.__new__(DeductiveDatabase)
         clone._rules = list(self._rules)
@@ -190,7 +196,9 @@ class DeductiveDatabase:
         clone._materialised = self._materialised
         clone._plan_cache = dict(self._plan_cache)
         clone._classification_cache = dict(self._classification_cache)
-        clone._answer_cache = dict(self._answer_cache)
+        with self._answer_lock:
+            clone._answer_cache = OrderedDict(self._answer_cache)
+        clone._answer_lock = threading.Lock()
         clone.metrics = self.metrics
         clone.query_log = self.query_log
         return clone
@@ -285,18 +293,11 @@ class DeductiveDatabase:
     # -- querying --------------------------------------------------------
 
     ENGINES = {"compiled": CompiledEngine, "semi-naive": SemiNaiveEngine,
-               "naive": NaiveEngine, "top-down": TopDownEngine,
-               "sharded": ShardedSemiNaiveEngine}
-
-    #: engines that can absorb a ``workers=`` pool size (the sharded
-    #: engine *is* the parallel semi-naive, and the compiled default
-    #: upgrades transparently, matching the documented behaviour)
-    _SHARDABLE = frozenset({"compiled", "semi-naive", "sharded"})
+               "naive": NaiveEngine, "top-down": TopDownEngine}
 
     def query(self, query: Query | str,
               stats: EvaluationStats | None = None,
               engine: str = "compiled",
-              workers: int | None = None,
               trace: Tracer | None = None,
               query_id: str | None = None,
               backend: str = "auto") -> frozenset[tuple]:
@@ -305,10 +306,7 @@ class DeductiveDatabase:
         EDB predicates are looked up directly; non-recursive views are
         materialised; recursive predicates go through the chosen
         *engine* (default: the compiled engine, with a cached plan so
-        the constants are pushed into the recursion).  Passing
-        *workers* selects the sharded engine with that pool size
-        (0 = deterministic in-process sharding); combining it with an
-        engine that cannot shard raises ``ValueError``.  Passing a
+        the constants are pushed into the recursion).  Passing a
         :class:`~repro.engine.trace.Tracer` as *trace* records the
         execution; the finished :class:`~repro.engine.trace.Trace` is
         available as ``trace.trace`` afterwards.
@@ -327,9 +325,8 @@ class DeductiveDatabase:
 
         *backend* picks the delta-loop execution backend for the
         fixpoint engines: ``"auto"``/``"vector"`` hand certified plan
-        shapes to the vectorised kernel
-        (:mod:`repro.engine.vector` — numpy when importable, the
-        bit-identical pure-python stub otherwise), ``"python"`` pins
+        shapes to the numpy kernel (:mod:`repro.engine.vector`) and
+        run the tuple-set loop when numpy is absent; ``"python"`` pins
         the tuple-set loop.  Engines without a delta loop (naive,
         top-down, edb/view lookups) ignore it.
         """
@@ -337,20 +334,20 @@ class DeductiveDatabase:
             query = Query.parse(query)
         backend = validate_backend(backend)
         if self.metrics is None and self.query_log is None:
-            return self._evaluate_query(query, stats, engine, workers,
-                                        trace, backend)
-        return self._instrumented_query(query, stats, engine, workers,
-                                        trace, query_id, backend)
+            return self._evaluate_query(query, stats, engine, trace,
+                                        backend)
+        return self._instrumented_query(query, stats, engine, trace,
+                                        query_id, backend)
 
     def _evaluate_query(self, query: Query,
                         stats: EvaluationStats | None,
-                        engine: str, workers: int | None,
-                        trace: Tracer | None,
+                        engine: str, trace: Tracer | None,
                         backend: str = "auto") -> frozenset[tuple]:
         """Answer-cache wrapper around the evaluation proper.
 
         Successful answer sets are memoised on (query pattern, engine,
-        workers, database epoch): re-asking an unchanged session the
+        backend, database epoch) in a lock-guarded LRU of
+        :attr:`_ANSWER_CACHE_LIMIT` entries: re-asking an unchanged session the
         same question is a dict lookup.  *Active* traced runs bypass
         the cache — the caller asked to watch the evaluation happen —
         and error paths never populate it.  A **passive** tracer
@@ -361,10 +358,13 @@ class DeductiveDatabase:
         """
         if trace is not None and not trace.passive:
             return self._evaluate_query_uncached(query, stats, engine,
-                                                 workers, trace, backend)
-        key = (query.predicate, query.pattern, engine, workers, backend,
+                                                 trace, backend)
+        key = (query.predicate, query.pattern, engine, backend,
                self._edb.global_version())
-        hit = self._answer_cache.get(key)
+        with self._answer_lock:
+            hit = self._answer_cache.get(key)
+            if hit is not None:
+                self._answer_cache.move_to_end(key)
         if hit is not None:
             answers, engine_label = hit
             if stats is not None:
@@ -380,34 +380,25 @@ class DeductiveDatabase:
             return answers
         local = stats if stats is not None else EvaluationStats()
         answers = self._evaluate_query_uncached(query, local, engine,
-                                                workers, trace, backend)
+                                                trace, backend)
         if local.truncated:
             # a row-budget abort returned a sound but *partial* set;
             # caching it would serve incomplete answers to later
             # callers with laxer (or no) budgets
             return answers
-        if len(self._answer_cache) >= self._ANSWER_CACHE_LIMIT:
-            try:
-                self._answer_cache.pop(next(iter(self._answer_cache)))
-            except (KeyError, StopIteration, RuntimeError):
-                pass  # a concurrent reader evicted the same entry
-        self._answer_cache[key] = (answers, local.engine or engine)
+        with self._answer_lock:
+            self._answer_cache[key] = (answers, local.engine or engine)
+            self._answer_cache.move_to_end(key)
+            while len(self._answer_cache) > self._ANSWER_CACHE_LIMIT:
+                self._answer_cache.popitem(last=False)
         return answers
 
     def _evaluate_query_uncached(self, query: Query,
                                  stats: EvaluationStats | None,
-                                 engine: str, workers: int | None,
-                                 trace: Tracer | None,
+                                 engine: str, trace: Tracer | None,
                                  backend: str = "auto"
                                  ) -> frozenset[tuple]:
         """The evaluation itself, free of any telemetry concern."""
-        if workers is not None:
-            if engine not in self._SHARDABLE:
-                raise ValueError(
-                    f"workers= shards the fixpoint and requires the "
-                    f"sharded engine (or semi-naive/compiled, which "
-                    f"upgrade to it); got engine={engine!r}")
-            engine = "sharded"
         if engine not in self.ENGINES:
             raise EvaluationError(
                 f"unknown engine {engine!r}; valid engines: "
@@ -470,9 +461,7 @@ class DeductiveDatabase:
         base = self._materialise_below(predicate)
         if engine != "compiled":
             cls = self.ENGINES[engine]
-            if cls is ShardedSemiNaiveEngine:
-                instance = cls(workers=workers or 0, backend=backend)
-            elif cls is SemiNaiveEngine:
+            if cls is SemiNaiveEngine:
                 instance = cls(backend=backend)
             else:
                 # naive/top-down have no delta loop to vectorise
@@ -513,8 +502,7 @@ class DeductiveDatabase:
 
     def _instrumented_query(self, query: Query,
                             stats: EvaluationStats | None,
-                            engine: str, workers: int | None,
-                            trace: Tracer | None,
+                            engine: str, trace: Tracer | None,
                             query_id: str | None = None,
                             backend: str = "auto"
                             ) -> frozenset[tuple]:
@@ -537,8 +525,8 @@ class DeductiveDatabase:
         before = local.to_dict()
         started = perf_counter()
         try:
-            answers = self._evaluate_query(query, local, engine,
-                                           workers, trace, backend)
+            answers = self._evaluate_query(query, local, engine, trace,
+                                           backend)
         except Exception as error:
             duration = perf_counter() - started
             label = self._class_label(query.predicate)
@@ -663,8 +651,7 @@ class DeductiveDatabase:
         return compiled.describe()
 
     def explain_analyze(self, query: Query | str,
-                        engine: str = "compiled",
-                        workers: int | None = None) -> str:
+                        engine: str = "compiled") -> str:
         """EXPLAIN ANALYZE: run the query traced, render what happened.
 
         For the compiled engine the output leads with the compiled
@@ -677,7 +664,7 @@ class DeductiveDatabase:
         if isinstance(query, str):
             query = Query.parse(query)
         tracer = Tracer()
-        self.query(query, engine=engine, workers=workers, trace=tracer)
+        self.query(query, engine=engine, trace=tracer)
         assert tracer.trace is not None
         header = ""
         if engine == "compiled" and self.system_for(query.predicate):

@@ -136,8 +136,7 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("engine", ["naive", "semi-naive",
-                                        "compiled", "top-down",
-                                        "sharded"])
+                                        "compiled", "top-down"])
     def test_run_trace_flag(self, capsys, program_file, engine):
         code = main(["run", "--engine", engine, "--query", "P(a, Y)",
                      "--trace", program_file])
@@ -149,13 +148,14 @@ class TestRun:
 
     def test_run_trace_json(self, capsys, program_file, tmp_path):
         import json
-        from repro.engine.trace import validate_trace_dict
+        from repro.engine.trace import (TRACE_SCHEMA_VERSION,
+                                        validate_trace_dict)
         out_file = tmp_path / "trace.json"
         code = main(["run", "--query", "P(a, Y)",
                      "--trace-json", str(out_file), program_file])
         assert code == 0
         document = json.loads(out_file.read_text(encoding="utf-8"))
-        assert document["version"] == 1
+        assert document["version"] == TRACE_SCHEMA_VERSION
         assert len(document["traces"]) == 1
         validate_trace_dict(document["traces"][0])
         assert document["traces"][0]["answers"] == 1
@@ -224,17 +224,15 @@ class TestServeParser:
         assert arguments.host == "127.0.0.1"
         assert arguments.port == 8080
         assert arguments.engine == "compiled"
-        assert arguments.workers is None
         assert arguments.log_json is None
 
     def test_overrides(self):
         from repro.cli import build_parser
         arguments = build_parser().parse_args(
             ["serve", "prog.dl", "--host", "0.0.0.0", "--port", "0",
-             "--engine", "semi-naive", "--workers", "2",
-             "--log-json", "-"])
+             "--engine", "semi-naive", "--log-json", "-"])
         assert arguments.port == 0
-        assert arguments.workers == 2
+        assert arguments.engine == "semi-naive"
         assert arguments.log_json == "-"
 
     def test_missing_program_errors(self, capsys):

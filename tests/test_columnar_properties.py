@@ -12,7 +12,7 @@ down:
   agreeing with the decoded frozenset, and the laziness contract
   (``len``/``in``/same-table ``==`` never decode; iteration decodes
   exactly once);
-* **engine parity** — classes A1–C × all six engines: the interned
+* **engine parity** — classes A1–C × all five engines: the interned
   run returns a *lazy* ``AnswerSet`` whose decode is bit-identical to
   the raw twin's frozenset, with identical stats and traces;
 * **session sweep** — interned and raw sessions agree on every query
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, MaterializedRecursion,
                           NaiveEngine, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, TopDownEngine)
+                          TopDownEngine)
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
 from repro.ra import AnswerSet
@@ -44,14 +44,13 @@ CLASS_ENTRIES = {
     "B": "s8", "C": "s9",
 }
 
-#: the five evaluate()-shaped engines; the sixth (incremental) has an
+#: the four evaluate()-shaped engines; the fifth (incremental) has an
 #: insertion API and gets its own parity test below
 ENGINES = {
     "naive": NaiveEngine,
     "semi-naive": SemiNaiveEngine,
     "compiled": CompiledEngine,
     "top-down": TopDownEngine,
-    "sharded": lambda: ShardedSemiNaiveEngine(workers=0),
 }
 
 #: hashable constants that cannot collide across types under ``==``
@@ -180,13 +179,6 @@ def _trace_shape(tracer):
              s.hash_builds) for s in trace.rounds]
 
 
-#: stats fields that depend on how the delta was *partitioned*, not on
-#: the logical work done (see tests/test_symbols_properties.py)
-_PARTITION_FIELDS = frozenset({
-    "batch_sizes", "shard_counts", "shard_skew",
-    "plan_cache_hits", "plan_cache_misses", "hash_lookups",
-})
-
 #: fields that record *which* delta-loop backend ran, not the logical
 #: work done: the interned twin may take the vectorised kernel while
 #: the raw twin cannot (it requires dictionary-encoded rows); every
@@ -196,13 +188,10 @@ _BACKEND_FIELDS = frozenset({"backend", "vector_batches",
                              "vector_rows"})
 
 
-def _comparable_stats(stats, engine):
+def _comparable_stats(stats):
     shape = dict(vars(stats))
     for field in _BACKEND_FIELDS:
         shape.pop(field, None)
-    if engine == "sharded":
-        for field in _PARTITION_FIELDS:
-            shape.pop(field, None)
     return shape
 
 
@@ -230,8 +219,7 @@ class TestEngineParity:
         assert not answers_i.is_decoded
         assert isinstance(answers_r, frozenset)
         assert stats_i.answers == len(answers_i) == len(answers_r)
-        assert (_comparable_stats(stats_i, engine)
-                == _comparable_stats(stats_r, engine))
+        assert _comparable_stats(stats_i) == _comparable_stats(stats_r)
         assert _trace_shape(trace_i) == _trace_shape(trace_r)
         # per-column lazy decode ≡ the raw twin, and ≡ eager per-row
         # decode of the same encoded rows

@@ -4,9 +4,8 @@ The deadline contract — wall-clock expiry raises
 :class:`~repro.engine.deadline.QueryTimeout`, a row budget stops the
 fixpoint at the next round boundary with ``stats.truncated`` set, and
 a cancel flag raises :class:`~repro.engine.deadline.QueryCancelled` —
-must hold identically for all six evaluation paths: the four session
-engines, the sharded engine in both its deterministic (``workers=0``)
-and pooled (``workers=2``) modes, and incremental maintenance
+must hold identically for all five evaluation paths: the four session
+engines and incremental maintenance
 (:class:`~repro.engine.incremental.MaterializedRecursion`).
 """
 
@@ -32,15 +31,8 @@ CLOSURE = {(a, b)
            for i, a in enumerate("abcde")
            for b in "abcde"[i + 1:]}
 
-#: every session-reachable evaluation path: (engine, workers)
-ENGINES = [
-    pytest.param("compiled", None, id="compiled"),
-    pytest.param("semi-naive", None, id="semi-naive"),
-    pytest.param("naive", None, id="naive"),
-    pytest.param("top-down", None, id="top-down"),
-    pytest.param("sharded", 0, id="sharded-workers0"),
-    pytest.param("sharded", 2, id="sharded-workers2"),
-]
+#: every session-reachable evaluation path
+ENGINES = ["compiled", "semi-naive", "naive", "top-down"]
 
 
 def make_session():
@@ -56,18 +48,18 @@ def budgeted_stats(**kwargs) -> EvaluationStats:
 
 
 class TestSessionEngines:
-    @pytest.mark.parametrize("engine, workers", ENGINES)
-    def test_expired_wall_clock_raises(self, engine, workers):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_expired_wall_clock_raises(self, engine):
         stats = budgeted_stats(timeout_s=0.0)
         with pytest.raises(QueryTimeout):
             make_session().query("P(X, Y)", stats=stats,
-                                 engine=engine, workers=workers)
+                                 engine=engine)
 
-    @pytest.mark.parametrize("engine, workers", ENGINES)
-    def test_row_budget_truncates_soundly(self, engine, workers):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_row_budget_truncates_soundly(self, engine):
         stats = budgeted_stats(max_rows=1)
         answers = make_session().query("P(X, Y)", stats=stats,
-                                       engine=engine, workers=workers)
+                                       engine=engine)
         assert stats.truncated
         # a round boundary may overshoot the cap by one delta, but
         # the partial set must be sound: a strict subset of the
@@ -75,20 +67,20 @@ class TestSessionEngines:
         assert 1 <= len(answers) < len(CLOSURE)
         assert set(answers) < CLOSURE
 
-    @pytest.mark.parametrize("engine, workers", ENGINES)
-    def test_pre_set_cancel_flag_aborts(self, engine, workers):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_pre_set_cancel_flag_aborts(self, engine):
         cancel = threading.Event()
         cancel.set()
         stats = budgeted_stats(cancel=cancel)
         with pytest.raises(QueryCancelled):
             make_session().query("P(X, Y)", stats=stats,
-                                 engine=engine, workers=workers)
+                                 engine=engine)
 
-    @pytest.mark.parametrize("engine, workers", ENGINES)
-    def test_unset_cancel_flag_is_free(self, engine, workers):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_unset_cancel_flag_is_free(self, engine):
         stats = budgeted_stats(cancel=threading.Event())
         answers = make_session().query("P(X, Y)", stats=stats,
-                                       engine=engine, workers=workers)
+                                       engine=engine)
         assert set(answers) == CLOSURE
         assert not stats.truncated
 

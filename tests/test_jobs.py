@@ -367,7 +367,7 @@ class TestHTTP:
 
     def test_validation_rejects_malformed_fields(self, server):
         for document in ({"query": "P(X, Y)", "timeout_s": "5"},
-                         {"query": "P(X, Y)", "workers": True},
+                         {"query": "P(X, Y)", "max_rows": True},
                          {"query": "P(X, Y)", "max_rows": -1},
                          {"query": "P(X, Y)", "mode": "later"},
                          {"query": 42},

@@ -30,7 +30,7 @@ CLASS_ENTRIES = {
     "B": "s8", "C": "s9",
 }
 
-ENGINES = ("compiled", "semi-naive", "naive", "top-down", "sharded")
+ENGINES = ("compiled", "semi-naive", "naive", "top-down")
 
 
 def _sessions(name):
@@ -58,16 +58,14 @@ class TestDisabledTelemetryIsFree:
                                              engine):
         bare, instrumented, query = _sessions(
             CLASS_ENTRIES[paper_class])
-        kwargs = ({"workers": 0} if engine == "sharded"
-                  else {"engine": engine})
         bare_stats, inst_stats = EvaluationStats(), EvaluationStats()
         # The process-wide join-plan cache is shared by both runs;
         # clear it before each so hits/misses compare like-for-like.
         clear_plan_cache()
-        plain = bare.query(query, stats=bare_stats, **kwargs)
+        plain = bare.query(query, stats=bare_stats, engine=engine)
         clear_plan_cache()
         observed = instrumented.query(query, stats=inst_stats,
-                                      **kwargs)
+                                      engine=engine)
         assert plain == observed
         assert bare_stats.to_dict() == inst_stats.to_dict()
 

@@ -6,8 +6,10 @@ thread running ``serve_forever``; requests go over a real socket via
 reconciliation are all observed exactly as a client would.
 """
 
+import http.client
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -19,7 +21,8 @@ import pytest
 from repro import __version__
 from repro.logutil import QueryLogger, valid_query_id
 from repro.metrics import MetricsRegistry, parse_prometheus_text
-from repro.server import QueryServer
+from repro import server as server_module
+from repro.server import MAX_BODY_BYTES, QueryServer
 from repro.session import DeductiveDatabase
 
 PROGRAM = """
@@ -104,9 +107,9 @@ class TestQueryRoute:
         assert body["stats"]["answers"] == 3
         assert body["duration_s"] >= 0
 
-    def test_engine_selection_and_workers(self, server):
+    def test_engine_selection(self, server):
         for extra in ({"engine": "semi-naive"}, {"engine": "naive"},
-                      {"engine": "top-down"}, {"workers": 0}):
+                      {"engine": "top-down"}, {"backend": "python"}):
             status, body = _post(server,
                                  {"query": "P(X, Y)", **extra})
             assert status == 200
@@ -134,6 +137,57 @@ class TestQueryRoute:
         assert caught.value.code == 404
         assert _post(server, {"query": "P(a, Y)"},
                      path="/nope")[0] == 404
+
+
+def _post_declaring(server, content_length: str, body: bytes = b""):
+    """POST /query declaring *content_length* whatever *body* is;
+    (status, parsed body, Connection header)."""
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=5)
+    try:
+        connection.putrequest("POST", "/query")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", content_length)
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return (response.status, json.loads(response.read()),
+                response.getheader("Connection"))
+    finally:
+        connection.close()
+
+
+class TestBodyBounds:
+    """``Content-Length`` is validated before the body is read."""
+
+    @pytest.mark.parametrize("declared", ["-1", "-20", "twelve", ""])
+    def test_bad_content_length_is_400(self, server, declared):
+        # a negative length used to read to EOF, which a keep-alive
+        # client never sends: the handler hung instead of answering
+        status, body, connection = _post_declaring(
+            server, declared, b'{"query": "P(X, Y)"}')
+        assert status == 400
+        assert "Content-Length" in body["error"]
+        assert connection == "close"
+
+    def test_oversized_body_is_413_unread(self, server):
+        # nothing beyond the headers is sent: the refusal must come
+        # from the declared length alone
+        status, body, connection = _post_declaring(
+            server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert connection == "close"
+        assert _post(server, {"query": "P(a, Y)"})[0] == 200
+
+    def test_stalled_connection_is_closed(self, monkeypatch):
+        monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
+        with _served() as instance:
+            with socket.create_connection(
+                    (instance.host, instance.port), timeout=10) as raw:
+                raw.sendall(b"POST /query HTTP/1.1\r\n"
+                            b"Content-Length: 40\r\n\r\n{")
+                assert raw.recv(1024) == b""  # closed, not hung
+            assert _post(instance, {"query": "P(a, Y)"})[0] == 200
 
 
 class TestMonitoringRoutes:

@@ -1,9 +1,12 @@
 """Tests for the DeductiveDatabase session facade."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.datalog.errors import (EvaluationError, RuleValidationError)
-from repro.engine import EvaluationStats, Query, SemiNaiveEngine
+from repro.engine import EvaluationStats, Query, SemiNaiveEngine, Tracer
 from repro.session import DeductiveDatabase
 
 GENEALOGY = """
@@ -202,25 +205,51 @@ class TestEngineParameter:
         with pytest.raises(EvaluationError, match="unknown engine"):
             ddb.query("anc(ann, Y)", engine="quantum")
 
-    def test_sharded_engine_accepts_workers(self, ddb):
-        answers = ddb.query("anc(ann, Y)", engine="sharded", workers=0)
-        assert answers == ddb.query("anc(ann, Y)")
 
-    def test_workers_upgrade_shardable_engines(self, ddb):
-        for engine in ("compiled", "semi-naive"):
-            stats = EvaluationStats()
-            answers = ddb.query("anc(ann, Y)", engine=engine,
-                                workers=0, stats=stats)
-            assert answers == ddb.query("anc(ann, Y)")
-            assert stats.engine == "sharded"
+class TestAnswerCache:
+    def test_concurrent_readers_keep_the_lru_bounded(self, monkeypatch):
+        """Regression: eviction popped ``next(iter(cache))`` while other
+        readers of the same fork were inserting into the shared dict."""
+        monkeypatch.setattr(DeductiveDatabase, "_ANSWER_CACHE_LIMIT", 4)
+        session = DeductiveDatabase()
+        session.load("anc(x, y) :- parent(x, z), anc(z, y).\n"
+                     "anc(x, y) :- parent(x, y).")
+        session.add_facts("parent", [(f"p{i}", f"p{i + 1}")
+                                     for i in range(10)])
+        # more distinct keys than the limit, so every pass evicts
+        keys = [(f"anc(p{i}, Y)", engine) for i in range(10)
+                for engine in ("compiled", "semi-naive")]
+        expected = {key: session.query(key[0], engine=key[1],
+                                       trace=Tracer())
+                    for key in keys}
+        reader = session.fork_reader()
+        barrier = threading.Barrier(8, timeout=30)
+        failures: list[str] = []
 
-    @pytest.mark.parametrize("engine", ["naive", "top-down"])
-    def test_workers_with_unshardable_engine_rejected(self, ddb,
-                                                      engine):
-        """Regression: ``workers=`` used to be silently ignored when an
-        explicit non-sharded engine was requested."""
-        with pytest.raises(ValueError, match="workers="):
-            ddb.query("anc(ann, Y)", engine=engine, workers=4)
+        def ask(offset: int) -> None:
+            barrier.wait()
+            try:
+                for step in range(5 * len(keys)):
+                    text, engine = key = keys[(offset + step) % len(keys)]
+                    if reader.query(text, engine=engine) != expected[key]:
+                        failures.append(f"wrong answers for {key}")
+            except Exception as error:  # surfaced by the assert below
+                failures.append(repr(error))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask, args=(n * 3,))
+                       for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(reader._answer_cache) <= 4
 
 
 class TestProve:

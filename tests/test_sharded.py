@@ -1,166 +1,10 @@
-"""Unit tests for the sharded engine: partitioning, pool lifecycle,
-fallback semantics, snapshots, and the CLI/session wiring."""
+"""Snapshot tests: a pickled Database carries its rows, arities and
+versions, and drops its derived structures at the boundary."""
 
 import pickle
 
-import pytest
-
-from repro.cli import main
-from repro.datalog.parser import parse_system
-from repro.engine import (EvaluationStats, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, compile_plan,
-                          partition_rows, probe_key_positions)
-from repro.engine.plan import entry_layout
 from repro.ra.database import Database
-from repro.session import DeductiveDatabase
 from repro.workloads import chain
-
-
-class TestPartitioning:
-    def test_probe_key_positions_transitive_closure(self, tc_system,
-                                                    tc_chain_db):
-        """For P(x,y) :- A(x,z), P(z,y) the first probe keys A on z —
-        column 0 of the delta rows."""
-        rule = tc_system.recursive
-        plan = compile_plan(rule.nonrecursive_atoms,
-                            rule.recursive_atom.args, rule.head.args,
-                            tc_chain_db)
-        layout = entry_layout(rule.recursive_atom.args)
-        assert probe_key_positions(plan, layout) == (0,)
-
-    def test_probe_key_positions_cartesian_plan_hashes_whole_row(self):
-        system = parse_system("P(x, y) :- B(x), C(y), P(x, y).")
-        rule = system.recursive
-        db = Database.from_dict({"B": [("a",)], "C": [("b",)]})
-        plan = compile_plan(rule.nonrecursive_atoms,
-                            rule.recursive_atom.args, rule.head.args,
-                            db)
-        layout = entry_layout(rule.recursive_atom.args)
-        # every body atom keys on an entry column here; build a plan
-        # with no entry-bound keys instead: exit-style full evaluation
-        free_plan = compile_plan(rule.nonrecursive_atoms[:1], (),
-                                 rule.nonrecursive_atoms[0].args, db)
-        free_layout = entry_layout(())
-        assert probe_key_positions(free_plan, free_layout) == ()
-        assert probe_key_positions(plan, layout) != ()
-
-    def test_partition_is_exact_and_key_coherent(self):
-        rows = [(f"n{i % 7}", i) for i in range(100)]
-        shards = partition_rows(rows, (0,), 4)
-        assert len(shards) == 4
-        rejoined = [row for shard in shards for row in shard]
-        assert sorted(rejoined) == sorted(rows)
-        # rows agreeing on the key column share a shard
-        home = {}
-        for index, shard in enumerate(shards):
-            for row in shard:
-                assert home.setdefault(row[0], index) == index
-
-    def test_single_shard_passthrough(self):
-        rows = [(1,), (2,)]
-        assert partition_rows(rows, (0,), 1) == [rows]
-
-    def test_record_shards_skew(self):
-        stats = EvaluationStats()
-        stats.record_shards([5, 5, 5, 5])
-        stats.record_shards([9, 1, 1, 1])
-        stats.record_shards([])
-        assert stats.shard_counts == [4, 4, 0]
-        assert stats.shard_skew[0] == 1.0
-        assert stats.shard_skew[1] == 3.0
-        assert stats.shard_skew[2] == 1.0
-
-
-class TestShardedEngine:
-    def test_workers0_bit_identical(self, tc_system, tc_chain_db):
-        seq_stats, sh_stats = EvaluationStats(), EvaluationStats()
-        seq = SemiNaiveEngine().evaluate(tc_system, tc_chain_db,
-                                         stats=seq_stats)
-        sharded = ShardedSemiNaiveEngine(workers=0).evaluate(
-            tc_system, tc_chain_db, stats=sh_stats)
-        assert sharded == seq
-        assert sh_stats.delta_sizes == seq_stats.delta_sizes
-        assert sh_stats.probes == seq_stats.probes
-        assert sh_stats.shard_counts  # the partitioned path really ran
-
-    def test_worker_pool_round(self, tc_system, tc_chain_db):
-        stats = EvaluationStats()
-        engine = ShardedSemiNaiveEngine(workers=2, min_parallel_rows=1)
-        answers = engine.evaluate(tc_system, tc_chain_db, stats=stats)
-        assert answers == SemiNaiveEngine().evaluate(tc_system,
-                                                     tc_chain_db)
-        assert stats.workers == 2
-        assert stats.pool_fallbacks == 0
-        assert stats.shard_counts
-        assert engine._pool is None  # torn down with the fixpoint
-
-    def test_small_deltas_skip_the_pool(self, tc_system, tc_chain_db):
-        stats = EvaluationStats()
-        ShardedSemiNaiveEngine(workers=2).evaluate(  # default threshold
-            tc_system, tc_chain_db, stats=stats)
-        assert stats.sequential_rounds == stats.rounds - 1
-        assert not stats.shard_counts
-
-    def test_pool_unavailable_falls_back(self, tc_system, tc_chain_db,
-                                         monkeypatch):
-        monkeypatch.setattr(ShardedSemiNaiveEngine, "_ensure_pool",
-                            lambda self: None)
-        stats = EvaluationStats()
-        answers = ShardedSemiNaiveEngine(
-            workers=2, min_parallel_rows=1).evaluate(
-            tc_system, tc_chain_db, stats=stats)
-        assert answers == SemiNaiveEngine().evaluate(tc_system,
-                                                     tc_chain_db)
-        assert stats.pool_fallbacks == stats.rounds - 1 > 0
-
-    def test_pool_death_falls_back(self, tc_system, tc_chain_db):
-        class BrokenPool:
-            terminated = False
-
-            def map(self, fn, items):
-                raise RuntimeError("worker died")
-
-            def terminate(self):
-                self.terminated = True
-
-            def join(self):
-                pass
-
-        broken = BrokenPool()
-        engine = ShardedSemiNaiveEngine(workers=2, min_parallel_rows=1)
-        engine._ensure_pool = lambda: engine._pool
-        stats = EvaluationStats()
-
-        original_begin = engine._begin_fixpoint
-
-        def begin(system, database, run_stats):
-            original_begin(system, database, run_stats)
-            engine._pool = broken
-
-        engine._begin_fixpoint = begin
-        answers = engine.evaluate(tc_system, tc_chain_db, stats=stats)
-        assert answers == SemiNaiveEngine().evaluate(tc_system,
-                                                     tc_chain_db)
-        assert stats.pool_fallbacks >= 1
-        assert broken.terminated  # the dead pool was reaped
-
-    def test_max_rounds_cap_respected(self, tc_system, tc_chain_db):
-        seq_stats, sh_stats = EvaluationStats(), EvaluationStats()
-        seq = SemiNaiveEngine().evaluate(tc_system, tc_chain_db,
-                                         stats=seq_stats, max_rounds=2)
-        sharded = ShardedSemiNaiveEngine(workers=0).evaluate(
-            tc_system, tc_chain_db, stats=sh_stats, max_rounds=2)
-        assert sharded == seq
-        assert sh_stats.delta_sizes == seq_stats.delta_sizes
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ShardedSemiNaiveEngine(workers=-1)
-
-    def test_shards_default_tracks_workers(self):
-        assert ShardedSemiNaiveEngine(workers=3).shards == 3
-        assert ShardedSemiNaiveEngine(workers=0).shards == 4
-        assert ShardedSemiNaiveEngine(workers=2, shards=8).shards == 8
 
 
 class TestSnapshot:
@@ -181,59 +25,3 @@ class TestSnapshot:
         assert clone._indexes == {}
         # and they rebuild on demand
         assert set(clone.match("A", ("n0", None))) == {("n0", "n1")}
-
-
-PROGRAM = """\
-P(x, y) :- A(x, z), P(z, y).
-P(x, y) :- A(x, y).
-A(a, b).
-A(b, c).
-"""
-
-
-class TestCliWorkers:
-    @pytest.fixture
-    def program_file(self, tmp_path):
-        path = tmp_path / "tc.dl"
-        path.write_text(PROGRAM, encoding="utf-8")
-        return str(path)
-
-    def test_run_sharded_engine(self, program_file, capsys):
-        assert main(["run", program_file, "--engine", "sharded",
-                     "--workers", "0"]) == 0
-        out = capsys.readouterr().out
-        assert "P(a, c)" in out
-
-    def test_workers_implies_sharded(self, program_file, capsys):
-        assert main(["run", program_file, "--engine", "semi-naive",
-                     "--workers", "0"]) == 0
-        assert "P(a, c)" in capsys.readouterr().out
-
-    def test_workers_rejected_for_other_engines(self, program_file,
-                                                capsys):
-        assert main(["run", program_file, "--engine", "compiled",
-                     "--workers", "2"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
-
-class TestSessionWorkers:
-    @pytest.fixture
-    def ddb(self):
-        session = DeductiveDatabase()
-        session.load("""
-            anc(x, y) :- parent(x, z), anc(z, y).
-            anc(x, y) :- parent(x, y).
-            parent(ann, bea).
-            parent(bea, cal).
-        """)
-        return session
-
-    def test_sharded_engine_by_name(self, ddb):
-        assert ddb.query("anc(ann, Y)", engine="sharded") == \
-            ddb.query("anc(ann, Y)")
-
-    def test_workers_parameter_selects_sharding(self, ddb):
-        stats = EvaluationStats()
-        answers = ddb.query("anc(X, Y)", stats=stats, workers=0)
-        assert answers == ddb.query("anc(X, Y)")
-        assert stats.engine == "sharded"

@@ -51,18 +51,15 @@ class TestCounters:
         assert "compiled" in stats.summary()
         assert "probes=7" in stats.summary()
 
-    def test_summary_includes_hash_counters_and_workers(self):
-        stats = EvaluationStats(engine="sharded", hash_builds=3,
-                                hash_lookups=9, workers=4)
-        summary = stats.summary()
-        assert "hash=3b/9l" in summary
-        assert "workers=4" in summary
-        assert "workers" not in EvaluationStats().summary()
+    def test_summary_includes_hash_counters(self):
+        stats = EvaluationStats(engine="semi-naive", hash_builds=3,
+                                hash_lookups=9)
+        assert "hash=3b/9l" in stats.summary()
 
 
 class TestMerge:
     def test_delta_sizes_fold_positionally(self):
-        """Merging a sub-evaluation (a shard, an insert) sums
+        """Merging a sub-evaluation (an insert) sums
         per-round counts rather than appending its rounds — the
         merged ``measured_rank`` is the combined run's."""
         left = EvaluationStats()
@@ -84,16 +81,16 @@ class TestMerge:
         assert left.delta_sizes == [2]
 
     def test_answers_and_engine_not_merged(self):
-        left = EvaluationStats(engine="sharded", answers=10)
+        left = EvaluationStats(engine="incremental", answers=10)
         left.merge(EvaluationStats(engine="semi-naive", answers=4))
-        assert left.engine == "sharded"
+        assert left.engine == "incremental"
         assert left.answers == 10
 
 
 class TestToDict:
     def test_round_trips_every_counter(self):
         stats = EvaluationStats(engine="compiled", probes=3,
-                                derived=2, answers=2, workers=1,
+                                derived=2, answers=2,
                                 hash_builds=1, hash_lookups=4)
         stats.record_round(2)
         document = stats.to_dict()
@@ -105,6 +102,11 @@ class TestToDict:
         # on the schema being complete
         for name in ACCUMULATING_FIELDS + ACCUMULATING_LIST_FIELDS:
             assert name in document
+        # schema 5 dropped the worker-pool fields
+        for name in ("workers", "shard_counts", "shard_skew",
+                     "pool_round_trip_s", "pool_fallbacks",
+                     "sequential_rounds"):
+            assert name not in document
 
     def test_lists_are_copies(self):
         stats = EvaluationStats()

@@ -6,10 +6,10 @@ whether the database stores raw value tuples or dense int codes.
 Three layers pin this down:
 
 * **table laws** — hypothesis round-trips over :class:`SymbolTable`
-  (dense codes, ``decode_rows`` ≡ per-row decode, frozen snapshots);
+  (dense codes, ``decode_rows`` ≡ per-row decode, pickled snapshots);
 * **storage laws** — the dense access path and the pickled snapshot
   (int rows must beat string rows);
-* **mode parity** — classes A1–C × all six engines, interned and raw
+* **mode parity** — classes A1–C × all five engines, interned and raw
   twins of the same EDB, compared on answers, stats and traces.
 """
 
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, MaterializedRecursion,
                           NaiveEngine, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, TopDownEngine)
+                          TopDownEngine)
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
 from repro.ra import Database
@@ -38,14 +38,13 @@ CLASS_ENTRIES = {
     "B": "s8", "C": "s9",
 }
 
-#: the five evaluate()-shaped engines; the sixth (incremental) has an
+#: the four evaluate()-shaped engines; the fifth (incremental) has an
 #: insertion API and gets its own parity test below
 ENGINES = {
     "naive": NaiveEngine,
     "semi-naive": SemiNaiveEngine,
     "compiled": CompiledEngine,
     "top-down": TopDownEngine,
-    "sharded": lambda: ShardedSemiNaiveEngine(workers=0),
 }
 
 #: hashable constants that cannot collide across types under ``==``
@@ -83,24 +82,18 @@ class TestSymbolTableLaws:
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(_constants, unique=True, max_size=20),
            probe=_constants)
-    def test_frozen_snapshot_laws(self, values, probe):
+    def test_snapshot_pickle_laws(self, values, probe):
         table = SymbolTable(values)
-        table.freeze()
-        assert table.frozen
-        # a frozen table still encodes and decodes everything it holds
-        for code, value in enumerate(values):
-            assert table.encode(value) == code
-            assert table.decode(code) == value
         if probe not in table:
-            with pytest.raises(KeyError):
-                table.encode(probe)
             assert table.lookup(probe) is None
-        # the snapshot pickles with codes, values and frozenness intact
+        # the snapshot pickles with codes and values intact
         clone = pickle.loads(pickle.dumps(table))
         assert list(clone) == list(table)
-        assert clone.frozen
         assert [clone.lookup(v) for v in values] == list(
             range(len(values)))
+        for code, value in enumerate(values):
+            assert clone.encode(value) == code
+            assert clone.decode(code) == value
 
     def test_duplicate_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -204,17 +197,6 @@ def _trace_shape(tracer):
              s.hash_builds) for s in trace.rounds]
 
 
-#: stats fields that depend on how the delta was *partitioned*, not on
-#: the logical work done.  The sharded engine splits each delta by the
-#: hash of its storage-space rows, and int codes and raw values hash
-#: differently — the per-shard split (and with it the number of batch
-#: dispatches) legitimately differs while every aggregate work counter
-#: (probes, derived, deltas, builds) stays identical.
-_PARTITION_FIELDS = frozenset({
-    "batch_sizes", "shard_counts", "shard_skew",
-    "plan_cache_hits", "plan_cache_misses", "hash_lookups",
-})
-
 #: fields naming *which* delta-loop backend ran, not the logical work
 #: done: interned databases may take the vectorised kernel while raw
 #: ones cannot (it requires dictionary-encoded rows); all other
@@ -224,13 +206,10 @@ _BACKEND_FIELDS = frozenset({"backend", "vector_batches",
                              "vector_rows"})
 
 
-def _comparable_stats(stats, engine):
+def _comparable_stats(stats):
     shape = dict(vars(stats))
     for field in _BACKEND_FIELDS:
         shape.pop(field, None)
-    if engine == "sharded":
-        for field in _PARTITION_FIELDS:
-            shape.pop(field, None)
     return shape
 
 
@@ -256,8 +235,7 @@ class TestModeParity:
         answers_r = ENGINES[engine]().evaluate(
             system, raw.copy(), query, stats_r, trace=trace_r)
         assert answers_i == answers_r
-        assert (_comparable_stats(stats_i, engine)
-                == _comparable_stats(stats_r, engine))
+        assert _comparable_stats(stats_i) == _comparable_stats(stats_r)
         assert _trace_shape(trace_i) == _trace_shape(trace_r)
 
     @settings(max_examples=6, deadline=None)
@@ -294,7 +272,7 @@ def _tc_session(intern):
 class TestUnseenConstantShortCircuit:
     @pytest.mark.parametrize("engine",
                              ["naive", "semi-naive", "compiled",
-                              "top-down", "sharded"])
+                              "top-down"])
     def test_unseen_constant_is_empty_without_fixpoint(self, engine):
         session = _tc_session(intern=True)
         stats = EvaluationStats()

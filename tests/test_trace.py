@@ -5,8 +5,7 @@ import json
 import pytest
 
 from repro.datalog.parser import parse_system
-from repro.engine import (MaterializedRecursion, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, TopDownEngine)
+from repro.engine import MaterializedRecursion, TopDownEngine
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import (TRACE_SCHEMA_VERSION, Tracer,
                                 validate_trace_dict)
@@ -32,8 +31,7 @@ class TestTracerLifecycle:
     def test_round_counters_are_stat_deltas(self):
         stats = EvaluationStats()
         tracer = Tracer()
-        tracer.begin("test", predicate="P", query="P(_)", workers=2,
-                     note="hello")
+        tracer.begin("test", predicate="P", query="P(_)", note="hello")
         stats.probes, stats.hash_builds, stats.hash_lookups = 5, 1, 1
         tracer.begin_round("delta", 3, stats)
         stats.probes += 7
@@ -43,7 +41,6 @@ class TestTracerLifecycle:
         tracer.end_round(2, stats, depth=1)
         trace = tracer.finish(2, stats)
         assert trace.engine == "test"
-        assert trace.workers == 2
         assert trace.meta == {"note": "hello"}
         (span,) = trace.rounds
         assert span.kind == "delta"
@@ -77,20 +74,6 @@ class TestTracerLifecycle:
         (rule,) = trace.rounds[0].rules
         assert rule.label == "exit[0]: r"
         assert rule.probes == 2 and rule.derived == 2
-
-    def test_events_attach_to_round_or_trace(self):
-        tracer = Tracer()
-        tracer.begin("test")
-        tracer.event("outside", detail=1)
-        tracer.begin_round("delta", 1)
-        tracer.event("inside")
-        tracer.shards([3, 2], [0.1, 0.2])
-        tracer.end_round(1)
-        trace = tracer.finish(1)
-        assert trace.events == [{"name": "outside", "detail": 1}]
-        assert trace.rounds[0].events == [{"name": "inside"}]
-        assert trace.rounds[0].shard_sizes == [3, 2]
-        assert trace.rounds[0].shard_wall_s == [0.1, 0.2]
 
     def test_begin_resets_for_reuse(self):
         tracer = Tracer()
@@ -131,9 +114,19 @@ class TestSchema:
         document["surprise"] = 1
         with pytest.raises(ValueError, match="unknown"):
             validate_trace_dict(document)
+
+    @pytest.mark.parametrize("where, name", [
+        ("trace", "workers"), ("trace", "events"),
+        ("round", "shard_sizes"), ("round", "shard_wall_s"),
+        ("round", "events")])
+    def test_removed_worker_pool_fields_rejected(self, ddb, where,
+                                                 name):
+        tracer = Tracer()
+        ddb.query("anc(X, Y)", engine="semi-naive", trace=tracer)
         document = tracer.trace.to_dict()
-        document["rounds"][0]["events"] = [{"no_name": True}]
-        with pytest.raises(ValueError, match="event"):
+        target = document if where == "trace" else document["rounds"][0]
+        target[name] = []
+        with pytest.raises(ValueError, match=f"unknown fields.*{name}"):
             validate_trace_dict(document)
 
 
@@ -155,7 +148,7 @@ class TestRender:
 
 class TestEngineTraces:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
-                                        "naive", "top-down", "sharded"])
+                                        "naive", "top-down"])
     def test_every_engine_emits_a_valid_trace(self, ddb, engine):
         tracer = Tracer()
         answers = ddb.query("anc(X, Y)", engine=engine, trace=tracer)
@@ -198,77 +191,6 @@ class TestEngineTraces:
         tracer = Tracer()
         assert view.insert("A", ("n1", "n2"), trace=tracer) == frozenset()
         assert tracer.trace.answers == 0
-
-
-class TestShardedTraces:
-    def test_inprocess_rounds_record_shard_sizes(self, tc_system,
-                                                 tc_chain_db):
-        tracer = Tracer()
-        ShardedSemiNaiveEngine(workers=0).evaluate(
-            tc_system, tc_chain_db, trace=tracer)
-        parallel = [span for span in tracer.trace.rounds
-                    if span.shard_sizes is not None]
-        assert parallel
-        for span in parallel:
-            assert sum(span.shard_sizes) == span.delta_in
-            assert len(span.shard_wall_s) == len(span.shard_sizes)
-        validate_trace_dict(tracer.trace.to_dict())
-
-    def test_small_delta_records_sequential_event(self, tc_system,
-                                                  tc_chain_db):
-        tracer = Tracer()
-        ShardedSemiNaiveEngine(workers=2).evaluate(  # default threshold
-            tc_system, tc_chain_db, trace=tracer)
-        events = [event for span in tracer.trace.rounds
-                  for event in span.events]
-        assert any(event["name"] == "sequential_round"
-                   for event in events)
-
-    def test_pool_unavailable_records_fallback_event(
-            self, tc_system, tc_chain_db, monkeypatch):
-        monkeypatch.setattr(ShardedSemiNaiveEngine, "_ensure_pool",
-                            lambda self: None)
-        tracer = Tracer()
-        stats = EvaluationStats()
-        answers = ShardedSemiNaiveEngine(
-            workers=2, min_parallel_rows=1).evaluate(
-            tc_system, tc_chain_db, stats=stats, trace=tracer)
-        assert answers == SemiNaiveEngine().evaluate(tc_system,
-                                                     tc_chain_db)
-        events = [event for span in tracer.trace.rounds
-                  for event in span.events]
-        fallbacks = [event for event in events
-                     if event["name"] == "pool_fallback"]
-        assert len(fallbacks) == stats.pool_fallbacks > 0
-        assert fallbacks[0]["reason"] == "pool_unavailable"
-
-    def test_pool_death_records_dispatch_error(self, tc_system,
-                                               tc_chain_db):
-        class BrokenPool:
-            def map(self, fn, items):
-                raise RuntimeError("worker died")
-
-            def terminate(self):
-                pass
-
-            def join(self):
-                pass
-
-        engine = ShardedSemiNaiveEngine(workers=2, min_parallel_rows=1)
-        engine._ensure_pool = lambda: engine._pool
-        original_begin = engine._begin_fixpoint
-
-        def begin(system, database, run_stats):
-            original_begin(system, database, run_stats)
-            engine._pool = BrokenPool()
-
-        engine._begin_fixpoint = begin
-        tracer = Tracer()
-        engine.evaluate(tc_system, tc_chain_db, trace=tracer)
-        events = [event for span in tracer.trace.rounds
-                  for event in span.events]
-        assert {"name": "pool_fallback",
-                "reason": "dispatch_error"} in events
 
 
 class TestTopDownEngineDirect:

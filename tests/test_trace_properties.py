@@ -16,7 +16,7 @@ import pytest
 
 from repro.engine import (CompiledEngine, MaterializedRecursion,
                           NaiveEngine, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine, TopDownEngine)
+                          TopDownEngine)
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer, validate_trace_dict
 from repro.workloads import CATALOGUE, chain, random_edb
@@ -32,7 +32,6 @@ ENGINES = {
     "semi-naive": SemiNaiveEngine,
     "compiled": CompiledEngine,
     "top-down": TopDownEngine,
-    "sharded": lambda: ShardedSemiNaiveEngine(workers=0),
 }
 
 

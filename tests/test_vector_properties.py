@@ -1,17 +1,16 @@
-"""Vectorised-backend laws: numpy ≡ stub ≡ tuple-set loop.
+"""Vectorised-backend laws: numpy kernel ≡ tuple-set loop.
 
 The vectorised delta-loop kernel (:mod:`repro.engine.vector`) is pure
-representation: whichever implementation runs — the numpy kernel, the
-pure-python ``array``-module stub, or the original tuple-set loop
-pinned by ``backend="python"`` — the answers, the per-round stats
-deltas and the trace shapes must be bit-identical.  Three layers pin
-this down:
+representation: whether the numpy kernel runs or the original
+tuple-set loop pinned by ``backend="python"`` — the answers, the
+per-round stats deltas and the trace shapes must be bit-identical.
+Three layers pin this down:
 
 * **backend parity** — classes A1–C × the delta-loop engines
-  (semi-naive, compiled, sharded ``workers=0``): numpy vs stub agree
-  on *everything* including the vector work counters; vector vs
-  pinned-python agree on everything except the fields that name which
-  backend ran;
+  (semi-naive, compiled): vector vs pinned-python agree on everything
+  except the fields that name which backend ran; with numpy absent,
+  ``auto`` and ``vector`` *are* the python loop, down to the backend
+  name and the traces;
 * **fallback paths** — raw databases, tuple-at-a-time mode, uncertified
   plan shapes and ``max_rounds`` caps all take the python loop with
   identical results, and ``backend="python"`` pins it explicitly;
@@ -30,12 +29,11 @@ from hypothesis import strategies as st
 
 from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_system
-from repro.engine import (CompiledEngine, Query, SemiNaiveEngine,
-                          ShardedSemiNaiveEngine)
+from repro.engine import CompiledEngine, Query, SemiNaiveEngine
+from repro.engine import vector as vector_module
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
-from repro.engine.vector import (HAVE_NUMPY, active_backend, eligible,
-                                 force_stub, validate_backend)
+from repro.engine.vector import eligible, validate_backend
 from repro.ra.database import Database
 from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE, random_edb
@@ -50,18 +48,16 @@ CLASS_ENTRIES = {
 ENGINES = {
     "semi-naive": SemiNaiveEngine,
     "compiled": CompiledEngine,
-    "sharded": lambda **kw: ShardedSemiNaiveEngine(workers=0, **kw),
 }
 
 
 @contextmanager
-def stub_backend():
-    """Force the pure-python stub for the duration of the block."""
-    force_stub(True)
-    try:
+def numpy_absent():
+    """Run the block as if numpy were not installed."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(vector_module, "_np", None)
+        monkeypatch.setattr(vector_module, "HAVE_NUMPY", False)
         yield
-    finally:
-        force_stub(False)
 
 
 def _workload(paper_class, seed, tuples):
@@ -88,12 +84,22 @@ def _trace_shape(tracer):
             {k: v for k, v in trace.meta.items() if k != "backend"})
 
 
-def _stats_shape(stats, *, keep_vector: bool):
+def _trace_doc(tracer):
+    """The whole trace document minus its wall-clock fields."""
+    document = tracer.trace.to_dict()
+    document.pop("total_s")
+    for span in document["rounds"]:
+        span.pop("duration_s")
+        for rule in span["rules"]:
+            rule.pop("duration_s")
+    return document
+
+
+def _stats_shape(stats):
+    """Every stats field except the ones naming the backend that ran."""
     shape = dict(vars(stats))
-    shape.pop("backend", None)
-    if not keep_vector:
-        shape.pop("vector_batches", None)
-        shape.pop("vector_rows", None)
+    for field in ("backend", "vector_batches", "vector_rows"):
+        shape.pop(field)
     return shape
 
 
@@ -115,34 +121,29 @@ class TestBackendParity:
         assert answers_v.encoded == answers_p.encoded
         assert stats_p.backend == "python"
         assert stats_p.vector_batches == stats_p.vector_rows == 0
-        assert (_stats_shape(stats_v, keep_vector=False)
-                == _stats_shape(stats_p, keep_vector=False))
+        assert _stats_shape(stats_v) == _stats_shape(stats_p)
         assert _trace_shape(trace_v) == _trace_shape(trace_p)
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
     @pytest.mark.parametrize("paper_class", sorted(CLASS_ENTRIES))
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     @settings(max_examples=2, deadline=None)
     @given(seed=st.integers(0, 7), tuples=st.integers(4, 10))
-    def test_numpy_matches_stub_exactly(self, paper_class, engine,
-                                        seed, tuples):
+    def test_numpy_absent_is_python_loop(self, paper_class, engine,
+                                         seed, tuples):
         system, db, query = _workload(paper_class, seed, tuples)
         _run(engine, system, db, query, "python")  # warm plan cache
-        answers_n, stats_n, trace_n = _run(engine, system, db, query,
-                                           "vector")
-        with stub_backend():
-            answers_s, stats_s, trace_s = _run(engine, system, db,
-                                               query, "vector")
-        assert answers_n == answers_s
-        assert answers_n.encoded == answers_s.encoded
-        # everything including the vector work counters is identical;
-        # only the backend name itself may differ (numpy vs stub)
-        assert (_stats_shape(stats_n, keep_vector=True)
-                == _stats_shape(stats_s, keep_vector=True))
-        if stats_n.vector_batches:
-            assert stats_n.backend == "numpy"
-            assert stats_s.backend == "stub"
-        assert _trace_shape(trace_n) == _trace_shape(trace_s)
+        with numpy_absent():
+            runs = {backend: _run(engine, system, db, query, backend)
+                    for backend in ("auto", "vector", "python")}
+        answers_p, stats_p, trace_p = runs["python"]
+        assert stats_p.backend == "python"
+        for backend in ("auto", "vector"):
+            answers, stats, trace = runs[backend]
+            assert answers == answers_p
+            assert answers.encoded == answers_p.encoded
+            # everything, backend name and vector counters included
+            assert vars(stats) == vars(stats_p)
+            assert _trace_doc(trace) == _trace_doc(trace_p)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 7), cap=st.integers(0, 3))
@@ -181,32 +182,12 @@ class TestFallbackPaths:
         assert stats.backend == "python"
         assert stats.vector_batches == 0
 
-    def test_sharded_with_workers_keeps_round_hook(self):
-        # the sharded engine must never delegate the whole loop (that
-        # would bypass partitioned rounds); it still answers the same
-        system, db, query = _workload("A1", 1, 8)
-        stats = EvaluationStats()
-        answers = ShardedSemiNaiveEngine(
-            workers=0, backend="vector").evaluate(
-            system, db.copy(), query, stats)
-        assert stats.backend == "python"
-        assert stats.vector_batches == 0
-        reference = SemiNaiveEngine(backend="python").evaluate(
-            system, db.copy(), query)
-        assert answers == reference
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(EvaluationError):
             SemiNaiveEngine(backend="gpu")
         with pytest.raises(EvaluationError):
             validate_backend("cuda")
         assert validate_backend("auto") == "auto"
-
-    def test_active_backend_reports_stub_when_forced(self):
-        before = active_backend()
-        with stub_backend():
-            assert active_backend() == "stub"
-        assert active_backend() == before
 
 
 class TestSessionLaws:
@@ -219,8 +200,7 @@ class TestSessionLaws:
         """)
         return session
 
-    @pytest.mark.parametrize("engine",
-                             ["semi-naive", "compiled", "sharded"])
+    @pytest.mark.parametrize("engine", ["semi-naive", "compiled"])
     def test_query_backends_agree(self, engine):
         session = self._session()
         vector = session.query("anc(X, Y)", engine=engine,
