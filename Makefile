@@ -8,8 +8,11 @@ install:
 test:
 	pytest tests/
 
+# Every bench once: --benchmark-only would skip the ones that time
+# themselves (setjoin, vector), which write the BENCH_*.json files.
+# The end-to-end benchmark is benchmarks/e2e/run.py.
 bench:
-	pytest benchmarks/ --benchmark-only
+	pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-disable
 
 artifacts: bench
 	@ls benchmarks/output/

@@ -7,13 +7,13 @@ The vectorised backend (:mod:`repro.engine.vector`) keeps the frontier
 as flat int64 vectors end-to-end — CSR adjacency gather, packed-key
 sorted dedup, one columnar hand-off to the answer boundary — and
 builds row tuples only when someone exercises row semantics.  This
-bench times both backends on the *same* interned database (same warm
+bench times both backends on the *same* database (same warm
 join caches, same plan cache), answers asserted identical outside the
 timed region:
 
 * ``tc-20k-full-enum`` — full transitive closure over 2 500 disjoint
-  chains of 8 hops (20k edges, ~112k answers; the columnar bench's
-  own 20k TC shape).  Gated at the ISSUE's ≥2.0x with numpy;
+  chains of 8 hops (20k edges, ~112k answers).  Gated at ≥2.0x with
+  numpy;
 * ``tc-20k-bound-query`` — the same fixpoint with a one-constant
   query: semi-naive does not push constants, so the loop dominates,
   and the vector path filters by column mask instead of a per-row

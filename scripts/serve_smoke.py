@@ -202,7 +202,7 @@ def main() -> int:
                 failures += 1
 
             # -- dictionary-encoding telemetry ------------------------
-            # the server's database interns by default, so both
+            # the server's database interns every constant, so both
             # storage gauges must be present and positive
             for gauge in ("repro_symbols_total",
                           "repro_encoded_bytes_estimate"):
@@ -243,7 +243,7 @@ def main() -> int:
 
             # -- vectorised delta-loop counters reconcile exactly -----
             # with numpy the session's semi-naive runs over the
-            # interned TC program certify for the vector kernel, so
+            # TC program certify for the vector kernel, so
             # the backend counters must be non-zero AND equal the
             # per-response stats sums, all under backend="numpy";
             # without numpy every round runs the python loop and the

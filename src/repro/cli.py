@@ -40,7 +40,6 @@ from .engine.stats import EvaluationStats
 from .engine.topdown import TopDownEngine
 from .engine.trace import TRACE_SCHEMA_VERSION, Tracer
 from .engine.vector import BACKENDS, numpy_version
-from .engine.provenance import explain_answer
 from .graphs.render import ascii_figure, ascii_resolution, to_dot
 from .graphs.resolution import resolution_graph
 from .ra.database import Database
@@ -143,18 +142,19 @@ def _cmd_shell(args: argparse.Namespace) -> int:
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    from .session import DeductiveDatabase
     with open(args.program, encoding="utf-8") as handle:
         text = handle.read()
-    program = parse_program(text)
-    system = parse_system(text)
-    db = Database.from_program(program)
+    session = DeductiveDatabase()
+    session.load(text)
     query = Query.parse(args.answer)
-    answers = CompiledEngine().evaluate(system, db, query)
-    if not answers:
+    # one fixpoint replay (the depth map) shared by every derivation
+    derivations = session.prove(query, limit=args.limit)
+    if not derivations:
         print(f"no answers match {query}", file=sys.stderr)
         return 1
-    for answer in sorted(answers, key=repr)[:args.limit]:
-        print(explain_answer(system, db, answer).render())
+    for derivation in derivations:
+        print(derivation.render())
         print()
     return 0
 
@@ -175,7 +175,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         text = handle.read()
     program = parse_program(text)
     system = parse_system(text)
-    db = Database.from_program(program, intern=not args.no_intern)
+    db = Database.from_program(program)
     if args.query:
         queries = [Query.parse(args.query)]
     elif program.queries:
@@ -202,11 +202,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         answers = engine.evaluate(system, db, query, stats,
                                   trace=tracer)
         duration = perf_counter() - started
-        # AnswerSet.sorted_rows caches the sorted decode; the plain
-        # sorted() fallback covers intern=False frozensets, same order.
-        rows = (answers.sorted_rows() if hasattr(answers, "sorted_rows")
-                else sorted(answers, key=repr))
-        for row in rows:
+        for row in answers.sorted_rows():
             print(f"{system.predicate}"
                   f"({', '.join(str(v) for v in row)})")
         print(f"-- {query}: {len(answers)} answers   "
@@ -248,8 +244,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     query_log = (open_query_log(args.log_json)
                  if args.log_json is not None else None)
     session = DeductiveDatabase(metrics=MetricsRegistry(),
-                                query_log=query_log,
-                                intern=not args.no_intern)
+                                query_log=query_log)
     session.load(text)
     server = QueryServer(session, host=args.host, port=args.port,
                          default_engine=args.engine,
@@ -398,10 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--log-json", metavar="FILE", default=None,
                        help="append one structured JSON log line per "
                             "query to FILE ('-' for stderr)")
-    p_run.add_argument("--no-intern", action="store_true",
-                       help="store raw value tuples instead of "
-                            "dictionary-encoded int codes (ablation; "
-                            "answers are identical)")
     p_run.set_defaults(func=_cmd_run)
 
     p_serve = sub.add_parser(
@@ -451,10 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--log-json", metavar="FILE", default=None,
                          help="append one structured JSON log line "
                               "per query to FILE ('-' for stderr)")
-    p_serve.add_argument("--no-intern", action="store_true",
-                         help="store raw value tuples instead of "
-                              "dictionary-encoded int codes "
-                              "(ablation; answers are identical)")
     p_serve.add_argument("--trace-buffer", type=int, default=256,
                          metavar="N",
                          help="flight-recorder capacity: completed "

@@ -110,9 +110,7 @@ class CompiledEngine:
 
         # The strategies run in storage space: the query's constants
         # are encoded once here, and the answers stay encoded inside a
-        # lazy AnswerSet at the end.  (With intern=False ``encoded``
-        # returns the query as is and the raw frozenset passes
-        # through verbatim.)
+        # lazy AnswerSet at the end.
         enc_query = query.encoded(edb)
         if compiled.strategy is Strategy.BOUNDED:
             answers = self._evaluate_bounded(system, compiled.classification,
@@ -139,7 +137,7 @@ class CompiledEngine:
         if isinstance(answers, ColumnarTotal):
             answers = AnswerSet.from_columns(answers.columns(),
                                              edb.symbols)
-        elif edb.interned:
+        else:
             answers = AnswerSet(answers, edb.symbols)
         return answers
 
@@ -371,7 +369,7 @@ class CompiledEngine:
         head_args = rule.head.args
         if (unrestricted and self.set_at_a_time
                 and self.backend != "python"
-                and _vector_eligible(edb, recursive_vars)):
+                and _vector_eligible(recursive_vars)):
             # the relevance filter is the identity, so this loop is
             # exactly the semi-naive delta loop — hand it wholesale to
             # the vector module (which falls back internally, with

@@ -8,9 +8,8 @@ always evaluated next, which is precisely the paper's principle that
 "join operations will be performed only after selection operations".
 
 The solver runs in *storage space*: bindings, probe patterns and
-result rows hold whatever the database stores (dense int codes under
-interning, raw values with ``intern=False`` — where the two spaces
-coincide).  Constants from the rule text are pushed through
+result rows hold the dense int codes the database stores.  Constants
+from the rule text are pushed through
 ``database.encode_const`` at the point they enter a pattern or an
 output row; callers that seed a binding must seed storage-space
 values, and callers that surface rows to users decode them once at
@@ -95,7 +94,7 @@ def solve(database: Database, atoms: Sequence[Atom],
     1
     """
     start: Binding = dict(binding or {})
-    encode = database.encode_const if database.interned else None
+    encode = database.encode_const
 
     def backtrack(remaining: list[Atom],
                   current: Binding) -> Iterator[Binding]:
@@ -134,12 +133,11 @@ def solve_project(database: Database, atoms: Sequence[Atom],
     argument list.  Rows come back in storage space — decode at the
     answer boundary, or feed them to ``add_encoded``/``bulk_encoded``.
     """
-    encode = database.encode_const if database.interned else None
+    encode = database.encode_const
     results: set[tuple] = set()
     for solution in solve(database, atoms, binding, stats):
         row = tuple(
-            (term.value if encode is None else encode(term.value))
-            if isinstance(term, Constant)
+            encode(term.value) if isinstance(term, Constant)
             else solution[term]
             for term in out_terms)
         results.add(row)

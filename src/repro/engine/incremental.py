@@ -46,10 +46,6 @@ class _WithIDB:
         self._predicate = predicate
         self._rows = rows
 
-    @property
-    def interned(self) -> bool:
-        return self._base.interned
-
     def encode_const(self, value):
         return self._base.encode_const(value)
 
@@ -84,12 +80,10 @@ class MaterializedRecursion:
         self.stats = EvaluationStats(engine="incremental")
 
     @property
-    def rows(self) -> frozenset[tuple] | AnswerSet:
-        """The current materialised relation (value space; a lazy
-        columnar :class:`~repro.ra.answers.AnswerSet` when interned —
-        the snapshot decodes only if the caller iterates it)."""
-        if not self._db.interned:
-            return frozenset(self._total)
+    def rows(self) -> AnswerSet:
+        """The current materialised relation, as a lazy columnar
+        :class:`~repro.ra.answers.AnswerSet` — the snapshot decodes
+        only if the caller iterates it."""
         return AnswerSet(frozenset(self._total), self._db.symbols)
 
     @property
@@ -100,12 +94,12 @@ class MaterializedRecursion:
     # -- insertion ------------------------------------------------------
 
     def insert(self, predicate: str, row: tuple,
-               trace: Tracer | None = None) -> frozenset[tuple]:
+               trace: Tracer | None = None) -> AnswerSet:
         """Add one base fact; returns the derived tuples it added."""
         return self.insert_many(predicate, [row], trace)
 
     def insert_many(self, predicate: str, rows: Iterable[tuple],
-                    trace: Tracer | None = None) -> frozenset[tuple]:
+                    trace: Tracer | None = None) -> AnswerSet:
         """Add base facts; returns every newly derived tuple.
 
         *trace* records the insertion's differentiation seed round and
@@ -136,7 +130,7 @@ class MaterializedRecursion:
         if not fresh:
             if trace is not None:
                 trace.finish(0, self.stats)
-            return frozenset()
+            return AnswerSet(frozenset(), self._db.symbols)
         view = _WithIDB(self._db, self._system.predicate, self._total)
 
         if trace is not None:
@@ -180,9 +174,7 @@ class MaterializedRecursion:
                     break
         if trace is not None:
             trace.finish(len(added), self.stats)
-        if self._db.interned:
-            return AnswerSet(frozenset(added), self._db.symbols)
-        return frozenset(added)
+        return AnswerSet(frozenset(added), self._db.symbols)
 
     def _differentiated(self, rule: Rule, predicate: str,
                         fresh: list[tuple], view: _WithIDB
@@ -215,9 +207,6 @@ class MaterializedRecursion:
         return len(self._total)
 
     def __contains__(self, row: tuple) -> bool:
-        row = tuple(row)
-        if not self._db.interned:
-            return row in self._total
         lookup = self._db.symbols.lookup
         codes = tuple(lookup(value) for value in row)
         return None not in codes and codes in self._total

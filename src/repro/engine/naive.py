@@ -111,6 +111,4 @@ class NaiveEngine:
         stats.answers = len(answers)
         if trace is not None:
             trace.finish(len(answers), stats)
-        if database.interned:
-            return AnswerSet(answers, database.symbols)
-        return frozenset(answers)
+        return AnswerSet(answers, database.symbols)

@@ -18,8 +18,7 @@ resulting :class:`JoinPlan` is a straight-line program executed by
 Plans are *storage-space* artifacts: every constant appearing in the
 body, the entry terms or the head is encoded through the database's
 symbol table at compile time, so the executing kernel never touches a
-raw value (with ``intern=False`` the encoder is the identity and the
-plan holds raw constants, exactly as before).
+raw value.
 
 Plans are cached process-wide.  The cache key includes a coarse
 log-scale fingerprint of the body relations' cardinalities so the
@@ -308,7 +307,8 @@ def compile_plan(body: Sequence[Atom], entry_terms: Sequence[Term],
     *entry_terms* are the terms bound before the body runs (the
     recursive atom's arguments for a delta rule, empty for a full
     evaluation); *out_terms* the head's argument list.  *database*
-    only informs the atom-order tie-break via relation cardinalities.
+    informs the atom-order tie-break via relation cardinalities and
+    encodes the plan's constants into its code space.
 
     >>> from ..datalog.parser import parse_atom
     >>> from ..ra.database import Database
@@ -329,13 +329,13 @@ def compile_plan(body: Sequence[Atom], entry_terms: Sequence[Term],
     if database is not None:
         for atom in body:
             counts[atom.predicate] = database.count(atom.predicate)
-        if database.interned:
-            encode = database.encode_const
-        token = database.symbols_token
+        encode = database.encode_const
+        token = database.symbols.token
     # Coarse (log-scale) cardinality fingerprint: order only adapts to
     # order-of-magnitude shifts, so steady fixpoints always cache-hit.
     # The symbol-table token pins the plan's encoded constants to one
-    # code space (a raw plan carries token 0).
+    # code space (a plan compiled without a database keeps raw
+    # constants under token 0).
     fingerprint = tuple(sorted(
         (name, count.bit_length()) for name, count in counts.items()))
     key = (body, entry_terms, out_terms, fingerprint, token)

@@ -12,6 +12,9 @@ that chain:
    binding of the recursive rule whose recursive subgoal was derived
    at a smaller depth; at depth 0 find the exit rule that produced it.
 
+Both steps run in storage space, like every engine; only the rows that
+end up in a :class:`Derivation` are decoded.
+
 The result is a :class:`Derivation` tree whose rendering reads like a
 proof::
 
@@ -78,20 +81,16 @@ class Derivation:
 
 def _tuple_depths(system: RecursionSystem,
                   database: Database) -> dict[tuple, int]:
-    """First-derivation depth of every tuple (semi-naive replay).
-
-    Runs in value space over a decoded copy — provenance is a cold
-    path and its bindings are rendered verbatim into proof trees, so
-    decoding wholesale up front keeps everything below value-space.
-    """
-    database = database.decoded()
+    """First-derivation depth of every tuple (semi-naive replay),
+    keyed by the tuple's storage-space (encoded) row."""
+    encode = database.encode_const
     depths: dict[tuple, int] = {}
     rule = system.recursive
     total: set[tuple] = set()
     for exit_rule in system.exits:
         for binding in solve(database, exit_rule.body):
             row = tuple(
-                binding[t] if isinstance(t, Variable) else t.value
+                binding[t] if isinstance(t, Variable) else encode(t.value)
                 for t in exit_rule.head.args)
             if row not in depths:
                 depths[row] = 0
@@ -109,7 +108,8 @@ def _tuple_depths(system: RecursionSystem,
                        for term, value in zip(recursive_vars, row)}
             for solution in solve(database, body_rest, binding):
                 derived = tuple(
-                    solution[t] if isinstance(t, Variable) else t.value
+                    solution[t] if isinstance(t, Variable)
+                    else encode(t.value)
                     for t in head_args)
                 if derived not in total:
                     new.add(derived)
@@ -119,25 +119,27 @@ def _tuple_depths(system: RecursionSystem,
     return depths
 
 
-def _bind_head(rule: Rule, row: tuple) -> dict[Variable, object] | None:
+def _bind_head(rule: Rule, row: tuple,
+               encode) -> dict[Variable, object] | None:
     binding: dict[Variable, object] = {}
     for term, value in zip(rule.head.args, row):
         if isinstance(term, Constant):
-            if term.value != value:
+            if encode(term.value) != value:
                 return None
         elif binding.setdefault(term, value) != value:
             return None
     return binding
 
 
-def _edb_facts_of(rule: Rule, system_predicate: str,
-                  solution: dict) -> tuple[tuple[str, tuple], ...]:
+def _edb_facts_of(rule: Rule, system_predicate: str, solution: dict,
+                  decode) -> tuple[tuple[str, tuple], ...]:
+    """The value-space EDB facts a storage-space *solution* used."""
     facts = []
     for body_atom in rule.body:
         if body_atom.predicate == system_predicate:
             continue
         row = tuple(
-            solution[t] if isinstance(t, Variable) else t.value
+            decode(solution[t]) if isinstance(t, Variable) else t.value
             for t in body_atom.args)
         facts.append((body_atom.predicate, row))
     return tuple(facts)
@@ -147,23 +149,30 @@ def explain_answer(system: RecursionSystem, database: Database,
                    answer: tuple,
                    depths: dict[tuple, int] | None = None
                    ) -> Derivation:
-    """The derivation tree of *answer* (EvaluationError if underivable).
+    """The derivation tree of the value-space *answer*
+    (EvaluationError if underivable).
 
-    Pass a precomputed *depths* map (from a previous call) to explain
-    many answers against one database cheaply.
+    Pass a precomputed *depths* map (from :func:`_tuple_depths` on the
+    same database) to explain many answers against one database
+    cheaply.
     """
-    database = database.decoded()  # value-space throughout (cold path)
     if depths is None:
         depths = _tuple_depths(system, database)
-    if answer not in depths:
+    # looked up, not interned: a constant the table never saw occurs
+    # in no derived tuple
+    lookup = database.symbols.lookup
+    encoded = tuple(lookup(value) for value in answer)
+    if None in encoded or encoded not in depths:
         raise EvaluationError(
             f"{system.predicate}{answer} is not derivable")
+    encode = database.encode_const
+    decode = database.symbols.decode
 
     def build(row: tuple) -> Derivation:
         depth = depths[row]
         if depth == 0:
             for exit_rule in system.exits:
-                binding = _bind_head(exit_rule, row)
+                binding = _bind_head(exit_rule, row, encode)
                 if binding is None:
                     continue
                 solution = next(solve(database, exit_rule.body,
@@ -171,15 +180,15 @@ def explain_answer(system: RecursionSystem, database: Database,
                 if solution is not None:
                     merged = {**binding, **solution}
                     return Derivation(
-                        tuple_=row, predicate=system.predicate,
-                        rule=exit_rule,
+                        tuple_=database.decode_row(row),
+                        predicate=system.predicate, rule=exit_rule,
                         edb_facts=_edb_facts_of(
-                            exit_rule, system.predicate, merged),
+                            exit_rule, system.predicate, merged, decode),
                         premise=None)
             raise EvaluationError(      # pragma: no cover - invariant
                 f"no exit derivation found for {row}")
         rule = system.recursive.rule
-        binding = _bind_head(rule, row)
+        binding = _bind_head(rule, row, encode)
         assert binding is not None
         recursive_atom = system.recursive.recursive_atom
         for solution in solve(
@@ -189,7 +198,8 @@ def explain_answer(system: RecursionSystem, database: Database,
             # the recursive subgoal: bound positions from the body
             # solution, None where the variable is unconstrained
             pattern = tuple(
-                merged.get(t) if isinstance(t, Variable) else t.value
+                merged.get(t) if isinstance(t, Variable)
+                else encode(t.value)
                 for t in recursive_atom.args)
             for sub, sub_depth in depths.items():
                 if sub_depth >= depth:
@@ -197,12 +207,12 @@ def explain_answer(system: RecursionSystem, database: Database,
                 if all(p is None or p == v
                        for p, v in zip(pattern, sub)):
                     return Derivation(
-                        tuple_=row, predicate=system.predicate,
-                        rule=rule,
+                        tuple_=database.decode_row(row),
+                        predicate=system.predicate, rule=rule,
                         edb_facts=_edb_facts_of(
-                            rule, system.predicate, merged),
+                            rule, system.predicate, merged, decode),
                         premise=build(sub))
         raise EvaluationError(          # pragma: no cover - invariant
             f"no recursive derivation found for {row} at depth {depth}")
 
-    return build(answer)
+    return build(encoded)

@@ -138,11 +138,7 @@ class Query:
     def encoded(self, database) -> "Query":
         """This query with its constants pushed into *database*'s
         storage space (interning them), so :meth:`matches` /
-        :meth:`filter` apply directly to stored rows.  Returns *self*
-        for a raw (``intern=False``) database, where the two spaces
-        coincide."""
-        if not database.interned:
-            return self
+        :meth:`filter` apply directly to stored rows."""
         return Query(self.predicate,
                      database.encode_pattern(self.pattern))
 

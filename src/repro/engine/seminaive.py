@@ -69,7 +69,7 @@ class SemiNaiveEngine:
                  stats: EvaluationStats | None = None,
                  max_rounds: int | None = None,
                  trace: Tracer | None = None,
-                 decode: bool = True) -> frozenset[tuple] | AnswerSet:
+                 decode: bool = True) -> AnswerSet | frozenset[tuple]:
         """All tuples of the recursive predicate, filtered by *query*.
 
         *max_rounds* caps the recursion depth (used by rank probes);
@@ -77,16 +77,15 @@ class SemiNaiveEngine:
         collects one :class:`~repro.engine.trace.RoundSpan` per round;
         ``trace=None`` adds no work to the loop.
 
-        The whole fixpoint runs in storage space; under interning the
-        answers come back as a lazy columnar
-        :class:`~repro.ra.answers.AnswerSet` (*decode* = True, the
-        default) that materialises values only when first iterated —
-        behaviourally a ``frozenset`` of value rows, without the eager
-        decode tax on enumerations nobody reads.  ``decode=False``
-        hands back plain storage-space rows — for callers that feed
-        them straight back into the same database (materialisation,
-        the incremental maintenance seed).  Raw (``intern=False``)
-        databases return plain value frozensets verbatim.
+        The whole fixpoint runs in storage space; the answers come
+        back as a lazy columnar :class:`~repro.ra.answers.AnswerSet`
+        (*decode* = True, the default) that materialises values only
+        when first iterated — behaviourally a ``frozenset`` of value
+        rows, without the eager decode tax on enumerations nobody
+        reads.  ``decode=False`` hands back plain storage-space rows —
+        for callers that feed them straight back into the same
+        database (materialisation, the incremental maintenance
+        seed).
 
         >>> from ..datalog.parser import parse_system
         >>> s = parse_system("P(x, y) :- A(x, z), P(z, y).")
@@ -143,7 +142,7 @@ class SemiNaiveEngine:
                 delta = set()  # round boundary: stop cleanly
 
         if (self.set_at_a_time and self.backend != "python"
-                and _vector_eligible(database, recursive_vars)):
+                and _vector_eligible(recursive_vars)):
             # the vector module owns the whole loop (including the
             # tuple-set continuation for uncertified plan shapes),
             # keeping every counter identical to the loop below
@@ -198,7 +197,7 @@ class SemiNaiveEngine:
                 AnswerSet.from_columns(answers.columns(),
                                        database.symbols)
                 if decode else answers.rows())
-        elif decode and database.interned:
+        elif decode:
             answers = AnswerSet(answers, database.symbols)
         return answers
 

@@ -18,10 +18,9 @@ row is made of dense int codes, which unlocks a second access path:
 single-column keys probe a plain Python *list* indexed by code
 (:meth:`Database.dense_table`) instead of hashing — no ``__hash__``,
 no ``__eq__``, one ``LIST_SUBSCR``.  :func:`probe_table` is the single
-place that picks between the two.  Multi-column keys and
-``intern=False`` databases keep the dict path verbatim; either way a
-(relation, key) table is built exactly once per version, so the
-``hash_builds`` counter is identical across modes.
+place that picks between the two: multi-column keys keep the dict
+path.  Either way a (relation, key) table is built exactly once per
+version.
 
 The hot linear-recursion shape goes one step further and runs
 *column-wise*: when a plan carries a
@@ -51,21 +50,12 @@ _NO_ROWS: tuple = ()
 
 
 def _probe_key_getter(step: JoinStep):
-    """A callable binding-tuple → probe key for *step*.
-
-    Single-column keys are unwrapped scalars, matching the layout of
-    :meth:`Database.hash_table`.
-    """
+    """A callable binding-tuple → probe key for a multi-column *step*
+    (single-column keys probe :meth:`Database.dense_table` instead),
+    matching the tuple keys of :meth:`Database.hash_table`."""
     if step.key_is_all_vars:
-        slots = step.key_slots
-        if len(slots) == 1:
-            slot = slots[0]
-            return lambda binding: binding[slot]
-        return itemgetter(*slots)
+        return itemgetter(*step.key_slots)
     sources = step.key_sources
-    if len(sources) == 1:
-        _, value = sources[0]
-        return lambda binding: value  # single constant key
     return lambda binding: tuple(
         payload if is_const else binding[payload]
         for is_const, payload in sources)
@@ -74,13 +64,11 @@ def _probe_key_getter(step: JoinStep):
 def probe_table(database: Database, name: str,
                 key_positions: tuple[int, ...]):
     """The access path the kernel probes for ``(name, key_positions)``:
-    a code-indexed list for single-column keys under interning, the
-    key→rows dict otherwise.  One build per (relation, key) per
-    version in either mode."""
+    a code-indexed list for single-column keys, the key→rows dict
+    otherwise.  One build per (relation, key) per version either
+    way."""
     if len(key_positions) == 1:
-        dense = database.dense_table(name, key_positions[0])
-        if dense is not None:
-            return dense
+        return database.dense_table(name, key_positions[0])
     return database.hash_table(name, key_positions)
 
 
@@ -245,14 +233,13 @@ def _fused_final_rows(database: Database, plan: JoinPlan,
     emitted output column, so each output pair is assembled from the
     carried binding slot and the probed column value directly — no
     per-emitted-row ``row[position]`` indexing, no full-row buckets.
-    Only the dense (interned) path qualifies, so ``intern=False``
-    keeps the unfused pipeline verbatim.  Probe/derived accounting is
+    Probe/derived accounting is
     identical to the unfused path (every surfaced column value emits
     exactly one output row), and the column view derives from the
     same counted dense-table build, so ``hash_builds`` is too.
     """
     spec = plan.fused
-    if spec is None or not database.interned:
+    if spec is None:
         return None
     for earlier in plan.steps[:-1]:
         if not batch:
@@ -339,8 +326,8 @@ def apply_rule(database: Database, body: Sequence[Atom],
     ``solve_project`` loop of the fixpoint engines.
     """
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
-    encode = database.encode_const if database.interned else None
-    batch = entry_layout(tuple(entry_terms), encode).batch(rows)
+    batch = entry_layout(tuple(entry_terms),
+                         database.encode_const).batch(rows)
     if stats is not None:
         stats.record_batch(len(batch))
     return execute_plan(database, plan, batch, stats)

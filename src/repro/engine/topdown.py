@@ -59,10 +59,6 @@ class _GoalView:
             self.tables[pattern] = set()
             self.new_subgoals.append(pattern)
 
-    @property
-    def interned(self) -> bool:
-        return self._base.interned
-
     def encode_const(self, value):
         return self._base.encode_const(value)
 
@@ -93,7 +89,7 @@ class TopDownEngine:
 
     def evaluate(self, system: RecursionSystem, edb: Database,
                  query: Query, stats: EvaluationStats | None = None,
-                 trace: Tracer | None = None) -> frozenset[tuple]:
+                 trace: Tracer | None = None) -> AnswerSet:
         """Answers to *query* by memoised top-down resolution.
 
         >>> from ..datalog.parser import parse_system
@@ -125,14 +121,10 @@ class TopDownEngine:
 
         # Worklist QSQR: a subgoal is re-solved only when one of the
         # subgoals it probes has grown (or when it is new).  Pops go in
-        # *decoded*-pattern order: subgoal patterns are storage-space
-        # tuples whose hash order differs between ``intern=True`` (int
-        # codes) and ``intern=False`` (raw values), and a hash-ordered
-        # pop would leak that difference into the round sequence.  All
-        # other per-round quantities are functions of (table state,
-        # chosen subgoal) alone, so a mode-independent pop order makes
-        # the whole trace mode-independent (property-tested in
-        # tests/test_symbols_properties.py).
+        # *decoded*-pattern order: every other per-round quantity is a
+        # function of (table state, chosen subgoal) alone, so the round
+        # sequence depends on the constants, never on the order in
+        # which the symbol table happened to issue their codes.
         def sort_key(pattern: tuple) -> str:
             return repr(edb.decode_pattern(pattern))
 
@@ -162,8 +154,8 @@ class TopDownEngine:
             # rides along in the trace ``detail``.
             stats.record_round(len(view.tables[root]) - root_before)
             if trace is not None:
-                # Render the subgoal in value space so trace output is
-                # identical whichever storage mode ran it.
+                # Render the subgoal in value space: trace output names
+                # constants, never codes.
                 trace.end_round(
                     len(view.tables[root]) - root_before, stats,
                     subgoal=str(Query(system.predicate,
@@ -183,9 +175,7 @@ class TopDownEngine:
         stats.answers = len(answers)
         if trace is not None:
             trace.finish(len(answers), stats)
-        if edb.interned:
-            answers = AnswerSet(answers, edb.symbols)
-        return answers
+        return AnswerSet(answers, edb.symbols)
 
     def _solve_subgoal(self, system: RecursionSystem, view: _GoalView,
                        rules, subgoal: tuple,

@@ -23,7 +23,7 @@ The loop preserves the counting discipline of the pure-Python path
 fetch, ``probes``/``derived`` equal to the rows the probe emits, and
 the same trace spans and deadline checks at round boundaries.  Plans
 whose shape the certificate rejects (multi-step bodies, non-identity
-entry layouts, raw databases) continue on the tuple-set path inside
+entry layouts) continue on the tuple-set path inside
 :func:`run_delta_loop` with identical counters, so callers never see
 a seam.
 """
@@ -69,19 +69,16 @@ def validate_backend(backend: str) -> str:
     return backend
 
 
-def eligible(database: Database, entry_terms) -> bool:
+def eligible(entry_terms) -> bool:
     """Cheap structural pre-check, no plan compile: could the delta
-    loop for *entry_terms* possibly vectorise on *database*?
+    loop for *entry_terms* possibly vectorise?
 
     The certificate proper (:class:`~repro.engine.plan.FusedTail` on a
     single-step plan) is read off the round-1 compile inside
     :func:`run_delta_loop`; this filter only rules out shapes that can
-    never qualify — raw databases and recursive calls that are not two
-    distinct variables (the identity entry layout every linear
-    recursion has).
+    never qualify — recursive calls that are not two distinct
+    variables (the identity entry layout every linear recursion has).
     """
-    if not database.interned:
-        return False
     if len(entry_terms) != 2:
         return False
     first, second = entry_terms
@@ -270,12 +267,11 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     entry_terms = tuple(entry_terms)
     out_terms = tuple(out_terms)
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
-    layout = entry_layout(entry_terms, database.encode_const
-                          if database.interned else None)
-    n_symbols = len(database.symbols) if database.interned else 0
+    layout = entry_layout(entry_terms, database.encode_const)
+    n_symbols = len(database.symbols)
     certified = (
         plan.fused is not None and len(plan.steps) == 1
-        and layout.is_identity and database.interned
+        and layout.is_identity
         and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
     if not certified or _np is None:
         return _python_rounds(database, body, entry_terms, out_terms,

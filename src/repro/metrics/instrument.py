@@ -49,8 +49,7 @@ metric                                labels                   kind
 ``repro_job_queue_wait_seconds``      —                        histogram
 ``repro_job_run_seconds``             —                        histogram
 ``repro_traces_captured_total``       reason                   counter
-``repro_build_info``                  version, python, intern, gauge
-                                      vector
+``repro_build_info``                  version, python, vector  gauge
 ===================================== ======================== =========
 
 The feed is the snapshot-delta discipline of
@@ -365,8 +364,7 @@ def export_database_gauges(registry: MetricsRegistry,
     ).set(snapshot["touches"])
     registry.gauge(
         "repro_symbols_total",
-        "Constants interned in the database's symbol table "
-        "(0 with intern=False).",
+        "Constants interned in the database's symbol table.",
     ).set(snapshot["symbols"])
     registry.gauge(
         "repro_encoded_bytes_estimate",
@@ -380,12 +378,11 @@ def export_database_gauges(registry: MetricsRegistry,
     ).set(plan_cache_size())
 
 
-def export_build_info(registry: MetricsRegistry, *,
-                      intern: bool = True) -> None:
+def export_build_info(registry: MetricsRegistry) -> None:
     """Publish the ``repro_build_info`` identity gauge (value 1).
 
     The standard build-info idiom: the interesting facts — package
-    version, python version, intern mode, vector backend (the numpy
+    version, python version, vector backend (the numpy
     version, or ``none`` when numpy is unavailable) — live in the
     labels so dashboards and smoke logs can join any series against
     what is actually running.  Set once at server construction.
@@ -399,7 +396,6 @@ def export_build_info(registry: MetricsRegistry, *,
     registry.gauge(
         "repro_build_info",
         "Build/runtime identity; value is always 1.",
-        ("version", "python", "intern", "vector"),
+        ("version", "python", "vector"),
     ).set(1, version=__version__, python=platform.python_version(),
-          intern="on" if intern else "off",
           vector=f"numpy {numpy_v}" if numpy_v else "none")

@@ -52,9 +52,7 @@ decoded value rows, ``in`` takes value rows (encoded through a lookup
 ``==`` works in both directions against ``set``/``frozenset`` (their
 ``__eq__`` returns ``NotImplemented`` for a non-set, so Python falls
 back to ours), set operators return plain frozensets, and ``hash``
-agrees with the decoded frozenset.  ``intern=False`` databases never
-produce an :class:`AnswerSet` — the raw path returns verbatim
-frozensets, which is what the parity property tests compare against.
+agrees with the decoded frozenset.
 """
 
 from __future__ import annotations

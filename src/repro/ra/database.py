@@ -5,7 +5,7 @@ the IDB) as mutable sets of tuples keyed by predicate name, with
 per-position hash indexes built lazily and invalidated on insertion —
 the access-path layer every engine shares.
 
-Storage is *dictionary encoded* by default: a shared
+Storage is *dictionary encoded*: a shared
 :class:`~repro.ra.symbols.SymbolTable` interns every constant to a
 dense non-negative int on the way in, rows are stored as int tuples,
 and decoding happens exactly once at the answer boundary.  Two layers
@@ -18,8 +18,7 @@ of API coexist:
 * the **storage-space** methods (:meth:`add_encoded`,
   :meth:`rows_encoded`, :meth:`match_encoded`, :meth:`hash_table`,
   :meth:`dense_table`) speak int tuples and are what the engines run
-  on.  With ``intern=False`` the two layers coincide and every code
-  path is the verbatim pre-encoding one.
+  on.
 
 Two kinds of access path coexist:
 
@@ -28,7 +27,7 @@ Two kinds of access path coexist:
 * multi-column hash tables (:meth:`hash_table`) backing the
   set-at-a-time join plans of :mod:`repro.engine.setjoin`, keyed by an
   arbitrary column combination and invalidated by a per-relation
-  version counter — plus, under interning, :meth:`dense_table`:
+  version counter — plus :meth:`dense_table`:
   single-column tables stored as plain lists indexed by key *code*,
   the array access path dictionary encoding exists to enable.
 
@@ -57,9 +56,6 @@ from .symbols import SymbolTable
 #: A match pattern: one entry per position, None meaning "any value".
 Pattern = tuple
 
-#: Sentinel for "pattern constant was never interned" (matches nothing).
-_UNSEEN = object()
-
 
 class Database:
     """Mutable fact store keyed by predicate name.
@@ -73,8 +69,13 @@ class Database:
     [('a', 'b')]
     """
 
-    def __init__(self, indexed: bool = True,
-                 intern: bool = True) -> None:
+    def __init__(self, indexed: bool = True) -> None:
+        self._init_state(indexed, SymbolTable())
+
+    def _init_state(self, indexed: bool, symbols: SymbolTable) -> None:
+        """Empty storage over *symbols* — shared by :meth:`copy` and
+        restored by :meth:`__setstate__`, so neither allocates a table
+        only to replace it."""
         self._relations: dict[str, set[tuple]] = {}
         self._arities: dict[str, int] = {}
         self._indexes: dict[tuple[str, int], dict[object, set[tuple]]] = {}
@@ -85,8 +86,8 @@ class Database:
         #: keyed by (relation, key-columns) → (version, key → row list)
         self._hash_tables: dict[tuple[str, tuple[int, ...]],
                                 tuple[int, dict]] = {}
-        #: dense (list-indexed) single-column tables, interned mode
-        #: only, keyed by (relation, column) → (version, list)
+        #: dense (list-indexed) single-column tables, keyed by
+        #: (relation, column) → (version, list)
         self._dense_tables: dict[tuple[str, int],
                                  tuple[int, list]] = {}
         #: single-column projections of dense tables for the fused
@@ -100,9 +101,8 @@ class Database:
         #: flat ``array('q')`` pairs; derived views, no ``hash_builds``
         self._csr_columns: dict[tuple[str, int, int],
                                 tuple[int, tuple]] = {}
-        #: the constant dictionary; None runs the raw value-tuple path
-        self._symbols: SymbolTable | None = (SymbolTable() if intern
-                                             else None)
+        #: the constant dictionary every stored row is encoded in
+        self._symbols = symbols
         #: >0 while inside :meth:`bulk`: index/version upkeep deferred
         self._bulk_depth = 0
         #: relations mutated while inside a bulk operation; each gets
@@ -129,40 +129,20 @@ class Database:
     # -- encoding boundary ----------------------------------------------
 
     @property
-    def symbols(self) -> SymbolTable | None:
-        """The shared constant dictionary (None with ``intern=False``)."""
+    def symbols(self) -> SymbolTable:
+        """The shared constant dictionary."""
         return self._symbols
-
-    @property
-    def interned(self) -> bool:
-        """True when rows are stored dictionary-encoded."""
-        return self._symbols is not None
-
-    @property
-    def symbols_token(self) -> int:
-        """Process-unique id of this database's code space (0 = raw).
-
-        Caches keyed by encoded constants (the join-plan cache) include
-        this so plans never leak codes across symbol tables.
-        """
-        return self._symbols.token if self._symbols is not None else 0
 
     def encode_const(self, value):
         """Storage representation of one constant (interns it)."""
-        if self._symbols is None:
-            return value
         return self._symbols.encode(value)
 
     def encode_row(self, row: tuple) -> tuple:
         """Storage representation of a value row (interns)."""
-        if self._symbols is None:
-            return tuple(row)
         return self._symbols.encode_row(row)
 
     def decode_row(self, row: tuple) -> tuple:
         """Value representation of a stored row."""
-        if self._symbols is None:
-            return tuple(row)
         return self._symbols.decode_row(row)
 
     def encode_pattern(self, pattern: Pattern) -> Pattern:
@@ -170,15 +150,11 @@ class Database:
         (interning the constants — used for query patterns, so the
         evaluation machinery runs identically whether or not the
         constant can match anything)."""
-        if self._symbols is None:
-            return tuple(pattern)
         encode = self._symbols.encode
         return tuple(None if v is None else encode(v) for v in pattern)
 
     def decode_pattern(self, pattern: Pattern) -> Pattern:
         """Decode a storage-space pattern, preserving None wildcards."""
-        if self._symbols is None:
-            return tuple(pattern)
         decode = self._symbols.decode
         return tuple(None if v is None else decode(v) for v in pattern)
 
@@ -197,34 +173,16 @@ class Database:
                 out.append(code)
         return tuple(out)
 
-    def decoded(self) -> "Database":
-        """A raw (``intern=False``) copy holding decoded value rows —
-        for cold paths that want to work in value space wholesale
-        (provenance reconstruction).  Returns *self* when already raw."""
-        if self._symbols is None:
-            return self
-        db = Database(indexed=self.indexed, intern=False)
-        decode_rows = self._symbols.decode_rows
-        for name, rows in self._relations.items():
-            # column-wise, one lookup per distinct code — a full-EDB
-            # dump is exactly the shape where per-row decode_row loops
-            # pay |rows| × arity dict hits for |domain| distinct values
-            db._relations[name] = set(decode_rows(rows))
-            db._arities[name] = self._arities[name]
-        db._versions = dict(self._versions)
-        return db
-
     # -- construction --------------------------------------------------
 
     @classmethod
-    def from_atoms(cls, facts: Iterable[Atom],
-                   intern: bool = True) -> "Database":
+    def from_atoms(cls, facts: Iterable[Atom]) -> "Database":
         """Build a database from ground atoms.
 
         A fact with a variable argument is rejected rather than
         silently truncated to its constant positions.
         """
-        db = cls(intern=intern)
+        db = cls()
         for fact in facts:
             values = []
             for term in fact.args:
@@ -237,16 +195,15 @@ class Database:
         return db
 
     @classmethod
-    def from_program(cls, program: Program,
-                     intern: bool = True) -> "Database":
+    def from_program(cls, program: Program) -> "Database":
         """Build a database from a program's fact section."""
-        return cls.from_atoms(program.facts, intern=intern)
+        return cls.from_atoms(program.facts)
 
     @classmethod
-    def from_dict(cls, relations: Mapping[str, Iterable[tuple]],
-                  intern: bool = True) -> "Database":
+    def from_dict(cls, relations: Mapping[str, Iterable[tuple]]
+                  ) -> "Database":
         """Build a database from ``{"A": [("a", "b"), ...]}``."""
-        db = cls(intern=intern)
+        db = cls()
         for name, rows in relations.items():
             db.bulk(name, rows)
         return db
@@ -268,8 +225,8 @@ class Database:
         EDB version instead of once per evaluation.  Per-position match
         indexes are *not* shared: those are updated in place.
         """
-        db = Database(indexed=self.indexed, intern=False)
-        db._symbols = self._symbols
+        db = Database.__new__(Database)
+        db._init_state(self.indexed, self._symbols)
         for name, rows in self._relations.items():
             db._relations[name] = set(rows)
             db._arities[name] = self._arities[name]
@@ -293,10 +250,7 @@ class Database:
 
     def add(self, name: str, row: tuple) -> bool:
         """Insert one value row; returns True when it was new."""
-        row = tuple(row)
-        if self._symbols is not None:
-            row = self._symbols.encode_row(row)
-        return self.add_encoded(name, row)
+        return self.add_encoded(name, self._symbols.encode_row(row))
 
     def _check_writable(self) -> None:
         if self.read_only:
@@ -334,13 +288,10 @@ class Database:
         >>> db.remove("A", ("a", "b")), db.remove("A", ("a", "b"))
         (True, False)
         """
-        row = tuple(row)
-        if self._symbols is not None:
-            encoded = self._lookup_pattern(row)
-            if encoded is None:
-                return False  # a never-seen constant is in no row
-            row = encoded
-        return self.remove_encoded(name, row)
+        encoded = self._lookup_pattern(tuple(row))
+        if encoded is None:
+            return False  # a never-seen constant is in no row
+        return self.remove_encoded(name, encoded)
 
     def remove_encoded(self, name: str, row: tuple) -> bool:
         """Delete one storage-space row; True when it was present."""
@@ -453,10 +404,7 @@ class Database:
     def rows(self, name: str) -> frozenset[tuple]:
         """All value rows of a relation (empty when unknown — an absent
         EDB relation is an empty one, as in any Datalog engine)."""
-        stored = self._relations.get(name, ())
-        if self._symbols is None:
-            return frozenset(stored)
-        return self._symbols.decode_rows(stored)
+        return self._symbols.decode_rows(self._relations.get(name, ()))
 
     def rows_encoded(self, name: str) -> frozenset[tuple]:
         """All storage-space rows of a relation (engine path)."""
@@ -492,7 +440,7 @@ class Database:
         The table maps key → list of full rows; a single-column key is
         stored unwrapped (``row[p]``), a multi-column key as a tuple,
         and the empty key groups every row under ``()``.  Keys and rows
-        are storage-space (codes under interning).  Tables are cached
+        are storage-space codes.  Tables are cached
         against the relation's version counter, so a semi-naive
         fixpoint builds each (relation, key) table exactly once however
         many rounds it runs.
@@ -518,7 +466,7 @@ class Database:
         self.hash_builds += 1
         return table
 
-    def dense_table(self, name: str, position: int) -> list | None:
+    def dense_table(self, name: str, position: int) -> list:
         """The rows of *name* grouped by the code at *position*, as a
         plain list indexed by that code — the array-structured access
         path dense interning makes possible.  ``table[code]`` is the
@@ -533,12 +481,9 @@ class Database:
         CSR flattener) never special-case on bucket type and can never
         scribble on a cached view.
 
-        Returns None when the database is not interned (callers fall
-        back to :meth:`hash_table`).  Cached and invalidated exactly
-        like hash tables, and counted in the same ``hash_builds``.
+        Cached and invalidated exactly like hash tables, and counted in
+        the same ``hash_builds``.
         """
-        if self._symbols is None:
-            return None
         cache_key = (name, position)
         version = self._versions.get(name, 0)
         entry = self._dense_tables.get(cache_key)
@@ -560,7 +505,7 @@ class Database:
         return table
 
     def dense_column(self, name: str, key_position: int,
-                     value_position: int) -> list | None:
+                     value_position: int) -> list:
         """A columnar view of :meth:`dense_table`: ``view[code]`` holds
         only the *value_position* column of the rows whose
         *key_position* column is ``code``.
@@ -574,18 +519,14 @@ class Database:
         :meth:`dense_table`.  The view is derived from the (already
         cached, already counted) dense table, so ``hash_builds``
         accounting is identical whether a fixpoint probes row buckets
-        or column buckets.  Returns None when not interned.
+        or column buckets.
         """
-        if self._symbols is None:
-            return None
         cache_key = (name, key_position, value_position)
         version = self._versions.get(name, 0)
         entry = self._dense_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
         dense = self.dense_table(name, key_position)
-        if dense is None:
-            return None
         view = [()] * len(dense)
         for code, bucket in enumerate(dense):
             if bucket:
@@ -595,7 +536,7 @@ class Database:
         return view
 
     def dense_column_csr(self, name: str, key_position: int,
-                         value_position: int) -> tuple | None:
+                         value_position: int) -> tuple:
         """The CSR flattening of :meth:`dense_column`: a
         ``(values, offsets)`` pair of flat ``array('q')`` int vectors
         where bucket *code* is ``values[offsets[code]:offsets[code+1]]``
@@ -608,18 +549,14 @@ class Database:
         tuples.  An out-of-range code means "no rows", exactly as for
         the list views.  Derived from the already-counted dense-column
         view — fetching it never moves ``hash_builds`` beyond what the
-        row path pays.  Returns None when not interned.
+        row path pays.
         """
-        if self._symbols is None:
-            return None
         cache_key = (name, key_position, value_position)
         version = self._versions.get(name, 0)
         entry = self._csr_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
         view = self.dense_column(name, key_position, value_position)
-        if view is None:
-            return None
         values = array("q")
         offsets = array("q", [0])
         total = 0
@@ -638,9 +575,6 @@ class Database:
         Uses a hash index on the first bound position, then filters the
         remaining bound positions.
         """
-        if self._symbols is None:
-            yield from self.match_encoded(name, pattern)
-            return
         encoded = self._lookup_pattern(pattern)
         if encoded is None:
             return  # a never-interned constant matches no stored row
@@ -690,17 +624,15 @@ class Database:
         calls this at scrape time (``GET /metrics``), keeping the
         query path free of any sampling cost.
 
-        ``symbols`` is the interned-constant count (0 when raw);
+        ``symbols`` is the interned-constant count;
         ``encoded_bytes_estimate`` approximates the storage footprint:
-        8 bytes per stored tuple slot plus, under interning, the
-        dictionary's payload (each distinct value once) — the point of
+        8 bytes per stored tuple slot plus the dictionary's payload (each distinct value once) — the point of
         the gauge is watching the dictionary grow, not byte-exact
         accounting.
         """
         slots = sum(len(rows) * self._arities.get(name, 0)
                     for name, rows in self._relations.items())
-        payload = (sum(len(str(value)) + 49 for value in self._symbols)
-                   if self._symbols is not None else 0)
+        payload = sum(len(str(value)) + 49 for value in self._symbols)
         return {
             "relations": {
                 name: {"rows": len(rows),
@@ -711,8 +643,7 @@ class Database:
             "index_rebuilds": self.index_rebuilds,
             "hash_builds": self.hash_builds,
             "touches": self.touches,
-            "symbols": (len(self._symbols)
-                        if self._symbols is not None else 0),
+            "symbols": len(self._symbols),
             "encoded_bytes_estimate": slots * 8 + payload,
         }
 
@@ -722,8 +653,6 @@ class Database:
         for rows in self._relations.values():
             for row in rows:
                 values.update(row)
-        if self._symbols is None:
-            return frozenset(values)
         decode = self._symbols.decode
         return frozenset(decode(code) for code in values)
 
@@ -737,9 +666,8 @@ class Database:
         process-local caches — they are dropped at the serialization
         boundary and rebuilt lazily on first use in the receiver,
         where the versioned cache makes each rebuild a one-time cost.
-        Under interning the rows are int tuples and the dictionary
-        crosses the wire exactly once, which is why an interned
-        snapshot's pickle shrinks relative to raw string tuples.
+        The rows are int tuples and the dictionary crosses the wire
+        exactly once.
         """
         return {
             "relations": {name: set(rows)
@@ -751,21 +679,16 @@ class Database:
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(indexed=state["indexed"], intern=False)
-        self._symbols = state.get("symbols")
+        self._init_state(state["indexed"], state["symbols"])
         self._relations = state["relations"]
         self._arities = state["arities"]
         self._versions = state["versions"]
 
     def __contains__(self, name_row: tuple[str, tuple]) -> bool:
         name, row = name_row
-        row = tuple(row)
-        if self._symbols is not None:
-            encoded = self._lookup_pattern(row)
-            if encoded is None:
-                return False
-            row = encoded
-        return row in self._relations.get(name, ())
+        encoded = self._lookup_pattern(tuple(row))
+        return (encoded is not None
+                and encoded in self._relations.get(name, ()))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{name}:{len(rows)}"

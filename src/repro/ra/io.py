@@ -55,13 +55,8 @@ def save_database(database: Database, directory: str | pathlib.Path
 
 
 def load_database(directory: str | pathlib.Path,
-                  indexed: bool = True,
-                  intern: bool = True) -> Database:
+                  indexed: bool = True) -> Database:
     """Read every ``*.tsv`` file of *directory* into a database.
-
-    *intern* selects dictionary-encoded storage (the default) or the
-    raw value-tuple path (``intern=False``); the file format is
-    identical either way — encoding is purely in-memory.
 
     >>> import tempfile
     >>> db = Database.from_dict({"A": [("a", 1)]})
@@ -74,7 +69,7 @@ def load_database(directory: str | pathlib.Path,
     path = pathlib.Path(directory)
     if not path.is_dir():
         raise EvaluationError(f"not a directory: {path}")
-    database = Database(indexed=indexed, intern=intern)
+    database = Database(indexed=indexed)
     for file_path in sorted(path.glob(f"*{_SUFFIX}")):
         name = file_path.stem
         for line in file_path.read_text(encoding="utf-8").splitlines():

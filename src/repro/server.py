@@ -87,7 +87,6 @@ from .flight import FlightRecorder, class_of
 from .jobs import JobQueue, JobQueueFull, JobStates, UnknownJob
 from .logutil import new_query_id, valid_query_id
 from .metrics.instrument import export_build_info, observe_decode
-from .ra.answers import AnswerSet
 from .service import (AdmissionRejected, EpochManager, QueryService,
                       ServiceDraining)
 from .session import DeductiveDatabase
@@ -106,6 +105,31 @@ REQUEST_TIMEOUT_S = 120.0
 
 class _BadRequest(ValueError):
     """A request document failed validation (field-specific 400)."""
+
+
+def _is_constant(value) -> bool:
+    """A JSON value usable as a fact constant: a string or a finite
+    number.  Not ``bool`` (``True == 1`` would alias a stored
+    constant), ``null`` (the match wildcard) or NaN/Infinity (which
+    the ``json`` module accepts)."""
+    kind = type(value)
+    return kind is str or kind is int or (
+        kind is float and math.isfinite(value))
+
+
+def _malformed_rows(field: str, facts: dict) -> str | None:
+    """Why a ``/facts`` ``"add"``/``"remove"`` object is malformed
+    (naming the predicate and the row index), or None when every
+    predicate maps to an array of rows of constants."""
+    for predicate, rows in facts.items():
+        if not isinstance(rows, list):
+            return f'"{field}"["{predicate}"] must be an array of rows'
+        for index, row in enumerate(rows):
+            if not (isinstance(row, list) and all(map(_is_constant, row))):
+                return (f'"{field}"["{predicate}"] row {index} must be '
+                        f'an array of strings and finite numbers, got '
+                        f'{json.dumps(row)}')
+    return None
 
 
 def _validate_query_request(request: dict, *, default_engine: str,
@@ -209,8 +233,7 @@ class QueryServer:
         if session.metrics is not None:
             if exemplars:
                 session.metrics.exemplars = True
-            export_build_info(session.metrics,
-                              intern=session._edb.interned)
+            export_build_info(session.metrics)
         self.started_at = time()
         self.queries_served = 0
         # handler threads race on the served counter; the
@@ -510,12 +533,8 @@ class QueryServer:
             return
         result = job.result
         answers = result.answers
-        was_lazy = (isinstance(answers, AnswerSet)
-                    and not answers.is_decoded)
-        if isinstance(answers, AnswerSet):
-            rows = answers.sorted_rows()
-        else:
-            rows = sorted(answers, key=repr)
+        was_lazy = not answers.is_decoded
+        rows = answers.sorted_rows()
         if was_lazy and self.session.metrics is not None:
             observe_decode(self.session.metrics,
                            answers.decode_seconds, len(answers))
@@ -688,13 +707,9 @@ class QueryServer:
         # Rendering is where a lazy answer set is finally forced;
         # meter that decode (and only that — a cached, already-decoded
         # set records nothing) before streaming the body.
-        was_lazy = (isinstance(answers, AnswerSet)
-                    and not answers.is_decoded)
+        was_lazy = not answers.is_decoded
         with ctx.phase("decode", lazy=was_lazy):
-            if isinstance(answers, AnswerSet):
-                rows = answers.sorted_rows()
-            else:
-                rows = sorted(answers, key=repr)
+            rows = answers.sorted_rows()
         if was_lazy and self.session.metrics is not None:
             observe_decode(self.session.metrics,
                            answers.decode_seconds, len(answers))
@@ -768,12 +783,18 @@ class QueryServer:
         remove = request.get("remove") or {}
         rules = request.get("rules") or []
         if (not isinstance(add, dict) or not isinstance(remove, dict)
-                or not isinstance(rules, list)):
+                or not isinstance(rules, list)
+                or not all(isinstance(rule, str) for rule in rules)):
             self._send_json(
                 handler, 400,
                 {"error": '"add"/"remove" must be objects mapping '
                           'predicates to row arrays and "rules" an '
                           'array of rule strings'})
+            return
+        problem = (_malformed_rows("add", add)
+                   or _malformed_rows("remove", remove))
+        if problem is not None:
+            self._send_json(handler, 400, {"error": problem})
             return
         query_id = self._request_query_id(handler)
         started = perf_counter()

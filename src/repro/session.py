@@ -59,9 +59,9 @@ class DeductiveDatabase:
     _ANSWER_CACHE_LIMIT = 1024
 
     def __init__(self, indexed: bool = True, metrics=None,
-                 query_log=None, intern: bool = True) -> None:
+                 query_log=None) -> None:
         self._rules: list[Rule] = []
-        self._edb = Database(indexed=indexed, intern=intern)
+        self._edb = Database(indexed=indexed)
         self._materialised: Database | None = None
         self._plan_cache: dict[tuple[str, frozenset[int]],
                                CompiledFormula] = {}
@@ -69,7 +69,7 @@ class DeductiveDatabase:
         #: full answer sets keyed by (predicate, pattern, engine,
         #: backend, database epoch) — any fact mutation moves the
         #: epoch, so entries self-invalidate; rule changes clear it.
-        #: Under interning the cached object is the *lazy* columnar
+        #: The cached object is the *lazy* columnar
         #: :class:`~repro.ra.answers.AnswerSet` — codes plus the
         #: shared symbol table, not materialised value tuples — so a
         #: cached large enumeration costs one row set, not two, and a
@@ -79,7 +79,7 @@ class DeductiveDatabase:
         #: Concurrent readers of a fork share it, so every access
         #: holds :attr:`_answer_lock`.
         self._answer_cache: OrderedDict[
-            tuple, tuple[AnswerSet | frozenset, str]] = OrderedDict()
+            tuple, tuple[AnswerSet, str]] = OrderedDict()
         self._answer_lock = threading.Lock()
         #: optional :class:`~repro.metrics.MetricsRegistry`; when None
         #: (the default) :meth:`query` takes the uninstrumented path —
@@ -110,12 +110,11 @@ class DeductiveDatabase:
         # short-circuit (range restriction: every answer value comes
         # from a fact or a rule constant).  It also keeps the symbol
         # table from growing mid-evaluation, so each probe table is
-        # built exactly once per fixpoint in either storage mode.
-        if self._edb.interned:
-            for atom in (rule.head, *rule.body):
-                for term in atom.args:
-                    if isinstance(term, Constant):
-                        self._edb.encode_const(term.value)
+        # built exactly once per fixpoint.
+        for atom in (rule.head, *rule.body):
+            for term in atom.args:
+                if isinstance(term, Constant):
+                    self._edb.encode_const(term.value)
         self._invalidate(rules_changed=True)
 
     def add_fact(self, predicate: str, *values: object) -> None:
@@ -300,7 +299,7 @@ class DeductiveDatabase:
               engine: str = "compiled",
               trace: Tracer | None = None,
               query_id: str | None = None,
-              backend: str = "auto") -> frozenset[tuple]:
+              backend: str = "auto") -> AnswerSet:
         """Answer a query, choosing the evaluation by classification.
 
         EDB predicates are looked up directly; non-recursive views are
@@ -342,7 +341,7 @@ class DeductiveDatabase:
     def _evaluate_query(self, query: Query,
                         stats: EvaluationStats | None,
                         engine: str, trace: Tracer | None,
-                        backend: str = "auto") -> frozenset[tuple]:
+                        backend: str = "auto") -> AnswerSet:
         """Answer-cache wrapper around the evaluation proper.
 
         Successful answer sets are memoised on (query pattern, engine,
@@ -397,7 +396,7 @@ class DeductiveDatabase:
                                  stats: EvaluationStats | None,
                                  engine: str, trace: Tracer | None,
                                  backend: str = "auto"
-                                 ) -> frozenset[tuple]:
+                                 ) -> AnswerSet:
         """The evaluation itself, free of any telemetry concern."""
         if engine not in self.ENGINES:
             raise EvaluationError(
@@ -438,7 +437,7 @@ class DeductiveDatabase:
                 trace.finish(len(answers), stats)
             return answers
 
-        if (trace is None or trace.passive) and self._edb.interned:
+        if trace is None or trace.passive:
             # A query constant the symbol table has never seen occurs
             # in no fact and no rule (rule constants are interned at
             # add_rule time), so by range restriction it can appear in
@@ -456,7 +455,7 @@ class DeductiveDatabase:
                     trace.begin(engine, predicate=predicate,
                                 query=query, unseen_constant=True)
                     trace.finish(0, stats)
-                return frozenset()
+                return AnswerSet(frozenset(), self._edb.symbols)
 
         base = self._materialise_below(predicate)
         if engine != "compiled":
@@ -479,18 +478,14 @@ class DeductiveDatabase:
 
     @staticmethod
     def _relation_answers(db: Database, predicate: str,
-                          query: Query) -> AnswerSet | frozenset:
+                          query: Query) -> AnswerSet:
         """Filtered rows of a stored relation, without decoding it.
 
-        EDB and view lookups used to decode the whole relation and
-        filter in value space; now the filter runs over encoded rows
-        (the query's constants are *looked up*, never interned — an
-        unseen constant matches nothing) and the result is a lazy
-        :class:`~repro.ra.answers.AnswerSet`.  Raw databases keep the
-        value-space path verbatim.
+        The filter runs over encoded rows (the query's constants are
+        *looked up*, never interned — an unseen constant matches
+        nothing) and the result is a lazy
+        :class:`~repro.ra.answers.AnswerSet`.
         """
-        if not db.interned:
-            return query.filter(db.rows(predicate))
         pattern = db._lookup_pattern(query.pattern)
         if pattern is None:
             return AnswerSet(frozenset(), db.symbols)
@@ -505,7 +500,7 @@ class DeductiveDatabase:
                             engine: str, trace: Tracer | None,
                             query_id: str | None = None,
                             backend: str = "auto"
-                            ) -> frozenset[tuple]:
+                            ) -> AnswerSet:
         """Evaluate with metrics/log recording around the call.
 
         The caller's *stats* object (when given) is used directly, so
@@ -564,8 +559,7 @@ class DeductiveDatabase:
             # decode counter (repro_answers_decoded_total) ticks only
             # where materialisation is later forced, so the gap between
             # the two is the decode work laziness saved.
-            lazy = (isinstance(answers, AnswerSet)
-                    and not answers.is_decoded)
+            lazy = not answers.is_decoded
             observe_query(self.metrics, engine=engine_label,
                           formula_class=label, duration_s=duration,
                           answers=len(answers), stats_delta=delta,
@@ -631,7 +625,7 @@ class DeductiveDatabase:
             raise EvaluationError(
                 f"{query.predicate!r} is not a recursive predicate")
         base = self._materialise_below(query.predicate)
-        answers = sorted(self.query(query), key=repr)
+        answers = self.query(query).sorted_rows()
         if limit is not None:
             answers = answers[:limit]
         depths = _tuple_depths(system, base)

@@ -118,7 +118,7 @@ class Shell:
             query = Query.from_atom(goal)
             stats = EvaluationStats()
             answers = self._session.query(query, stats=stats)
-            for row in sorted(answers, key=repr):
+            for row in answers.sorted_rows():
                 values = ", ".join(str(v) for v in row)
                 self._print(f"{query.predicate}({values})")
             self._print(f"-- {len(answers)} answers "

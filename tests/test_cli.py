@@ -283,6 +283,32 @@ class TestProve:
         assert "premise:" in out
         assert "E(b, b)" in out
 
+    def test_depths_computed_once_for_all_answers(self, capsys,
+                                                  tmp_path, monkeypatch):
+        from repro.engine import provenance
+        calls = []
+        original = provenance._tuple_depths
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(provenance, "_tuple_depths", counting)
+        path = tmp_path / "tc.dl"
+        path.write_text("""
+            P(x, y) :- A(x, z), P(z, y).
+            P(x, y) :- E(x, y).
+            A(a, b). A(b, c). A(c, d).
+            E(b, b). E(c, c). E(d, d).
+        """, encoding="utf-8")
+        assert main(["prove", "--limit", "3", "--answer", "P(a, Y)",
+                     str(path)]) == 0
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines()
+                if line.startswith("P(a, ")] == [
+            "P(a, b)", "P(a, c)", "P(a, d)"]
+        assert len(calls) == 1
+
     def test_no_matching_answer(self, capsys, tmp_path):
         path = tmp_path / "tc.dl"
         path.write_text("""

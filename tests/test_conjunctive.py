@@ -15,14 +15,13 @@ def atoms(*texts: str):
 
 
 def make_db():
-    # intern=False: these unit tests hand the solver raw values as
-    # bindings and read raw values out of solutions; the solver's
-    # contract is storage space, which raw mode makes the value space
+    # the solver's contract is storage space: bindings go in through
+    # encode_const and solutions come out through decode_row
     return Database.from_dict({
         "A": [("a", "b"), ("b", "c"), ("c", "d")],
         "B": [("b", "x1"), ("c", "x2")],
         "N": [("a",)],
-    }, intern=False)
+    })
 
 
 class TestPatternOf:
@@ -37,25 +36,28 @@ class TestPatternOf:
 
 class TestSolve:
     def test_two_hop_join(self):
-        solutions = list(solve(make_db(), atoms("A(x, y)", "A(y, z)")))
-        found = {(s[V("x")], s[V("z")]) for s in solutions}
+        db = make_db()
+        solutions = list(solve(db, atoms("A(x, y)", "A(y, z)")))
+        found = {db.decode_row((s[V("x")], s[V("z")])) for s in solutions}
         assert found == {("a", "c"), ("b", "d")}
 
     def test_initial_binding_restricts(self):
-        solutions = list(solve(make_db(), atoms("A(x, y)"),
-                               {V("x"): "a"}))
+        db = make_db()
+        solutions = list(solve(db, atoms("A(x, y)"),
+                               {V("x"): db.encode_const("a")}))
         assert len(solutions) == 1
-        assert solutions[0][V("y")] == "b"
+        assert db.decode_row((solutions[0][V("y")],)) == ("b",)
 
     def test_repeated_variable_within_atom(self):
-        db = Database.from_dict({"A": [("a", "a"), ("a", "b")]},
-                                intern=False)
+        db = Database.from_dict({"A": [("a", "a"), ("a", "b")]})
         solutions = list(solve(db, atoms("A(x, x)")))
-        assert [s[V("x")] for s in solutions] == ["a"]
+        assert [s[V("x")] for s in solutions] == [db.encode_const("a")]
 
     def test_cross_atom_sharing(self):
-        solutions = list(solve(make_db(), atoms("A(x, y)", "B(y, w)")))
-        assert {s[V("w")] for s in solutions} == {"x1", "x2"}
+        db = make_db()
+        solutions = list(solve(db, atoms("A(x, y)", "B(y, w)")))
+        assert {db.decode_row((s[V("w")],)) for s in solutions} == {
+            ("x1",), ("x2",)}
 
     def test_empty_conjunction_has_one_solution(self):
         assert list(solve(make_db(), [])) == [{}]
@@ -72,8 +74,9 @@ class TestSolve:
         """Binding x should make the A(x,y) atom be probed first and
         keep probe counts far below the unbound evaluation."""
         bound_stats = EvaluationStats()
-        list(solve(make_db(), atoms("A(x, y)", "A(y, z)"),
-                   {V("x"): "a"}, stats=bound_stats))
+        db = make_db()
+        list(solve(db, atoms("A(x, y)", "A(y, z)"),
+                   {V("x"): db.encode_const("a")}, stats=bound_stats))
         free_stats = EvaluationStats()
         list(solve(make_db(), atoms("A(x, y)", "A(y, z)"),
                    stats=free_stats))
@@ -82,9 +85,11 @@ class TestSolve:
 
 class TestSolveProject:
     def test_projects_onto_head_terms(self):
-        rows = solve_project(make_db(), atoms("A(x, y)", "A(y, z)"),
+        db = make_db()
+        rows = solve_project(db, atoms("A(x, y)", "A(y, z)"),
                              (V("x"), V("z")))
-        assert rows == {("a", "c"), ("b", "d")}
+        assert {db.decode_row(row) for row in rows} == {
+            ("a", "c"), ("b", "d")}
 
     def test_derived_counter(self):
         stats = EvaluationStats()

@@ -16,16 +16,6 @@ def db():
     })
 
 
-@pytest.fixture
-def raw_db():
-    """Same contents, but on the raw (intern=False) storage path, so
-    hash-table keys are the stored values themselves."""
-    return Database.from_dict({
-        "A": [("a", "b"), ("b", "c"), ("a", "c")],
-        "N": [("a",), ("b",)],
-    }, intern=False)
-
-
 class TestConstruction:
     def test_from_atoms(self):
         db = Database.from_atoms([fact("A", "a", "b"), fact("A", "a", "b")])
@@ -87,30 +77,30 @@ class TestRemoval:
         assert db.bulk_remove("A", [("a", "b"), ("zz", "zz")]) == 1
         assert db.count("A") == 2
 
-    def test_bulk_remove_invalidates_hash_tables(self, raw_db):
+    def test_bulk_remove_invalidates_hash_tables(self, db):
         """Cached hash tables must never serve deleted rows — the
         version counter has to move on removal exactly as on
         insertion."""
-        db = raw_db
+        a, ab = db.encode_const("a"), db.encode_row(("a", "b"))
         before = db.hash_table("A", (0,))
-        assert ("a", "b") in before["a"]
+        assert ab in before[a]
         db.bulk_remove("A", [("a", "b")])
         after = db.hash_table("A", (0,))
-        assert ("a", "b") not in after.get("a", [])
-        assert ("a", "c") in after["a"]
+        assert ab not in after.get(a, [])
+        assert db.encode_row(("a", "c")) in after[a]
 
     def test_remove_only_bulk_bumps_version_once(self, db):
         version = db.version("A")
         db.bulk_remove("A", [("a", "b"), ("b", "c")])
         assert db.version("A") == version + 1
 
-    def test_bulk_with_removals_but_no_new_rows_invalidates(self, raw_db):
+    def test_bulk_with_removals_but_no_new_rows_invalidates(self, db):
         """Regression: the old per-call "did I add anything" check
         skipped the version bump when a bulk batch only removed rows
         (the adds were all duplicates), leaving hash tables stale."""
-        db = raw_db
+        b, bc = db.encode_const("b"), db.encode_row(("b", "c"))
         stale = db.hash_table("A", (0,))
-        assert ("b", "c") in stale["b"]
+        assert bc in stale[b]
 
         def batch():
             db.remove("A", ("b", "c"))  # removal nested in the bulk
@@ -118,16 +108,16 @@ class TestRemoval:
 
         assert db.bulk("A", batch()) == 0
         fresh = db.hash_table("A", (0,))
-        assert ("b", "c") not in fresh.get("b", [])
+        assert bc not in fresh.get(b, [])
 
-    def test_nested_bulk_invalidates_every_dirty_relation(self, raw_db):
+    def test_nested_bulk_invalidates_every_dirty_relation(self, db):
         """A bulk load that triggers a nested bulk on another relation
         must bump both relations' versions when the outermost call
         ends."""
-        db = raw_db
+        q, x = db.encode_const("q"), db.encode_const("x")
         table_a = db.hash_table("A", (0,))
         table_n = db.hash_table("N", (0,))
-        assert "q" not in table_n
+        assert q not in table_n
 
         def batch():
             yield ("x", "y")
@@ -135,9 +125,9 @@ class TestRemoval:
             yield ("y", "z")
 
         assert db.bulk("A", batch()) == 2
-        assert "q" in db.hash_table("N", (0,))
-        assert "x" in db.hash_table("A", (0,))
-        assert "x" not in table_a  # the stale table really was stale
+        assert q in db.hash_table("N", (0,))
+        assert x in db.hash_table("A", (0,))
+        assert x not in table_a  # the stale table really was stale
 
 
 class TestSnapshotPickling:

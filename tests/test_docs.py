@@ -6,6 +6,7 @@ Comment lines showing expected output (`# ...`) are not asserted —
 the point is that the code paths exist and run without error.
 """
 
+import argparse
 import pathlib
 import re
 
@@ -37,16 +38,24 @@ def test_python_blocks_execute(document):
 
 
 def test_docs_mention_current_cli_commands():
-    """The API reference lists every CLI subcommand that exists."""
+    """The API reference lists every CLI subcommand that exists, and
+    mentions a long option exactly when some subcommand has it."""
     from repro.cli import build_parser
-    parser = build_parser()
-    subcommands = set()
-    for action in parser._actions:
-        if hasattr(action, "choices") and action.choices:
-            subcommands = set(action.choices)
+    (subparsers,) = [action for action in build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
     api = (ROOT / "docs" / "api.md").read_text(encoding="utf-8")
-    missing = {cmd for cmd in subcommands if cmd not in api}
+    missing = {cmd for cmd in subparsers.choices if cmd not in api}
     assert not missing, f"docs/api.md misses CLI commands: {missing}"
+    options = {option for sub in subparsers.choices.values()
+               for action in sub._actions
+               for option in action.option_strings
+               if option.startswith("--") and option != "--help"}
+    mentioned = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", api))
+    assert not options - mentioned, (
+        f"docs/api.md misses CLI options: {options - mentioned}")
+    assert not mentioned - options, (
+        f"docs/api.md mentions options no subcommand has: "
+        f"{mentioned - options}")
 
 
 def test_experiments_reference_existing_artifacts():

@@ -22,15 +22,16 @@ def tc():
 class TestDepths:
     def test_chain_depths(self, tc):
         system, db = tc
-        depths = _tuple_depths(system, db)
-        assert depths[("n3", "n3")] == 0
-        assert depths[("n2", "n3")] == 1
-        assert depths[("n0", "n3")] == 3
+        depths = _tuple_depths(system, db)  # keyed by encoded rows
+        assert depths[db.encode_row(("n3", "n3"))] == 0
+        assert depths[db.encode_row(("n2", "n3"))] == 1
+        assert depths[db.encode_row(("n0", "n3"))] == 3
 
     def test_depths_cover_exactly_the_fixpoint(self, tc):
         system, db = tc
         depths = _tuple_depths(system, db)
-        assert set(depths) == set(SemiNaiveEngine().evaluate(system, db))
+        assert set(depths) == SemiNaiveEngine().evaluate(
+            system, db).encoded
 
 
 class TestExplain:
@@ -64,10 +65,18 @@ class TestExplain:
         with pytest.raises(EvaluationError, match="not derivable"):
             explain_answer(system, db, ("n3", "n0"))
 
+    def test_never_seen_constant_is_not_derivable(self, tc):
+        system, db = tc
+        size = len(db.symbols)
+        with pytest.raises(EvaluationError, match="not derivable"):
+            explain_answer(system, db, ("n0", "never_seen"))
+        assert len(db.symbols) == size  # looked up, never interned
+
     def test_shared_depths_map(self, tc):
         system, db = tc
         depths = _tuple_depths(system, db)
-        for answer in depths:
+        for encoded in depths:
+            answer = db.decode_row(encoded)
             derivation = explain_answer(system, db, answer, depths)
             assert derivation.tuple_ == answer
 
@@ -93,8 +102,9 @@ class TestEveryClassExplainable:
             "P__exit": [("n5", "n5")],
         })
         depths = _tuple_depths(system, db)
-        for answer, expected in depths.items():
-            derivation = explain_answer(system, db, answer, depths)
+        for encoded, expected in depths.items():
+            derivation = explain_answer(system, db,
+                                        db.decode_row(encoded), depths)
             assert derivation.depth == expected
 
 

@@ -309,6 +309,38 @@ class TestQueryIds:
         assert body["query_id"] == "w-1"
 
 
+class TestFactsValidation:
+    """``POST /facts`` rows are arrays of strings and finite numbers
+    and rules are strings; anything else is a 400 (naming the
+    predicate and row index for a row), and no epoch is published."""
+
+    @pytest.mark.parametrize("body, expect", [
+        ({"add": {"B": "abc"}}, '"add"["B"] must be an array of rows'),
+        ({"add": {"A": [["d", "e"], "n4"]}}, '"add"["A"] row 1'),
+        ({"add": {"A": [[True, "x"]]}}, '"add"["A"] row 0'),
+        ({"remove": {"A": [["a", None]]}}, '"remove"["A"] row 0'),
+        ({"add": {"A": [["a", float("nan")]]}}, '"add"["A"] row 0'),
+        ({"add": {"A": [[float("inf"), "b"]]}}, '"add"["A"] row 0'),
+        ({"add": {"A": [["a", ["b"]]]}}, '"add"["A"] row 0'),
+        ({"add": {"A": [["a", {"k": 1}]]}}, '"add"["A"] row 0'),
+        ({"rules": [1]}, '"rules" an array of rule strings'),
+    ], ids=["string-rows", "string-row", "bool", "null", "nan",
+            "infinity", "array", "object", "rule-not-string"])
+    def test_malformed_rows_rejected(self, server, body, expect):
+        status, reply = _post(server, body, path="/facts")
+        assert status == 400
+        assert expect in reply["error"]
+        assert server.epochs.current.number == 0
+        _, answers = _post(server, {"query": "A(X, Y)"})
+        assert answers["count"] == 3
+
+    def test_strings_and_finite_numbers_publish(self, server):
+        status, body = _post(server, {"add": {"A": [["d", "e"]],
+                                              "N": [[1, 2.5, "x"]]}},
+                             path="/facts")
+        assert status == 200 and body["epoch"] == 1
+
+
 class TestFlightRecorder:
     def test_forced_trace_retrievable_with_service_phases(self):
         with _served(trace_sample=0.0) as server:
@@ -436,7 +468,6 @@ class TestBuildInfo:
         assert value == 1
         assert ("version", __version__) in labels
         assert any(key == "python" for key, _ in labels)
-        assert ("intern", "on") in labels
 
     def test_exemplars_attach_query_ids_when_enabled(self):
         with _served(trace_sample=0.0, exemplars=True) as server:

@@ -51,9 +51,8 @@ class TestPlanCompilation:
         assert step.key_sources == ((True, db.symbols.lookup("a")),)
 
     def test_constants_stay_raw_without_interning(self):
-        db = Database.from_dict({"A": [("a", "b"), ("c", "d")]},
-                                intern=False)
-        plan = compile_plan(atoms("A('a', y)"), (), (V("y"),), db)
+        # no database, no symbol table: nothing encodes the constant
+        plan = compile_plan(atoms("A('a', y)"), (), (V("y"),))
         (step,) = plan.steps
         assert step.key_sources == ((True, "a"),)
 
@@ -115,13 +114,13 @@ class TestExecuteAgainstSolveProject:
         assert execute_plan(db, plan, [()]) == expected
 
     def test_batched_entry_agreement(self):
-        # intern=False: the hand-written entry rows below are raw
-        # values, and apply_rule expects rows in storage space
-        db = Database.from_dict(self.DB, intern=False)
+        # apply_rule takes rows in storage space: encode them
+        db = Database.from_dict(self.DB)
         body_atoms = atoms("A(z, w)")
         out_terms = (V("y"), V("w"))
         entry = (V("z"), V("y"))
-        rows = [("a", "p"), ("b", "q"), ("zz", "r")]
+        rows = [db.encode_row(row)
+                for row in [("a", "p"), ("b", "q"), ("zz", "r")]]
         expected = set()
         for row in rows:
             expected |= solve_project(
@@ -173,14 +172,14 @@ class TestEngineFlag:
 
 class TestHashTableCache:
     def test_reused_until_relation_changes(self):
-        db = Database.from_dict({"A": [("a", "b")]}, intern=False)
+        db = Database.from_dict({"A": [("a", "b")]})
         first = db.hash_table("A", (0,))
         assert db.hash_table("A", (0,)) is first
         assert db.hash_builds == 1
         db.add("A", ("c", "d"))
         rebuilt = db.hash_table("A", (0,))
         assert rebuilt is not first
-        assert rebuilt["c"] == [("c", "d")]
+        assert rebuilt[db.encode_const("c")] == [db.encode_row(("c", "d"))]
         assert db.hash_builds == 2
 
     def test_other_relations_unaffected(self):
@@ -190,10 +189,12 @@ class TestHashTableCache:
         assert db.hash_table("A", (1,)) is table
 
     def test_key_layouts(self):
-        db = Database.from_dict({"T": [("a", "b", "c")]}, intern=False)
-        assert db.hash_table("T", ())[()] == [("a", "b", "c")]
-        assert db.hash_table("T", (1,))["b"] == [("a", "b", "c")]
-        assert db.hash_table("T", (0, 2))[("a", "c")] == [("a", "b", "c")]
+        db = Database.from_dict({"T": [("a", "b", "c")]})
+        row = db.encode_row(("a", "b", "c"))
+        a, b, c = row
+        assert db.hash_table("T", ())[()] == [row]
+        assert db.hash_table("T", (1,))[b] == [row]
+        assert db.hash_table("T", (0, 2))[(a, c)] == [row]
 
     def test_missing_relation_is_empty(self):
         assert Database().hash_table("nope", (0,)) == {}
@@ -267,15 +268,15 @@ class TestBindUnbindEquivalence:
     ])
     def test_same_answer_sets(self, body):
         from repro.engine import solve
-        # intern=False: the reference oracle binds raw values while
-        # solve binds storage-space codes; raw mode makes them the
-        # same space
+        # the reference oracle binds values (Database.match) while
+        # solve binds storage-space codes: decode_row bridges them
         db = Database.from_dict({
             "A": [("a", "b"), ("b", "a"), ("a", "a"), ("b", "c")],
             "B": [("b", "x1"), ("a", "x2")],
-        }, intern=False)
+        })
         body_atoms = atoms(*body)
-        got = {tuple(sorted((v.name, val) for v, val in s.items()))
+        got = {tuple(sorted(zip((v.name for v in s),
+                                db.decode_row(tuple(s.values())))))
                for s in solve(db, body_atoms)}
         want = {tuple(sorted((v.name, val) for v, val in s.items()))
                 for s in self._reference_solve(db, body_atoms)}

@@ -229,7 +229,7 @@ class TestPassiveTracer:
         validate_trace_dict(tracer.trace.to_dict())
 
     def test_passive_tracer_records_unseen_constant(self):
-        session = DeductiveDatabase(intern=True)
+        session = DeductiveDatabase()
         session.load(GENEALOGY)
         tracer = Tracer(passive=True)
         answers = session.query("anc(zoe, Y)", trace=tracer)

@@ -11,9 +11,9 @@ Three layers pin this down:
   except the fields that name which backend ran; with numpy absent,
   ``auto`` and ``vector`` *are* the python loop, down to the backend
   name and the traces;
-* **fallback paths** — raw databases, tuple-at-a-time mode, uncertified
-  plan shapes and ``max_rounds`` caps all take the python loop with
-  identical results, and ``backend="python"`` pins it explicitly;
+* **fallback paths** — tuple-at-a-time mode, uncertified plan shapes
+  and ``max_rounds`` caps all take the python loop with identical
+  results, and ``backend="python"`` pins it explicitly;
 * **session laws** — ``session.query(backend=...)`` validates the
   name, keys the answer cache per backend, and returns identical
   answers either way.
@@ -28,13 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.errors import EvaluationError
-from repro.datalog.parser import parse_system
 from repro.engine import CompiledEngine, Query, SemiNaiveEngine
 from repro.engine import vector as vector_module
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
-from repro.engine.vector import eligible, validate_backend
-from repro.ra.database import Database
+from repro.engine.vector import validate_backend
 from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE, random_edb
 
@@ -64,7 +62,6 @@ def _workload(paper_class, seed, tuples):
     system = CATALOGUE[CLASS_ENTRIES[paper_class]].system()
     db = random_edb(system, nodes=5, tuples_per_relation=tuples,
                     seed=seed)
-    assert db.interned
     query = Query.all_free(system.predicate, system.dimension)
     return system, db, query
 
@@ -160,19 +157,6 @@ class TestBackendParity:
 
 
 class TestFallbackPaths:
-    def test_raw_database_stays_python(self):
-        system = parse_system("P(x, y) :- A(x, z), P(z, y).")
-        db = Database.from_dict(
-            {"A": [("a", "b"), ("b", "c")], "P__exit": [("c", "c")]},
-            intern=False)
-        assert not eligible(db, system.recursive.recursive_atom.args)
-        stats = EvaluationStats()
-        answers = SemiNaiveEngine(backend="vector").evaluate(
-            system, db, None, stats)
-        assert stats.backend == "python"
-        assert stats.vector_batches == 0
-        assert answers == {("a", "c"), ("b", "c"), ("c", "c")}
-
     def test_tuple_at_a_time_never_vectorises(self):
         system, db, query = _workload("A1", 0, 6)
         stats = EvaluationStats()
