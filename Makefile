@@ -1,12 +1,17 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test bench artifacts examples doctest lint-self all
+.PHONY: install test smoke bench artifacts examples doctest lint-self all
 
 install:
 	pip install -e .
 
 test:
 	pytest tests/
+
+# Boot `repro serve` per scenario and check every identity over HTTP
+# (the same command as the CI step).
+smoke:
+	PYTHONPATH=src python scripts/wire_smoke.py
 
 # Every bench once: --benchmark-only would skip the ones that time
 # themselves (setjoin, vector), which write the BENCH_*.json files.

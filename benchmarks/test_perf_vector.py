@@ -7,9 +7,10 @@ The vectorised backend (:mod:`repro.engine.vector`) keeps the frontier
 as flat int64 vectors end-to-end — CSR adjacency gather, packed-key
 sorted dedup, one columnar hand-off to the answer boundary — and
 builds row tuples only when someone exercises row semantics.  This
-bench times both backends on the *same* database (same warm
-join caches, same plan cache), answers asserted identical outside the
-timed region:
+bench times ``backend="auto"`` (the kernel wherever the plan shape
+certifies) against ``backend="python"`` on the *same* database (same
+warm join caches, same plan cache), answers asserted identical outside
+the timed region:
 
 * ``tc-20k-full-enum`` — full transitive closure over 2 500 disjoint
   chains of 8 hops (20k edges, ~112k answers).  Gated at ≥2.0x with
@@ -111,7 +112,7 @@ def _time_backend(system, db, query, backend, repeats):
 def _measure(name, system, db, query=None, repeats=5,
              expect_vector=True) -> dict:
     vector_s, vector_answers, vector_stats = _time_backend(
-        system, db, query, "vector", repeats)
+        system, db, query, "auto", repeats)
     python_s, python_answers, python_stats = _time_backend(
         system, db, query, "python", repeats)
     assert vector_answers == python_answers, f"{name}: answers differ"
@@ -191,7 +192,7 @@ def test_vector_smoke_parity():
     system = parse_system(TC_SYSTEM_TEXT)
     db = _tc_database(_parallel_chains(250, 8))
     stats_v, stats_p = EvaluationStats(), EvaluationStats()
-    vector = SemiNaiveEngine(backend="vector").evaluate(
+    vector = SemiNaiveEngine(backend="auto").evaluate(
         system, db.copy(), None, stats_v)
     python = SemiNaiveEngine(backend="python").evaluate(
         system, db.copy(), None, stats_p)

@@ -269,7 +269,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          daemon=True).start()
 
     signal.signal(signal.SIGTERM, _graceful)
-    # The smoke scripts read this line to find an ephemeral port.
+    # scripts/wire_smoke.py reads this line to find an ephemeral port.
     print(f"serving on http://{server.host}:{server.port}",
           flush=True)
     try:
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--engine", choices=sorted(_ENGINES),
                        default="compiled")
     p_run.add_argument("--backend", choices=BACKENDS, default="auto",
-                       help="delta-loop backend: auto/vector use the "
+                       help="delta-loop backend: auto uses the "
                             "numpy kernel for certified plan shapes "
                             "(the tuple-set loop without numpy); "
                             "python pins the tuple-set loop")

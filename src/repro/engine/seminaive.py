@@ -51,10 +51,10 @@ class SemiNaiveEngine:
         set-at-a-time join kernel; when False, fall back to the
         tuple-at-a-time backtracking solver.
     backend:
-        Delta-loop backend selection: ``"auto"``/``"vector"`` hand
-        certified plan shapes to the vectorised kernel
-        (:mod:`repro.engine.vector`) when numpy imports and run the
-        tuple-set loop otherwise; ``"python"`` pins the tuple-set loop.
+        Delta-loop backend selection: ``"auto"`` hands certified plan
+        shapes to the vectorised kernel (:mod:`repro.engine.vector`)
+        when numpy imports and runs the tuple-set loop otherwise;
+        ``"python"`` pins the tuple-set loop.
     """
 
     name = "semi-naive"

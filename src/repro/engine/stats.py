@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 #: Version of the JSON document emitted by ``repro run --stats-json``
 #: (a list of :meth:`EvaluationStats.to_dict` snapshots).  Bump on any
-#: field addition/removal/meaning change; ``scripts/trace_smoke.py``
-#: reconciles these dumps against the trace schema in CI.
+#: field addition/removal/meaning change;
+#: ``tests/test_trace_properties.py`` reconciles the ``delta_sizes`` of
+#: every engine's stats with the trace of the same run.
 #: Version 3 added ``truncated`` (row-budget abort flag).
 #: Version 4 added ``backend`` (resolved execution backend) plus the
 #: ``vector_batches``/``vector_rows`` counters of the vectorised

@@ -150,8 +150,8 @@ class TopDownEngine:
             # Like ``delta_out``, the stats count *root-table* growth,
             # so the per-round sizes sum to the answer count and the
             # trace and the stats dump reconcile (asserted by
-            # scripts/trace_smoke.py); the solved subgoal's own growth
-            # rides along in the trace ``detail``.
+            # tests/test_trace_properties.py); the solved subgoal's own
+            # growth rides along in the trace ``detail``.
             stats.record_round(len(view.tables[root]) - root_before)
             if trace is not None:
                 # Render the subgoal in value space: trace output names

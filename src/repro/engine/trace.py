@@ -37,7 +37,7 @@ from .stats import EvaluationStats
 
 #: Version of the JSON document emitted by :meth:`Trace.to_dict`.
 #: Bump it whenever a field is added, removed or changes meaning; the
-#: CI smoke step validates every engine's output against
+#: tier-1 suite validates every engine's output against
 #: :func:`validate_trace_dict`, so drift cannot land silently.
 #: Version 2 removed the worker-pool fields: ``workers`` on the
 #: trace, ``shard_sizes``/``shard_wall_s`` on each round, and the
@@ -340,9 +340,9 @@ def validate_trace_dict(document: dict) -> None:
     """Raise ``ValueError`` unless *document* matches the trace schema.
 
     Strict on field *presence* and types (unknown top-level or
-    per-round fields are rejected — that is the drift the CI smoke
-    step exists to catch); ``detail``/``meta`` payloads are free-form
-    by design.
+    per-round fields are rejected — that is the drift the tier-1
+    trace tests exist to catch); ``detail``/``meta`` payloads are
+    free-form by design.
     """
     _check_fields(document, _TRACE_FIELDS, "trace")
     if document["version"] != TRACE_SCHEMA_VERSION:

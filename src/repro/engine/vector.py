@@ -14,8 +14,8 @@ The kernel is numpy: ``np.repeat``/fancy-indexing gathers over
 zero-copy ``np.frombuffer`` views of the CSR arrays, packed
 ``a * N + b`` int64 keys deduplicated by a sort plus
 ``np.searchsorted`` against the sorted seen-key vector.  Without numpy
-every shape continues on the tuple-set path, so ``auto``/``vector``
-resolve to the python loop (``stats.backend == "python"``).
+every shape continues on the tuple-set path, so ``auto`` resolves
+to the python loop (``stats.backend == "python"``).
 
 The loop preserves the counting discipline of the pure-Python path
 *exactly*: per round one plan-cache touch, one ``record_batch``, one
@@ -48,10 +48,10 @@ except ImportError:  # pragma: no cover - exercised by the numpy-less legs
 #: True when the numpy kernel can run in this process.
 HAVE_NUMPY = _np is not None
 
-#: The recognised ``backend=`` values: ``auto`` and ``vector`` prefer
-#: the vectorised kernel with per-shape fallback, ``python`` pins the
-#: tuple-set loop (the ablation/debug escape hatch).
-BACKENDS = ("auto", "vector", "python")
+#: The recognised ``backend=`` values: ``auto`` prefers the vectorised
+#: kernel with per-shape fallback, ``python`` pins the tuple-set loop
+#: (the ablation/debug escape hatch).
+BACKENDS = ("auto", "python")
 
 
 def numpy_version() -> str | None:

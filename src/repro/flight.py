@@ -26,7 +26,7 @@ the two pieces that tie them together:
         ``captured_total == forced_total + sampled_total + slow_total``
 
     holds by construction and is asserted over the wire by the
-    concurrency smoke.
+    mixed-load scenario of ``scripts/wire_smoke.py``.
 
 The recorded document wraps the strict PR 3 trace schema rather than
 extending it: ``{"query_id", ..., "phases": [...], "trace": {...}}``

@@ -2,7 +2,7 @@
 
 This module owns the metric *names* of the session/query layer, so
 every exposition surface (``repro serve``'s ``/metrics``, tests, the
-CI serve smoke) sees one stable vocabulary:
+CI wire smoke) sees one stable vocabulary:
 
 ===================================== ======================== =========
 metric                                labels                   kind
@@ -30,10 +30,6 @@ metric                                labels                   kind
 ``repro_decode_seconds``              —                        histogram
 ``repro_relation_rows``               relation                 gauge
 ``repro_relation_version``            relation                 gauge
-``repro_cached_hash_tables``          —                        gauge
-``repro_db_index_rebuilds``           —                        gauge
-``repro_db_hash_builds``              —                        gauge
-``repro_db_touches``                  —                        gauge
 ``repro_plan_cache_size``             —                        gauge
 ``repro_symbols_total``               —                        gauge
 ``repro_encoded_bytes_estimate``      —                        gauge
@@ -236,7 +232,7 @@ def observe_job_submitted(registry: MetricsRegistry) -> None:
 
     Together with ``repro_jobs_total`` this reconciles exactly:
     ``submitted == sum(outcomes) + queued + running`` at any quiesced
-    instant (the jobs smoke asserts it through the wire).
+    instant (the wire smoke's jobs scenario asserts it).
     """
     registry.counter(
         "repro_jobs_submitted_total",
@@ -346,22 +342,6 @@ def export_database_gauges(registry: MetricsRegistry,
     for name, info in snapshot["relations"].items():
         rows.set(info["rows"], relation=name)
         versions.set(info["version"], relation=name)
-    registry.gauge(
-        "repro_cached_hash_tables",
-        "Hash tables currently cached on the database.",
-    ).set(snapshot["cached_hash_tables"])
-    registry.gauge(
-        "repro_db_index_rebuilds",
-        "Lazy per-position index (re)builds since process start.",
-    ).set(snapshot["index_rebuilds"])
-    registry.gauge(
-        "repro_db_hash_builds",
-        "Hash tables built for the join kernel since process start.",
-    ).set(snapshot["hash_builds"])
-    registry.gauge(
-        "repro_db_touches",
-        "Rows examined while matching since process start.",
-    ).set(snapshot["touches"])
     registry.gauge(
         "repro_symbols_total",
         "Constants interned in the database's symbol table.",

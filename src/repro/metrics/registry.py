@@ -35,7 +35,7 @@ Exposition formats:
   :meth:`MetricsRegistry.render_json` — a JSON document for
   ``GET /stats`` and offline tooling;
 * :func:`parse_prometheus_text` — a minimal parser for the text
-  format, used by the round-trip tests and the CI serve smoke.
+  format, used by the round-trip tests and the CI wire smoke.
 """
 
 from __future__ import annotations
@@ -480,7 +480,7 @@ def parse_prometheus_text(text: str, exemplars: dict | None = None
     any sample line; pass a dict as *exemplars* to collect them as
     ``{(name, labels): (exemplar labels dict, value)}``.  This is the
     round-trip half of the exposition tests and the assertion tool of
-    ``scripts/serve_smoke.py`` — not a full openmetrics parser.
+    ``scripts/wire_smoke.py`` — not a full openmetrics parser.
     """
     samples: dict = {}
     for line in text.splitlines():

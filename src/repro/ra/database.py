@@ -638,11 +638,6 @@ class Database:
                 name: {"rows": len(rows),
                        "version": self._versions.get(name, 0)}
                 for name, rows in sorted(self._relations.items())},
-            "cached_hash_tables": (len(self._hash_tables)
-                                   + len(self._dense_tables)),
-            "index_rebuilds": self.index_rebuilds,
-            "hash_builds": self.hash_builds,
-            "touches": self.touches,
             "symbols": len(self._symbols),
             "encoded_bytes_estimate": slots * 8 + payload,
         }

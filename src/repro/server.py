@@ -414,6 +414,9 @@ class QueryServer:
 
     def _get(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
+        # reads describe the published snapshot, never the
+        # authoritative session a write batch may be mutating
+        epoch = self.epochs.current
         if path == "/healthz":
             self._send_json(handler, 200, {
                 "status": ("draining" if self.service.draining
@@ -421,23 +424,23 @@ class QueryServer:
                 "version": __version__,
                 "uptime_s": round(time() - self.started_at, 3),
                 "queries_served": self.queries_served,
-                "epoch": self.epochs.current.number,
+                "epoch": epoch.number,
                 "inflight": self.service.inflight,
                 "admitted_total": self.service.admitted_total,
                 "rejected_total": self.service.rejected_total,
                 "jobs": self._job_counts(),
                 "predicates": sorted(
-                    self.session.idb_predicates
-                    | set(self.session._edb.relation_names)),
+                    epoch.session.idb_predicates
+                    | set(epoch.session._edb.relation_names)),
             })
         elif path == "/metrics":
-            self.session.collect_gauges()
+            epoch.session.collect_gauges()
             text = (self.session.metrics.render_prometheus()
                     if self.session.metrics is not None else "")
             self._send(handler, 200, text,
                        content_type="text/plain; version=0.0.4")
         elif path == "/stats":
-            self.session.collect_gauges()
+            epoch.session.collect_gauges()
             snapshot = (self.session.metrics.snapshot()
                         if self.session.metrics is not None
                         else {"metrics": []})
@@ -445,7 +448,7 @@ class QueryServer:
                 "version": __version__,
                 "uptime_s": round(time() - self.started_at, 3),
                 "queries_served": self.queries_served,
-                "epoch": self.epochs.current.number,
+                "epoch": epoch.number,
                 "inflight": self.service.inflight,
                 "max_inflight": self.service.max_inflight,
                 "admitted_total": self.service.admitted_total,
@@ -640,7 +643,8 @@ class QueryServer:
         """Close a request context into the flight recorder."""
         self.recorder.finalize(
             ctx, duration_s=duration_s, outcome=outcome, engine=engine,
-            formula_class=class_of(self.session, ctx.query or ""),
+            formula_class=class_of(self.epochs.current.session,
+                                   ctx.query or ""),
             epoch=epoch, answers=answers,
             query_log=self.session.query_log)
 

@@ -282,7 +282,7 @@ class QueryService:
 
         *backend* is handed to
         :meth:`~repro.session.DeductiveDatabase.query` verbatim —
-        ``"auto"``/``"vector"`` allow the vectorised delta-loop kernel,
+        ``"auto"`` allows the vectorised delta-loop kernel,
         ``"python"`` pins the tuple-set loop.
 
         Raises :class:`AdmissionRejected` when every slot is busy,

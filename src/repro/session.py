@@ -323,9 +323,9 @@ class DeductiveDatabase:
         ``None`` a fresh id is minted per instrumented call.
 
         *backend* picks the delta-loop execution backend for the
-        fixpoint engines: ``"auto"``/``"vector"`` hand certified plan
-        shapes to the numpy kernel (:mod:`repro.engine.vector`) and
-        run the tuple-set loop when numpy is absent; ``"python"`` pins
+        fixpoint engines: ``"auto"`` hands certified plan shapes to
+        the numpy kernel (:mod:`repro.engine.vector`) and runs the
+        tuple-set loop when numpy is absent; ``"python"`` pins
         the tuple-set loop.  Engines without a delta loop (naive,
         top-down, edb/view lookups) ignore it.
         """

@@ -1,4 +1,5 @@
-"""Shared fixtures: paper systems, small databases, engine instances."""
+"""Shared fixtures: paper systems, small databases, engine instances,
+a running query server."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from repro.datalog import parse_system
 from repro.engine import CompiledEngine, NaiveEngine, SemiNaiveEngine
 from repro.ra import Database
 from repro.workloads import CATALOGUE, chain
+
+from .wire import served
 
 
 @pytest.fixture
@@ -40,3 +43,12 @@ def engines():
 def paper_system(name: str):
     """A fresh recursion system for a named catalogue entry."""
     return CATALOGUE[name].system()
+
+
+@pytest.fixture()
+def server(request):
+    """A running query server over ``tests/wire.py``'s TC program;
+    indirect parameters are :class:`~repro.server.QueryServer`
+    keyword arguments."""
+    with served(**getattr(request, "param", {})) as instance:
+        yield instance

@@ -8,28 +8,16 @@ so submission, polling, result streaming and cancellation are observed
 exactly as a disconnecting-and-reconnecting client would.
 """
 
-import json
-import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.jobs import Job, JobQueue, JobQueueFull, JobStates, UnknownJob
 from repro.metrics import MetricsRegistry
-from repro.server import QueryServer
 from repro.service import EpochManager, QueryService, ServiceDraining
 from repro.session import DeductiveDatabase
 
-PROGRAM = """
-    P(x, y) :- A(x, z), P(z, y).
-    P(x, y) :- A(x, y).
-    A(a, b). A(b, c). A(c, d).
-"""
-
-CLOSURE = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
-           ("b", "d"), ("c", "d")}
+from .wire import CLOSURE, PROGRAM, request, served
 
 
 def make_service(program=PROGRAM, metrics=False):
@@ -227,37 +215,14 @@ class TestDrain:
 
 @pytest.fixture()
 def server():
-    session = DeductiveDatabase(metrics=MetricsRegistry())
-    session.load(PROGRAM)
-    instance = QueryServer(session, port=0, job_workers=1,
-                           drain_grace_s=3.0)
-    thread = threading.Thread(target=instance.serve_forever,
-                              daemon=True)
-    thread.start()
-    yield instance
-    instance.shutdown()
-    instance.close()
-    thread.join(timeout=5)
-
-
-def _request(server, method, path, document=None):
-    url = f"http://{server.host}:{server.port}{path}"
-    data = (json.dumps(document).encode("utf-8")
-            if document is not None else None)
-    request = urllib.request.Request(
-        url, data, {"Content-Type": "application/json"},
-        method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read())
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+    with served(job_workers=1, drain_grace_s=3.0) as instance:
+        yield instance
 
 
 def _poll(server, job_id, timeout=10.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        status, body = _request(server, "GET", f"/jobs/{job_id}")
+        status, body, _ = request(server, "GET", f"/jobs/{job_id}")
         assert status == 200
         if body["state"] not in ("queued", "running"):
             return body
@@ -267,59 +232,56 @@ def _poll(server, job_id, timeout=10.0):
 
 class TestHTTP:
     def test_async_mode_roundtrip_matches_sync(self, server):
-        sync_status, sync_body = _request(
-            server, "POST", "/query", {"query": "P(X, Y)"})
+        sync_status, sync_body, _ = request(server, "POST", "/query",
+                                            {"query": "P(X, Y)"})
         assert sync_status == 200
-        status, submitted = _request(
-            server, "POST", "/query",
-            {"query": "P(X, Y)", "mode": "async"})
+        status, submitted, _ = request(server, "POST", "/query",
+                                       {"query": "P(X, Y)", "mode": "async"})
         assert status == 202
         assert submitted["state"] == "queued"
         assert submitted["status_url"].startswith("/jobs/")
         final = _poll(server, submitted["id"])
         assert final["state"] == "done"
-        status, result = _request(
-            server, "GET", f"/jobs/{submitted['id']}/result")
+        status, result, _ = request(server, "GET",
+                                    f"/jobs/{submitted['id']}/result")
         assert status == 200
         assert result["answers"] == sync_body["answers"]
         assert result["outcome"] == "ok"
         assert result["epoch"] == submitted["epoch"]
 
     def test_post_jobs_endpoint(self, server):
-        status, body = _request(server, "POST", "/jobs",
-                                {"query": "P(a, Y)"})
+        status, body, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(a, Y)"})
         assert status == 202
         final = _poll(server, body["id"])
         assert final["state"] == "done"
         assert final["answers"] == 3
 
     def test_jobs_listing(self, server):
-        _, submitted = _request(server, "POST", "/jobs",
-                                {"query": "P(a, Y)"})
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(a, Y)"})
         _poll(server, submitted["id"])
-        status, body = _request(server, "GET", "/jobs")
+        status, body, _ = request(server, "GET", "/jobs")
         assert status == 200
         assert submitted["id"] in {job["id"] for job in body["jobs"]}
 
     def test_timeout_job_result_is_408(self, server):
-        _, submitted = _request(
-            server, "POST", "/jobs",
-            {"query": "P(X, Y)", "timeout_s": 0.0})
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(X, Y)", "timeout_s": 0.0})
         final = _poll(server, submitted["id"])
         assert final["state"] == "timeout"
-        status, body = _request(
-            server, "GET", f"/jobs/{submitted['id']}/result")
+        status, body, _ = request(server, "GET",
+                                  f"/jobs/{submitted['id']}/result")
         assert status == 408
         assert body["state"] == "timeout"
 
     def test_truncated_job_result_streams_partial(self, server):
-        _, submitted = _request(
-            server, "POST", "/jobs",
-            {"query": "P(X, Y)", "max_rows": 1})
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(X, Y)", "max_rows": 1})
         final = _poll(server, submitted["id"])
         assert final["state"] == "truncated"
-        status, body = _request(
-            server, "GET", f"/jobs/{submitted['id']}/result")
+        status, body, _ = request(server, "GET",
+                                  f"/jobs/{submitted['id']}/result")
         assert status == 200
         assert body["truncated"] is True
         assert {tuple(row) for row in body["answers"]} < CLOSURE
@@ -327,25 +289,22 @@ class TestHTTP:
     def test_running_job_result_is_409_then_cancel(self, server):
         # grow a deep chain so the async fixpoint is observably slow
         edges = [[f"n{i}", f"n{i + 1}"] for i in range(700)]
-        status, _ = _request(server, "POST", "/facts",
-                             {"add": {"A": edges}})
+        status, _, _ = request(server, "POST", "/facts", {"add": {"A": edges}})
         assert status == 200
-        _, submitted = _request(
-            server, "POST", "/jobs",
-            {"query": "P(X, Y)", "engine": "semi-naive"})
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(X, Y)", "engine": "semi-naive"})
         job_id = submitted["id"]
         deadline = time.monotonic() + 10
         state = "queued"
         while state == "queued" and time.monotonic() < deadline:
-            _, body = _request(server, "GET", f"/jobs/{job_id}")
+            _, body, _ = request(server, "GET", f"/jobs/{job_id}")
             state = body["state"]
             time.sleep(0.001)
         if state == "running":
-            status, body = _request(server, "GET",
-                                    f"/jobs/{job_id}/result")
+            status, body, _ = request(server, "GET", f"/jobs/{job_id}/result")
             assert status == 409
             assert "progress" in body
-        status, body = _request(server, "DELETE", f"/jobs/{job_id}")
+        status, body, _ = request(server, "DELETE", f"/jobs/{job_id}")
         assert status == 200
         assert body["cancel_requested"] is True
         final = _poll(server, job_id, timeout=30)
@@ -353,8 +312,7 @@ class TestHTTP:
         # boundary, or the job finished first — never anything else
         assert final["state"] in ("cancelled", "done")
         if final["state"] == "cancelled":
-            status, _ = _request(server, "GET",
-                                 f"/jobs/{job_id}/result")
+            status, _, _ = request(server, "GET", f"/jobs/{job_id}/result")
             assert status == 409
 
     def test_unknown_job_routes_are_404(self, server):
@@ -362,7 +320,7 @@ class TestHTTP:
                              ("GET", "/jobs/job-nope/result"),
                              ("DELETE", "/jobs/job-nope"),
                              ("GET", "/jobs/x/y/z")):
-            status, _ = _request(server, method, path)
+            status, _, _ = request(server, method, path)
             assert status == 404
 
     def test_validation_rejects_malformed_fields(self, server):
@@ -373,29 +331,28 @@ class TestHTTP:
                          {"query": 42},
                          {}):
             for path in ("/query", "/jobs"):
-                status, body = _request(server, "POST", path,
-                                        document)
+                status, body, _ = request(server, "POST", path, document)
                 assert status == 400, (path, document)
                 assert "error" in body
 
     def test_healthz_and_stats_carry_job_counters(self, server):
-        _, submitted = _request(server, "POST", "/jobs",
-                                {"query": "P(a, Y)"})
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(a, Y)"})
         _poll(server, submitted["id"])
-        _, health = _request(server, "GET", "/healthz")
+        _, health, _ = request(server, "GET", "/healthz")
         assert health["jobs"]["submitted_total"] >= 1
         assert health["jobs"]["outcomes"]["done"] >= 1
-        _, stats = _request(server, "GET", "/stats")
+        _, stats, _ = request(server, "GET", "/stats")
         assert (stats["server"]["jobs"]["finished_total"]
                 == stats["server"]["jobs"]["submitted_total"])
 
     def test_async_jobs_do_not_inflate_queries_served(self, server):
-        _, before = _request(server, "GET", "/healthz")
-        _, submitted = _request(server, "POST", "/jobs",
-                                {"query": "P(X, Y)"})
+        _, before, _ = request(server, "GET", "/healthz")
+        _, submitted, _ = request(server, "POST", "/jobs",
+                                  {"query": "P(X, Y)"})
         _poll(server, submitted["id"])
-        _request(server, "GET", f"/jobs/{submitted['id']}/result")
-        _, after = _request(server, "GET", "/healthz")
+        request(server, "GET", f"/jobs/{submitted['id']}/result")
+        _, after, _ = request(server, "GET", "/healthz")
         # the sync counter reconciles per-response; jobs are counted
         # in their own ledger
         assert after["queries_served"] == before["queries_served"]

@@ -1,104 +1,33 @@
 """The monitored HTTP query server, exercised in-process.
 
-One server on an ephemeral port (``port=0``) per test class, a daemon
-thread running ``serve_forever``; requests go over a real socket via
-``urllib`` — routing, content types, status codes and the metrics
-reconciliation are all observed exactly as a client would.
+One server on an ephemeral port per test (the ``server`` fixture, or
+:func:`tests.wire.served` for explicit settings), ``serve_forever`` on
+a daemon thread; requests go over a real socket — routing, content
+types, status codes and the metrics reconciliation are all observed
+exactly as a client would.
 """
 
 import http.client
-import io
 import json
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
-from contextlib import contextmanager
 
 import pytest
 
 from repro import __version__
-from repro.logutil import QueryLogger, valid_query_id
-from repro.metrics import MetricsRegistry, parse_prometheus_text
 from repro import server as server_module
-from repro.server import MAX_BODY_BYTES, QueryServer
-from repro.session import DeductiveDatabase
+from repro.logutil import valid_query_id
+from repro.metrics import parse_prometheus_text
+from repro.server import MAX_BODY_BYTES
 
-PROGRAM = """
-    P(x, y) :- A(x, z), P(z, y).
-    P(x, y) :- A(x, y).
-    A(a, b). A(b, c). A(c, d).
-"""
-
-CLOSURE = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
-           ("b", "d"), ("c", "d")}
-
-
-@pytest.fixture()
-def server():
-    session = DeductiveDatabase(metrics=MetricsRegistry(),
-                                query_log=QueryLogger(io.StringIO()))
-    session.load(PROGRAM)
-    instance = QueryServer(session, port=0)
-    thread = threading.Thread(target=instance.serve_forever,
-                              daemon=True)
-    thread.start()
-    yield instance
-    instance.shutdown()
-    instance.close()
-    thread.join(timeout=5)
-
-
-def _get(server, path):
-    url = f"http://{server.host}:{server.port}{path}"
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.status, response.read().decode("utf-8")
-
-
-def _post(server, document, path="/query", headers=None):
-    status, body, _ = _post_full(server, document, path, headers)
-    return status, body
-
-
-def _post_full(server, document, path="/query", headers=None):
-    """POST returning (status, parsed body, response headers)."""
-    url = f"http://{server.host}:{server.port}{path}"
-    fields = {"Content-Type": "application/json"}
-    fields.update(headers or {})
-    request = urllib.request.Request(
-        url, json.dumps(document).encode("utf-8"), fields)
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return (response.status, json.loads(response.read()),
-                    response.headers)
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), error.headers
-
-
-@contextmanager
-def _served(**kwargs):
-    """A server with explicit recorder settings — the module fixture
-    keeps the defaults, so tests that assert exact capture counters
-    build their own here."""
-    session = DeductiveDatabase(metrics=MetricsRegistry(),
-                                query_log=QueryLogger(io.StringIO()))
-    session.load(PROGRAM)
-    instance = QueryServer(session, port=0, **kwargs)
-    thread = threading.Thread(target=instance.serve_forever,
-                              daemon=True)
-    thread.start()
-    try:
-        yield instance
-    finally:
-        instance.shutdown()
-        instance.close()
-        thread.join(timeout=5)
+from .wire import CLOSURE, request, served
 
 
 class TestQueryRoute:
     def test_bound_query_answers(self, server):
-        status, body = _post(server, {"query": "P(a, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)"})
         assert status == 200
         assert {tuple(row) for row in body["answers"]} == {
             ("a", "b"), ("a", "c"), ("a", "d")}
@@ -110,33 +39,37 @@ class TestQueryRoute:
     def test_engine_selection(self, server):
         for extra in ({"engine": "semi-naive"}, {"engine": "naive"},
                       {"engine": "top-down"}, {"backend": "python"}):
-            status, body = _post(server,
-                                 {"query": "P(X, Y)", **extra})
+            status, body, _ = request(server, "POST", "/query",
+                                      {"query": "P(X, Y)", **extra})
             assert status == 200
             assert {tuple(r) for r in body["answers"]} == CLOSURE
 
     def test_answers_are_sorted(self, server):
-        _, body = _post(server, {"query": "P(X, Y)"})
+        _, body, _ = request(server, "POST", "/query", {"query": "P(X, Y)"})
         assert body["answers"] == sorted(body["answers"], key=repr)
 
     def test_bad_requests_get_400(self, server):
-        assert _post(server, {"nope": 1})[0] == 400
-        assert _post(server, {"query": "P(X, Y, Z)"})[0] == 400
-        assert _post(server, {"query": "missing(X)"})[0] == 400
-        assert _post(server, {"query": "P(X, Y)",
-                              "engine": "imaginary"})[0] == 400
-        url = f"http://{server.host}:{server.port}/query"
-        request = urllib.request.Request(url, b"not json {{", {})
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(request, timeout=10)
-        assert caught.value.code == 400
+        assert request(server, "POST", "/query", {"nope": 1})[0] == 400
+        assert request(server, "POST", "/query",
+                       {"query": "P(X, Y, Z)"})[0] == 400
+        assert request(server, "POST", "/query",
+                       {"query": "missing(X)"})[0] == 400
+        assert request(server, "POST", "/query",
+                       {"query": "P(X, Y)", "engine": "imaginary"})[0] == 400
+        body = b"not json {{"
+        assert _post_declaring(server, str(len(body)), body)[0] == 400
+
+    def test_vector_backend_is_rejected(self, server):
+        # "vector" was a second name for "auto"; only the two remain
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)", "backend": "vector"})
+        assert status == 400
+        assert body["error"] == ('"backend" must be one of "auto", '
+                                 '"python", got \'vector\'')
 
     def test_unknown_paths_get_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            _get(server, "/nope")
-        assert caught.value.code == 404
-        assert _post(server, {"query": "P(a, Y)"},
-                     path="/nope")[0] == 404
+        assert request(server, "GET", "/nope")[0] == 404
+        assert request(server, "POST", "/nope", {"query": "P(a, Y)"})[0] == 404
 
 
 def _post_declaring(server, content_length: str, body: bytes = b""):
@@ -177,24 +110,25 @@ class TestBodyBounds:
         assert status == 413
         assert str(MAX_BODY_BYTES) in body["error"]
         assert connection == "close"
-        assert _post(server, {"query": "P(a, Y)"})[0] == 200
+        assert request(server, "POST", "/query",
+                       {"query": "P(a, Y)"})[0] == 200
 
     def test_stalled_connection_is_closed(self, monkeypatch):
         monkeypatch.setattr(server_module, "REQUEST_TIMEOUT_S", 0.5)
-        with _served() as instance:
+        with served() as instance:
             with socket.create_connection(
                     (instance.host, instance.port), timeout=10) as raw:
                 raw.sendall(b"POST /query HTTP/1.1\r\n"
                             b"Content-Length: 40\r\n\r\n{")
                 assert raw.recv(1024) == b""  # closed, not hung
-            assert _post(instance, {"query": "P(a, Y)"})[0] == 200
+            assert request(instance, "POST", "/query",
+                           {"query": "P(a, Y)"})[0] == 200
 
 
 class TestMonitoringRoutes:
     def test_healthz(self, server):
-        _post(server, {"query": "P(a, Y)"})
-        status, text = _get(server, "/healthz")
-        health = json.loads(text)
+        request(server, "POST", "/query", {"query": "P(a, Y)"})
+        status, health, _ = request(server, "GET", "/healthz")
         assert status == 200
         assert health["status"] == "ok"
         assert health["queries_served"] == 1
@@ -208,9 +142,9 @@ class TestMonitoringRoutes:
         for document in ({"query": "P(a, Y)"}, {"query": "P(X, Y)"},
                          {"query": "P(X, Y)",
                           "engine": "semi-naive"}):
-            _, body = _post(server, document)
+            _, body, _ = request(server, "POST", "/query", document)
             rounds += body["stats"]["rounds"]
-        status, text = _get(server, "/metrics")
+        status, text, _ = request(server, "GET", "/metrics")
         assert status == 200
         samples = parse_prometheus_text(text)
         ok_queries = sum(
@@ -226,18 +160,47 @@ class TestMonitoringRoutes:
                         (("relation", "A"),))] == 3
 
     def test_stats_route(self, server):
-        _post(server, {"query": "P(a, Y)"})
-        status, text = _get(server, "/stats")
+        request(server, "POST", "/query", {"query": "P(a, Y)"})
+        status, document, _ = request(server, "GET", "/stats")
         assert status == 200
-        document = json.loads(text)
         names = {metric["name"] for metric in document["metrics"]}
         assert {"repro_queries_total", "repro_rounds_total",
                 "repro_relation_rows"} <= names
         assert document["server"]["queries_served"] == 1
 
+    def test_unpublished_write_batch_is_invisible(self, server):
+        """``/healthz`` and ``/metrics`` describe the published epoch,
+        never the authoritative session a batch is still mutating."""
+        mutating, release = threading.Event(), threading.Event()
+
+        def mutate(session):
+            session.add_fact("Z", "x", "y")
+            mutating.set()
+            release.wait(10)
+
+        writer = threading.Thread(target=server.epochs.apply,
+                                  args=(mutate,))
+        writer.start()
+        try:
+            assert mutating.wait(10)
+            health = request(server, "GET", "/healthz")[1]
+            text = request(server, "GET", "/metrics")[1]
+            assert (health["epoch"], health["predicates"]) == (0, ["A", "P"])
+            assert 'relation="Z"' not in text
+        finally:
+            release.set()
+            writer.join(timeout=10)
+        health = request(server, "GET", "/healthz")[1]
+        text = request(server, "GET", "/metrics")[1]
+        assert (health["epoch"], health["predicates"]) == (
+            1, ["A", "P", "Z"])
+        rows = parse_prometheus_text(text)[("repro_relation_rows",
+                                            (("relation", "Z"),))]
+        assert rows == 1
+
     def test_one_log_line_per_query(self, server):
         for _ in range(3):
-            _post(server, {"query": "P(a, Y)"})
+            request(server, "POST", "/query", {"query": "P(a, Y)"})
         lines = [json.loads(line) for line in
                  server.session.query_log.stream.getvalue()
                  .splitlines()]
@@ -251,7 +214,8 @@ class TestConcurrency:
         results = []
 
         def ask():
-            results.append(_post(server, {"query": "P(X, Y)"}))
+            results.append(request(server, "POST", "/query",
+                                   {"query": "P(X, Y)"}))
 
         pool = [threading.Thread(target=ask) for _ in range(8)]
         for thread in pool:
@@ -259,7 +223,7 @@ class TestConcurrency:
         for thread in pool:
             thread.join()
         assert len(results) == 8
-        for status, body in results:
+        for status, body, _ in results:
             assert status == 200
             assert {tuple(r) for r in body["answers"]} == CLOSURE
         assert server.queries_served == 8
@@ -267,8 +231,8 @@ class TestConcurrency:
 
 class TestQueryIds:
     def test_fresh_id_in_envelope_header_and_log(self, server):
-        status, body, headers = _post_full(server,
-                                           {"query": "P(a, Y)"})
+        status, body, headers = request(server, "POST", "/query",
+                                        {"query": "P(a, Y)"})
         assert status == 200
         query_id = body["query_id"]
         assert valid_query_id(query_id)
@@ -279,32 +243,32 @@ class TestQueryIds:
         assert line["query_id"] == query_id
 
     def test_client_supplied_id_propagates(self, server):
-        status, body, headers = _post_full(
-            server, {"query": "P(a, Y)"},
+        status, body, headers = request(
+            server, "POST", "/query", {"query": "P(a, Y)"},
             headers={"X-Repro-Query-Id": "client-7.x"})
         assert status == 200
         assert body["query_id"] == "client-7.x"
         assert headers.get("X-Repro-Query-Id") == "client-7.x"
 
     def test_invalid_client_id_replaced(self, server):
-        status, body, _ = _post_full(
-            server, {"query": "P(a, Y)"},
-            headers={"X-Repro-Query-Id": "not valid!"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)"},
+                                  headers={"X-Repro-Query-Id": "not valid!"})
         assert status == 200
         assert body["query_id"] != "not valid!"
         assert valid_query_id(body["query_id"])
 
     def test_error_responses_carry_the_id_too(self, server):
-        status, body = _post(server, {"query": "missing(X)"},
-                             headers={"X-Repro-Query-Id": "err-1"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "missing(X)"},
+                                  headers={"X-Repro-Query-Id": "err-1"})
         assert status == 400
         assert body["query_id"] == "err-1"
 
     def test_facts_response_carries_id(self, server):
-        status, body = _post(server,
-                             {"add": {"A": [["d", "e"]]}},
-                             path="/facts",
-                             headers={"X-Repro-Query-Id": "w-1"})
+        status, body, _ = request(server, "POST", "/facts",
+                                  {"add": {"A": [["d", "e"]]}},
+                                  headers={"X-Repro-Query-Id": "w-1"})
         assert status == 200
         assert body["query_id"] == "w-1"
 
@@ -327,30 +291,29 @@ class TestFactsValidation:
     ], ids=["string-rows", "string-row", "bool", "null", "nan",
             "infinity", "array", "object", "rule-not-string"])
     def test_malformed_rows_rejected(self, server, body, expect):
-        status, reply = _post(server, body, path="/facts")
+        status, reply, _ = request(server, "POST", "/facts", body)
         assert status == 400
         assert expect in reply["error"]
         assert server.epochs.current.number == 0
-        _, answers = _post(server, {"query": "A(X, Y)"})
+        _, answers, _ = request(server, "POST", "/query", {"query": "A(X, Y)"})
         assert answers["count"] == 3
 
     def test_strings_and_finite_numbers_publish(self, server):
-        status, body = _post(server, {"add": {"A": [["d", "e"]],
-                                              "N": [[1, 2.5, "x"]]}},
-                             path="/facts")
+        status, body, _ = request(
+            server, "POST", "/facts",
+            {"add": {"A": [["d", "e"]], "N": [[1, 2.5, "x"]]}})
         assert status == 200 and body["epoch"] == 1
 
 
 class TestFlightRecorder:
     def test_forced_trace_retrievable_with_service_phases(self):
-        with _served(trace_sample=0.0) as server:
-            _, body = _post(server, {"query": "P(a, Y)",
-                                     "trace": True})
+        with served(trace_sample=0.0) as server:
+            _, body, _ = request(server, "POST", "/query",
+                                 {"query": "P(a, Y)", "trace": True})
             query_id = body["query_id"]
-            status, text = _get(server,
-                                f"/debug/traces/{query_id}")
+            status, document, _ = request(server, "GET",
+                                          f"/debug/traces/{query_id}")
             assert status == 200
-            document = json.loads(text)
             assert document["query_id"] == query_id
             assert document["captured_reason"] == "forced"
             assert document["outcome"] == "ok"
@@ -361,11 +324,12 @@ class TestFlightRecorder:
             assert document["trace"]["engine"] == "compiled"
 
     def test_summaries_and_counters_reconcile(self):
-        with _served(trace_sample=0.0) as server:
-            _post(server, {"query": "P(a, Y)", "trace": True})
-            _post(server, {"query": "P(X, Y)"})  # not captured
-            status, text = _get(server, "/debug/traces")
-            report = json.loads(text)
+        with served(trace_sample=0.0) as server:
+            request(server, "POST", "/query",
+                    {"query": "P(a, Y)", "trace": True})
+            request(server, "POST", "/query",
+                    {"query": "P(X, Y)"})  # not captured
+            status, report, _ = request(server, "GET", "/debug/traces")
             assert status == 200
             assert report["captured_total"] == 1
             assert report["forced_total"] == 1
@@ -374,10 +338,10 @@ class TestFlightRecorder:
             assert len(report["traces"]) == 1
 
     def test_sampling_at_rate_one_captures_everything(self):
-        with _served(trace_sample=1.0) as server:
+        with served(trace_sample=1.0) as server:
             for _ in range(3):
-                _post(server, {"query": "P(a, Y)"})
-            report = json.loads(_get(server, "/debug/traces")[1])
+                request(server, "POST", "/query", {"query": "P(a, Y)"})
+            report = request(server, "GET", "/debug/traces")[1]
             assert report["captured_total"] == 3
             assert report["sampled_total"] == 3
             assert report["captured_total"] == (
@@ -385,23 +349,22 @@ class TestFlightRecorder:
                 + report["slow_total"])
 
     def test_unknown_trace_id_is_404(self, server):
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            _get(server, "/debug/traces/nope")
-        assert caught.value.code == 404
+        assert request(server, "GET", "/debug/traces/nope")[0] == 404
 
     def test_trace_field_must_be_bool(self, server):
-        status, body = _post(server, {"query": "P(a, Y)",
-                                      "trace": "yes"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)", "trace": "yes"})
         assert status == 400
         assert "trace" in body["error"]
 
     def test_cache_hit_records_single_span_trace(self):
-        with _served(trace_sample=0.0) as server:
-            _post(server, {"query": "P(a, Y)"})  # populate cache
-            _, body = _post(server, {"query": "P(a, Y)",
-                                     "trace": True})
-            document = json.loads(_get(
-                server, f"/debug/traces/{body['query_id']}")[1])
+        with served(trace_sample=0.0) as server:
+            request(server, "POST", "/query",
+                    {"query": "P(a, Y)"})  # populate cache
+            _, body, _ = request(server, "POST", "/query",
+                                 {"query": "P(a, Y)", "trace": True})
+            document = request(server, "GET",
+                               f"/debug/traces/{body['query_id']}")[1]
             trace = document["trace"]
             assert trace["meta"] == {"cache_hit": True}
             assert [r["kind"] for r in trace["rounds"]] == ["cache"]
@@ -414,15 +377,14 @@ class TestFlightRecorder:
                      {"query": "P(X, Y)", "engine": "semi-naive"})
         bodies = []
         for rate in (0.0, 1.0):
-            with _served(trace_sample=rate) as server:
+            with served(trace_sample=rate) as server:
                 bodies.append([])
                 for document in documents:
-                    _, body = _post(server, document)
+                    _, body, _ = request(server, "POST", "/query", document)
                     body.pop("query_id")
                     body.pop("duration_s")
                     bodies[-1].append(body)
-                report = json.loads(_get(server,
-                                         "/debug/traces")[1])
+                report = request(server, "GET", "/debug/traces")[1]
                 expected = 0 if rate == 0.0 else len(documents)
                 assert report["captured_total"] == expected
                 if rate == 0.0:
@@ -430,24 +392,22 @@ class TestFlightRecorder:
         assert bodies[0] == bodies[1]
 
     def test_async_job_shares_the_recorder(self):
-        with _served(trace_sample=0.0) as server:
-            status, body, headers = _post_full(
-                server, {"query": "P(X, Y)", "mode": "async",
-                         "trace": True})
+        with served(trace_sample=0.0) as server:
+            status, body, headers = request(
+                server, "POST", "/query",
+                {"query": "P(X, Y)", "mode": "async", "trace": True})
             assert status == 202
             query_id = body["query_id"]
             assert headers.get("X-Repro-Query-Id") == query_id
             deadline = time.monotonic() + 10
             while time.monotonic() < deadline:
-                job = json.loads(_get(server,
-                                      body["status_url"])[1])
+                job = request(server, "GET", body["status_url"])[1]
                 if job["state"] in ("done", "error", "cancelled"):
                     break
                 time.sleep(0.02)
             assert job["state"] == "done"
             assert job["query_id"] == query_id
-            document = json.loads(_get(
-                server, f"/debug/traces/{query_id}")[1])
+            document = request(server, "GET", f"/debug/traces/{query_id}")[1]
             assert document["captured_reason"] == "forced"
             assert [s["name"] for s in document["phases"]] == [
                 "admission", "snapshot", "engine"]
@@ -456,12 +416,12 @@ class TestFlightRecorder:
 
 class TestBuildInfo:
     def test_version_in_health_stats_and_metrics(self, server):
-        health = json.loads(_get(server, "/healthz")[1])
+        health = request(server, "GET", "/healthz")[1]
         assert health["version"] == __version__
-        stats = json.loads(_get(server, "/stats")[1])
+        stats = request(server, "GET", "/stats")[1]
         assert stats["server"]["version"] == __version__
         assert "recorder" in stats["server"]
-        samples = parse_prometheus_text(_get(server, "/metrics")[1])
+        samples = parse_prometheus_text(request(server, "GET", "/metrics")[1])
         [(labels, value)] = [
             (labels, value) for (name, labels), value
             in samples.items() if name == "repro_build_info"]
@@ -470,11 +430,11 @@ class TestBuildInfo:
         assert any(key == "python" for key, _ in labels)
 
     def test_exemplars_attach_query_ids_when_enabled(self):
-        with _served(trace_sample=0.0, exemplars=True) as server:
-            _post(server, {"query": "P(a, Y)"},
-                  headers={"X-Repro-Query-Id": "exem-1"})
+        with served(trace_sample=0.0, exemplars=True) as server:
+            request(server, "POST", "/query", {"query": "P(a, Y)"},
+                    headers={"X-Repro-Query-Id": "exem-1"})
             exemplars = {}
-            parse_prometheus_text(_get(server, "/metrics")[1],
+            parse_prometheus_text(request(server, "GET", "/metrics")[1],
                                   exemplars=exemplars)
             ids = {labels["query_id"]
                    for (name, _), (labels, _) in exemplars.items()
@@ -482,8 +442,8 @@ class TestBuildInfo:
             assert ids == {"exem-1"}
 
     def test_exemplars_absent_by_default(self, server):
-        _post(server, {"query": "P(a, Y)"})
+        request(server, "POST", "/query", {"query": "P(a, Y)"})
         exemplars = {}
-        parse_prometheus_text(_get(server, "/metrics")[1],
+        parse_prometheus_text(request(server, "GET", "/metrics")[1],
                               exemplars=exemplars)
         assert exemplars == {}

@@ -7,31 +7,19 @@ a real :class:`~repro.server.QueryServer` so the HTTP mappings — 429 +
 draining — are observed exactly as a client would.
 """
 
-import io
 import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.engine.deadline import Deadline, QueryTimeout
 from repro.engine.stats import EvaluationStats
-from repro.logutil import QueryLogger
 from repro.metrics import MetricsRegistry, parse_prometheus_text
-from repro.server import QueryServer
 from repro.service import (AdmissionRejected, EpochManager,
                            QueryService, ServiceDraining)
 from repro.session import DeductiveDatabase
 
-PROGRAM = """
-    P(x, y) :- A(x, z), P(z, y).
-    P(x, y) :- A(x, y).
-    A(a, b). A(b, c). A(c, d).
-"""
-
-CLOSURE = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
-           ("b", "d"), ("c", "d")}
+from .wire import CLOSURE, PROGRAM, request, served
 
 
 def make_session(**kwargs):
@@ -225,37 +213,7 @@ class TestEpochManager:
                             "repro_epoch") == 1
 
 
-# -- over the wire ---------------------------------------------------------
-
-@pytest.fixture()
-def server(request):
-    kwargs = getattr(request, "param", {})
-    session = DeductiveDatabase(metrics=MetricsRegistry(),
-                                query_log=QueryLogger(io.StringIO()))
-    session.load(PROGRAM)
-    instance = QueryServer(session, port=0, **kwargs)
-    thread = threading.Thread(target=instance.serve_forever,
-                              daemon=True)
-    thread.start()
-    yield instance
-    instance.shutdown()
-    instance.close()
-    thread.join(timeout=5)
-
-
-def _post(server, document, path="/query"):
-    url = f"http://{server.host}:{server.port}{path}"
-    request = urllib.request.Request(
-        url, json.dumps(document).encode("utf-8"),
-        {"Content-Type": "application/json"})
-    try:
-        with urllib.request.urlopen(request, timeout=10) as response:
-            return response.status, json.loads(response.read()), \
-                dict(response.headers)
-    except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read()), \
-            dict(error.headers)
-
+# -- over the wire (the ``server`` fixture lives in conftest.py) --------
 
 class TestHTTPStatusMapping:
     @pytest.mark.parametrize("server", [{"max_inflight": 1}],
@@ -272,12 +230,13 @@ class TestHTTPStatusMapping:
 
         epoch_session.query = blocking
         slow = threading.Thread(
-            target=_post, args=(server, {"query": "P(a, Y)"}))
+            target=request,
+            args=(server, "POST", "/query", {"query": "P(a, Y)"}))
         slow.start()
         try:
             assert gate.wait(10)
-            status, body, headers = _post(server,
-                                          {"query": "P(X, Y)"})
+            status, body, headers = request(server, "POST", "/query",
+                                            {"query": "P(X, Y)"})
             assert status == 429
             assert int(headers["Retry-After"]) >= 1
             assert body["retry_after_s"] >= 1
@@ -290,28 +249,29 @@ class TestHTTPStatusMapping:
         assert server.queries_served == 1
 
     def test_timeout_maps_to_408(self, server):
-        status, body, _ = _post(server, {"query": "P(X, Y)",
-                                         "timeout_s": 0})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)", "timeout_s": 0})
         assert status == 408
         assert body["outcome"] == "timeout"
-        _, text = _metrics(server)
-        samples = parse_prometheus_text(text)
+        samples = parse_prometheus_text(
+            request(server, "GET", "/metrics")[1])
         assert sum(v for (n, k), v in samples.items()
                    if n == "repro_queries_timed_out_total") == 1
 
     @pytest.mark.parametrize("server", [{"query_timeout_s": 0.0}],
                              indirect=True)
     def test_server_default_timeout_applies(self, server):
-        status, body, _ = _post(server, {"query": "P(X, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)"})
         assert status == 408
         # a request may loosen the default budget
-        status, body, _ = _post(server, {"query": "P(X, Y)",
-                                         "timeout_s": 30})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)", "timeout_s": 30})
         assert status == 200
 
     def test_row_limit_truncation_in_200(self, server):
-        status, body, _ = _post(server, {"query": "P(X, Y)",
-                                         "max_rows": 1})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)", "max_rows": 1})
         assert status == 200
         assert body["outcome"] == "truncated"
         assert body["truncated"] is True
@@ -319,68 +279,53 @@ class TestHTTPStatusMapping:
         assert 1 <= body["count"] < len(CLOSURE)
         # without the limit the same query is complete — the partial
         # answer set was not cached
-        status, body, _ = _post(server, {"query": "P(X, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(X, Y)"})
         assert body["truncated"] is False
         assert body["count"] == len(CLOSURE)
 
     def test_facts_route_publishes_epochs(self, server):
-        status, body, _ = _post(server, {"add": {"A": [["d", "e"]]}},
-                                path="/facts")
+        status, body, _ = request(server, "POST", "/facts",
+                                  {"add": {"A": [["d", "e"]]}})
         assert status == 200
         assert body["epoch"] == 1
-        status, body, _ = _post(server, {"query": "P(a, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)"})
         assert body["epoch"] == 1
         assert ["a", "e"] in body["answers"]
-        status, body, _ = _post(
-            server, {"remove": {"A": [["d", "e"]]}}, path="/facts")
+        status, body, _ = request(server, "POST", "/facts",
+                                  {"remove": {"A": [["d", "e"]]}})
         assert body["epoch"] == 2
-        status, body, _ = _post(server, {"query": "P(a, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)"})
         assert {tuple(r) for r in body["answers"]} == {
             ("a", "b"), ("a", "c"), ("a", "d")}
 
     def test_draining_maps_to_503(self, server):
         server.service.drain(grace_s=1.0)
-        status, body, _ = _post(server, {"query": "P(a, Y)"})
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, Y)"})
         assert status == 503
-        status, body, _ = _post(server, {"add": {"A": [["x", "y"]]}},
-                                path="/facts")
+        status, body, _ = request(server, "POST", "/facts",
+                                  {"add": {"A": [["x", "y"]]}})
         assert status == 503
 
     def test_healthz_reports_admission_state(self, server):
-        _post(server, {"query": "P(a, Y)"})
-        url = f"http://{server.host}:{server.port}/healthz"
-        with urllib.request.urlopen(url, timeout=10) as response:
-            health = json.loads(response.read())
+        request(server, "POST", "/query", {"query": "P(a, Y)"})
+        health = request(server, "GET", "/healthz")[1]
         assert health["epoch"] == 0
         assert health["inflight"] == 0
         assert health["admitted_total"] == 1
         assert health["rejected_total"] == 0
 
 
-def _metrics(server):
-    url = f"http://{server.host}:{server.port}/metrics"
-    with urllib.request.urlopen(url, timeout=10) as response:
-        return response.status, response.read().decode("utf-8")
-
-
 class TestShutdown:
     def test_graceful_shutdown_logs_and_is_idempotent(self):
-        session = DeductiveDatabase(
-            metrics=MetricsRegistry(),
-            query_log=QueryLogger(io.StringIO()))
-        session.load(PROGRAM)
-        server = QueryServer(session, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
+        with served() as server:
             assert server.graceful_shutdown() is True
             assert server.graceful_shutdown() is True  # idempotent
-        finally:
-            server.close()
-            thread.join(timeout=5)
         lines = [json.loads(line) for line in
-                 session.query_log.stream.getvalue().splitlines()]
+                 server.session.query_log.stream.getvalue().splitlines()]
         shutdown_lines = [line for line in lines
                           if line["event"] == "server_shutdown"]
         assert len(shutdown_lines) == 1

@@ -4,9 +4,11 @@ Two properties pin the tracing layer down:
 
 * **Conservation** — for every engine and every catalogue class, the
   sum of per-round ``delta_out`` values of a traced full evaluation
-  equals the final answer count.  Each engine counts rounds
-  differently (sweeps, deltas, depths, expansions, subgoals), but
-  "new tuples contributed" must always add up to the result.
+  equals the final answer count, and equals ``sum(delta_sizes)`` of
+  the same run's stats.  Each engine counts rounds differently
+  (sweeps, deltas, depths, expansions, subgoals), but "new tuples
+  contributed" must always add up to the result — and the trace and
+  the stats dump must never disagree.
 * **Zero overhead** — running with ``trace=None`` is the disabled
   state: answers and the evaluation's counters are bit-identical to a
   traced run, so tracing can never perturb what it observes.
@@ -17,7 +19,7 @@ import pytest
 from repro.engine import (CompiledEngine, MaterializedRecursion,
                           NaiveEngine, Query, SemiNaiveEngine,
                           TopDownEngine)
-from repro.engine.stats import EvaluationStats
+from repro.engine.stats import EvaluationStats, delta_between
 from repro.engine.trace import Tracer, validate_trace_dict
 from repro.workloads import CATALOGUE, chain, random_edb
 
@@ -47,8 +49,8 @@ class TestDeltaConservation:
     @pytest.mark.parametrize("engine", sorted(ENGINES))
     def test_round_deltas_sum_to_answers(self, paper_class, engine):
         system, db, query = _workload(CLASS_ENTRIES[paper_class])
-        tracer = Tracer()
-        answers = ENGINES[engine]().evaluate(system, db, query,
+        tracer, stats = Tracer(), EvaluationStats()
+        answers = ENGINES[engine]().evaluate(system, db, query, stats,
                                              trace=tracer)
         assert tracer.trace is not None
         validate_trace_dict(tracer.trace.to_dict())
@@ -56,6 +58,7 @@ class TestDeltaConservation:
             f"{paper_class}/{engine}: traced deltas "
             f"{tracer.trace.delta_total} != answers {len(answers)}")
         assert tracer.trace.answers == len(answers)
+        assert tracer.trace.delta_total == sum(stats.delta_sizes)
 
     def test_incremental_deltas_sum_to_added(self):
         from repro.datalog.parser import parse_system
@@ -65,10 +68,13 @@ class TestDeltaConservation:
                                  "P__exit": [("n4", "n4")]})
         view = MaterializedRecursion(system, db)
         tracer = Tracer()
+        before = view.stats.to_dict()
         added = view.insert_many("A", [("n5", "n0"), ("n6", "n5")],
                                  trace=tracer)
         validate_trace_dict(tracer.trace.to_dict())
         assert tracer.trace.delta_total == len(added) > 0
+        dump = delta_between(before, view.stats.to_dict())
+        assert tracer.trace.delta_total == sum(dump["delta_sizes"])
 
 
 class TestDisabledTracerIsFree:

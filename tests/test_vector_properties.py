@@ -7,9 +7,9 @@ per-round stats deltas and the trace shapes must be bit-identical.
 Three layers pin this down:
 
 * **backend parity** — classes A1–C × the delta-loop engines
-  (semi-naive, compiled): vector vs pinned-python agree on everything
-  except the fields that name which backend ran; with numpy absent,
-  ``auto`` and ``vector`` *are* the python loop, down to the backend
+  (semi-naive, compiled): ``auto`` vs pinned-python agree on
+  everything except the fields that name which backend ran; with
+  numpy absent, ``auto`` *is* the python loop, down to the backend
   name and the traces;
 * **fallback paths** — tuple-at-a-time mode, uncertified plan shapes
   and ``max_rounds`` caps all take the python loop with identical
@@ -130,17 +130,16 @@ class TestBackendParity:
         system, db, query = _workload(paper_class, seed, tuples)
         _run(engine, system, db, query, "python")  # warm plan cache
         with numpy_absent():
-            runs = {backend: _run(engine, system, db, query, backend)
-                    for backend in ("auto", "vector", "python")}
-        answers_p, stats_p, trace_p = runs["python"]
+            answers, stats, trace = _run(engine, system, db, query,
+                                         "auto")
+            answers_p, stats_p, trace_p = _run(engine, system, db,
+                                               query, "python")
         assert stats_p.backend == "python"
-        for backend in ("auto", "vector"):
-            answers, stats, trace = runs[backend]
-            assert answers == answers_p
-            assert answers.encoded == answers_p.encoded
-            # everything, backend name and vector counters included
-            assert vars(stats) == vars(stats_p)
-            assert _trace_doc(trace) == _trace_doc(trace_p)
+        assert answers == answers_p
+        assert answers.encoded == answers_p.encoded
+        # everything, backend name and vector counters included
+        assert vars(stats) == vars(stats_p)
+        assert _trace_doc(trace) == _trace_doc(trace_p)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 7), cap=st.integers(0, 3))
@@ -161,7 +160,7 @@ class TestFallbackPaths:
         system, db, query = _workload("A1", 0, 6)
         stats = EvaluationStats()
         SemiNaiveEngine(set_at_a_time=False,
-                        backend="vector").evaluate(
+                        backend="auto").evaluate(
             system, db.copy(), query, stats)
         assert stats.backend == "python"
         assert stats.vector_batches == 0
@@ -171,6 +170,8 @@ class TestFallbackPaths:
             SemiNaiveEngine(backend="gpu")
         with pytest.raises(EvaluationError):
             validate_backend("cuda")
+        with pytest.raises(EvaluationError):
+            validate_backend("vector")
         assert validate_backend("auto") == "auto"
 
 
@@ -188,7 +189,7 @@ class TestSessionLaws:
     def test_query_backends_agree(self, engine):
         session = self._session()
         vector = session.query("anc(X, Y)", engine=engine,
-                               backend="vector")
+                               backend="auto")
         python = session.query("anc(X, Y)", engine=engine,
                                backend="python")
         assert vector == python
@@ -197,18 +198,18 @@ class TestSessionLaws:
     def test_bound_query_backends_agree(self):
         session = self._session()
         assert (session.query("anc(a, Y)", engine="semi-naive",
-                              backend="vector")
+                              backend="auto")
                 == session.query("anc(a, Y)", engine="semi-naive",
                                  backend="python"))
 
     def test_answer_cache_keyed_by_backend(self):
         session = self._session()
-        for backend in ("vector", "python"):
+        for backend in ("auto", "python"):
             session.query("anc(X, Y)", engine="semi-naive",
                           backend=backend)
         stats = EvaluationStats()
         session.query("anc(X, Y)", engine="semi-naive",
-                      backend="vector", stats=stats)
+                      backend="auto", stats=stats)
         assert stats.answer_cache_hits == 1
         stats = EvaluationStats()
         session.query("anc(X, Y)", engine="semi-naive",
