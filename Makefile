@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test smoke bench artifacts examples doctest lint-self all
+.PHONY: install test smoke bench artifacts examples doctest all
 
 install:
 	pip install -e .
@@ -13,8 +13,8 @@ test:
 smoke:
 	PYTHONPATH=src python scripts/wire_smoke.py
 
-# Every bench once: --benchmark-only would skip the ones that time
-# themselves (setjoin, vector), which write the BENCH_*.json files.
+# Every bench once: --benchmark-only would skip the one that times
+# itself (vector), which writes BENCH_vector.json.
 # The end-to-end benchmark is benchmarks/e2e/run.py.
 bench:
 	pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-disable

@@ -20,6 +20,9 @@ This engine executes the strategies that the compiler
   set of relevant recursive-call bindings, and the bottom-up fixpoint
   only keeps tuples matching one of them — selections pushed through
   the recursion exactly where the classification proves they persist.
+  The delta rounds are the semi-naive engine's
+  (:func:`~repro.engine.vector.run_delta_loop`) with that relevance
+  filter applied to every derived row.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .conjunctive import satisfiable, solve_project
 from .query import Query
-from .setjoin import apply_rule
 from .stats import EvaluationStats
 from .trace import Tracer
-from .vector import eligible as _vector_eligible
 from .vector import ColumnarTotal, run_delta_loop, validate_backend
 
 
@@ -61,24 +62,22 @@ def _product_rows(pattern: tuple,
 class CompiledEngine:
     """Evaluate queries using the classification's compiled strategy.
 
-    ``set_at_a_time`` selects the execution discipline of the
-    ITERATIVE strategy's fixpoint loop (compiled hash-join plans by
-    default); the bounded/stable strategies are frontier walks over
-    single bindings and keep the tuple-at-a-time solver.
+    The ITERATIVE strategy's delta rounds push whole delta relations
+    through compiled hash-join plans; the bounded/stable strategies
+    are frontier walks over single bindings and run the conjunctive
+    solver (:func:`~repro.engine.conjunctive.solve_project`).
 
     ``backend`` steers the ITERATIVE fixpoint's delta loop exactly as
     on :class:`~repro.engine.seminaive.SemiNaiveEngine` — and only
     when the magic-binding pass proves the recursion *unrestricted*
-    (the relevance filter is the identity): a binding-restricted loop
-    filters every derived row, a shape the vector kernel does not
-    certify.  The bounded/stable strategies always run ``"python"``.
+    (no relevance filter): a binding-restricted loop filters every
+    derived row, a shape the vector kernel does not certify.  The
+    bounded/stable strategies always run ``"python"``.
     """
 
     name = "compiled"
 
-    def __init__(self, set_at_a_time: bool = True,
-                 backend: str = "auto") -> None:
-        self.set_at_a_time = set_at_a_time
+    def __init__(self, backend: str = "auto") -> None:
         self.backend = validate_backend(backend)
 
     def evaluate(self, system: RecursionSystem, edb: Database,
@@ -364,47 +363,13 @@ class CompiledEngine:
                 stats.truncated = True
                 delta = set()  # round boundary: stop cleanly
 
-        body_rest = list(rule.nonrecursive_atoms)
-        recursive_vars = rule.recursive_atom.args
-        head_args = rule.head.args
-        if (unrestricted and self.set_at_a_time
-                and self.backend != "python"
-                and _vector_eligible(recursive_vars)):
-            # the relevance filter is the identity, so this loop is
-            # exactly the semi-naive delta loop — hand it wholesale to
-            # the vector module (which falls back internally, with
-            # identical counters, when the plan shape is uncertified)
-            total = run_delta_loop(edb, body_rest, recursive_vars,
-                                   head_args, total, delta, stats,
-                                   trace, None)
-            return (total if isinstance(total, ColumnarTotal)
-                    else frozenset(total))
-        while delta:
-            if trace is not None:
-                trace.begin_round("delta", len(delta), stats)
-            if self.set_at_a_time:
-                new = {derived for derived in apply_rule(
-                    edb, body_rest, recursive_vars, head_args, delta,
-                    stats) if relevant(derived)}
-            else:
-                new = set()
-                for row in delta:
-                    binding = {term: value for term, value
-                               in zip(recursive_vars, row)}
-                    new |= {derived for derived in solve_project(
-                        edb, body_rest, head_args, binding, stats=stats)
-                        if relevant(derived)}
-            delta = new - total
-            total |= delta
-            stats.record_round(len(delta))
-            if trace is not None:
-                trace.end_round(len(delta), stats)
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(len(total)):
-                    stats.truncated = True
-                    break
-        return frozenset(total)
+        total = run_delta_loop(edb, rule.nonrecursive_atoms,
+                               rule.recursive_atom.args, rule.head.args,
+                               total, delta, stats, trace, None,
+                               backend=self.backend,
+                               relevant=None if unrestricted else relevant)
+        return (total if isinstance(total, ColumnarTotal)
+                else frozenset(total))
 
     def _magic_bindings(self, system: RecursionSystem, edb: Database,
                         query: Query, stats: EvaluationStats

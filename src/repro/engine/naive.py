@@ -8,10 +8,10 @@ compiled evaluation is measured against.
 
 from __future__ import annotations
 
+from ..datalog.errors import EvaluationError
 from ..datalog.program import Program, RecursionSystem
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import solve_project
 from .query import Query
 from .setjoin import apply_rule
 from .stats import EvaluationStats
@@ -21,18 +21,13 @@ from .trace import Tracer
 class NaiveEngine:
     """Round-robin naive fixpoint over all rules.
 
-    ``set_at_a_time`` selects the execution discipline for each rule
-    application: compiled hash-join plans (default) or the
-    tuple-at-a-time backtracking solver (for ablations).  Naive
-    evaluation stays deliberately wasteful either way — every round
-    re-joins the whole database — only the per-round join mechanics
-    change.
+    Each rule application runs through a compiled hash-join plan
+    (:func:`~repro.engine.setjoin.apply_rule`); the evaluation stays
+    deliberately wasteful all the same — every round re-joins the
+    whole database.
     """
 
     name = "naive"
-
-    def __init__(self, set_at_a_time: bool = True) -> None:
-        self.set_at_a_time = set_at_a_time
 
     def evaluate(self, system: RecursionSystem | Program, edb: Database,
                  query: Query | None = None,
@@ -40,6 +35,9 @@ class NaiveEngine:
                  trace: Tracer | None = None
                 ) -> frozenset[tuple] | AnswerSet:
         """All tuples of the recursive predicate, filtered by *query*.
+
+        A :class:`Program` with more than one IDB predicate needs a
+        *query* to say whose tuples to return.
 
         >>> from ..datalog.parser import parse_system
         >>> s = parse_system("P(x, y) :- A(x, z), P(z, y).")
@@ -57,15 +55,23 @@ class NaiveEngine:
             stats.engine = self.name
         stats.truncated = False
         deadline = stats.deadline
-        database = edb.copy()
         predicates = {rule.head.predicate for rule in program.rules}
+        if query is not None:
+            target = query.predicate
+        elif len(predicates) == 1:
+            (target,) = predicates
+        else:
+            raise EvaluationError(
+                "naive evaluation without a query needs exactly one IDB "
+                f"predicate; this program defines "
+                f"{', '.join(sorted(predicates))}")
+        database = edb.copy()
         for predicate in predicates:
             arity = program.rules_for(predicate)[0].head.arity
             database.declare(predicate, arity)
 
         if trace is not None:
-            trace.begin(self.name, predicate=next(iter(predicates)),
-                        query=query)
+            trace.begin(self.name, predicate=target, query=query)
         while True:
             new_tuples = 0
             if trace is not None:
@@ -75,12 +81,8 @@ class NaiveEngine:
             for position, rule in enumerate(program.rules):
                 if trace is not None:
                     trace.begin_rule(f"rule[{position}]: {rule}", stats)
-                if self.set_at_a_time:
-                    derived = apply_rule(database, rule.body, (),
-                                         rule.head.args, [()], stats)
-                else:
-                    derived = solve_project(database, rule.body,
-                                            rule.head.args, stats=stats)
+                derived = apply_rule(database, rule.body, (),
+                                     rule.head.args, [()], stats)
                 for row in derived:
                     # derived rows are storage-space already
                     new_tuples += database.add_encoded(
@@ -103,9 +105,7 @@ class NaiveEngine:
         # the encoded query (encoding is injective, so the filtered
         # set is exactly the old value-space filter) and hand back a
         # lazy AnswerSet instead of eagerly decoding the relation.
-        answers = database.rows_encoded(
-            query.predicate if query is not None
-            else next(iter(predicates)))
+        answers = database.rows_encoded(target)
         if query is not None:
             answers = query.encoded(database).filter(answers)
         stats.answers = len(answers)

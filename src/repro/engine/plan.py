@@ -1,6 +1,6 @@
 """Static join plans: compile a rule body once, execute set-at-a-time.
 
-The tuple-at-a-time solver in :mod:`repro.engine.conjunctive` re-ranks
+The conjunctive solver in :mod:`repro.engine.conjunctive` re-ranks
 the body atoms and re-derives every access path *per binding*.  During
 a fixpoint that work is identical for every delta tuple of a round —
 the greedy most-bound-first order depends only on *which* variables
@@ -161,8 +161,8 @@ class EntryLayout:
     occurrence of each distinct variable); ``var_checks`` are
     row-position pairs that must agree (repeated entry variables);
     ``const_checks`` pin row positions to constants.  Rows failing a
-    check derive nothing and are dropped, matching the tuple-at-a-time
-    consistency loop.
+    check derive nothing and are dropped: no binding of the entry terms
+    matches them.
     """
 
     variables: tuple[Variable, ...]
@@ -224,7 +224,7 @@ def entry_layout(entry_terms: Sequence[Term],
 
 def _static_boundness(atom: Atom, bound: Mapping[Variable, int]) -> int:
     """Argument positions bound under the current layout (mirrors the
-    dynamic ``_boundness`` of the tuple-at-a-time solver)."""
+    dynamic ``_boundness`` of the conjunctive solver)."""
     count = 0
     for term in atom.args:
         if isinstance(term, Constant) or term in bound:

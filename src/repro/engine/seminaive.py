@@ -7,38 +7,27 @@ exactly the depth-r tuples, so the per-round delta sizes expose the
 *measured rank* of a formula on a concrete database — the quantity the
 paper's boundedness results (Ioannidis's theorem, Theorem 10) bound.
 
-Two execution disciplines share the delta loop:
-
-* **set-at-a-time** (the default): the rule body is compiled once into
-  a :class:`~repro.engine.plan.JoinPlan` and the whole delta relation
-  is pushed through cached hash joins per round;
-* **tuple-at-a-time** (``set_at_a_time=False``): the original
-  per-delta-tuple backtracking search, kept for ablations.
-
-Both produce identical per-round deltas (property-tested), so every
-rank/boundedness measurement is unaffected by the flag.
-
-When the compiled plan certifies the hot linear-recursion shape
-(single fused step, identity entry layout) and ``backend`` allows it,
-the set-at-a-time delta loop is handed wholesale to the vectorised
-kernel (:mod:`repro.engine.vector`) — flat int-vector frontiers over
-CSR adjacency, answers/stats/traces bit-identical to this loop.
+Every rule body is compiled once into a
+:class:`~repro.engine.plan.JoinPlan` and whole relations are pushed
+through cached hash joins: the exit rules from the empty binding, the
+recursive rule from each round's delta.  The delta rounds run in
+:func:`~repro.engine.vector.run_delta_loop`, which hands the hot
+linear-recursion shape (single fused step, identity entry layout) to
+the vectorised kernel when ``backend`` allows it — flat int-vector
+frontiers over CSR adjacency, answers/stats/traces bit-identical to
+the tuple-set rounds.
 """
 
 from __future__ import annotations
 
 from ..datalog.program import RecursionSystem
-from ..datalog.terms import Variable
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import solve_project
 from .query import Query
 from .setjoin import apply_rule
 from .stats import EvaluationStats
 from .trace import Tracer
-from .vector import ColumnarTotal
-from .vector import eligible as _vector_eligible
-from .vector import run_delta_loop, validate_backend
+from .vector import ColumnarTotal, run_delta_loop, validate_backend
 
 
 class SemiNaiveEngine:
@@ -46,22 +35,16 @@ class SemiNaiveEngine:
 
     Parameters
     ----------
-    set_at_a_time:
-        When True (default), execute rule bodies through the compiled
-        set-at-a-time join kernel; when False, fall back to the
-        tuple-at-a-time backtracking solver.
     backend:
         Delta-loop backend selection: ``"auto"`` hands certified plan
         shapes to the vectorised kernel (:mod:`repro.engine.vector`)
-        when numpy imports and runs the tuple-set loop otherwise;
-        ``"python"`` pins the tuple-set loop.
+        when numpy imports and runs tuple-set rounds otherwise;
+        ``"python"`` pins the tuple-set rounds.
     """
 
     name = "semi-naive"
 
-    def __init__(self, set_at_a_time: bool = True,
-                 backend: str = "auto") -> None:
-        self.set_at_a_time = set_at_a_time
+    def __init__(self, backend: str = "auto") -> None:
         self.backend = validate_backend(backend)
 
     def evaluate(self, system: RecursionSystem, edb: Database,
@@ -110,10 +93,6 @@ class SemiNaiveEngine:
         database = edb
         rule = system.recursive
 
-        body_rest = list(rule.nonrecursive_atoms)
-        recursive_vars = rule.recursive_atom.args
-        head_args = rule.head.args
-
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
                         query=query)
@@ -123,12 +102,8 @@ class SemiNaiveEngine:
         for position, exit_rule in enumerate(system.exits):
             if trace is not None:
                 trace.begin_rule(f"exit[{position}]: {exit_rule}", stats)
-            if self.set_at_a_time:
-                total |= apply_rule(database, exit_rule.body, (),
-                                    exit_rule.head.args, [()], stats)
-            else:
-                total |= solve_project(database, exit_rule.body,
-                                       exit_rule.head.args, stats=stats)
+            total |= apply_rule(database, exit_rule.body, (),
+                                exit_rule.head.args, [()], stats)
             if trace is not None:
                 trace.end_rule(stats)
         delta = set(total)
@@ -141,39 +116,10 @@ class SemiNaiveEngine:
                 stats.truncated = True
                 delta = set()  # round boundary: stop cleanly
 
-        if (self.set_at_a_time and self.backend != "python"
-                and _vector_eligible(recursive_vars)):
-            # the vector module owns the whole loop (including the
-            # tuple-set continuation for uncertified plan shapes),
-            # keeping every counter identical to the loop below
-            total = run_delta_loop(database, body_rest, recursive_vars,
-                                   head_args, total, delta, stats, trace,
-                                   max_rounds)
-        else:
-            rounds = 0
-            while delta:
-                if max_rounds is not None and rounds >= max_rounds:
-                    break
-                rounds += 1
-                if trace is not None:
-                    trace.begin_round("delta", len(delta), stats)
-                if self.set_at_a_time:
-                    new = apply_rule(database, body_rest, recursive_vars,
-                                     head_args, delta, stats)
-                else:
-                    new = self._tuple_at_a_time_round(
-                        database, body_rest, recursive_vars, head_args,
-                        delta, stats)
-                delta = new - total
-                total |= delta
-                stats.record_round(len(delta))
-                if trace is not None:
-                    trace.end_round(len(delta), stats)
-                if deadline is not None:
-                    deadline.check_time()
-                    if deadline.out_of_rows(len(total)):
-                        stats.truncated = True
-                        break
+        total = run_delta_loop(database, rule.nonrecursive_atoms,
+                               rule.recursive_atom.args, rule.head.args,
+                               total, delta, stats, trace, max_rounds,
+                               backend=self.backend)
 
         if isinstance(total, ColumnarTotal):
             # the numpy kernel's product stays columnar through the
@@ -200,28 +146,6 @@ class SemiNaiveEngine:
         elif decode:
             answers = AnswerSet(answers, database.symbols)
         return answers
-
-    @staticmethod
-    def _tuple_at_a_time_round(database: Database, body_rest,
-                               recursive_vars, head_args,
-                               delta: set[tuple],
-                               stats: EvaluationStats) -> set[tuple]:
-        """One delta round via the per-tuple backtracking solver."""
-        new: set[tuple] = set()
-        for row in delta:
-            binding: dict[Variable, object] = {}
-            consistent = True
-            for term, value in zip(recursive_vars, row):
-                assert isinstance(term, Variable)
-                if binding.get(term, value) != value:
-                    consistent = False
-                    break
-                binding[term] = value
-            if not consistent:
-                continue
-            new |= solve_project(database, body_rest, head_args,
-                                 binding, stats=stats)
-        return new
 
     def measured_rank(self, system: RecursionSystem,
                       edb: Database) -> int:

@@ -9,9 +9,10 @@ a fixpoint pays the table build once and every later round is pure
 dict lookups.
 
 ``stats.probes`` counts the rows surfaced by each probe — the same
-quantity the tuple-at-a-time path counts per :meth:`Database.match`
-row — so probe-based engine comparisons stay meaningful across the
-two execution disciplines.
+quantity the conjunctive solver counts per :meth:`Database.match`
+row — so probe-based comparisons stay meaningful between the engines
+that batch through plans and the strategies that solve one binding
+at a time.
 
 Under dictionary encoding every binding tuple, probe key and stored
 row is made of dense int codes, which unlocks a second access path:
@@ -322,8 +323,9 @@ def apply_rule(database: Database, body: Sequence[Atom],
     """One set-at-a-time rule application: bind *entry_terms* to each
     of *rows*, join through *body*, project onto *out_terms*.
 
-    This is the drop-in batch replacement for the per-tuple
-    ``solve_project`` loop of the fixpoint engines.
+    Equal to a ``solve_project`` call per row, unioned; the fixpoint
+    engines run every exit rule, naive sweep and delta round through
+    it.
     """
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
     batch = entry_layout(tuple(entry_terms),

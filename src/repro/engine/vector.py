@@ -1,4 +1,12 @@
-"""Vectorised semi-naive delta rounds over the columnar seam.
+"""The semi-naive delta loop, with a vectorised kernel for the hot shape.
+
+:func:`run_delta_loop` is the one semi-naive loop of the fixpoint
+engines: the semi-naive engine and the compiled engine's ITERATIVE
+strategy hand it their exit-round product and it runs every delta
+round after that.  A round pushes the whole delta relation through the
+recursive rule's compiled :class:`~repro.engine.plan.JoinPlan`
+(:func:`~repro.engine.setjoin.apply_rule`), keeps the rows the caller's
+optional relevance filter admits, and subtracts the running total.
 
 The paper's thesis is that a formula's *class* dictates its cheapest
 evaluation plan; for the linear-recursion classes the compiled plan is
@@ -17,15 +25,16 @@ zero-copy ``np.frombuffer`` views of the CSR arrays, packed
 every shape continues on the tuple-set path, so ``auto`` resolves
 to the python loop (``stats.backend == "python"``).
 
-The loop preserves the counting discipline of the pure-Python path
+The kernel preserves the counting discipline of the tuple-set rounds
 *exactly*: per round one plan-cache touch, one ``record_batch``, one
 ``hash_lookups`` tick and a ``hash_builds`` delta around the CSR
 fetch, ``probes``/``derived`` equal to the rows the probe emits, and
-the same trace spans and deadline checks at round boundaries.  Plans
-whose shape the certificate rejects (multi-step bodies, non-identity
-entry layouts) continue on the tuple-set path inside
-:func:`run_delta_loop` with identical counters, so callers never see
-a seam.
+the same trace spans and deadline checks at round boundaries.  The
+tuple-set rounds run instead for ``backend="python"``, under a
+relevance filter, for entry layouts other than two distinct
+variables, and for plans whose shape the certificate rejects
+(multi-step bodies), with identical counters, so callers never see a
+seam.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ from __future__ import annotations
 from array import array
 
 from ..datalog.errors import EvaluationError
-from ..datalog.terms import Variable
 from ..ra.database import Database
 from .plan import FusedTail, compile_plan, entry_layout
 from .setjoin import apply_rule, execute_plan
@@ -49,7 +57,7 @@ except ImportError:  # pragma: no cover - exercised by the numpy-less legs
 HAVE_NUMPY = _np is not None
 
 #: The recognised ``backend=`` values: ``auto`` prefers the vectorised
-#: kernel with per-shape fallback, ``python`` pins the tuple-set loop
+#: kernel with per-shape fallback, ``python`` pins the tuple-set rounds
 #: (the ablation/debug escape hatch).
 BACKENDS = ("auto", "python")
 
@@ -67,23 +75,6 @@ def validate_backend(backend: str) -> str:
             f"unknown backend {backend!r}; expected one of "
             f"{', '.join(BACKENDS)}")
     return backend
-
-
-def eligible(entry_terms) -> bool:
-    """Cheap structural pre-check, no plan compile: could the delta
-    loop for *entry_terms* possibly vectorise?
-
-    The certificate proper (:class:`~repro.engine.plan.FusedTail` on a
-    single-step plan) is read off the round-1 compile inside
-    :func:`run_delta_loop`; this filter only rules out shapes that can
-    never qualify — recursive calls that are not two distinct
-    variables (the identity entry layout every linear recursion has).
-    """
-    if len(entry_terms) != 2:
-        return False
-    first, second = entry_terms
-    return (isinstance(first, Variable) and isinstance(second, Variable)
-            and first != second)
 
 
 # -- round kernels --------------------------------------------------------
@@ -241,21 +232,29 @@ class _NumpyState:
 def run_delta_loop(database: Database, body, entry_terms, out_terms,
                    total: set, delta: set, stats: EvaluationStats,
                    trace: Tracer | None,
-                   max_rounds: int | None) -> set[tuple] | ColumnarTotal:
+                   max_rounds: int | None,
+                   backend: str = "auto",
+                   relevant=None) -> set[tuple] | ColumnarTotal:
     """Run the semi-naive delta loop to fixpoint; the completed total
     (a plain row set, or — from the numpy kernel — a
     :class:`ColumnarTotal` the answer boundary consumes column-first).
 
-    Owns the *whole* loop, not just the vector rounds, so plan-cache
-    accounting stays deterministic: round 1 opens its trace span and
-    compiles the plan exactly like the tuple-set loop (one counted
-    miss on a cold cache), and only then reads the certificate off the
-    compiled plan.  A certified shape runs vectorised rounds on the
-    numpy kernel when numpy imports; anything else continues on the
-    tuple-set path *reusing* the already-compiled plan for round 1
-    (no second compile) and ``apply_rule`` — one counted hit per
-    round — thereafter, keeping every counter identical to the
-    original loop.  ``stats.backend`` records what actually ran.
+    *total* and *delta* hold the exit round's rows (storage space);
+    each round binds *entry_terms* to the delta rows, joins *body* and
+    projects onto *out_terms*.  *relevant*, when given, is a predicate
+    on derived rows: only the rows it admits enter the fixpoint (the
+    compiled engine's binding filter).  *max_rounds* caps the number of
+    delta rounds; None runs to the natural fixpoint.
+
+    Round 1 opens its trace span and compiles the plan (one counted
+    miss on a cold cache); only then is the certificate read off the
+    compiled plan.  With ``backend="auto"``, no filter, an entry
+    layout of two distinct variables and a single fused step, the
+    rounds run vectorised on the numpy kernel when numpy imports.
+    Anything else runs tuple-set rounds, *reusing* the compiled plan
+    for round 1 and ``apply_rule`` — one counted plan-cache hit per
+    round — thereafter, so every counter is the same on either path.
+    ``stats.backend`` records what actually ran.
     """
     stats.backend = "python"
     if not delta or (max_rounds is not None and max_rounds <= 0):
@@ -270,13 +269,14 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     layout = entry_layout(entry_terms, database.encode_const)
     n_symbols = len(database.symbols)
     certified = (
-        plan.fused is not None and len(plan.steps) == 1
-        and layout.is_identity
+        backend != "python" and relevant is None
+        and len(entry_terms) == 2 and layout.is_identity
+        and plan.fused is not None and len(plan.steps) == 1
         and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
     if not certified or _np is None:
         return _python_rounds(database, body, entry_terms, out_terms,
                               total, delta, stats, trace, max_rounds,
-                              deadline, plan, layout)
+                              deadline, plan, layout, relevant)
     state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace, max_rounds,
@@ -285,15 +285,13 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
 
 def _python_rounds(database, body, entry_terms, out_terms, total,
                    delta, stats, trace, max_rounds, deadline, plan,
-                   layout) -> set[tuple]:
-    """The tuple-set continuation (round 1's span is already open and
-    its plan already compiled — counters match the classic loop)."""
+                   layout, relevant) -> set[tuple]:
+    """Tuple-set rounds (round 1's span is already open and its plan
+    already compiled)."""
     rounds = 0
-    first = True
     while True:
         rounds += 1
-        if first:
-            first = False
+        if rounds == 1:
             batch = layout.batch(delta)
             stats.record_batch(len(batch))
             new = execute_plan(database, plan, batch, stats)
@@ -301,6 +299,8 @@ def _python_rounds(database, body, entry_terms, out_terms, total,
             new = apply_rule(database, body, entry_terms, out_terms,
                              delta, stats)
         delta = new - total
+        if relevant is not None:
+            delta = {row for row in delta if relevant(row)}
         total |= delta
         stats.record_round(len(delta))
         if trace is not None:
@@ -352,7 +352,7 @@ def _vector_rounds(database, body, entry_terms, out_terms, state,
             break
         if trace is not None:
             trace.begin_round("delta", state.n_delta, stats)
-        # The classic loop re-enters ``apply_rule`` every round, so
+        # The tuple-set rounds re-enter ``apply_rule`` every round, so
         # rounds >= 2 are counted plan-cache hits; touch the cache the
         # same way to keep the counters bit-identical.
         compile_plan(body, entry_terms, out_terms, database, stats)

@@ -1,6 +1,6 @@
 """Immutable relations over named columns.
 
-The evaluation engines work tuple-at-a-time against the
+The evaluation engines work on the encoded rows of the
 :class:`~repro.ra.database.Database`; :class:`Relation` is the
 set-at-a-time view used for results, for the relational-algebra
 expression trees, and throughout the test-suite's algebraic law checks.

@@ -68,8 +68,6 @@ def test_experiments_reference_existing_artifacts():
         for p in (ROOT / "benchmarks").glob("test_*.py"))
     produced = set(re.findall(r'save_artifact\(\s*[f]?"([a-z0-9_{}]+)"',
                               bench_sources))
-    # root-level tee outputs are not bench artefacts
-    cited -= {"test_output", "bench_output"}
     # f-string names like perf1_{shape}_{size} cover the perf1_* family
     unmatched = set()
     for name in cited:

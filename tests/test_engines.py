@@ -186,3 +186,32 @@ class TestNaiveOverPrograms:
             program, db, Query.all_free("q", 1)) == {("2",)}
         assert NaiveEngine().evaluate(
             program, db, Query.all_free("p", 1)) == {("1",), ("2",)}
+
+    def test_several_idb_predicates_need_a_query(self):
+        """Without a query, a program with two IDB predicates has no
+        single answer relation; the engine names both instead of
+        returning whichever one set iteration happens to yield."""
+        from repro.datalog import parse_program
+        from repro.datalog.errors import EvaluationError
+        program = parse_program("""
+            Q(x) :- A(x, y).
+            P(x, y) :- Q(x), A(x, y).
+        """)
+        db = Database.from_dict({"A": [("a", "b"), ("b", "c")]})
+        with pytest.raises(EvaluationError, match="P, Q"):
+            NaiveEngine().evaluate(program, db)
+
+    def test_trace_names_the_queried_predicate(self):
+        from repro.datalog import parse_program
+        from repro.engine.trace import Tracer
+        program = parse_program("""
+            Q(x) :- A(x, y).
+            P(x, y) :- Q(x), A(x, y).
+        """)
+        db = Database.from_dict({"A": [("a", "b"), ("b", "c")]})
+        for predicate, arity in (("P", 2), ("Q", 1)):
+            tracer = Tracer()
+            NaiveEngine().evaluate(program, db,
+                                   Query.all_free(predicate, arity),
+                                   trace=tracer)
+            assert tracer.trace.predicate == predicate

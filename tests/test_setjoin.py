@@ -2,14 +2,12 @@
 
 import pytest
 
-from repro.datalog.parser import parse_atom, parse_system
+from repro.datalog.parser import parse_atom
 from repro.datalog.terms import Variable
-from repro.engine import (EvaluationStats, NaiveEngine, SemiNaiveEngine,
-                          apply_rule, compile_plan, execute_plan,
-                          solve_project)
+from repro.engine import (EvaluationStats, SemiNaiveEngine, apply_rule,
+                          compile_plan, execute_plan, solve_project)
 from repro.engine.plan import entry_layout
 from repro.ra import Database
-from repro.workloads import chain
 
 V = Variable
 
@@ -129,45 +127,32 @@ class TestExecuteAgainstSolveProject:
         assert apply_rule(db, body_atoms, entry, out_terms,
                           rows) == expected
 
-    def test_probe_counts_match_tuple_at_a_time(self, tc_system,
-                                                tc_chain_db):
-        fast, slow = EvaluationStats(), EvaluationStats()
-        SemiNaiveEngine(set_at_a_time=True).evaluate(
-            tc_system, tc_chain_db, stats=fast)
-        SemiNaiveEngine(set_at_a_time=False).evaluate(
-            tc_system, tc_chain_db, stats=slow)
-        assert fast.probes == slow.probes
-        assert fast.delta_sizes == slow.delta_sizes
-        assert fast.batch_sizes and not slow.batch_sizes
-
-
-class TestEngineFlag:
-    def test_seminaive_disciplines_agree(self, tc_system, tc_chain_db):
-        fast = SemiNaiveEngine(set_at_a_time=True).evaluate(
-            tc_system, tc_chain_db)
-        slow = SemiNaiveEngine(set_at_a_time=False).evaluate(
-            tc_system, tc_chain_db)
-        assert fast == slow
-
-    def test_naive_disciplines_agree(self, tc_system, tc_chain_db):
-        fast = NaiveEngine(set_at_a_time=True).evaluate(
-            tc_system, tc_chain_db)
-        slow = NaiveEngine(set_at_a_time=False).evaluate(
-            tc_system, tc_chain_db)
-        assert fast == slow
-
-    def test_multi_exit_system(self):
-        system = parse_system("""
-            P(x, y) :- A(x, z), P(z, y).
-            P(x, y) :- E(x, y).
-            P(x, x) :- U(x).
-        """)
-        db = Database.from_dict({"A": chain(4), "E": [("n4", "n4")],
-                                 "U": [("q",)]})
-        fast = SemiNaiveEngine(set_at_a_time=True).evaluate(system, db)
-        slow = SemiNaiveEngine(set_at_a_time=False).evaluate(system, db)
-        assert fast == slow
-        assert ("q", "q") in fast
+    def test_probe_counts_match_solve_project_loop(self, tc_system,
+                                                   tc_chain_db):
+        """Round by round over the TC fixpoint, ``apply_rule`` counts
+        the same probes as a per-delta-row ``solve_project`` loop — so
+        the compiled engine's solver probes (PERF1) stay comparable
+        with semi-naive's batch-kernel probes."""
+        db = tc_chain_db
+        rule = tc_system.recursive
+        body, head = rule.nonrecursive_atoms, rule.head.args
+        entry = rule.recursive_atom.args
+        total = delta = set(db.rows_encoded("P__exit"))
+        rounds = 0
+        while delta:
+            batch_stats, loop_stats = EvaluationStats(), EvaluationStats()
+            new = apply_rule(db, body, entry, head, delta, batch_stats)
+            expected: set[tuple] = set()
+            for row in delta:
+                expected |= solve_project(db, body, head,
+                                          dict(zip(entry, row)),
+                                          stats=loop_stats)
+            assert new == expected
+            assert batch_stats.probes == loop_stats.probes
+            delta = new - total
+            total = total | delta
+            rounds += 1
+        assert rounds == 7  # the 6-edge chain's depths 1..6, then empty
 
 
 class TestHashTableCache:
@@ -198,6 +183,23 @@ class TestHashTableCache:
 
     def test_missing_relation_is_empty(self):
         assert Database().hash_table("nope", (0,)) == {}
+
+    @pytest.mark.parametrize("backend", ["auto", "python"])
+    def test_hash_tables_built_once_per_fixpoint(self, tc_system,
+                                                 backend):
+        """The delta rounds reuse one cached hash table per (relation,
+        key) — the whole point of versioned caching."""
+        edges = [(f"c{c}_n{i}", f"c{c}_n{i + 1}")
+                 for c in range(100) for i in range(8)]
+        nodes = sorted({node for edge in edges for node in edge})
+        db = Database.from_dict({"A": edges,
+                                 "P__exit": [(n, n) for n in nodes]})
+        stats = EvaluationStats()
+        SemiNaiveEngine(backend=backend).evaluate(tc_system, db,
+                                                  stats=stats)
+        assert stats.rounds > 2
+        # one table for A keyed on its join column, one for the exits
+        assert stats.hash_builds == 2
 
 
 class TestBulkInvalidation:

@@ -1,25 +1,18 @@
-"""Property tests: set-at-a-time plans ≡ tuple-at-a-time solving.
+"""Property tests: set-at-a-time plans ≡ per-binding solving.
 
-Two layers of agreement, both over random inputs:
-
-* kernel level — :func:`apply_rule` equals a per-binding
-  ``solve_project`` loop on random linear rules and EDBs (the exact
-  contract the fixpoint engines rely on);
-* engine level — both execution disciplines of the semi-naive engine
-  produce the same fixpoint and the same per-round delta sizes on
-  every catalogue formula (covering the paper classes A1–C) and on
-  hypothesis-generated systems.
+:func:`apply_rule` equals a per-binding ``solve_project`` loop on
+random linear rules and EDBs — the exact contract the fixpoint engines
+rely on.  The engine-level reference for fixpoints and per-round delta
+sizes is the ground-instantiation oracle (``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.terms import Variable
-from repro.engine import (EvaluationStats, SemiNaiveEngine, apply_rule,
-                          solve_project)
+from repro.engine import apply_rule, solve_project
 from repro.workloads import CATALOGUE, random_edb
 
 from .strategies import linear_systems
@@ -58,37 +51,10 @@ def test_apply_rule_equals_solve_project_loop(system, seed, tuples):
     assert apply_rule(db, body, entry, head, delta) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(system=linear_systems(), seed=st.integers(0, 3))
-def test_engine_disciplines_agree_on_random_systems(system, seed):
-    db = random_edb(system, nodes=5, tuples_per_relation=10, seed=seed)
-    fast_stats, slow_stats = EvaluationStats(), EvaluationStats()
-    fast = SemiNaiveEngine(set_at_a_time=True).evaluate(
-        system, db, stats=fast_stats)
-    slow = SemiNaiveEngine(set_at_a_time=False).evaluate(
-        system, db, stats=slow_stats)
-    assert fast == slow
-    assert fast_stats.delta_sizes == slow_stats.delta_sizes
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-def test_engine_disciplines_agree_on_catalogue(catalogue_entry, seed):
-    """Every paper formula (classes A1 through C) evaluates to the
-    same fixpoint under both disciplines, round for round."""
-    system = catalogue_entry.system()
-    db = random_edb(system, nodes=6, tuples_per_relation=8, seed=seed)
-    fast_stats, slow_stats = EvaluationStats(), EvaluationStats()
-    fast = SemiNaiveEngine(set_at_a_time=True).evaluate(
-        system, db, stats=fast_stats)
-    slow = SemiNaiveEngine(set_at_a_time=False).evaluate(
-        system, db, stats=slow_stats)
-    assert fast == slow, catalogue_entry.paper_class
-    assert fast_stats.delta_sizes == slow_stats.delta_sizes
-
-
 def test_catalogue_spans_the_paper_classes():
-    """The agreement sweep above really covers A1..A5, B and C (A2
-    occurs only as a cycle component in the paper's examples)."""
+    """The catalogue sweeps (``tests/test_oracle.py`` and the
+    per-class parity suites) really cover A1..A5, B and C (A2 occurs
+    only as a cycle component in the paper's examples)."""
     classes = {entry.paper_class for entry in CATALOGUE.values()}
     assert {"A1", "A3", "A4", "A5", "B", "C"} <= classes
     components = {c for entry in CATALOGUE.values()

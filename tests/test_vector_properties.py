@@ -11,9 +11,9 @@ Three layers pin this down:
   everything except the fields that name which backend ran; with
   numpy absent, ``auto`` *is* the python loop, down to the backend
   name and the traces;
-* **fallback paths** — tuple-at-a-time mode, uncertified plan shapes
-  and ``max_rounds`` caps all take the python loop with identical
-  results, and ``backend="python"`` pins it explicitly;
+* **fallback paths** — uncertified plan shapes and ``max_rounds``
+  caps take the python loop with identical results, and
+  ``backend="python"`` pins it explicitly;
 * **session laws** — ``session.query(backend=...)`` validates the
   name, keys the answer cache per backend, and returns identical
   answers either way.
@@ -156,15 +156,6 @@ class TestBackendParity:
 
 
 class TestFallbackPaths:
-    def test_tuple_at_a_time_never_vectorises(self):
-        system, db, query = _workload("A1", 0, 6)
-        stats = EvaluationStats()
-        SemiNaiveEngine(set_at_a_time=False,
-                        backend="auto").evaluate(
-            system, db.copy(), query, stats)
-        assert stats.backend == "python"
-        assert stats.vector_batches == 0
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(EvaluationError):
             SemiNaiveEngine(backend="gpu")
