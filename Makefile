@@ -15,7 +15,9 @@ smoke:
 
 # Every bench once: --benchmark-only would skip the one that times
 # itself (vector), which writes BENCH_vector.json.
-# The end-to-end benchmark is benchmarks/e2e/run.py.
+# The end-to-end benchmark is benchmarks/e2e/run.py; its self-test
+# (a CI step) is
+#   PYTHONPATH=src python -m pytest benchmarks/e2e/test_e2e_harness.py
 bench:
 	pytest benchmarks/ --ignore=benchmarks/e2e --benchmark-disable
 

@@ -319,10 +319,6 @@ def _display_name(predicate: str) -> str:
     return predicate
 
 
-def _as_nodes(items: tuple[Atom, ...]) -> list[PlanNode]:
-    return [Rel(_display_name(a.predicate)) for a in items]
-
-
 def _collapse_stages(items: tuple[Atom, ...]) -> PlanNode:
     """Group consecutive variable-independent atoms into branches.
 

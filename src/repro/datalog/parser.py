@@ -147,14 +147,25 @@ class _Parser:
         """
         token = self._next()
         if token.kind == "IDENT":
-            if mode == "rule":
-                return Variable(token.text)
-            if mode == "query" and (token.text[0].isupper()
-                                    or token.text.startswith("_")):
-                return Variable(token.text)
+            if mode == "rule" or (mode == "query" and (
+                    token.text[0].isupper() or token.text.startswith("_"))):
+                try:
+                    return Variable(token.text)
+                except ValueError as error:
+                    # the lexer takes any letter, a variable name
+                    # only ASCII ones
+                    raise DatalogSyntaxError(
+                        str(error), token.line, token.column) from None
             return Constant(token.text)
         if token.kind == "NUMBER":
-            value = float(token.text) if "." in token.text else int(token.text)
+            try:
+                value = (float(token.text) if "." in token.text
+                         else int(token.text))
+            except ValueError:
+                # ``1.2.3``, or a digit ``int`` rejects (``¹``)
+                raise DatalogSyntaxError(
+                    f"malformed number {token.text!r}",
+                    token.line, token.column) from None
             return Constant(value)
         if token.kind == "STRING":
             return Constant(token.text)

@@ -84,13 +84,6 @@ class Deadline:
         self._expires_at = (perf_counter() + timeout_s
                             if timeout_s is not None else None)
 
-    @property
-    def remaining_s(self) -> float | None:
-        """Seconds left on the wall-clock budget (None = unlimited)."""
-        if self._expires_at is None:
-            return None
-        return self._expires_at - perf_counter()
-
     def check_time(self) -> None:
         """Raise when the budget is spent or the query was cancelled.
 

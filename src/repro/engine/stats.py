@@ -129,40 +129,6 @@ class EvaluationStats:
         """Log one set-at-a-time batch and its binding count."""
         self.batch_sizes.append(size)
 
-    def merge(self, other: "EvaluationStats") -> None:
-        """Fold *other*'s counters into this one (sub-evaluations).
-
-        ``delta_sizes`` folds *positionally*: the merged list has the
-        element-wise maximum length and each round's new-tuple counts
-        are summed, so ``measured_rank`` after merging a
-        sub-evaluation (a differentiated insert) is
-        the rank of the combined run, not of whichever part happened
-        to be folded last.  ``answers`` and ``engine`` are
-        deliberately *not* merged: ``answers`` is a query-level result
-        (the final filtered set, not additive across parts — a part's
-        answers overlap the total), and ``engine`` is the identity of
-        the evaluation that owns this stats object, not a counter.
-        """
-        self.rounds += other.rounds
-        self.probes += other.probes
-        self.derived += other.derived
-        if other.delta_sizes:
-            if len(other.delta_sizes) > len(self.delta_sizes):
-                self.delta_sizes.extend(
-                    [0] * (len(other.delta_sizes)
-                           - len(self.delta_sizes)))
-            for index, size in enumerate(other.delta_sizes):
-                self.delta_sizes[index] += size
-        self.plan_cache_hits += other.plan_cache_hits
-        self.plan_cache_misses += other.plan_cache_misses
-        self.hash_builds += other.hash_builds
-        self.hash_lookups += other.hash_lookups
-        self.batch_sizes.extend(other.batch_sizes)
-        self.answer_cache_hits += other.answer_cache_hits
-        self.vector_batches += other.vector_batches
-        self.vector_rows += other.vector_rows
-        self.truncated = self.truncated or other.truncated
-
     def to_dict(self) -> dict:
         """Every counter as a JSON-ready dict (schema
         :data:`STATS_SCHEMA_VERSION`).

@@ -70,7 +70,7 @@ class RequestContext:
 
     Create one via :meth:`FlightRecorder.context`; pass it down
     through :meth:`repro.service.QueryService.run`; close it with
-    :meth:`FlightRecorder.finalize`.
+    :meth:`FlightRecorder.close`.
     """
 
     __slots__ = ("query_id", "query", "force", "sampled", "tracer",
@@ -168,6 +168,18 @@ class FlightRecorder:
                 sampled = self._sampler.random() < self.sample_rate
         return RequestContext(query_id, query=query, force=force,
                               sampled=sampled)
+
+    def close(self, ctx: RequestContext, session: Any, *,
+              duration_s: float, outcome: str, engine: str | None,
+              epoch: int | None = None, answers: int = 0) -> None:
+        """:meth:`finalize` a served request or job run: *session*
+        labels the formula class of ``ctx.query`` and owns the query
+        log a slow request is reported to."""
+        self.finalize(ctx, duration_s=duration_s, outcome=outcome,
+                      engine=engine,
+                      formula_class=class_of(session, ctx.query or ""),
+                      epoch=epoch, answers=answers,
+                      query_log=session.query_log)
 
     def finalize(self, ctx: RequestContext, *, duration_s: float,
                  outcome: str, engine: str | None = None,

@@ -56,12 +56,11 @@ import threading
 from time import perf_counter, time
 
 from .datalog.errors import ReproError
-from .engine.deadline import QueryCancelled, QueryTimeout
+from .engine.deadline import QueryCancelled
 from .engine.stats import EvaluationStats
-from .flight import class_of
 from .logutil import new_query_id
 from .service import (AdmissionRejected, QueryResult, QueryService,
-                      ServiceDraining)
+                      ServiceDraining, failure_outcome)
 
 __all__ = ["Job", "JobQueue", "JobQueueFull", "JobStates",
            "UnknownJob"]
@@ -137,8 +136,9 @@ class Job:
         self.cancel = threading.Event()
         self.result: QueryResult | None = None
         self.error: str | None = None
-        #: HTTP status ``/jobs/<id>/result`` should answer for a
-        #: failed job (400 for request-shaped errors, 500 otherwise)
+        #: HTTP status of a failed run
+        #: (:func:`~repro.service.failure_outcome`); a cancelled job's
+        #: result answers 409 however it was cancelled
         self.error_status: int | None = None
         self._queue_wait_s: float | None = None
         self._run_s: float | None = None
@@ -416,6 +416,7 @@ class JobQueue:
         ctx = (self.recorder.context(job.query_id, query=job.query,
                                      force=job.trace)
                if self.recorder is not None else None)
+        result = message = status = None
         try:
             while True:
                 if job.cancel.is_set():
@@ -436,57 +437,22 @@ class JobQueue:
                     # re-check the cancel flag and keep waiting — a
                     # queued job prefers lateness over failure
                     continue
-        except QueryCancelled as error:
-            run_s = perf_counter() - started
-            self._close_ctx(job, ctx, "cancelled", run_s)
-            self._finish(job, JobStates.CANCELLED, error=str(error),
-                         run_s=run_s)
-            return
-        except QueryTimeout as error:
-            run_s = perf_counter() - started
-            self._close_ctx(job, ctx, "timeout", run_s)
-            self._finish(job, JobStates.TIMEOUT, error=str(error),
-                         error_status=408, run_s=run_s)
-            return
-        except ServiceDraining as error:
-            run_s = perf_counter() - started
-            self._close_ctx(job, ctx, "cancelled", run_s)
-            self._finish(job, JobStates.CANCELLED, error=str(error),
-                         run_s=run_s)
-            return
-        except (ReproError, ValueError) as error:
-            run_s = perf_counter() - started
-            self._close_ctx(job, ctx, "error", run_s)
-            self._finish(job, JobStates.ERROR, error=str(error),
-                         error_status=400, run_s=run_s)
-            return
-        except Exception as error:  # defensive: keep the worker alive
-            run_s = perf_counter() - started
-            self._close_ctx(job, ctx, "error", run_s)
-            self._finish(job, JobStates.ERROR,
-                         error=f"{type(error).__name__}: {error}",
-                         error_status=500, run_s=run_s)
-            return
+            outcome = result.outcome
+        except Exception as error:  # keeps the worker alive, too
+            outcome, status = failure_outcome(error)
+            message = (str(error) if status < 500
+                       else f"{type(error).__name__}: {error}")
         run_s = perf_counter() - started
-        self._close_ctx(job, ctx, result.outcome, run_s, result)
-        state = (JobStates.TRUNCATED if result.outcome == "truncated"
-                 else JobStates.DONE)
-        self._finish(job, state, result=result, run_s=run_s)
-
-    def _close_ctx(self, job: Job, ctx, outcome: str, run_s: float,
-                   result: QueryResult | None = None) -> None:
-        """Finalize the job run's flight-recorder context (no-op
-        without a recorder)."""
-        if ctx is None:
-            return
-        session = job.epoch.session
-        self.recorder.finalize(
-            ctx, duration_s=run_s, outcome=outcome,
-            engine=job.stats.engine or job.engine,
-            formula_class=class_of(session, job.query),
-            epoch=job.epoch.number,
-            answers=len(result.answers) if result is not None else 0,
-            query_log=session.query_log)
+        if ctx is not None:
+            self.recorder.close(
+                ctx, job.epoch.session, duration_s=run_s,
+                outcome=outcome, engine=job.stats.engine or job.engine,
+                epoch=job.epoch.number,
+                answers=len(result.answers) if result is not None else 0)
+        # a finished state is the run's outcome label, "ok" aside
+        state = JobStates.DONE if outcome == "ok" else outcome
+        self._finish(job, state, result=result, error=message,
+                     error_status=status, run_s=run_s)
 
     # -- bookkeeping ---------------------------------------------------
 

@@ -57,6 +57,11 @@ from .symbols import SymbolTable
 Pattern = tuple
 
 
+def _arity_mismatch(name: str, known: int, row: tuple) -> EvaluationError:
+    return EvaluationError(f"arity mismatch for {name!r}: expected "
+                           f"{known}, got {len(row)} in {row}")
+
+
 class Database:
     """Mutable fact store keyed by predicate name.
 
@@ -244,12 +249,29 @@ class Database:
         if known is None:
             self._arities[name] = len(row)
         elif known != len(row):
-            raise EvaluationError(
-                f"arity mismatch for {name!r}: expected {known}, "
-                f"got {len(row)} in {row}")
+            raise _arity_mismatch(name, known, row)
+
+    def check_arity(self, name: str, rows: Iterable[tuple]) -> None:
+        """Raise the arity error inserting *rows* would raise, writing
+        nothing: every row needs the relation's arity (the first
+        row's, when *name* is new)."""
+        known = self._arities.get(name)
+        for row in rows:
+            if known is None:
+                known = len(row)
+            elif known != len(row):
+                raise _arity_mismatch(name, known, row)
 
     def add(self, name: str, row: tuple) -> bool:
-        """Insert one value row; returns True when it was new."""
+        """Insert one value row; returns True when it was new.
+
+        The arity is checked on the value row, before any of its
+        constants is interned: a rejected row leaves the symbol table
+        as it was, and the error shows the values, not their codes.
+        """
+        row = tuple(row)
+        self._check_writable()
+        self._check_arity(name, row)
         return self.add_encoded(name, self._symbols.encode_row(row))
 
     def _check_writable(self) -> None:

@@ -81,14 +81,13 @@ from time import perf_counter, time
 
 from . import __version__
 from .datalog.errors import ReproError
-from .engine.deadline import QueryTimeout
 from .engine.vector import BACKENDS
-from .flight import FlightRecorder, class_of
+from .flight import FlightRecorder
 from .jobs import JobQueue, JobQueueFull, JobStates, UnknownJob
 from .logutil import new_query_id, valid_query_id
 from .metrics.instrument import export_build_info, observe_decode
-from .service import (AdmissionRejected, EpochManager, QueryService,
-                      ServiceDraining)
+from .service import (EpochManager, QueryResult, QueryService,
+                      ServiceDraining, failure_outcome)
 from .session import DeductiveDatabase
 
 __all__ = ["QueryServer"]
@@ -206,17 +205,15 @@ class QueryServer:
                  drain_grace_s: float = 10.0,
                  job_workers: int = 2,
                  job_ttl_s: float = 600.0,
-                 max_queued_jobs: int = 64,
                  trace_buffer: int = 256,
                  trace_sample: float = 0.01,
                  slow_query_ms: float | None = None,
-                 trace_seed: int | None = None,
                  exemplars: bool = False) -> None:
         self.session = session
         self.default_engine = default_engine
         self.default_backend = default_backend
         self.drain_grace_s = drain_grace_s
-        self.epochs = EpochManager(session, metrics=session.metrics)
+        self.epochs = EpochManager(session)
         self.service = QueryService(self.epochs,
                                     max_inflight=max_inflight,
                                     query_timeout_s=query_timeout_s,
@@ -224,12 +221,9 @@ class QueryServer:
         self.recorder = FlightRecorder(trace_buffer,
                                        sample_rate=trace_sample,
                                        slow_query_ms=slow_query_ms,
-                                       seed=trace_seed,
                                        metrics=session.metrics)
         self.jobs = JobQueue(self.service, workers=job_workers,
-                             ttl_s=job_ttl_s,
-                             max_queued=max_queued_jobs,
-                             recorder=self.recorder)
+                             ttl_s=job_ttl_s, recorder=self.recorder)
         if session.metrics is not None:
             if exemplars:
                 session.metrics.exemplars = True
@@ -342,35 +336,47 @@ class QueryServer:
                    json.dumps(document, ensure_ascii=False, indent=2)
                    + "\n", headers=headers)
 
-    def _send_query_response(self, handler, *, query: str, engine: str,
-                             rows: list, duration_s: float,
-                             stats: dict, outcome: str,
-                             epoch: int,
-                             query_id: str | None = None,
-                             before_write=None) -> None:
-        """Render a ``/query`` response around pre-sorted *rows*.
+    def _send_result(self, handler, result: QueryResult, *, query: str,
+                     engine: str, query_id: str, duration_s: float,
+                     ctx=None, started: float = 0.0) -> None:
+        """Decode, meter and render one :class:`QueryResult` as a 200.
 
-        The envelope round-trips through ``json.dumps``; the
-        ``answers`` array is spliced in from per-row fragments built
-        with a per-distinct-value dump memo, and the body goes out as
-        bounded chunks (one socket write per ~64 KiB) under one
+        Rendering is where a lazy answer set is finally forced; that
+        decode is metered (a cached, already-decoded set records
+        nothing).  The envelope round-trips through ``json.dumps``;
+        the ``answers`` array is spliced in from per-row fragments
+        built with a per-distinct-value dump memo, and the body goes
+        out as bounded chunks (one socket write per ~64 KiB) under one
         precomputed ``Content-Length`` — no monolithic join of a
         million-row string, no intermediate list-of-lists.
 
-        *before_write* (when given) runs after the body is fully
-        rendered but before the first socket write: the flight
-        recorder captures there, so by the time a client can read the
-        response its trace is already retrievable — no read-after-
-        response race on ``GET /debug/traces/<id>``.
+        A synchronous request passes its *ctx* (opened at
+        perf-counter time *started*): the decode and render phases
+        are recorded on it and it is closed into the flight recorder
+        after the body is rendered but before the first socket write,
+        so by the time a client can read the response its trace is
+        already retrievable — no read-after-response race on
+        ``GET /debug/traces/<id>``.
         """
+        answers = result.answers
+        was_lazy = not answers.is_decoded
+        decode_started = perf_counter()
+        rows = answers.sorted_rows()
+        if ctx is not None:
+            ctx.add_phase("decode", decode_started, lazy=was_lazy)
+        if was_lazy and self.session.metrics is not None:
+            observe_decode(self.session.metrics,
+                           answers.decode_seconds, len(answers))
+        engine = result.stats.engine or engine
+        render_started = perf_counter()
         envelope = {"query": query, "engine": engine,
-                    "count": len(rows)}
-        if query_id is not None:
-            envelope["query_id"] = query_id
+                    "count": len(rows), "query_id": query_id}
         head = json.dumps(envelope, ensure_ascii=False, indent=2)[:-2]
         tail = json.dumps(
-            {"outcome": outcome, "truncated": outcome == "truncated",
-             "epoch": epoch, "duration_s": duration_s, "stats": stats},
+            {"outcome": result.outcome,
+             "truncated": result.outcome == "truncated",
+             "epoch": result.epoch, "duration_s": duration_s,
+             "stats": result.stats.to_dict()},
             ensure_ascii=False, indent=2)[2:]
         memo: dict = {}
 
@@ -390,15 +396,18 @@ class QueryServer:
         parts.append("\n  ],\n" if rows else "],\n")
         parts.append(tail + "\n")
         chunks = [part.encode("utf-8") for part in parts]
-        if before_write is not None:
-            before_write()
+        if ctx is not None:
+            # the render phase covers serialisation, not the
+            # client-paced writes
+            ctx.add_phase("render", render_started, rows=len(rows))
+            self._close_request(ctx, started, result.outcome, engine,
+                                epoch=result.epoch, answers=len(rows))
         handler.send_response(200)
         handler.send_header("Content-Type",
                             "application/json; charset=utf-8")
         handler.send_header("Content-Length",
                             str(sum(len(c) for c in chunks)))
-        if query_id is not None:
-            handler.send_header("X-Repro-Query-Id", query_id)
+        handler.send_header("X-Repro-Query-Id", query_id)
         handler.end_headers()
         write = handler.wfile.write
         buffer = bytearray()
@@ -421,14 +430,7 @@ class QueryServer:
             self._send_json(handler, 200, {
                 "status": ("draining" if self.service.draining
                            else "ok"),
-                "version": __version__,
-                "uptime_s": round(time() - self.started_at, 3),
-                "queries_served": self.queries_served,
-                "epoch": epoch.number,
-                "inflight": self.service.inflight,
-                "admitted_total": self.service.admitted_total,
-                "rejected_total": self.service.rejected_total,
-                "jobs": self._job_counts(),
+                **self._server_info(epoch),
                 "predicates": sorted(
                     epoch.session.idb_predicates
                     | set(epoch.session._edb.relation_names)),
@@ -445,16 +447,7 @@ class QueryServer:
                         if self.session.metrics is not None
                         else {"metrics": []})
             snapshot["server"] = {
-                "version": __version__,
-                "uptime_s": round(time() - self.started_at, 3),
-                "queries_served": self.queries_served,
-                "epoch": epoch.number,
-                "inflight": self.service.inflight,
-                "max_inflight": self.service.max_inflight,
-                "admitted_total": self.service.admitted_total,
-                "rejected_total": self.service.rejected_total,
-                "completed_total": self.service.completed_total,
-                "jobs": self._job_counts(),
+                **self._server_info(epoch, detail=True),
                 "recorder": self.recorder.stats(),
             }
             self._send_json(handler, 200, snapshot)
@@ -481,14 +474,31 @@ class QueryServer:
             self._send_json(handler, 404,
                             {"error": f"unknown path {path!r}"})
 
-    def _job_counts(self) -> dict:
-        return {
+    def _server_info(self, epoch, detail: bool = False) -> dict:
+        """The counters ``/healthz`` reports; *detail* adds the
+        admission limit and completions for ``/stats``."""
+        service = self.service
+        info = {
+            "version": __version__,
+            "uptime_s": round(time() - self.started_at, 3),
+            "queries_served": self.queries_served,
+            "epoch": epoch.number,
+            "inflight": service.inflight,
+        }
+        if detail:
+            info["max_inflight"] = service.max_inflight
+        info["admitted_total"] = service.admitted_total
+        info["rejected_total"] = service.rejected_total
+        if detail:
+            info["completed_total"] = service.completed_total
+        info["jobs"] = {
             "queued": self.jobs.queued,
             "running": self.jobs.running,
             "submitted_total": self.jobs.submitted_total,
             "finished_total": self.jobs.finished_total,
             "outcomes": dict(self.jobs.outcomes),
         }
+        return info
 
     def _get_job(self, handler, path: str) -> None:
         tail = path[len("/jobs/"):]
@@ -511,9 +521,9 @@ class QueryServer:
         """``GET /jobs/<id>/result``: the finished answers, or why not.
 
         An unfinished job is a ``409`` carrying live progress (poll
-        the status URL instead); a finished-without-result job answers
-        with the status its failure mapped to (408 timeout, 409
-        cancelled, stored 400/500 for errors); a ``done`` or
+        the status URL instead); a cancelled job is a ``409`` too, and
+        any other failed run answers the status its failure mapped to
+        (408 timeout, 400/500 for errors); a ``done`` or
         ``truncated`` job streams through the same columnar renderer —
         and the same decode metering — as a synchronous ``/query``.
         """
@@ -526,35 +536,21 @@ class QueryServer:
             })
             return
         if job.result is None:
-            status = {JobStates.TIMEOUT: 408,
-                      JobStates.CANCELLED: 409}.get(
-                job.state, job.error_status or 500)
+            status = (409 if job.state == JobStates.CANCELLED
+                      else job.error_status)
             self._send_json(handler, status, {
                 "error": job.error or job.state,
                 "state": job.state,
             })
             return
-        result = job.result
-        answers = result.answers
-        was_lazy = not answers.is_decoded
-        rows = answers.sorted_rows()
-        if was_lazy and self.session.metrics is not None:
-            observe_decode(self.session.metrics,
-                           answers.decode_seconds, len(answers))
-        self._send_query_response(
-            handler, query=job.query,
-            engine=result.stats.engine or job.engine, rows=rows,
-            duration_s=round(result.duration_s, 6),
-            stats=result.stats.to_dict(),
-            outcome=result.outcome, epoch=result.epoch,
-            query_id=job.query_id)
+        self._send_result(handler, job.result, query=job.query,
+                          engine=job.engine, query_id=job.query_id,
+                          duration_s=round(job.result.duration_s, 6))
 
     def _post(self, handler) -> None:
         path = handler.path.split("?", 1)[0]
-        if path == "/query":
-            self._post_query(handler)
-        elif path == "/jobs":
-            self._post_jobs(handler)
+        if path in ("/query", "/jobs"):
+            self._post_query(handler, force_async=path == "/jobs")
         elif path == "/facts":
             self._post_facts(handler)
         else:
@@ -637,18 +633,17 @@ class QueryServer:
             return supplied
         return new_query_id()
 
-    def _finalize(self, ctx, *, duration_s: float, outcome: str,
-                  engine: str | None = None, epoch: int | None = None,
-                  answers: int = 0) -> None:
+    def _close_request(self, ctx, started: float, outcome: str,
+                       engine: str | None, epoch: int | None = None,
+                       answers: int = 0) -> None:
         """Close a request context into the flight recorder."""
-        self.recorder.finalize(
-            ctx, duration_s=duration_s, outcome=outcome, engine=engine,
-            formula_class=class_of(self.epochs.current.session,
-                                   ctx.query or ""),
-            epoch=epoch, answers=answers,
-            query_log=self.session.query_log)
+        self.recorder.close(ctx, self.epochs.current.session,
+                            duration_s=perf_counter() - started,
+                            outcome=outcome, engine=engine,
+                            epoch=epoch, answers=answers)
 
-    def _post_query(self, handler) -> None:
+    def _post_query(self, handler, force_async: bool = False) -> None:
+        """``POST /query``, and ``POST /jobs`` (*force_async*)."""
         request = self._read_body(handler)
         if request is None:
             return
@@ -656,7 +651,7 @@ class QueryServer:
         if params is None:
             return
         query_id = self._request_query_id(handler)
-        if params["mode"] == "async":
+        if force_async or params["mode"] == "async":
             self._submit_job(handler, params, query_id=query_id)
             return
         ctx = self.recorder.context(query_id, query=params["query"],
@@ -669,83 +664,30 @@ class QueryServer:
                                       timeout_s=params["timeout_s"],
                                       max_rows=params["max_rows"],
                                       ctx=ctx)
-        except AdmissionRejected as error:
-            # rejected before evaluation: no capture, but the id still
-            # rides the error body so retries can propagate it
-            self._send_json(
-                handler, 429,
-                {"error": str(error), "query_id": query_id,
-                 "retry_after_s": error.retry_after_s},
-                headers={"Retry-After": error.retry_after_s})
-            return
-        except ServiceDraining as error:
-            self._send_json(handler, 503, {"error": str(error),
-                                           "query_id": query_id})
-            return
-        except QueryTimeout as error:
-            self._finalize(ctx, duration_s=perf_counter() - started,
-                           outcome="timeout", engine=params["engine"])
-            self._send_json(
-                handler, 408,
-                {"error": str(error), "outcome": "timeout",
-                 "query_id": query_id})
-            return
-        except (ReproError, ValueError) as error:
-            self._finalize(ctx, duration_s=perf_counter() - started,
-                           outcome="error", engine=params["engine"])
-            self._send_json(handler, 400, {"error": str(error),
-                                           "query_id": query_id})
-            return
-        except Exception as error:  # defensive: keep serving
-            self._finalize(ctx, duration_s=perf_counter() - started,
-                           outcome="error", engine=params["engine"])
-            self._send_json(
-                handler, 500,
-                {"error": f"{type(error).__name__}: {error}",
-                 "query_id": query_id})
+        except Exception as error:  # a bug too: keep serving
+            outcome, status = failure_outcome(error)
+            body = {"error": (str(error) if status < 500
+                              else f"{type(error).__name__}: {error}")}
+            if status == 408:
+                body["outcome"] = outcome
+            body["query_id"] = query_id
+            headers = None
+            if status == 429:
+                body["retry_after_s"] = error.retry_after_s
+                headers = {"Retry-After": error.retry_after_s}
+            elif status != 503:
+                # 429 and 503 turn a query away before evaluation:
+                # there is nothing to capture
+                self._close_request(ctx, started, outcome,
+                                    params["engine"])
+            self._send_json(handler, status, body, headers=headers)
             return
         with self._served_lock:
             self.queries_served += 1
-        duration_s = round(perf_counter() - started, 6)
-        answers = result.answers
-        # Rendering is where a lazy answer set is finally forced;
-        # meter that decode (and only that — a cached, already-decoded
-        # set records nothing) before streaming the body.
-        was_lazy = not answers.is_decoded
-        with ctx.phase("decode", lazy=was_lazy):
-            rows = answers.sorted_rows()
-        if was_lazy and self.session.metrics is not None:
-            observe_decode(self.session.metrics,
-                           answers.decode_seconds, len(answers))
-        engine_label = result.stats.engine or params["engine"]
-        render_started = perf_counter()
-
-        def _capture() -> None:
-            # runs once the body is rendered, before the first socket
-            # write: the render phase covers serialisation (not the
-            # client-paced writes) and the trace is retrievable the
-            # moment the response is readable
-            ctx.add_phase("render", render_started, rows=len(rows))
-            self._finalize(ctx, duration_s=perf_counter() - started,
-                           outcome=result.outcome, engine=engine_label,
-                           epoch=result.epoch, answers=len(rows))
-
-        self._send_query_response(
-            handler, query=params["query"], engine=engine_label,
-            rows=rows, duration_s=duration_s,
-            stats=result.stats.to_dict(), outcome=result.outcome,
-            epoch=result.epoch, query_id=query_id,
-            before_write=_capture)
-
-    def _post_jobs(self, handler) -> None:
-        request = self._read_body(handler)
-        if request is None:
-            return
-        params = self._validated(handler, request)
-        if params is None:
-            return
-        self._submit_job(handler, params,
-                         query_id=self._request_query_id(handler))
+        self._send_result(handler, result, query=params["query"],
+                          engine=params["engine"], query_id=query_id,
+                          duration_s=round(perf_counter() - started, 6),
+                          ctx=ctx, started=started)
 
     def _submit_job(self, handler, params: dict,
                     query_id: str | None = None) -> None:

@@ -42,12 +42,12 @@ from time import perf_counter, time
 from typing import Callable, Iterable
 
 from .datalog.errors import ReproError
-from .engine.deadline import Deadline
+from .engine.deadline import Deadline, QueryCancelled, QueryTimeout
 from .engine.stats import EvaluationStats
 from .session import DeductiveDatabase
 
 __all__ = ["AdmissionRejected", "Epoch", "EpochManager", "QueryResult",
-           "QueryService", "ServiceDraining"]
+           "QueryService", "ServiceDraining", "failure_outcome"]
 
 
 class AdmissionRejected(ReproError):
@@ -65,6 +65,32 @@ class AdmissionRejected(ReproError):
 
 class ServiceDraining(ReproError):
     """The service is draining and admits no new queries (HTTP 503)."""
+
+
+#: How a query that raised ends, first matching row wins: the outcome
+#: label (metrics, log line, flight recorder, job state) and the HTTP
+#: status.  Anything unmatched is an internal error: ``error``, 500.
+_FAILURES = (
+    (AdmissionRejected, "rejected", 429),
+    (ServiceDraining, "cancelled", 503),
+    (QueryTimeout, "timeout", 408),
+    (QueryCancelled, "cancelled", 409),
+    ((ReproError, ValueError), "error", 400),
+)
+
+
+def failure_outcome(error: BaseException) -> tuple[str, int]:
+    """The ``(outcome, HTTP status)`` a failed query ends with.
+
+    >>> failure_outcome(QueryTimeout("query exceeded its 1s budget"))
+    ('timeout', 408)
+    >>> failure_outcome(KeyError("x"))
+    ('error', 500)
+    """
+    for kinds, outcome, status in _FAILURES:
+        if isinstance(error, kinds):
+            return outcome, status
+    return "error", 500
 
 
 class Epoch:
@@ -101,13 +127,9 @@ class EpochManager:
     [('cal', 'dee')]
     """
 
-    def __init__(self, session: DeductiveDatabase,
-                 metrics=None) -> None:
+    def __init__(self, session: DeductiveDatabase) -> None:
         self._authoritative = session
         self._write_lock = threading.Lock()
-        #: registry for the epoch metrics; defaults to the session's
-        self.metrics = (metrics if metrics is not None
-                        else session.metrics)
         #: the published snapshot; reading this attribute is the whole
         #: reader-side protocol (attribute loads are atomic)
         self.current = Epoch(0, session.fork_reader())
@@ -125,9 +147,11 @@ class EpochManager:
         lock; whatever it does — any mix of fact adds/removals and
         rule changes — becomes visible to readers in a single epoch.
         Returns the epoch it published.  A *mutate* that raises
-        publishes nothing: the previous snapshot stays current (the
-        authoritative session may hold a partial batch, which the next
-        successful ``apply`` will fold into its epoch).
+        publishes nothing: the previous snapshot stays current.  Only
+        an all-or-nothing *mutate* (such as
+        :meth:`QueryService.apply_batch`) also leaves the authoritative
+        session as it was; whatever a failing *mutate* wrote first is
+        folded into the next successful epoch.
         """
         with self._write_lock:
             started = perf_counter()
@@ -135,10 +159,11 @@ class EpochManager:
             epoch = Epoch(self.current.number + 1,
                           self._authoritative.fork_reader())
             self.current = epoch
-            if self.metrics is not None:
+            metrics = self._authoritative.metrics
+            if metrics is not None:
                 from .metrics.instrument import observe_epoch_publish
                 observe_epoch_publish(
-                    self.metrics, epoch=epoch.number,
+                    metrics, epoch=epoch.number,
                     seconds=perf_counter() - started)
         return epoch
 
@@ -146,29 +171,26 @@ class EpochManager:
 class QueryResult:
     """What one admitted evaluation produced, with its provenance."""
 
-    __slots__ = ("answers", "stats", "outcome", "epoch", "duration_s",
-                 "query_id")
+    __slots__ = ("answers", "stats", "outcome", "epoch", "duration_s")
 
     def __init__(self, answers, stats: EvaluationStats, outcome: str,
-                 epoch: int, duration_s: float,
-                 query_id: str | None = None) -> None:
+                 epoch: int, duration_s: float) -> None:
         self.answers = answers
         self.stats = stats
-        #: ``"ok"`` or ``"truncated"`` (timeouts raise instead)
+        #: ``"ok"`` or ``"truncated"`` (failures raise instead; see
+        #: :func:`failure_outcome`)
         self.outcome = outcome
         #: number of the epoch the query read
         self.epoch = epoch
         self.duration_s = duration_s
-        #: the request-scoped id the evaluation was logged under
-        self.query_id = query_id
 
 
 class QueryService:
     """Admission-controlled concurrent reads over an epoch manager.
 
     *max_inflight* bounds concurrent evaluations; an arrival finding
-    every slot busy waits up to *admit_wait_s* (default: not at all)
-    and is then rejected.  *query_timeout_s* and *max_rows* are the
+    every slot busy is rejected at once, unless its :meth:`run` call
+    asks to wait.  *query_timeout_s* and *max_rows* are the
     per-query deadline defaults; a request may tighten or (for the
     timeout) loosen them per call.  All state transitions are exported
     to *metrics* when a registry is installed on the sessions.
@@ -177,15 +199,13 @@ class QueryService:
     def __init__(self, manager: EpochManager, *,
                  max_inflight: int = 8,
                  query_timeout_s: float | None = None,
-                 max_rows: int | None = None,
-                 admit_wait_s: float = 0.0) -> None:
+                 max_rows: int | None = None) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.manager = manager
         self.max_inflight = max_inflight
         self.query_timeout_s = query_timeout_s
         self.max_rows = max_rows
-        self.admit_wait_s = admit_wait_s
         self._lock = threading.Lock()
         self._slot_free = threading.Condition(self._lock)
         self._inflight = 0
@@ -216,10 +236,9 @@ class QueryService:
         estimate = self._ewma_duration_s or 1.0
         return max(1, math.ceil(estimate))
 
-    def _admit(self, wait_s: float | None = None,
+    def _admit(self, wait_s: float = 0.0,
                count_rejection: bool = True) -> None:
-        wait = self.admit_wait_s if wait_s is None else wait_s
-        deadline = perf_counter() + wait
+        deadline = perf_counter() + wait_s
         with self._lock:
             if self._draining:
                 raise ServiceDraining(
@@ -275,7 +294,7 @@ class QueryService:
             epoch: Epoch | None = None,
             cancel=None,
             stats: EvaluationStats | None = None,
-            admit_wait_s: float | None = None,
+            admit_wait_s: float = 0.0,
             count_rejection: bool = True,
             ctx=None) -> QueryResult:
         """Admit, pin a snapshot, evaluate under a deadline, release.
@@ -302,9 +321,9 @@ class QueryService:
         round boundary, and *stats* lets the caller keep a live handle
         on the evaluation's counters (rounds, delta sizes) while it
         runs — that is how job progress is surfaced mid-flight.
-        *admit_wait_s* overrides the service's ``admit_wait_s`` for
-        this call and *count_rejection=False* keeps an expired wait
-        out of the 429 counters (job workers wait for a slot in
+        *admit_wait_s* lets this call wait that long for a slot before
+        it is rejected, and *count_rejection=False* keeps an expired
+        wait out of the 429 counters (job workers wait for a slot in
         slices and retry — their polls are scheduling, not client
         rejections).
 
@@ -345,11 +364,8 @@ class QueryService:
                 if ctx is not None:
                     ctx.add_phase("engine", engine_started)
             outcome = "truncated" if stats.truncated else "ok"
-            duration_s = perf_counter() - started
             return QueryResult(answers, stats, outcome, epoch.number,
-                               duration_s,
-                               ctx.query_id if ctx is not None
-                               else None)
+                               perf_counter() - started)
         finally:
             self._release(perf_counter() - started)
 
@@ -375,17 +391,15 @@ class QueryService:
                     add: dict[str, Iterable[tuple]] | None = None,
                     remove: dict[str, Iterable[tuple]] | None = None,
                     rules: Iterable[str] | None = None) -> Epoch:
-        """One write batch — adds, removals, new rules — one epoch."""
-        def mutate(session: DeductiveDatabase) -> None:
-            for predicate, rows in (remove or {}).items():
-                session.remove_facts(predicate,
-                                     [tuple(row) for row in rows])
-            for predicate, rows in (add or {}).items():
-                session.add_facts(predicate,
-                                  [tuple(row) for row in rows])
-            for rule in (rules or ()):
-                session.add_rule(rule)
-        return self.manager.apply(mutate)
+        """One write batch — adds, removals, new rules — one epoch.
+
+        All or nothing
+        (:meth:`~repro.session.DeductiveDatabase.write_batch`): a
+        batch that raises publishes no epoch and leaves nothing behind
+        for the next one.
+        """
+        return self.manager.apply(lambda session: session.write_batch(
+            add=add, remove=remove, rules=rules))
 
     # -- shutdown ------------------------------------------------------
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .core.classifier import Classification, classify
 from .core.compile import CompiledFormula, compile_query
@@ -100,9 +100,13 @@ class DeductiveDatabase:
             self._add_fact_atom(fact)
 
     def add_rule(self, rule: Rule | str) -> None:
-        """Add one rule (text or object); invalidates materialisation."""
-        if isinstance(rule, str):
-            rule = parse_rule(rule)
+        """Add one rule (text or object); invalidates materialisation.
+
+        Raises :class:`~repro.datalog.errors.RuleValidationError` for
+        a rule that is not range restricted: a head variable missing
+        from the body has no value to take bottom-up.
+        """
+        rule = self._checked_rule(rule)
         self._rules.append(rule)
         # Intern the rule's constants up front: afterwards, "constant
         # not in the symbol table" means "constant appears in no fact
@@ -116,6 +120,41 @@ class DeductiveDatabase:
                 if isinstance(term, Constant):
                     self._edb.encode_const(term.value)
         self._invalidate(rules_changed=True)
+
+    @staticmethod
+    def _checked_rule(rule: Rule | str) -> Rule:
+        """*rule* parsed, once it is known to be range restricted."""
+        if isinstance(rule, str):
+            rule = parse_rule(rule)
+        if not rule.is_range_restricted():
+            raise RuleValidationError(
+                f"rule is not range restricted (a head variable does "
+                f"not occur in the body): {rule}")
+        return rule
+
+    def write_batch(self, *,
+                    add: Mapping[str, Iterable[tuple]] | None = None,
+                    remove: Mapping[str, Iterable[tuple]] | None = None,
+                    rules: Iterable[Rule | str] | None = None) -> None:
+        """Remove facts, add facts, add rules: all of it or nothing.
+
+        Every rule is parsed and checked, and every added row's arity
+        is checked, before the first write, so a batch that raises
+        leaves the session as it was.
+        """
+        removals = {predicate: [tuple(row) for row in rows]
+                    for predicate, rows in (remove or {}).items()}
+        additions = {predicate: [tuple(row) for row in rows]
+                     for predicate, rows in (add or {}).items()}
+        checked = [self._checked_rule(rule) for rule in rules or ()]
+        for predicate, rows in additions.items():
+            self._edb.check_arity(predicate, rows)
+        for predicate, rows in removals.items():
+            self.remove_facts(predicate, rows)
+        for predicate, rows in additions.items():
+            self.add_facts(predicate, rows)
+        for rule in checked:
+            self.add_rule(rule)
 
     def add_fact(self, predicate: str, *values: object) -> None:
         """Add one ground fact."""
@@ -250,8 +289,26 @@ class DeductiveDatabase:
 
     # -- materialisation ----------------------------------------------
 
+    def _check_arities(self) -> None:
+        """Raise unless the rules use each predicate with one arity —
+        its facts' arity, when it has facts: the engines would misread
+        an atom of any other width."""
+        arities: dict[str, int] = {}
+        for rule in self._rules:
+            for atom in (rule.head, *rule.body):
+                if atom.predicate not in arities:
+                    stored = self._edb.arity(atom.predicate)
+                    arities[atom.predicate] = (atom.arity if stored is None
+                                               else stored)
+                if atom.arity != arities[atom.predicate]:
+                    raise RuleValidationError(
+                        f"{atom.predicate!r} has arity "
+                        f"{arities[atom.predicate]}, but {rule} uses it "
+                        f"with {atom.arity} argument(s)")
+
     def _materialise_below(self, target: str) -> Database:
         """All IDB predicates strictly below *target*, bottom-up."""
+        self._check_arities()
         program = self.program
         order = program.evaluation_order()
         if target in order:
@@ -283,6 +340,7 @@ class DeductiveDatabase:
         """Fully materialise every IDB predicate (cached until the
         session changes)."""
         if self._materialised is None:
+            self._check_arities()
             db = self._edb.copy()
             for predicate in self.program.evaluation_order():
                 self._materialise_one(predicate, db)
@@ -511,7 +569,6 @@ class DeductiveDatabase:
         from .logutil import new_query_id
         from .metrics.instrument import (observe_query,
                                          observe_query_error)
-        from .engine.deadline import QueryCancelled, QueryTimeout
         from .engine.stats import delta_between
 
         local = stats if stats is not None else EvaluationStats()
@@ -523,16 +580,14 @@ class DeductiveDatabase:
             answers = self._evaluate_query(query, local, engine, trace,
                                            backend)
         except Exception as error:
+            from .service import failure_outcome
             duration = perf_counter() - started
             label = self._class_label(query.predicate)
             # A deadline expiry (and likewise a cooperative
             # cancellation) is its own outcome in
             # ``repro_queries_total`` (the admission layer budgets on
             # it), distinct from genuine evaluation errors.
-            outcome = ("timeout" if isinstance(error, QueryTimeout)
-                       else "cancelled"
-                       if isinstance(error, QueryCancelled)
-                       else "error")
+            outcome, _ = failure_outcome(error)
             if self.metrics is not None:
                 observe_query_error(self.metrics, engine=engine,
                                     formula_class=label,

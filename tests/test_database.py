@@ -55,6 +55,27 @@ class TestMutation:
         with pytest.raises(EvaluationError, match="arity"):
             db.add("A", ("only-one",))
 
+    def test_arity_error_names_the_values_and_interns_nothing(self, db):
+        """Regression: the error showed the row's storage codes, and
+        the rejected row's constants were interned."""
+        symbols = len(db.symbols)
+        with pytest.raises(EvaluationError) as caught:
+            db.add("A", ("zzz",))
+        assert str(caught.value) == ("arity mismatch for 'A': expected 2, "
+                                     "got 1 in ('zzz',)")
+        assert len(db.symbols) == symbols
+        assert db.symbols.lookup("zzz") is None
+
+    def test_check_arity_writes_nothing(self, db):
+        db.check_arity("A", [("x", "y"), ("y", "z")])
+        db.check_arity("new", [("x",), ("y",)])
+        with pytest.raises(EvaluationError, match="expected 2, got 3"):
+            db.check_arity("A", [("x", "y"), ("x", "y", "z")])
+        with pytest.raises(EvaluationError, match="expected 1, got 2"):
+            db.check_arity("new", [("x",), ("y", "z")])
+        assert db.arity("new") is None
+        assert db.rows("A") == {("a", "b"), ("b", "c"), ("a", "c")}
+
     def test_declare_registers_empty_relation(self):
         db = Database()
         db.declare("P", 2)
@@ -152,6 +173,8 @@ class TestSnapshotPickling:
         assert key is not None
         assert clone.hash_table("A", (0,))[key]
         assert clone.hash_builds == 1
+        assert set(clone.match("A", ("a", None))) == {("a", "b"),
+                                                      ("a", "c")}
 
 
 class TestAccess:

@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.datalog.errors import (EvaluationError, RuleValidationError)
+from repro.datalog.errors import (DatalogSyntaxError, EvaluationError,
+                                  RuleValidationError)
 from repro.engine import EvaluationStats, Query, SemiNaiveEngine, Tracer
 from repro.session import DeductiveDatabase
 
@@ -56,6 +57,54 @@ class TestLoading:
         # nothing was half-loaded
         assert session._edb.total_facts() == 0
 
+    @pytest.mark.parametrize("rule", ["P(x) :- A(y).",
+                                      "P(x, y) :- A(x, z), P(z, x)."])
+    def test_rule_that_is_not_range_restricted_is_rejected(self, rule):
+        """Regression: a non-recursive view with a head variable
+        missing from its body was accepted, and every query of it
+        failed with a KeyError out of the conjunctive solver."""
+        session = DeductiveDatabase()
+        with pytest.raises(RuleValidationError,
+                           match="not range restricted"):
+            session.add_rule(rule)
+        with pytest.raises(RuleValidationError,
+                           match="not range restricted"):
+            session.load(f"A(a, b). {rule}")
+        assert session.program.rules == ()
+
+
+class TestWriteBatch:
+    def test_applies_removals_then_additions_then_rules(self, ddb):
+        ddb.write_batch(add={"parent": [("dee", "eve")]},
+                        remove={"parent": [("ann", "bea")]},
+                        rules=["kin(x, y) :- anc(x, y)."])
+        assert ddb.query("kin(bea, Y)") == {
+            ("bea", "cal"), ("bea", "dee"), ("bea", "eve")}
+        assert ddb.query("anc(ann, Y)") == set()
+
+    @pytest.mark.parametrize("batch", [
+        {"add": {"parent": [("dee", "eve")]},
+         "rules": ["this is not a rule"]},
+        {"add": {"parent": [("dee", "eve")]},
+         "rules": ["kin(x, y) :- anc(x, y).", "kin(x) :- anc(y, y)."]},
+        {"add": {"parent": [("dee", "eve"), ("eve",)]}},
+        {"remove": {"parent": [("ann", "bea")]},
+         "add": {"parent": [("dee", "eve")], "female": [("eve", "x")]}},
+        {"add": {"new": [("a",), ("b", "c")]}},
+    ])
+    def test_a_failing_batch_leaves_nothing_behind(self, ddb, batch):
+        """Regression: removals, additions and rules written before the
+        failing part of a batch used to stay in the session."""
+        before = (ddb.program.rules, ddb._edb.global_version(),
+                  len(ddb._edb.symbols))
+        with pytest.raises((EvaluationError, RuleValidationError,
+                            DatalogSyntaxError)):
+            ddb.write_batch(**batch)
+        assert (ddb.program.rules, ddb._edb.global_version(),
+                len(ddb._edb.symbols)) == before
+        assert ddb.query("anc(ann, Y)") == {
+            ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
+
 
 class TestStructure:
     def test_system_for_recursive_predicate(self, ddb):
@@ -85,6 +134,20 @@ class TestStructure:
         """)
         with pytest.raises(RuleValidationError, match="mutually"):
             session.materialise()
+
+    @pytest.mark.parametrize("rules", [
+        ["kin(z, y) :- anc(a, y, z)."],       # an IDB predicate
+        ["kin(x, y) :- parent(x, y, y)."],    # an EDB predicate
+        ["kin(x, y) :- anc(x, y).",           # the head of another rule
+         "kin(x) :- parent(x, y)."],
+    ])
+    def test_atom_of_the_wrong_arity_rejected(self, ddb, rules):
+        """Regression: a rule using a predicate with another arity was
+        evaluated, and its query failed with a KeyError."""
+        for rule in rules:
+            ddb.add_rule(rule)
+        with pytest.raises(RuleValidationError, match="has arity"):
+            ddb.query("kin(X, Y)")
 
     def test_recursive_without_exit_rejected(self):
         session = DeductiveDatabase()

@@ -40,12 +40,6 @@ class TestCounters:
         assert stats.rounds == 2
         assert stats.delta_sizes == [1, 2]
 
-    def test_merge(self):
-        left = EvaluationStats(rounds=1, probes=10, derived=5)
-        right = EvaluationStats(rounds=2, probes=3, derived=1)
-        left.merge(right)
-        assert (left.rounds, left.probes, left.derived) == (3, 13, 6)
-
     def test_summary_mentions_engine(self):
         stats = EvaluationStats(engine="compiled", probes=7)
         assert "compiled" in stats.summary()
@@ -55,36 +49,6 @@ class TestCounters:
         stats = EvaluationStats(engine="semi-naive", hash_builds=3,
                                 hash_lookups=9)
         assert "hash=3b/9l" in stats.summary()
-
-
-class TestMerge:
-    def test_delta_sizes_fold_positionally(self):
-        """Merging a sub-evaluation (an insert) sums
-        per-round counts rather than appending its rounds — the
-        merged ``measured_rank`` is the combined run's."""
-        left = EvaluationStats()
-        for size in (4, 3, 0):
-            left.record_round(size)
-        right = EvaluationStats()
-        for size in (1, 0, 2, 5):
-            right.record_round(size)
-        left.merge(right)
-        assert left.delta_sizes == [5, 3, 2, 5]
-        assert left.rounds == 7
-        assert left.measured_rank == 3
-
-    def test_merge_into_empty(self):
-        left = EvaluationStats()
-        right = EvaluationStats()
-        right.record_round(2)
-        left.merge(right)
-        assert left.delta_sizes == [2]
-
-    def test_answers_and_engine_not_merged(self):
-        left = EvaluationStats(engine="incremental", answers=10)
-        left.merge(EvaluationStats(engine="semi-naive", answers=4))
-        assert left.engine == "incremental"
-        assert left.answers == 10
 
 
 class TestToDict:

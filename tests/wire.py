@@ -39,7 +39,9 @@ def served(**kwargs):
                                 query_log=QueryLogger(io.StringIO()))
     session.load(PROGRAM)
     server = QueryServer(session, port=0, **kwargs)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll interval lets shutdown return in milliseconds
+    thread = threading.Thread(target=server.httpd.serve_forever,
+                              args=(0.01,), daemon=True)
     thread.start()
     try:
         yield server
