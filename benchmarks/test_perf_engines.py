@@ -6,6 +6,10 @@ whole fixpoint for selective queries.  We sweep workload shapes
 (chain, tree, random digraph) for transitive closure and report the
 probe counts per engine; the *shape* claim checked: compiled < semi-
 naive < naive, with the gap growing in the data size.
+
+PERF1c isolates the mechanism: a bound query on one chain among k
+disjoint ones.  The σ-first stable strategy only touches its own
+chain, so its probes do not depend on k; the fixpoint's grow with k.
 """
 
 import pytest
@@ -84,3 +88,42 @@ def test_perf1_gap_grows_with_size(save_artifact, benchmark):
     save_artifact("perf1_scaling", text_table(
         ["chain length", "semi-naive probes", "compiled probes",
          "factor"], rows))
+
+
+def _disjoint_chains(count: int, length: int = 8) -> Database:
+    """*count* disjoint *length*-edge chains ``c<i>_n0 .. c<i>_n<length>``
+    with reflexive exits on every node."""
+    edges = [(f"c{c}_n{i}", f"c{c}_n{i + 1}")
+             for c in range(count) for i in range(length)]
+    nodes = [f"c{c}_n{i}" for c in range(count) for i in range(length + 1)]
+    return Database.from_dict({"A": edges,
+                               "P__exit": [(n, n) for n in nodes]})
+
+
+def test_perf1c_probes_independent_of_other_chains(save_artifact,
+                                                    benchmark):
+    """PERF1c: compiled probes for ``P(c0_n0, Y)`` are the same for
+    every number of disjoint chains; semi-naive's grow with it."""
+    system = CATALOGUE["s1a"].system()
+    query = Query.parse("P(c0_n0, Y)")
+
+    def sweep():
+        rows = []
+        for count in (1, 10, 100, 1000):
+            point = run_point(f"chains-{count}", system,
+                              _disjoint_chains(count), query,
+                              engines=("semi-naive", "compiled"))
+            assert point.agreed
+            assert len(point.runs["compiled"].answers) == 9
+            rows.append((count, point.runs["semi-naive"].stats.probes,
+                         point.runs["compiled"].stats.probes))
+        return rows
+
+    rows = benchmark(sweep)
+    compiled = [comp for _, _, comp in rows]
+    semi = [semi for _, semi, _ in rows]
+    assert len(set(compiled)) == 1
+    assert all(later > earlier for earlier, later in zip(semi, semi[1:]))
+    save_artifact("perf1_isolation", text_table(
+        ["chains", "semi-naive probes", "compiled probes"],
+        [list(row) for row in rows]))

@@ -6,23 +6,34 @@ This engine executes the strategies that the compiler
 * **BOUNDED** — the recursion is pseudo recursion: evaluate the finite
   set of exit expansions as conjunctive queries seeded with the query
   constants.  No fixpoint at all.
-* **STABLE** — per-position chain iteration.  Bound positions iterate
-  their cycle relation forward from the query constant (the ``σR^k``
-  branches of the compiled formula); the exit relation is filtered by
-  the frontiers at every depth; unbound positions walk their chains
-  backward from the exit columns.  Iteration stops when the chain
+* **STABLE** — per-position chain iteration, selection first.  Bound
+  positions iterate their cycle relation forward from the query
+  constant (the ``σR^k`` branches of the compiled formula); at every
+  depth the exit rules are probed on one bound column with that
+  depth's frontier and checked on the others (``σE``), so a bound
+  transitive-closure query costs O(depth + answers).  A free position
+  whose cycle is a bare self-loop is the identity: its answer is the
+  exit value.  Only free positions that really walk a chain
+  (rotational, or a self-loop with atoms) scan the exit relation and
+  walk backward from its columns.  Iteration stops when the chain
   state repeats — sound because depth-k answers are a function of the
   state.
 * **TRANSFORM** — unfold to the equivalent stable system (Theorem 2/4)
   and run the stable strategy on it.
 * **ITERATIVE** — binding-filtered semi-naive: the adornment sequence
   of the query (section 10's query-dependent stability) generates the
-  set of relevant recursive-call bindings, and the bottom-up fixpoint
-  only keeps tuples matching one of them — selections pushed through
-  the recursion exactly where the classification proves they persist.
-  The delta rounds are the semi-naive engine's
+  set of relevant recursive-call bindings, one set-at-a-time rule
+  application per round, and the bottom-up fixpoint only keeps tuples
+  matching one of them — selections pushed through the recursion
+  exactly where the classification proves they persist.  The exit
+  round probes the exit rules with those bindings (``σE``); the delta
+  rounds are the semi-naive engine's
   (:func:`~repro.engine.vector.run_delta_loop`) with that relevance
   filter applied to every derived row.
+
+A STABLE or TRANSFORM query with no bound position has no selection to
+push: it runs the unrestricted ITERATIVE fixpoint, and its trace names
+``iterative`` as the strategy that ran.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from __future__ import annotations
 from ..core.bindings import (Adornment, body_adornment,
                              determined_closure)
 from ..core.classifier import Classification
-from ..core.compile import (CompiledFormula, StableCompilation, Strategy,
-                            compile_query)
+from ..core.compile import (CompiledFormula, CycleSpec, StableCompilation,
+                            Strategy, compile_query)
 from ..datalog.program import RecursionSystem
 from ..datalog.terms import Variable
 from ..graphs.igraph import build_igraph
@@ -39,6 +50,7 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .conjunctive import satisfiable, solve_project
 from .query import Query
+from .setjoin import apply_rule
 from .stats import EvaluationStats
 from .trace import Tracer
 from .vector import ColumnarTotal, run_delta_loop, validate_backend
@@ -46,8 +58,8 @@ from .vector import ColumnarTotal, run_delta_loop, validate_backend
 
 def _product_rows(pattern: tuple,
                   choice_sets: list[tuple[int, tuple]]):
-    """Full-arity answer tuples: constants at bound positions, every
-    combination of the per-position options at the free ones."""
+    """Full-arity answer tuples: *pattern*'s values where it has
+    them, every combination of the per-position options elsewhere."""
     base = list(pattern)
     if not choice_sets:
         yield tuple(base)
@@ -59,13 +71,20 @@ def _product_rows(pattern: tuple,
             yield rest
 
 
+def _is_identity(spec: CycleSpec) -> bool:
+    """A bare self-loop: the chain step maps every value to itself."""
+    return spec.is_permutational and not spec.atoms
+
+
 class CompiledEngine:
     """Evaluate queries using the classification's compiled strategy.
 
-    The ITERATIVE strategy's delta rounds push whole delta relations
-    through compiled hash-join plans; the bounded/stable strategies
-    are frontier walks over single bindings and run the conjunctive
-    solver (:func:`~repro.engine.conjunctive.solve_project`).
+    The STABLE/TRANSFORM and ITERATIVE strategies push whole frontiers
+    and binding sets through compiled hash-join plans
+    (:func:`~repro.engine.setjoin.apply_rule`), one rule application
+    per depth or round; the BOUNDED strategy runs each exit expansion
+    through the conjunctive solver
+    (:func:`~repro.engine.conjunctive.solve_project`).
 
     ``backend`` steers the ITERATIVE fixpoint's delta loop exactly as
     on :class:`~repro.engine.seminaive.SemiNaiveEngine` — and only
@@ -102,27 +121,28 @@ class CompiledEngine:
         stats.backend = "python"
         if compiled is None:
             compiled = compile_query(system, query.adornment)
+        strategy = compiled.strategy
+        if strategy is not Strategy.BOUNDED and not query.adornment:
+            # no bound position: nothing to push down, so the chain
+            # walk has no start — run the unrestricted fixpoint
+            strategy = Strategy.ITERATIVE
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
-                        query=query,
-                        strategy=compiled.strategy.name.lower())
+                        query=query, strategy=strategy.name.lower())
 
         # The strategies run in storage space: the query's constants
         # are encoded once here, and the answers stay encoded inside a
         # lazy AnswerSet at the end.
         enc_query = query.encoded(edb)
-        if compiled.strategy is Strategy.BOUNDED:
+        if strategy is Strategy.BOUNDED:
             answers = self._evaluate_bounded(system, compiled.classification,
                                              edb, enc_query, stats, trace)
-        elif compiled.strategy is Strategy.STABLE:
-            answers = self._evaluate_stable(compiled.stable, edb, enc_query,
-                                            stats, trace)
-        elif compiled.strategy is Strategy.TRANSFORM:
-            answers = self._evaluate_stable(compiled.stable, edb, enc_query,
-                                            stats, trace)
-        else:
+        elif strategy is Strategy.ITERATIVE:
             answers = self._evaluate_iterative(system, edb, enc_query,
                                                stats, trace)
+        else:
+            answers = self._evaluate_stable(compiled.stable, edb, enc_query,
+                                            stats, trace)
         if isinstance(answers, ColumnarTotal):
             # the vectorised fixpoint's columnar product: filter by
             # vector mask, wrap without building row tuples
@@ -187,66 +207,114 @@ class CompiledEngine:
     def _evaluate_stable(self, stable: StableCompilation, edb: Database,
                          query: Query, stats: EvaluationStats,
                          trace: Tracer | None = None) -> frozenset[tuple]:
+        """σ-first chain iteration; *query* binds at least one position.
+
+        Depth k's answers join ``σR^k`` of every bound position with
+        the exit rows whose bound columns lie in those frontiers; a
+        walked free position maps each exit value back to the values
+        k chain steps before it.
+        """
         system = stable.system
         specs = stable.specs
         deadline = stats.deadline
         bound_positions = sorted(query.adornment)
-        free_positions = [s.position for s in specs
-                          if s.position not in query.adornment]
+        free = [s for s in specs if s.position not in query.adornment]
+        identities = [s.position for s in free if _is_identity(s)]
+        walked = [s.position for s in free if not _is_identity(s)]
 
-        # Exit tuples: every exit rule evaluated once as a plain CQ.
-        exit_rows: set[tuple] = set()
-        for exit_rule in system.exits:
-            exit_rows |= solve_project(edb, exit_rule.body,
-                                       exit_rule.head.args, stats=stats)
+        def probe_once(memo: dict, values, probe) -> dict:
+            """*memo* (value → items) filled for every value in
+            *values*: one batch *probe* for the values it lacks, so a
+            value recurring at several depths is probed once."""
+            missing = [value for value in values if value not in memo]
+            if missing:
+                for value in missing:
+                    memo[value] = []
+                for value, item in probe([(value,) for value in missing]):
+                    memo[value].append(item)
+            return memo
+
+        def chain(spec: CycleSpec, entry_var: Variable,
+                  out_var: Variable):
+            """A batch probe of one chain step: (entry, out) pairs."""
+            return lambda batch: apply_rule(
+                edb, spec.atoms, (entry_var,), (entry_var, out_var),
+                batch, stats)
+
+        def forward(i: int, values: frozenset) -> frozenset:
+            """One chain step: head-side values to body-side values."""
+            spec = specs[i]
+            if _is_identity(spec):
+                return values
+            images = probe_once(ahead[i], values,
+                                chain(spec, spec.head_var, spec.body_var))
+            return frozenset(out for value in values
+                             for out in images[value])
+
+        def backward(j: int, pairs: frozenset) -> frozenset:
+            """One backward step on (answer-candidate, exit-value) pairs."""
+            spec = specs[j]
+            images = probe_once(behind[j], {head for head, _ in pairs},
+                                chain(spec, spec.body_var, spec.head_var))
+            return frozenset((before, exit_value)
+                             for head, exit_value in pairs
+                             for before in images[head])
+
+        def exit_probe(pivot: int):
+            """A batch probe of every exit rule on one bound column:
+            (pivot value, exit row) pairs."""
+            if walked:
+                return lambda batch: ()  # the memos hold every exit row
+            return lambda batch: (
+                (row[pivot], row) for exit_rule in system.exits
+                for row in apply_rule(edb, exit_rule.body,
+                                      (exit_rule.head.args[pivot],),
+                                      exit_rule.head.args, batch, stats))
+
+        def retrieve() -> list[tuple]:
+            """σE: the exit rows whose bound columns lie in the
+            frontiers — probed on the smallest frontier's column,
+            checked on the others."""
+            pivot = min(bound_positions, key=lambda i: len(frontiers[i]))
+            rows = probe_once(exits_at[pivot], frontiers[pivot],
+                              exit_probe(pivot))
+            others = [i for i in bound_positions if i != pivot]
+            return [row for value in frontiers[pivot] for row in rows[value]
+                    if all(row[i] in frontiers[i] for i in others)]
+
+        # per-query memos: value → chain-step images / exit rows
+        ahead: dict[int, dict] = {i: {} for i in bound_positions}
+        behind: dict[int, dict] = {j: {} for j in walked}
+        exits_at: dict[int, dict] = {i: {} for i in bound_positions}
+
+        exit_columns: dict[int, frozenset] = {}
+        if walked:
+            # a walked position starts from every exit value, so the
+            # whole exit relation is read once and indexed for σE
+            exit_rows: set[tuple] = set()
+            for exit_rule in system.exits:
+                exit_rows |= apply_rule(edb, exit_rule.body, (),
+                                        exit_rule.head.args, [()], stats)
+            exit_columns = {j: frozenset((row[j], row[j])
+                                         for row in exit_rows)
+                            for j in walked}
+            for i in bound_positions:
+                for row in exit_rows:
+                    exits_at[i].setdefault(row[i], []).append(row)
 
         gate_open = (not stable.free_atoms
                      or satisfiable(edb, stable.free_atoms, stats=stats))
 
-        def forward(spec, values: frozenset) -> frozenset:
-            """One chain step: head-side values to body-side values."""
-            out: set = set()
-            for value in values:
-                if spec.is_permutational:
-                    if not spec.atoms or satisfiable(
-                            edb, spec.atoms, {spec.head_var: value},
-                            stats=stats):
-                        out.add(value)
-                else:
-                    out.update(row[0] for row in solve_project(
-                        edb, spec.atoms, (spec.body_var,),
-                        {spec.head_var: value}, stats=stats))
-            return frozenset(out)
-
-        def backward(spec, pairs: frozenset) -> frozenset:
-            """One backward step on (answer-candidate, exit-value) pairs."""
-            out: set = set()
-            for head_value, exit_value in pairs:
-                if spec.is_permutational:
-                    if not spec.atoms or satisfiable(
-                            edb, spec.atoms, {spec.head_var: head_value},
-                            stats=stats):
-                        out.add((head_value, exit_value))
-                else:
-                    for predecessor in solve_project(
-                            edb, spec.atoms, (spec.head_var,),
-                            {spec.body_var: head_value}, stats=stats):
-                        out.add((predecessor[0], exit_value))
-            return frozenset(out)
-
         # Initial state at depth 0.
         frontiers: dict[int, frozenset] = {
             i: frozenset({query.pattern[i]}) for i in bound_positions}
-        exit_columns: dict[int, frozenset] = {
-            j: frozenset((row[j], row[j]) for row in exit_rows)
-            for j in free_positions}
 
         answers: set[tuple] = set()
         seen_states: set[tuple] = set()
         depth = 0
         while True:
             state = (tuple(frontiers[i] for i in bound_positions),
-                     tuple(exit_columns[j] for j in free_positions))
+                     tuple(exit_columns[j] for j in walked))
             if state in seen_states:
                 break
             seen_states.add(state)
@@ -254,32 +322,28 @@ class CompiledEngine:
                 trace.begin_round(
                     "depth",
                     sum(len(frontiers[i]) for i in bound_positions)
-                    + sum(len(exit_columns[j])
-                          for j in free_positions), stats)
+                    + sum(len(exit_columns[j]) for j in walked), stats)
 
             # Collect depth-`depth` answers.
             new_answers = 0
-            candidates = [row for row in exit_rows
-                          if all(row[i] in frontiers[i]
-                                 for i in bound_positions)]
-            back_maps = {
-                j: self._pairs_to_map(exit_columns[j])
-                for j in free_positions}
-            for exit_row in candidates:
+            back_maps = {j: self._pairs_to_map(exit_columns[j])
+                         for j in walked}
+            pattern = list(query.pattern)
+            for exit_row in retrieve():
                 choice_sets = []
-                feasible = True
-                for j in free_positions:
+                for j in walked:
                     options = back_maps[j].get(exit_row[j], ())
                     if not options:
-                        feasible = False
                         break
                     choice_sets.append((j, options))
-                if not feasible:
-                    continue
-                for combo in _product_rows(query.pattern, choice_sets):
-                    if combo not in answers:
-                        answers.add(combo)
-                        new_answers += 1
+                else:
+                    for j in identities:
+                        pattern[j] = exit_row[j]
+                    for combo in _product_rows(tuple(pattern),
+                                               choice_sets):
+                        if combo not in answers:
+                            answers.add(combo)
+                            new_answers += 1
             stats.record_round(new_answers)
             if deadline is not None:
                 deadline.check_time()
@@ -295,19 +359,16 @@ class CompiledEngine:
                     trace.end_round(new_answers, stats, depth=depth)
                 break  # nothing beyond depth 0 can ever be derived
             depth += 1
-            frontiers = {i: forward(specs[i], frontiers[i])
+            frontiers = {i: forward(i, frontiers[i])
                          for i in bound_positions}
-            exit_columns = {j: backward(specs[j], exit_columns[j])
-                            for j in free_positions}
+            exit_columns = {j: backward(j, exit_columns[j])
+                            for j in walked}
             # The span closes after the chain step so its probe count
             # reflects the work done to *advance* past this depth.
             if trace is not None:
                 trace.end_round(new_answers, stats, depth=depth - 1)
-            if bound_positions and all(
-                    not frontiers[i] for i in bound_positions):
-                break
-            if not exit_rows:
-                break
+            if any(not frontiers[i] for i in bound_positions):
+                break  # σE of an empty frontier is empty from here on
         return frozenset(answers)
 
     @staticmethod
@@ -331,13 +392,12 @@ class CompiledEngine:
         if trace is not None:
             trace.end_round(0, stats, unrestricted=unrestricted,
                             bindings=sum(len(v) for v in magic.values()))
+        keyed = [(tuple(sorted(adornment)), values)
+                 for adornment, values in magic.items() if values]
 
         def relevant(row: tuple) -> bool:
-            if unrestricted:
-                return True
-            for adornment, values in magic.items():
-                key = tuple(row[i] for i in sorted(adornment))
-                if key in values:
+            for positions, values in keyed:
+                if tuple([row[i] for i in positions]) in values:
                     return True
             return False
 
@@ -348,9 +408,16 @@ class CompiledEngine:
         for position, exit_rule in enumerate(system.exits):
             if trace is not None:
                 trace.begin_rule(f"exit[{position}]: {exit_rule}", stats)
-            total |= {row for row in solve_project(
-                edb, exit_rule.body, exit_rule.head.args, stats=stats)
-                if relevant(row)}
+            head = exit_rule.head.args
+            if unrestricted:
+                total |= apply_rule(edb, exit_rule.body, (), head, [()],
+                                    stats)
+            else:
+                # σE: probe the exit with each adornment's bindings
+                for positions, values in keyed:
+                    total |= apply_rule(edb, exit_rule.body,
+                                        tuple(head[i] for i in positions),
+                                        head, values, stats)
             if trace is not None:
                 trace.end_rule(stats)
         delta = set(total)
@@ -376,46 +443,63 @@ class CompiledEngine:
                         ) -> tuple[dict[Adornment, set[tuple]], bool]:
         """The relevant recursive-call bindings, per adornment.
 
-        Iterates the sideways-information-passing step: a bound tuple
-        at adornment ``a`` joins the (relevant) non-recursive atoms and
+        *query* is in storage space.  Iterates the
+        sideways-information-passing step set-at-a-time: each round
+        joins every new bound tuple at adornment ``a`` with the
+        (relevant) non-recursive atoms in one rule application and
         projects onto the determined body positions, producing bound
         tuples at ``body_adornment(a)``.  Finite: adornments × active
         domain tuples.  An empty adornment means the recursion below
-        that point is unrestricted.
+        that point is unrestricted.  The deadline is checked once per
+        round.
         """
         rule = system.recursive
+        start = query.adornment
+        magic: dict[Adornment, set[tuple]] = {}
+        if not start:
+            return magic, True
         graph = build_igraph(rule)
         head_vars = rule.head_variables
         body_vars = rule.body_recursive_variables
+        steps: dict[Adornment, tuple | None] = {}
 
-        start = query.adornment
-        magic: dict[Adornment, set[tuple]] = {}
-        unrestricted = False
-        if not start:
-            return magic, True
-        seed = tuple(query.pattern[i] for i in sorted(start))
-        magic[start] = {seed}
-        worklist: list[tuple[Adornment, tuple]] = [(start, seed)]
-
-        while worklist:
-            adornment, values = worklist.pop()
+        def step_of(adornment: Adornment) -> tuple | None:
+            """(next adornment, entry terms, atoms, output terms) of
+            one expansion from *adornment*; None when nothing stays
+            bound."""
             next_adornment = body_adornment(rule, adornment, graph)
             if not next_adornment:
-                unrestricted = True
-                continue
-            positions = sorted(adornment)
-            binding = {head_vars[i]: v
-                       for i, v in zip(positions, values)}
-            closure = determined_closure(
-                graph, [head_vars[i] for i in positions])
-            relevant_atoms = [a for a in rule.nonrecursive_atoms
-                              if a.variable_set() & closure]
-            out_terms = [body_vars[i] for i in sorted(next_adornment)]
-            projected = solve_project(edb, relevant_atoms, out_terms,
-                                      binding, stats=stats)
-            bucket = magic.setdefault(next_adornment, set())
-            for produced in projected:
-                if produced not in bucket:
-                    bucket.add(produced)
-                    worklist.append((next_adornment, produced))
+                return None
+            entry = tuple(head_vars[i] for i in sorted(adornment))
+            closure = determined_closure(graph, entry)
+            atoms = tuple(a for a in rule.nonrecursive_atoms
+                          if a.variable_set() & closure)
+            out = tuple(body_vars[i] for i in sorted(next_adornment))
+            return next_adornment, entry, atoms, out
+
+        deadline = stats.deadline
+        unrestricted = False
+        seed = tuple(query.pattern[i] for i in sorted(start))
+        magic[start] = {seed}
+        frontier: dict[Adornment, set[tuple]] = {start: {seed}}
+        while frontier:
+            if deadline is not None:
+                deadline.check_time()
+            produced: dict[Adornment, set[tuple]] = {}
+            for adornment, bindings in frontier.items():
+                if adornment not in steps:
+                    steps[adornment] = step_of(adornment)
+                step = steps[adornment]
+                if step is None:
+                    unrestricted = True
+                    continue
+                next_adornment, entry, atoms, out = step
+                bucket = magic.setdefault(next_adornment, set())
+                fresh = apply_rule(edb, atoms, entry, out, bindings,
+                                   stats) - bucket
+                if fresh:
+                    bucket |= fresh
+                    produced.setdefault(next_adornment, set()).update(
+                        fresh)
+            frontier = produced
         return magic, unrestricted

@@ -4,8 +4,9 @@ A fixpoint cannot be preempted safely — a round half-applied would
 leave caches and stats inconsistent — so budgets are enforced
 *cooperatively* at round boundaries, the natural commit points of
 every engine: after each semi-naive/naive delta round, each compiled
-expansion/depth/delta step, each top-down subgoal pass, and each
-incremental-maintenance propagation round.  The three aborts behave
+expansion/depth/delta step and before each magic-binding round, each
+top-down subgoal pass, and each incremental-maintenance propagation
+round.  The three aborts behave
 differently, on purpose:
 
 * the **wall-clock budget** raises :class:`QueryTimeout` — time ran

@@ -216,12 +216,14 @@ class DeductiveDatabase:
         instant — later mutations of the base are invisible to it.
 
         Concurrency contract of a fork: any number of threads may call
-        :meth:`query` on it simultaneously.  Every fixpoint already
-        copies the database before materialising
-        (:meth:`_materialise_below`), so per-request evaluation state
-        is private; what *is* shared between the fork's readers — the
-        plan/classification caches and a lazily computed view
-        materialisation — is filled with deterministic,
+        :meth:`query` on it simultaneously.  Every fixpoint keeps its
+        derived rows in private sets, and materialising views below a
+        predicate works on a copy (:meth:`_materialise_below`), so
+        per-request evaluation state is private; what *is* shared
+        between the fork's readers — the plan/classification caches, a
+        lazily computed view materialisation, and the read-only
+        database's lazily built match indexes and join tables — is
+        filled with deterministic,
         interchangeable values under single dict-slot assignments
         (atomic under the GIL), so a race costs at most a duplicated
         computation, never a wrong answer.  The answer cache, whose
@@ -307,12 +309,26 @@ class DeductiveDatabase:
                         f"with {atom.arity} argument(s)")
 
     def _materialise_below(self, target: str) -> Database:
-        """All IDB predicates strictly below *target*, bottom-up."""
+        """All IDB predicates strictly below *target*, bottom-up.
+
+        With none below, the session's EDB itself: the engines only
+        read it (the naive engine copies before it writes), and its
+        cached match indexes and join tables serve the next query too.
+        """
         self._check_arities()
         program = self.program
-        order = program.evaluation_order()
-        if target in order:
-            order = order[:order.index(target)]
+        graph = program.dependency_graph()
+        below: set[str] = set()
+        stack = [target]
+        while stack:
+            for predicate in graph.get(stack.pop(), ()):
+                if predicate != target and predicate not in below:
+                    below.add(predicate)
+                    stack.append(predicate)
+        order = [predicate for predicate in program.evaluation_order()
+                 if predicate in below]
+        if not order:
+            return self._edb
         db = self._edb.copy()
         for predicate in order:
             self._materialise_one(predicate, db)

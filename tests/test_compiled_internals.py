@@ -106,13 +106,21 @@ class TestIterativeStrategy:
         db = random_edb(system, nodes=6, tuples_per_relation=12, seed=1)
         constant = sorted(db.active_domain())[0]
         engine = CompiledEngine()
-        magic, unrestricted = engine._magic_bindings(
-            system, db, Query("P", (constant, None, None)),
-            EvaluationStats())
+        # _magic_bindings works in storage space: encode the query
+        query = Query("P", (constant, None, None)).encoded(db)
+        stats = EvaluationStats()
+        magic, unrestricted = engine._magic_bindings(system, db, query,
+                                                     stats)
         assert not unrestricted
-        assert frozenset({0}) in magic          # the query's form
-        # after one expansion positions 1,2... the steady adornment
-        assert frozenset({0, 1}) in magic
+        assert magic[frozenset({0})] == {(query.pattern[0],)}
+        # after one expansion the steady adornment {0, 1} is reached,
+        # with real bindings in it
+        assert magic[frozenset({0, 1})]
+        # set-at-a-time: every binding enters exactly one batch, and a
+        # round advances all of its new bindings in one application
+        bindings = sum(len(values) for values in magic.values())
+        assert sum(stats.batch_sizes) == bindings
+        assert len(stats.batch_sizes) < bindings
 
     def test_dying_bindings_mean_unrestricted(self):
         system = CATALOGUE["s9"].system()
@@ -122,7 +130,7 @@ class TestIterativeStrategy:
         })
         engine = CompiledEngine()
         magic, unrestricted = engine._magic_bindings(
-            system, db, Query("P", ("n0", None, None)),
+            system, db, Query("P", ("n0", None, None)).encoded(db),
             EvaluationStats())
         assert unrestricted
 

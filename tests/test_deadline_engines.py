@@ -13,13 +13,15 @@ import threading
 
 import pytest
 
+from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
-from repro.engine import SemiNaiveEngine
+from repro.engine import CompiledEngine, Query, SemiNaiveEngine
 from repro.engine.deadline import Deadline, QueryCancelled, QueryTimeout
 from repro.engine.incremental import MaterializedRecursion
 from repro.engine.stats import EvaluationStats
 from repro.ra import Database
 from repro.session import DeductiveDatabase
+from repro.workloads import CATALOGUE, random_edb
 
 PROGRAM = """
     P(x, y) :- A(x, z), P(z, y).
@@ -83,6 +85,25 @@ class TestSessionEngines:
                                        engine=engine)
         assert set(answers) == CLOSURE
         assert not stats.truncated
+
+
+class TestCompiledMagicPass:
+    """The ITERATIVE strategy's magic-binding pass is a compiled step
+    too: each of its set-at-a-time rounds checks the deadline."""
+
+    def test_pre_set_cancel_flag_aborts_before_any_probe(self):
+        system = CATALOGUE["s12"].system()
+        assert compile_query(system, "dvv").strategy is \
+            Strategy.ITERATIVE
+        db = random_edb(system, nodes=6, tuples_per_relation=12, seed=1)
+        constant = sorted(db.active_domain())[0]
+        cancel = threading.Event()
+        cancel.set()
+        stats = budgeted_stats(cancel=cancel)
+        with pytest.raises(QueryCancelled):
+            CompiledEngine().evaluate(
+                system, db, Query("P", (constant, None, None)), stats)
+        assert stats.probes == 0
 
 
 class TestIncremental:

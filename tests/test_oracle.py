@@ -6,14 +6,22 @@ families of shared-code bugs.  Its round-synchronous variant is also
 the reference for the semi-naive engine's per-round deltas, on both
 delta-loop backends: round r of either must add exactly the depth-r
 tuples, which is what makes ``delta_sizes`` a measured rank.
+
+Bound queries are checked the same way: for every adornment, with
+constants from the active domain, the compiled and top-down answers
+must equal the oracle's fixpoint filtered by the query pattern.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.bindings import all_adornments
+from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, NaiveEngine,
                           Query, SemiNaiveEngine, TopDownEngine)
@@ -98,3 +106,97 @@ class TestDifferentialProperty:
         for engine in (NaiveEngine(), CompiledEngine(), TopDownEngine()):
             assert engine.evaluate(system, db, query) == expected, \
                 engine.name
+
+
+def assert_bound_query_matches_oracle(system, db, expected,
+                                      pattern) -> None:
+    """Compiled and top-down answers to *pattern* equal the oracle's
+    fixpoint *expected* filtered by it."""
+    query = Query(system.predicate, tuple(pattern))
+    want = frozenset(row for row in expected if query.matches(row))
+    for engine in (CompiledEngine(), TopDownEngine()):
+        assert engine.evaluate(system, db, query) == want, \
+            (engine.name, str(query))
+
+
+def answer_patterns(expected, adornment, arity, domain) -> set[tuple]:
+    """Query patterns for *adornment*: constants taken from two oracle
+    answers (queries that hit) and from the first domain value."""
+    rows = sorted(expected)[:2] + [(domain[0],) * arity]
+    return {tuple(row[i] if i in adornment else None
+                  for i in range(arity)) for row in rows}
+
+
+class TestBoundQueries:
+    """Every adornment, with constants bound, against the oracle."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(linear_systems(max_arity=3, max_edb_atoms=2),
+           st.integers(0, 2), st.data())
+    def test_random_systems_every_adornment(self, system, seed, data):
+        db = tiny_edb(system, seed)
+        expected = oracle_evaluate(system, db)
+        domain = sorted(db.active_domain())
+        for adornment in all_adornments(system.dimension):
+            pattern = [data.draw(st.sampled_from(domain))
+                       if i in adornment else None
+                       for i in range(system.dimension)]
+            assert_bound_query_matches_oracle(system, db, expected,
+                                              pattern)
+
+    def test_catalogue_every_adornment(self, catalogue_entry):
+        system = catalogue_entry.system()
+        db = tiny_edb(system, seed=0)
+        expected = oracle_evaluate(system, db)
+        domain = sorted(db.active_domain())
+        for adornment in all_adornments(system.dimension):
+            for pattern in answer_patterns(expected, adornment,
+                                           system.dimension, domain):
+                assert_bound_query_matches_oracle(system, db, expected,
+                                                  pattern)
+
+    @pytest.mark.parametrize("rules,relations", [
+        pytest.param("""
+            P(x, y) :- A(x, z), P(z, y).
+            P(x, y) :- E(x, y).
+            P(x, x) :- U(x).
+         """, {"A": chain(4), "E": [("n4", "n4"), ("n2", "n3")],
+               "U": [("n1",), ("q",)]},
+            id="multi-exit-repeated-head"),
+        pytest.param("""
+            P(x, y) :- A(x, z), B(y, w), P(z, w).
+         """, {"A": chain(3), "B": [("m0", "n1"), ("m1", "m0"),
+                                    ("n2", "n3"), ("n3", "n3")],
+               "P__exit": [("n3", "n3"), ("n2", "n1"), ("n1", "m1")]},
+            id="walked-free-position"),
+        pytest.param("""
+            P(x, y, z) :- A(x, u), B(y, v), P(u, v, z).
+         """, {"A": chain(2), "B": [("m0", "m1"), ("m1", "m2"),
+                                    ("n1", "m2")],
+               "P__exit": [("n2", "m2", "n0"), ("n1", "m1", "m0"),
+                           ("n1", "m2", "n2"), ("n0", "m0", "m1")]},
+            id="ternary-pivot-and-filter"),
+    ])
+    def test_stable_paths(self, rules, relations):
+        """The σ-first stable paths: several exits with a repeated
+        head variable, a free position that walks its chain backward,
+        and two bound positions (one probes the exit, one filters)."""
+        system = parse_system(rules)
+        db = Database.from_dict(relations)
+        expected = oracle_evaluate(system, db)
+        domain = sorted(db.active_domain())
+        arity = system.dimension
+        # every oracle answer (queries that hit) and tuples of the
+        # first domain values (mostly misses), projected per adornment
+        rows = sorted(expected) + list(
+            itertools.product(domain[:3], repeat=arity))
+        for adornment in all_adornments(arity):
+            if adornment:
+                assert compile_query(system, adornment).strategy is \
+                    Strategy.STABLE
+            patterns = {tuple(row[i] if i in adornment else None
+                              for i in range(arity)) for row in rows}
+            for pattern in patterns:
+                assert_bound_query_matches_oracle(system, db, expected,
+                                                  pattern)

@@ -269,6 +269,54 @@ class TestEngineParameter:
             ddb.query("anc(ann, Y)", engine="quantum")
 
 
+class TestSharedEdb:
+    """A recursive predicate with no IDB predicate below it is
+    evaluated on the session's EDB itself, not on a per-query copy:
+    its match indexes and join tables outlive the query, and no engine
+    may write to it."""
+
+    @staticmethod
+    def _session() -> DeductiveDatabase:
+        session = DeductiveDatabase()
+        session.load(GENEALOGY)
+        return session
+
+    @staticmethod
+    def _snapshot(edb) -> tuple:
+        return ({name: edb.rows_encoded(name)
+                 for name in edb.relation_names},
+                {name: edb.version(name) for name in edb.relation_names},
+                edb.global_version())
+
+    @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
+                                        "top-down"])
+    def test_second_bound_query_rebuilds_no_index(self, engine):
+        session = self._session()
+        edb = session._edb
+
+        def builds() -> tuple[int, int]:
+            return edb.index_rebuilds, edb.hash_builds
+
+        session.query("anc(ann, Y)", engine=engine)
+        first = builds()
+        assert sum(first) > 0   # built on the session's own EDB
+        session.query("anc(bea, Y)", engine=engine)
+        assert builds() == first
+
+    @pytest.mark.parametrize("engine", sorted(DeductiveDatabase.ENGINES))
+    @pytest.mark.parametrize("text", ["anc(ann, Y)", "anc(X, dee)",
+                                      "anc(X, Y)", "anc(ann, cal)"])
+    def test_query_leaves_the_edb_unchanged(self, engine, text):
+        expected = self._session().query(text, engine="semi-naive")
+        session = self._session()
+        before = self._snapshot(session._edb)
+        assert session.query(text, engine=engine) == expected
+        assert self._snapshot(session._edb) == before
+        # on a read-only fork every write raises
+        fork = self._session().fork_reader()
+        assert fork.query(text, engine=engine) == expected
+
+
 class TestAnswerCache:
     def test_concurrent_readers_keep_the_lru_bounded(self, monkeypatch):
         """Regression: eviction popped ``next(iter(cache))`` while other

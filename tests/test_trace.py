@@ -145,6 +145,23 @@ class TestRender:
         assert "engine=compiled" in text  # ...then the observed trace
         assert "answers=3" in text
 
+    def test_all_free_stable_query_names_what_ran(self, ddb):
+        """A stable plan with no bound position has no selection to
+        push down: it runs the unrestricted fixpoint, and the trace
+        says so while the compiled header keeps the plan."""
+        tracer = Tracer()
+        ddb.query("anc(X, Y)", trace=tracer)
+        assert tracer.trace.meta["strategy"] == "iterative"
+        (magic,) = [span for span in tracer.trace.rounds
+                    if span.kind == "magic"]
+        assert magic.detail["unrestricted"] is True
+        text = ddb.explain_analyze("anc(X, Y)")
+        assert "strategy:   stable" in text    # the compiled plan
+        assert "strategy: iterative" in text   # what actually ran
+        bound = Tracer()
+        ddb.query("anc(ann, Y)", trace=bound)
+        assert bound.trace.meta["strategy"] == "stable"
+
 
 class TestEngineTraces:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
