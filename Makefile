@@ -24,9 +24,11 @@ bench:
 artifacts: bench
 	@ls benchmarks/output/
 
+# Exits non-zero when any example fails, after running them all.
 examples:
-	@for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null \
-	    && echo ok || echo FAILED; done
+	@status=0; for f in examples/*.py; do echo "== $$f"; \
+	    if python $$f > /dev/null; then echo ok; \
+	    else echo FAILED; status=1; fi; done; exit $$status
 
 doctest:
 	pytest --doctest-modules src/repro -q

@@ -5,20 +5,13 @@
   bottom-up fixpoint by the adornment-sequence bindings; switching it
   off (plain semi-naive + final selection) shows how many tuples the
   filter saves on (s12).
-* **ABL2 — hash indexes in the fact store**: the selection-first
-  principle assumes selective access paths; with indexes disabled the
-  same subgoals touch the whole relation per probe.  The top-down
-  engine solves every subgoal through the fact store's match path;
-  the compiled and fixpoint engines probe the join kernel's
-  code-indexed tables instead, which this switch does not disable.
 """
 
 from repro.core import text_table
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
-                          SemiNaiveEngine, TopDownEngine)
+                          SemiNaiveEngine)
 from repro.ra import Database
-from repro.workloads import (CATALOGUE, chain, random_edb,
-                             reflexive_exit)
+from repro.workloads import CATALOGUE, random_edb
 
 
 def test_abl1_binding_filter(benchmark, save_artifact):
@@ -45,34 +38,6 @@ def test_abl1_binding_filter(benchmark, save_artifact):
           with_filter.probes],
          ["unfiltered (semi-naive + final σ)", admitted_plain,
           without.probes]]))
-
-
-def test_abl2_index_ablation(benchmark, save_artifact):
-    system = CATALOGUE["s1a"].system()
-    rows = {"A": chain(64), "P__exit": reflexive_exit(64)}
-    query = Query.parse("P(n0, Y)")
-
-    def run_both():
-        out = []
-        for indexed in (True, False):
-            db = Database(indexed=indexed)
-            for name, data in rows.items():
-                db.bulk(name, data)
-            stats = EvaluationStats()
-            answers = TopDownEngine().evaluate(system, db, query, stats)
-            out.append((indexed, len(answers), db.touches))
-        return out
-
-    results = benchmark(run_both)
-    (with_index, answers_a, touches_indexed), \
-        (_, answers_b, touches_scanned) = results
-    assert with_index and answers_a == answers_b
-    # indexes turn per-probe scans into direct lookups
-    assert touches_indexed * 10 < touches_scanned
-    save_artifact("ablation2_indexes", text_table(
-        ["variant", "answers", "rows touched"],
-        [["hash-indexed", answers_a, touches_indexed],
-         ["full scans", answers_b, touches_scanned]]))
 
 
 def test_abl3_minimisation(benchmark, save_artifact):

@@ -4,8 +4,8 @@ This engine executes the strategies that the compiler
 (:mod:`repro.core.compile`) selects symbolically:
 
 * **BOUNDED** — the recursion is pseudo recursion: evaluate the finite
-  set of exit expansions as conjunctive queries seeded with the query
-  constants.  No fixpoint at all.
+  set of exit expansions, one rule application each, with the query
+  constants bound to the expansion's head.  No fixpoint at all.
 * **STABLE** — per-position chain iteration, selection first.  Bound
   positions iterate their cycle relation forward from the query
   constant (the ``σR^k`` branches of the compiled formula); at every
@@ -48,7 +48,7 @@ from ..datalog.terms import Variable
 from ..graphs.igraph import build_igraph
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import satisfiable, solve_project
+from .conjunctive import satisfiable
 from .query import Query
 from .setjoin import apply_rule
 from .stats import EvaluationStats
@@ -79,12 +79,11 @@ def _is_identity(spec: CycleSpec) -> bool:
 class CompiledEngine:
     """Evaluate queries using the classification's compiled strategy.
 
-    The STABLE/TRANSFORM and ITERATIVE strategies push whole frontiers
-    and binding sets through compiled hash-join plans
-    (:func:`~repro.engine.setjoin.apply_rule`), one rule application
-    per depth or round; the BOUNDED strategy runs each exit expansion
-    through the conjunctive solver
-    (:func:`~repro.engine.conjunctive.solve_project`).
+    Every strategy pushes whole frontiers and binding sets through
+    compiled hash-join plans
+    (:func:`~repro.engine.setjoin.apply_rule`): one rule application
+    per exit expansion (BOUNDED), per depth (STABLE/TRANSFORM) or per
+    round (ITERATIVE).
 
     ``backend`` steers the ITERATIVE fixpoint's delta loop exactly as
     on :class:`~repro.engine.seminaive.SemiNaiveEngine` — and only
@@ -170,6 +169,11 @@ class CompiledEngine:
         bound = classification.rank_bound
         assert bound is not None
         deadline = stats.deadline
+        # the query's constants enter each expansion through its head
+        # terms at the bound positions, so the entry layout checks a
+        # head constant or a repeated head variable against them
+        positions = sorted(query.constants)
+        entry = tuple(query.pattern[i] for i in positions)
         answers: set[tuple] = set()
         for exit_index in range(len(system.exits)):
             for depth in range(1, bound + 2):
@@ -179,23 +183,13 @@ class CompiledEngine:
                         stats.truncated = True
                         return frozenset(answers)
                 flattened = system.exit_expansion(depth, exit_index)
-                binding: dict[Variable, object] = {}
-                consistent = True
-                for position, value in query.constants.items():
-                    head_term = flattened.head.args[position]
-                    assert isinstance(head_term, Variable)
-                    if binding.get(head_term, value) != value:
-                        consistent = False  # repeated head var conflict
-                        break
-                    binding[head_term] = value
-                if not consistent:
-                    continue
+                head = flattened.head.args
                 if trace is not None:
                     trace.begin_round("expansion", 0, stats)
                 before = len(answers)
-                answers |= solve_project(edb, flattened.body,
-                                         flattened.head.args, binding,
-                                         stats=stats)
+                answers |= apply_rule(edb, flattened.body,
+                                      tuple(head[i] for i in positions),
+                                      head, [entry], stats)
                 stats.record_round(len(answers) - before)
                 if trace is not None:
                     trace.end_round(len(answers) - before, stats,

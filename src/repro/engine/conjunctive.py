@@ -1,11 +1,18 @@
 """Selection-first conjunctive-query evaluation over the fact store.
 
-This is the shared workhorse of every engine: given a conjunction of
-atoms and an initial variable binding, enumerate all satisfying
-bindings by backtracking search with a greedy, dynamically re-ranked
-atom order — the most-bound atom (most selective access path) is
-always evaluated next, which is precisely the paper's principle that
-"join operations will be performed only after selection operations".
+Given a conjunction of atoms and an initial variable binding, enumerate
+all satisfying bindings by backtracking search with a greedy,
+dynamically re-ranked atom order — the most-bound atom (most selective
+access path) is always evaluated next, which is precisely the paper's
+principle that "join operations will be performed only after selection
+operations".
+
+Rule application runs set-at-a-time in :mod:`repro.engine.setjoin`;
+this solver serves where one binding at a time is the point: top-down's
+tabled resolution, the first witness :func:`~repro.engine.provenance
+.explain_answer` shows, and the stable strategy's existence gate
+(:func:`satisfiable`).  It is also the reference the join kernel is
+tested against.
 
 The solver runs in *storage space*: bindings, probe patterns and
 result rows hold the dense int codes the database stores.  Constants
@@ -129,9 +136,9 @@ def solve_project(database: Database, atoms: Sequence[Atom],
                   ) -> set[tuple]:
     """The projections of all solutions onto *out_terms*.
 
-    This is rule application: *out_terms* is typically the head's
-    argument list.  Rows come back in storage space — decode at the
-    answer boundary, or feed them to ``add_encoded``/``bulk_encoded``.
+    One binding's rule application: *out_terms* is typically the
+    head's argument list.  Rows come back in storage space — decode at
+    the answer boundary, or feed them to ``add_encoded``/``bulk_encoded``.
     """
     encode = database.encode_const
     results: set[tuple] = set()

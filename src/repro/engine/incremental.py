@@ -19,64 +19,40 @@ paper's setting has no deletions, so they are out of scope here.)
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
+from ..datalog.errors import EvaluationError
 from ..datalog.program import RecursionSystem
 from ..datalog.rules import Rule
-from ..datalog.terms import Variable
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import solve_project
 from .seminaive import SemiNaiveEngine
 from .setjoin import apply_rule
 from .stats import EvaluationStats
 from .trace import Tracer
 
 
-class _WithIDB:
-    """A database view that also serves the materialised predicate.
-
-    Both the base relations and the materialised rows live in the
-    base's storage space, so the solver's patterns apply unchanged.
-    """
-
-    def __init__(self, base: Database, predicate: str,
-                 rows: set[tuple]) -> None:
-        self._base = base
-        self._predicate = predicate
-        self._rows = rows
-
-    def encode_const(self, value):
-        return self._base.encode_const(value)
-
-    def match_encoded(self, name: str,
-                      pattern: tuple) -> Iterator[tuple]:
-        if name != self._predicate:
-            yield from self._base.match_encoded(name, pattern)
-            return
-        for row in self._rows:
-            if all(v is None or row[i] == v
-                   for i, v in enumerate(pattern)):
-                yield row
-
-    def count(self, name: str) -> int:
-        if name != self._predicate:
-            return self._base.count(name)
-        return len(self._rows)
-
-
 class MaterializedRecursion:
-    """The fixpoint of one recursion system, maintained under inserts."""
+    """The fixpoint of one recursion system, maintained under inserts.
+
+    The fixpoint is stored as relation P (the system's predicate) of a
+    private database beside the EDB, so every differentiated rule reads
+    it through the same join kernel as the base relations.
+    """
 
     def __init__(self, system: RecursionSystem,
                  edb: Database | None = None) -> None:
         self._system = system
         self._db = edb.copy() if edb is not None else Database()
-        # The materialised set lives in storage space (the fixpoint's
-        # copy shares this database's symbol table, so its codes are
-        # directly valid here).
-        self._total: set[tuple] = set(
-            SemiNaiveEngine().evaluate(system, self._db, decode=False))
+        # The fixpoint's storage-space rows replace whatever P rows the
+        # base EDB stored (the copy shares the base's symbol table, so
+        # the codes are directly valid here).
+        predicate = system.predicate
+        total = set(SemiNaiveEngine().evaluate(system, self._db,
+                                               decode=False))
+        for row in self._db.rows_encoded(predicate) - total:
+            self._db.remove_encoded(predicate, row)
+        self._db.bulk_encoded(predicate, total)
         self.stats = EvaluationStats(engine="incremental")
 
     @property
@@ -84,11 +60,12 @@ class MaterializedRecursion:
         """The current materialised relation, as a lazy columnar
         :class:`~repro.ra.answers.AnswerSet` — the snapshot decodes
         only if the caller iterates it."""
-        return AnswerSet(frozenset(self._total), self._db.symbols)
+        return AnswerSet(self._db.rows_encoded(self._system.predicate),
+                         self._db.symbols)
 
     @property
     def database(self) -> Database:
-        """The underlying (maintained) EDB."""
+        """The underlying database: the EDB plus P."""
         return self._db
 
     # -- insertion ------------------------------------------------------
@@ -101,6 +78,9 @@ class MaterializedRecursion:
     def insert_many(self, predicate: str, rows: Iterable[tuple],
                     trace: Tracer | None = None) -> AnswerSet:
         """Add base facts; returns every newly derived tuple.
+
+        P itself is derived, never inserted: a P row raises
+        :class:`~repro.datalog.errors.EvaluationError`.
 
         *trace* records the insertion's differentiation seed round and
         each semi-naive propagation round (``trace=None`` is free).
@@ -117,6 +97,10 @@ class MaterializedRecursion:
         re-seeds it (budgeted maintenance is opt-in for exactly the
         callers that accept that trade).
         """
+        if predicate == self._system.predicate:
+            raise EvaluationError(
+                f"{predicate!r} is the materialised relation: insert "
+                f"base facts and the view derives its rows")
         deadline = self.stats.deadline
         self.stats.truncated = False
         if trace is not None:
@@ -131,17 +115,15 @@ class MaterializedRecursion:
             if trace is not None:
                 trace.finish(0, self.stats)
             return AnswerSet(frozenset(), self._db.symbols)
-        view = _WithIDB(self._db, self._system.predicate, self._total)
 
         if trace is not None:
             trace.begin_round("seed", len(fresh), self.stats)
         seeds: set[tuple] = set()
         for rule in (self._system.recursive.rule, *self._system.exits):
-            seeds |= self._differentiated(rule, predicate, fresh, view)
+            seeds |= self._differentiated(rule, predicate, fresh)
 
-        delta = seeds - self._total
+        delta = self._absorb(seeds)
         added = set(delta)
-        self._total |= delta
         self.stats.record_round(len(delta))
         if trace is not None:
             trace.end_round(len(delta), self.stats,
@@ -159,11 +141,10 @@ class MaterializedRecursion:
         while delta:
             if trace is not None:
                 trace.begin_round("delta", len(delta), self.stats)
-            new = apply_rule(self._db, body_rest, recursive_vars,
-                             head_args, delta, self.stats)
-            delta = new - self._total
+            delta = self._absorb(apply_rule(
+                self._db, body_rest, recursive_vars, head_args, delta,
+                self.stats))
             added |= delta
-            self._total |= delta
             self.stats.record_round(len(delta))
             if trace is not None:
                 trace.end_round(len(delta), self.stats)
@@ -177,41 +158,30 @@ class MaterializedRecursion:
         return AnswerSet(frozenset(added), self._db.symbols)
 
     def _differentiated(self, rule: Rule, predicate: str,
-                        fresh: list[tuple], view: _WithIDB
-                        ) -> set[tuple]:
+                        fresh: list[tuple]) -> set[tuple]:
         """Head tuples derivable with one body occurrence of
-        *predicate* forced to the freshly inserted rows."""
+        *predicate* forced to the freshly inserted rows, the other
+        atoms (P included) ranging over the current database."""
         out: set[tuple] = set()
         for index, body_atom in enumerate(rule.body):
-            if body_atom.predicate != predicate:
-                continue
-            rest = rule.body[:index] + rule.body[index + 1:]
-            for row in fresh:
-                binding: dict[Variable, object] = {}
-                consistent = True
-                for term, value in zip(body_atom.args, row):
-                    if isinstance(term, Variable):
-                        if binding.setdefault(term, value) != value:
-                            consistent = False
-                            break
-                    elif self._db.encode_const(term.value) != value:
-                        consistent = False
-                        break
-                if not consistent:
-                    continue
-                out |= solve_project(view, rest, rule.head.args,
-                                     binding, stats=self.stats)
+            if body_atom.predicate == predicate:
+                rest = rule.body[:index] + rule.body[index + 1:]
+                out |= apply_rule(self._db, rest, body_atom.args,
+                                  rule.head.args, fresh, self.stats)
         return out
 
+    def _absorb(self, rows: set[tuple]) -> set[tuple]:
+        """Store *rows* in P; the ones it did not hold yet."""
+        add, predicate = self._db.add_encoded, self._system.predicate
+        return {row for row in rows if add(predicate, row)}
+
     def __len__(self) -> int:
-        return len(self._total)
+        return self._db.count(self._system.predicate)
 
     def __contains__(self, row: tuple) -> bool:
-        lookup = self._db.symbols.lookup
-        codes = tuple(lookup(value) for value in row)
-        return None not in codes and codes in self._total
+        return (self._system.predicate, tuple(row)) in self._db
 
     def __repr__(self) -> str:
         return (f"MaterializedRecursion({self._system.predicate}: "
-                f"{len(self._total)} tuples over "
-                f"{self._db.total_facts()} facts)")
+                f"{len(self)} tuples over "
+                f"{self._db.total_facts() - len(self)} facts)")

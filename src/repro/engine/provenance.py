@@ -38,6 +38,7 @@ from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
 from ..ra.database import Database
 from .conjunctive import solve
+from .setjoin import apply_rule
 
 
 @dataclass(frozen=True)
@@ -83,39 +84,19 @@ def _tuple_depths(system: RecursionSystem,
                   database: Database) -> dict[tuple, int]:
     """First-derivation depth of every tuple (semi-naive replay),
     keyed by the tuple's storage-space (encoded) row."""
-    encode = database.encode_const
     depths: dict[tuple, int] = {}
-    rule = system.recursive
-    total: set[tuple] = set()
+    delta: set[tuple] = set()
     for exit_rule in system.exits:
-        for binding in solve(database, exit_rule.body):
-            row = tuple(
-                binding[t] if isinstance(t, Variable) else encode(t.value)
-                for t in exit_rule.head.args)
-            if row not in depths:
-                depths[row] = 0
-            total.add(row)
-    delta = set(total)
+        delta |= apply_rule(database, exit_rule.body, (),
+                            exit_rule.head.args, [()])
+    rule = system.recursive
     depth = 0
-    body_rest = list(rule.nonrecursive_atoms)
-    recursive_vars = rule.recursive_atom.args
-    head_args = rule.head.args
     while delta:
+        depths.update(dict.fromkeys(delta, depth))
         depth += 1
-        new: set[tuple] = set()
-        for row in delta:
-            binding = {term: value
-                       for term, value in zip(recursive_vars, row)}
-            for solution in solve(database, body_rest, binding):
-                derived = tuple(
-                    solution[t] if isinstance(t, Variable)
-                    else encode(t.value)
-                    for t in head_args)
-                if derived not in total:
-                    new.add(derived)
-                    depths.setdefault(derived, depth)
-        delta = new - total
-        total |= delta
+        delta = {row for row in apply_rule(
+            database, rule.nonrecursive_atoms, rule.recursive_atom.args,
+            rule.head.args, delta) if row not in depths}
     return depths
 
 

@@ -1,11 +1,12 @@
 """Evaluation statistics shared by all engines.
 
 The benches compare engines by work done, not only wall-clock:
-``probes`` counts index lookups performed by the conjunctive solver,
-``derived`` the tuples produced (before deduplication), ``rounds`` the
-fixpoint iterations.  ``delta_sizes`` records the per-round new-tuple
-counts, from which the *measured rank* of a formula on a concrete
-database is read off (the quantity Ioannidis's theorem bounds).
+``probes`` counts the stored rows that probes surface (join kernel
+and conjunctive solver alike), ``derived`` the tuples produced (before
+deduplication), ``rounds`` the fixpoint iterations.  ``delta_sizes``
+records the per-round new-tuple counts, from which the *measured rank*
+of a formula on a concrete database is read off (the quantity
+Ioannidis's theorem bounds).
 """
 
 from __future__ import annotations

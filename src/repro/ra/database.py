@@ -1,9 +1,10 @@
-"""The extensional database: named fact relations with hash indexes.
+"""The extensional database: named fact relations with hash tables.
 
 A :class:`Database` stores the EDB (and, during bottom-up evaluation,
 the IDB) as mutable sets of tuples keyed by predicate name, with
-per-position hash indexes built lazily and invalidated on insertion —
-the access-path layer every engine shares.
+multi-column hash tables built lazily and invalidated by a
+per-relation version counter — the access-path layer every engine
+shares.
 
 Storage is *dictionary encoded*: a shared
 :class:`~repro.ra.symbols.SymbolTable` interns every constant to a
@@ -20,16 +21,14 @@ of API coexist:
   :meth:`dense_table`) speak int tuples and are what the engines run
   on.
 
-Two kinds of access path coexist:
-
-* per-position indexes (``_index``) backing tuple-at-a-time
-  :meth:`match_encoded` probes;
-* multi-column hash tables (:meth:`hash_table`) backing the
-  set-at-a-time join plans of :mod:`repro.engine.setjoin`, keyed by an
-  arbitrary column combination and invalidated by a per-relation
-  version counter — plus :meth:`dense_table`:
-  single-column tables stored as plain lists indexed by key *code*,
-  the array access path dictionary encoding exists to enable.
+One access path serves every reader: multi-column hash tables
+(:meth:`hash_table`), keyed by an arbitrary column combination and
+invalidated by a per-relation version counter.  The set-at-a-time
+join plans of :mod:`repro.engine.setjoin` probe them, and so does
+:meth:`match_encoded`, keyed on a pattern's bound positions.
+:meth:`dense_table` is their single-column variant stored as a plain
+list indexed by key *code*, the array access path dictionary encoding
+exists to enable.
 
 Bulk loads bump the version once per call instead of once per row, so
 a 10k-row load invalidates each derived structure a single time.
@@ -37,8 +36,8 @@ Removals (:meth:`remove`, :meth:`bulk_remove`) go through the same
 version discipline, so cached hash tables never serve deleted rows.
 
 Databases pickle as *snapshots*: rows, arities, version counters and
-the symbol table cross the wire — lazily built indexes and hash tables
-are dropped and rebuilt on first use in the receiving process.
+the symbol table cross the wire — lazily built hash tables are dropped
+and rebuilt on first use in the receiving process.
 """
 
 from __future__ import annotations
@@ -74,16 +73,15 @@ class Database:
     [('a', 'b')]
     """
 
-    def __init__(self, indexed: bool = True) -> None:
-        self._init_state(indexed, SymbolTable())
+    def __init__(self) -> None:
+        self._init_state(SymbolTable())
 
-    def _init_state(self, indexed: bool, symbols: SymbolTable) -> None:
+    def _init_state(self, symbols: SymbolTable) -> None:
         """Empty storage over *symbols* — shared by :meth:`copy` and
         restored by :meth:`__setstate__`, so neither allocates a table
         only to replace it."""
         self._relations: dict[str, set[tuple]] = {}
         self._arities: dict[str, int] = {}
-        self._indexes: dict[tuple[str, int], dict[object, set[tuple]]] = {}
         #: per-relation mutation counters; derived structures snapshot
         #: the counter at build time and are stale when it moved on
         self._versions: dict[str, int] = {}
@@ -108,13 +106,11 @@ class Database:
                                 tuple[int, tuple]] = {}
         #: the constant dictionary every stored row is encoded in
         self._symbols = symbols
-        #: >0 while inside :meth:`bulk`: index/version upkeep deferred
+        #: >0 while inside :meth:`bulk`: version upkeep deferred
         self._bulk_depth = 0
         #: relations mutated while inside a bulk operation; each gets
         #: exactly one version bump when the outermost bulk ends
         self._bulk_dirty: set[str] = set()
-        #: when False, `match` falls back to full scans (for ablations)
-        self.indexed = indexed
         #: when True every mutation raises — the concurrent query
         #: service marks each published MVCC snapshot read-only, so a
         #: reader that would scribble on shared state fails loudly
@@ -122,12 +118,7 @@ class Database:
         #: back a *writable* database (engines copy-then-materialise),
         #: which is exactly the per-request snapshot discipline.
         self.read_only = False
-        #: rows examined while matching (indexes make this ≈ answers)
-        self.touches = 0
-        #: lazy per-position index (re)builds — regressions in bulk
-        #: loading show up here as a rebuild count ≈ row count
-        self.index_rebuilds = 0
-        #: hash tables built for the set-at-a-time join kernel
+        #: hash tables built for the join kernel and :meth:`match`
         #: (dense tables count here too — same build, different shape)
         self.hash_builds = 0
 
@@ -214,7 +205,7 @@ class Database:
         return db
 
     def copy(self) -> "Database":
-        """An independent copy (indexes are rebuilt lazily).
+        """An independent copy that shares every cached table.
 
         The symbol table is *shared*, not copied: it is append-only,
         so rows encoded by the copy stay decodable by the original and
@@ -227,11 +218,10 @@ class Database:
         simply bumps its own version and rebuilds into its own cache —
         while the common fixpoint discipline (engine copies the EDB,
         reads it, throws the copy away) pays each table build once per
-        EDB version instead of once per evaluation.  Per-position match
-        indexes are *not* shared: those are updated in place.
+        EDB version instead of once per evaluation.
         """
         db = Database.__new__(Database)
-        db._init_state(self.indexed, self._symbols)
+        db._init_state(self._symbols)
         for name, rows in self._relations.items():
             db._relations[name] = set(rows)
             db._arities[name] = self._arities[name]
@@ -294,17 +284,13 @@ class Database:
             self._bulk_dirty.add(name)  # one bump when the bulk ends
             return True
         self._versions[name] = self._versions.get(name, 0) + 1
-        for (indexed_name, position), index in self._indexes.items():
-            if indexed_name == name:
-                index.setdefault(row[position], set()).add(row)
         return True
 
     def remove(self, name: str, row: tuple) -> bool:
         """Delete one value row; returns True when it was present.
 
         Removal moves the version counter exactly like insertion, so
-        cached hash tables and per-position indexes never serve a
-        deleted row.
+        cached hash tables never serve a deleted row.
 
         >>> db = Database.from_dict({"A": [("a", "b")]})
         >>> db.remove("A", ("a", "b")), db.remove("A", ("a", "b"))
@@ -327,20 +313,14 @@ class Database:
             self._bulk_dirty.add(name)
             return True
         self._versions[name] = self._versions.get(name, 0) + 1
-        for (indexed_name, position), index in self._indexes.items():
-            if indexed_name == name:
-                bucket = index.get(row[position])
-                if bucket is not None:
-                    bucket.discard(row)
         return True
 
     def bulk(self, name: str, rows: Iterable[tuple]) -> int:
         """Insert many value rows; returns the number actually new.
 
-        Index and version upkeep is batched: one version bump and one
-        index invalidation per mutated relation when the outermost
-        bulk operation ends, however many rows arrive, instead of
-        per-row maintenance in :meth:`add`.
+        Version upkeep is batched: one version bump per mutated
+        relation when the outermost bulk operation ends, however many
+        rows arrive, instead of one per row in :meth:`add`.
         """
         added = 0
         self._bulk_depth += 1
@@ -394,8 +374,6 @@ class Database:
         """
         for name in self._bulk_dirty:
             self._versions[name] = self._versions.get(name, 0) + 1
-            for key in [k for k in self._indexes if k[0] == name]:
-                del self._indexes[key]
         self._bulk_dirty.clear()
 
     def version(self, name: str) -> int:
@@ -443,17 +421,6 @@ class Database:
     def total_facts(self) -> int:
         """Number of rows across all relations."""
         return sum(len(rows) for rows in self._relations.values())
-
-    def _index(self, name: str, position: int) -> dict[object, set[tuple]]:
-        key = (name, position)
-        index = self._indexes.get(key)
-        if index is None:
-            index = {}
-            for row in self._relations.get(name, ()):
-                index.setdefault(row[position], set()).add(row)
-            self._indexes[key] = index
-            self.index_rebuilds += 1
-        return index
 
     def hash_table(self, name: str, key_positions: tuple[int, ...]
                    ) -> dict:
@@ -592,11 +559,8 @@ class Database:
         return csr
 
     def match(self, name: str, pattern: Pattern) -> Iterator[tuple]:
-        """All value rows matching *pattern* (None entries match any).
-
-        Uses a hash index on the first bound position, then filters the
-        remaining bound positions.
-        """
+        """All value rows matching *pattern* (None entries match any),
+        through :meth:`match_encoded`."""
         encoded = self._lookup_pattern(pattern)
         if encoded is None:
             return  # a never-interned constant matches no stored row
@@ -606,25 +570,15 @@ class Database:
 
     def match_encoded(self, name: str,
                       pattern: Pattern) -> Iterator[tuple]:
-        """All storage-space rows matching a storage-space *pattern*."""
-        bound = [(i, v) for i, v in enumerate(pattern) if v is not None]
-        if not bound:
-            rows = self._relations.get(name, ())
-            self.touches += len(rows)
-            yield from rows
-            return
-        if self.indexed:
-            first_position, first_value = bound[0]
-            candidates = self._index(name, first_position).get(
-                first_value, ())
-            rest = bound[1:]
+        """All storage-space rows matching a storage-space *pattern*:
+        one :meth:`hash_table` lookup keyed on its bound positions."""
+        positions = tuple(i for i, v in enumerate(pattern)
+                          if v is not None)
+        if len(positions) == 1:
+            key = pattern[positions[0]]
         else:
-            candidates = self._relations.get(name, ())
-            rest = bound
-        for row in candidates:
-            self.touches += 1
-            if all(row[i] == v for i, v in rest):
-                yield row
+            key = tuple(pattern[i] for i in positions)
+        return iter(self.hash_table(name, positions).get(key, ()))
 
     def has_match(self, name: str, pattern: Pattern) -> bool:
         """True when at least one value row matches *pattern*."""
@@ -679,7 +633,7 @@ class Database:
         """Pickle as a snapshot: rows, arities, versions and the
         symbol table.
 
-        Derived structures (per-position indexes, hash tables) are
+        Derived structures (the hash and dense tables) are
         process-local caches — they are dropped at the serialization
         boundary and rebuilt lazily on first use in the receiver,
         where the versioned cache makes each rebuild a one-time cost.
@@ -691,12 +645,11 @@ class Database:
                           for name, rows in self._relations.items()},
             "arities": dict(self._arities),
             "versions": dict(self._versions),
-            "indexed": self.indexed,
             "symbols": self._symbols,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self._init_state(state["indexed"], state["symbols"])
+        self._init_state(state["symbols"])
         self._relations = state["relations"]
         self._arities = state["arities"]
         self._versions = state["versions"]

@@ -54,8 +54,7 @@ def save_database(database: Database, directory: str | pathlib.Path
             encoding="utf-8")
 
 
-def load_database(directory: str | pathlib.Path,
-                  indexed: bool = True) -> Database:
+def load_database(directory: str | pathlib.Path) -> Database:
     """Read every ``*.tsv`` file of *directory* into a database.
 
     >>> import tempfile
@@ -69,7 +68,7 @@ def load_database(directory: str | pathlib.Path,
     path = pathlib.Path(directory)
     if not path.is_dir():
         raise EvaluationError(f"not a directory: {path}")
-    database = Database(indexed=indexed)
+    database = Database()
     for file_path in sorted(path.glob(f"*{_SUFFIX}")):
         name = file_path.stem
         for line in file_path.read_text(encoding="utf-8").splitlines():

@@ -39,11 +39,11 @@ from .datalog.program import Program, RecursionSystem
 from .datalog.rules import RecursiveRule, Rule
 from .datalog.terms import Constant
 from .engine.compiled import CompiledEngine
-from .engine.conjunctive import solve_project
 from .engine.naive import NaiveEngine
 from .engine.topdown import TopDownEngine
 from .engine.query import Query
 from .engine.seminaive import SemiNaiveEngine
+from .engine.setjoin import apply_rule
 from .engine.stats import EvaluationStats
 from .engine.trace import Tracer
 from .engine.vector import validate_backend
@@ -58,10 +58,9 @@ class DeductiveDatabase:
     #: stale entries from old database versions age out through it
     _ANSWER_CACHE_LIMIT = 1024
 
-    def __init__(self, indexed: bool = True, metrics=None,
-                 query_log=None) -> None:
+    def __init__(self, metrics=None, query_log=None) -> None:
         self._rules: list[Rule] = []
-        self._edb = Database(indexed=indexed)
+        self._edb = Database()
         self._materialised: Database | None = None
         self._plan_cache: dict[tuple[str, frozenset[int]],
                                CompiledFormula] = {}
@@ -222,11 +221,10 @@ class DeductiveDatabase:
         per-request evaluation state is private; what *is* shared
         between the fork's readers — the plan/classification caches, a
         lazily computed view materialisation, and the read-only
-        database's lazily built match indexes and join tables — is
-        filled with deterministic,
-        interchangeable values under single dict-slot assignments
-        (atomic under the GIL), so a race costs at most a duplicated
-        computation, never a wrong answer.  The answer cache, whose
+        database's lazily built join tables — is filled with
+        deterministic, interchangeable values under single dict-slot
+        assignments (atomic under the GIL), so a race costs at most a
+        duplicated computation, never a wrong answer.  The answer cache, whose
         LRU bookkeeping is not a single assignment, is lock-guarded.
         """
         clone = object.__new__(DeductiveDatabase)
@@ -313,7 +311,7 @@ class DeductiveDatabase:
 
         With none below, the session's EDB itself: the engines only
         read it (the naive engine copies before it writes), and its
-        cached match indexes and join tables serve the next query too.
+        cached join tables serve the next query too.
         """
         self._check_arities()
         program = self.program
@@ -335,7 +333,7 @@ class DeductiveDatabase:
         return db
 
     def _materialise_one(self, predicate: str, db: Database) -> None:
-        # solve_project and the fixpoint hand back storage-space rows
+        # apply_rule and the fixpoint hand back storage-space rows
         # and *db* stores storage-space rows — bulk_encoded keeps them
         # out of the encoder (a value-space ``bulk`` would re-encode
         # int codes as if they were user values).
@@ -346,7 +344,7 @@ class DeductiveDatabase:
             for rule in self.rules_for(predicate):
                 db.bulk_encoded(
                     predicate,
-                    solve_project(db, rule.body, rule.head.args))
+                    apply_rule(db, rule.body, (), rule.head.args, [()]))
         else:
             db.bulk_encoded(
                 predicate,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_system
 from repro.engine import SemiNaiveEngine
 from repro.engine.incremental import MaterializedRecursion
@@ -55,6 +56,31 @@ class TestBasics:
     def test_unrelated_predicate_insert(self, tc_view):
         view, _ = tc_view
         assert view.insert("Zzz", ("q",)) == frozenset()
+
+    def test_fixpoint_replaces_stored_p_rows(self):
+        """P rows the base EDB stores give way to the fixpoint: the
+        view's database holds exactly the derived relation."""
+        system = parse_system(
+            "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).")
+        db = Database.from_dict({"A": [("a", "b")], "E": [("b", "b")],
+                                 "P": [("q", "q"), ("b", "b")]})
+        view = MaterializedRecursion(system, db)
+        assert view.rows == {("a", "b"), ("b", "b")}
+        assert view.database.rows("P") == view.rows
+        assert ("q", "q") not in view
+        assert db.rows("P") == {("q", "q"), ("b", "b")}  # base intact
+
+    def test_inserting_into_p_raises(self, tc_view):
+        """P is derived, never inserted: a P row would seed
+        derivations the view itself does not hold."""
+        view, _ = tc_view
+        before = view.rows
+        with pytest.raises(EvaluationError, match="materialised"):
+            view.insert("P", ("a", "a"))
+        with pytest.raises(EvaluationError, match="materialised"):
+            view.insert_many("P", [("a", "a")])
+        assert view.rows == before
+        assert ("a", "a") not in view
 
 
 class TestAgainstFromScratch:

@@ -200,3 +200,42 @@ class TestBoundQueries:
             for pattern in patterns:
                 assert_bound_query_matches_oracle(system, db, expected,
                                                   pattern)
+
+    @pytest.mark.parametrize("rules,relations", [
+        pytest.param("""
+            P(x, y) :- B(y), C(x, y1), P(x1, y1).
+            P(x, 'c') :- E(x).
+         """, {"E": [("a",), ("b",)], "B": [("c",), ("d",)],
+               "C": [("a", "c"), ("b", "c"), ("d", "c"), ("a", "d")]},
+            id="D-constant-exit-head"),
+        pytest.param("""
+            P(x, y, z) :- P(y, z, x).
+            P(x, y, 'c') :- E(x, y).
+         """, {"E": [("a", "b"), ("c", "a"), ("b", "b")]},
+            id="A4-constant-exit-head"),
+        pytest.param("""
+            P(x, y) :- B(y), C(x, y1), P(x1, y1).
+            P(x, x) :- U(x).
+         """, {"U": [("a",), ("c",)], "B": [("c",), ("d",)],
+               "C": [("a", "c"), ("b", "c"), ("d", "a"), ("a", "d")]},
+            id="D-repeated-exit-head"),
+    ])
+    def test_bounded_paths(self, rules, relations):
+        """Bounded expansions whose head carries a constant or a
+        repeated variable at a query-bound position: the query binds
+        it through the expansion's head terms."""
+        system = parse_system(rules)
+        db = Database.from_dict(relations)
+        expected = oracle_evaluate(system, db)
+        domain = sorted(db.active_domain())
+        arity = system.dimension
+        rows = sorted(expected) + list(
+            itertools.product(domain[:3], repeat=arity))
+        for adornment in all_adornments(arity):
+            assert compile_query(system, adornment).strategy is \
+                Strategy.BOUNDED
+            patterns = {tuple(row[i] if i in adornment else None
+                              for i in range(arity)) for row in rows}
+            for pattern in patterns:
+                assert_bound_query_matches_oracle(system, db, expected,
+                                                  pattern)

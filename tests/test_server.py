@@ -36,6 +36,20 @@ class TestQueryRoute:
         assert body["stats"]["answers"] == 3
         assert body["duration_s"] >= 0
 
+    def test_constant_exit_head_at_a_bound_position(self):
+        """Regression: a bounded system whose exit head holds a
+        constant at the query's bound position answered 500."""
+        program = """
+            P(x, y) :- B(y), C(x, y1), P(x1, y1).
+            P(x, 'c') :- E(x).
+            E(a). B(c). C(a, c). C(b, c).
+        """
+        with served(program=program) as server:
+            status, body, _ = request(server, "POST", "/query",
+                                      {"query": "P(X, c)"})
+        assert status == 200
+        assert body["answers"] == [["a", "c"], ["b", "c"]]
+
     def test_engine_selection(self, server):
         for extra in ({"engine": "semi-naive"}, {"engine": "naive"},
                       {"engine": "top-down"}, {"backend": "python"}):

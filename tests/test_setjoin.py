@@ -212,13 +212,15 @@ class TestBulkInvalidation:
 
     def test_bulk_invalidates_index_once(self):
         db = Database.from_dict({"A": [("a", "b")]})
-        list(db.match("A", ("a", None)))  # build the index
-        built = db.index_rebuilds
+        list(db.match("A", ("a", None)))  # build the hash table
+        built = db.hash_builds
         db.bulk("A", [(f"n{i}", f"n{i+1}") for i in range(100)])
-        # the bulk load dropped the index; one rebuild on next probe
-        assert db.index_rebuilds == built
+        # the bulk load staled the table; one rebuild serves every
+        # later probe
+        assert db.hash_builds == built
         assert set(db.match("A", ("n5", None))) == {("n5", "n6")}
-        assert db.index_rebuilds == built + 1
+        assert set(db.match("A", ("n7", None))) == {("n7", "n8")}
+        assert db.hash_builds == built + 1
 
     def test_bulk_results_visible_to_match(self):
         db = Database.from_dict({"A": [("a", "b")]})

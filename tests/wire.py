@@ -1,10 +1,11 @@
 """One in-process :class:`~repro.server.QueryServer` harness for tests.
 
-:func:`served` boots a server over the TC program below on an
-ephemeral port (``port=0``), with a metrics registry and an in-memory
-query log, and runs ``serve_forever`` on a daemon thread;
-:func:`request` talks to it over a real socket, so routing, status
-codes, headers and bodies are observed exactly as a client would.
+:func:`served` boots a server over the TC program below (or another
+program) on an ephemeral port (``port=0``), with a metrics registry
+and an in-memory query log, and runs ``serve_forever`` on a daemon
+thread; :func:`request` talks to it over a real socket, so routing,
+status codes, headers and bodies are observed exactly as a client
+would.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ CLOSURE = {("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"),
 
 
 @contextmanager
-def served(**kwargs):
-    """A running server over :data:`PROGRAM`; *kwargs* go to
-    :class:`QueryServer`.  Shut down and closed on exit."""
+def served(*, program: str = PROGRAM, **kwargs):
+    """A running server over *program* (:data:`PROGRAM` by default);
+    *kwargs* go to :class:`QueryServer`.  Shut down and closed on
+    exit."""
     session = DeductiveDatabase(metrics=MetricsRegistry(),
                                 query_log=QueryLogger(io.StringIO()))
-    session.load(PROGRAM)
+    session.load(program)
     server = QueryServer(session, port=0, **kwargs)
     # a short poll interval lets shutdown return in milliseconds
     thread = threading.Thread(target=server.httpd.serve_forever,
