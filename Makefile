@@ -1,5 +1,8 @@
 # Convenience targets for the reproduction.
 
+# Run from the source tree, with or without `make install`.
+export PYTHONPATH := src
+
 .PHONY: install test smoke bench artifacts examples doctest all
 
 install:
@@ -11,7 +14,7 @@ test:
 # Boot `repro serve` per scenario and check every identity over HTTP
 # (the same command as the CI step).
 smoke:
-	PYTHONPATH=src python scripts/wire_smoke.py
+	python scripts/wire_smoke.py
 
 # Every bench once: --benchmark-only would skip the one that times
 # itself (vector), which writes BENCH_vector.json.

@@ -23,7 +23,13 @@ the timed region:
   rule (``P(x,y) :- A(x,m), B(m,n), C(n,z), P(z,y)``) on a ~20k-row
   layered DAG.  Its three-step plan fails the vector certificate, so
   both runs take the tuple-set loop: this leg pins the fallback cost
-  at ~1x (no silent regression for uncertified shapes).
+  at ~1x (no silent regression for uncertified shapes);
+* ``chain-700-deep`` — the closure of one 700-edge chain with
+  reflexive exits: 246,051 answers in 702 rounds of a few hundred
+  rows each.  Per-round work is small and the seen set large, so
+  this leg gates the kernel's seen-set upkeep, which must not grow
+  with the answers found so far: ``auto`` stays within noise of the
+  tuple-set loop (≥ 0.5x).
 
 Without numpy every workload runs the tuple-set loop on both sides,
 so only the answer parity is checked.
@@ -50,7 +56,8 @@ THREE_HOP_TEXT = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
 #: the ISSUE's acceptance gate for the numpy kernel on both 20k TC
 #: workloads (full enumeration and the bound query)
 TARGET_SPEEDUP = 2.0
-#: the uncertified fallback is a correctness path; it must stay within
+#: the uncertified fallback is a correctness path, and the deep chain
+#: leaves the kernel little work per round; both must stay within
 #: noise of the tuple-set loop
 FLOOR_WITHIN_NOISE = 0.5
 
@@ -149,6 +156,8 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
         _measure("tc-20k-bound-query", tc_system, tc_20k, query=bound),
         _measure("3hop-20k-compressed-chain", hop_system, hop_20k,
                  repeats=3, expect_vector=False),
+        _measure("chain-700-deep", tc_system,
+                 _tc_database(_parallel_chains(1, 700))),
     ]
 
     by_name = {r["workload"]: r for r in results}
@@ -161,10 +170,13 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
             assert row["speedup"] >= TARGET_SPEEDUP, (
                 f"vector kernel: {gated} only {row['speedup']}x vs "
                 f"the tuple-set loop (gate {TARGET_SPEEDUP}x)")
-    fallback = by_name["3hop-20k-compressed-chain"]
-    assert fallback["speedup"] >= FLOOR_WITHIN_NOISE, (
-        f"3hop-20k-compressed-chain collapsed to {fallback['speedup']}x "
-        f"of the tuple-set loop (floor {FLOOR_WITHIN_NOISE}x)")
+    deep = by_name["chain-700-deep"]
+    assert (deep["answers"], deep["rounds"]) == (246_051, 702)
+    for floored in ("3hop-20k-compressed-chain", "chain-700-deep"):
+        row = by_name[floored]
+        assert row["speedup"] >= FLOOR_WITHIN_NOISE, (
+            f"{floored} collapsed to {row['speedup']}x of the "
+            f"tuple-set loop (floor {FLOOR_WITHIN_NOISE}x)")
 
     payload = {
         "bench": "vector",

@@ -768,9 +768,7 @@ def drain(workdir: str, checks: list) -> None:
 # -- dropped mid-stream -------------------------------------------------------
 
 DROP_CHAIN = 700  # full closure: 245,350 rows, several MB of JSON
-#: the python delta loop: on one 700-round chain it is the fast path
-BIG_ANSWER = {"query": "P(X, Y)", "engine": "semi-naive",
-              "backend": "python"}
+BIG_ANSWER = {"query": "P(X, Y)", "engine": "semi-naive"}
 
 
 def dropped_mid_stream(workdir: str, checks: list) -> None:

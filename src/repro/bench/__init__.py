@@ -1,7 +1,5 @@
 """Benchmark harness: engine runs, agreement checks, table rows."""
 
-from .harness import (ENGINES, POINT_HEADERS, EngineRun, ExperimentPoint,
-                      run_point)
+from .harness import POINT_HEADERS, EngineRun, ExperimentPoint, run_point
 
-__all__ = ["ENGINES", "POINT_HEADERS", "EngineRun", "ExperimentPoint",
-           "run_point"]
+__all__ = ["POINT_HEADERS", "EngineRun", "ExperimentPoint", "run_point"]

@@ -11,20 +11,10 @@ import time
 from dataclasses import dataclass
 
 from ..datalog.program import RecursionSystem
-from ..engine.compiled import CompiledEngine
-from ..engine.naive import NaiveEngine
+from ..engine import ENGINES
 from ..engine.query import Query
-from ..engine.seminaive import SemiNaiveEngine
 from ..engine.stats import EvaluationStats
-from ..engine.topdown import TopDownEngine
 from ..ra.database import Database
-
-ENGINES = {
-    "naive": NaiveEngine,
-    "semi-naive": SemiNaiveEngine,
-    "compiled": CompiledEngine,
-    "top-down": TopDownEngine,
-}
 
 
 @dataclass(frozen=True)

@@ -32,20 +32,14 @@ from .core.report import classification_table, formula_dossier
 from .datalog.errors import ReproError
 from .datalog.parser import parse_program, parse_system
 from .datalog.pretty import expansion_trace
-from .engine.compiled import CompiledEngine
-from .engine.naive import NaiveEngine
+from .engine import ENGINES
 from .engine.query import Query
-from .engine.seminaive import SemiNaiveEngine
 from .engine.stats import EvaluationStats
-from .engine.topdown import TopDownEngine
 from .engine.trace import TRACE_SCHEMA_VERSION, Tracer
-from .engine.vector import BACKENDS, numpy_version
+from .engine.vector import numpy_version
 from .graphs.render import ascii_figure, ascii_resolution, to_dot
 from .graphs.resolution import resolution_graph
 from .ra.database import Database
-
-_ENGINES = {"naive": NaiveEngine, "semi-naive": SemiNaiveEngine,
-            "compiled": CompiledEngine, "top-down": TopDownEngine}
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -182,11 +176,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         queries = [Query.from_atom(goal) for goal in program.queries]
     else:
         queries = [Query.all_free(system.predicate, system.dimension)]
-    if args.engine in ("semi-naive", "compiled"):
-        engine = _ENGINES[args.engine](backend=args.backend)
-    else:
-        # naive/top-down have no delta loop; --backend is moot there
-        engine = _ENGINES[args.engine]()
+    engine = ENGINES[args.engine]()
     query_log = None
     if args.log_json is not None:
         from .logutil import open_query_log
@@ -248,7 +238,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     session.load(text)
     server = QueryServer(session, host=args.host, port=args.port,
                          default_engine=args.engine,
-                         default_backend=args.backend,
                          max_inflight=args.max_inflight,
                          query_timeout_s=args.query_timeout,
                          max_rows=args.max_rows,
@@ -374,13 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
         "run", help="evaluate a query over a program file with facts")
     p_run.add_argument("program", help="file with rules and facts")
     p_run.add_argument("--query", help="e.g. 'P(a, Y)'")
-    p_run.add_argument("--engine", choices=sorted(_ENGINES),
+    p_run.add_argument("--engine", choices=sorted(ENGINES),
                        default="compiled")
-    p_run.add_argument("--backend", choices=BACKENDS, default="auto",
-                       help="delta-loop backend: auto uses the "
-                            "numpy kernel for certified plan shapes "
-                            "(the tuple-set loop without numpy); "
-                            "python pins the tuple-set loop")
     p_run.add_argument("--trace", action="store_true",
                        help="print an EXPLAIN ANALYZE trace of each "
                             "query to stderr")
@@ -405,14 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080,
                          help="listen port (0 = ephemeral; the bound "
                               "port is printed on startup)")
-    p_serve.add_argument("--engine", choices=sorted(_ENGINES),
+    p_serve.add_argument("--engine", choices=sorted(ENGINES),
                          default="compiled",
                          help="default engine for /query requests")
-    p_serve.add_argument("--backend", choices=BACKENDS,
-                         default="auto",
-                         help="default delta-loop backend for /query "
-                              "requests (requests may override per "
-                              "call)")
     p_serve.add_argument("--max-inflight", type=int, default=8,
                          help="concurrent evaluations admitted; "
                               "excess requests get 429 + Retry-After")

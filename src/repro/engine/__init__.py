@@ -22,11 +22,12 @@ from .stats import EvaluationStats
 from .trace import (TRACE_SCHEMA_VERSION, RoundSpan, RuleSpan, Trace,
                     Tracer, validate_trace_dict)
 
-ALL_ENGINES = (NaiveEngine, SemiNaiveEngine, CompiledEngine,
-               TopDownEngine)
+#: Each evaluation engine's ``name`` mapped to its class.
+ENGINES = {engine.name: engine for engine in (
+    NaiveEngine, SemiNaiveEngine, CompiledEngine, TopDownEngine)}
 
 __all__ = [
-    "ALL_ENGINES", "Binding", "CompiledEngine", "Deadline",
+    "Binding", "CompiledEngine", "Deadline", "ENGINES",
     "EvaluationStats", "QueryCancelled", "QueryTimeout",
     "JoinPlan", "JoinStep", "NaiveEngine", "Query", "SemiNaiveEngine",
     "TRACE_SCHEMA_VERSION", "RoundSpan", "RuleSpan", "Trace", "Tracer",

@@ -53,7 +53,7 @@ from .query import Query
 from .setjoin import apply_rule
 from .stats import EvaluationStats
 from .trace import Tracer
-from .vector import ColumnarTotal, run_delta_loop, validate_backend
+from .vector import ColumnarTotal, run_delta_loop
 
 
 def _product_rows(pattern: tuple,
@@ -85,8 +85,8 @@ class CompiledEngine:
     per exit expansion (BOUNDED), per depth (STABLE/TRANSFORM) or per
     round (ITERATIVE).
 
-    ``backend`` steers the ITERATIVE fixpoint's delta loop exactly as
-    on :class:`~repro.engine.seminaive.SemiNaiveEngine` — and only
+    The ITERATIVE fixpoint's delta loop may run on the vector kernel
+    (:func:`~repro.engine.vector.run_delta_loop` decides), but only
     when the magic-binding pass proves the recursion *unrestricted*
     (no relevance filter): a binding-restricted loop filters every
     derived row, a shape the vector kernel does not certify.  The
@@ -94,9 +94,6 @@ class CompiledEngine:
     """
 
     name = "compiled"
-
-    def __init__(self, backend: str = "auto") -> None:
-        self.backend = validate_backend(backend)
 
     def evaluate(self, system: RecursionSystem, edb: Database,
                  query: Query, stats: EvaluationStats | None = None,
@@ -427,7 +424,6 @@ class CompiledEngine:
         total = run_delta_loop(edb, rule.nonrecursive_atoms,
                                rule.recursive_atom.args, rule.head.args,
                                total, delta, stats, trace, None,
-                               backend=self.backend,
                                relevant=None if unrestricted else relevant)
         return (total if isinstance(total, ColumnarTotal)
                 else frozenset(total))

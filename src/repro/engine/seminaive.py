@@ -13,9 +13,9 @@ through cached hash joins: the exit rules from the empty binding, the
 recursive rule from each round's delta.  The delta rounds run in
 :func:`~repro.engine.vector.run_delta_loop`, which hands the hot
 linear-recursion shape (single fused step, identity entry layout) to
-the vectorised kernel when ``backend`` allows it — flat int-vector
-frontiers over CSR adjacency, answers/stats/traces bit-identical to
-the tuple-set rounds.
+the vectorised kernel — flat int-vector frontiers over CSR
+adjacency, answers/stats/traces bit-identical to the tuple-set
+rounds.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ class SemiNaiveEngine:
         Delta-loop backend selection: ``"auto"`` hands certified plan
         shapes to the vectorised kernel (:mod:`repro.engine.vector`)
         when numpy imports and runs tuple-set rounds otherwise;
-        ``"python"`` pins the tuple-set rounds.
+        ``"python"`` pins the tuple-set rounds, the reference the
+        kernel's parity tests compare against.
     """
 
     name = "semi-naive"

@@ -221,7 +221,7 @@ def join_batch(database: Database, plan: JoinPlan,
 
 def _fused_final_rows(database: Database, plan: JoinPlan,
                       batch: list[tuple],
-                      stats: EvaluationStats | None) -> list[tuple] | None:
+                      stats: EvaluationStats | None) -> set[tuple] | None:
     """Output rows of *plan* with the projection fused into the last
     probe, or None when the shape doesn't qualify.
 
@@ -234,6 +234,11 @@ def _fused_final_rows(database: Database, plan: JoinPlan,
     emitted output column, so each output pair is assembled from the
     carried binding slot and the probed column value directly — no
     per-emitted-row ``row[position]`` indexing, no full-row buckets.
+    The pairs go straight into the output set, and behind earlier steps
+    (a multi-hop body, which reaches one binding by many paths) each
+    (carried value, probe code) pair is expanded once: a repeat would
+    only re-add pairs the set already holds, so the set and the order
+    of its insertions are those of the expansion of every binding.
     Probe/derived accounting is
     identical to the unfused path (every surfaced column value emits
     exactly one output row), and the column view derives from the
@@ -244,39 +249,37 @@ def _fused_final_rows(database: Database, plan: JoinPlan,
         return None
     for earlier in plan.steps[:-1]:
         if not batch:
-            return []
+            return set()
         batch = _run_step(database, earlier, batch, stats)
     if not batch:
-        return []
+        return set()
     builds_before = database.hash_builds
     view = database.dense_column(spec.predicate, spec.key_position,
                                  spec.position)
     if stats is not None:
         stats.hash_builds += database.hash_builds - builds_before
         stats.hash_lookups += 1
-    slot, keep, new_first = spec.slot, spec.keep, spec.new_first
-    try:
-        if new_first:
-            out = [(value, binding[keep])
-                   for binding in batch
-                   for value in view[binding[slot]]]
-        else:
-            out = [(binding[keep], value)
-                   for binding in batch
-                   for value in view[binding[slot]]]
-    except IndexError:
-        # a code interned after the build — out of range, in no row
-        size = len(view)
-        out = []
-        append = out.append
-        for binding in batch:
-            code = binding[slot]
-            if code < size:
-                for value in view[code]:
-                    append((value, binding[keep]) if new_first
-                           else (binding[keep], value))
+    # a code interned after the build is out of range, in no row
+    size = len(view)
+    code_of = itemgetter(spec.slot)
+    pairs = zip(map(itemgetter(spec.keep), batch), map(code_of, batch))
+    if len(plan.steps) > 1:
+        pairs = dict.fromkeys(pairs)
+    if spec.new_first:
+        out = {(value, kept) for kept, code in pairs if code < size
+               for value in view[code]}
+    else:
+        out = {(kept, value) for kept, code in pairs if code < size
+               for value in view[code]}
     if stats is not None:
-        stats.probes += len(out)
+        try:
+            emitted = sum(map(len, map(view.__getitem__,
+                                       map(code_of, batch))))
+        except IndexError:
+            emitted = sum(len(view[code]) for code in map(code_of, batch)
+                          if code < size)
+        stats.probes += emitted
+        stats.derived += emitted
     return out
 
 
@@ -293,9 +296,7 @@ def execute_plan(database: Database, plan: JoinPlan,
         batch = list(batch)
     fused = _fused_final_rows(database, plan, batch, stats)
     if fused is not None:
-        if stats is not None:
-            stats.derived += len(fused)
-        return set(fused)
+        return fused
     bindings = join_batch(database, plan, batch, stats)
     if stats is not None:
         stats.derived += len(bindings)

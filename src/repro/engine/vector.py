@@ -20,21 +20,24 @@ answer set.
 
 The kernel is numpy: ``np.repeat``/fancy-indexing gathers over
 zero-copy ``np.frombuffer`` views of the CSR arrays, packed
-``a * N + b`` int64 keys deduplicated by a sort plus
-``np.searchsorted`` against the sorted seen-key vector.  Without numpy
-every shape continues on the tuple-set path, so ``auto`` resolves
-to the python loop (``stats.backend == "python"``).
+``a * N + b`` int64 keys deduplicated by a sort plus one
+``np.searchsorted`` per sorted run of the seen set
+(:class:`_NumpyState`).  Without numpy every shape continues on the
+tuple-set path, so ``auto`` resolves to the python loop
+(``stats.backend == "python"``).
 
 The kernel preserves the counting discipline of the tuple-set rounds
 *exactly*: per round one plan-cache touch, one ``record_batch``, one
 ``hash_lookups`` tick and a ``hash_builds`` delta around the CSR
 fetch, ``probes``/``derived`` equal to the rows the probe emits, and
 the same trace spans and deadline checks at round boundaries.  The
-tuple-set rounds run instead for ``backend="python"``, under a
-relevance filter, for entry layouts other than two distinct
-variables, and for plans whose shape the certificate rejects
-(multi-step bodies), with identical counters, so callers never see a
-seam.
+loop chooses the kernel itself, from what it can observe: the
+tuple-set rounds run instead without numpy, under a relevance filter,
+for entry layouts other than two distinct variables, and for plans
+whose shape the certificate rejects (multi-step bodies), with
+identical counters, so callers never see a seam.  Only
+``SemiNaiveEngine(backend="python")`` pins the tuple-set rounds: the
+reference the kernel's parity tests compare against.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ HAVE_NUMPY = _np is not None
 
 #: The recognised ``backend=`` values: ``auto`` prefers the vectorised
 #: kernel with per-shape fallback, ``python`` pins the tuple-set rounds
-#: (the ablation/debug escape hatch).
+#: (the reference path of the kernel's parity tests).
 BACKENDS = ("auto", "python")
 
 
@@ -140,18 +143,25 @@ class ColumnarTotal:
 class _NumpyState:
     """Frontier + seen-set state of the numpy kernel.
 
-    The frontier is a pair of int64 columns; the seen set is one
-    sorted int64 vector of packed ``a * N + b`` keys, where *N* is the
-    symbol-table size at loop entry (codes are dense, so the packing
-    is injective and ``N**2`` fits int64 for any realistic dictionary
-    — :func:`run_delta_loop` checks and falls back otherwise).
+    The frontier is a pair of int64 columns.  The seen set holds
+    packed ``a * N + b`` keys, where *N* is the symbol-table size at
+    loop entry (codes are dense, so the packing is injective and
+    ``N**2`` fits int64 for any realistic dictionary —
+    :func:`run_delta_loop` checks and falls back otherwise).  It is
+    kept as sorted, disjoint runs, each more than twice the size of
+    the next: a round's fresh keys become a new run and merge into
+    their neighbour while it is at most twice their size.  Each key
+    is thus merged O(log T) times, where one sorted vector re-sorted
+    every round would cost O(T log T) per round on a deep recursion.
     """
 
     def __init__(self, total: set, delta: set, n_symbols: int) -> None:
         self._n = n_symbols
-        self._seen = _np.sort(_np.fromiter(
+        self._runs: list = []
+        self._size = 0
+        self._add_run(_np.sort(_np.fromiter(
             (a * n_symbols + b for a, b in total),
-            dtype=_np.int64, count=len(total)))
+            dtype=_np.int64, count=len(total))))
         self._delta_a = _np.fromiter((row[0] for row in delta),
                                      dtype=_np.int64, count=len(delta))
         self._delta_b = _np.fromiter((row[1] for row in delta),
@@ -163,7 +173,29 @@ class _NumpyState:
 
     @property
     def total_size(self) -> int:
-        return int(self._seen.size)
+        return self._size
+
+    def _add_run(self, keys) -> None:
+        """Add sorted *keys*, disjoint from every run, as a new run."""
+        if not keys.size:
+            return
+        runs = self._runs
+        runs.append(keys)
+        self._size += int(keys.size)
+        while len(runs) > 1 and runs[-2].size <= 2 * runs[-1].size:
+            merged = _np.concatenate((runs[-2], runs.pop()))
+            # the stable sort finds the two sorted halves and merges
+            # them in linear time, where quicksort starts over
+            merged.sort(kind="stable")
+            runs[-1] = merged
+
+    def _unseen(self, keys):
+        """The sorted *keys* that lie in no run."""
+        for run in self._runs:
+            at = _np.searchsorted(run, keys)
+            _np.minimum(at, run.size - 1, out=at)
+            keys = keys[run[at] != keys]
+        return keys
 
     def round(self, spec: FusedTail, csr: tuple) -> tuple[int, int]:
         """One vectorised round; returns (rows emitted, fresh rows)."""
@@ -202,15 +234,8 @@ class _NumpyState:
             keep = _np.empty(packed.size, dtype=bool)
             keep[0] = True
             _np.not_equal(packed[1:], packed[:-1], out=keep[1:])
-            fresh = packed[keep]
-            if self._seen.size:
-                at = _np.searchsorted(self._seen, fresh)
-                known = _np.zeros(fresh.size, dtype=bool)
-                inside = at < self._seen.size
-                known[inside] = self._seen[at[inside]] == fresh[inside]
-                fresh = fresh[~known]
-            self._seen = _np.sort(_np.concatenate(
-                (self._seen, fresh)))
+            fresh = self._unseen(packed[keep])
+            self._add_run(fresh)
         else:
             fresh = _np.empty(0, dtype=_np.int64)
         self._delta_a = fresh // self._n
@@ -218,11 +243,14 @@ class _NumpyState:
         return emitted, int(fresh.size)
 
     def finalize(self) -> ColumnarTotal:
-        """The completed total, still columnar: the sorted seen-keys
-        split back into their two code columns.  No row tuple is built
-        here — the answer boundary decides lazily whether anyone needs
-        one (:class:`ColumnarTotal`)."""
-        first, second = _np.divmod(self._seen, self._n)
+        """The completed total, still columnar: the seen runs sorted
+        into one key vector and split back into their two code
+        columns.  No row tuple is built here — the answer boundary
+        decides lazily whether anyone needs one
+        (:class:`ColumnarTotal`)."""
+        seen = (self._runs[0] if len(self._runs) == 1
+                else _np.sort(_np.concatenate(self._runs)))
+        first, second = _np.divmod(seen, self._n)
         return ColumnarTotal((first, second))
 
 
@@ -248,9 +276,10 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
 
     Round 1 opens its trace span and compiles the plan (one counted
     miss on a cold cache); only then is the certificate read off the
-    compiled plan.  With ``backend="auto"``, no filter, an entry
-    layout of two distinct variables and a single fused step, the
-    rounds run vectorised on the numpy kernel when numpy imports.
+    compiled plan.  With no filter, an entry layout of two distinct
+    variables and a single fused step, the rounds run vectorised on
+    the numpy kernel when numpy imports, unless *backend* is
+    ``"python"`` (the reference path).
     Anything else runs tuple-set rounds, *reusing* the compiled plan
     for round 1 and ``apply_rule`` — one counted plan-cache hit per
     round — thereafter, so every counter is the same on either path.

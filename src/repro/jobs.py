@@ -98,7 +98,7 @@ class Job:
     running).
     """
 
-    __slots__ = ("id", "query", "query_id", "engine", "backend",
+    __slots__ = ("id", "query", "query_id", "engine",
                  "timeout_s", "max_rows", "epoch", "state",
                  "submitted_at", "started_at", "finished_at", "stats",
                  "cancel", "result", "error", "error_status", "trace",
@@ -108,8 +108,7 @@ class Job:
                  timeout_s: float | None,
                  max_rows: int | None, epoch,
                  query_id: str | None = None,
-                 trace: bool = False,
-                 backend: str = "auto") -> None:
+                 trace: bool = False) -> None:
         self.id = job_id
         self.query = query
         #: the request-scoped id: propagated from the submitting
@@ -118,9 +117,6 @@ class Job:
         #: force flight-recorder capture of the run
         self.trace = trace
         self.engine = engine
-        #: delta-loop backend the run pins ("auto" lets the engine
-        #: pick the vectorised kernel for certified shapes)
-        self.backend = backend
         self.timeout_s = timeout_s
         self.max_rows = max_rows
         #: the :class:`~repro.service.Epoch` pinned at submit time —
@@ -177,8 +173,6 @@ class Job:
             "progress": self.progress(),
             "cancel_requested": self.cancel.is_set(),
         }
-        if self.backend != "auto":
-            document["backend"] = self.backend
         if self.timeout_s is not None:
             document["timeout_s"] = self.timeout_s
         if self.max_rows is not None:
@@ -263,7 +257,6 @@ class JobQueue:
         return self.service.metrics
 
     def submit(self, query: str, *, engine: str = "compiled",
-               backend: str = "auto",
                timeout_s: float | None = None,
                max_rows: int | None = None,
                query_id: str | None = None,
@@ -281,7 +274,7 @@ class JobQueue:
         job = Job(f"job-{secrets.token_hex(8)}", query, engine=engine,
                   timeout_s=timeout_s,
                   max_rows=max_rows, epoch=epoch, query_id=query_id,
-                  trace=trace, backend=backend)
+                  trace=trace)
         with self._lock:
             if self._draining:
                 raise ServiceDraining(
@@ -425,7 +418,6 @@ class JobQueue:
                 try:
                     result = self.service.run(
                         job.query, engine=job.engine,
-                        backend=job.backend,
                         timeout_s=job.timeout_s,
                         max_rows=job.max_rows, epoch=job.epoch,
                         cancel=job.cancel, stats=job.stats,

@@ -4,9 +4,9 @@
 service built entirely on the stdlib:
 
 * ``POST /query`` — evaluate a query; JSON in
-  (``{"query": "P(a, Y)", "engine"?: ..., "backend"?: ...,
-  "timeout_s"?: ..., "max_rows"?: ...}``), JSON out (answers, count,
-  outcome, epoch, duration, the query's full
+  (``{"query": "P(a, Y)", "engine"?: ..., "timeout_s"?: ...,
+  "max_rows"?: ...}``; a field the server does not read is ignored),
+  JSON out (answers, count, outcome, epoch, duration, the query's full
   :meth:`~repro.engine.stats.EvaluationStats.to_dict`).  The
   ``answers`` array is rendered straight from the lazy columnar
   :class:`~repro.ra.answers.AnswerSet`: one ``json.dumps`` per
@@ -50,8 +50,8 @@ line, the recorded trace, and (with ``--exemplars``) the duration
 histogram's exemplars, so the three observability signals join on one
 key.
 
-Request parameters (``engine``, ``backend``, ``timeout_s``,
-``max_rows``, ``mode``) are validated up front: a malformed value —
+Request parameters (``engine``, ``timeout_s``, ``max_rows``,
+``mode``, ``trace``) are validated up front: a malformed value —
 ``"timeout_s": "5"``, a negative row cap, an unknown mode — is a
 ``400`` with a field-specific error body, never a ``500`` out of the
 engine internals.  Bodies are bounded before they are read: a missing
@@ -81,7 +81,6 @@ from time import perf_counter, time
 
 from . import __version__
 from .datalog.errors import ReproError
-from .engine.vector import BACKENDS
 from .flight import FlightRecorder
 from .jobs import JobQueue, JobQueueFull, JobStates, UnknownJob
 from .logutil import new_query_id, valid_query_id
@@ -131,8 +130,7 @@ def _malformed_rows(field: str, facts: dict) -> str | None:
     return None
 
 
-def _validate_query_request(request: dict, *, default_engine: str,
-                            default_backend: str = "auto") -> dict:
+def _validate_query_request(request: dict, *, default_engine: str) -> dict:
     """Normalise a ``/query``-shaped document or raise :class:`_BadRequest`.
 
     Every client-supplied knob is checked for type and range *before*
@@ -170,19 +168,13 @@ def _validate_query_request(request: dict, *, default_engine: str,
     if mode not in ("sync", "async"):
         raise _BadRequest('"mode" must be "sync" or "async", got '
                           f'{mode!r}')
-    backend = request.get("backend", default_backend)
-    if backend not in BACKENDS:
-        raise _BadRequest(
-            '"backend" must be one of '
-            + ", ".join(f'"{name}"' for name in BACKENDS)
-            + f', got {backend!r}')
     trace = request.get("trace", False)
     if not isinstance(trace, bool):
         raise _BadRequest('"trace" must be a boolean, got '
                           f'{trace!r}')
     return {"query": query, "engine": engine,
             "timeout_s": timeout_s, "max_rows": max_rows,
-            "mode": mode, "trace": trace, "backend": backend}
+            "mode": mode, "trace": trace}
 
 
 class QueryServer:
@@ -198,7 +190,6 @@ class QueryServer:
     def __init__(self, session: DeductiveDatabase,
                  host: str = "127.0.0.1", port: int = 8080,
                  default_engine: str = "compiled",
-                 default_backend: str = "auto",
                  max_inflight: int = 8,
                  query_timeout_s: float | None = None,
                  max_rows: int | None = None,
@@ -211,7 +202,6 @@ class QueryServer:
                  exemplars: bool = False) -> None:
         self.session = session
         self.default_engine = default_engine
-        self.default_backend = default_backend
         self.drain_grace_s = drain_grace_s
         self.epochs = EpochManager(session)
         self.service = QueryService(self.epochs,
@@ -618,8 +608,7 @@ class QueryServer:
     def _validated(self, handler, request: dict) -> dict | None:
         try:
             return _validate_query_request(
-                request, default_engine=self.default_engine,
-                default_backend=self.default_backend)
+                request, default_engine=self.default_engine)
         except _BadRequest as error:
             self._send_json(handler, 400, {"error": str(error)})
             return None
@@ -660,7 +649,6 @@ class QueryServer:
         try:
             result = self.service.run(params["query"],
                                       engine=params["engine"],
-                                      backend=params["backend"],
                                       timeout_s=params["timeout_s"],
                                       max_rows=params["max_rows"],
                                       ctx=ctx)
@@ -695,7 +683,6 @@ class QueryServer:
         try:
             job = self.jobs.submit(params["query"],
                                    engine=params["engine"],
-                                   backend=params["backend"],
                                    timeout_s=params["timeout_s"],
                                    max_rows=params["max_rows"],
                                    query_id=query_id,

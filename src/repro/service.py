@@ -288,7 +288,6 @@ class QueryService:
     # -- querying ------------------------------------------------------
 
     def run(self, query: str, *, engine: str = "compiled",
-            backend: str = "auto",
             timeout_s: float | None = None,
             max_rows: int | None = None,
             epoch: Epoch | None = None,
@@ -298,11 +297,6 @@ class QueryService:
             count_rejection: bool = True,
             ctx=None) -> QueryResult:
         """Admit, pin a snapshot, evaluate under a deadline, release.
-
-        *backend* is handed to
-        :meth:`~repro.session.DeductiveDatabase.query` verbatim —
-        ``"auto"`` allows the vectorised delta-loop kernel,
-        ``"python"`` pins the tuple-set loop.
 
         Raises :class:`AdmissionRejected` when every slot is busy,
         :class:`ServiceDraining` during shutdown, and
@@ -358,8 +352,7 @@ class QueryService:
                 answers = epoch.session.query(
                     query, stats=stats, engine=engine,
                     trace=ctx.tracer if ctx is not None else None,
-                    query_id=ctx.query_id if ctx is not None else None,
-                    backend=backend)
+                    query_id=ctx.query_id if ctx is not None else None)
             finally:
                 if ctx is not None:
                     ctx.add_phase("engine", engine_started)

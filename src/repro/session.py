@@ -38,15 +38,13 @@ from .datalog.parser import parse_program, parse_rule
 from .datalog.program import Program, RecursionSystem
 from .datalog.rules import RecursiveRule, Rule
 from .datalog.terms import Constant
+from .engine import ENGINES
 from .engine.compiled import CompiledEngine
-from .engine.naive import NaiveEngine
-from .engine.topdown import TopDownEngine
 from .engine.query import Query
 from .engine.seminaive import SemiNaiveEngine
 from .engine.setjoin import apply_rule
 from .engine.stats import EvaluationStats
 from .engine.trace import Tracer
-from .engine.vector import validate_backend
 from .ra.answers import AnswerSet
 from .ra.database import Database
 
@@ -66,7 +64,7 @@ class DeductiveDatabase:
                                CompiledFormula] = {}
         self._classification_cache: dict[str, Classification] = {}
         #: full answer sets keyed by (predicate, pattern, engine,
-        #: backend, database epoch) — any fact mutation moves the
+        #: database epoch) — any fact mutation moves the
         #: epoch, so entries self-invalidate; rule changes clear it.
         #: The cached object is the *lazy* columnar
         #: :class:`~repro.ra.answers.AnswerSet` — codes plus the
@@ -363,15 +361,11 @@ class DeductiveDatabase:
 
     # -- querying --------------------------------------------------------
 
-    ENGINES = {"compiled": CompiledEngine, "semi-naive": SemiNaiveEngine,
-               "naive": NaiveEngine, "top-down": TopDownEngine}
-
     def query(self, query: Query | str,
               stats: EvaluationStats | None = None,
               engine: str = "compiled",
               trace: Tracer | None = None,
-              query_id: str | None = None,
-              backend: str = "auto") -> AnswerSet:
+              query_id: str | None = None) -> AnswerSet:
         """Answer a query, choosing the evaluation by classification.
 
         EDB predicates are looked up directly; non-recursive views are
@@ -393,31 +387,21 @@ class DeductiveDatabase:
         exemplar; ``repro serve`` passes the request-scoped id so the
         response envelope, log, trace and metrics all correlate.  When
         ``None`` a fresh id is minted per instrumented call.
-
-        *backend* picks the delta-loop execution backend for the
-        fixpoint engines: ``"auto"`` hands certified plan shapes to
-        the numpy kernel (:mod:`repro.engine.vector`) and runs the
-        tuple-set loop when numpy is absent; ``"python"`` pins
-        the tuple-set loop.  Engines without a delta loop (naive,
-        top-down, edb/view lookups) ignore it.
         """
         if isinstance(query, str):
             query = Query.parse(query)
-        backend = validate_backend(backend)
         if self.metrics is None and self.query_log is None:
-            return self._evaluate_query(query, stats, engine, trace,
-                                        backend)
+            return self._evaluate_query(query, stats, engine, trace)
         return self._instrumented_query(query, stats, engine, trace,
-                                        query_id, backend)
+                                        query_id)
 
     def _evaluate_query(self, query: Query,
                         stats: EvaluationStats | None,
-                        engine: str, trace: Tracer | None,
-                        backend: str = "auto") -> AnswerSet:
+                        engine: str, trace: Tracer | None) -> AnswerSet:
         """Answer-cache wrapper around the evaluation proper.
 
         Successful answer sets are memoised on (query pattern, engine,
-        backend, database epoch) in a lock-guarded LRU of
+        database epoch) in a lock-guarded LRU of
         :attr:`_ANSWER_CACHE_LIMIT` entries: re-asking an unchanged session the
         same question is a dict lookup.  *Active* traced runs bypass
         the cache — the caller asked to watch the evaluation happen —
@@ -429,8 +413,8 @@ class DeductiveDatabase:
         """
         if trace is not None and not trace.passive:
             return self._evaluate_query_uncached(query, stats, engine,
-                                                 trace, backend)
-        key = (query.predicate, query.pattern, engine, backend,
+                                                 trace)
+        key = (query.predicate, query.pattern, engine,
                self._edb.global_version())
         with self._answer_lock:
             hit = self._answer_cache.get(key)
@@ -451,7 +435,7 @@ class DeductiveDatabase:
             return answers
         local = stats if stats is not None else EvaluationStats()
         answers = self._evaluate_query_uncached(query, local, engine,
-                                                trace, backend)
+                                                trace)
         if local.truncated:
             # a row-budget abort returned a sound but *partial* set;
             # caching it would serve incomplete answers to later
@@ -466,14 +450,13 @@ class DeductiveDatabase:
 
     def _evaluate_query_uncached(self, query: Query,
                                  stats: EvaluationStats | None,
-                                 engine: str, trace: Tracer | None,
-                                 backend: str = "auto"
+                                 engine: str, trace: Tracer | None
                                  ) -> AnswerSet:
         """The evaluation itself, free of any telemetry concern."""
-        if engine not in self.ENGINES:
+        if engine not in ENGINES:
             raise EvaluationError(
                 f"unknown engine {engine!r}; valid engines: "
-                f"{', '.join(sorted(self.ENGINES))}")
+                f"{', '.join(sorted(ENGINES))}")
         predicate = query.predicate
 
         if predicate not in self.idb_predicates:
@@ -531,21 +514,15 @@ class DeductiveDatabase:
 
         base = self._materialise_below(predicate)
         if engine != "compiled":
-            cls = self.ENGINES[engine]
-            if cls is SemiNaiveEngine:
-                instance = cls(backend=backend)
-            else:
-                # naive/top-down have no delta loop to vectorise
-                instance = cls()
-            return instance.evaluate(system, base, query, stats,
-                                     trace=trace)
+            return ENGINES[engine]().evaluate(system, base, query, stats,
+                                              trace=trace)
         key = (predicate, query.adornment)
         compiled = self._plan_cache.get(key)
         if compiled is None:
             compiled = compile_query(system, query.adornment,
                                      self.classification(predicate))
             self._plan_cache[key] = compiled
-        return CompiledEngine(backend=backend).evaluate(
+        return CompiledEngine().evaluate(
             system, base, query, stats, compiled=compiled, trace=trace)
 
     @staticmethod
@@ -570,8 +547,7 @@ class DeductiveDatabase:
     def _instrumented_query(self, query: Query,
                             stats: EvaluationStats | None,
                             engine: str, trace: Tracer | None,
-                            query_id: str | None = None,
-                            backend: str = "auto"
+                            query_id: str | None = None
                             ) -> AnswerSet:
         """Evaluate with metrics/log recording around the call.
 
@@ -591,8 +567,7 @@ class DeductiveDatabase:
         before = local.to_dict()
         started = perf_counter()
         try:
-            answers = self._evaluate_query(query, local, engine, trace,
-                                           backend)
+            answers = self._evaluate_query(query, local, engine, trace)
         except Exception as error:
             from .service import failure_outcome
             duration = perf_counter() - started

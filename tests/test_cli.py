@@ -131,13 +131,6 @@ class TestRun:
         assert code == 0
         assert len(captured.out.strip().splitlines()) == 3
 
-    def test_vector_backend_is_rejected(self, capsys, program_file):
-        # "vector" was a second name for "auto"; argparse refuses it
-        with pytest.raises(SystemExit) as caught:
-            main(["run", "--backend", "vector", program_file])
-        assert caught.value.code == 2
-        assert "invalid choice: 'vector'" in capsys.readouterr().err
-
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent/file.dl"]) == 1
         assert "error:" in capsys.readouterr().err

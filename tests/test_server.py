@@ -73,14 +73,6 @@ class TestQueryRoute:
         body = b"not json {{"
         assert _post_declaring(server, str(len(body)), body)[0] == 400
 
-    def test_vector_backend_is_rejected(self, server):
-        # "vector" was a second name for "auto"; only the two remain
-        status, body, _ = request(server, "POST", "/query",
-                                  {"query": "P(X, Y)", "backend": "vector"})
-        assert status == 400
-        assert body["error"] == ('"backend" must be one of "auto", '
-                                 '"python", got \'vector\'')
-
     def test_unknown_paths_get_404(self, server):
         assert request(server, "GET", "/nope")[0] == 404
         assert request(server, "POST", "/nope", {"query": "P(a, Y)"})[0] == 404

@@ -7,7 +7,8 @@ import pytest
 
 from repro.datalog.errors import (DatalogSyntaxError, EvaluationError,
                                   RuleValidationError)
-from repro.engine import EvaluationStats, Query, SemiNaiveEngine, Tracer
+from repro.engine import (ENGINES, EvaluationStats, Query, SemiNaiveEngine,
+                          Tracer)
 from repro.session import DeductiveDatabase
 
 GENEALOGY = """
@@ -297,7 +298,7 @@ class TestSharedEdb:
                           trace=Tracer()) == session.query("anc(ann, Y)")
         assert fork._edb.hash_builds == 0
 
-    @pytest.mark.parametrize("engine", sorted(DeductiveDatabase.ENGINES))
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
     @pytest.mark.parametrize("text", ["anc(ann, Y)", "anc(X, dee)",
                                       "anc(X, Y)", "anc(ann, cal)"])
     def test_query_leaves_the_edb_unchanged(self, engine, text):

@@ -5,7 +5,8 @@ import pytest
 from repro.datalog.parser import parse_atom
 from repro.datalog.terms import Variable
 from repro.engine import (EvaluationStats, SemiNaiveEngine, apply_rule,
-                          compile_plan, execute_plan, solve_project)
+                          compile_plan, execute_plan, join_batch,
+                          solve_project)
 from repro.engine.plan import entry_layout
 from repro.ra import Database
 
@@ -153,6 +154,51 @@ class TestExecuteAgainstSolveProject:
             total = total | delta
             rounds += 1
         assert rounds == 7  # the 6-edge chain's depths 1..6, then empty
+
+    def test_multi_hop_fused_tail_equals_expanding_every_binding(self):
+        """Behind earlier steps the fused last probe expands each
+        distinct (carried value, probe code) pair once.  Its set, the
+        order that set iterates in, and the probe and derived counts
+        equal those of expanding every binding of the unfused join."""
+        # three layers of 3-way fan-out: each (y, m) pair that reaches
+        # the last probe does so by up to nine paths
+        width = 30
+        db = Database.from_dict({
+            name: [(f"{src}{i}", f"{dst}{(i + b) % width}")
+                   for i in range(width) for b in range(3)]
+            for name, src, dst in [("A", "x", "m"), ("B", "m", "n"),
+                                   ("C", "n", "z")]})
+        body = atoms("A(x, m)", "B(m, n)", "C(n, z)")
+        entry, out = (V("z"), V("y")), (V("x"), V("y"))
+        plan = compile_plan(body, entry, out, db)
+        assert plan.fused is not None and len(plan.steps) == 3
+        batch = entry_layout(entry, db.encode_const).batch(
+            db.encode_row((f"z{i}", f"y{i % 3}")) for i in range(width))
+        fused_stats, unfused_stats = EvaluationStats(), EvaluationStats()
+        got = execute_plan(db, plan, batch, fused_stats)
+        bindings = join_batch(db, plan, batch, unfused_stats)
+        slots = [slot for _, slot in plan.out_sources]
+        expected = {tuple(binding[slot] for slot in slots)
+                    for binding in bindings}
+        assert len(bindings) > len(expected)
+        assert list(got) == list(expected)
+        assert fused_stats.probes == unfused_stats.probes
+        assert fused_stats.derived == len(bindings)
+
+    def test_fused_tail_skips_codes_interned_after_the_build(self,
+                                                             tc_system):
+        db = Database.from_dict({"A": [("a", "b"), ("b", "c")]})
+        rule = tc_system.recursive
+        body, head = rule.nonrecursive_atoms, rule.head.args
+        entry = rule.recursive_atom.args
+        assert apply_rule(db, body, entry, head,
+                          [db.encode_row(("b", "c"))])
+        late = db.encode_row(("late", "c"))  # interned after the build
+        stats = EvaluationStats()
+        assert apply_rule(db, body, entry, head,
+                          [late, db.encode_row(("b", "c"))],
+                          stats) == {db.encode_row(("a", "c"))}
+        assert stats.probes == stats.derived == 1
 
 
 class TestHashTableCache:

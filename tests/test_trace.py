@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.datalog.parser import parse_system
-from repro.engine import MaterializedRecursion, TopDownEngine
+from repro.engine import ENGINES, MaterializedRecursion, TopDownEngine
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import (TRACE_SCHEMA_VERSION, Tracer,
                                 validate_trace_dict)
@@ -171,7 +171,7 @@ class TestEngineTraces:
         answers = ddb.query("anc(X, Y)", engine=engine, trace=tracer)
         assert tracer.trace is not None
         validate_trace_dict(tracer.trace.to_dict())
-        assert tracer.trace.engine == ddb.ENGINES[engine].name
+        assert tracer.trace.engine == ENGINES[engine].name
         assert tracer.trace.answers == len(answers) == 6
 
     def test_trace_does_not_change_answers(self, ddb):

@@ -1,40 +1,41 @@
 """Vectorised-backend laws: numpy kernel ≡ tuple-set loop.
 
 The vectorised delta-loop kernel (:mod:`repro.engine.vector`) is pure
-representation: whether the numpy kernel runs or the original
-tuple-set loop pinned by ``backend="python"`` — the answers, the
-per-round stats deltas and the trace shapes must be bit-identical.
-Three layers pin this down:
+representation: whether the numpy kernel runs or the tuple-set loop
+— pinned by ``SemiNaiveEngine(backend="python")``, or reached by
+hiding numpy — the answers, the per-round stats deltas and the trace
+shapes must be bit-identical.  Four layers pin this down:
 
 * **backend parity** — classes A1–C × the delta-loop engines
-  (semi-naive, compiled): ``auto`` vs pinned-python agree on
+  (semi-naive, compiled): the kernel vs the python loop agree on
   everything except the fields that name which backend ran; with
   numpy absent, ``auto`` *is* the python loop, down to the backend
   name and the traces;
-* **fallback paths** — uncertified plan shapes and ``max_rounds``
-  caps take the python loop with identical results, and
-  ``backend="python"`` pins it explicitly;
-* **session laws** — ``session.query(backend=...)`` validates the
-  name, keys the answer cache per backend, and returns identical
-  answers either way.
+* **deep chains** — recursions deep enough that the kernel's seen
+  set holds several sorted runs, to fixpoint and under a row budget;
+* **fallback paths** — ``max_rounds`` caps agree, and an unknown
+  backend name is refused;
+* **session laws** — a session answers the same with numpy hidden.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.errors import EvaluationError
-from repro.engine import CompiledEngine, Query, SemiNaiveEngine
+from repro.datalog.parser import parse_system
+from repro.engine import CompiledEngine, Deadline, Query, SemiNaiveEngine
 from repro.engine import vector as vector_module
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
 from repro.engine.vector import validate_backend
+from repro.ra import Database
 from repro.session import DeductiveDatabase
-from repro.workloads import CATALOGUE, random_edb
+from repro.workloads import CATALOGUE, chain, random_edb
 
 #: one catalogue representative per paper class A1 … C
 CLASS_ENTRIES = {
@@ -43,10 +44,10 @@ CLASS_ENTRIES = {
 }
 
 #: the engines that own a delta loop (and may hand it to the kernel)
-ENGINES = {
-    "semi-naive": SemiNaiveEngine,
-    "compiled": CompiledEngine,
-}
+ENGINES = ("compiled", "semi-naive")
+
+#: transitive closure, the paper's (s1a): one fused step per round
+TC_SYSTEM = "P(x, y) :- A(x, z), P(z, y)."
 
 
 @contextmanager
@@ -66,11 +67,31 @@ def _workload(paper_class, seed, tuples):
     return system, db, query
 
 
+def _chain_database(edges, skip=False):
+    """One *edges*-long chain with a reflexive exit on every node.
+    With *skip*, an edge also jumps over each node, so a pair is
+    derived again in the rounds after the one that found it, and the
+    kernel's seen-set lookups hit runs of every age."""
+    rows = chain(edges)
+    if skip:
+        rows += [(a, c) for (a, _), (_, c) in zip(rows, rows[1:])]
+    nodes = sorted({node for row in rows for node in row})
+    return Database.from_dict({"A": rows,
+                               "P__exit": [(n, n) for n in nodes]})
+
+
 def _run(engine, system, db, query, backend):
     stats = EvaluationStats()
     tracer = Tracer()
-    answers = ENGINES[engine](backend=backend).evaluate(
-        system, db.copy(), query, stats, trace=tracer)
+    if engine == "compiled":
+        # the compiled engine takes no backend: its python loop is
+        # the one that runs without numpy
+        with numpy_absent() if backend == "python" else nullcontext():
+            answers = CompiledEngine().evaluate(
+                system, db.copy(), query, stats, trace=tracer)
+    else:
+        answers = SemiNaiveEngine(backend=backend).evaluate(
+            system, db.copy(), query, stats, trace=tracer)
     return answers, stats, tracer
 
 
@@ -155,6 +176,47 @@ class TestBackendParity:
         assert results["auto"] == results["python"]
 
 
+class TestDeepChains:
+    """Closures deep enough that the kernel's seen set holds several
+    sorted runs at once."""
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("edges", [17, 64, 200])
+    def test_vector_matches_pinned_python(self, edges, skip):
+        system = parse_system(TC_SYSTEM)
+        db = _chain_database(edges, skip)
+        query = Query.all_free("P", 2)
+        _run("semi-naive", system, db, query, "python")  # warm plans
+        answers_v, stats_v, _ = _run("semi-naive", system, db, query,
+                                     "auto")
+        answers_p, stats_p, _ = _run("semi-naive", system, db, query,
+                                     "python")
+        assert len(answers_v) == (edges + 1) * (edges + 2) // 2
+        assert stats_v.rounds == ((edges + 1) // 2 if skip else edges) + 2
+        assert (stats_v.backend == "numpy") == vector_module.HAVE_NUMPY
+        assert answers_v == answers_p
+        assert answers_v.encoded == answers_p.encoded
+        assert stats_v.delta_sizes == stats_p.delta_sizes
+        assert _stats_shape(stats_v) == _stats_shape(stats_p)
+
+    @pytest.mark.parametrize("max_rows", [401, 5_000, 20_000])
+    def test_row_budget_truncates_alike(self, max_rows):
+        # 201 exit rows, then 200, 199, … per round: 401 stops one
+        # round past the boundary it equals, the others mid-closure
+        system = parse_system(TC_SYSTEM)
+        db = _chain_database(200)
+        results = {}
+        for backend in ("auto", "python"):
+            stats = EvaluationStats()
+            stats.deadline = Deadline(max_rows=max_rows)
+            answers = SemiNaiveEngine(backend=backend).evaluate(
+                system, db, None, stats)
+            assert stats.truncated
+            results[backend] = (answers.encoded, stats.rounds,
+                                stats.delta_sizes)
+        assert results["auto"] == results["python"]
+
+
 class TestFallbackPaths:
     def test_unknown_backend_rejected(self):
         with pytest.raises(EvaluationError):
@@ -167,47 +229,34 @@ class TestFallbackPaths:
 
 
 class TestSessionLaws:
-    def _session(self):
+    @staticmethod
+    def _query(text, engine):
         session = DeductiveDatabase()
         session.load("""
             anc(x, y) :- par(x, z), anc(z, y).
             anc(x, y) :- par(x, y).
             par(a, b). par(b, c). par(c, d).
         """)
-        return session
+        return session.query(text, engine=engine)
+
+    def _both_ways(self, text, engine):
+        """Answer *text* in two fresh sessions, numpy present, then
+        hidden, so neither reads the other's answer cache."""
+        vector = self._query(text, engine)
+        with numpy_absent():
+            python = self._query(text, engine)
+        return vector, python
 
     @pytest.mark.parametrize("engine", ["semi-naive", "compiled"])
     def test_query_backends_agree(self, engine):
-        session = self._session()
-        vector = session.query("anc(X, Y)", engine=engine,
-                               backend="auto")
-        python = session.query("anc(X, Y)", engine=engine,
-                               backend="python")
+        vector, python = self._both_ways("anc(X, Y)", engine)
         assert vector == python
+        assert vector.encoded == python.encoded
         assert len(vector) == 6
 
     def test_bound_query_backends_agree(self):
-        session = self._session()
-        assert (session.query("anc(a, Y)", engine="semi-naive",
-                              backend="auto")
-                == session.query("anc(a, Y)", engine="semi-naive",
-                                 backend="python"))
-
-    def test_answer_cache_keyed_by_backend(self):
-        session = self._session()
-        for backend in ("auto", "python"):
-            session.query("anc(X, Y)", engine="semi-naive",
-                          backend=backend)
-        stats = EvaluationStats()
-        session.query("anc(X, Y)", engine="semi-naive",
-                      backend="auto", stats=stats)
-        assert stats.answer_cache_hits == 1
-        stats = EvaluationStats()
-        session.query("anc(X, Y)", engine="semi-naive",
-                      backend="python", stats=stats)
-        assert stats.answer_cache_hits == 1
-
-    def test_invalid_backend_raises(self):
-        session = self._session()
-        with pytest.raises(EvaluationError):
-            session.query("anc(X, Y)", backend="gpu")
+        for engine in ENGINES:
+            vector, python = self._both_ways("anc(a, Y)", engine)
+            assert vector == python
+            assert vector.encoded == python.encoded
+            assert len(vector) == 3
