@@ -12,8 +12,9 @@ The scenarios, one ``repro serve`` subprocess each:
   ``/metrics`` reconciled exactly with the per-response stats, one log
   line per query, and one query id joined across the response, the
   log, ``/debug/traces/<id>`` and a latency exemplar.  The same boot
-  then drives one request of every family-owning shape and diffs the
-  families ``/metrics`` exposes against ``docs/observability.md``;
+  then drives one request of every family-owning shape, diffs the
+  families ``/metrics`` exposes against ``docs/observability.md``,
+  and checks every ``query`` log line against the doc's field table;
 * **mixed load** — 16 client threads, five engines, classes A1/A5, a
   view and an EDB lookup, one deliberate truncation and one timeout
   per pass: zero 5xx and exact outcome, admission and flight-recorder
@@ -470,10 +471,26 @@ def documented_families() -> set[str]:
     return names
 
 
+def documented_log_fields() -> dict[str, set[str]]:
+    """The ``query`` event's fields per line kind (``success``,
+    ``failure``), from the field table of observability.md's
+    "Structured query logs" section."""
+    with open(DOC, encoding="utf-8") as handle:
+        section = handle.read().split("## Structured query logs", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    fields: dict[str, set[str]] = {"success": set(), "failure": set()}
+    for name, on in re.findall(r"^\| `([a-z_]+)` \| (both|success|failure) \|",
+                               section, re.MULTILINE):
+        for kind in (("success", "failure") if on == "both" else (on,)):
+            fields[kind].add(name)
+    return fields
+
+
 def lint(server: Server, checks: list) -> None:
     """Every exposed family is documented in observability.md, and
     every documented one is exposed once each family-owning shape ran
-    (families are declared on first write)."""
+    (families are declared on first write).  Every ``query`` log line
+    carries exactly the fields the doc's table gives its kind."""
     documented = documented_families()
     require(checks, "families documented in observability.md",
             len(documented), Pred("> 30", lambda count: count > 30))
@@ -495,6 +512,26 @@ def lint(server: Server, checks: list) -> None:
         ("ALLOWED_TIMING names not documented",
          sorted(ALLOWED_TIMING - documented), []),
     ]
+    fields = documented_log_fields()
+    require(checks, "query log fields documented",
+            sorted(map(len, fields.values())),
+            Pred("> 5 per kind", lambda counts: counts[0] > 5))
+    kinds: Counter = Counter()
+    off: list = []
+    for line in server.log_lines():
+        if line.get("event") != "query":
+            continue
+        kind = ("success" if line.get("outcome") in ("ok", "truncated")
+                else "failure")
+        kinds[kind] += 1
+        if set(line) != fields[kind]:
+            off.append((line.get("query_id"), kind,
+                        sorted(set(line) ^ fields[kind])))
+    checks += [("query log lines off the documented fields", off, []),
+               ("query log lines linted (success, failure)",
+                (kinds["success"], kinds["failure"]),
+                Pred("at least one of each",
+                     lambda counts: min(counts) > 0))]
 
 
 # -- mixed load and contention ------------------------------------------------

@@ -1,9 +1,14 @@
-"""Evaluation engines: naive, semi-naive, and compiled.
+"""Evaluation engines: naive, semi-naive, compiled and top-down, plus
+incremental maintenance.
 
-All three agree on answers (property-tested); they differ in work
+All of them agree on answers (property-tested); they differ in work
 done, which is exactly the paper's point: the compiled engine pushes
 query selections through the recursion wherever the classification
-proves they persist.
+proves they persist.  They share one evaluation frame: each opens its
+stats with :func:`~repro.engine.stats.open_stats`, closes every round
+through :meth:`EvaluationStats.close_round`, and the four ``evaluate``
+engines hand their fixpoint to
+:func:`~repro.engine.vector.answer_boundary`.
 """
 
 from .compiled import CompiledEngine

@@ -51,9 +51,10 @@ from ..ra.database import Database
 from .conjunctive import satisfiable
 from .query import Query
 from .setjoin import apply_rule
-from .stats import EvaluationStats
+from .stats import EvaluationStats, open_stats
 from .trace import Tracer
-from .vector import ColumnarTotal, run_delta_loop
+from .vector import (ColumnarTotal, answer_boundary, exit_round,
+                     run_delta_loop)
 
 
 def _product_rows(pattern: tuple,
@@ -98,7 +99,7 @@ class CompiledEngine:
     def evaluate(self, system: RecursionSystem, edb: Database,
                  query: Query, stats: EvaluationStats | None = None,
                  compiled: CompiledFormula | None = None,
-                 trace: Tracer | None = None) -> frozenset[tuple]:
+                 trace: Tracer | None = None) -> AnswerSet:
         """Answers to *query*, via the compiled strategy.
 
         >>> from ..datalog.parser import parse_system
@@ -109,12 +110,7 @@ class CompiledEngine:
         >>> sorted(CompiledEngine().evaluate(s, db, Query.parse("P(a, Y)")))
         [('a', 'c')]
         """
-        if stats is None:
-            stats = EvaluationStats(engine=self.name)
-        else:
-            stats.engine = self.name
-        stats.truncated = False
-        stats.backend = "python"
+        stats = open_stats(stats, self.name, "python")
         if compiled is None:
             compiled = compile_query(system, query.adornment)
         strategy = compiled.strategy
@@ -131,38 +127,28 @@ class CompiledEngine:
         # lazy AnswerSet at the end.
         enc_query = query.encoded(edb)
         if strategy is Strategy.BOUNDED:
-            answers = self._evaluate_bounded(system, compiled.classification,
-                                             edb, enc_query, stats, trace)
+            total = self._evaluate_bounded(system, compiled.classification,
+                                           edb, enc_query, stats, trace)
         elif strategy is Strategy.ITERATIVE:
-            answers = self._evaluate_iterative(system, edb, enc_query,
-                                               stats, trace)
+            total = self._evaluate_iterative(system, edb, enc_query,
+                                             stats, trace)
         else:
-            answers = self._evaluate_stable(compiled.stable, edb, enc_query,
-                                            stats, trace)
-        if isinstance(answers, ColumnarTotal):
-            # the vectorised fixpoint's columnar product: filter by
-            # vector mask, wrap without building row tuples
-            answers = answers.filter(enc_query)
-        else:
-            answers = enc_query.filter(answers)
-        stats.answers = len(answers)
-        if trace is not None:
-            trace.annotate(backend=stats.backend)
-            trace.finish(len(answers), stats)
-        if isinstance(answers, ColumnarTotal):
-            answers = AnswerSet.from_columns(answers.columns(),
-                                             edb.symbols)
-        else:
-            answers = AnswerSet(answers, edb.symbols)
-        return answers
+            total = self._evaluate_stable(compiled.stable, edb, enc_query,
+                                          stats, trace)
+        return answer_boundary(total, enc_query, edb, stats, trace)
 
     # -- bounded -------------------------------------------------------
 
     def _evaluate_bounded(self, system: RecursionSystem,
                           classification: Classification, edb: Database,
                           query: Query, stats: EvaluationStats,
-                          trace: Tracer | None = None
-                          ) -> frozenset[tuple]:
+                          trace: Tracer | None = None) -> set[tuple]:
+        """The union of the (bound + 1) × |exits| exit expansions.
+
+        BOUNDED knows its rounds in advance, so it checks the deadline
+        before each expansion instead of after it: a spent budget runs
+        no further expansion.
+        """
         bound = classification.rank_bound
         assert bound is not None
         deadline = stats.deadline
@@ -178,7 +164,7 @@ class CompiledEngine:
                     deadline.check_time()
                     if deadline.out_of_rows(len(answers)):
                         stats.truncated = True
-                        return frozenset(answers)
+                        return answers
                 flattened = system.exit_expansion(depth, exit_index)
                 head = flattened.head.args
                 if trace is not None:
@@ -191,13 +177,13 @@ class CompiledEngine:
                 if trace is not None:
                     trace.end_round(len(answers) - before, stats,
                                     exit=exit_index, depth=depth)
-        return frozenset(answers)
+        return answers
 
     # -- stable ----------------------------------------------------------
 
     def _evaluate_stable(self, stable: StableCompilation, edb: Database,
                          query: Query, stats: EvaluationStats,
-                         trace: Tracer | None = None) -> frozenset[tuple]:
+                         trace: Tracer | None = None) -> set[tuple]:
         """σ-first chain iteration; *query* binds at least one position.
 
         Depth k's answers join ``σR^k`` of every bound position with
@@ -207,7 +193,6 @@ class CompiledEngine:
         """
         system = stable.system
         specs = stable.specs
-        deadline = stats.deadline
         bound_positions = sorted(query.adornment)
         free = [s for s in specs if s.position not in query.adornment]
         identities = [s.position for s in free if _is_identity(s)]
@@ -335,32 +320,23 @@ class CompiledEngine:
                         if combo not in answers:
                             answers.add(combo)
                             new_answers += 1
-            stats.record_round(new_answers)
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(len(answers)):
-                    stats.truncated = True
-                    if trace is not None:
-                        trace.end_round(new_answers, stats,
-                                        depth=depth)
-                    break
-
             if not gate_open:
-                if trace is not None:
-                    trace.end_round(new_answers, stats, depth=depth)
-                break  # nothing beyond depth 0 can ever be derived
+                # nothing beyond depth 0 can ever be derived
+                stats.close_round(new_answers, len(answers), trace,
+                                  depth=depth)
+                break
             depth += 1
             frontiers = {i: forward(i, frontiers[i])
                          for i in bound_positions}
             exit_columns = {j: backward(j, exit_columns[j])
                             for j in walked}
-            # The span closes after the chain step so its probe count
+            # The round closes after the chain step so its probe count
             # reflects the work done to *advance* past this depth.
-            if trace is not None:
-                trace.end_round(new_answers, stats, depth=depth - 1)
-            if any(not frontiers[i] for i in bound_positions):
+            if (stats.close_round(new_answers, len(answers), trace,
+                                  depth=depth - 1)
+                    or any(not frontiers[i] for i in bound_positions)):
                 break  # σE of an empty frontier is empty from here on
-        return frozenset(answers)
+        return answers
 
     @staticmethod
     def _pairs_to_map(pairs: frozenset) -> dict[object, tuple]:
@@ -374,8 +350,7 @@ class CompiledEngine:
     def _evaluate_iterative(self, system: RecursionSystem, edb: Database,
                             query: Query, stats: EvaluationStats,
                             trace: Tracer | None = None
-                            ) -> frozenset[tuple]:
-        deadline = stats.deadline
+                            ) -> set[tuple] | ColumnarTotal:
         if trace is not None:
             trace.begin_round("magic", 0, stats)
         magic, unrestricted = self._magic_bindings(system, edb, query,
@@ -392,41 +367,16 @@ class CompiledEngine:
                     return True
             return False
 
+        # σE: the exit rules probed with each adornment's bindings, or
+        # read whole when the recursion below the query is unrestricted
+        total, delta = exit_round(
+            edb, system.exits, [((), [()])] if unrestricted else keyed,
+            stats, trace)
         rule = system.recursive
-        if trace is not None:
-            trace.begin_round("exit", 0, stats)
-        total: set[tuple] = set()
-        for position, exit_rule in enumerate(system.exits):
-            if trace is not None:
-                trace.begin_rule(f"exit[{position}]: {exit_rule}", stats)
-            head = exit_rule.head.args
-            if unrestricted:
-                total |= apply_rule(edb, exit_rule.body, (), head, [()],
-                                    stats)
-            else:
-                # σE: probe the exit with each adornment's bindings
-                for positions, values in keyed:
-                    total |= apply_rule(edb, exit_rule.body,
-                                        tuple(head[i] for i in positions),
-                                        head, values, stats)
-            if trace is not None:
-                trace.end_rule(stats)
-        delta = set(total)
-        stats.record_round(len(delta))
-        if trace is not None:
-            trace.end_round(len(delta), stats)
-        if deadline is not None:
-            deadline.check_time()
-            if deadline.out_of_rows(len(total)):
-                stats.truncated = True
-                delta = set()  # round boundary: stop cleanly
-
-        total = run_delta_loop(edb, rule.nonrecursive_atoms,
-                               rule.recursive_atom.args, rule.head.args,
-                               total, delta, stats, trace, None,
-                               relevant=None if unrestricted else relevant)
-        return (total if isinstance(total, ColumnarTotal)
-                else frozenset(total))
+        return run_delta_loop(edb, rule.nonrecursive_atoms,
+                              rule.recursive_atom.args, rule.head.args,
+                              total, delta, stats, trace,
+                              relevant=None if unrestricted else relevant)
 
     def _magic_bindings(self, system: RecursionSystem, edb: Database,
                         query: Query, stats: EvaluationStats

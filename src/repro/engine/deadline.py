@@ -3,11 +3,16 @@
 A fixpoint cannot be preempted safely — a round half-applied would
 leave caches and stats inconsistent — so budgets are enforced
 *cooperatively* at round boundaries, the natural commit points of
-every engine: after each semi-naive/naive delta round, each compiled
-expansion/depth/delta step and before each magic-binding round, each
-top-down subgoal pass, and each incremental-maintenance propagation
-round.  The three aborts behave
-differently, on purpose:
+every engine.  Every round closes through
+:meth:`~repro.engine.stats.EvaluationStats.close_round`, which checks
+the clock, then the row budget: after each naive sweep, each exit and
+delta round of semi-naive and the compiled ITERATIVE strategy, each
+STABLE depth (once its chain step is taken), each top-down subgoal
+pass and each incremental-maintenance seed and propagation round.
+Two checks run before the work instead: BOUNDED checks before each
+exit expansion, being the one strategy that knows which round is its
+last, and the magic-binding pass checks the clock before each of its
+rounds.  The three aborts behave differently, on purpose:
 
 * the **wall-clock budget** raises :class:`QueryTimeout` — time ran
   out, and a partial fixpoint at an arbitrary cut is not worth

@@ -28,7 +28,7 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .seminaive import SemiNaiveEngine
 from .setjoin import apply_rule
-from .stats import EvaluationStats
+from .stats import open_stats
 from .trace import Tracer
 
 
@@ -48,12 +48,11 @@ class MaterializedRecursion:
         # base EDB stored (the copy shares the base's symbol table, so
         # the codes are directly valid here).
         predicate = system.predicate
-        total = set(SemiNaiveEngine().evaluate(system, self._db,
-                                               decode=False))
+        total = SemiNaiveEngine().evaluate(system, self._db).encoded
         for row in self._db.rows_encoded(predicate) - total:
             self._db.remove_encoded(predicate, row)
         self._db.bulk_encoded(predicate, total)
-        self.stats = EvaluationStats(engine="incremental")
+        self.stats = open_stats(None, "incremental")
 
     @property
     def rows(self) -> AnswerSet:
@@ -101,8 +100,8 @@ class MaterializedRecursion:
             raise EvaluationError(
                 f"{predicate!r} is the materialised relation: insert "
                 f"base facts and the view derives its rows")
-        deadline = self.stats.deadline
-        self.stats.truncated = False
+        stats = self.stats
+        stats.truncated = False
         if trace is not None:
             trace.begin("incremental",
                         predicate=self._system.predicate)
@@ -113,26 +112,20 @@ class MaterializedRecursion:
                 fresh.append(encoded)
         if not fresh:
             if trace is not None:
-                trace.finish(0, self.stats)
+                trace.finish(0, stats)
             return AnswerSet(frozenset(), self._db.symbols)
 
         if trace is not None:
-            trace.begin_round("seed", len(fresh), self.stats)
+            trace.begin_round("seed", len(fresh), stats)
         seeds: set[tuple] = set()
         for rule in (self._system.recursive.rule, *self._system.exits):
             seeds |= self._differentiated(rule, predicate, fresh)
 
         delta = self._absorb(seeds)
         added = set(delta)
-        self.stats.record_round(len(delta))
-        if trace is not None:
-            trace.end_round(len(delta), self.stats,
-                            inserted=len(fresh))
-        if deadline is not None:
-            deadline.check_time()
-            if deadline.out_of_rows(len(added)):
-                self.stats.truncated = True
-                delta = set()  # round boundary: stop propagation
+        if stats.close_round(len(delta), len(added), trace,
+                             inserted=len(fresh)):
+            delta = set()  # round boundary: stop propagation
         # propagate through the recursive rule semi-naively
         recursive = self._system.recursive
         body_rest = list(recursive.nonrecursive_atoms)
@@ -140,21 +133,15 @@ class MaterializedRecursion:
         head_args = recursive.head.args
         while delta:
             if trace is not None:
-                trace.begin_round("delta", len(delta), self.stats)
+                trace.begin_round("delta", len(delta), stats)
             delta = self._absorb(apply_rule(
                 self._db, body_rest, recursive_vars, head_args, delta,
-                self.stats))
+                stats))
             added |= delta
-            self.stats.record_round(len(delta))
-            if trace is not None:
-                trace.end_round(len(delta), self.stats)
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(len(added)):
-                    self.stats.truncated = True
-                    break
+            if stats.close_round(len(delta), len(added), trace):
+                break
         if trace is not None:
-            trace.finish(len(added), self.stats)
+            trace.finish(len(added), stats)
         return AnswerSet(frozenset(added), self._db.symbols)
 
     def _differentiated(self, rule: Rule, predicate: str,

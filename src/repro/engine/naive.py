@@ -14,8 +14,9 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .query import Query
 from .setjoin import apply_rule
-from .stats import EvaluationStats
+from .stats import EvaluationStats, open_stats
 from .trace import Tracer
+from .vector import answer_boundary
 
 
 class NaiveEngine:
@@ -32,8 +33,7 @@ class NaiveEngine:
     def evaluate(self, system: RecursionSystem | Program, edb: Database,
                  query: Query | None = None,
                  stats: EvaluationStats | None = None,
-                 trace: Tracer | None = None
-                ) -> frozenset[tuple] | AnswerSet:
+                 trace: Tracer | None = None) -> AnswerSet:
         """All tuples of the recursive predicate, filtered by *query*.
 
         A :class:`Program` with more than one IDB predicate needs a
@@ -49,12 +49,7 @@ class NaiveEngine:
         """
         program = (system.program()
                    if isinstance(system, RecursionSystem) else system)
-        if stats is None:
-            stats = EvaluationStats(engine=self.name)
-        else:
-            stats.engine = self.name
-        stats.truncated = False
-        deadline = stats.deadline
+        stats = open_stats(stats, self.name)
         predicates = {rule.head.predicate for rule in program.rules}
         if query is not None:
             target = query.predicate
@@ -89,26 +84,15 @@ class NaiveEngine:
                         rule.head.predicate, row)
                 if trace is not None:
                     trace.end_rule(stats)
-            stats.record_round(new_tuples)
-            if trace is not None:
-                trace.end_round(new_tuples, stats)
-            if new_tuples == 0:
+            produced = sum(database.count(p) for p in predicates)
+            if (stats.close_round(new_tuples, produced, trace)
+                    or not new_tuples):
                 break
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(
-                        sum(database.count(p) for p in predicates)):
-                    stats.truncated = True
-                    break
 
         # Answer boundary in storage space: filter encoded rows with
         # the encoded query (encoding is injective, so the filtered
-        # set is exactly the old value-space filter) and hand back a
-        # lazy AnswerSet instead of eagerly decoding the relation.
-        answers = database.rows_encoded(target)
-        if query is not None:
-            answers = query.encoded(database).filter(answers)
-        stats.answers = len(answers)
-        if trace is not None:
-            trace.finish(len(answers), stats)
-        return AnswerSet(answers, database.symbols)
+        # set is exactly the old value-space filter).
+        return answer_boundary(
+            database.rows_encoded(target),
+            None if query is None else query.encoded(database),
+            database, stats, trace)

@@ -24,10 +24,10 @@ from ..datalog.program import RecursionSystem
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .query import Query
-from .setjoin import apply_rule
-from .stats import EvaluationStats
+from .stats import EvaluationStats, open_stats
 from .trace import Tracer
-from .vector import ColumnarTotal, run_delta_loop, validate_backend
+from .vector import (answer_boundary, exit_round, run_delta_loop,
+                     validate_backend)
 
 
 class SemiNaiveEngine:
@@ -51,25 +51,20 @@ class SemiNaiveEngine:
     def evaluate(self, system: RecursionSystem, edb: Database,
                  query: Query | None = None,
                  stats: EvaluationStats | None = None,
-                 max_rounds: int | None = None,
-                 trace: Tracer | None = None,
-                 decode: bool = True) -> AnswerSet | frozenset[tuple]:
+                 trace: Tracer | None = None) -> AnswerSet:
         """All tuples of the recursive predicate, filtered by *query*.
 
-        *max_rounds* caps the recursion depth (used by rank probes);
-        None runs to the natural fixpoint.  *trace* (when given)
-        collects one :class:`~repro.engine.trace.RoundSpan` per round;
+        *trace* (when given) collects one
+        :class:`~repro.engine.trace.RoundSpan` per round;
         ``trace=None`` adds no work to the loop.
 
         The whole fixpoint runs in storage space; the answers come
         back as a lazy columnar :class:`~repro.ra.answers.AnswerSet`
-        (*decode* = True, the default) that materialises values only
-        when first iterated — behaviourally a ``frozenset`` of value
-        rows, without the eager decode tax on enumerations nobody
-        reads.  ``decode=False`` hands back plain storage-space rows —
-        for callers that feed them straight back into the same
-        database (materialisation, the incremental maintenance
-        seed).
+        that materialises values only when first iterated —
+        behaviourally a ``frozenset`` of value rows, without the eager
+        decode tax on enumerations nobody reads.  Callers that feed
+        the rows straight back into the same database read its
+        storage-space ``encoded`` side instead.
 
         >>> from ..datalog.parser import parse_system
         >>> s = parse_system("P(x, y) :- A(x, z), P(z, y).")
@@ -79,74 +74,25 @@ class SemiNaiveEngine:
         >>> sorted(SemiNaiveEngine().evaluate(s, db))
         [('a', 'c'), ('b', 'c'), ('c', 'c')]
         """
-        if stats is None:
-            stats = EvaluationStats(engine=self.name)
-        else:
-            stats.engine = self.name
-        stats.truncated = False
-        stats.backend = "python"
-        deadline = stats.deadline
+        stats = open_stats(stats, self.name, "python")
         # The fixpoint never writes to the database (derived tuples
         # live in plain sets), so evaluate directly on *edb* — like the
         # compiled and top-down engines — and let the cached join
         # tables warm up across evaluations instead of dying with a
         # private copy.
-        database = edb
-        rule = system.recursive
-
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
                         query=query)
-            trace.begin_round("exit", 0, stats)
-        # Round 0: exit rules over the EDB.
-        total: set[tuple] = set()
-        for position, exit_rule in enumerate(system.exits):
-            if trace is not None:
-                trace.begin_rule(f"exit[{position}]: {exit_rule}", stats)
-            total |= apply_rule(database, exit_rule.body, (),
-                                exit_rule.head.args, [()], stats)
-            if trace is not None:
-                trace.end_rule(stats)
-        delta = set(total)
-        stats.record_round(len(delta))
-        if trace is not None:
-            trace.end_round(len(delta), stats)
-        if deadline is not None:
-            deadline.check_time()
-            if deadline.out_of_rows(len(total)):
-                stats.truncated = True
-                delta = set()  # round boundary: stop cleanly
-
-        total = run_delta_loop(database, rule.nonrecursive_atoms,
+        total, delta = exit_round(edb, system.exits, [((), [()])], stats,
+                                  trace)
+        rule = system.recursive
+        total = run_delta_loop(edb, rule.nonrecursive_atoms,
                                rule.recursive_atom.args, rule.head.args,
-                               total, delta, stats, trace, max_rounds,
+                               total, delta, stats, trace,
                                backend=self.backend)
-
-        if isinstance(total, ColumnarTotal):
-            # the numpy kernel's product stays columnar through the
-            # boundary: constants filter by vector mask, and the rows
-            # materialise lazily inside the AnswerSet (or eagerly for
-            # decode=False callers that feed them back to a database)
-            answers = total.filter(
-                None if query is None else query.encoded(database))
-        elif query is None:
-            answers = frozenset(total)
-        else:
-            # Filter in storage space: the query's constants encode to
-            # the same codes the stored rows carry.
-            answers = query.encoded(database).filter(total)
-        stats.answers = len(answers)
-        if trace is not None:
-            trace.annotate(backend=stats.backend)
-            trace.finish(len(answers), stats)
-        if isinstance(answers, ColumnarTotal):
-            answers = (
-                AnswerSet.from_columns(answers.columns(),
-                                       database.symbols)
-                if decode else answers.rows())
-        elif decode:
-            answers = AnswerSet(answers, database.symbols)
-        return answers
+        return answer_boundary(
+            total, None if query is None else query.encoded(edb), edb,
+            stats, trace)
 
     def measured_rank(self, system: RecursionSystem,
                       edb: Database) -> int:

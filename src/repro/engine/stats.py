@@ -7,11 +7,20 @@ deduplication), ``rounds`` the fixpoint iterations.  ``delta_sizes``
 records the per-round new-tuple counts, from which the *measured rank*
 of a formula on a concrete database is read off (the quantity
 Ioannidis's theorem bounds).
+
+Every engine opens its stats with :func:`open_stats` and closes each
+fixpoint round with :meth:`EvaluationStats.close_round`, the one place
+that records the round, closes its trace span and enforces the
+deadline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - trace imports this module
+    from .trace import Tracer
 
 #: Version of the JSON document emitted by ``repro run --stats-json``
 #: (a list of :meth:`EvaluationStats.to_dict` snapshots).  Bump on any
@@ -112,6 +121,35 @@ class EvaluationStats:
         self.rounds += 1
         self.delta_sizes.append(new_tuples)
 
+    def close_round(self, new: int, produced: int,
+                    trace: Tracer | None = None, **detail) -> bool:
+        """Close one fixpoint round at its commit point.
+
+        Records the round's *new* tuples, closes the open trace span
+        with *detail*, then enforces the deadline: the clock (or the
+        cancel flag) raises, and a row budget exceeded by the
+        *produced* rows sets ``truncated``.  True when the budget
+        stopped the run — the caller returns what it holds.
+
+        >>> from .deadline import Deadline
+        >>> stats = EvaluationStats(deadline=Deadline(max_rows=2))
+        >>> stats.close_round(2, 2), stats.close_round(1, 3)
+        (False, True)
+        >>> stats.delta_sizes, stats.truncated
+        ([2, 1], True)
+        """
+        self.record_round(new)
+        if trace is not None:
+            trace.end_round(new, self, **detail)
+        deadline = self.deadline
+        if deadline is None:
+            return False
+        deadline.check_time()
+        if deadline.out_of_rows(produced):
+            self.truncated = True
+            return True
+        return False
+
     @property
     def measured_rank(self) -> int:
         """Index of the last round that produced a new tuple.
@@ -169,3 +207,16 @@ class EvaluationStats:
                 f"derived={self.derived} answers={self.answers} "
                 f"plans={self.plan_cache_hits}h/{self.plan_cache_misses}m "
                 f"hash={self.hash_builds}b/{self.hash_lookups}l")
+
+
+def open_stats(stats: EvaluationStats | None, engine: str,
+               backend: str = "") -> EvaluationStats:
+    """*stats* (a fresh object when None) opened for one evaluation:
+    *engine* and *backend* named, ``truncated`` cleared.  The counters
+    keep accumulating, so a reused object sums its runs."""
+    if stats is None:
+        stats = EvaluationStats()
+    stats.engine = engine
+    stats.backend = backend
+    stats.truncated = False
+    return stats

@@ -26,8 +26,9 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .conjunctive import solve_project
 from .query import Query
-from .stats import EvaluationStats
+from .stats import EvaluationStats, open_stats
 from .trace import Tracer
+from .vector import answer_boundary
 
 
 class _GoalView:
@@ -77,10 +78,6 @@ class _GoalView:
             return self._base.count(name)
         return sum(len(rows) for rows in self.tables.values())
 
-    def total_table_size(self) -> int:
-        """Total memoised answers (the fixpoint's progress measure)."""
-        return sum(len(rows) for rows in self.tables.values())
-
 
 class TopDownEngine:
     """Goal-directed tabled resolution for one recursion system."""
@@ -100,13 +97,7 @@ class TopDownEngine:
         >>> sorted(TopDownEngine().evaluate(s, db, Query.parse("P(a, Y)")))
         [('a', 'c')]
         """
-        if stats is None:
-            stats = EvaluationStats(engine=self.name)
-        else:
-            stats.engine = self.name
-        stats.truncated = False
-        deadline = stats.deadline
-
+        stats = open_stats(stats, self.name)
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
                         query=query)
@@ -131,6 +122,7 @@ class TopDownEngine:
         dependents: dict[tuple, set[tuple]] = {}
         queue: dict[tuple, str] = {root: sort_key(root)}
         view.new_subgoals.clear()
+        tabled = 0  # rows across every table, the row budget's measure
         while queue:
             subgoal = min(queue, key=queue.get)  # type: ignore[arg-type]
             del queue[subgoal]
@@ -146,36 +138,29 @@ class TopDownEngine:
                 if fresh not in queue:
                     queue[fresh] = sort_key(fresh)
             view.new_subgoals.clear()
+            # only the solved subgoal's table grows in its pass
             grown = len(view.tables[subgoal]) - before
-            # Like ``delta_out``, the stats count *root-table* growth,
-            # so the per-round sizes sum to the answer count and the
-            # trace and the stats dump reconcile (asserted by
-            # tests/test_trace_properties.py); the solved subgoal's own
-            # growth rides along in the trace ``detail``.
-            stats.record_round(len(view.tables[root]) - root_before)
-            if trace is not None:
-                # Render the subgoal in value space: trace output names
-                # constants, never codes.
-                trace.end_round(
-                    len(view.tables[root]) - root_before, stats,
-                    subgoal=str(Query(system.predicate,
-                                      edb.decode_pattern(subgoal))),
-                    table_growth=grown)
+            tabled += grown
             if grown:
                 for waiter in dependents.get(subgoal, ()):
                     if waiter not in queue:
                         queue[waiter] = sort_key(waiter)
-            if deadline is not None:
-                deadline.check_time()
-                if deadline.out_of_rows(view.total_table_size()):
-                    stats.truncated = True
-                    break
+            # Like ``delta_out``, the stats count *root-table* growth,
+            # so the per-round sizes sum to the answer count and the
+            # trace and the stats dump reconcile (asserted by
+            # tests/test_trace_properties.py); the solved subgoal's own
+            # growth rides along in the trace ``detail``, which names
+            # the subgoal in value space, never in codes.
+            detail = {} if trace is None else {
+                "subgoal": str(Query(system.predicate,
+                                     edb.decode_pattern(subgoal))),
+                "table_growth": grown}
+            if stats.close_round(len(view.tables[root]) - root_before,
+                                 tabled, trace, **detail):
+                break
 
-        answers = enc_query.filter(view.tables[root])
-        stats.answers = len(answers)
-        if trace is not None:
-            trace.finish(len(answers), stats)
-        return AnswerSet(answers, edb.symbols)
+        return answer_boundary(view.tables[root], enc_query, edb, stats,
+                               trace)
 
     def _solve_subgoal(self, system: RecursionSystem, view: _GoalView,
                        rules, subgoal: tuple,

@@ -2,11 +2,14 @@
 
 :func:`run_delta_loop` is the one semi-naive loop of the fixpoint
 engines: the semi-naive engine and the compiled engine's ITERATIVE
-strategy hand it their exit-round product and it runs every delta
-round after that.  A round pushes the whole delta relation through the
-recursive rule's compiled :class:`~repro.engine.plan.JoinPlan`
-(:func:`~repro.engine.setjoin.apply_rule`), keeps the rows the caller's
-optional relevance filter admits, and subtracts the running total.
+strategy hand it the product of :func:`exit_round` and it runs every
+delta round after that.  A round pushes the whole delta relation
+through the recursive rule's compiled
+:class:`~repro.engine.plan.JoinPlan`
+(:func:`~repro.engine.setjoin.apply_rule`), keeps the rows the
+caller's optional relevance filter admits, and subtracts the running
+total.  :func:`answer_boundary` is where every evaluation engine's
+fixpoint product becomes its answers.
 
 The paper's thesis is that a formula's *class* dictates its cheapest
 evaluation plan; for the linear-recursion classes the compiled plan is
@@ -45,6 +48,7 @@ from __future__ import annotations
 from array import array
 
 from ..datalog.errors import EvaluationError
+from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .plan import FusedTail, compile_plan, entry_layout
 from .setjoin import apply_rule, execute_plan
@@ -88,15 +92,12 @@ class ColumnarTotal:
     per-column flat int64 vectors, *distinct rows by construction*
     (split out of the sorted packed-key seen-set).
 
-    The engines' answer boundary recognises this shape and keeps it
-    columnar end-to-end: query constants filter by vector mask
-    (:meth:`filter`), ``len`` never builds a row, and ``decode=True``
-    hands the columns straight to
+    :func:`answer_boundary` keeps this shape columnar end-to-end:
+    query constants filter by vector mask (:meth:`filter`), ``len``
+    never builds a row, and the columns go straight to
     :meth:`~repro.ra.answers.AnswerSet.from_columns` — the single
     boundary conversion the module docstring promises happens lazily,
-    only when someone exercises row semantics.  :meth:`rows` is the
-    eager escape hatch for ``decode=False`` callers that feed storage
-    rows back into a database.
+    only when someone exercises row semantics.
     """
 
     __slots__ = ("_vectors",)
@@ -133,11 +134,6 @@ class ColumnarTotal:
                 vector, dtype=_np.int64).tobytes())
             columns.append(column)
         return tuple(columns)
-
-    def rows(self) -> frozenset[tuple]:
-        """The row-set form, for callers that need storage tuples."""
-        return frozenset(zip(*(vector.tolist()
-                               for vector in self._vectors)))
 
 
 class _NumpyState:
@@ -254,13 +250,68 @@ class _NumpyState:
         return ColumnarTotal((first, second))
 
 
+# -- the evaluation frame ------------------------------------------------
+
+
+def exit_round(database: Database, exits, bindings,
+               stats: EvaluationStats,
+               trace: Tracer | None) -> tuple[set, set]:
+    """Round 0 over the exit rules: ``(total, delta)``.
+
+    *bindings* lists ``(head positions, rows)`` pairs; every exit rule
+    is applied once per pair, its head terms at those positions bound
+    to the rows.  ``((), [()])`` reads each exit relation whole; the
+    compiled engine's magic bindings give ``σE``.  A row budget spent
+    here leaves the delta empty, so the loop after it stops at once.
+    """
+    if trace is not None:
+        trace.begin_round("exit", 0, stats)
+    total: set[tuple] = set()
+    for position, rule in enumerate(exits):
+        if trace is not None:
+            trace.begin_rule(f"exit[{position}]: {rule}", stats)
+        head = rule.head.args
+        for positions, rows in bindings:
+            total |= apply_rule(database, rule.body,
+                                tuple(head[i] for i in positions), head,
+                                rows, stats)
+        if trace is not None:
+            trace.end_rule(stats)
+    if stats.close_round(len(total), len(total), trace):
+        return total, set()
+    return total, set(total)
+
+
+def answer_boundary(total, query, database: Database,
+                    stats: EvaluationStats,
+                    trace: Tracer | None) -> AnswerSet:
+    """Every evaluation engine's answers: *total* (a row set, or the
+    numpy kernel's :class:`ColumnarTotal`) filtered by the
+    storage-space *query* (None keeps every row), counted into
+    ``stats.answers``, the trace sealed, and the rows wrapped as a
+    lazy :class:`~repro.ra.answers.AnswerSet` — column-first from the
+    kernel, so no row tuple is built here."""
+    columnar = isinstance(total, ColumnarTotal)
+    if columnar:
+        answers = total.filter(query)
+    else:
+        answers = frozenset(total) if query is None else query.filter(total)
+    stats.answers = len(answers)
+    if trace is not None:
+        if stats.backend:
+            trace.annotate(backend=stats.backend)
+        trace.finish(len(answers), stats)
+    if columnar:
+        return AnswerSet.from_columns(answers.columns(), database.symbols)
+    return AnswerSet(answers, database.symbols)
+
+
 # -- the delta loop -------------------------------------------------------
 
 
 def run_delta_loop(database: Database, body, entry_terms, out_terms,
                    total: set, delta: set, stats: EvaluationStats,
                    trace: Tracer | None,
-                   max_rounds: int | None,
                    backend: str = "auto",
                    relevant=None) -> set[tuple] | ColumnarTotal:
     """Run the semi-naive delta loop to fixpoint; the completed total
@@ -271,8 +322,7 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     each round binds *entry_terms* to the delta rows, joins *body* and
     projects onto *out_terms*.  *relevant*, when given, is a predicate
     on derived rows: only the rows it admits enter the fixpoint (the
-    compiled engine's binding filter).  *max_rounds* caps the number of
-    delta rounds; None runs to the natural fixpoint.
+    compiled engine's binding filter).
 
     Round 1 opens its trace span and compiles the plan (one counted
     miss on a cold cache); only then is the certificate read off the
@@ -285,10 +335,8 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     round — thereafter, so every counter is the same on either path.
     ``stats.backend`` records what actually ran.
     """
-    stats.backend = "python"
-    if not delta or (max_rounds is not None and max_rounds <= 0):
+    if not delta:
         return total
-    deadline = stats.deadline
     if trace is not None:
         trace.begin_round("delta", len(delta), stats)
     body = tuple(body)
@@ -304,57 +352,38 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
         and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
     if not certified or _np is None:
         return _python_rounds(database, body, entry_terms, out_terms,
-                              total, delta, stats, trace, max_rounds,
-                              deadline, plan, layout, relevant)
+                              total, delta, stats, trace, plan, layout,
+                              relevant)
     state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
-                          state, plan.fused, stats, trace, max_rounds,
-                          deadline)
+                          state, plan.fused, stats, trace)
 
 
 def _python_rounds(database, body, entry_terms, out_terms, total,
-                   delta, stats, trace, max_rounds, deadline, plan,
-                   layout, relevant) -> set[tuple]:
+                   delta, stats, trace, plan, layout,
+                   relevant) -> set[tuple]:
     """Tuple-set rounds (round 1's span is already open and its plan
     already compiled)."""
-    rounds = 0
+    batch = layout.batch(delta)
+    stats.record_batch(len(batch))
+    new = execute_plan(database, plan, batch, stats)
     while True:
-        rounds += 1
-        if rounds == 1:
-            batch = layout.batch(delta)
-            stats.record_batch(len(batch))
-            new = execute_plan(database, plan, batch, stats)
-        else:
-            new = apply_rule(database, body, entry_terms, out_terms,
-                             delta, stats)
         delta = new - total
         if relevant is not None:
             delta = {row for row in delta if relevant(row)}
         total |= delta
-        stats.record_round(len(delta))
-        if trace is not None:
-            trace.end_round(len(delta), stats)
-        if deadline is not None:
-            deadline.check_time()
-            if deadline.out_of_rows(len(total)):
-                stats.truncated = True
-                break
-        if not delta:
-            break
-        if max_rounds is not None and rounds >= max_rounds:
-            break
+        if stats.close_round(len(delta), len(total), trace) or not delta:
+            return total
         if trace is not None:
             trace.begin_round("delta", len(delta), stats)
-    return total
+        new = apply_rule(database, body, entry_terms, out_terms, delta,
+                         stats)
 
 
 def _vector_rounds(database, body, entry_terms, out_terms, state,
-                   spec, stats, trace, max_rounds,
-                   deadline) -> ColumnarTotal:
+                   spec, stats, trace) -> ColumnarTotal:
     """Certified rounds on the numpy state (round 1's span is open)."""
-    rounds = 0
     while True:
-        rounds += 1
         stats.record_batch(state.n_delta)
         builds_before = database.hash_builds
         csr = database.dense_column_csr(spec.predicate,
@@ -367,17 +396,7 @@ def _vector_rounds(database, body, entry_terms, out_terms, state,
         stats.derived += emitted
         stats.vector_batches += 1
         stats.vector_rows += emitted
-        stats.record_round(fresh)
-        if trace is not None:
-            trace.end_round(fresh, stats)
-        if deadline is not None:
-            deadline.check_time()
-            if deadline.out_of_rows(state.total_size):
-                stats.truncated = True
-                break
-        if not fresh:
-            break
-        if max_rounds is not None and rounds >= max_rounds:
+        if stats.close_round(fresh, state.total_size, trace) or not fresh:
             break
         if trace is not None:
             trace.begin_round("delta", state.n_delta, stats)

@@ -345,8 +345,7 @@ class DeductiveDatabase:
                     apply_rule(db, rule.body, (), rule.head.args, [()]))
         else:
             db.bulk_encoded(
-                predicate,
-                SemiNaiveEngine().evaluate(system, db, decode=False))
+                predicate, SemiNaiveEngine().evaluate(system, db).encoded)
 
     def materialise(self) -> Database:
         """Fully materialise every IDB predicate (cached until the
@@ -575,7 +574,8 @@ class DeductiveDatabase:
             # A deadline expiry (and likewise a cooperative
             # cancellation) is its own outcome in
             # ``repro_queries_total`` (the admission layer budgets on
-            # it), distinct from genuine evaluation errors.
+            # it), distinct from genuine evaluation errors; the log
+            # line carries the same label.
             outcome, _ = failure_outcome(error)
             if self.metrics is not None:
                 observe_query_error(self.metrics, engine=engine,
@@ -587,11 +587,8 @@ class DeductiveDatabase:
                     event="query", query_id=query_id,
                     query=str(query), predicate=query.predicate,
                     engine=engine, formula_class=label,
-                    duration_s=round(duration, 6),
-                    outcome=outcome if outcome in ("timeout",
-                                                   "cancelled")
-                    else type(error).__name__,
-                    error=str(error))
+                    duration_s=round(duration, 6), outcome=outcome,
+                    error=f"{type(error).__name__}: {error}")
             raise
         duration = perf_counter() - started
         delta = delta_between(before, local.to_dict())
@@ -628,10 +625,12 @@ class DeductiveDatabase:
         """The ``formula_class`` label value for a predicate:
         ``A1``…``F`` for recursive predicates, ``view`` for
         non-recursive IDB, ``edb`` for stored relations, ``unknown``
-        when the predicate cannot be analysed (error paths)."""
+        for a predicate with no rule and no facts, or one that cannot
+        be analysed (error paths)."""
         try:
             if predicate not in self.idb_predicates:
-                return "edb"
+                return ("edb" if self._edb.arity(predicate) is not None
+                        else "unknown")
             if self.system_for(predicate) is None:
                 return "view"
             return str(self.classification(predicate).formula_class)

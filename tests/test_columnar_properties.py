@@ -11,7 +11,7 @@ row.  Three layers pin this down:
   agreeing with the decoded frozenset, and the laziness contract
   (``len``/``in``/same-table ``==`` never decode; iteration decodes
   exactly once);
-* **engine parity** — classes A1–C × the four ``evaluate()`` engines
+* **engine parity** — classes A1–F × the four ``evaluate()`` engines
   on tiny EDBs: answers equal the ground-instantiation oracle
   (``tests/oracle.py``), come back as an un-decoded ``AnswerSet`` whose
   stats and trace were finished before any decode, and decode lazily
@@ -44,10 +44,10 @@ from repro.workloads import CATALOGUE, random_edb
 
 from .oracle import oracle_evaluate
 
-#: one catalogue representative per paper class A1 … C
+#: one catalogue representative per paper class A1 … F
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A4": "s5", "A5": "s1a",
-    "B": "s8", "C": "s9",
+    "B": "s8", "C": "s9", "D": "s10", "E": "s11", "F": "s12",
 }
 
 #: the four evaluate()-shaped engines; the fifth (incremental) has an

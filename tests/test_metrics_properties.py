@@ -13,6 +13,7 @@ suite's ``trace=None`` discipline):
 """
 
 import io
+import json
 
 import pytest
 
@@ -24,10 +25,10 @@ from repro.metrics import MetricsRegistry
 from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE, random_edb
 
-#: one catalogue representative per paper class A1 … C
+#: one catalogue representative per paper class A1 … F
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A4": "s5", "A5": "s1a",
-    "B": "s8", "C": "s9",
+    "B": "s8", "C": "s9", "D": "s10", "E": "s11", "F": "s12",
 }
 
 ENGINES = ("compiled", "semi-naive", "naive", "top-down")
@@ -115,3 +116,13 @@ class TestRegistryReconciliation:
         log_text = session.query_log.stream.getvalue()
         assert '"outcome": "ok"' not in log_text
         assert log_text.count("\n") == 1
+        # the log line names the labels of the series it incremented
+        queries = session.metrics.get("repro_queries_total")
+        (key,) = queries._series
+        labels = dict(zip(queries.label_names, key))
+        line = json.loads(log_text)
+        assert line["outcome"] == labels["outcome"] == "error"
+        assert (line["formula_class"] == labels["formula_class"]
+                == "unknown")
+        assert line["error"].startswith(
+            "EvaluationError: unknown predicate 'missing'")

@@ -10,7 +10,7 @@ Two layers pin this down:
 
 * **deterministic** — hypothesis generates an EDB, a batch of adds
   and removals over it, for catalogue representatives of classes
-  A1 … C × every engine; the pre-batch epoch must keep answering the
+  A1 … F × every engine; the pre-batch epoch must keep answering the
   pre-batch fixpoint bit-exactly after the batch lands, and the new
   epoch must answer a freshly-built post-batch session bit-exactly;
 * **threaded** — reader threads race a writer publishing a chain of
@@ -33,9 +33,10 @@ from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE
 from repro.workloads.edb import _predicate_arities
 
-#: one catalogue representative per paper class A1 … C
+#: one catalogue representative per paper class A1 … F
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A5": "s1a", "B": "s8", "C": "s9",
+    "D": "s10", "E": "s11", "F": "s12",
 }
 
 ENGINES = ["compiled", "semi-naive", "naive", "top-down"]

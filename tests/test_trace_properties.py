@@ -23,10 +23,10 @@ from repro.engine.stats import EvaluationStats, delta_between
 from repro.engine.trace import Tracer, validate_trace_dict
 from repro.workloads import CATALOGUE, chain, random_edb
 
-#: one catalogue representative per paper class A1 … C
+#: one catalogue representative per paper class A1 … F
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A4": "s5", "A5": "s1a",
-    "B": "s8", "C": "s9",
+    "B": "s8", "C": "s9", "D": "s10", "E": "s11", "F": "s12",
 }
 
 ENGINES = {

@@ -6,15 +6,14 @@ representation: whether the numpy kernel runs or the tuple-set loop
 hiding numpy — the answers, the per-round stats deltas and the trace
 shapes must be bit-identical.  Four layers pin this down:
 
-* **backend parity** — classes A1–C × the delta-loop engines
+* **backend parity** — classes A1–F × the delta-loop engines
   (semi-naive, compiled): the kernel vs the python loop agree on
   everything except the fields that name which backend ran; with
   numpy absent, ``auto`` *is* the python loop, down to the backend
   name and the traces;
 * **deep chains** — recursions deep enough that the kernel's seen
   set holds several sorted runs, to fixpoint and under a row budget;
-* **fallback paths** — ``max_rounds`` caps agree, and an unknown
-  backend name is refused;
+* **fallback paths** — an unknown backend name is refused;
 * **session laws** — a session answers the same with numpy hidden.
 """
 
@@ -37,10 +36,10 @@ from repro.ra import Database
 from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE, chain, random_edb
 
-#: one catalogue representative per paper class A1 … C
+#: one catalogue representative per paper class A1 … F
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A4": "s5", "A5": "s1a",
-    "B": "s8", "C": "s9",
+    "B": "s8", "C": "s9", "D": "s10", "E": "s11", "F": "s12",
 }
 
 #: the engines that own a delta loop (and may hand it to the kernel)
@@ -161,19 +160,6 @@ class TestBackendParity:
         # everything, backend name and vector counters included
         assert vars(stats) == vars(stats_p)
         assert _trace_doc(trace) == _trace_doc(trace_p)
-
-    @settings(max_examples=4, deadline=None)
-    @given(seed=st.integers(0, 7), cap=st.integers(0, 3))
-    def test_max_rounds_parity(self, seed, cap):
-        system, db, query = _workload("A1", seed, 8)
-        results = {}
-        for backend in ("auto", "python"):
-            stats = EvaluationStats()
-            answers = SemiNaiveEngine(backend=backend).evaluate(
-                system, db.copy(), query, stats, max_rounds=cap)
-            results[backend] = (frozenset(answers), stats.rounds,
-                                tuple(stats.delta_sizes))
-        assert results["auto"] == results["python"]
 
 
 class TestDeepChains:
