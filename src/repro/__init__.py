@@ -6,8 +6,8 @@ of recursive formulas (one-directional / bounded / unbounded cycles,
 acyclic, dependent, mixed), the stability and boundedness theorems,
 and compiled query-evaluation plans — together with the substrates a
 deductive database needs to run them: a Datalog front end, a
-relational-algebra layer with an indexed fact store, and three
-evaluation engines (naive, semi-naive, compiled).
+dictionary-encoded fact store with a set-at-a-time join kernel, and
+four evaluation engines (naive, semi-naive, top-down, compiled).
 
 Quickstart
 ----------
@@ -38,12 +38,12 @@ from .datalog import (Atom, Constant, DatalogSyntaxError, Program,
                       RuleValidationError, Variable, atom, fact,
                       parse_program, parse_rule, parse_system)
 from .engine import (CompiledEngine, EvaluationStats, NaiveEngine, Query,
-                     SemiNaiveEngine)
+                     SemiNaiveEngine, TopDownEngine)
 from .graphs import (IGraph, ReducedGraph, ResolutionGraph, ascii_figure,
                      build_igraph, reduce_graph, resolution_graph)
 from .logutil import QueryLogger
 from .metrics import MetricsRegistry
-from .ra import AnswerSet, Database, Relation
+from .ra import AnswerSet, Database
 from .session import DeductiveDatabase
 
 __version__ = "1.0.0"
@@ -55,9 +55,10 @@ __all__ = [
     "DatalogSyntaxError", "EvaluationStats", "FormulaClass", "IGraph",
     "MetricsRegistry", "NaiveEngine", "Program", "Query",
     "QueryLogger", "RecursionSystem",
-    "RecursiveRule", "ReducedGraph", "Relation", "ReproError",
+    "RecursiveRule", "ReducedGraph", "ReproError",
     "ResolutionGraph", "Rule", "RuleValidationError",
-    "SemiNaiveEngine", "StabilityReport", "Strategy", "Variable",
+    "SemiNaiveEngine", "StabilityReport", "Strategy", "TopDownEngine",
+    "Variable",
     "adornment_from_string", "adornment_to_string", "ascii_figure",
     "atom", "binding_sequence", "build_igraph", "classification_table",
     "classify", "compile_query", "fact", "formula_dossier",

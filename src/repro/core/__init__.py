@@ -2,9 +2,6 @@
 boundedness, and query compilation for linear recursive formulas.
 """
 
-from .algebra import (algebraic_answers, atom_expression,
-                      conjunction_expression, exit_expression,
-                      term_expression)
 from .advisor import QueryCapability, advise, capability_table
 from .bindings import (Adornment, BindingSequence, adornment_from_string,
                        adornment_to_string, all_adornments, binding_sequence,
@@ -38,8 +35,6 @@ __all__ = [
     "is_syntactically_stable", "relation_names", "render",
     "stability_report", "text_table", "to_nonrecursive", "to_stable",
     "freeze_body", "witness_database", "witness_rank",
-    "algebraic_answers", "atom_expression", "conjunction_expression",
-    "exit_expression", "term_expression",
     "QueryCapability", "advise", "capability_table",
     "find_homomorphism", "minimize_rule", "minimize_system",
     "Diagnostic", "lint_report", "lint_text",

@@ -8,7 +8,7 @@ operate on.
 
 from .atoms import Atom, atom, fact
 from .errors import (DatalogSyntaxError, EvaluationError, ReproError,
-                     RuleValidationError, SchemaError)
+                     RuleValidationError)
 from .program import Program, RecursionSystem
 from .pretty import expansion_trace, format_rule, subscript
 from .rules import RecursiveRule, Rule, exit_rule, make_rule
@@ -21,7 +21,7 @@ from .parser import parse_atom, parse_program, parse_rule, parse_system
 __all__ = [
     "Atom", "Constant", "DatalogSyntaxError", "EvaluationError",
     "Program", "RecursionSystem", "RecursiveRule", "ReproError", "Rule",
-    "RuleValidationError", "SchemaError", "Substitution", "Term",
+    "RuleValidationError", "Substitution", "Term",
     "Variable", "apply_to_atom", "apply_to_rule", "apply_to_term",
     "atom", "compose", "exit_rule", "expansion_trace", "fact",
     "format_rule", "fresh_variables", "make_rule", "match_atom",

@@ -50,7 +50,3 @@ class RuleValidationError(ReproError):
 
 class EvaluationError(ReproError):
     """Raised when a query cannot be evaluated against an EDB."""
-
-
-class SchemaError(ReproError):
-    """Raised on relation arity/schema mismatches in the RA substrate."""

@@ -17,7 +17,7 @@ from .cycles import (Cycle, fundamental_cycles,
                      self_loop_cycle)
 from .edges import (DirectedEdge, Edge, TraversedEdge, UndirectedEdge,
                     path_weight)
-from .igraph import IGraph, build_igraph, igraph_from_parts
+from .igraph import IGraph, build_igraph
 from .potential import (PotentialResult, assign_potentials,
                         directed_path_weight, has_nonzero_weight_cycle,
                         max_path_weight)
@@ -34,7 +34,7 @@ __all__ = [
     "ascii_resolution", "assign_potentials", "build_igraph",
     "component_subgraph", "components", "directed_path_weight",
     "fundamental_cycles", "has_nonzero_weight_cycle",
-    "igraph_from_parts", "independent_cycle_of_component",
+    "independent_cycle_of_component",
     "max_path_weight", "nontrivial_components", "path_weight",
     "permutational_cycles", "reduce_graph", "resolution_graph",
     "resolution_trace", "self_loop_cycle", "to_dot",

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
 
 from ..datalog.atoms import Atom
 from ..datalog.errors import RuleValidationError
@@ -180,12 +179,3 @@ def build_igraph(rule: RecursiveRule | Rule,
                   directed=tuple(directed),
                   undirected=tuple(undirected),
                   predicate=rule.predicate)
-
-
-def igraph_from_parts(vertices: Iterable[Variable],
-                      directed: Iterable[DirectedEdge],
-                      undirected: Iterable[UndirectedEdge],
-                      predicate: str = "P") -> IGraph:
-    """Assemble an I-graph from explicit parts (used by resolution graphs)."""
-    return IGraph(frozenset(vertices), tuple(directed), tuple(undirected),
-                  predicate)

@@ -1,24 +1,22 @@
-"""Relational-algebra substrate: relations, a fact store, expressions."""
+"""Storage substrate: the fact store every engine runs on.
+
+* :class:`Database` (``database.py``) — named relations of dictionary
+  encoded rows with lazily built, version-tagged hash tables, the one
+  access path of the join kernel;
+* :class:`SymbolTable` (``symbols.py``) — the constant dictionary the
+  rows are encoded in;
+* :class:`AnswerSet` (``answers.py``) — the lazily decoded answer
+  relation every engine returns;
+* TSV persistence (``io.py``) — one file per relation.
+"""
 
 from .answers import AnswerSet
 from .database import Database, Pattern
-from .expr import (CartesianProduct, DifferenceOp, EqualColumns, Expr,
-                   Extend, Join, Literal,
-                   Projection, Renaming, Scan, Selection, Semijoin,
-                   UnionOp, evaluate, scan, select)
 from .io import (load_database, load_relation, save_database,
                  save_relation)
-from .optimize import (count_nodes, optimize, output_columns,
-                       selection_depths)
-from .relation import Relation, relation_from_pairs
+from .symbols import SymbolTable
 
 __all__ = [
-    "AnswerSet",
-    "CartesianProduct", "Database", "DifferenceOp", "EqualColumns",
-    "Expr", "Extend", "Join",
-    "Literal", "Pattern", "Projection", "Relation", "Renaming", "Scan",
-    "Selection", "Semijoin", "UnionOp", "evaluate",
-    "load_database", "load_relation", "relation_from_pairs",
-    "save_database", "save_relation", "scan", "select",
-    "count_nodes", "optimize", "output_columns", "selection_depths",
+    "AnswerSet", "Database", "Pattern", "SymbolTable",
+    "load_database", "load_relation", "save_database", "save_relation",
 ]

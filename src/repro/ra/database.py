@@ -49,7 +49,6 @@ from ..datalog.atoms import Atom
 from ..datalog.errors import EvaluationError, RuleValidationError
 from ..datalog.program import Program
 from ..datalog.terms import Constant
-from .relation import Relation
 from .symbols import SymbolTable
 
 #: A match pattern: one entry per position, None meaning "any value".
@@ -296,6 +295,7 @@ class Database:
         >>> db.remove("A", ("a", "b")), db.remove("A", ("a", "b"))
         (True, False)
         """
+        self._check_writable()
         encoded = self._lookup_pattern(tuple(row))
         if encoded is None:
             return False  # a never-seen constant is in no row
@@ -583,14 +583,6 @@ class Database:
     def has_match(self, name: str, pattern: Pattern) -> bool:
         """True when at least one value row matches *pattern*."""
         return next(self.match(name, pattern), None) is not None
-
-    def relation(self, name: str,
-                 columns: Iterable[str] | None = None) -> Relation:
-        """A :class:`Relation` view of the stored rows (value space)."""
-        if columns is None:
-            arity = self._arities.get(name, 0)
-            columns = tuple(f"c{i}" for i in range(arity))
-        return Relation(columns, self.rows(name))
 
     def metrics_snapshot(self) -> dict:
         """Point-in-time state for the telemetry layer's gauges.

@@ -2,13 +2,22 @@
 
 A database maps to a directory with one tab-separated file per
 relation (``A.tsv`` holding one row per line).  Values are stored as
-text; integers and floats are recovered on load.  This keeps EDBs
-diffable and editable by hand — the right trade-off for a research
-library.
+text.  On load a cell becomes a number only when it is exactly the
+``str()`` of a finite int or float (``7``, ``-3``, ``2.5``,
+``1e+20``); every other cell stays text, so ``007``, ``1_000``,
+``1.50``, ``1e5``, ``nan`` and a number padded with spaces load as
+strings.  A save refuses, with
+:class:`~repro.datalog.errors.EvaluationError`, any value that would
+not load back as itself — one holding a tab or a line break, a string
+that reads as a number, a non-finite float — and any row that would
+be an empty line, so what a save writes a load reads back as the same
+facts.  This keeps EDBs diffable and editable by hand — the right
+trade-off for a research library.
 """
 
 from __future__ import annotations
 
+import math
 import pathlib
 from typing import Iterable
 
@@ -20,21 +29,36 @@ _SUFFIX = ".tsv"
 
 def _render_value(value: object) -> str:
     text = str(value)
-    if "\t" in text or "\n" in text:
+    # the reader splits rows with str.splitlines and cells on tabs
+    if "\t" in text or text.splitlines() not in ([], [text]):
         raise EvaluationError(
-            f"values may not contain tabs or newlines: {text!r}")
+            f"values may not contain tabs or line breaks: {text!r}")
+    loaded = _parse_value(text)
+    if type(loaded) is not type(value) or loaded != value:
+        raise EvaluationError(
+            f"value {value!r} would load back as {loaded!r}")
     return text
+
+
+def _render_row(row: tuple) -> str:
+    line = "\t".join(_render_value(v) for v in row)
+    if not line:
+        raise EvaluationError(
+            f"row {row!r} would save as an empty line, which a load skips")
+    return line
 
 
 def _parse_value(text: str) -> object:
     try:
-        return int(text)
+        number = int(text)
     except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        return text
+        try:
+            number = float(text)
+        except ValueError:
+            return text
+        if not math.isfinite(number):
+            return text
+    return number if str(number) == text else text
 
 
 def save_database(database: Database, directory: str | pathlib.Path
@@ -47,11 +71,7 @@ def save_database(database: Database, directory: str | pathlib.Path
     path = pathlib.Path(directory)
     path.mkdir(parents=True, exist_ok=True)
     for name in database.relation_names:
-        lines = ["\t".join(_render_value(v) for v in row)
-                 for row in sorted(database.rows(name), key=repr)]
-        (path / f"{name}{_SUFFIX}").write_text(
-            "\n".join(lines) + ("\n" if lines else ""),
-            encoding="utf-8")
+        save_relation(database.rows(name), path / f"{name}{_SUFFIX}")
 
 
 def load_database(directory: str | pathlib.Path) -> Database:
@@ -70,29 +90,20 @@ def load_database(directory: str | pathlib.Path) -> Database:
         raise EvaluationError(f"not a directory: {path}")
     database = Database()
     for file_path in sorted(path.glob(f"*{_SUFFIX}")):
-        name = file_path.stem
-        for line in file_path.read_text(encoding="utf-8").splitlines():
-            if not line:
-                continue
-            database.add(name, tuple(_parse_value(v)
-                                     for v in line.split("\t")))
+        database.bulk(file_path.stem, load_relation(file_path))
     return database
 
 
 def load_relation(path: str | pathlib.Path) -> list[tuple]:
     """Read a single TSV file into a row list (without a database)."""
-    file_path = pathlib.Path(path)
-    rows: list[tuple] = []
-    for line in file_path.read_text(encoding="utf-8").splitlines():
-        if line:
-            rows.append(tuple(_parse_value(v) for v in line.split("\t")))
-    return rows
+    text = pathlib.Path(path).read_text(encoding="utf-8")
+    return [tuple(_parse_value(v) for v in line.split("\t"))
+            for line in text.splitlines() if line]
 
 
 def save_relation(rows: Iterable[tuple], path: str | pathlib.Path
                   ) -> None:
-    """Write a row collection as one TSV file."""
-    lines = ["\t".join(_render_value(v) for v in row)
-             for row in sorted(rows, key=repr)]
+    """Write a row collection as one TSV file, rows in sorted order."""
+    lines = [_render_row(row) for row in sorted(rows, key=repr)]
     pathlib.Path(path).write_text(
         "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -6,7 +6,7 @@ from .formulas import (CATALOGUE, EXTRA_CATALOGUE, EXTRAS, PAPER_ORDER,
                        paper_systems)
 from .generators import (GENERATORS, binary_tree, chain, cycle,
                          database_for, grid, random_digraph, random_tuples,
-                         random_unary, reflexive_exit)
+                         reflexive_exit)
 from .scenarios import (assembly, genealogy, genealogy_updown,
                         org_hierarchy)
 
@@ -15,6 +15,6 @@ __all__ = [
     "GENERATORS", "PAPER_ORDER", "extra_systems",
     "all_systems", "binary_tree", "chain", "chain_edb", "cycle",
     "database_for", "grid", "paper_systems", "random_digraph",
-    "random_edb", "random_tuples", "random_unary", "reflexive_exit",
+    "random_edb", "random_tuples", "reflexive_exit",
     "assembly", "genealogy", "genealogy_updown", "org_hierarchy",
 ]

@@ -72,14 +72,6 @@ def grid(width: int, height: int, prefix: str = "g") -> list[tuple]:
     return edges
 
 
-def random_unary(nodes: int, count: int, seed: int = 0,
-                 prefix: str = "v") -> list[tuple]:
-    """*count* random unary facts over the vertex names."""
-    rng = random.Random(seed)
-    names = [f"{prefix}{i}" for i in range(nodes)]
-    return sorted({(rng.choice(names),) for _ in range(count)})
-
-
 def random_tuples(nodes: int, count: int, arity: int, seed: int = 0,
                   prefix: str = "v") -> list[tuple]:
     """*count* random *arity*-tuples over the vertex names."""

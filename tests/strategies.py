@@ -73,12 +73,3 @@ def linear_systems(draw, max_arity: int = 3,
                    max_edb_atoms: int = 4) -> RecursionSystem:
     """A random recursion system with the generic exit."""
     return RecursionSystem(draw(linear_rules(max_arity, max_edb_atoms)))
-
-
-@st.composite
-def small_binary_relations(draw, max_nodes: int = 5,
-                           max_rows: int = 10) -> list[tuple]:
-    """Random rows over a small universe (for RA law checks)."""
-    nodes = [f"c{i}" for i in range(draw(st.integers(1, max_nodes)))]
-    pair = st.tuples(st.sampled_from(nodes), st.sampled_from(nodes))
-    return draw(st.lists(pair, max_size=max_rows))

@@ -201,11 +201,6 @@ class TestAccess:
         assert ("A", ("a", "b")) in db
         assert ("A", ("b", "a")) not in db
 
-    def test_relation_view(self, db):
-        view = db.relation("A", ("src", "dst"))
-        assert view.columns == ("src", "dst")
-        assert len(view) == 3
-
     def test_active_domain(self, db):
         assert db.active_domain() == {"a", "b", "c"}
 

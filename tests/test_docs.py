@@ -4,16 +4,23 @@ Extracts every ```python fenced block from docs/tutorial.md and the
 README quickstart and executes them in one shared namespace per file.
 Comment lines showing expected output (`# ...`) are not asserted —
 the point is that the code paths exist and run without error.
+
+The references are checked too: every name docs/api.md tabulates
+resolves, and every test id docs/theory.md pins a claim to exists.
 """
 
 import argparse
+import ast
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 FENCE = re.compile(r"```python\n(.*?)```", re.DOTALL)
+MODULE_NOTE = re.compile(r"\(`(repro[\w.]*)`\)")
+TEST_ID = re.compile(r"`((?:tests|benchmarks)/[\w/]+\.py)((?:::\w+)*)`")
 
 DOCUMENTS = ["README.md", "docs/tutorial.md"]
 
@@ -82,3 +89,76 @@ def test_experiments_reference_existing_artifacts():
             continue
         unmatched.add(name)
     assert not unmatched, f"EXPERIMENTS.md cites unknown: {unmatched}"
+
+
+def _resolves(name: str, packages: list[str]) -> bool:
+    """True when *name* is an attribute path in one of *packages*, or
+    is itself an absolute ``repro.…`` path."""
+    candidates = [f"{package}.{name}" for package in packages]
+    if name.startswith("repro."):
+        candidates.append(name)
+    for dotted in candidates:
+        try:
+            pkgutil.resolve_name(dotted)
+        except (AttributeError, ImportError, ValueError):
+            continue
+        return True
+    return False
+
+
+def api_table_names() -> list[tuple[str, list[str]]]:
+    """(name, candidate packages) for every backticked name in the
+    first column of a docs/api.md table."""
+    packages: list[str] = []
+    found = []
+    for line in (ROOT / "docs" / "api.md").read_text(
+            encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            packages = re.findall(r"`(repro[\w.]*)`", line)
+        elif line.startswith("|") and not line.startswith("|---"):
+            cell = re.split(r"(?<!\\)\|", line)[1]
+            notes = MODULE_NOTE.findall(cell)
+            for span in re.findall(r"`([^`]+)`", MODULE_NOTE.sub("", cell)):
+                name = re.match(r"[A-Za-z_][\w.]*", span).group()
+                found.append((name, packages + notes))
+    return found
+
+
+def test_api_table_names_resolve():
+    names = api_table_names()
+    assert len(names) > 50, "docs/api.md tables not found?"
+    unresolved = [f"{name} (in {', '.join(packages) or 'no package'})"
+                  for name, packages in names
+                  if not _resolves(name, packages)]
+    assert not unresolved, (
+        f"docs/api.md names that do not resolve: {unresolved}")
+
+
+def _defines(body: list[ast.stmt], name: str) -> list[ast.stmt] | None:
+    """The body of the class or function *name* defined in *body*."""
+    for node in body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and node.name == name:
+            return node.body
+    return None
+
+
+def test_theory_test_ids_exist():
+    """Every `tests/…::…` pin in docs/theory.md names an existing file,
+    class and function (checked on the syntax tree, not by collecting)."""
+    theory = (ROOT / "docs" / "theory.md").read_text(encoding="utf-8")
+    pins = TEST_ID.findall(theory)
+    assert pins, "docs/theory.md pins no tests?"
+    stale = []
+    for path, chain in pins:
+        source = ROOT / path
+        if not source.is_file():
+            stale.append(path)
+            continue
+        body = ast.parse(source.read_text(encoding="utf-8")).body
+        for part in chain.split("::")[1:]:
+            body = _defines(body, part)
+            if body is None:
+                stale.append(f"{path}{chain}")
+                break
+    assert not stale, f"docs/theory.md pins missing tests: {stale}"

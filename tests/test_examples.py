@@ -15,7 +15,6 @@ EXPECTED = {
     "bill_of_materials.py": ["wheel transitively contains",
                              "pseudo recursion"],
     "org_chart.py": ["everyone under maria", "after hiring uma"],
-    "compiled_algebra.py": ["identical:       True"],
     "paper_walkthrough.py": ["Figure 1", "measured: 2",
                              "classification of every example"],
 }

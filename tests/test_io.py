@@ -45,6 +45,47 @@ class TestRoundTrip:
         assert again.rows("Empty") == frozenset()
 
 
+class TestCellFormat:
+    """A save writes exactly what a load reads back."""
+
+    def test_numeric_looking_strings_stay_text(self, tmp_path):
+        db = Database.from_dict({"A": [("007",), (" 7",), ("1_000",),
+                                       (7,), (1000,)]})
+        save_database(db, tmp_path)
+        assert load_database(tmp_path).rows("A") == db.rows("A")
+
+    def test_only_canonical_finite_numbers_load_as_numbers(self, tmp_path):
+        (tmp_path / "A.tsv").write_text(
+            "7\n-3\n2.5\n1e+20\n1.50\n1e5\n007\nnan\nnan\ninf\n",
+            encoding="utf-8")
+        assert load_database(tmp_path).rows("A") == {
+            (7,), (-3,), (2.5,), (1e20,), ("1.50",), ("1e5",), ("007",),
+            ("nan",), ("inf",)}
+
+    @pytest.mark.parametrize("value", ["a\rb", "a\x0cb", "a\x85b",
+                                       "a\u2028b", "a\n"])
+    def test_line_break_in_value_rejected(self, value, tmp_path):
+        db = Database.from_dict({"A": [(value, "x")]})
+        with pytest.raises(EvaluationError, match="line breaks"):
+            save_database(db, tmp_path)
+
+    @pytest.mark.parametrize("value", ["7", "2.5", float("nan"), True])
+    def test_value_that_loads_as_another_rejected(self, value, tmp_path):
+        db = Database.from_dict({"A": [(value, "x")]})
+        with pytest.raises(EvaluationError, match="would load back as"):
+            save_database(db, tmp_path)
+
+    def test_empty_line_row_rejected(self, tmp_path):
+        db = Database.from_dict({"A": [("",)]})
+        with pytest.raises(EvaluationError, match="empty line"):
+            save_database(db, tmp_path)
+
+    def test_empty_cells_in_wider_rows_round_trip(self, tmp_path):
+        db = Database.from_dict({"A": [("", "a"), ("a", "")]})
+        save_database(db, tmp_path)
+        assert load_database(tmp_path).rows("A") == db.rows("A")
+
+
 class TestSingleRelation:
     def test_relation_round_trip(self, tmp_path):
         rows = [("a", 1), ("b", 2)]

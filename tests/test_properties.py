@@ -19,14 +19,12 @@ from repro.core.transform import to_stable
 from repro.datalog.program import RecursionSystem
 from repro.engine import (CompiledEngine, NaiveEngine, Query,
                           SemiNaiveEngine, TopDownEngine)
-from repro.ra.relation import Relation
 from repro.workloads import random_edb
 
-from .strategies import linear_rules, linear_systems, small_binary_relations
+from .strategies import linear_rules, linear_systems
 
 RELAXED = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
-FAST = settings(max_examples=80, deadline=None)
 
 
 class TestClassifierTotality:
@@ -121,40 +119,6 @@ class TestEngineAgreementProperty:
         comp = CompiledEngine().evaluate(system, db, query)
         top = TopDownEngine().evaluate(system, db, query)
         assert naive == semi == comp == top
-
-
-class TestRelationLaws:
-    @FAST
-    @given(small_binary_relations(), small_binary_relations())
-    def test_join_commutes_modulo_projection(self, left_rows, right_rows):
-        left = Relation(("x", "y"), left_rows)
-        right = Relation(("y", "z"), right_rows)
-        forward = left.join(right)
-        backward = right.join(left).project(("x", "y", "z"))
-        assert forward == backward
-
-    @FAST
-    @given(small_binary_relations())
-    def test_selection_idempotent(self, rows):
-        rel = Relation(("x", "y"), rows)
-        once = rel.select(x="c0")
-        assert once.select(x="c0") == once
-
-    @FAST
-    @given(small_binary_relations(), small_binary_relations())
-    def test_union_difference_inverse(self, rows_a, rows_b):
-        a = Relation(("x", "y"), rows_a)
-        b = Relation(("x", "y"), rows_b)
-        assert a.union(b).difference(b).rows == a.rows - b.rows
-
-    @FAST
-    @given(small_binary_relations())
-    def test_semijoin_is_selection_of_join(self, rows):
-        rel = Relation(("x", "y"), rows)
-        keys = Relation(("y",), [(r[1],) for r in rows[:3]])
-        semi = rel.semijoin(keys)
-        via_join = rel.join(keys)
-        assert semi.rows == via_join.rows
 
 
 class TestExpansionProperty:

@@ -74,6 +74,31 @@ class TestLoading:
         assert session.program.rules == ()
 
 
+class TestRemoveFact:
+    def test_reports_whether_the_row_was_present(self, ddb):
+        assert ddb.remove_fact("parent", "bea", "cal") is True
+        assert ddb.remove_fact("parent", "bea", "cal") is False
+
+    @pytest.mark.parametrize("engine", ["compiled", "semi-naive"])
+    def test_cached_answer_loses_the_derived_row(self, ddb, engine):
+        assert ddb.query("anc(ann, Y)", engine=engine) == {
+            ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
+        cached = EvaluationStats()
+        ddb.query("anc(ann, Y)", stats=cached, engine=engine)
+        assert cached.answer_cache_hits == 1
+        ddb.remove_fact("parent", "bea", "cal")
+        assert ddb.query("anc(ann, Y)", engine=engine) == {("ann", "bea")}
+
+    @pytest.mark.parametrize("row", [("bea", "cal"), ("bea", "zed")])
+    def test_fork_reader_raises(self, ddb, row):
+        """A read-only snapshot refuses the removal, also of a row
+        holding a constant it has never seen."""
+        fork = ddb.fork_reader()
+        with pytest.raises(EvaluationError, match="read-only"):
+            fork.remove_fact("parent", *row)
+        assert ("bea", "cal") in fork.query("parent(X, Y)")
+
+
 class TestWriteBatch:
     def test_applies_removals_then_additions_then_rules(self, ddb):
         ddb.write_batch(add={"parent": [("dee", "eve")]},
