@@ -431,12 +431,25 @@ def session(workdir: str, checks: list) -> None:
                     len(SESSION)),
                    ("traces forced_total", report["forced_total"], 0),
                    ("traces slow_total", report["slow_total"], 0)]
-        for query_id in ids:
+        # ... and names the labels the envelope's stats carry, as the
+        # query's log line does
+        lines = {line["query_id"]: line for line in server.log_lines()
+                 if line.get("event") == "query"}
+        for body in bodies:
+            query_id, stats = body["query_id"], body["stats"]
             document = server.get(f"/debug/traces/{query_id}")
             phases = [span["name"] for span in document["phases"]]
             checks.append((f"trace {query_id} has engine phase and trace",
                            "engine" in phases and bool(document["trace"]),
                            True))
+            line = lines.get(query_id, {})
+            checks.append((
+                f"{query_id} labels in trace and log line",
+                [document["engine"], document["formula_class"]]
+                + [line.get(name) for name in ("engine", "formula_class",
+                                               "strategy", "backend")],
+                [body["engine"], stats["formula_class"]] * 2
+                + [stats["strategy"], stats["backend"]]))
         repeat = server.get(f"/debug/traces/{ids[-1]}")
         checks.append(("cache-hit repeat trace meta cache_hit",
                        bool(repeat["trace"]["meta"].get("cache_hit")),
@@ -471,6 +484,27 @@ def documented_families() -> set[str]:
     return names
 
 
+def documented_labels() -> dict[str, set[str]]:
+    """Label names per family, from every markdown table with a
+    ``labels`` column (``—`` documents none)."""
+    labels: dict[str, set[str]] = {}
+    column = None
+    with open(DOC, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line.startswith("|"):
+                column = None  # a table ended
+                continue
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if column is None:  # the header row
+                column = cells.index("labels") if "labels" in cells else -1
+            elif column >= 0 and not cells[0].startswith("-"):
+                for name in re.findall(r"`(repro_[a-z0-9_]+)`", cells[0]):
+                    labels[name] = set(re.findall(r"`([a-z_]+)`",
+                                                  cells[column]))
+    return labels
+
+
 def documented_log_fields() -> dict[str, set[str]]:
     """The ``query`` event's fields per line kind (``success``,
     ``failure``), from the field table of observability.md's
@@ -502,7 +536,8 @@ def lint(server: Server, checks: list) -> None:
     require(checks, "async submit status", status, 202)
     final = poll(server, job["status_url"], ("queued", "running"), 30, 0.02)
     checks.append(("async job state", final["state"], "done"))
-    exposed = server.metrics().families
+    scrape = server.metrics()
+    exposed = scrape.families
     tolerated = ALLOWED_TIMING | (set() if HAVE_NUMPY else NUMPY_ONLY)
     checks += [
         ("exposed but undocumented families", sorted(exposed - documented),
@@ -512,6 +547,23 @@ def lint(server: Server, checks: list) -> None:
         ("ALLOWED_TIMING names not documented",
          sorted(ALLOWED_TIMING - documented), []),
     ]
+    # every exposed series of a family carries exactly the label names
+    # its row documents (a histogram's ``le`` aside)
+    labelled = documented_labels()
+    require(checks, "families with a documented labels column",
+            len(labelled), Pred("> 20", lambda count: count > 20))
+    series: dict = defaultdict(set)
+    for sample, pairs in scrape.samples:
+        family = (sample if sample in exposed
+                  else re.sub(r"_(bucket|sum|count)$", "", sample))
+        series[family].add(frozenset(name for name, _ in pairs
+                                     if name != "le"))
+    checks.append(("exposed label names off the documented ones",
+                   sorted((family, sorted(map(sorted, series[family])),
+                           sorted(names))
+                          for family, names in labelled.items()
+                          if family in series
+                          and series[family] != {frozenset(names)}), []))
     fields = documented_log_fields()
     require(checks, "query log fields documented",
             sorted(map(len, fields.values())),

@@ -39,7 +39,6 @@ from .engine.trace import TRACE_SCHEMA_VERSION, Tracer
 from .engine.vector import numpy_version
 from .graphs.render import ascii_figure, ascii_resolution, to_dot
 from .graphs.resolution import resolution_graph
-from .ra.database import Database
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -164,61 +163,54 @@ def _dump_json(document: dict, destination: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Answer the queries through a session, as the shell does; the
+    session's query close writes the ``--log-json`` lines."""
     from .engine.stats import STATS_SCHEMA_VERSION
+    from .session import DeductiveDatabase
     with open(args.program, encoding="utf-8") as handle:
         text = handle.read()
-    program = parse_program(text)
-    system = parse_system(text)
-    db = Database.from_program(program)
-    if args.query:
-        queries = [Query.parse(args.query)]
-    elif program.queries:
-        queries = [Query.from_atom(goal) for goal in program.queries]
-    else:
-        queries = [Query.all_free(system.predicate, system.dimension)]
-    engine = ENGINES[args.engine]()
     query_log = None
     if args.log_json is not None:
         from .logutil import open_query_log
         query_log = open_query_log(args.log_json)
-    tracing = args.trace or args.trace_json is not None
-    traces: list[dict] = []
-    stats_dumps: list[dict] = []
-    from time import perf_counter
-    for query in queries:
-        stats = EvaluationStats()
-        tracer = Tracer() if tracing else None
-        started = perf_counter()
-        answers = engine.evaluate(system, db, query, stats,
-                                  trace=tracer)
-        duration = perf_counter() - started
-        for row in answers.sorted_rows():
-            print(f"{system.predicate}"
-                  f"({', '.join(str(v) for v in row)})")
-        print(f"-- {query}: {len(answers)} answers   "
-              f"[{stats.summary()}]", file=sys.stderr)
+    session = DeductiveDatabase(query_log=query_log)
+    try:
+        session.load(text)
+        program = parse_program(text)  # its ?- goals
+        if args.query:
+            queries = [Query.parse(args.query)]
+        elif program.queries:
+            queries = [Query.from_atom(goal) for goal in program.queries]
+        else:
+            system = parse_system(text)
+            queries = [Query.all_free(system.predicate, system.dimension)]
+        tracing = args.trace or args.trace_json is not None
+        traces: list[dict] = []
+        stats_dumps: list[dict] = []
+        for query in queries:
+            stats = EvaluationStats()
+            tracer = Tracer() if tracing else None
+            answers = session.query(query, stats, engine=args.engine,
+                                    trace=tracer)
+            for row in answers.sorted_rows():
+                print(f"{query.predicate}"
+                      f"({', '.join(str(v) for v in row)})")
+            print(f"-- {query}: {len(answers)} answers   "
+                  f"[{stats.summary()}]", file=sys.stderr)
+            stats_dumps.append(stats.to_dict())
+            if tracer is not None:
+                if args.trace:
+                    print(tracer.trace.render(), file=sys.stderr)
+                traces.append(tracer.trace.to_dict())
+    finally:
         if query_log is not None:
-            from .logutil import new_query_id
-            query_log.log(
-                event="query", query_id=new_query_id(),
-                query=str(query), predicate=system.predicate,
-                engine=stats.engine,
-                formula_class=str(classify(system).formula_class),
-                rounds=stats.rounds, answers=len(answers),
-                duration_s=round(duration, 6), outcome="ok")
-        stats_dumps.append(stats.to_dict())
-        if tracer is not None and tracer.trace is not None:
-            if args.trace:
-                print(tracer.trace.render(), file=sys.stderr)
-            traces.append(tracer.trace.to_dict())
+            query_log.close()
     if args.trace_json is not None:
         _dump_json({"version": TRACE_SCHEMA_VERSION,
                     "traces": traces}, args.trace_json)
     if args.stats_json is not None:
         _dump_json({"version": STATS_SCHEMA_VERSION,
                     "stats": stats_dumps}, args.stats_json)
-    if query_log is not None:
-        query_log.close()
     return 0
 
 

@@ -32,8 +32,9 @@ This engine executes the strategies that the compiler
   filter applied to every derived row.
 
 A STABLE or TRANSFORM query with no bound position has no selection to
-push: it runs the unrestricted ITERATIVE fixpoint, and its trace names
-``iterative`` as the strategy that ran.
+push: it runs the unrestricted ITERATIVE fixpoint, and
+``stats.strategy`` (and so its trace) names ``iterative`` as the
+strategy that ran.
 """
 
 from __future__ import annotations
@@ -110,7 +111,6 @@ class CompiledEngine:
         >>> sorted(CompiledEngine().evaluate(s, db, Query.parse("P(a, Y)")))
         [('a', 'c')]
         """
-        stats = open_stats(stats, self.name, "python")
         if compiled is None:
             compiled = compile_query(system, query.adornment)
         strategy = compiled.strategy
@@ -118,9 +118,11 @@ class CompiledEngine:
             # no bound position: nothing to push down, so the chain
             # walk has no start — run the unrestricted fixpoint
             strategy = Strategy.ITERATIVE
+        stats = open_stats(stats, self.name, "python",
+                           strategy.name.lower())
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
-                        query=query, strategy=strategy.name.lower())
+                        query=query)
 
         # The strategies run in storage space: the query's constants
         # are encoded once here, and the answers stay encoded inside a

@@ -16,7 +16,7 @@ deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - trace imports this module
@@ -35,7 +35,8 @@ if TYPE_CHECKING:  # pragma: no cover - trace imports this module
 #: ``shard_counts``, ``shard_skew``, ``pool_round_trip_s``,
 #: ``pool_fallbacks`` and ``sequential_rounds``; ``backend`` is
 #: ``"numpy"`` or ``"python"``.
-STATS_SCHEMA_VERSION = 5
+#: Version 6 added the labels ``formula_class`` and ``strategy``.
+STATS_SCHEMA_VERSION = 6
 
 #: The monotonically accumulating scalar fields of
 #: :class:`EvaluationStats` — the ones whose snapshot difference is a
@@ -55,28 +56,33 @@ def delta_between(before: dict, after: dict) -> dict:
     """The per-query increment between two ``to_dict`` snapshots.
 
     Scalar counters subtract; list counters return the appended tail.
-    Non-accumulating fields (``engine``, ``backend``, ``answers``,
-    ``measured_rank``, ``truncated``) carry *after*'s
-    value — they describe the run, not an increment.  This is how a
-    reused stats object feeds a metrics registry without double
-    counting.
+    Every other field — the labels, ``answers``, ``measured_rank``,
+    ``truncated`` — carries *after*'s value: it describes the run, not
+    an increment.  This is how a reused stats object feeds a metrics
+    registry without double counting.
     """
-    delta: dict = {}
+    delta = dict(after)
     for name in ACCUMULATING_FIELDS:
         delta[name] = after[name] - before[name]
     for name in ACCUMULATING_LIST_FIELDS:
         delta[name] = after[name][len(before[name]):]
-    for name in ("engine", "backend", "answers", "measured_rank",
-                 "truncated"):
-        delta[name] = after[name]
     return delta
 
 
 @dataclass
 class EvaluationStats:
-    """Mutable counters filled in during one evaluation."""
+    """Mutable counters filled in during one evaluation, and the labels
+    that name what ran."""
 
     engine: str = ""
+    #: the class the classifier assigned the queried predicate —
+    #: ``A1``…``F``, ``view``, ``edb``, or ``unknown`` when the query
+    #: failed before its predicate was resolved; written by the
+    #: session's query close, ``""`` for an engine run outside one
+    formula_class: str = ""
+    #: the compiled strategy that ran (``bounded``, ``stable``,
+    #: ``transform``, ``iterative``); ``""`` for the other engines
+    strategy: str = ""
     #: resolved execution backend of the delta loop — ``"numpy"``
     #: when the vectorised kernel ran at least one round,
     #: ``"python"`` when the tuple-set loop did, ``""`` for engines
@@ -168,9 +174,18 @@ class EvaluationStats:
         """Log one set-at-a-time batch and its binding count."""
         self.batch_sizes.append(size)
 
+    @property
+    def outcome(self) -> str:
+        """How an evaluation that returned ended: ``"truncated"`` when
+        a row budget stopped it, else ``"ok"`` (a failed one raises;
+        see :func:`repro.service.failure_outcome`)."""
+        return "truncated" if self.truncated else "ok"
+
     def to_dict(self) -> dict:
-        """Every counter as a JSON-ready dict (schema
-        :data:`STATS_SCHEMA_VERSION`).
+        """Every label and counter as a JSON-ready dict (schema
+        :data:`STATS_SCHEMA_VERSION`): the dataclass fields in
+        declaration order, the deadline carrier left out, plus
+        ``measured_rank``.
 
         This is the exchange format of ``repro run --stats-json`` and
         the snapshot half of the telemetry layer's snapshot-delta
@@ -180,25 +195,12 @@ class EvaluationStats:
         registry totals reconcile with per-query stats by
         construction, exactly as the tracer's round counters do.
         """
-        return {
-            "engine": self.engine,
-            "backend": self.backend,
-            "rounds": self.rounds,
-            "probes": self.probes,
-            "derived": self.derived,
-            "answers": self.answers,
-            "delta_sizes": list(self.delta_sizes),
-            "measured_rank": self.measured_rank,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "hash_builds": self.hash_builds,
-            "hash_lookups": self.hash_lookups,
-            "batch_sizes": list(self.batch_sizes),
-            "answer_cache_hits": self.answer_cache_hits,
-            "vector_batches": self.vector_batches,
-            "vector_rows": self.vector_rows,
-            "truncated": self.truncated,
-        }
+        document = {spec.name: getattr(self, spec.name)
+                    for spec in fields(self) if spec.name != "deadline"}
+        for name in ACCUMULATING_LIST_FIELDS:
+            document[name] = list(document[name])
+        document["measured_rank"] = self.measured_rank
+        return document
 
     def summary(self) -> str:
         """One-line rendering for bench output."""
@@ -210,13 +212,14 @@ class EvaluationStats:
 
 
 def open_stats(stats: EvaluationStats | None, engine: str,
-               backend: str = "") -> EvaluationStats:
+               backend: str = "", strategy: str = "") -> EvaluationStats:
     """*stats* (a fresh object when None) opened for one evaluation:
-    *engine* and *backend* named, ``truncated`` cleared.  The counters
-    keep accumulating, so a reused object sums its runs."""
+    *engine*, *backend* and *strategy* named, ``truncated`` cleared.
+    The counters keep accumulating, so a reused object sums its runs."""
     if stats is None:
         stats = EvaluationStats()
     stats.engine = engine
     stats.backend = backend
+    stats.strategy = strategy
     stats.truncated = False
     return stats

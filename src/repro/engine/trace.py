@@ -224,15 +224,19 @@ class Tracer:
         self._meta = dict(meta)
         self._started = perf_counter()
 
-    def annotate(self, **meta: object) -> None:
-        """Attach run-level metadata (e.g. the compiled strategy)."""
-        self._meta.update(meta)
-
     def finish(self, answers: int,
                stats: EvaluationStats | None = None) -> Trace:
-        """Seal the trace; returns (and stores) the :class:`Trace`."""
+        """Seal the trace; returns (and stores) the :class:`Trace`.
+
+        The meta names what ran, read off *stats*: its ``strategy``
+        and ``backend`` labels, when the run set them.
+        """
         if self._current is not None:  # unterminated round (error path)
             self.end_round(0, stats)
+        if stats is not None:
+            for name in ("strategy", "backend"):
+                if getattr(stats, name):
+                    self._meta[name] = getattr(stats, name)
         self.trace = Trace(
             engine=self._engine, predicate=self._predicate,
             query=self._query, answers=answers,

@@ -298,8 +298,6 @@ def answer_boundary(total, query, database: Database,
         answers = frozenset(total) if query is None else query.filter(total)
     stats.answers = len(answers)
     if trace is not None:
-        if stats.backend:
-            trace.annotate(backend=stats.backend)
         trace.finish(len(answers), stats)
     if columnar:
         return AnswerSet.from_columns(answers.columns(), database.symbols)

@@ -35,7 +35,10 @@ keeps :func:`repro.engine.trace.validate_trace_dict` untouched.
 Disabled is free: with ``sample_rate == 0``, no slow threshold, and
 no forcing, a request allocates no tracer and records nothing beyond
 a handful of floats — answers and stats are bit-identical to an
-uninstrumented server.
+uninstrumented server.  The recorder decides no label itself: a
+request's engine and formula class are read off the
+:class:`~repro.engine.stats.EvaluationStats` the session's query close
+wrote them on.
 """
 
 from __future__ import annotations
@@ -46,23 +49,10 @@ from collections import OrderedDict
 from time import perf_counter, time
 from typing import Any
 
+from .engine.stats import EvaluationStats
 from .engine.trace import Tracer
 
-__all__ = ["FlightRecorder", "RequestContext", "class_of"]
-
-
-def class_of(session: Any, query: str) -> str:
-    """Best-effort formula-class label for ``query`` under ``session``.
-
-    Used for trace summaries; never raises (malformed or unknown
-    queries label as ``"unknown"``).
-    """
-    try:
-        from .engine.query import Query
-
-        return session.class_label(Query.parse(query).predicate)
-    except Exception:
-        return "unknown"
+__all__ = ["FlightRecorder", "RequestContext"]
 
 
 class RequestContext:
@@ -70,7 +60,7 @@ class RequestContext:
 
     Create one via :meth:`FlightRecorder.context`; pass it down
     through :meth:`repro.service.QueryService.run`; close it with
-    :meth:`FlightRecorder.close`.
+    :meth:`FlightRecorder.finalize`.
     """
 
     __slots__ = ("query_id", "query", "force", "sampled", "tracer",
@@ -102,27 +92,6 @@ class RequestContext:
         if detail:
             span["detail"] = detail
         self.phases.append(span)
-
-    def phase(self, name: str, **detail: Any) -> "_PhaseTimer":
-        """Context manager recording ``name`` around a block."""
-        return _PhaseTimer(self, name, detail)
-
-
-class _PhaseTimer:
-    __slots__ = ("_ctx", "_name", "_detail", "_started")
-
-    def __init__(self, ctx: RequestContext, name: str,
-                 detail: dict[str, Any]) -> None:
-        self._ctx = ctx
-        self._name = name
-        self._detail = detail
-
-    def __enter__(self) -> "_PhaseTimer":
-        self._started = perf_counter()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._ctx.add_phase(self._name, self._started, **self._detail)
 
 
 class FlightRecorder:
@@ -169,30 +138,21 @@ class FlightRecorder:
         return RequestContext(query_id, query=query, force=force,
                               sampled=sampled)
 
-    def close(self, ctx: RequestContext, session: Any, *,
-              duration_s: float, outcome: str, engine: str | None,
-              epoch: int | None = None, answers: int = 0) -> None:
-        """:meth:`finalize` a served request or job run: *session*
-        labels the formula class of ``ctx.query`` and owns the query
-        log a slow request is reported to."""
-        self.finalize(ctx, duration_s=duration_s, outcome=outcome,
-                      engine=engine,
-                      formula_class=class_of(session, ctx.query or ""),
-                      epoch=epoch, answers=answers,
-                      query_log=session.query_log)
-
-    def finalize(self, ctx: RequestContext, *, duration_s: float,
-                 outcome: str, engine: str | None = None,
-                 formula_class: str | None = None,
+    def finalize(self, ctx: RequestContext, stats: EvaluationStats, *,
+                 duration_s: float, outcome: str,
                  epoch: int | None = None, answers: int = 0,
                  query_log: Any = None) -> str | None:
-        """Close ``ctx`` and capture it if policy says so.
+        """Close ``ctx`` — a served request or a job run — and capture
+        it if policy says so.
 
-        Returns the capture reason (``"forced"``/``"sampled"``/
-        ``"slow"``) or ``None``.  A request slower than
+        The document, its summary and the ``slow_query`` line name the
+        ``engine`` and ``formula_class`` the query close left on
+        *stats*.  Returns the capture reason (``"forced"``/
+        ``"sampled"``/``"slow"``) or ``None``.  A request slower than
         ``slow_query_ms`` additionally emits a ``slow_query`` event on
         ``query_log`` whatever the capture reason.
         """
+        engine, formula_class = stats.engine, stats.formula_class
         slow = (self.slow_query_ms is not None
                 and duration_s * 1000.0 >= self.slow_query_ms)
         if ctx.force:

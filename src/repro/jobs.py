@@ -126,8 +126,10 @@ class Job:
         self.submitted_at = time()
         self.started_at: float | None = None
         self.finished_at: float | None = None
-        #: live handle shared with the engine once running
-        self.stats = EvaluationStats()
+        #: live handle shared with the engine once running; the query
+        #: close relabels it with the engine that ran and the class
+        self.stats = EvaluationStats(engine=engine,
+                                     formula_class="unknown")
         #: cooperative cancel flag, checked at round boundaries
         self.cancel = threading.Event()
         self.result: QueryResult | None = None
@@ -436,11 +438,11 @@ class JobQueue:
                        else f"{type(error).__name__}: {error}")
         run_s = perf_counter() - started
         if ctx is not None:
-            self.recorder.close(
-                ctx, job.epoch.session, duration_s=run_s,
-                outcome=outcome, engine=job.stats.engine or job.engine,
+            self.recorder.finalize(
+                ctx, job.stats, duration_s=run_s, outcome=outcome,
                 epoch=job.epoch.number,
-                answers=len(result.answers) if result is not None else 0)
+                answers=len(result.answers) if result is not None else 0,
+                query_log=job.epoch.session.query_log)
         # a finished state is the run's outcome label, "ok" aside
         state = JobStates.DONE if outcome == "ok" else outcome
         self._finish(job, state, result=result, error=message,

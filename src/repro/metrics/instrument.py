@@ -318,8 +318,7 @@ def set_admission_gauges(registry: MetricsRegistry, *,
     ).set(inflight)
     registry.gauge(
         "repro_admission_queue_depth",
-        "Admission slots in use beyond completed work "
-        "(waiting + running minus capacity headroom).",
+        "Callers waiting for an admission slot.",
     ).set(queue_depth)
 
 

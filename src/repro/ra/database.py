@@ -47,7 +47,6 @@ from typing import Iterable, Iterator, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.errors import EvaluationError, RuleValidationError
-from ..datalog.program import Program
 from ..datalog.terms import Constant
 from .symbols import SymbolTable
 
@@ -188,11 +187,6 @@ class Database:
                 values.append(term.value)
             db.add(fact.predicate, tuple(values))
         return db
-
-    @classmethod
-    def from_program(cls, program: Program) -> "Database":
-        """Build a database from a program's fact section."""
-        return cls.from_atoms(program.facts)
 
     @classmethod
     def from_dict(cls, relations: Mapping[str, Iterable[tuple]]

@@ -11,8 +11,12 @@ strings.  A save refuses, with
 not load back as itself — one holding a tab or a line break, a string
 that reads as a number, a non-finite float — and any row that would
 be an empty line, so what a save writes a load reads back as the same
-facts.  This keeps EDBs diffable and editable by hand — the right
-trade-off for a research library.
+facts.  A save writes everything or nothing: every relation is
+rendered and checked before the first file is written, and a
+directory holding a ``*.tsv`` that is not one of the database's
+relations is refused (it would load back as an extra relation).  This
+keeps EDBs diffable and editable by hand — the right trade-off for a
+research library.
 """
 
 from __future__ import annotations
@@ -40,12 +44,16 @@ def _render_value(value: object) -> str:
     return text
 
 
-def _render_row(row: tuple) -> str:
-    line = "\t".join(_render_value(v) for v in row)
-    if not line:
-        raise EvaluationError(
-            f"row {row!r} would save as an empty line, which a load skips")
-    return line
+def _render_rows(rows: Iterable[tuple]) -> str:
+    """The TSV text of *rows*, sorted, so repeated saves of equal
+    relations produce identical files."""
+    lines = []
+    for row in sorted(rows, key=repr):
+        lines.append("\t".join(_render_value(v) for v in row))
+        if not lines[-1]:
+            raise EvaluationError(f"row {row!r} would save as an empty "
+                                  f"line, which a load skips")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _parse_value(text: str) -> object:
@@ -63,15 +71,26 @@ def _parse_value(text: str) -> object:
 
 def save_database(database: Database, directory: str | pathlib.Path
                   ) -> None:
-    """Write every relation of *database* to ``directory/<name>.tsv``.
+    """Write every relation of *database* to ``directory/<name>.tsv``,
+    or nothing.
 
     Rows are written in sorted order, so repeated saves of equal
-    databases produce identical files.
+    databases produce identical files.  Raises
+    :class:`~repro.datalog.errors.EvaluationError` before the first
+    write when a value would not load back, or when *directory* holds
+    a ``*.tsv`` file that names no relation of *database*.
     """
     path = pathlib.Path(directory)
+    texts = {name: _render_rows(database.rows(name))
+             for name in database.relation_names}
+    strays = sorted(file.name for file in path.glob(f"*{_SUFFIX}")
+                    if file.stem not in texts)
+    if strays:
+        raise EvaluationError(f"{path} holds {', '.join(strays)}, which "
+                              f"would load back as extra relations")
     path.mkdir(parents=True, exist_ok=True)
-    for name in database.relation_names:
-        save_relation(database.rows(name), path / f"{name}{_SUFFIX}")
+    for name, text in texts.items():
+        (path / f"{name}{_SUFFIX}").write_text(text, encoding="utf-8")
 
 
 def load_database(directory: str | pathlib.Path) -> Database:
@@ -104,6 +123,4 @@ def load_relation(path: str | pathlib.Path) -> list[tuple]:
 def save_relation(rows: Iterable[tuple], path: str | pathlib.Path
                   ) -> None:
     """Write a row collection as one TSV file, rows in sorted order."""
-    lines = [_render_row(row) for row in sorted(rows, key=repr)]
-    pathlib.Path(path).write_text(
-        "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    pathlib.Path(path).write_text(_render_rows(rows), encoding="utf-8")

@@ -81,6 +81,7 @@ from time import perf_counter, time
 
 from . import __version__
 from .datalog.errors import ReproError
+from .engine.stats import EvaluationStats
 from .flight import FlightRecorder
 from .jobs import JobQueue, JobQueueFull, JobStates, UnknownJob
 from .logutil import new_query_id, valid_query_id
@@ -327,7 +328,7 @@ class QueryServer:
                    + "\n", headers=headers)
 
     def _send_result(self, handler, result: QueryResult, *, query: str,
-                     engine: str, query_id: str, duration_s: float,
+                     query_id: str, duration_s: float,
                      ctx=None, started: float = 0.0) -> None:
         """Decode, meter and render one :class:`QueryResult` as a 200.
 
@@ -357,9 +358,8 @@ class QueryServer:
         if was_lazy and self.session.metrics is not None:
             observe_decode(self.session.metrics,
                            answers.decode_seconds, len(answers))
-        engine = result.stats.engine or engine
         render_started = perf_counter()
-        envelope = {"query": query, "engine": engine,
+        envelope = {"query": query, "engine": result.stats.engine,
                     "count": len(rows), "query_id": query_id}
         head = json.dumps(envelope, ensure_ascii=False, indent=2)[:-2]
         tail = json.dumps(
@@ -390,8 +390,9 @@ class QueryServer:
             # the render phase covers serialisation, not the
             # client-paced writes
             ctx.add_phase("render", render_started, rows=len(rows))
-            self._close_request(ctx, started, result.outcome, engine,
-                                epoch=result.epoch, answers=len(rows))
+            self._close_request(ctx, result.stats, started,
+                                result.outcome, epoch=result.epoch,
+                                answers=len(rows))
         handler.send_response(200)
         handler.send_header("Content-Type",
                             "application/json; charset=utf-8")
@@ -534,7 +535,7 @@ class QueryServer:
             })
             return
         self._send_result(handler, job.result, query=job.query,
-                          engine=job.engine, query_id=job.query_id,
+                          query_id=job.query_id,
                           duration_s=round(job.result.duration_s, 6))
 
     def _post(self, handler) -> None:
@@ -622,14 +623,15 @@ class QueryServer:
             return supplied
         return new_query_id()
 
-    def _close_request(self, ctx, started: float, outcome: str,
-                       engine: str | None, epoch: int | None = None,
+    def _close_request(self, ctx, stats: EvaluationStats, started: float,
+                       outcome: str, epoch: int | None = None,
                        answers: int = 0) -> None:
         """Close a request context into the flight recorder."""
-        self.recorder.close(ctx, self.epochs.current.session,
-                            duration_s=perf_counter() - started,
-                            outcome=outcome, engine=engine,
-                            epoch=epoch, answers=answers)
+        self.recorder.finalize(ctx, stats,
+                               duration_s=perf_counter() - started,
+                               outcome=outcome, epoch=epoch,
+                               answers=answers,
+                               query_log=self.session.query_log)
 
     def _post_query(self, handler, force_async: bool = False) -> None:
         """``POST /query``, and ``POST /jobs`` (*force_async*)."""
@@ -645,13 +647,15 @@ class QueryServer:
             return
         ctx = self.recorder.context(query_id, query=params["query"],
                                     force=params["trace"])
+        # evaluation overwrites the engine with the one that ran
+        stats = EvaluationStats(engine=params["engine"])
         started = perf_counter()
         try:
             result = self.service.run(params["query"],
                                       engine=params["engine"],
                                       timeout_s=params["timeout_s"],
                                       max_rows=params["max_rows"],
-                                      ctx=ctx)
+                                      stats=stats, ctx=ctx)
         except Exception as error:  # a bug too: keep serving
             outcome, status = failure_outcome(error)
             body = {"error": (str(error) if status < 500
@@ -666,14 +670,13 @@ class QueryServer:
             elif status != 503:
                 # 429 and 503 turn a query away before evaluation:
                 # there is nothing to capture
-                self._close_request(ctx, started, outcome,
-                                    params["engine"])
+                self._close_request(ctx, stats, started, outcome)
             self._send_json(handler, status, body, headers=headers)
             return
         with self._served_lock:
             self.queries_served += 1
         self._send_result(handler, result, query=params["query"],
-                          engine=params["engine"], query_id=query_id,
+                          query_id=query_id,
                           duration_s=round(perf_counter() - started, 6),
                           ctx=ctx, started=started)
 

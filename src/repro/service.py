@@ -171,18 +171,22 @@ class EpochManager:
 class QueryResult:
     """What one admitted evaluation produced, with its provenance."""
 
-    __slots__ = ("answers", "stats", "outcome", "epoch", "duration_s")
+    __slots__ = ("answers", "stats", "epoch", "duration_s")
 
-    def __init__(self, answers, stats: EvaluationStats, outcome: str,
-                 epoch: int, duration_s: float) -> None:
+    def __init__(self, answers, stats: EvaluationStats, epoch: int,
+                 duration_s: float) -> None:
         self.answers = answers
+        #: the labels and counters the session's query close left
         self.stats = stats
-        #: ``"ok"`` or ``"truncated"`` (failures raise instead; see
-        #: :func:`failure_outcome`)
-        self.outcome = outcome
         #: number of the epoch the query read
         self.epoch = epoch
         self.duration_s = duration_s
+
+    @property
+    def outcome(self) -> str:
+        """``"ok"`` or ``"truncated"`` (failures raise instead; see
+        :func:`failure_outcome`)."""
+        return self.stats.outcome
 
 
 class QueryService:
@@ -356,8 +360,7 @@ class QueryService:
             finally:
                 if ctx is not None:
                     ctx.add_phase("engine", engine_started)
-            outcome = "truncated" if stats.truncated else "ok"
-            return QueryResult(answers, stats, outcome, epoch.number,
+            return QueryResult(answers, stats, epoch.number,
                                perf_counter() - started)
         finally:
             self._release(perf_counter() - started)

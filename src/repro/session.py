@@ -43,8 +43,9 @@ from .engine.compiled import CompiledEngine
 from .engine.query import Query
 from .engine.seminaive import SemiNaiveEngine
 from .engine.setjoin import apply_rule
-from .engine.stats import EvaluationStats
+from .engine.stats import EvaluationStats, delta_between, open_stats
 from .engine.trace import Tracer
+from .logutil import new_query_id
 from .ra.answers import AnswerSet
 from .ra.database import Database
 
@@ -76,11 +77,14 @@ class DeductiveDatabase:
         #: Concurrent readers of a fork share it, so every access
         #: holds :attr:`_answer_lock`.
         self._answer_cache: OrderedDict[
-            tuple, tuple[AnswerSet, str]] = OrderedDict()
+            tuple, tuple[AnswerSet, str, str]] = OrderedDict()
         self._answer_lock = threading.Lock()
+        #: the arity of every predicate the rules use; every write is
+        #: checked against it and the store before anything is written
+        self._arities: dict[str, int] = {}
         #: optional :class:`~repro.metrics.MetricsRegistry`; when None
-        #: (the default) :meth:`query` takes the uninstrumented path —
-        #: bit-identical answers and stats, zero added work
+        #: (the default) :meth:`query` emits nothing — bit-identical
+        #: answers and stats, no added work
         self.metrics = metrics
         #: optional :class:`~repro.logutil.QueryLogger` — one JSON
         #: line per query when installed
@@ -100,10 +104,13 @@ class DeductiveDatabase:
         """Add one rule (text or object); invalidates materialisation.
 
         Raises :class:`~repro.datalog.errors.RuleValidationError` for
-        a rule that is not range restricted: a head variable missing
-        from the body has no value to take bottom-up.
+        a rule that is not range restricted (a head variable missing
+        from the body has no value to take bottom-up), or that uses a
+        predicate with another arity than the rules and facts already
+        give it.
         """
         rule = self._checked_rule(rule)
+        self._arities = self._rule_arities([rule])
         self._rules.append(rule)
         # Intern the rule's constants up front: afterwards, "constant
         # not in the symbol table" means "constant appears in no fact
@@ -129,6 +136,43 @@ class DeductiveDatabase:
                 f"not occur in the body): {rule}")
         return rule
 
+    def _rule_arities(self, rules: Iterable[Rule] = (),
+                      relations: Mapping[str, int] | None = None
+                      ) -> dict[str, int]:
+        """The rules' arities once *rules* join them, checked against
+        each other, the fact store and *relations* (name → row width
+        of facts about to be stored) before anything is written.
+
+        Raises :class:`~repro.datalog.errors.RuleValidationError` at
+        the first predicate that would be used with two arities: the
+        engines would misread an atom of any other width.
+        """
+        arities = dict(self._arities)
+        relations = relations or {}
+        for predicate, width in relations.items():
+            self._check_relation(predicate, width)
+        for rule in rules:
+            for atom in (rule.head, *rule.body):
+                known = arities.get(atom.predicate)
+                if known is None:
+                    known = relations.get(atom.predicate,
+                                          self._edb.arity(atom.predicate))
+                if known is not None and known != atom.arity:
+                    raise RuleValidationError(
+                        f"{atom.predicate!r} has arity {known}, but "
+                        f"{rule} uses it with {atom.arity} argument(s)")
+                arities[atom.predicate] = atom.arity
+        return arities
+
+    def _check_relation(self, predicate: str, width: int) -> None:
+        """Raise unless facts *width* wide fit the rules' use of
+        *predicate* (the store checks them against its own rows)."""
+        known = self._arities.get(predicate)
+        if known is not None and known != width:
+            raise RuleValidationError(
+                f"{predicate!r} has arity {known} in the rules, but a "
+                f"fact for it has {width} argument(s)")
+
     def write_batch(self, *,
                     add: Mapping[str, Iterable[tuple]] | None = None,
                     remove: Mapping[str, Iterable[tuple]] | None = None,
@@ -136,8 +180,9 @@ class DeductiveDatabase:
         """Remove facts, add facts, add rules: all of it or nothing.
 
         Every rule is parsed and checked, and every added row's arity
-        is checked, before the first write, so a batch that raises
-        leaves the session as it was.
+        is checked against its relation and the rules, old and new,
+        before the first write, so a batch that raises leaves the
+        session as it was.
         """
         removals = {predicate: [tuple(row) for row in rows]
                     for predicate, rows in (remove or {}).items()}
@@ -146,6 +191,9 @@ class DeductiveDatabase:
         checked = [self._checked_rule(rule) for rule in rules or ()]
         for predicate, rows in additions.items():
             self._edb.check_arity(predicate, rows)
+        self._rule_arities(checked, {predicate: len(rows[0])
+                                     for predicate, rows in additions.items()
+                                     if rows})
         for predicate, rows in removals.items():
             self.remove_facts(predicate, rows)
         for predicate, rows in additions.items():
@@ -155,12 +203,18 @@ class DeductiveDatabase:
 
     def add_fact(self, predicate: str, *values: object) -> None:
         """Add one ground fact."""
+        self._check_relation(predicate, len(values))
         self._edb.add(predicate, tuple(values))
         self._invalidate(rules_changed=False)
 
     def add_facts(self, predicate: str,
                   rows: Iterable[tuple]) -> None:
         """Add many ground facts for one predicate."""
+        # the store checks every row against the first, and that
+        # against its stored rows
+        rows = list(rows)
+        if rows:
+            self._check_relation(predicate, len(rows[0]))
         self._edb.bulk(predicate, rows)
         self._invalidate(rules_changed=False)
 
@@ -185,6 +239,7 @@ class DeductiveDatabase:
                     f"fact {fact} is not ground: {term} is not a "
                     f"constant")
             values.append(term.value)
+        self._check_relation(fact.predicate, len(values))
         self._edb.add(fact.predicate, tuple(values))
         self._invalidate(rules_changed=False)
 
@@ -232,6 +287,7 @@ class DeductiveDatabase:
         clone._materialised = self._materialised
         clone._plan_cache = dict(self._plan_cache)
         clone._classification_cache = dict(self._classification_cache)
+        clone._arities = self._arities
         with self._answer_lock:
             clone._answer_cache = OrderedDict(self._answer_cache)
         clone._answer_lock = threading.Lock()
@@ -287,23 +343,6 @@ class DeductiveDatabase:
 
     # -- materialisation ----------------------------------------------
 
-    def _check_arities(self) -> None:
-        """Raise unless the rules use each predicate with one arity —
-        its facts' arity, when it has facts: the engines would misread
-        an atom of any other width."""
-        arities: dict[str, int] = {}
-        for rule in self._rules:
-            for atom in (rule.head, *rule.body):
-                if atom.predicate not in arities:
-                    stored = self._edb.arity(atom.predicate)
-                    arities[atom.predicate] = (atom.arity if stored is None
-                                               else stored)
-                if atom.arity != arities[atom.predicate]:
-                    raise RuleValidationError(
-                        f"{atom.predicate!r} has arity "
-                        f"{arities[atom.predicate]}, but {rule} uses it "
-                        f"with {atom.arity} argument(s)")
-
     def _materialise_below(self, target: str) -> Database:
         """All IDB predicates strictly below *target*, bottom-up.
 
@@ -311,7 +350,6 @@ class DeductiveDatabase:
         read it (the naive engine copies before it writes), and its
         cached join tables serve the next query too.
         """
-        self._check_arities()
         program = self.program
         graph = program.dependency_graph()
         below: set[str] = set()
@@ -351,7 +389,6 @@ class DeductiveDatabase:
         """Fully materialise every IDB predicate (cached until the
         session changes)."""
         if self._materialised is None:
-            self._check_arities()
             db = self._edb.copy()
             for predicate in self.program.evaluation_order():
                 self._materialise_one(predicate, db)
@@ -375,34 +412,51 @@ class DeductiveDatabase:
         execution; the finished :class:`~repro.engine.trace.Trace` is
         available as ``trace.trace`` afterwards.
 
-        With a metrics registry and/or query log installed on the
-        session, each call additionally records latency, answer-count
-        and work counters (snapshot-delta of the stats, so registry
+        Every call, answered or failed, leaves the query's labels on
+        *stats* (when given): ``engine`` — the engine that answered,
+        ``edb``/``view`` for a relation lookup, the one asked for when
+        the query failed — ``formula_class`` — ``A1``…``F``, ``view``,
+        ``edb``, or ``unknown`` before the predicate resolved — and
+        the ``strategy`` and ``backend`` that ran.  Every signal reads
+        them there.  With a metrics registry and/or query log
+        installed, the close also records latency, answer count and
+        work counters (the snapshot delta of the stats, so registry
         totals reconcile with per-query stats exactly) and emits one
-        structured log line; with neither installed this method is the
-        pre-telemetry code path, unchanged.
+        structured log line; with neither, it emits nothing.
 
         *query_id* names the query in the log line and the metrics
         exemplar; ``repro serve`` passes the request-scoped id so the
         response envelope, log, trace and metrics all correlate.  When
         ``None`` a fresh id is minted per instrumented call.
         """
+        stats = open_stats(stats, engine)
+        stats.formula_class = "unknown"
         if isinstance(query, str):
             query = Query.parse(query)
         if self.metrics is None and self.query_log is None:
             return self._evaluate_query(query, stats, engine, trace)
-        return self._instrumented_query(query, stats, engine, trace,
-                                        query_id)
+        before = stats.to_dict()
+        started = perf_counter()
+        try:
+            answers = self._evaluate_query(query, stats, engine, trace)
+        except Exception as error:
+            self._emit(query, stats, before, perf_counter() - started,
+                       query_id, error=error)
+            raise
+        self._emit(query, stats, before, perf_counter() - started,
+                   query_id, answers=answers)
+        return answers
 
-    def _evaluate_query(self, query: Query,
-                        stats: EvaluationStats | None,
+    def _evaluate_query(self, query: Query, stats: EvaluationStats,
                         engine: str, trace: Tracer | None) -> AnswerSet:
         """Answer-cache wrapper around the evaluation proper.
 
         Successful answer sets are memoised on (query pattern, engine,
         database epoch) in a lock-guarded LRU of
-        :attr:`_ANSWER_CACHE_LIMIT` entries: re-asking an unchanged session the
-        same question is a dict lookup.  *Active* traced runs bypass
+        :attr:`_ANSWER_CACHE_LIMIT` entries, with the engine and class
+        labels of the run: re-asking an unchanged session the same
+        question is a dict lookup.  A hit ran no strategy and no
+        backend.  *Active* traced runs bypass
         the cache — the caller asked to watch the evaluation happen —
         and error paths never populate it.  A **passive** tracer
         (serve-mode sampling) keeps the cache enabled: a hit records a
@@ -420,38 +474,37 @@ class DeductiveDatabase:
             if hit is not None:
                 self._answer_cache.move_to_end(key)
         if hit is not None:
-            answers, engine_label = hit
-            if stats is not None:
-                stats.answer_cache_hits += 1
-                stats.engine = engine_label
-                stats.answers = len(answers)
+            answers, stats.engine, stats.formula_class = hit
+            stats.answer_cache_hits += 1
+            stats.answers = len(answers)
             if trace is not None:
-                trace.begin(engine_label, predicate=query.predicate,
+                trace.begin(stats.engine, predicate=query.predicate,
                             query=query, cache_hit=True)
                 trace.begin_round("cache", 0, stats)
                 trace.end_round(len(answers), stats)
                 trace.finish(len(answers), stats)
             return answers
-        local = stats if stats is not None else EvaluationStats()
-        answers = self._evaluate_query_uncached(query, local, engine,
+        answers = self._evaluate_query_uncached(query, stats, engine,
                                                 trace)
-        if local.truncated:
+        if stats.truncated:
             # a row-budget abort returned a sound but *partial* set;
             # caching it would serve incomplete answers to later
             # callers with laxer (or no) budgets
             return answers
         with self._answer_lock:
-            self._answer_cache[key] = (answers, local.engine or engine)
+            self._answer_cache[key] = (answers, stats.engine,
+                                       stats.formula_class)
             self._answer_cache.move_to_end(key)
             while len(self._answer_cache) > self._ANSWER_CACHE_LIMIT:
                 self._answer_cache.popitem(last=False)
         return answers
 
     def _evaluate_query_uncached(self, query: Query,
-                                 stats: EvaluationStats | None,
+                                 stats: EvaluationStats,
                                  engine: str, trace: Tracer | None
                                  ) -> AnswerSet:
-        """The evaluation itself, free of any telemetry concern."""
+        """The evaluation itself: it labels *stats* with the class of
+        the predicate as soon as that resolves."""
         if engine not in ENGINES:
             raise EvaluationError(
                 f"unknown engine {engine!r}; valid engines: "
@@ -464,32 +517,18 @@ class DeductiveDatabase:
                 raise EvaluationError(
                     f"unknown predicate {predicate!r}: no rule defines "
                     f"it and no facts were loaded for it")
+            stats.formula_class = "edb"
             self._check_query_arity(query, known_arity)
-            if trace is not None:
-                trace.begin("edb", predicate=predicate, query=query)
-            answers = self._relation_answers(self._edb, predicate,
-                                             query)
-            if stats is not None:
-                stats.engine = "edb"
-                stats.answers = len(answers)
-            if trace is not None:
-                trace.finish(len(answers), stats)
-            return answers
+            return self._lookup("edb", self._edb, query, stats, trace)
 
+        system = self.system_for(predicate)
+        stats.formula_class = ("view" if system is None else str(
+            self.classification(predicate).formula_class))
         self._check_query_arity(
             query, self.rules_for(predicate)[0].head.arity)
-        system = self.system_for(predicate)
         if system is None:
-            if trace is not None:
-                trace.begin("view", predicate=predicate, query=query)
-            answers = self._relation_answers(self.materialise(),
-                                             predicate, query)
-            if stats is not None:
-                stats.engine = "view"
-                stats.answers = len(answers)
-            if trace is not None:
-                trace.finish(len(answers), stats)
-            return answers
+            return self._lookup("view", self.materialise(), query, stats,
+                                trace)
 
         if trace is None or trace.passive:
             # A query constant the symbol table has never seen occurs
@@ -502,9 +541,7 @@ class DeductiveDatabase:
             lookup = self._edb.symbols.lookup
             if any(value is not None and lookup(value) is None
                    for value in query.pattern):
-                if stats is not None:
-                    stats.engine = engine
-                    stats.answers = 0
+                stats.answers = 0
                 if trace is not None:
                     trace.begin(engine, predicate=predicate,
                                 query=query, unseen_constant=True)
@@ -525,52 +562,48 @@ class DeductiveDatabase:
             system, base, query, stats, compiled=compiled, trace=trace)
 
     @staticmethod
-    def _relation_answers(db: Database, predicate: str,
-                          query: Query) -> AnswerSet:
-        """Filtered rows of a stored relation, without decoding it.
+    def _lookup(label: str, db: Database, query: Query,
+                stats: EvaluationStats, trace: Tracer | None
+                ) -> AnswerSet:
+        """The rows of a stored relation matching *query*, answered as
+        engine *label* (``edb`` or ``view``).
 
         The filter runs over encoded rows (the query's constants are
         *looked up*, never interned — an unseen constant matches
         nothing) and the result is a lazy
         :class:`~repro.ra.answers.AnswerSet`.
         """
+        if trace is not None:
+            trace.begin(label, predicate=query.predicate, query=query)
         pattern = db._lookup_pattern(query.pattern)
-        if pattern is None:
-            return AnswerSet(frozenset(), db.symbols)
-        encoded = Query(predicate, pattern)
-        return AnswerSet(encoded.filter(db.rows_encoded(predicate)),
-                         db.symbols)
+        rows = (frozenset() if pattern is None else
+                Query(query.predicate, pattern).filter(
+                    db.rows_encoded(query.predicate)))
+        answers = AnswerSet(rows, db.symbols)
+        stats.engine = label
+        stats.answers = len(answers)
+        if trace is not None:
+            trace.finish(len(answers), stats)
+        return answers
 
     # -- telemetry -------------------------------------------------------
 
-    def _instrumented_query(self, query: Query,
-                            stats: EvaluationStats | None,
-                            engine: str, trace: Tracer | None,
-                            query_id: str | None = None
-                            ) -> AnswerSet:
-        """Evaluate with metrics/log recording around the call.
+    def _emit(self, query: Query, stats: EvaluationStats, before: dict,
+              duration_s: float, query_id: str | None, *,
+              answers: AnswerSet | None = None,
+              error: Exception | None = None) -> None:
+        """Feed one closed query to the registry and the log, labelled
+        from *stats*: the snapshot *delta* since *before*, so a stats
+        object reused across queries is never double counted."""
+        # looked up per call: benchmarks/e2e/spans.py wraps them
+        from .metrics.instrument import observe_query, observe_query_error
 
-        The caller's *stats* object (when given) is used directly, so
-        it ends up bit-identical to an uninstrumented run; the
-        registry is fed the snapshot *delta*, so a stats object reused
-        across queries is never double counted.
-        """
-        from .logutil import new_query_id
-        from .metrics.instrument import (observe_query,
-                                         observe_query_error)
-        from .engine.stats import delta_between
-
-        local = stats if stats is not None else EvaluationStats()
         if query_id is None:
             query_id = new_query_id()
-        before = local.to_dict()
-        started = perf_counter()
-        try:
-            answers = self._evaluate_query(query, local, engine, trace)
-        except Exception as error:
+        labels = {"engine": stats.engine,
+                  "formula_class": stats.formula_class}
+        if error is not None:
             from .service import failure_outcome
-            duration = perf_counter() - started
-            label = self._class_label(query.predicate)
             # A deadline expiry (and likewise a cooperative
             # cancellation) is its own outcome in
             # ``repro_queries_total`` (the admission layer budgets on
@@ -578,64 +611,33 @@ class DeductiveDatabase:
             # line carries the same label.
             outcome, _ = failure_outcome(error)
             if self.metrics is not None:
-                observe_query_error(self.metrics, engine=engine,
-                                    formula_class=label,
+                observe_query_error(self.metrics, **labels,
                                     error=type(error).__name__,
                                     outcome=outcome)
-            if self.query_log is not None:
-                self.query_log.log(
-                    event="query", query_id=query_id,
-                    query=str(query), predicate=query.predicate,
-                    engine=engine, formula_class=label,
-                    duration_s=round(duration, 6), outcome=outcome,
-                    error=f"{type(error).__name__}: {error}")
-            raise
-        duration = perf_counter() - started
-        delta = delta_between(before, local.to_dict())
-        label = self._class_label(query.predicate)
-        engine_label = local.engine or engine
-        outcome = "truncated" if local.truncated else "ok"
-        if self.metrics is not None:
-            # Answers that leave the query boundary still encoded: the
-            # decode counter (repro_answers_decoded_total) ticks only
-            # where materialisation is later forced, so the gap between
-            # the two is the decode work laziness saved.
-            lazy = not answers.is_decoded
-            observe_query(self.metrics, engine=engine_label,
-                          formula_class=label, duration_s=duration,
-                          answers=len(answers), stats_delta=delta,
-                          lazy_answers=len(answers) if lazy else 0,
-                          outcome=outcome, query_id=query_id)
+            detail = {"error": f"{type(error).__name__}: {error}"}
+        else:
+            outcome = stats.outcome
+            delta = delta_between(before, stats.to_dict())
+            if self.metrics is not None:
+                # Answers that leave the query boundary still encoded:
+                # the decode counter (repro_answers_decoded_total)
+                # ticks only where materialisation is later forced, so
+                # the gap between the two is the decode work laziness
+                # saved.
+                lazy = not answers.is_decoded
+                observe_query(self.metrics, **labels,
+                              duration_s=duration_s,
+                              answers=len(answers), stats_delta=delta,
+                              lazy_answers=len(answers) if lazy else 0,
+                              outcome=outcome, query_id=query_id)
+            detail = {"rounds": delta["rounds"], "answers": len(answers)}
         if self.query_log is not None:
             self.query_log.log(
                 event="query", query_id=query_id, query=str(query),
-                predicate=query.predicate, engine=engine_label,
-                formula_class=label, rounds=delta["rounds"],
-                answers=len(answers), duration_s=round(duration, 6),
-                outcome=outcome)
-        return answers
-
-    def class_label(self, predicate: str) -> str:
-        """Public alias of :meth:`_class_label` for the serve layer:
-        trace summaries label each request with the formula class the
-        classifier assigned its predicate."""
-        return self._class_label(predicate)
-
-    def _class_label(self, predicate: str) -> str:
-        """The ``formula_class`` label value for a predicate:
-        ``A1``…``F`` for recursive predicates, ``view`` for
-        non-recursive IDB, ``edb`` for stored relations, ``unknown``
-        for a predicate with no rule and no facts, or one that cannot
-        be analysed (error paths)."""
-        try:
-            if predicate not in self.idb_predicates:
-                return ("edb" if self._edb.arity(predicate) is not None
-                        else "unknown")
-            if self.system_for(predicate) is None:
-                return "view"
-            return str(self.classification(predicate).formula_class)
-        except Exception:
-            return "unknown"
+                predicate=query.predicate, **labels,
+                strategy=stats.strategy, backend=stats.backend,
+                duration_s=round(duration_s, 6), outcome=outcome,
+                **detail)
 
     def collect_gauges(self) -> None:
         """Refresh the database/plan-cache gauges on the installed

@@ -215,6 +215,48 @@ class TestRun:
         assert event["outcome"] == "ok"
         assert event["formula_class"] == "A5"
         assert event["answers"] == 1
+        assert (event["strategy"], event["backend"]) == (
+            "stable", "python")
+
+
+class TestRunAnswersLikeTheShell:
+    """``repro run`` answers through a session, as the shell does.
+    Regression: it evaluated the program's one recursion directly, so
+    a recursion over a view had no view rows, an EDB query printed the
+    recursion's answers, and an undefined predicate exited 0."""
+
+    PROGRAM = """
+        P(x, y) :- V(x, z), P(z, y).
+        P(x, y) :- V(x, y).
+        V(x, y) :- A(x, y).
+        A(a, b).
+        A(b, c).
+    """
+
+    @pytest.fixture
+    def program_file(self, tmp_path):
+        path = tmp_path / "view.dl"
+        path.write_text(self.PROGRAM, encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("engine", ["naive", "semi-naive",
+                                        "compiled", "top-down"])
+    def test_recursion_over_a_view(self, capsys, program_file, engine):
+        code = main(["run", "--engine", engine, "--query", "P(a, Y)",
+                     program_file])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "P(a, b)", "P(a, c)"]
+
+    def test_edb_query_prints_its_own_rows(self, capsys, program_file):
+        assert main(["run", "--query", "A(a, Y)", program_file]) == 0
+        assert capsys.readouterr().out.splitlines() == ["A(a, b)"]
+
+    def test_undefined_predicate_is_an_error(self, capsys, program_file):
+        assert main(["run", "--query", "Q(a, Y)", program_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown predicate" in captured.err
 
 
 class TestServeParser:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.datalog.atoms import fact
 from repro.datalog.errors import EvaluationError
-from repro.datalog.parser import parse_program
 from repro.ra.database import Database
 
 
@@ -30,11 +29,6 @@ class TestConstruction:
         atom = Atom("A", (Constant("a"), Variable("X")))
         with pytest.raises(RuleValidationError, match="not ground"):
             Database.from_atoms([atom])
-
-    def test_from_program(self):
-        program = parse_program("A(a, b).\nA(b, c).\nP(x) :- P(x).")
-        db = Database.from_program(program)
-        assert db.count("A") == 2
 
     def test_copy_is_independent(self, db):
         clone = db.copy()

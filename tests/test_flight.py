@@ -7,17 +7,19 @@ import threading
 
 import pytest
 
-from repro.flight import FlightRecorder, RequestContext, class_of
+from time import perf_counter
+
+from repro.engine.stats import EvaluationStats
+from repro.flight import FlightRecorder, RequestContext
 from repro.logutil import QueryLogger, valid_query_id
 from repro.metrics import MetricsRegistry
-from repro.session import DeductiveDatabase
 
 
 def _finalize(recorder, ctx, *, duration_s=0.001, outcome="ok",
               **kwargs):
-    return recorder.finalize(ctx, duration_s=duration_s,
-                             outcome=outcome, engine="compiled",
-                             formula_class="A2", epoch=0, answers=3,
+    stats = EvaluationStats(engine="compiled", formula_class="A2")
+    return recorder.finalize(ctx, stats, duration_s=duration_s,
+                             outcome=outcome, epoch=0, answers=3,
                              **kwargs)
 
 
@@ -61,6 +63,12 @@ class TestCapturePolicy:
         assert event["event"] == "slow_query"
         assert event["query_id"] == "q-1"
         assert event["threshold_ms"] == 1.0
+        # the labels come off the stats the query close wrote
+        assert (event["engine"], event["formula_class"]) == (
+            "compiled", "A2")
+        document = recorder.get("q-1")
+        assert (document["engine"], document["formula_class"]) == (
+            "compiled", "A2")
 
     def test_reconciliation_identity_holds(self):
         recorder = FlightRecorder(64, sample_rate=0.5,
@@ -182,10 +190,8 @@ class TestConcurrency:
 class TestRequestContext:
     def test_phases_record_in_order_with_detail(self):
         ctx = RequestContext("q-1", query="P(a, Y)")
-        with ctx.phase("admission"):
-            pass
-        with ctx.phase("engine", epoch=3):
-            pass
+        ctx.add_phase("admission", perf_counter())
+        ctx.add_phase("engine", perf_counter(), epoch=3)
         names = [span["name"] for span in ctx.phases]
         assert names == ["admission", "engine"]
         offsets = [span["offset_s"] for span in ctx.phases]
@@ -208,12 +214,3 @@ class TestHelpers:
         assert not valid_query_id("x" * 129)
         assert not valid_query_id(42)
         assert not valid_query_id("path/../traversal")
-
-    def test_class_of_labels_and_never_raises(self):
-        session = DeductiveDatabase()
-        session.load("P(x, y) :- A(x, z), P(z, y).\n"
-                     "P(x, y) :- A(x, y).\nA(a, b).")
-        assert class_of(session, "P(a, Y)") == "A5"
-        assert class_of(session, "A(a, Y)") == "edb"
-        assert class_of(session, "???not a query") == "unknown"
-        assert class_of(session, "") == "unknown"

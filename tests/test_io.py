@@ -104,6 +104,38 @@ class TestErrors:
             load_database("/nonexistent/dir/for/sure")
 
 
+class TestAllOrNothing:
+    """A save writes every relation or none: regression, a value
+    rejected in a later relation left the earlier files behind, and a
+    stray ``*.tsv`` in the directory loaded back as a relation."""
+
+    def test_value_rejected_in_a_later_relation_writes_nothing(
+            self, tmp_path):
+        db = Database.from_dict({"A": [("a", "b")], "B": [("x\ny",)]})
+        target = tmp_path / "out"
+        with pytest.raises(EvaluationError, match="line breaks"):
+            save_database(db, target)
+        assert not target.exists()
+        target.mkdir()
+        with pytest.raises(EvaluationError, match="line breaks"):
+            save_database(db, target)
+        assert list(target.iterdir()) == []
+
+    def test_directory_with_a_foreign_relation_refused(self, tmp_path):
+        (tmp_path / "Old.tsv").write_text("z\n", encoding="utf-8")
+        db = Database.from_dict({"A": [("a", "b")]})
+        with pytest.raises(EvaluationError, match="Old.tsv"):
+            save_database(db, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["Old.tsv"]
+        assert load_database(tmp_path).relation_names == ("Old",)
+
+    def test_resave_over_its_own_files(self, db, tmp_path):
+        (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+        save_database(db, tmp_path)
+        save_database(db, tmp_path)
+        assert load_database(tmp_path).relation_names == ("A", "M", "N")
+
+
 class TestIntegrationWithEngines:
     def test_saved_edb_answers_identically(self, tmp_path):
         from repro.engine import SemiNaiveEngine

@@ -310,6 +310,86 @@ class TestFactsValidation:
             {"add": {"A": [["d", "e"]], "N": [[1, 2.5, "x"]]}})
         assert status == 200 and body["epoch"] == 1
 
+    @pytest.mark.parametrize("batches", [
+        [{"rules": ["Q(x) :- A(x)."]}],
+        [{"add": {"B": [["q"]]}, "rules": ["R(x, y) :- B(x, y)."]}],
+        [{"rules": ["R(x, y) :- B(x, y)."]}, {"add": {"B": [["q"]]}}],
+    ], ids=["rule-vs-store", "rule-vs-batch-facts", "facts-vs-rule"])
+    def test_arity_conflict_is_400_without_an_epoch(self, server,
+                                                    batches):
+        """Regression: a rule or fact using a predicate with another
+        arity was a 200 that published an epoch, and from then on
+        every query over a rule — ``P(a, Y)`` too — failed."""
+        *accepted, conflicting = batches
+        for body in accepted:
+            assert request(server, "POST", "/facts", body)[0] == 200
+        status, reply, _ = request(server, "POST", "/facts", conflicting)
+        assert status == 400
+        assert "has arity" in reply["error"]
+        assert server.epochs.current.number == len(accepted)
+        status, answers, _ = request(server, "POST", "/query",
+                                     {"query": "P(a, Y)"})
+        assert status == 200 and answers["count"] == 3
+
+
+class TestLabelsAgree:
+    """A query's ``engine`` and ``formula_class`` read the same in its
+    log line, its captured trace, its envelope and the
+    ``repro_queries_total`` series it moved, for a synchronous query
+    and a job alike: every signal reads them off the query's stats.
+    The server runs with a query log, as ``--log-json`` installs."""
+
+    @staticmethod
+    def _queries_total(server) -> dict:
+        samples = parse_prometheus_text(
+            request(server, "GET", "/metrics")[1])
+        return {labels: value for (name, labels), value in samples.items()
+                if name == "repro_queries_total"}
+
+    def _check(self, server, query_id, envelope, before) -> None:
+        after = self._queries_total(server)
+        moved = [dict(labels) for labels, value in after.items()
+                 if value != before.get(labels, 0)]
+        [line] = [json.loads(text) for text in
+                  server.session.query_log.stream.getvalue().splitlines()
+                  if f'"query_id": "{query_id}"' in text
+                  and '"event": "query"' in text]
+        document = request(server, "GET", f"/debug/traces/{query_id}")[1]
+        stats = envelope["stats"]
+        expected = (envelope["engine"], stats["formula_class"])
+        assert [(series["engine"], series["formula_class"])
+                for series in moved] == [expected]
+        assert (line["engine"], line["formula_class"]) == expected
+        assert (document["engine"], document["formula_class"]) == expected
+        assert (line["strategy"], line["backend"]) == (
+            stats["strategy"], stats["backend"])
+
+    def test_sync_query_and_job(self):
+        with served(trace_sample=0.0) as server:
+            before = self._queries_total(server)
+            _, envelope, _ = request(server, "POST", "/query",
+                                     {"query": "P(a, Y)", "trace": True})
+            assert (envelope["engine"], envelope["stats"]["formula_class"],
+                    envelope["stats"]["strategy"]) == (
+                "compiled", "A5", "stable")
+            self._check(server, envelope["query_id"], envelope, before)
+
+            before = self._queries_total(server)
+            _, job, _ = request(server, "POST", "/jobs",
+                                {"query": "P(X, Y)", "engine": "semi-naive",
+                                 "trace": True})
+            deadline = time.monotonic() + 10
+            status = 409
+            while status == 409 and time.monotonic() < deadline:
+                status, envelope, _ = request(server, "GET",
+                                              job["result_url"])
+                time.sleep(0.02)
+            assert status == 200
+            assert (envelope["engine"],
+                    envelope["stats"]["formula_class"]) == (
+                "semi-naive", "A5")
+            self._check(server, job["query_id"], envelope, before)
+
 
 class TestFlightRecorder:
     def test_forced_trace_retrievable_with_service_phases(self):

@@ -132,6 +132,100 @@ class TestWriteBatch:
             ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
 
 
+class TestArityAtWriteTime:
+    """A write that would use a predicate with two arities is refused
+    before anything is written.  Regression: such a rule or fact was
+    accepted, and from then on every query over a rule — even one that
+    touches neither predicate — raised ``RuleValidationError``."""
+
+    @pytest.mark.parametrize("batch", [
+        {"rules": ["kin(x) :- parent(x)."]},            # a stored relation
+        {"rules": ["kin(x) :- anc(x)."]},               # a rule's head
+        {"add": {"mother": [("ann",)]}},                # a rule's head
+        {"add": {"sibling": [("bea",)]},                # the batch's rule
+         "rules": ["kin(x, y) :- sibling(x, y)."]},
+        {"rules": ["kin(x, y) :- parent(x, y).", "kin(x) :- female(x)."]},
+    ])
+    def test_batch_refused_and_nothing_written(self, ddb, batch):
+        before = (ddb.program.rules, ddb._edb.global_version(),
+                  ddb._edb.relation_names)
+        with pytest.raises(RuleValidationError, match="has arity"):
+            ddb.write_batch(**batch)
+        assert (ddb.program.rules, ddb._edb.global_version(),
+                ddb._edb.relation_names) == before
+        assert ddb.query("anc(ann, Y)") == {
+            ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
+
+    def test_fact_for_a_relation_a_rule_reads(self):
+        session = DeductiveDatabase()
+        session.load("p(x, y) :- a(x, y), b(x, y).  a(1, 2).")
+        for write in (lambda: session.add_fact("b", "q"),
+                      lambda: session.add_facts("b", [("q",)]),
+                      lambda: session.load("b(q).")):
+            with pytest.raises(RuleValidationError, match="has arity 2"):
+                write()
+        assert session._edb.arity("b") is None
+        session.add_facts("b", [(1, 2)])
+        assert session.query("p(X, Y)") == {(1, 2)}
+
+    def test_rule_against_the_store(self):
+        session = DeductiveDatabase()
+        session.add_facts("a", [(1, 2)])
+        with pytest.raises(RuleValidationError, match="has arity 2"):
+            session.add_rule("q(x) :- a(x).")
+        assert session.program.rules == ()
+
+
+class TestQueryLabels:
+    """The query close leaves the query's labels on its stats — bare
+    or instrumented, answered, failed or served from the cache."""
+
+    @pytest.mark.parametrize("instrumented", [False, True])
+    def test_labels_edb_view_class_and_unknown(self, instrumented):
+        import io
+
+        from repro.logutil import QueryLogger
+        from repro.metrics import MetricsRegistry
+        session = (DeductiveDatabase(metrics=MetricsRegistry(),
+                                     query_log=QueryLogger(io.StringIO()))
+                   if instrumented else DeductiveDatabase())
+        session.load(GENEALOGY)
+
+        def labels(text, engine="compiled"):
+            stats = EvaluationStats()
+            try:
+                session.query(text, stats=stats, engine=engine)
+            except Exception:
+                pass
+            return (stats.engine, stats.formula_class, stats.strategy)
+
+        assert labels("anc(ann, Y)") == ("compiled", "A5", "stable")
+        assert labels("anc(X, Y)") == ("compiled", "A5", "iterative")
+        assert labels("anc(ann, Y)", "semi-naive") == (
+            "semi-naive", "A5", "")
+        assert labels("parent(ann, Y)") == ("edb", "edb", "")
+        assert labels("mother(X, Y)") == ("view", "view", "")
+        # failures: the engine asked for, the class once it resolved
+        assert labels("nothing(X)") == ("compiled", "unknown", "")
+        assert labels("???not a query") == ("compiled", "unknown", "")
+        assert labels("anc(A, B, C)", "naive") == ("naive", "A5", "")
+        assert labels("parent(A, B, C)") == ("compiled", "edb", "")
+        # a cache hit keeps the class and engine, and ran no strategy
+        stats = EvaluationStats()
+        session.query("anc(ann, Y)", stats=stats)
+        assert stats.answer_cache_hits == 1
+        assert (stats.engine, stats.formula_class, stats.strategy,
+                stats.backend) == ("compiled", "A5", "", "")
+
+    def test_reused_stats_relabelled_per_query(self, ddb):
+        stats = EvaluationStats()
+        ddb.query("anc(ann, Y)", stats=stats)
+        assert (stats.strategy, stats.backend) == ("stable", "python")
+        ddb.query("parent(ann, Y)", stats=stats)
+        assert (stats.engine, stats.formula_class, stats.strategy,
+                stats.backend) == ("edb", "edb", "", "")
+
+
 class TestStructure:
     def test_system_for_recursive_predicate(self, ddb):
         system = ddb.system_for("anc")
@@ -169,11 +263,14 @@ class TestStructure:
     ])
     def test_atom_of_the_wrong_arity_rejected(self, ddb, rules):
         """Regression: a rule using a predicate with another arity was
-        evaluated, and its query failed with a KeyError."""
-        for rule in rules:
-            ddb.add_rule(rule)
+        evaluated, and its query failed with a KeyError.  It is now
+        refused when it is added, and the session keeps answering."""
         with pytest.raises(RuleValidationError, match="has arity"):
-            ddb.query("kin(X, Y)")
+            for rule in rules:
+                ddb.add_rule(rule)
+        assert len(ddb.program.rules) == 5 + len(rules) - 1
+        assert ddb.query("anc(ann, Y)") == {
+            ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
 
     def test_recursive_without_exit_rejected(self):
         session = DeductiveDatabase()
