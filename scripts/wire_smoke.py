@@ -11,14 +11,16 @@ The scenarios, one ``repro serve`` subprocess each:
   8-query multi-engine session over a TC chain: answers, ``/healthz``,
   ``/metrics`` reconciled exactly with the per-response stats, one log
   line per query, and one query id joined across the response, the
-  log, ``/debug/traces/<id>`` and a latency exemplar.  The same boot
-  then drives one request of every family-owning shape, diffs the
+  log, ``/debug/traces/<id>`` and a latency exemplar; a ``/facts``
+  batch of rows for the served recursion is a 400 that publishes no
+  epoch.  The same boot then drives one request of every
+  family-owning shape (an unparsable query among them), diffs the
   families ``/metrics`` exposes against ``docs/observability.md``,
   and checks every ``query`` log line against the doc's field table;
 * **mixed load** — 16 client threads, five engines, classes A1/A5, a
-  view and an EDB lookup, one deliberate truncation and one timeout
-  per pass: zero 5xx and exact outcome, admission and flight-recorder
-  identities;
+  view and an EDB lookup, one deliberate truncation, one timeout and
+  one unparsable query per pass: zero 5xx and exact outcome,
+  admission and flight-recorder identities;
 * **contention** (``--max-inflight 1 --trace-sample 0``) —
   barrier-synchronised clients until a 429, each with
   ``Retry-After``, reconciled with ``/metrics``; the disabled
@@ -340,6 +342,7 @@ LINT_DRIVE = [
     ({"query": "P(n0, Y)"}, 200, None),                      # cache hit
     ({"query": "P(n2, Y)", "max_rows": 1}, 200, None),       # truncated
     ({"query": "P(n3, Y)", "timeout_s": 0}, 408, None),      # timeout
+    ({"query": "P(n0, "}, 400, None),                        # unparsable
 ]
 
 #: documented families that only a race or a failure can write —
@@ -347,7 +350,6 @@ LINT_DRIVE = [
 ALLOWED_TIMING = {
     "repro_queries_rejected_total",   # needs a 429 under contention
     "repro_queries_cancelled_total",  # needs a mid-evaluation cancel
-    "repro_query_errors_total",       # needs a genuine engine failure
 }
 
 #: documented families only the numpy kernel writes — tolerated as
@@ -470,6 +472,16 @@ def session(workdir: str, checks: list) -> None:
                         server.get(f"/debug/traces/{chosen}")["query_id"],
                         chosen)]
 
+        # a predicate is stored or derived, never both: rows for the
+        # served recursion are refused and publish no epoch
+        epoch = server.get("/healthz")["epoch"]
+        status, _, _ = server.request("POST", "/facts",
+                                      {"add": {"P": [["n0", "n9"]]}})
+        checks += [("POST /facts rows for the recursive P status",
+                    status, 400),
+                   ("epoch after the refused batch",
+                    server.get("/healthz")["epoch"], epoch)]
+
         lint(server, checks)
         server.stop(checks)
 
@@ -579,7 +591,13 @@ def lint(server: Server, checks: list) -> None:
         if set(line) != fields[kind]:
             off.append((line.get("query_id"), kind,
                         sorted(set(line) ^ fields[kind])))
-    checks += [("query log lines off the documented fields", off, []),
+    unparsable = [line for line in server.log_lines()
+                  if line.get("event") == "query"
+                  and line.get("query") == "P(n0, "]
+    checks += [("unparsable query's log line (predicate, class, outcome)",
+                [(line["predicate"], line["formula_class"], line["outcome"])
+                 for line in unparsable], [(None, "unknown", "error")]),
+               ("query log lines off the documented fields", off, []),
                ("query log lines linted (success, failure)",
                 (kinds["success"], kinds["failure"]),
                 Pred("at least one of each",
@@ -616,6 +634,8 @@ MIXED_MIX = [
     # zero budget: again a dedicated shape, so no cache hit can
     # short-circuit the deadline
     ({"query": "Q(n0, Y)", "timeout_s": 0}, None),
+    # admitted, then refused by the parser: a 400 and an error outcome
+    ({"query": "Q(n0, "}, None),
 ]
 
 
@@ -668,21 +688,22 @@ def mixed_load(workdir: str, checks: list) -> None:
             ("repro_queries_total", {"outcome": "timeout"}, tally[408]),
             ("repro_queries_timed_out_total", {}, tally[408]),
             ("repro_queries_rejected_total", {}, tally[429]),
-            ("repro_queries_total", {"outcome": "error"}, 0),
-            ("repro_query_errors_total", {}, 0),
+            ("repro_queries_total", {"outcome": "error"}, tally[400]),
+            ("repro_query_errors_total", {}, tally[400]),
             ("repro_inflight_queries", {}, 0),    # quiesced
         ])
         checks += [
-            ("statuses other than 200/408/429",
+            ("statuses other than 200/400/408/429",
              {s: n for s, n in tally.items()
-              if s not in ("ok", "truncated", 408, 429)}, {}),
+              if s not in ("ok", "truncated", 400, 408, 429)}, {}),
             ("responses with wrong answers", wrong, []),
             # the deliberate outcomes land once per thread
             ("truncated responses", tally["truncated"], THREADS),
             ("408 responses", tally[408], THREADS),
+            ("400 responses", tally[400], THREADS),
             ("healthz queries_served", health["queries_served"], admitted),
             ("healthz admitted_total", health["admitted_total"],
-             admitted + tally[408]),
+             admitted + tally[408] + tally[400]),
             ("healthz rejected_total", health["rejected_total"],
              tally[429]),
             ("healthz inflight", health["inflight"], 0),

@@ -30,7 +30,7 @@ from .core.advisor import capability_table
 from .core.lint import lint_text
 from .core.report import classification_table, formula_dossier
 from .datalog.errors import ReproError
-from .datalog.parser import parse_program, parse_system
+from .datalog.parser import parse_system
 from .datalog.pretty import expansion_trace
 from .engine import ENGINES
 from .engine.query import Query
@@ -175,14 +175,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         query_log = open_query_log(args.log_json)
     session = DeductiveDatabase(query_log=query_log)
     try:
-        session.load(text)
-        program = parse_program(text)  # its ?- goals
+        program = session.load(text)
         if args.query:
             queries = [Query.parse(args.query)]
         elif program.queries:
             queries = [Query.from_atom(goal) for goal in program.queries]
         else:
-            system = parse_system(text)
+            system = program.system()
             queries = [Query.all_free(system.predicate, system.dimension)]
         tracing = args.trace or args.trace_json is not None
         traces: list[dict] = []

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from ..datalog.errors import ReproError
 from ..datalog.parser import parse_program
 from ..datalog.program import RecursionSystem
-from ..datalog.rules import RecursiveRule
 from ..datalog.terms import Constant
 from .advisor import advise
 from .classes import Boundedness
@@ -151,12 +150,8 @@ def lint_text(text: str) -> tuple[Diagnostic, ...]:
     findings = _structural_errors(program)
     if any(d.level == "error" for d in findings):
         return tuple(findings)
-    rule = program.recursive_rules()[0]
-    exits = tuple(r for r in program.rules_for(rule.head.predicate)
-                  if not r.is_recursive())
     try:
-        system = RecursionSystem(RecursiveRule(rule, strict=False),
-                                 exits)
+        system = program.system(strict=False)
     except ReproError as error:  # pragma: no cover - guarded above
         return tuple(findings) + (
             Diagnostic("error", "E000", str(error)),)

@@ -3,16 +3,19 @@
 Grammar (comments start with ``%`` or ``#`` and run to end of line)::
 
     program   := statement*
-    statement := rule | fact
+    statement := rule | fact | goal
     rule      := atom ":-" atom (("," | "∧" | "&") atom)* "."
     fact      := atom "."            -- must be ground
+    goal      := "?-" atom "."
     atom      := IDENT "(" term ("," term)* ")" | IDENT
     term      := IDENT | NUMBER | STRING
 
 Following the paper (which forbids constants inside recursive rules and
 writes variables in lower case), bare identifiers inside a *rule* are
 variables, while bare identifiers inside a *fact* are constants.
-Numbers and single-quoted strings are always constants.
+Numbers and single-quoted strings are always constants.  A goal — and
+query text, :func:`parse_goal` — marks its free slots: capitalised and
+``_``-prefixed names, ``_`` and ``?``; its argument list may be empty.
 
 >>> rule = parse_rule("P(x, y) :- A(x, z), P(z, y).")
 >>> str(rule)
@@ -21,218 +24,232 @@ Numbers and single-quoted strings are always constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from array import array
 
 from .atoms import Atom
 from .errors import DatalogSyntaxError
 from .program import Program, RecursionSystem
-from .rules import RecursiveRule, Rule
+from .rules import Rule
 from .terms import Constant, Term, Variable
 
-_PUNCT = {":-": "IMPLIES", "?-": "QUERY", ",": "COMMA",
-          "(": "LPAREN", ")": "RPAREN", ".": "DOT", "∧": "COMMA",
-          "&": "COMMA"}
+#: one named group per token kind, the most frequent first.  ``SKIP``
+#: (white space, comments) makes no token; ``WORD`` is a name starting
+#: outside ASCII, sorted out by :func:`_tokenize`; ``OTHER`` is a
+#: character no token takes.
+_TOKEN_RE = re.compile(r"""
+      (?P<IDENT>[A-Za-z_][\w']*)
+    | (?P<SKIP>\s+|[%#][^\n]*)
+    | (?P<COMMA>[,∧&]) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<DOT>\.)
+    | (?P<IMPLIES>:-) | (?P<QUERY>\?-) | (?P<FREE>\?)
+    | '(?P<STRING>[^']*)'
+    | (?P<NUMBER>-?\d[\d.]*)
+    | (?P<WORD>[^\W\d][\w']*)
+    | (?P<OTHER>.)
+""", re.VERBOSE | re.DOTALL)
+
+#: how a term's name reads, by where it stands (:meth:`_Parser.term`)
+_RULE, _FACT, _GOAL, _HEAD = "rule", "fact", "goal", "head"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _error(text: str, offset: int | None,
+           message: str) -> DatalogSyntaxError:
+    """*message* at *offset* of *text*, as its 1-based line and column
+    (at the end of input: no position)."""
+    if offset is None:
+        return DatalogSyntaxError(message)
+    return DatalogSyntaxError(message, text.count("\n", 0, offset) + 1,
+                              offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> Iterator[_Token]:
-    line, column = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
+def _tokenize(text: str) -> tuple[list[str], list[str], array]:
+    """The tokens of *text* as three parallel sequences: kinds, texts
+    (a string's without its quotes) and start offsets, closed by an
+    ``END`` token.  Raises at the first character no token takes."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    offsets = array("q")
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "SKIP":
             continue
-        if ch.isspace():
-            column += 1
-            i += 1
-            continue
-        if ch in "%#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith(":-", i):
-            yield _Token("IMPLIES", ":-", line, column)
-            i += 2
-            column += 2
-            continue
-        if text.startswith("?-", i):
-            yield _Token("QUERY", "?-", line, column)
-            i += 2
-            column += 2
-            continue
-        if ch in _PUNCT:
-            yield _Token(_PUNCT[ch], ch, line, column)
-            i += 1
-            column += 1
-            continue
-        if ch == "'":
-            end = text.find("'", i + 1)
-            if end < 0:
-                raise DatalogSyntaxError("unterminated string", line, column)
-            yield _Token("STRING", text[i + 1:end], line, column)
-            column += end - i + 1
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "-" and i + 1 < len(text)
-                            and text[i + 1].isdigit()):
-            start = i
-            i += 1
-            while i < len(text) and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            word = text[start:i]
-            kind = "NUMBER"
-            yield _Token(kind, word, line, column)
-            column += i - start
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < len(text) and (text[i].isalnum()
-                                     or text[i] in "_'"):
-                i += 1
-            yield _Token("IDENT", text[start:i], line, column)
-            column += i - start
-            continue
-        raise DatalogSyntaxError(f"unexpected character {ch!r}", line, column)
+        word = match[kind]
+        if kind == "WORD":
+            # \w takes every numeric character, a name only letters:
+            # ``¹`` is a (malformed) number, as ``isdigit`` has it
+            if word[0].isalpha():
+                kind = "IDENT"
+            elif word[0].isdigit():
+                kind = "NUMBER"
+            else:
+                raise _error(text, match.start(),
+                             f"unexpected character {word[0]!r}")
+        elif kind == "OTHER":
+            raise _error(text, match.start(),
+                         "unterminated string" if word == "'"
+                         else f"unexpected character {word!r}")
+        kinds.append(kind)
+        texts.append(word)
+        offsets.append(match.start())
+    kinds.append("END")
+    texts.append("")
+    offsets.append(len(text))
+    return kinds, texts, offsets
 
 
 class _Parser:
-    """Recursive-descent parser over the token stream."""
+    """Recursive descent over the token stream, in one forward pass."""
 
     def __init__(self, text: str) -> None:
-        self._tokens = list(_tokenize(text))
+        self._text = text
+        self._kinds, self._texts, self._offsets = _tokenize(text)
         self._pos = 0
 
     # -- token plumbing ----------------------------------------------
 
-    def _peek(self) -> _Token | None:
-        if self._pos < len(self._tokens):
-            return self._tokens[self._pos]
-        return None
+    def _error(self, message: str,
+               pos: int | None = None) -> DatalogSyntaxError:
+        """*message* at the token at *pos* (default: the next one)."""
+        pos = self._pos if pos is None else pos
+        return _error(self._text, None if self._kinds[pos] == "END"
+                      else self._offsets[pos], message)
 
-    def _next(self, kind: str | None = None) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise DatalogSyntaxError("unexpected end of input")
-        if kind is not None and token.kind != kind:
-            raise DatalogSyntaxError(
-                f"expected {kind}, found {token.text!r}",
-                token.line, token.column)
-        self._pos += 1
-        return token
+    def accept(self, *kinds: str) -> bool:
+        """Consume the next token if it is one of *kinds*."""
+        if self._kinds[self._pos] in kinds:
+            self._pos += 1
+            return True
+        return False
+
+    def _next(self, kind: str) -> str:
+        """Consume the next token, which must be a *kind*: its text."""
+        pos = self._pos
+        if self._kinds[pos] != kind:
+            raise self._error(
+                "unexpected end of input" if self._kinds[pos] == "END"
+                else f"expected {kind}, found {self._texts[pos]!r}")
+        self._pos = pos + 1
+        return self._texts[pos]
 
     @property
     def at_end(self) -> bool:
-        return self._pos >= len(self._tokens)
+        return self._kinds[self._pos] == "END"
+
+    def done(self, what: str) -> None:
+        """Raise unless every token was read."""
+        if not self.at_end:
+            raise self._error(
+                f"trailing input after {what}: {self._text!r}")
 
     # -- grammar -----------------------------------------------------
 
-    def term(self, mode: str) -> Term:
-        """One term; *mode* decides how bare identifiers read.
+    def term(self, mode: str) -> Term | str:
+        """The next term (there is one); *mode* decides how a name
+        reads.
 
-        ``rule``: identifiers are variables (the paper forbids
-        constants in rules); ``fact``: identifiers are constants;
-        ``query``: capitalised identifiers and ``_`` are variables
-        (free slots), everything else a constant.
+        ``rule``: a variable (the paper forbids constants in rules);
+        ``fact``: a constant; ``goal``: a free slot — a variable —
+        when capitalised or ``_``-prefixed, else a constant, and
+        ``?`` is a free slot too; ``head``: the name itself, checked
+        as a variable name, for :meth:`statement` to type once it
+        knows whether the head starts a rule or a fact.
         """
-        token = self._next()
-        if token.kind == "IDENT":
-            if mode == "rule" or (mode == "query" and (
-                    token.text[0].isupper() or token.text.startswith("_"))):
-                try:
-                    return Variable(token.text)
-                except ValueError as error:
-                    # the lexer takes any letter, a variable name
-                    # only ASCII ones
-                    raise DatalogSyntaxError(
-                        str(error), token.line, token.column) from None
-            return Constant(token.text)
-        if token.kind == "NUMBER":
+        pos = self._pos
+        kind, text = self._kinds[pos], self._texts[pos]
+        self._pos = pos + 1
+        if kind == "IDENT":
+            if mode == _FACT or (mode == _GOAL and not (
+                    text[0].isupper() or text[0] == "_")):
+                return Constant(text)
+            if not text.isascii():
+                # the lexer takes any letter, a variable name only
+                # ASCII ones
+                raise self._error(f"invalid variable name: {text!r}", pos)
+            return text if mode == _HEAD else Variable(text)
+        if kind == "NUMBER":
             try:
-                value = (float(token.text) if "." in token.text
-                         else int(token.text))
+                return Constant(float(text) if "." in text else int(text))
             except ValueError:
                 # ``1.2.3``, or a digit ``int`` rejects (``¹``)
-                raise DatalogSyntaxError(
-                    f"malformed number {token.text!r}",
-                    token.line, token.column) from None
-            return Constant(value)
-        if token.kind == "STRING":
-            return Constant(token.text)
-        raise DatalogSyntaxError(
-            f"expected a term, found {token.text!r}",
-            token.line, token.column)
+                raise self._error(f"malformed number {text!r}",
+                                  pos) from None
+        if kind == "STRING":
+            return Constant(text)
+        if kind == "FREE" and mode == _GOAL:
+            return Variable("_")
+        empty = "empty argument: " if kind in ("COMMA", "RPAREN") else ""
+        raise self._error(f"{empty}expected a term, found {text!r}", pos)
+
+    def args(self, mode: str) -> list:
+        """The terms of the argument list after a predicate name (none
+        without a ``(``); a goal's may be empty, ``P()``."""
+        opened = self._pos
+        if not self.accept("LPAREN") or (
+                mode == _GOAL and self.accept("RPAREN")):
+            return []
+        args = []
+        while not self.at_end:
+            args.append(self.term(mode))
+            if not self.accept("COMMA") and not self.at_end:
+                self._next("RPAREN")
+                return args
+        raise self._error("unterminated argument list", opened)
 
     def atom(self, mode: str) -> Atom:
         name = self._next("IDENT")
-        token = self._peek()
-        if token is None or token.kind != "LPAREN":
-            return Atom(name.text, ())
-        self._next("LPAREN")
-        args = [self.term(mode)]
-        while self._peek() is not None and self._peek().kind == "COMMA":
-            self._next("COMMA")
-            args.append(self.term(mode))
-        self._next("RPAREN")
-        return Atom(name.text, tuple(args))
+        return Atom(name, tuple(self.args(mode)))
 
-    def statement(self) -> "Rule | Atom | tuple[str, Atom]":
-        token = self._peek()
-        if token is not None and token.kind == "QUERY":
-            # ?- P(a, Y).  — capitalised names are free slots
-            self._next("QUERY")
-            goal = self.atom(mode="query")
+    def statement(self) -> tuple[str, Rule | Atom]:
+        """The next statement: ``("rule", rule)``, ``("fact", atom)``
+        or ``("goal", atom)``.  A head's names become variables at the
+        ``:-`` of a rule, constants at the ``.`` of a fact."""
+        if self.accept("QUERY"):
+            goal = self.atom(_GOAL)
             self._next("DOT")
-            return ("query", goal)
-        start = self._pos
-        head = self.atom(mode="rule")
-        token = self._peek()
-        if token is not None and token.kind == "IMPLIES":
-            self._next("IMPLIES")
-            body = [self.atom(mode="rule")]
-            while self._peek() is not None and self._peek().kind == "COMMA":
-                self._next("COMMA")
-                body.append(self.atom(mode="rule"))
+            return "goal", goal
+        name = self._next("IDENT")
+        args = self.args(_HEAD)
+        if self.accept("IMPLIES"):
+            head = Atom(name, tuple(Variable(arg) if isinstance(arg, str)
+                                    else arg for arg in args))
+            body = [self.atom(_RULE)]
+            while self.accept("COMMA"):
+                body.append(self.atom(_RULE))
             self._next("DOT")
-            return Rule(head, tuple(body))
-        # A bare atom is a fact: re-parse its terms as constants.
-        self._pos = start
-        ground = self.atom(mode="fact")
+            return "rule", Rule(head, tuple(body))
         self._next("DOT")
-        return ground
+        return "fact", Atom(name, tuple(Constant(arg) if isinstance(arg, str)
+                                        else arg for arg in args))
 
     def program(self) -> Program:
-        rules: list[Rule] = []
-        facts: list[Atom] = []
-        queries: list[Atom] = []
+        statements: dict[str, list] = {"rule": [], "fact": [], "goal": []}
         while not self.at_end:
-            parsed = self.statement()
-            if isinstance(parsed, Rule):
-                rules.append(parsed)
-            elif isinstance(parsed, tuple):
-                queries.append(parsed[1])
-            else:
-                facts.append(parsed)
-        return Program(tuple(rules), tuple(facts), tuple(queries))
+            kind, parsed = self.statement()
+            statements[kind].append(parsed)
+        return Program(tuple(statements["rule"]), tuple(statements["fact"]),
+                       tuple(statements["goal"]))
 
 
 def parse_atom(text: str, in_rule: bool = True) -> Atom:
     """Parse a single atom; *in_rule* selects variable vs constant idents."""
     parser = _Parser(text)
-    parsed = parser.atom("rule" if in_rule else "fact")
-    if not parser.at_end:
-        raise DatalogSyntaxError(f"trailing input after atom: {text!r}")
+    parsed = parser.atom(_RULE if in_rule else _FACT)
+    parser.done("atom")
     return parsed
+
+
+def parse_goal(text: str) -> Atom:
+    """Parse query text: one goal atom, read as a ``?-`` statement
+    reads it, with an optional trailing ``?`` or ``.``.
+
+    >>> str(parse_goal("P(a, Y, ?)?"))
+    'P(a, Y, _)'
+    """
+    parser = _Parser(text)
+    goal = parser.atom(_GOAL)
+    parser.accept("FREE", "DOT")
+    parser.done("query")
+    return goal
 
 
 def parse_rule(text: str) -> Rule:
@@ -244,37 +261,24 @@ def parse_rule(text: str) -> Rule:
     if not text.rstrip().endswith("."):
         text = text.rstrip() + "."
     parser = _Parser(text)
-    parsed = parser.statement()
-    if not parser.at_end:
-        raise DatalogSyntaxError(f"trailing input after rule: {text!r}")
-    if not isinstance(parsed, Rule):
-        raise DatalogSyntaxError(f"expected a rule, found a fact: {text!r}")
+    kind, parsed = parser.statement()
+    parser.done("rule")
+    if kind != "rule":
+        raise DatalogSyntaxError(f"expected a rule, found a {kind}: {text!r}")
     return parsed
 
 
 def parse_program(text: str) -> Program:
-    """Parse a full program of rules and ground facts."""
+    """Parse a full program of rules, ground facts and goals."""
     return _Parser(text).program()
 
 
 def parse_system(text: str, strict: bool = True) -> RecursionSystem:
-    """Parse a program and package it as a :class:`RecursionSystem`.
-
-    The program must contain exactly one linear recursive rule; every
-    other rule for the same predicate becomes an exit rule.  When no
-    exit rule is given, the generic exit ``P__exit`` is synthesised.
+    """Parse a program and package it as a :class:`RecursionSystem`
+    (:meth:`Program.system`).
 
     >>> system = parse_system("P(x, y) :- A(x, z), P(z, y).")
     >>> system.predicate
     'P'
     """
-    program = parse_program(text)
-    recursive_rules = program.recursive_rules()
-    if len(recursive_rules) != 1:
-        raise DatalogSyntaxError(
-            f"expected exactly one recursive rule, found "
-            f"{len(recursive_rules)}")
-    recursive = RecursiveRule(recursive_rules[0], strict=strict)
-    exits = tuple(r for r in program.rules_for(recursive.predicate)
-                  if not r.is_recursive())
-    return RecursionSystem(recursive, exits)
+    return parse_program(text).system(strict)

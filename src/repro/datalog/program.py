@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .atoms import Atom
-from .errors import RuleValidationError
+from .errors import DatalogSyntaxError, RuleValidationError
 from .rules import RecursiveRule, Rule
 from .unify import apply_to_rule, rename_rule, unify_atoms
 
@@ -58,6 +58,21 @@ class Program:
     def recursive_rules(self) -> tuple[Rule, ...]:
         """All rules whose head predicate recurs in their body."""
         return tuple(r for r in self.rules if r.is_recursive())
+
+    def system(self, strict: bool = True) -> "RecursionSystem":
+        """The program's one linear recursive rule with its exit rules:
+        every other rule for the same predicate.  When there is none,
+        the generic exit ``P__exit`` is synthesised; with no recursive
+        rule, or more than one, :class:`DatalogSyntaxError`."""
+        recursive = self.recursive_rules()
+        if len(recursive) != 1:
+            raise DatalogSyntaxError(
+                f"expected exactly one recursive rule, found "
+                f"{len(recursive)}")
+        rule = RecursiveRule(recursive[0], strict=strict)
+        return RecursionSystem(rule, tuple(
+            r for r in self.rules_for(rule.predicate)
+            if not r.is_recursive()))
 
     def with_facts(self, facts: Iterable[Atom]) -> "Program":
         """A copy of the program with *facts* appended."""

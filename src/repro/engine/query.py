@@ -8,13 +8,10 @@ consumes; its constants seed the evaluation.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..core.bindings import Adornment, adornment_to_string
-from ..datalog.errors import DatalogSyntaxError
-
-_HEAD_RE = re.compile(r"\s*(?P<pred>[A-Za-z_][A-Za-z0-9_]*)\s*\(")
+from ..datalog.parser import parse_goal
 
 
 @dataclass(frozen=True)
@@ -33,72 +30,17 @@ class Query:
 
     @classmethod
     def parse(cls, text: str) -> "Query":
-        """Parse ``P(a, Y, Z)``: capitalised names, ``_`` and ``?`` are
-        free slots; lower-case names, quoted strings and numbers are
-        constants.  Quoted constants may contain any character,
-        including ``,`` and ``)``:
+        """Parse query text as a ``?-`` goal reads
+        (:func:`~repro.datalog.parser.parse_goal`): capitalised and
+        ``_``-prefixed names, ``_`` and ``?`` are free slots;
+        lower-case names, numbers and single-quoted strings are
+        constants.  A quoted constant may hold any character but
+        ``'``, ``,`` and ``)`` included:
 
         >>> Query.parse("P('a, b', Y)").pattern
         ('a, b', None)
         """
-        match = _HEAD_RE.match(text)
-        if match is None:
-            raise DatalogSyntaxError(f"cannot parse query: {text!r}")
-        raw, end = cls._split_args(text, match.end())
-        if text[end:].strip() not in ("", "?"):
-            raise DatalogSyntaxError(
-                f"trailing text after query: {text!r}")
-        pattern: list[object | None] = []
-        for piece in raw:
-            if piece in ("_", "?") or (piece and piece[0].isupper()):
-                pattern.append(None)
-            elif (len(piece) >= 2 and piece.startswith("'")
-                    and piece.endswith("'")):
-                pattern.append(piece[1:-1])
-            else:
-                try:
-                    pattern.append(int(piece))
-                except ValueError:
-                    try:
-                        pattern.append(float(piece))
-                    except ValueError:
-                        pattern.append(piece)
-        return cls(match.group("pred"), tuple(pattern))
-
-    @staticmethod
-    def _split_args(text: str, start: int) -> tuple[list[str], int]:
-        """Split the argument list starting at *start* (just past the
-        opening paren) on top-level commas, honouring single-quoted
-        constants, and return the stripped pieces plus the index just
-        past the closing paren."""
-        pieces: list[str] = []
-        buffer: list[str] = []
-        in_quote = False
-        for position in range(start, len(text)):
-            char = text[position]
-            if in_quote:
-                buffer.append(char)
-                if char == "'":
-                    in_quote = False
-            elif char == "'":
-                buffer.append(char)
-                in_quote = True
-            elif char == ",":
-                pieces.append("".join(buffer).strip())
-                buffer = []
-            elif char == ")":
-                pieces.append("".join(buffer).strip())
-                if pieces == [""]:    # the empty argument list ``P()``
-                    pieces = []
-                elif "" in pieces:
-                    raise DatalogSyntaxError(
-                        f"empty argument in query: {text!r}")
-                return pieces, position + 1
-            else:
-                buffer.append(char)
-        raise DatalogSyntaxError(
-            "unterminated quote in query: " f"{text!r}" if in_quote
-            else f"unterminated argument list in query: {text!r}")
+        return cls.from_atom(parse_goal(text))
 
     @classmethod
     def all_free(cls, predicate: str, arity: int) -> "Query":

@@ -13,12 +13,14 @@ predicate is evaluated with the compiled engine so query constants are
 pushed into the recursion whenever its class allows.
 
 >>> ddb = DeductiveDatabase()
->>> ddb.load('''
+>>> program = ddb.load('''
 ...     anc(x, y) :- parent(x, z), anc(z, y).
 ...     anc(x, y) :- parent(x, y).
 ...     parent(ann, bea).
 ...     parent(bea, cal).
 ... ''')
+>>> len(program.rules), len(program.facts)
+(2, 2)
 >>> sorted(ddb.query("anc(ann, Y)"))
 [('ann', 'bea'), ('ann', 'cal')]
 """
@@ -32,7 +34,6 @@ from typing import Iterable, Mapping
 
 from .core.classifier import Classification, classify
 from .core.compile import CompiledFormula, compile_query
-from .datalog.atoms import Atom
 from .datalog.errors import EvaluationError, RuleValidationError
 from .datalog.parser import parse_program, parse_rule
 from .datalog.program import Program, RecursionSystem
@@ -48,6 +49,11 @@ from .engine.trace import Tracer
 from .logutil import new_query_id
 from .ra.answers import AnswerSet
 from .ra.database import Database
+
+
+def _as_query(query: Query | str) -> Query:
+    """*query*, parsed when it is text."""
+    return Query.parse(query) if isinstance(query, str) else query
 
 
 class DeductiveDatabase:
@@ -92,22 +98,26 @@ class DeductiveDatabase:
 
     # -- loading -------------------------------------------------------
 
-    def load(self, text: str) -> None:
-        """Parse and add a program fragment (rules and/or facts)."""
+    def load(self, text: str) -> Program:
+        """Parse a program fragment and write its rules and facts as
+        one :meth:`write_batch`, all of it or nothing; the parsed
+        :class:`Program` (its ``?-`` goals too) is returned."""
         program = parse_program(text)
-        for rule in program.rules:
-            self.add_rule(rule)
+        rows: dict[str, list[tuple]] = {}
         for fact in program.facts:
-            self._add_fact_atom(fact)
+            rows.setdefault(fact.predicate, []).append(
+                tuple(term.value for term in fact.args))
+        self.write_batch(add=rows, rules=program.rules)
+        return program
 
     def add_rule(self, rule: Rule | str) -> None:
         """Add one rule (text or object); invalidates materialisation.
 
         Raises :class:`~repro.datalog.errors.RuleValidationError` for
         a rule that is not range restricted (a head variable missing
-        from the body has no value to take bottom-up), or that uses a
+        from the body has no value to take bottom-up), that uses a
         predicate with another arity than the rules and facts already
-        give it.
+        give it, or that derives a predicate holding stored facts.
         """
         rule = self._checked_rule(rule)
         self._arities = self._rule_arities([rule])
@@ -144,8 +154,10 @@ class DeductiveDatabase:
         of facts about to be stored) before anything is written.
 
         Raises :class:`~repro.datalog.errors.RuleValidationError` at
-        the first predicate that would be used with two arities: the
-        engines would misread an atom of any other width.
+        the first predicate that would be used with two arities (the
+        engines would misread an atom of any other width), and then at
+        the first that would be both stored and derived (a view would
+        answer its stored rows, a recursion ignore them).
         """
         arities = dict(self._arities)
         relations = relations or {}
@@ -162,16 +174,27 @@ class DeductiveDatabase:
                         f"{atom.predicate!r} has arity {known}, but "
                         f"{rule} uses it with {atom.arity} argument(s)")
                 arities[atom.predicate] = atom.arity
+        for rule in rules:
+            predicate = rule.head.predicate
+            if predicate in relations or self._edb.count(predicate):
+                raise RuleValidationError(
+                    f"{predicate!r} holds stored facts, so no rule may "
+                    f"derive it: {rule}")
         return arities
 
     def _check_relation(self, predicate: str, width: int) -> None:
         """Raise unless facts *width* wide fit the rules' use of
-        *predicate* (the store checks them against its own rows)."""
+        *predicate*, which no rule derives (the store checks them
+        against its own rows)."""
         known = self._arities.get(predicate)
         if known is not None and known != width:
             raise RuleValidationError(
                 f"{predicate!r} has arity {known} in the rules, but a "
                 f"fact for it has {width} argument(s)")
+        if any(rule.head.predicate == predicate for rule in self._rules):
+            raise RuleValidationError(
+                f"{predicate!r} is derived by a rule, so no fact may be "
+                f"stored for it")
 
     def write_batch(self, *,
                     add: Mapping[str, Iterable[tuple]] | None = None,
@@ -179,10 +202,11 @@ class DeductiveDatabase:
                     rules: Iterable[Rule | str] | None = None) -> None:
         """Remove facts, add facts, add rules: all of it or nothing.
 
-        Every rule is parsed and checked, and every added row's arity
-        is checked against its relation and the rules, old and new,
-        before the first write, so a batch that raises leaves the
-        session as it was.
+        Every rule is parsed and checked, every added row's arity is
+        checked against its relation and the rules, old and new, and
+        no predicate may end up both stored and derived, before the
+        first write, so a batch that raises leaves the session as it
+        was.
         """
         removals = {predicate: [tuple(row) for row in rows]
                     for predicate, rows in (remove or {}).items()}
@@ -231,23 +255,13 @@ class DeductiveDatabase:
         self._invalidate(rules_changed=False)
         return removed
 
-    def _add_fact_atom(self, fact: Atom) -> None:
-        values = []
-        for term in fact.args:
-            if not isinstance(term, Constant):
-                raise RuleValidationError(
-                    f"fact {fact} is not ground: {term} is not a "
-                    f"constant")
-            values.append(term.value)
-        self._check_relation(fact.predicate, len(values))
-        self._edb.add(fact.predicate, tuple(values))
-        self._invalidate(rules_changed=False)
-
     def _invalidate(self, rules_changed: bool) -> None:
         self._materialised = None
         if rules_changed:
-            self._plan_cache.clear()
-            self._classification_cache.clear()
+            # new dicts, not cleared ones: a fork shares these
+            # (:meth:`fork_reader`) and keeps its rules' entries
+            self._plan_cache = {}
+            self._classification_cache = {}
             # fact changes are covered by the epoch in the cache key;
             # rule changes alter derivations at the same epoch
             with self._answer_lock:
@@ -263,21 +277,27 @@ class DeductiveDatabase:
         (row sets copied, symbol table and version-tagged join caches
         shared) marked **read-only**, so a reader that would mutate
         shared state raises instead of corrupting other requests.
-        Rules and the derived caches are carried over by value, so the
-        fork answers exactly what the base would have answered at this
-        instant — later mutations of the base are invisible to it.
+        The rules and the answer cache are carried over by value, so
+        the fork answers exactly what the base would have answered at
+        this instant — later mutations of the base are invisible to
+        it.  The classification and plan caches depend on the rules
+        alone, so they are *shared* with the base and every fork taken
+        since its last rule change: one classification and one compile
+        serve every epoch of a fact-only write stream, and a rule
+        change gives the base new caches, leaving the forks theirs.
 
         Concurrency contract of a fork: any number of threads may call
         :meth:`query` on it simultaneously.  Every fixpoint keeps its
         derived rows in private sets, and materialising views below a
         predicate works on a copy (:meth:`_materialise_below`), so
         per-request evaluation state is private; what *is* shared
-        between the fork's readers — the plan/classification caches, a
-        lazily computed view materialisation, and the read-only
-        database's lazily built join tables — is filled with
-        deterministic, interchangeable values under single dict-slot
-        assignments (atomic under the GIL), so a race costs at most a
-        duplicated computation, never a wrong answer.  The answer cache, whose
+        between the fork's readers — the plan/classification caches
+        (with the base and its other forks, too), a lazily computed
+        view materialisation, and the read-only database's lazily
+        built join tables — is filled with deterministic,
+        interchangeable values under single dict-slot assignments
+        (atomic under the GIL), so a race costs at most a duplicated
+        computation, never a wrong answer.  The answer cache, whose
         LRU bookkeeping is not a single assignment, is lock-guarded.
         """
         clone = object.__new__(DeductiveDatabase)
@@ -285,8 +305,8 @@ class DeductiveDatabase:
         clone._edb = self._edb.copy()
         clone._edb.read_only = True
         clone._materialised = self._materialised
-        clone._plan_cache = dict(self._plan_cache)
-        clone._classification_cache = dict(self._classification_cache)
+        clone._plan_cache = self._plan_cache
+        clone._classification_cache = self._classification_cache
         clone._arities = self._arities
         with self._answer_lock:
             clone._answer_cache = OrderedDict(self._answer_cache)
@@ -412,11 +432,12 @@ class DeductiveDatabase:
         execution; the finished :class:`~repro.engine.trace.Trace` is
         available as ``trace.trace`` afterwards.
 
-        Every call, answered or failed, leaves the query's labels on
-        *stats* (when given): ``engine`` — the engine that answered,
-        ``edb``/``view`` for a relation lookup, the one asked for when
-        the query failed — ``formula_class`` — ``A1``…``F``, ``view``,
-        ``edb``, or ``unknown`` before the predicate resolved — and
+        Every call, answered or failed (query text that does not parse
+        included), leaves the query's labels on *stats* (when given):
+        ``engine`` — the engine that answered, ``edb``/``view`` for a
+        relation lookup, the one asked for when the query failed —
+        ``formula_class`` — ``A1``…``F``, ``view``, ``edb``, or
+        ``unknown`` before the predicate resolved — and
         the ``strategy`` and ``backend`` that ran.  Every signal reads
         them there.  With a metrics registry and/or query log
         installed, the close also records latency, answer count and
@@ -431,15 +452,15 @@ class DeductiveDatabase:
         """
         stats = open_stats(stats, engine)
         stats.formula_class = "unknown"
-        if isinstance(query, str):
-            query = Query.parse(query)
         if self.metrics is None and self.query_log is None:
-            return self._evaluate_query(query, stats, engine, trace)
+            return self._evaluate_query(_as_query(query), stats, engine,
+                                        trace)
         before = stats.to_dict()
         started = perf_counter()
         try:
+            query = _as_query(query)
             answers = self._evaluate_query(query, stats, engine, trace)
-        except Exception as error:
+        except Exception as error:  # *query* is text if it did not parse
             self._emit(query, stats, before, perf_counter() - started,
                        query_id, error=error)
             raise
@@ -588,13 +609,15 @@ class DeductiveDatabase:
 
     # -- telemetry -------------------------------------------------------
 
-    def _emit(self, query: Query, stats: EvaluationStats, before: dict,
-              duration_s: float, query_id: str | None, *,
+    def _emit(self, query: Query | str, stats: EvaluationStats,
+              before: dict, duration_s: float, query_id: str | None, *,
               answers: AnswerSet | None = None,
               error: Exception | None = None) -> None:
         """Feed one closed query to the registry and the log, labelled
         from *stats*: the snapshot *delta* since *before*, so a stats
-        object reused across queries is never double counted."""
+        object reused across queries is never double counted.  A
+        *query* that is still text did not parse: it logs as sent,
+        with no predicate."""
         # looked up per call: benchmarks/e2e/spans.py wraps them
         from .metrics.instrument import observe_query, observe_query_error
 
@@ -634,7 +657,8 @@ class DeductiveDatabase:
         if self.query_log is not None:
             self.query_log.log(
                 event="query", query_id=query_id, query=str(query),
-                predicate=query.predicate, **labels,
+                predicate=(query.predicate if isinstance(query, Query)
+                           else None), **labels,
                 strategy=stats.strategy, backend=stats.backend,
                 duration_s=round(duration_s, 6), outcome=outcome,
                 **detail)
@@ -663,8 +687,7 @@ class DeductiveDatabase:
         sorted by answer, at most *limit* of them.
         """
         from .engine.provenance import _tuple_depths, explain_answer
-        if isinstance(query, str):
-            query = Query.parse(query)
+        query = _as_query(query)
         system = self.system_for(query.predicate)
         if system is None:
             raise EvaluationError(
@@ -679,8 +702,7 @@ class DeductiveDatabase:
 
     def explain(self, query: Query | str) -> str:
         """The compiled formula and strategy for a query, as text."""
-        if isinstance(query, str):
-            query = Query.parse(query)
+        query = _as_query(query)
         system = self.system_for(query.predicate)
         if system is None:
             return (f"{query.predicate} is not recursive; evaluated by "
@@ -700,8 +722,7 @@ class DeductiveDatabase:
         :class:`~repro.engine.trace.Trace` is available through
         :meth:`query` with ``trace=``.
         """
-        if isinstance(query, str):
-            query = Query.parse(query)
+        query = _as_query(query)
         tracer = Tracer()
         self.query(query, engine=engine, trace=tracer)
         assert tracer.trace is not None

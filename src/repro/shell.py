@@ -21,8 +21,8 @@ from typing import Callable, TextIO
 
 from .core.advisor import capability_table
 from .core.report import text_table
+from .datalog.atoms import Atom
 from .datalog.errors import ReproError
-from .datalog.parser import parse_program
 from .engine.query import Query
 from .engine.stats import EvaluationStats
 from .ra.io import save_database
@@ -86,8 +86,6 @@ class Shell:
                                 f"(try .help)")
                 else:
                     command(argument.strip())
-            elif line.startswith("?-"):
-                self._query(line)
             else:
                 self._statement(line)
         except ReproError as error:
@@ -99,22 +97,18 @@ class Shell:
     # -- statements ------------------------------------------------------
 
     def _statement(self, line: str) -> None:
+        """Rules, facts and goals: one write batch, then the goals."""
         if not line.endswith("."):
             line += "."
-        program = parse_program(line)
+        program = self._session.load(line)
         for rule in program.rules:
-            self._session.add_rule(rule)
             self._print(f"ok: rule {rule}")
         for fact in program.facts:
-            self._session.add_fact(
-                fact.predicate,
-                *(t.value for t in fact.constants))
             self._print(f"ok: fact {fact}")
+        self._answer(program.queries)
 
-    def _query(self, line: str) -> None:
-        program = parse_program(line if line.endswith(".")
-                                else line + ".")
-        for goal in program.queries:
+    def _answer(self, goals: tuple[Atom, ...]) -> None:
+        for goal in goals:
             query = Query.from_atom(goal)
             stats = EvaluationStats()
             answers = self._session.query(query, stats=stats)
@@ -191,12 +185,10 @@ class Shell:
     def _cmd_load(self, argument: str) -> None:
         with open(argument, encoding="utf-8") as handle:
             text = handle.read()
-        self._session.load(text)
-        program = parse_program(text)
+        program = self._session.load(text)
         self._print(f"loaded {len(program.rules)} rules, "
                     f"{len(program.facts)} facts")
-        for goal in program.queries:
-            self._query(f"?- {goal}.")
+        self._answer(program.queries)
 
     def _cmd_save(self, argument: str) -> None:
         save_database(self._session.materialise(), argument)

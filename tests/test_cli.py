@@ -259,6 +259,24 @@ class TestRunAnswersLikeTheShell:
         assert "unknown predicate" in captured.err
 
 
+class TestRunParsesOnce:
+    """``repro run`` answers the goals of the ``Program`` that ``load``
+    returns.  Regression: it parsed its file three times, in ``load``,
+    ``parse_program`` and ``parse_system``."""
+
+    def test_one_parse(self, capsys, tmp_path, monkeypatch):
+        from repro.datalog import parser
+        calls = []
+        program = parser._Parser.program
+        monkeypatch.setattr(parser._Parser, "program", lambda self: (
+            calls.append(self), program(self))[1])
+        path = tmp_path / "tc.dl"
+        path.write_text(TestRun.PROGRAM, encoding="utf-8")
+        assert main(["run", str(path)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 3
+        assert len(calls) == 1
+
+
 class TestServeParser:
     def test_defaults(self):
         from repro.cli import build_parser

@@ -331,6 +331,60 @@ class TestFactsValidation:
                                      {"query": "P(a, Y)"})
         assert status == 200 and answers["count"] == 3
 
+    @pytest.mark.parametrize("batches, expect", [
+        ([{"add": {"P": [["q", "r"]]}}], "derived by a rule"),
+        ([{"rules": ["V(x, y) :- A(x, y)."]}, {"add": {"V": [["q", "r"]]}}],
+         "derived by a rule"),
+        ([{"rules": ["A(x, y) :- B(x, y)."]}], "holds stored facts"),
+        ([{"add": {"B": [["q", "r"]]}}, {"rules": ["B(x, y) :- A(x, y)."]}],
+         "holds stored facts"),
+        ([{"add": {"B": [["q", "r"]]}, "rules": ["B(x, y) :- A(x, y)."]}],
+         "holds stored facts"),
+    ], ids=["facts-for-the-recursion", "facts-for-a-view",
+            "rule-over-the-store", "rule-over-new-facts",
+            "rule-over-its-batch"])
+    def test_stored_or_derived_is_400_without_an_epoch(self, server,
+                                                       batches, expect):
+        """A predicate is stored or derived, never both.  Regression:
+        such a batch was a 200, and the stored rows of a derived
+        predicate were answered by a view and ignored by a
+        recursion."""
+        *accepted, refused = batches
+        for body in accepted:
+            assert request(server, "POST", "/facts", body)[0] == 200
+        status, reply, _ = request(server, "POST", "/facts", refused)
+        assert status == 400
+        assert expect in reply["error"]
+        assert server.epochs.current.number == len(accepted)
+        status, answers, _ = request(server, "POST", "/query",
+                                     {"query": "P(a, Y)"})
+        assert status == 200 and answers["count"] == 3
+
+
+class TestUnparsableQuery:
+    """Query text that does not parse is an admitted query that
+    failed: a 400, one ``repro_queries_total`` error outcome and one
+    ``query`` log line.  Regression: it moved no outcome and logged
+    nothing."""
+
+    def test_400_counted_and_logged(self, server):
+        status, body, _ = request(server, "POST", "/query",
+                                  {"query": "P(a, ", "engine": "naive"})
+        assert status == 400
+        samples = parse_prometheus_text(
+            request(server, "GET", "/metrics")[1])
+        assert samples[("repro_queries_total", (
+            ("engine", "naive"), ("formula_class", "unknown"),
+            ("outcome", "error")))] == 1
+        assert samples[("repro_query_errors_total", (
+            ("engine", "naive"), ("error", "DatalogSyntaxError")))] == 1
+        assert request(server, "GET", "/healthz")[1]["admitted_total"] == 1
+        [line] = [json.loads(text) for text in
+                  server.session.query_log.stream.getvalue().splitlines()]
+        assert (line["query_id"], line["query"], line["predicate"],
+                line["outcome"]) == (body["query_id"], "P(a, ", None,
+                                     "error")
+
 
 class TestLabelsAgree:
     """A query's ``engine`` and ``formula_class`` read the same in its

@@ -200,6 +200,32 @@ class TestEpochManager:
         with pytest.raises(EvaluationError):
             fork.add_fact("A", "x", "y")
 
+    def test_fact_batches_share_the_rule_caches(self, monkeypatch):
+        """A classification and a plan depend on the rules alone, so
+        the epochs of a fact-only write stream share them.  Regression:
+        each epoch forked the empty caches of the session behind it,
+        which never answers, and classified and compiled again."""
+        import repro.session as session_module
+        calls = []
+        classify = session_module.classify
+        monkeypatch.setattr(session_module, "classify", lambda system: (
+            calls.append(system.predicate), classify(system))[1])
+        manager = EpochManager(make_session())
+        for step in range(4):
+            if step:
+                manager.apply(lambda s, step=step: s.add_fact(
+                    "A", "d", f"e{step}"))
+            assert ("a", "d") in manager.current.session.query("P(a, Y)")
+        assert calls == ["P"]
+        held = manager.current
+        manager.apply(lambda s: s.write_batch(
+            add={"B": [("a", "z")]}, rules=["P(x, y) :- B(x, y)."]))
+        assert ("a", "z") in manager.current.session.query("P(a, Y)")
+        assert calls == ["P", "P"]
+        # the held epoch answers under its own rules, from its own caches
+        assert ("a", "z") not in held.session.query("P(X, Y)")
+        assert calls == ["P", "P"]
+
     def test_removals_and_rules_in_one_epoch(self):
         manager = EpochManager(make_session())
         service = QueryService(manager)

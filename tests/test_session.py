@@ -46,17 +46,23 @@ class TestLoading:
         assert session.query(Query.parse("e(X, Y)")) == {
             ("a", "b"), ("b", "c")}
 
-    def test_non_ground_fact_rejected(self):
-        """Regression: a fact atom carrying a variable used to be
-        silently truncated to the prefix of its constant arguments."""
-        from repro.datalog.atoms import Atom
-        from repro.datalog.terms import Constant, Variable
-        session = DeductiveDatabase()
-        with pytest.raises(RuleValidationError, match="not ground"):
-            session._add_fact_atom(
-                Atom("parent", (Variable("X"), Constant("bea"))))
-        # nothing was half-loaded
-        assert session._edb.total_facts() == 0
+    def test_failed_load_writes_nothing(self, ddb):
+        """A program is one write batch.  Regression: ``load`` wrote
+        its rules and facts one at a time, so a program whose last
+        fact failed left the rest behind."""
+        before = (ddb.program.rules, ddb._edb.relation_names,
+                  ddb._edb.global_version(), len(ddb._edb.symbols))
+        with pytest.raises(EvaluationError, match="arity mismatch"):
+            ddb.load("kin(x, y) :- parent(x, y).  sibling(bea, cal).\n"
+                     "new(ann).  new(bea, cal).")
+        assert (ddb.program.rules, ddb._edb.relation_names,
+                ddb._edb.global_version(), len(ddb._edb.symbols)) == before
+
+    def test_load_returns_the_program(self):
+        program = DeductiveDatabase().load(GENEALOGY + "?- anc(ann, Y).")
+        assert (len(program.rules), len(program.facts),
+                [str(goal) for goal in program.queries]) == (
+            5, 5, ["anc(ann, Y)"])
 
     @pytest.mark.parametrize("rule", ["P(x) :- A(y).",
                                       "P(x, y) :- A(x, z), P(z, x)."])
@@ -174,6 +180,79 @@ class TestArityAtWriteTime:
         with pytest.raises(RuleValidationError, match="has arity 2"):
             session.add_rule("q(x) :- a(x).")
         assert session.program.rules == ()
+
+
+class TestStoredOrDerived:
+    """A predicate is stored or derived, never both.  Regression: facts
+    for a rule's head were stored, and read two ways: a view's query
+    answered them, a recursion's ignored them."""
+
+    @pytest.mark.parametrize("write", [
+        lambda s: s.add_fact("anc", "q", "r"),
+        lambda s: s.add_facts("mother", [("q", "r")]),
+        lambda s: s.write_batch(add={"anc": [("q", "r")]}),
+        lambda s: s.load("matriline(q, r)."),
+    ], ids=["add_fact", "add_facts", "write_batch", "load"])
+    def test_facts_for_a_derived_predicate_refused(self, ddb, write):
+        self._refused(ddb, write, "derived by a rule")
+
+    @pytest.mark.parametrize("write", [
+        lambda s: s.add_rule("female(x) :- parent(x, y)."),
+        lambda s: s.write_batch(rules=["parent(x, y) :- female(x), "
+                                       "female(y)."]),
+        lambda s: s.load("female(x) :- parent(y, x)."),
+        lambda s: s.write_batch(add={"kin": [("q", "r")]},
+                                rules=["kin(x, y) :- parent(x, y)."]),
+    ], ids=["add_rule", "write_batch", "load", "same-batch"])
+    def test_rule_over_a_stored_predicate_refused(self, ddb, write):
+        self._refused(ddb, write, "holds stored facts")
+
+    @staticmethod
+    def _refused(ddb, write, message):
+        before = (ddb.program.rules, ddb._edb.relation_names,
+                  ddb._edb.global_version())
+        with pytest.raises(RuleValidationError, match=message):
+            write(ddb)
+        assert (ddb.program.rules, ddb._edb.relation_names,
+                ddb._edb.global_version()) == before
+        assert ddb.query("anc(ann, Y)") == {
+            ("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
+
+
+class TestUnparsableQuery:
+    """Query text that does not parse closes as any failed query does.
+    Regression: it raised before the close, so it moved no
+    ``repro_queries_total`` outcome and wrote no log line."""
+
+    def test_counted_and_logged(self):
+        import io
+        import json
+
+        from repro.logutil import QueryLogger
+        from repro.metrics import MetricsRegistry
+        session = DeductiveDatabase(metrics=MetricsRegistry(),
+                                    query_log=QueryLogger(io.StringIO()))
+        session.load(GENEALOGY)
+        stats = EvaluationStats()
+        with pytest.raises(DatalogSyntaxError):
+            session.query("anc(ann, ", stats=stats, engine="semi-naive")
+        assert (stats.engine, stats.formula_class) == ("semi-naive",
+                                                       "unknown")
+        queries = session.metrics.get("repro_queries_total")
+        errors = session.metrics.get("repro_query_errors_total")
+        assert queries.value(engine="semi-naive", formula_class="unknown",
+                             outcome="error") == 1
+        assert errors.value(engine="semi-naive",
+                            error="DatalogSyntaxError") == 1
+        (line,) = map(json.loads,
+                      session.query_log.stream.getvalue().splitlines())
+        assert {name: line[name] for name in (
+            "event", "query", "predicate", "engine", "formula_class",
+            "outcome")} == {
+            "event": "query", "query": "anc(ann, ", "predicate": None,
+            "engine": "semi-naive", "formula_class": "unknown",
+            "outcome": "error"}
+        assert line["error"].startswith("DatalogSyntaxError: ")
 
 
 class TestQueryLabels:

@@ -101,6 +101,21 @@ class TestFiles:
         assert "loaded 2 rules, 2 facts" in out
         assert "P(a, b)" in out
 
+    def test_load_parses_the_file_once(self, tmp_path, monkeypatch):
+        """Regression: ``.load`` parsed the file twice and each goal
+        once more."""
+        from repro.datalog import parser
+        calls = []
+        program = parser._Parser.program
+        monkeypatch.setattr(parser._Parser, "program", lambda self: (
+            calls.append(self), program(self))[1])
+        path = tmp_path / "p.dl"
+        path.write_text("\n".join(PROGRAM_LINES)
+                        + "\n?- P(a, Y).\n?- P(b, Y).\n", encoding="utf-8")
+        out = run_lines(f".load {path}", ".quit")
+        assert out.count("1 answers") == 2
+        assert len(calls) == 1
+
     def test_save_materialised(self, tmp_path):
         target = tmp_path / "out"
         out = run_lines(*PROGRAM_LINES, f".save {target}", ".quit")
