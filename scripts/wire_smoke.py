@@ -31,8 +31,10 @@ The scenarios, one ``repro serve`` subprocess each:
 * **drain** — SIGTERM with one running and two queued jobs exits 0
   with every job accounted for;
 * **dropped mid-stream** — a client resets the connection after the
-  status line of a multi-MB answer: the server keeps serving and
-  counts the request exactly once.
+  status line of a multi-MB answer: the server keeps serving, counts
+  the request exactly once, and sends the same answer in full to the
+  next client that asks (from the answer cache, whose rendered array
+  the dropped response was cut off writing).
 
 Every server is stopped with SIGTERM and must exit 0; with a JSON log
 its last line must be ``server_shutdown`` with ``drained: true``.
@@ -899,16 +901,26 @@ def dropped_mid_stream(workdir: str, checks: list) -> None:
         checks.append(("dropped request status line",
                        head.split(b"\r\n", 1)[0], b"HTTP/1.1 200 OK"))
         last = DROP_CHAIN - 1
-        run_table(server, checks, [
+        expected = closure(DROP_CHAIN)
+        results = run_table(server, checks, [
             ({"query": f"P(n{last}, Y)"}, 200,
-             {(f"n{last}", f"n{DROP_CHAIN}")})])
+             {(f"n{last}", f"n{DROP_CHAIN}")}),
+            (BIG_ANSWER, 200, expected)])
+        refetched = results[-1][1]
+        checks += [
+            ("re-fetched count", refetched.get("count"), len(expected)),
+            ("re-fetched rows", len(refetched.get("answers", ())),
+             len(expected)),
+            ("re-fetch is an answer-cache hit",
+             refetched.get("stats", {}).get("answer_cache_hits"), 1),
+        ]
         health = server.get("/healthz")
-        # the dropped request and the follow-up, each exactly once
+        # the dropped request and the two follow-ups, each exactly once
         checks += [
             ("healthz inflight", health["inflight"], 0),
-            ("healthz queries_served", health["queries_served"], 2),
+            ("healthz queries_served", health["queries_served"], 3),
         ] + server.metrics().check([
-            ("repro_queries_total", {"outcome": "ok"}, 2)])
+            ("repro_queries_total", {"outcome": "ok"}, 3)])
         server.stop(checks)
 
 

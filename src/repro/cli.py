@@ -177,7 +177,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         program = session.load(text)
         if args.query:
-            queries = [Query.parse(args.query)]
+            # text: the session's query close parses it, so a query
+            # that does not parse is logged like any failed query
+            queries = [args.query]
         elif program.queries:
             queries = [Query.from_atom(goal) for goal in program.queries]
         else:
@@ -191,6 +193,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             tracer = Tracer() if tracing else None
             answers = session.query(query, stats, engine=args.engine,
                                     trace=tracer)
+            if isinstance(query, str):  # answered, so it parses
+                query = Query.parse(query)
             for row in answers.sorted_rows():
                 print(f"{query.predicate}"
                       f"({', '.join(str(v) for v in row)})")

@@ -38,10 +38,11 @@ exercised;
   *list* (no hashing); the value-space ``frozenset`` the pre-columnar
   API returned is built on top of it only when set semantics are
   actually exercised (``==`` against a foreign set, ``hash``, set
-  operators).  Both tiers are cached on the instance, so the session
-  answer cache doubles as the decoded-column cache: entries are keyed
-  by database epoch, and the symbol table is append-only, so a cached
-  decode can never go stale.
+  operators).  Both tiers are cached on the instance, with the sort
+  and the rendered JSON array (:meth:`AnswerSet.json_array`), so the
+  session answer cache doubles as the decoded-column and
+  rendered-answer cache: entries are keyed by database epoch, and the
+  symbol table is append-only, so a cached decode can never go stale.
 
 Compatibility
 -------------
@@ -57,6 +58,7 @@ agrees with the decoded frozenset.
 
 from __future__ import annotations
 
+import json
 from array import array
 from collections.abc import Set
 from itertools import chain
@@ -87,7 +89,7 @@ class AnswerSet(Set):
     """
 
     __slots__ = ("_rows", "_symbols", "_columns", "_list", "_decoded",
-                 "_sorted", "decode_seconds")
+                 "_sorted", "_json", "decode_seconds")
 
     def __init__(self, rows: Iterable[tuple],
                  symbols: SymbolTable) -> None:
@@ -98,6 +100,7 @@ class AnswerSet(Set):
         self._list: list[tuple] | None = None
         self._decoded: frozenset[tuple] | None = None
         self._sorted: list[tuple] | None = None
+        self._json: bytes | None = None
         #: wall seconds of the first materialisation (None until then);
         #: the server's decode histogram reads this
         self.decode_seconds: float | None = None
@@ -123,6 +126,7 @@ class AnswerSet(Set):
         answers._list = None
         answers._decoded = None
         answers._sorted = None
+        answers._json = None
         answers.decode_seconds = None
         return answers
 
@@ -235,6 +239,36 @@ class AnswerSet(Set):
         if self._sorted is None:
             self._sorted = sorted(self._materialised(), key=repr)
         return self._sorted
+
+    def json_array(self) -> bytes:
+        """The :meth:`sorted_rows` as the UTF-8 JSON array the HTTP
+        server embeds under an envelope's ``"answers"`` key: one row
+        per line at the envelope's two-space indent, ``[]`` when empty.
+        Rendered on first request with one ``json.dumps`` per distinct
+        value and cached like the sort, so an answer-cache hit sends
+        these same bytes again.  Two readers racing on the first
+        render at worst both build equal bytes and store them into
+        the one slot, as with the sort.
+
+        >>> table = SymbolTable()
+        >>> rows = {table.encode_row(("a", "ü")), table.encode_row((2.5, -7))}
+        >>> print(AnswerSet(rows, table).json_array().decode())
+        [
+            ["a", "ü"],
+            [2.5, -7]
+          ]
+        >>> AnswerSet((), table).json_array()
+        b'[]'
+        """
+        if self._json is None:
+            rows = self.sorted_rows()
+            dumped = {value: json.dumps(value, ensure_ascii=False)
+                      for value in set(chain.from_iterable(rows))}
+            inner = "],\n    [".join([", ".join(map(dumped.__getitem__, row))
+                                         for row in rows])
+            self._json = (f"[\n    [{inner}]\n  ]" if rows
+                          else "[]").encode("utf-8")
+        return self._json
 
     # -- set behaviour -------------------------------------------------
 

@@ -8,12 +8,13 @@ service built entirely on the stdlib:
   "max_rows"?: ...}``; a field the server does not read is ignored),
   JSON out (answers, count, outcome, epoch, duration, the query's full
   :meth:`~repro.engine.stats.EvaluationStats.to_dict`).  The
-  ``answers`` array is rendered straight from the lazy columnar
-  :class:`~repro.ra.answers.AnswerSet`: one ``json.dumps`` per
-  *distinct* constant (answer columns repeat few distinct values),
-  one fragment per row, written in bounded chunks under a
-  precomputed ``Content-Length`` — the only point in the service
-  where decode is forced, metered by ``repro_decode_seconds``;
+  ``answers`` array is the columnar
+  :class:`~repro.ra.answers.AnswerSet`'s own rendered bytes
+  (:meth:`~repro.ra.answers.AnswerSet.json_array`: one ``json.dumps``
+  per *distinct* constant, built once and cached with the set, so an
+  answer-cache hit renders only its envelope) written between the
+  envelope's head and tail — the only point in the service where
+  decode is forced, metered by ``repro_decode_seconds``;
 * ``POST /facts`` — one write batch
   (``{"add"?: {pred: [rows]}, "remove"?: {pred: [rows]},
   "rules"?: [text]}``) applied atomically as one epoch;
@@ -231,6 +232,11 @@ class QueryServer:
         class _Handler(BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
             timeout = REQUEST_TIMEOUT_S
+            # a response is several socket writes (the headers, then
+            # the body); under Nagle's algorithm a small write behind
+            # unacknowledged data waits for the client's delayed ACK
+            # (~40 ms)
+            disable_nagle_algorithm = True
 
             def log_message(self, format, *args):  # noqa: A002
                 pass  # one structured line per query instead
@@ -308,24 +314,25 @@ class QueryServer:
     # -- responses -----------------------------------------------------
 
     @staticmethod
-    def _send(handler, status: int, body: str,
+    def _send(handler, status: int, *body: bytes,
               content_type: str = "application/json",
               headers: dict | None = None) -> None:
-        payload = body.encode("utf-8")
+        """Write one response: the status line, the headers with the
+        ``Content-Length`` of the *body* parts, then the parts."""
         handler.send_response(status)
         handler.send_header("Content-Type",
                             f"{content_type}; charset=utf-8")
-        handler.send_header("Content-Length", str(len(payload)))
+        handler.send_header("Content-Length", str(sum(map(len, body))))
         for name, value in (headers or {}).items():
             handler.send_header(name, str(value))
         handler.end_headers()
-        handler.wfile.write(payload)
+        handler.wfile.writelines(body)
 
     def _send_json(self, handler, status: int, document: dict,
                    headers: dict | None = None) -> None:
         self._send(handler, status,
-                   json.dumps(document, ensure_ascii=False, indent=2)
-                   + "\n", headers=headers)
+                   (json.dumps(document, ensure_ascii=False, indent=2)
+                    + "\n").encode("utf-8"), headers=headers)
 
     def _send_result(self, handler, result: QueryResult, *, query: str,
                      query_id: str, duration_s: float,
@@ -334,12 +341,12 @@ class QueryServer:
 
         Rendering is where a lazy answer set is finally forced; that
         decode is metered (a cached, already-decoded set records
-        nothing).  The envelope round-trips through ``json.dumps``;
-        the ``answers`` array is spliced in from per-row fragments
-        built with a per-distinct-value dump memo, and the body goes
-        out as bounded chunks (one socket write per ~64 KiB) under one
-        precomputed ``Content-Length`` — no monolithic join of a
-        million-row string, no intermediate list-of-lists.
+        nothing).  The ``answers`` array is the set's cached
+        :meth:`~repro.ra.answers.AnswerSet.json_array`, rendered on
+        its first response only; each response renders just its
+        envelope (query, query id, count, outcome, epoch, duration,
+        stats) and writes the body as head, array and tail under one
+        ``Content-Length``.
 
         A synchronous request passes its *ctx* (opened at
         perf-counter time *started*): the decode and render phases
@@ -352,15 +359,15 @@ class QueryServer:
         answers = result.answers
         was_lazy = not answers.is_decoded
         decode_started = perf_counter()
-        rows = answers.sorted_rows()
+        count = len(answers.sorted_rows())
         if ctx is not None:
             ctx.add_phase("decode", decode_started, lazy=was_lazy)
         if was_lazy and self.session.metrics is not None:
             observe_decode(self.session.metrics,
-                           answers.decode_seconds, len(answers))
+                           answers.decode_seconds, count)
         render_started = perf_counter()
         envelope = {"query": query, "engine": result.stats.engine,
-                    "count": len(rows), "query_id": query_id}
+                    "count": count, "query_id": query_id}
         head = json.dumps(envelope, ensure_ascii=False, indent=2)[:-2]
         tail = json.dumps(
             {"outcome": result.outcome,
@@ -368,47 +375,17 @@ class QueryServer:
              "epoch": result.epoch, "duration_s": duration_s,
              "stats": result.stats.to_dict()},
             ensure_ascii=False, indent=2)[2:]
-        memo: dict = {}
-
-        def fragment(value) -> str:
-            frag = memo.get(value)
-            if frag is None:
-                frag = memo[value] = json.dumps(value,
-                                                ensure_ascii=False)
-            return frag
-
-        parts = [head, ',\n  "answers": [']
-        last = len(rows) - 1
-        for index, row in enumerate(rows):
-            parts.append("\n    ["
-                         + ", ".join(fragment(v) for v in row)
-                         + ("]," if index != last else "]"))
-        parts.append("\n  ],\n" if rows else "],\n")
-        parts.append(tail + "\n")
-        chunks = [part.encode("utf-8") for part in parts]
+        body = (f'{head},\n  "answers": '.encode("utf-8"),
+                answers.json_array(), f",\n{tail}\n".encode("utf-8"))
         if ctx is not None:
             # the render phase covers serialisation, not the
             # client-paced writes
-            ctx.add_phase("render", render_started, rows=len(rows))
+            ctx.add_phase("render", render_started, rows=count)
             self._close_request(ctx, result.stats, started,
                                 result.outcome, epoch=result.epoch,
-                                answers=len(rows))
-        handler.send_response(200)
-        handler.send_header("Content-Type",
-                            "application/json; charset=utf-8")
-        handler.send_header("Content-Length",
-                            str(sum(len(c) for c in chunks)))
-        handler.send_header("X-Repro-Query-Id", query_id)
-        handler.end_headers()
-        write = handler.wfile.write
-        buffer = bytearray()
-        for chunk in chunks:
-            buffer += chunk
-            if len(buffer) >= 65536:
-                write(bytes(buffer))
-                buffer.clear()
-        if buffer:
-            write(bytes(buffer))
+                                answers=count)
+        self._send(handler, 200, *body,
+                   headers={"X-Repro-Query-Id": query_id})
 
     # -- routes --------------------------------------------------------
 
@@ -430,7 +407,7 @@ class QueryServer:
             epoch.session.collect_gauges()
             text = (self.session.metrics.render_prometheus()
                     if self.session.metrics is not None else "")
-            self._send(handler, 200, text,
+            self._send(handler, 200, text.encode("utf-8"),
                        content_type="text/plain; version=0.0.4")
         elif path == "/stats":
             epoch.session.collect_gauges()

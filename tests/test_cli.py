@@ -218,6 +218,24 @@ class TestRun:
         assert (event["strategy"], event["backend"]) == (
             "stable", "python")
 
+    def test_run_log_json_logs_a_query_that_does_not_parse(
+            self, capsys, program_file, tmp_path):
+        """Regression: a ``--query`` that did not parse printed its
+        error and exited 1, but wrote no ``query`` log line."""
+        import json
+        log_file = tmp_path / "queries.jsonl"
+        code = main(["run", "--query", "P(a, ",
+                     "--log-json", str(log_file), program_file])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 1, column 2: unterminated argument list\n")
+        [line] = log_file.read_text().splitlines()
+        event = json.loads(line)
+        assert (event["event"], event["outcome"], event["query"],
+                event["predicate"], event["formula_class"]) == (
+            "query", "error", "P(a, ", None, "unknown")
+        assert event["error"].startswith("DatalogSyntaxError: ")
+
 
 class TestRunAnswersLikeTheShell:
     """``repro run`` answers through a session, as the shell does.

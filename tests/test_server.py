@@ -95,6 +95,27 @@ def _post_declaring(server, content_length: str, body: bytes = b""):
         connection.close()
 
 
+def _raw(server, method: str, path: str, document=None):
+    """(status, raw body bytes) of one request on a new connection."""
+    connection = http.client.HTTPConnection(server.host, server.port,
+                                            timeout=10)
+    try:
+        connection.request(method, path,
+                           None if document is None
+                           else json.dumps(document),
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def _answers_array(body: bytes) -> bytes:
+    """The ``answers`` array of a result envelope, as sent."""
+    start = body.index(b'"answers": ') + len(b'"answers": ')
+    return body[start:body.index(b',\n  "outcome": ')]
+
+
 class TestBodyBounds:
     """``Content-Length`` is validated before the body is read."""
 
@@ -129,6 +150,96 @@ class TestBodyBounds:
                 assert raw.recv(1024) == b""  # closed, not hung
             assert request(instance, "POST", "/query",
                            {"query": "P(a, Y)"})[0] == 200
+
+
+class TestKeepAlive:
+    def test_no_delayed_ack_stall(self, server):
+        """Sequential requests on one keep-alive connection answer in
+        milliseconds.  Regression: a response went out as two socket
+        writes (headers, then body) under Nagle's algorithm, so every
+        body waited out the client's delayed ACK (~40 ms on Linux).
+        ``request`` opens a new connection per call and never saw it.
+
+        Margin: 20 stalled requests took at least 800 ms; without
+        the stall each takes 1-2 ms, so the 400 ms limit leaves the
+        stall-free run 10x headroom and fails the stalled one by 2x.
+        """
+        connection = http.client.HTTPConnection(server.host, server.port,
+                                                timeout=10)
+        try:
+            started = time.perf_counter()
+            for index in range(20):
+                if index % 2 == 0:
+                    connection.request(
+                        "POST", "/query", json.dumps({"query": "P(a, Y)"}),
+                        {"Content-Type": "application/json"})
+                else:
+                    connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4
+
+
+#: constants whose JSON needs escaping, stored through ``/facts``
+ESCAPED = [['say "hi"', "back\\slash"], ["line\nbreak", "naïve ✓"],
+           [2.5, -7], ["tab\there", "a/b"]]
+
+
+class TestRenderedAnswers:
+    """Each answer set renders its ``answers`` array once: a cached
+    repeat, another query hitting the same cache entry, and a job's
+    result all send the bytes a cold render sends."""
+
+    def test_cached_repeat_sends_the_cold_bytes(self, server):
+        cold = _raw(server, "POST", "/query", {"query": "P(X, Y)"})[1]
+        cached = _raw(server, "POST", "/query", {"query": "P(X, Y)"})[1]
+        renamed = _raw(server, "POST", "/query", {"query": "P(A, B)"})[1]
+        assert _answers_array(cold) == _answers_array(cached)
+        assert _answers_array(renamed) == _answers_array(cold)
+        envelopes = [json.loads(body) for body in (cold, cached, renamed)]
+        assert [envelope["stats"]["answer_cache_hits"]
+                for envelope in envelopes] == [0, 1, 1]
+        assert [envelope["query"] for envelope in envelopes] == [
+            "P(X, Y)", "P(X, Y)", "P(A, B)"]
+        assert len({envelope["query_id"] for envelope in envelopes}) == 3
+        assert envelopes[2]["count"] == len(CLOSURE)
+
+    def test_job_result_sends_the_query_bytes(self, server):
+        status, job, _ = request(server, "POST", "/jobs",
+                                 {"query": "P(X, Y)",
+                                  "engine": "semi-naive"})
+        assert status == 202
+        deadline = time.monotonic() + 10
+        status = 409
+        while status == 409 and time.monotonic() < deadline:
+            status, result = _raw(server, "GET", job["result_url"])
+            time.sleep(0.02)
+        assert status == 200
+        synchronous = _raw(server, "POST", "/query", {"query": "P(X, Y)"})[1]
+        assert _answers_array(result) == _answers_array(synchronous)
+        assert json.loads(result)["query_id"] == job["query_id"]
+
+    #: arrays taken from the per-row fragment renderer the cache
+    #: replaced: one ``json.dumps`` per value, one row per line
+    @pytest.mark.parametrize("query, array", [
+        ("N(X, Y)", '[\n    ["line\\nbreak", "naïve ✓"],'
+                    '\n    ["say \\"hi\\"", "back\\\\slash"],'
+                    '\n    ["tab\\there", "a/b"],'
+                    '\n    [2.5, -7]\n  ]'),
+        ("N(X, -7)", '[\n    [2.5, -7]\n  ]'),
+        ("P(zz, Y)", "[]"),
+    ], ids=["escaped", "bound", "empty"])
+    def test_golden_bytes_cold_and_cached(self, server, query, array):
+        assert request(server, "POST", "/facts",
+                       {"add": {"N": ESCAPED}})[0] == 200
+        for _ in range(2):
+            status, body = _raw(server, "POST", "/query", {"query": query})
+            assert status == 200
+            assert _answers_array(body) == array.encode("utf-8")
 
 
 class TestMonitoringRoutes:
@@ -501,6 +612,7 @@ class TestFlightRecorder:
         with served(trace_sample=0.0) as server:
             request(server, "POST", "/query",
                     {"query": "P(a, Y)"})  # populate cache
+            decoded = self._decode_series(server)
             _, body, _ = request(server, "POST", "/query",
                                  {"query": "P(a, Y)", "trace": True})
             document = request(server, "GET",
@@ -508,6 +620,19 @@ class TestFlightRecorder:
             trace = document["trace"]
             assert trace["meta"] == {"cache_hit": True}
             assert [r["kind"] for r in trace["rounds"]] == ["cache"]
+            # the cached set is decoded and rendered already: both
+            # phases are still recorded, and the decode is not metered
+            phases = {span["name"]: span for span in document["phases"]}
+            assert phases["decode"]["detail"] == {"lazy": False}
+            assert phases["render"]["detail"] == {"rows": 3}
+            assert self._decode_series(server) == decoded
+
+    @staticmethod
+    def _decode_series(server) -> tuple:
+        samples = parse_prometheus_text(
+            request(server, "GET", "/metrics")[1])
+        return (samples[("repro_decode_seconds_count", ())],
+                samples[("repro_answers_decoded_total", ())])
 
     def test_disabled_recorder_is_inert_and_bit_identical(self):
         """``--trace-sample 0`` with no slow threshold captures
