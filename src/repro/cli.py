@@ -23,7 +23,6 @@ from typing import Sequence
 
 from . import __version__
 
-from .core.bindings import adornment_from_string
 from .core.classifier import classify
 from .core.compile import compile_query
 from .core.advisor import capability_table
@@ -62,7 +61,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_plan(args: argparse.Namespace) -> int:
     system = parse_system(args.rule, strict=not args.loose)
-    compiled = compile_query(system, adornment_from_string(args.form))
+    compiled = compile_query(system, args.form)
     if args.json:
         print(json.dumps(compiled.to_dict(), ensure_ascii=False,
                          indent=2))

@@ -9,8 +9,9 @@ from .bindings import (Adornment, BindingSequence, adornment_from_string,
 from .classes import (Boundedness, ComponentClass, FormulaClass,
                       combine_component_classes)
 from .classifier import Classification, ComponentAnalysis, classify
-from .compile import (CompiledFormula, CycleSpec, StableCompilation,
-                      Strategy, compile_query, compile_stable)
+from .compile import (CompiledFormula, CycleSpec, MagicStep,
+                      StableCompilation, Strategy, compile_query,
+                      compile_stable)
 from .lint import Diagnostic, lint_report, lint_text
 from .minimize import find_homomorphism, minimize_rule, minimize_system
 from .plans import (Branches, Exists, JoinChain, PlanNode, Power, Product,
@@ -25,9 +26,10 @@ __all__ = [
     "Adornment", "BindingSequence", "Boundedness", "Branches",
     "Classification", "CompiledFormula", "ComponentAnalysis",
     "ComponentClass", "CycleSpec", "Exists", "FormulaClass", "JoinChain",
-    "PlanNode", "Power", "Product", "Rel", "Select", "StabilityReport",
-    "StableCompilation", "StableTransformation", "Steps", "Strategy",
-    "UnionOverK", "adornment_from_string", "adornment_to_string",
+    "MagicStep", "PlanNode", "Power", "Product", "Rel", "Select",
+    "StabilityReport", "StableCompilation", "StableTransformation",
+    "Steps", "Strategy", "UnionOverK", "adornment_from_string",
+    "adornment_to_string",
     "all_adornments", "binding_sequence", "body_adornment",
     "classification_table", "classify", "combine_component_classes",
     "compile_query", "compile_stable", "determined_closure",

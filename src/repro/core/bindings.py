@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from ..datalog.errors import DatalogSyntaxError
 from ..datalog.rules import RecursiveRule
 from ..datalog.terms import Variable
 from ..graphs.igraph import IGraph, build_igraph
@@ -36,7 +37,7 @@ def adornment_from_string(pattern: str) -> Adornment:
     """
     allowed = set("dvbf")
     if not pattern or set(pattern) - allowed:
-        raise ValueError(
+        raise DatalogSyntaxError(
             f"adornment must be over 'd'/'v' (or 'b'/'f'): {pattern!r}")
     return frozenset(i for i, ch in enumerate(pattern) if ch in "db")
 

@@ -32,17 +32,19 @@ import enum
 from dataclasses import dataclass
 
 from ..datalog.atoms import Atom
+from ..datalog.errors import EvaluationError
 from ..datalog.program import RecursionSystem
 from ..datalog.rules import Rule
 from ..datalog.terms import Variable
 from ..graphs.components import components
 from .bindings import (Adornment, BindingSequence, adornment_from_string,
-                       adornment_to_string, binding_sequence)
+                       adornment_to_string, binding_sequence,
+                       determined_closure)
 from .classes import Boundedness
 from .classifier import Classification, classify
 from .plans import (Branches, Exists, JoinChain, PlanNode, Power, Product,
                     Rel, Select, Steps, UnionOverK, render)
-from .transform import StableTransformation, to_stable
+from .transform import StableTransformation, to_nonrecursive, to_stable
 
 #: Name used for the generic exit relation in symbolic plans.
 EXIT_NAME = "E"
@@ -97,10 +99,6 @@ class StableCompilation:
     classification: Classification
     specs: tuple[CycleSpec, ...]
     free_atoms: tuple[Atom, ...]
-
-    def spec_at(self, position: int) -> CycleSpec:
-        """The cycle spec of the given argument position."""
-        return self.specs[position]
 
 
 def compile_stable(system: RecursionSystem,
@@ -176,7 +174,7 @@ def stable_plan(compilation: StableCompilation,
     bound_branches: list[PlanNode] = []
     exit_selected = False
     for position in sorted(adornment):
-        spec = compilation.spec_at(position)
+        spec = compilation.specs[position]
         if spec.is_permutational:
             exit_selected = True
             if spec.atoms:
@@ -465,23 +463,18 @@ def _assemble_groups(groups: list[_OrderedGroup],
     return body
 
 
-def bounded_plan(system: RecursionSystem,
-                 classification: Classification,
+def bounded_plan(system: RecursionSystem, expansions: tuple[Rule, ...],
                  adornment: Adornment) -> PlanNode:
-    """Finite plan for a bounded formula: one chain per exit depth."""
-    bound = classification.rank_bound
-    assert bound is not None
-    rule = system.recursive
-    head_vars = rule.head_variables
+    """Finite plan for a bounded formula: one chain per exit depth of
+    the first exit in *expansions*, the :func:`to_nonrecursive` union."""
+    head_vars = system.recursive.head_variables
     constants = frozenset(head_vars[i] for i in adornment)
     free = frozenset(head_vars) - constants
-    steps: list[PlanNode] = []
-    for depth in range(1, bound + 2):
-        flattened = system.exit_expansion(depth)
-        groups = _structure_body(tuple(flattened.body), None, constants,
-                                 free)
-        steps.append(_assemble_groups(groups))
-    return Steps(tuple(steps))
+    depths = len(expansions) // len(system.exits)
+    return Steps(tuple(
+        _assemble_groups(_structure_body(tuple(flattened.body), None,
+                                         constants, free))
+        for flattened in expansions[:depths]))
 
 
 def _atom_levels(system: RecursionSystem,
@@ -539,8 +532,52 @@ def general_plan(system: RecursionSystem, adornment: Adornment,
 
 
 @dataclass(frozen=True)
+class MagicStep:
+    """One expansion of an ITERATIVE query's binding pass: bindings of
+    ``entry`` (head variables), joined with ``atoms`` (those in their
+    determined closure) and projected onto ``out`` (recursive-call
+    variables), are the bindings at ``next_adornment``, whose own step
+    is ``CompiledFormula.magic[successor]``."""
+
+    next_adornment: Adornment
+    entry: tuple[Variable, ...]
+    atoms: tuple[Atom, ...]
+    out: tuple[Variable, ...]
+    successor: int
+
+
+def _magic_steps(system: RecursionSystem, classification: Classification,
+                 sequence: BindingSequence) -> tuple[MagicStep | None, ...]:
+    """The step from each adornment of *sequence*; None where nothing
+    stays bound, so the recursion below it is unrestricted."""
+    rule = system.recursive
+    states = sequence.states
+    steps: list[MagicStep | None] = []
+    for index, adornment in enumerate(states):
+        successor = (index + 1 if index + 1 < len(states)
+                     else sequence.prefix_length)
+        next_adornment = states[successor]
+        if not next_adornment:
+            steps.append(None)
+            continue
+        entry = tuple(rule.head_variables[i] for i in sorted(adornment))
+        closure = determined_closure(classification.graph, entry)
+        steps.append(MagicStep(
+            next_adornment, entry,
+            tuple(a for a in rule.nonrecursive_atoms
+                  if a.variable_set() & closure),
+            tuple(rule.body_recursive_variables[i]
+                  for i in sorted(next_adornment)),
+            successor))
+    return tuple(steps)
+
+
+@dataclass(frozen=True)
 class CompiledFormula:
-    """A query compiled against a classified recursion system."""
+    """A query compiled against a classified recursion system: the
+    plan it shows and what the compiled engine runs — ``stable``,
+    ``expansions`` (BOUNDED: the :func:`to_nonrecursive` union) or
+    ``magic`` (ITERATIVE: the step from each of ``binding.states``)."""
 
     system: RecursionSystem
     classification: Classification
@@ -551,17 +588,24 @@ class CompiledFormula:
     stable: StableCompilation | None
     binding: BindingSequence
     notes: tuple[str, ...]
+    expansions: tuple[Rule, ...] = ()
+    magic: tuple[MagicStep | None, ...] = ()
 
     @property
     def plan_text(self) -> str:
         """The plan in the paper's notation."""
         return render(self.plan)
 
+    @property
+    def query_form(self) -> str:
+        """The adornment in ``d``/``v`` notation, e.g. ``dvv``."""
+        return adornment_to_string(self.adornment, self.system.dimension)
+
     def to_dict(self) -> dict[str, object]:
         """A JSON-serialisable view (for the CLI's --json output)."""
         arity = self.system.dimension
         return {
-            "query_form": adornment_to_string(self.adornment, arity),
+            "query_form": self.query_form,
             "formula_class": str(self.classification.formula_class),
             "strategy": str(self.strategy),
             "binding_sequence": self.binding.describe(arity),
@@ -575,9 +619,7 @@ class CompiledFormula:
         """Multi-line description: class, strategy, bindings, plan."""
         arity = self.system.dimension
         lines = [
-            f"query form: "
-            f"{self.system.predicate}"
-            f"({adornment_to_string(self.adornment, arity)})",
+            f"query form: {self.system.predicate}({self.query_form})",
             f"class:      {self.classification.describe()}",
             f"strategy:   {self.strategy}",
             f"bindings:   {self.binding.describe(arity)}",
@@ -604,25 +646,31 @@ def compile_query(system: RecursionSystem,
     <Strategy.ITERATIVE: 'iterative'>
     """
     if isinstance(adornment, str):
-        adornment = adornment_from_string(adornment)
-    if classification is None:
-        classification = classify(system)
+        form, adornment = adornment, adornment_from_string(adornment)
+        if len(form) != system.dimension:
+            raise EvaluationError(
+                f"query form {form!r} has {len(form)} position(s), but "
+                f"{system.predicate} has arity {system.dimension}")
     if max(adornment, default=-1) >= system.dimension:
-        raise ValueError(
+        raise EvaluationError(
             f"adornment mentions position {max(adornment) + 1} but the "
             f"predicate has arity {system.dimension}")
+    if classification is None:
+        classification = classify(system)
     sequence = binding_sequence(system.recursive, adornment)
     notes: list[str] = []
 
     if classification.boundedness is Boundedness.BOUNDED:
-        plan = bounded_plan(system, classification, adornment)
+        expansions = to_nonrecursive(system, classification)
+        plan = bounded_plan(system, expansions, adornment)
         notes.append(
             f"bounded: rank ≤ {classification.rank_bound}; plan is a "
             f"finite union over exit depths 1.."
             f"{classification.rank_bound + 1}")
         return CompiledFormula(system, classification, adornment,
                                Strategy.BOUNDED, plan, None, None,
-                               sequence, tuple(notes))
+                               sequence, tuple(notes),
+                               expansions=expansions)
 
     if classification.is_strongly_stable:
         stable = compile_stable(system, classification)
@@ -653,4 +701,6 @@ def compile_query(system: RecursionSystem,
             f" (binding sequence {sequence.describe(arity)})")
     return CompiledFormula(system, classification, adornment,
                            Strategy.ITERATIVE, plan, None, None,
-                           sequence, tuple(notes))
+                           sequence, tuple(notes),
+                           magic=_magic_steps(system, classification,
+                                              sequence))

@@ -35,18 +35,20 @@ A STABLE or TRANSFORM query with no bound position has no selection to
 push: it runs the unrestricted ITERATIVE fixpoint, and
 ``stats.strategy`` (and so its trace) names ``iterative`` as the
 strategy that ran.
+
+A query resolves nothing: the engine reads only the compiled formula
+of its query form.
 """
 
 from __future__ import annotations
 
-from ..core.bindings import (Adornment, body_adornment,
-                             determined_closure)
-from ..core.classifier import Classification
+from itertools import product
+
 from ..core.compile import (CompiledFormula, CycleSpec, StableCompilation,
                             Strategy, compile_query)
+from ..datalog.errors import EvaluationError
 from ..datalog.program import RecursionSystem
 from ..datalog.terms import Variable
-from ..graphs.igraph import build_igraph
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .conjunctive import satisfiable
@@ -56,21 +58,6 @@ from .stats import EvaluationStats, open_stats
 from .trace import Tracer
 from .vector import (ColumnarTotal, answer_boundary, exit_round,
                      run_delta_loop)
-
-
-def _product_rows(pattern: tuple,
-                  choice_sets: list[tuple[int, tuple]]):
-    """Full-arity answer tuples: *pattern*'s values where it has
-    them, every combination of the per-position options elsewhere."""
-    base = list(pattern)
-    if not choice_sets:
-        yield tuple(base)
-        return
-    position, options = choice_sets[0]
-    for value in options:
-        base[position] = value
-        for rest in _product_rows(tuple(base), choice_sets[1:]):
-            yield rest
 
 
 def _is_identity(spec: CycleSpec) -> bool:
@@ -113,6 +100,10 @@ class CompiledEngine:
         """
         if compiled is None:
             compiled = compile_query(system, query.adornment)
+        elif compiled.adornment != query.adornment:
+            raise EvaluationError(
+                f"the formula is compiled for {compiled.system.predicate}"
+                f"({compiled.query_form}) queries, not for {query}")
         strategy = compiled.strategy
         if strategy is not Strategy.BOUNDED and not query.adornment:
             # no bound position: nothing to push down, so the chain
@@ -121,7 +112,7 @@ class CompiledEngine:
         stats = open_stats(stats, self.name, "python",
                            strategy.name.lower())
         if trace is not None:
-            trace.begin(self.name, predicate=system.predicate,
+            trace.begin(self.name, predicate=compiled.system.predicate,
                         query=query)
 
         # The strategies run in storage space: the query's constants
@@ -129,10 +120,10 @@ class CompiledEngine:
         # lazy AnswerSet at the end.
         enc_query = query.encoded(edb)
         if strategy is Strategy.BOUNDED:
-            total = self._evaluate_bounded(system, compiled.classification,
-                                           edb, enc_query, stats, trace)
+            total = self._evaluate_bounded(compiled, edb, enc_query, stats,
+                                           trace)
         elif strategy is Strategy.ITERATIVE:
-            total = self._evaluate_iterative(system, edb, enc_query,
+            total = self._evaluate_iterative(compiled, edb, enc_query,
                                              stats, trace)
         else:
             total = self._evaluate_stable(compiled.stable, edb, enc_query,
@@ -141,8 +132,7 @@ class CompiledEngine:
 
     # -- bounded -------------------------------------------------------
 
-    def _evaluate_bounded(self, system: RecursionSystem,
-                          classification: Classification, edb: Database,
+    def _evaluate_bounded(self, compiled: CompiledFormula, edb: Database,
                           query: Query, stats: EvaluationStats,
                           trace: Tracer | None = None) -> set[tuple]:
         """The union of the (bound + 1) × |exits| exit expansions.
@@ -151,8 +141,7 @@ class CompiledEngine:
         before each expansion instead of after it: a spent budget runs
         no further expansion.
         """
-        bound = classification.rank_bound
-        assert bound is not None
+        depths = len(compiled.expansions) // len(compiled.system.exits)
         deadline = stats.deadline
         # the query's constants enter each expansion through its head
         # terms at the bound positions, so the entry layout checks a
@@ -160,25 +149,24 @@ class CompiledEngine:
         positions = sorted(query.constants)
         entry = tuple(query.pattern[i] for i in positions)
         answers: set[tuple] = set()
-        for exit_index in range(len(system.exits)):
-            for depth in range(1, bound + 2):
-                if deadline is not None:
-                    deadline.check_time()
-                    if deadline.out_of_rows(len(answers)):
-                        stats.truncated = True
-                        return answers
-                flattened = system.exit_expansion(depth, exit_index)
-                head = flattened.head.args
-                if trace is not None:
-                    trace.begin_round("expansion", 0, stats)
-                before = len(answers)
-                answers |= apply_rule(edb, flattened.body,
-                                      tuple(head[i] for i in positions),
-                                      head, [entry], stats)
-                stats.record_round(len(answers) - before)
-                if trace is not None:
-                    trace.end_round(len(answers) - before, stats,
-                                    exit=exit_index, depth=depth)
+        for index, flattened in enumerate(compiled.expansions):
+            if deadline is not None:
+                deadline.check_time()
+                if deadline.out_of_rows(len(answers)):
+                    stats.truncated = True
+                    return answers
+            head = flattened.head.args
+            if trace is not None:
+                trace.begin_round("expansion", 0, stats)
+            before = len(answers)
+            answers |= apply_rule(edb, flattened.body,
+                                  tuple(head[i] for i in positions),
+                                  head, [entry], stats)
+            stats.record_round(len(answers) - before)
+            if trace is not None:
+                exit_index, depth = divmod(index, depths)
+                trace.end_round(len(answers) - before, stats,
+                                exit=exit_index, depth=depth + 1)
         return answers
 
     # -- stable ----------------------------------------------------------
@@ -304,24 +292,24 @@ class CompiledEngine:
 
             # Collect depth-`depth` answers.
             new_answers = 0
-            back_maps = {j: self._pairs_to_map(exit_columns[j])
-                         for j in walked}
+            # walked position → exit value → the values k steps before
+            back_maps: dict[int, dict] = {j: {} for j in walked}
+            for j in walked:
+                for head_value, exit_value in exit_columns[j]:
+                    back_maps[j].setdefault(exit_value, []).append(head_value)
             pattern = list(query.pattern)
             for exit_row in retrieve():
-                choice_sets = []
-                for j in walked:
-                    options = back_maps[j].get(exit_row[j], ())
-                    if not options:
-                        break
-                    choice_sets.append((j, options))
-                else:
-                    for j in identities:
-                        pattern[j] = exit_row[j]
-                    for combo in _product_rows(tuple(pattern),
-                                               choice_sets):
-                        if combo not in answers:
-                            answers.add(combo)
-                            new_answers += 1
+                for j in identities:
+                    pattern[j] = exit_row[j]
+                # every combination of the walked positions' options
+                for values in product(*(back_maps[j].get(exit_row[j], ())
+                                        for j in walked)):
+                    for j, value in zip(walked, values):
+                        pattern[j] = value
+                    combo = tuple(pattern)
+                    if combo not in answers:
+                        answers.add(combo)
+                        new_answers += 1
             if not gate_open:
                 # nothing beyond depth 0 can ever be derived
                 stats.close_round(new_answers, len(answers), trace,
@@ -340,22 +328,15 @@ class CompiledEngine:
                 break  # σE of an empty frontier is empty from here on
         return answers
 
-    @staticmethod
-    def _pairs_to_map(pairs: frozenset) -> dict[object, tuple]:
-        by_exit: dict[object, list] = {}
-        for head_value, exit_value in pairs:
-            by_exit.setdefault(exit_value, []).append(head_value)
-        return {key: tuple(values) for key, values in by_exit.items()}
-
     # -- iterative ---------------------------------------------------------
 
-    def _evaluate_iterative(self, system: RecursionSystem, edb: Database,
+    def _evaluate_iterative(self, compiled: CompiledFormula, edb: Database,
                             query: Query, stats: EvaluationStats,
                             trace: Tracer | None = None
                             ) -> set[tuple] | ColumnarTotal:
         if trace is not None:
             trace.begin_round("magic", 0, stats)
-        magic, unrestricted = self._magic_bindings(system, edb, query,
+        magic, unrestricted = self._magic_bindings(compiled, edb, query,
                                                    stats)
         if trace is not None:
             trace.end_round(0, stats, unrestricted=unrestricted,
@@ -371,6 +352,7 @@ class CompiledEngine:
 
         # σE: the exit rules probed with each adornment's bindings, or
         # read whole when the recursion below the query is unrestricted
+        system = compiled.system
         total, delta = exit_round(
             edb, system.exits, [((), [()])] if unrestricted else keyed,
             stats, trace)
@@ -380,68 +362,38 @@ class CompiledEngine:
                               total, delta, stats, trace,
                               relevant=None if unrestricted else relevant)
 
-    def _magic_bindings(self, system: RecursionSystem, edb: Database,
+    def _magic_bindings(self, compiled: CompiledFormula, edb: Database,
                         query: Query, stats: EvaluationStats
-                        ) -> tuple[dict[Adornment, set[tuple]], bool]:
+                        ) -> tuple[dict[frozenset, set[tuple]], bool]:
         """The relevant recursive-call bindings, per adornment.
 
-        *query* is in storage space.  Iterates the
-        sideways-information-passing step set-at-a-time: each round
-        joins every new bound tuple at adornment ``a`` with the
-        (relevant) non-recursive atoms in one rule application and
-        projects onto the determined body positions, producing bound
-        tuples at ``body_adornment(a)``.  Finite: adornments × active
-        domain tuples.  An empty adornment means the recursion below
-        that point is unrestricted.  The deadline is checked once per
-        round.
+        *query* is in storage space.  Walks the compiled
+        sideways-information-passing steps set-at-a-time: each round
+        joins the new bound tuples at one adornment with its step's
+        atoms in one rule application, producing the bound tuples at
+        the one next adornment.  Finite: adornments × active domain
+        tuples.  A step to the empty adornment (None) means the
+        recursion below is unrestricted.  The deadline is checked once
+        per round.
         """
-        rule = system.recursive
         start = query.adornment
-        magic: dict[Adornment, set[tuple]] = {}
+        magic: dict[frozenset, set[tuple]] = {}
         if not start:
             return magic, True
-        graph = build_igraph(rule)
-        head_vars = rule.head_variables
-        body_vars = rule.body_recursive_variables
-        steps: dict[Adornment, tuple | None] = {}
-
-        def step_of(adornment: Adornment) -> tuple | None:
-            """(next adornment, entry terms, atoms, output terms) of
-            one expansion from *adornment*; None when nothing stays
-            bound."""
-            next_adornment = body_adornment(rule, adornment, graph)
-            if not next_adornment:
-                return None
-            entry = tuple(head_vars[i] for i in sorted(adornment))
-            closure = determined_closure(graph, entry)
-            atoms = tuple(a for a in rule.nonrecursive_atoms
-                          if a.variable_set() & closure)
-            out = tuple(body_vars[i] for i in sorted(next_adornment))
-            return next_adornment, entry, atoms, out
-
         deadline = stats.deadline
-        unrestricted = False
-        seed = tuple(query.pattern[i] for i in sorted(start))
-        magic[start] = {seed}
-        frontier: dict[Adornment, set[tuple]] = {start: {seed}}
+        frontier = {tuple(query.pattern[i] for i in sorted(start))}
+        magic[start] = set(frontier)
+        steps = compiled.magic
+        index = 0
         while frontier:
             if deadline is not None:
                 deadline.check_time()
-            produced: dict[Adornment, set[tuple]] = {}
-            for adornment, bindings in frontier.items():
-                if adornment not in steps:
-                    steps[adornment] = step_of(adornment)
-                step = steps[adornment]
-                if step is None:
-                    unrestricted = True
-                    continue
-                next_adornment, entry, atoms, out = step
-                bucket = magic.setdefault(next_adornment, set())
-                fresh = apply_rule(edb, atoms, entry, out, bindings,
-                                   stats) - bucket
-                if fresh:
-                    bucket |= fresh
-                    produced.setdefault(next_adornment, set()).update(
-                        fresh)
-            frontier = produced
-        return magic, unrestricted
+            step = steps[index]
+            if step is None:
+                return magic, True
+            bucket = magic.setdefault(step.next_adornment, set())
+            frontier = apply_rule(edb, step.atoms, step.entry, step.out,
+                                  frontier, stats) - bucket
+            bucket |= frontier
+            index = step.successor
+        return magic, False

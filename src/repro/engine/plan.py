@@ -106,15 +106,16 @@ class FusedTail:
 class JoinPlan:
     """An ordered join pipeline plus the output projection.
 
-    ``entry_vars`` is the binding-tuple layout at entry (the distinct
-    variables of the entry terms, in first-occurrence order); each step
-    appends its ``new_positions`` columns; ``out_sources`` projects the
-    final layout onto the head terms.  ``fused`` certifies (at compile
-    time) that the last step and the projection collapse into one
-    columnar probe — see :class:`FusedTail`.
+    ``layout`` maps rows onto the binding tuples at entry (the distinct
+    variables of the entry terms, in first-occurrence order — see
+    :class:`EntryLayout`); each step appends its ``new_positions``
+    columns; ``out_sources`` projects the final layout onto the head
+    terms.  ``fused`` certifies (at compile time) that the last step
+    and the projection collapse into one columnar probe — see
+    :class:`FusedTail`.
     """
 
-    entry_vars: tuple[Variable, ...]
+    layout: EntryLayout
     steps: tuple[JoinStep, ...]
     out_sources: tuple[Source, ...]
     fused: FusedTail | None = None
@@ -122,7 +123,7 @@ class JoinPlan:
     @property
     def width(self) -> int:
         """Final binding-tuple width after all steps."""
-        return len(self.entry_vars) + sum(
+        return len(self.layout.variables) + sum(
             len(s.new_positions) for s in self.steps)
 
 
@@ -294,7 +295,7 @@ def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
                 f"restricted relative to its entry")
     steps_t = tuple(steps)
     out_t = tuple(out_sources)
-    return JoinPlan(layout.variables, steps_t, out_t,
+    return JoinPlan(layout, steps_t, out_t,
                     _fused_tail(layout.variables, steps_t, out_t))
 
 

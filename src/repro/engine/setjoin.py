@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 from ..datalog.atoms import Atom
 from ..datalog.terms import Term
 from ..ra.database import Database
-from .plan import JoinPlan, JoinStep, compile_plan, entry_layout
+from .plan import JoinPlan, JoinStep, compile_plan
 from .stats import EvaluationStats
 
 _NO_ROWS: tuple = ()
@@ -329,8 +329,7 @@ def apply_rule(database: Database, body: Sequence[Atom],
     it.
     """
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
-    batch = entry_layout(tuple(entry_terms),
-                         database.encode_const).batch(rows)
+    batch = plan.layout.batch(rows)
     if stats is not None:
         stats.record_batch(len(batch))
     return execute_plan(database, plan, batch, stats)

@@ -50,7 +50,7 @@ from array import array
 from ..datalog.errors import EvaluationError
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .plan import FusedTail, compile_plan, entry_layout
+from .plan import FusedTail, compile_plan
 from .setjoin import apply_rule, execute_plan
 from .stats import EvaluationStats
 from .trace import Tracer
@@ -341,28 +341,25 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     entry_terms = tuple(entry_terms)
     out_terms = tuple(out_terms)
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
-    layout = entry_layout(entry_terms, database.encode_const)
     n_symbols = len(database.symbols)
     certified = (
         backend != "python" and relevant is None
-        and len(entry_terms) == 2 and layout.is_identity
+        and len(entry_terms) == 2 and plan.layout.is_identity
         and plan.fused is not None and len(plan.steps) == 1
         and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
     if not certified or _np is None:
         return _python_rounds(database, body, entry_terms, out_terms,
-                              total, delta, stats, trace, plan, layout,
-                              relevant)
+                              total, delta, stats, trace, plan, relevant)
     state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace)
 
 
 def _python_rounds(database, body, entry_terms, out_terms, total,
-                   delta, stats, trace, plan, layout,
-                   relevant) -> set[tuple]:
+                   delta, stats, trace, plan, relevant) -> set[tuple]:
     """Tuple-set rounds (round 1's span is already open and its plan
     already compiled)."""
-    batch = layout.batch(delta)
+    batch = plan.layout.batch(delta)
     stats.record_batch(len(batch))
     new = execute_plan(database, plan, batch, stats)
     while True:

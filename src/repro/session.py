@@ -531,23 +531,11 @@ class DeductiveDatabase:
                 f"unknown engine {engine!r}; valid engines: "
                 f"{', '.join(sorted(ENGINES))}")
         predicate = query.predicate
-
-        if predicate not in self.idb_predicates:
-            known_arity = self._edb.arity(predicate)
-            if known_arity is None:
-                raise EvaluationError(
-                    f"unknown predicate {predicate!r}: no rule defines "
-                    f"it and no facts were loaded for it")
-            stats.formula_class = "edb"
-            self._check_query_arity(query, known_arity)
+        stats.formula_class, arity = self._resolve(predicate)
+        self._check_query_arity(query, arity)
+        if stats.formula_class == "edb":
             return self._lookup("edb", self._edb, query, stats, trace)
-
-        system = self.system_for(predicate)
-        stats.formula_class = ("view" if system is None else str(
-            self.classification(predicate).formula_class))
-        self._check_query_arity(
-            query, self.rules_for(predicate)[0].head.arity)
-        if system is None:
+        if stats.formula_class == "view":
             return self._lookup("view", self.materialise(), query, stats,
                                 trace)
 
@@ -571,16 +559,40 @@ class DeductiveDatabase:
 
         base = self._materialise_below(predicate)
         if engine != "compiled":
-            return ENGINES[engine]().evaluate(system, base, query, stats,
-                                              trace=trace)
-        key = (predicate, query.adornment)
+            return ENGINES[engine]().evaluate(
+                self.system_for(predicate), base, query, stats,
+                trace=trace)
+        compiled = self._compiled(query)
+        return CompiledEngine().evaluate(
+            compiled.system, base, query, stats, compiled=compiled,
+            trace=trace)
+
+    def _resolve(self, predicate: str) -> tuple[str, int]:
+        """The label (``edb``, ``view`` or the formula class) and the
+        arity of *predicate*; :class:`EvaluationError` when neither a
+        rule nor a fact defines it."""
+        if predicate not in self.idb_predicates:
+            arity = self._edb.arity(predicate)
+            if arity is None:
+                raise EvaluationError(
+                    f"unknown predicate {predicate!r}: no rule defines "
+                    f"it and no facts were loaded for it")
+            return "edb", arity
+        label = ("view" if self.system_for(predicate) is None
+                 else str(self.classification(predicate).formula_class))
+        return label, self.rules_for(predicate)[0].head.arity
+
+    def _compiled(self, query: Query) -> CompiledFormula:
+        """The compiled formula of *query*'s recursive predicate for
+        its query form, from the plan cache (compiled on a miss)."""
+        key = (query.predicate, query.adornment)
         compiled = self._plan_cache.get(key)
         if compiled is None:
-            compiled = compile_query(system, query.adornment,
-                                     self.classification(predicate))
+            compiled = compile_query(self.system_for(query.predicate),
+                                     query.adornment,
+                                     self.classification(query.predicate))
             self._plan_cache[key] = compiled
-        return CompiledEngine().evaluate(
-            system, base, query, stats, compiled=compiled, trace=trace)
+        return compiled
 
     @staticmethod
     def _lookup(label: str, db: Database, query: Query,
@@ -701,15 +713,19 @@ class DeductiveDatabase:
                 for answer in answers]
 
     def explain(self, query: Query | str) -> str:
-        """The compiled formula and strategy for a query, as text."""
+        """The compiled formula and strategy for a query, as text: the
+        plan-cache entry :meth:`query` runs.  An unknown predicate or a
+        wrong arity raises :meth:`query`'s :class:`EvaluationError`."""
         query = _as_query(query)
-        system = self.system_for(query.predicate)
-        if system is None:
+        label, arity = self._resolve(query.predicate)
+        self._check_query_arity(query, arity)
+        if label == "edb":
+            return (f"{query.predicate} is a stored relation; answered "
+                    f"by lookup")
+        if label == "view":
             return (f"{query.predicate} is not recursive; evaluated by "
                     f"materialisation")
-        compiled = compile_query(system, query.adornment,
-                                 self.classification(query.predicate))
-        return compiled.describe()
+        return self._compiled(query).describe()
 
     def explain_analyze(self, query: Query | str,
                         engine: str = "compiled") -> str:

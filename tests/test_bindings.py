@@ -6,6 +6,7 @@ from repro.core.bindings import (adornment_from_string,
                                  adornment_to_string, all_adornments,
                                  binding_sequence, body_adornment,
                                  determined_closure)
+from repro.datalog.errors import DatalogSyntaxError
 from repro.datalog.parser import parse_rule
 from repro.datalog.rules import RecursiveRule
 from repro.datalog.terms import Variable
@@ -28,9 +29,9 @@ class TestAdornmentNotation:
         assert adornment_from_string("bf") == adornment_from_string("dv")
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DatalogSyntaxError):
             adornment_from_string("dxv")
-        with pytest.raises(ValueError):
+        with pytest.raises(DatalogSyntaxError):
             adornment_from_string("")
 
     def test_all_adornments_count(self):

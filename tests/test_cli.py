@@ -51,6 +51,17 @@ class TestPlan:
         assert code == 0
         assert "σA-C-B-[{A, B}-C]^k-E" in out
 
+    @pytest.mark.parametrize("form", ["dx", "dvv", "d", ""])
+    def test_refused_form_is_an_error(self, capsys, form):
+        """A malformed or mis-sized query form is refused with a
+        message, not a traceback, and never planned as another form."""
+        code = main(["plan", "--form", form,
+                     "P(x, y) :- A(x, z), P(z, y)."])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestFigure:
     def test_igraph_text(self, capsys):

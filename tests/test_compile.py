@@ -10,6 +10,7 @@ plans).
 import pytest
 
 from repro.core.compile import (Strategy, compile_query, compile_stable)
+from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_system
 from repro.workloads import CATALOGUE
 
@@ -42,7 +43,7 @@ class TestStrategySelection:
         assert compile_query(system, "dv").adornment == frozenset({0})
 
     def test_arity_checked(self):
-        with pytest.raises(ValueError, match="arity"):
+        with pytest.raises(EvaluationError, match="arity"):
             compile_query(CATALOGUE["s1a"].system(), frozenset({5}))
 
 

@@ -109,8 +109,8 @@ class TestIterativeStrategy:
         # _magic_bindings works in storage space: encode the query
         query = Query("P", (constant, None, None)).encoded(db)
         stats = EvaluationStats()
-        magic, unrestricted = engine._magic_bindings(system, db, query,
-                                                     stats)
+        magic, unrestricted = engine._magic_bindings(
+            compile_query(system, query.adornment), db, query, stats)
         assert not unrestricted
         assert magic[frozenset({0})] == {(query.pattern[0],)}
         # after one expansion the steady adornment {0, 1} is reached,
@@ -129,8 +129,9 @@ class TestIterativeStrategy:
             "P__exit": [("n0", "n0", "n0")],
         })
         engine = CompiledEngine()
+        query = Query("P", ("n0", None, None)).encoded(db)
         magic, unrestricted = engine._magic_bindings(
-            system, db, Query("P", ("n0", None, None)).encoded(db),
+            compile_query(system, query.adornment), db, query,
             EvaluationStats())
         assert unrestricted
 
@@ -141,8 +142,10 @@ class TestIterativeStrategy:
             "P__exit": [("n0", "n0")],
         })
         engine = CompiledEngine()
+        query = Query.all_free("P", 2)
         magic, unrestricted = engine._magic_bindings(
-            system, db, Query.all_free("P", 2), EvaluationStats())
+            compile_query(system, query.adornment), db, query,
+            EvaluationStats())
         assert unrestricted and not magic
 
 

@@ -447,6 +447,31 @@ class TestExplain:
     def test_explain_view(self, ddb):
         assert "not recursive" in ddb.explain("mother(X, Y)")
 
+    def test_explain_stored_relation(self, ddb):
+        assert "stored relation" in ddb.explain("parent(ann, Y)")
+
+    @pytest.mark.parametrize("text,match", [
+        ("Q(a)", "unknown predicate"),
+        ("anc(ann, bea, cal)", "arity"),
+        ("anc(ann)", "arity"),
+        ("mother(ann)", "arity"),
+        ("parent(ann)", "arity"),
+    ])
+    def test_explain_refuses_what_query_refuses(self, ddb, text, match):
+        with pytest.raises(EvaluationError, match=match):
+            ddb.query(text)
+        with pytest.raises(EvaluationError, match=match):
+            ddb.explain(text)
+
+    def test_explain_shows_the_cached_formula(self, ddb):
+        """EXPLAIN prints the plan-cache entry the query runs."""
+        text = ddb.explain("anc(ann, Y)")
+        (compiled,) = ddb._plan_cache.values()
+        assert text == compiled.describe()
+        ddb.query("anc(bea, Y)")
+        (cached,) = ddb._plan_cache.values()
+        assert cached is compiled
+
 
 class TestEngineParameter:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",

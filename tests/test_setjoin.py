@@ -24,7 +24,7 @@ class TestPlanCompilation:
         plan = compile_plan(atoms("A(x, z)"),
                             atoms("P(z, y)")[0].args,
                             atoms("P(x, y)")[0].args, db)
-        assert plan.entry_vars == (V("z"), V("y"))
+        assert plan.layout.variables == (V("z"), V("y"))
         (step,) = plan.steps
         assert step.predicate == "A"
         assert step.key_positions == (1,)

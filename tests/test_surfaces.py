@@ -1,13 +1,15 @@
 """Every input surface answers or fails with a 4xx, never a 5xx.
 
-Hypothesis feeds arbitrary text to the three parsers and arbitrary
-JSON documents to ``POST /query`` and ``POST /facts`` of a real
-:class:`~repro.server.QueryServer` (``tests/wire.py``).  A parser must
-return or raise a :class:`~repro.datalog.errors.ReproError`; a request
-must answer 200, 202 or a 4xx within :data:`REQUEST_BOUND_S`.  After
-every write batch, a query of each predicate the server then knows
-must also never answer a 5xx: a rule the session accepts must be one
-it can evaluate.
+Hypothesis feeds arbitrary text to the three parsers, arbitrary JSON
+documents to ``POST /query`` and ``POST /facts`` of a real
+:class:`~repro.server.QueryServer` (``tests/wire.py``), and statements
+and dot-command arguments to the interactive
+:class:`~repro.shell.Shell`.  A parser must return or raise a
+:class:`~repro.datalog.errors.ReproError`; a request must answer 200,
+202 or a 4xx within :data:`REQUEST_BOUND_S`; a shell line must print
+its output or ``error: …`` and return.  After every write batch, a
+query of each predicate the server then knows must also never answer
+a 5xx: a rule the session accepts must be one it can evaluate.
 
 The regression tests at the top pin the two ``/facts`` bugs the fuzz
 is built to find: a failed batch leaking its first writes into the
@@ -16,15 +18,17 @@ next epoch, and a rule that is not range restricted being accepted.
 
 from __future__ import annotations
 
+import io
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.errors import DatalogSyntaxError, ReproError
 from repro.datalog.parser import parse_program, parse_rule
 from repro.engine.query import Query
+from repro.shell import Shell
 
 from .wire import CLOSURE, request, served
 
@@ -255,3 +259,63 @@ class TestRequests:
                     answer_or_4xx(server, "/query", {
                         "query": f"{predicate}({variables})",
                         "engine": engine})
+
+
+# -- the shell ----------------------------------------------------------------
+
+#: A binary recursion, a ternary recursion and a view, one shell line
+#: each statement group.
+_SHELL_PROGRAM = (
+    "P(x, y) :- A(x, z), P(z, y).",
+    "P(x, y) :- E(x, y).",
+    "S(x, y, z) :- A(x, u), B(y, v), S(u, v, z).",
+    "S(x, y, z) :- F(x, y, z).",
+    "V(x) :- A(x, y).",
+    "A(a, b). A(b, c). B(a, b). B(b, c). E(c, c). F(c, c, a).",
+)
+_SHELL_PREDICATES = ["P", "S", "V", "A", "B", "E", "F", "Q"]
+
+
+def _shell_atom(terms: list[str]):
+    """Atom text over the program's predicates, of any arity to 4."""
+    return st.builds(
+        lambda name, args: f"{name}({', '.join(args)})",
+        st.sampled_from(_SHELL_PREDICATES),
+        st.lists(st.sampled_from(terms), max_size=4))
+
+
+_LINE_TEXT = _DATALOG.replace("\n", "")
+_GOAL = _shell_atom(["a", "b", "c", "d", "X", "Y", "_", "1"])
+_RULE_ATOM = _shell_atom(["x", "y", "z", "'a'"])
+#: one shell line: a dot command with an argument, a goal, a fact, a
+#: rule, or any text (never ``.load`` or ``.save``, which touch files)
+_SHELL_LINES = st.one_of(
+    st.builds("{} {}".format,
+              st.sampled_from([".explain", ".prove", ".classify",
+                               ".advise", ".rules", ".facts"]),
+              st.one_of(_GOAL, st.sampled_from(_SHELL_PREDICATES + [""]),
+                        st.text(alphabet=_LINE_TEXT, max_size=20))),
+    st.builds("?- {}.".format, _GOAL),
+    st.builds("{}.".format, _GOAL),
+    st.builds("{} :- {}, {}.".format, _RULE_ATOM, _RULE_ATOM,
+              _RULE_ATOM),
+    st.text(alphabet=_LINE_TEXT, max_size=30),
+).map(str.strip).filter(
+    lambda line: line and not line.startswith(("%", "#"))
+    and line.partition(" ")[0] not in (".load", ".save", ".quit",
+                                       ".exit", ".q"))
+
+
+class TestShell:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.lists(_SHELL_LINES, min_size=1, max_size=4))
+    @example([".explain P(a, b, c)"])
+    @example([".explain S(a, b, c, d)"])
+    def test_every_line_prints_and_returns(self, lines):
+        stdout = io.StringIO()
+        shell = Shell(stdin=io.StringIO(), stdout=stdout)
+        for line in _SHELL_PROGRAM + tuple(lines):
+            printed = len(stdout.getvalue())
+            assert shell.handle(line) is True, line
+            assert len(stdout.getvalue()) > printed, line
