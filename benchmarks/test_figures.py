@@ -89,6 +89,8 @@ def test_figure4_s9_resolution_graphs_and_plans(benchmark, save_artifact):
     # P(v,v,d): paper plan σE, (∃ ∪k [(AB)^k (E⋈B)]) A
     assert "∃(" in plan_vvd.plan_text
     assert plan_vvd.plan_text.endswith("-A]")
+    # what the engine runs for either form: the auxiliary recursion
+    assert plan_dvv.auxiliary.describe() == plan_vvd.auxiliary.describe()
     text = "\n\n".join([
         ascii_resolution(first, "Figure 4(a): first resolution graph"),
         ascii_resolution(second, "Figure 4(b): second resolution graph"),
@@ -96,6 +98,7 @@ def test_figure4_s9_resolution_graphs_and_plans(benchmark, save_artifact):
         f"ours:                {plan_dvv.plan_text}",
         "paper plan P(v,v,d): σE, (∃ ∪k [(AB)^k (E⋈B)]) A",
         f"ours:                {plan_vvd.plan_text}",
+        f"engine runs:         {plan_dvv.auxiliary.describe()}",
     ])
     save_artifact("figure4", text)
 

@@ -9,9 +9,9 @@ from .bindings import (Adornment, BindingSequence, adornment_from_string,
 from .classes import (Boundedness, ComponentClass, FormulaClass,
                       combine_component_classes)
 from .classifier import Classification, ComponentAnalysis, classify
-from .compile import (CompiledFormula, CycleSpec, MagicStep,
-                      StableCompilation, Strategy, compile_query,
-                      compile_stable)
+from .compile import (AuxiliaryRecursion, CompiledFormula, CycleSpec,
+                      MagicStep, StableCompilation, Strategy,
+                      compile_query, compile_stable)
 from .lint import Diagnostic, lint_report, lint_text
 from .minimize import find_homomorphism, minimize_rule, minimize_system
 from .plans import (Branches, Exists, JoinChain, PlanNode, Power, Product,
@@ -23,8 +23,8 @@ from .transform import StableTransformation, to_nonrecursive, to_stable
 from .witness import freeze_body, witness_database, witness_rank
 
 __all__ = [
-    "Adornment", "BindingSequence", "Boundedness", "Branches",
-    "Classification", "CompiledFormula", "ComponentAnalysis",
+    "Adornment", "AuxiliaryRecursion", "BindingSequence", "Boundedness",
+    "Branches", "Classification", "CompiledFormula", "ComponentAnalysis",
     "ComponentClass", "CycleSpec", "Exists", "FormulaClass", "JoinChain",
     "MagicStep", "PlanNode", "Power", "Product", "Rel", "Select",
     "StabilityReport", "StableCompilation", "StableTransformation",

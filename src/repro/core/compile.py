@@ -24,6 +24,10 @@ Strategy selection follows the paper:
   further unfolding adds form the per-iteration block ``[...]^k``, and
   disconnected groups become Cartesian products or existence checks —
   exactly how the paper derives the plans of Examples 9, 11 and 14.
+  When the recursive rule's non-recursive atoms hold a component that
+  touches head variables but not the recursive call, the compiler also
+  derives Example 9's auxiliary recursion (:class:`AuxiliaryRecursion`),
+  which the engine runs instead of the fixpoint.
 """
 
 from __future__ import annotations
@@ -32,10 +36,12 @@ import enum
 from dataclasses import dataclass
 
 from ..datalog.atoms import Atom
-from ..datalog.errors import EvaluationError
+from ..datalog.errors import EvaluationError, RuleValidationError
 from ..datalog.program import RecursionSystem
-from ..datalog.rules import Rule
+from ..datalog.rules import RecursiveRule, Rule
 from ..datalog.terms import Variable
+from ..datalog.unify import (apply_to_atom, apply_to_rule, rename_apart,
+                             unify_atoms)
 from ..graphs.components import components
 from .bindings import (Adornment, BindingSequence, adornment_from_string,
                        adornment_to_string, binding_sequence,
@@ -247,17 +253,14 @@ def _stage_order(atoms: list[Atom], seeds: set[Variable]
             remaining.remove(body_atom)
 
 
-def _structure_body(atoms: tuple[Atom, ...], exit_atom: Atom | None,
-                    constants: frozenset[Variable],
-                    free_head_vars: frozenset[Variable]
-                    ) -> list[_OrderedGroup]:
-    """Split a body into connected groups and order each one."""
-    everything: list[Atom] = list(atoms)
-    if exit_atom is not None:
-        everything.append(exit_atom)
-    # Union-find over shared non-constant variables: two atoms that
-    # only share a query constant are independent selections.
-    group_of: dict[int, int] = {i: i for i in range(len(everything))}
+def _connected_groups(atoms: list[Atom] | tuple[Atom, ...],
+                      constants: frozenset[Variable] = frozenset()
+                      ) -> dict[int, list[int]]:
+    """The indices of *atoms*, grouped by shared variables and keyed by
+    their group's root.  Union-find over shared non-constant variables:
+    two atoms that only share a query constant are independent
+    selections."""
+    group_of: dict[int, int] = {i: i for i in range(len(atoms))}
 
     def find(i: int) -> int:
         while group_of[i] != i:
@@ -266,23 +269,31 @@ def _structure_body(atoms: tuple[Atom, ...], exit_atom: Atom | None,
         return i
 
     var_home: dict[Variable, int] = {}
-    for index, body_atom in enumerate(everything):
+    for index, body_atom in enumerate(atoms):
         for var in body_atom.variable_set() - constants:
             if var in var_home:
                 group_of[find(index)] = find(var_home[var])
             else:
                 var_home[var] = index
+    groups: dict[int, list[int]] = {}
+    for index in range(len(atoms)):
+        groups.setdefault(find(index), []).append(index)
+    return groups
 
-    grouped: dict[int, list[Atom]] = {}
-    exit_group: int | None = None
-    for index, body_atom in enumerate(everything):
-        root = find(index)
-        if exit_atom is not None and body_atom is exit_atom:
-            exit_group = root
-            continue
-        grouped.setdefault(root, []).append(body_atom)
-    if exit_atom is not None:
-        grouped.setdefault(exit_group, [])
+
+def _structure_body(atoms: tuple[Atom, ...], exit_atom: Atom | None,
+                    constants: frozenset[Variable],
+                    free_head_vars: frozenset[Variable]
+                    ) -> list[_OrderedGroup]:
+    """Split a body into connected groups and order each one."""
+    everything = list(atoms) if exit_atom is None else [*atoms, exit_atom]
+    groups = _connected_groups(everything, constants)
+    # the exit atom, when given, is the last index
+    grouped = {root: [everything[i] for i in members if i < len(atoms)]
+               for root, members in groups.items()}
+    exit_group = (None if exit_atom is None else
+                  next(root for root, members in groups.items()
+                       if len(atoms) in members))
 
     out: list[_OrderedGroup] = []
     for root in sorted(grouped):
@@ -572,12 +583,100 @@ def _magic_steps(system: RecursionSystem, classification: Classification,
     return tuple(steps)
 
 
+#: Suffix of the auxiliary recursion's predicate (cf. ``__exit``).
+AUX_SUFFIX = "__aux"
+
+
+@dataclass(frozen=True)
+class AuxiliaryRecursion:
+    """Example 9's split of an ITERATIVE system: P = E ∪ D × R.
+
+    The recursive rule's ``detached`` atoms touch head variables but no
+    variable of the recursive call, so every tuple the rule derives
+    places a row of them at ``positions`` beside a row of R at the
+    other head positions.  R, the projection of the rest of the body
+    joined with the recursive call, is a recursion no query constant
+    touches.  ``system`` holds R's rules: one exit rule per exit rule
+    of P and one rule linear in R.
+    """
+
+    system: RecursionSystem
+    detached: tuple[Atom, ...]
+    positions: tuple[int, ...]
+
+    def describe(self) -> str:
+        """The answer assembly and R's rules, on one line."""
+        detached = ", ".join(str(a) for a in self.detached)
+        rules = " ".join(str(r) for r in (*self.system.exits,
+                                         self.system.recursive.rule))
+        return (f"answers σE ∪ σ({detached}) × "
+                f"{self.system.recursive.head}, where {rules}")
+
+
+def _auxiliary(system: RecursionSystem) -> AuxiliaryRecursion | None:
+    """The auxiliary recursion R of *system*, None without a detached
+    component.
+
+    R's rules come from one symbolic unfolding of ``R(h) :- K, P(b)``
+    (K the atoms that are not detached, h the head terms outside the
+    detached positions): the call ``P(b)`` is resolved once against
+    each exit rule, and once against the recursive rule, whose
+    detached copy stays in the body while the rest of it is R again.
+    A rule the loose parser accepts may leave a head variable in no
+    body atom; its R is no valid recursion, and the plain fixpoint
+    runs instead.
+    """
+    rule = system.recursive
+    atoms = rule.nonrecursive_atoms
+    head = rule.head.args
+    call = rule.recursive_atom
+    detached: set[int] = set()
+    reached: set[Variable] = set()
+    for members in _connected_groups(atoms).values():
+        found = frozenset().union(*(atoms[i].variable_set()
+                                    for i in members))
+        if found & set(head) and not found & call.variable_set():
+            detached.update(members)
+            reached |= found
+    if not detached:
+        return None
+    parts = tuple(a for i, a in enumerate(atoms) if i in detached)
+    kept = tuple(a for i, a in enumerate(atoms) if i not in detached)
+    positions = tuple(i for i, term in enumerate(head) if term in reached)
+    name = system.predicate + AUX_SUFFIX
+
+    def aux(args: tuple) -> Atom:
+        return Atom(name, tuple(term for i, term in enumerate(args)
+                                if i not in positions))
+
+    # the head of a renamed clause unifies with the call, whose
+    # variables are distinct
+    exits = []
+    for exit_rule in system.exits:
+        copy = rename_apart(exit_rule, rule.rule.variables)
+        mgu = unify_atoms(copy.head, call)
+        exits.append(apply_to_rule(mgu, Rule(aux(head), kept + copy.body)))
+    copy = rename_apart(rule.rule, rule.rule.variables)
+    mgu = unify_atoms(copy.head, call)
+    copies = tuple(apply_to_atom(mgu, twin)
+                   for body_atom, twin in zip(rule.rule.body, copy.body)
+                   if body_atom in parts)
+    linear = Rule(aux(head), kept + copies + (aux(call.args),))
+    try:
+        recursion = RecursionSystem(RecursiveRule(linear), tuple(exits))
+    except RuleValidationError:
+        return None
+    return AuxiliaryRecursion(recursion, parts, positions)
+
+
 @dataclass(frozen=True)
 class CompiledFormula:
     """A query compiled against a classified recursion system: the
     plan it shows and what the compiled engine runs — ``stable``,
     ``expansions`` (BOUNDED: the :func:`to_nonrecursive` union) or
-    ``magic`` (ITERATIVE: the step from each of ``binding.states``)."""
+    ``magic`` (ITERATIVE: the step from each of ``binding.states``),
+    and for an ITERATIVE system with a detached component the
+    ``auxiliary`` recursion that replaces the fixpoint."""
 
     system: RecursionSystem
     classification: Classification
@@ -590,6 +689,7 @@ class CompiledFormula:
     notes: tuple[str, ...]
     expansions: tuple[Rule, ...] = ()
     magic: tuple[MagicStep | None, ...] = ()
+    auxiliary: AuxiliaryRecursion | None = None
 
     @property
     def plan_text(self) -> str:
@@ -699,8 +799,12 @@ def compile_query(system: RecursionSystem,
             "query-dependently stable on positions "
             f"{{{', '.join(str(i + 1) for i in sorted(sequence.persistent_positions))}}}"
             f" (binding sequence {sequence.describe(arity)})")
+    auxiliary = _auxiliary(system)
+    if auxiliary is not None:
+        notes.append(auxiliary.describe())
     return CompiledFormula(system, classification, adornment,
                            Strategy.ITERATIVE, plan, None, None,
                            sequence, tuple(notes),
                            magic=_magic_steps(system, classification,
-                                              sequence))
+                                              sequence),
+                           auxiliary=auxiliary)

@@ -14,8 +14,8 @@ from .pretty import expansion_trace, format_rule, subscript
 from .rules import RecursiveRule, Rule, exit_rule, make_rule
 from .terms import Constant, Term, Variable, fresh_variables
 from .unify import (Substitution, apply_to_atom, apply_to_rule,
-                    apply_to_term, compose, match_atom, rename_rule,
-                    unify_atoms, unify_terms)
+                    apply_to_term, compose, match_atom, rename_apart,
+                    rename_rule, unify_atoms, unify_terms)
 from .parser import parse_atom, parse_program, parse_rule, parse_system
 
 __all__ = [
@@ -26,5 +26,5 @@ __all__ = [
     "atom", "compose", "exit_rule", "expansion_trace", "fact",
     "format_rule", "fresh_variables", "make_rule", "match_atom",
     "parse_atom", "parse_program", "parse_rule", "parse_system",
-    "rename_rule", "subscript", "unify_atoms", "unify_terms",
+    "rename_apart", "rename_rule", "subscript", "unify_atoms", "unify_terms",
 ]

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 from .atoms import Atom
 from .errors import DatalogSyntaxError, RuleValidationError
 from .rules import RecursiveRule, Rule
-from .unify import apply_to_rule, rename_rule, unify_atoms
+from .unify import apply_to_rule, rename_apart, unify_atoms
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,8 @@ class RecursionSystem:
 
     def _resolve_once(self, expanded: Rule, level: int) -> Rule:
         """Resolve *expanded*'s recursive atom with a renamed rule copy."""
-        renamed = rename_rule(self._recursive.rule, level)
+        renamed = rename_apart(self._recursive.rule, expanded.variables,
+                               level)
         recursive_atom = next(
             a for a in expanded.body if a.predicate == self.predicate)
         mgu = unify_atoms(renamed.head, recursive_atom)
@@ -274,7 +275,7 @@ class RecursionSystem:
         if k == 1:
             return exit_clause
         expanded = self.expansion(k - 1)
-        renamed_exit = rename_rule(exit_clause, k - 1)
+        renamed_exit = rename_apart(exit_clause, expanded.variables, k - 1)
         recursive_atom = next(
             a for a in expanded.body if a.predicate == self.predicate)
         mgu = unify_atoms(renamed_exit.head, recursive_atom)

@@ -138,3 +138,19 @@ def rename_rule(rule: Rule, level: int) -> Rule:
     subst: dict[Variable, Term] = {
         var: var.renamed(level) for var in rule.variables}
     return apply_to_rule(subst, rule)
+
+
+def rename_apart(rule: Rule, taken: frozenset[Variable],
+                 level: int = 1) -> Rule:
+    """:func:`rename_rule` at the first level from *level* on at which
+    no renamed variable is in *taken*: a rule may itself use
+    subscripted names such as ``y_1``.
+
+    >>> from .parser import parse_rule
+    >>> rule = parse_rule("P(x, y) :- C(x, y_1), P(y_1, y).")
+    >>> print(rename_apart(rule, rule.variables))
+    P(x_2, y_2) :- C(x_2, y_1_2) ∧ P(y_1_2, y_2).
+    """
+    while {var.renamed(level) for var in rule.variables} & taken:
+        level += 1
+    return rename_rule(rule, level)

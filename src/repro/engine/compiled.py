@@ -29,7 +29,10 @@ This engine executes the strategies that the compiler
   round probes the exit rules with those bindings (``σE``); the delta
   rounds are the semi-naive engine's
   (:func:`~repro.engine.vector.run_delta_loop`) with that relevance
-  filter applied to every derived row.
+  filter applied to every derived row.  A system whose recursive rule
+  holds a *detached* component (class C's Example 9) runs no fixpoint
+  of P at all: its answers are σE ∪ (σ detached) × R, with R the
+  compiler's query-independent auxiliary recursion.
 
 A STABLE or TRANSFORM query with no bound position has no selection to
 push: it runs the unrestricted ITERATIVE fixpoint, and
@@ -334,6 +337,9 @@ class CompiledEngine:
                             query: Query, stats: EvaluationStats,
                             trace: Tracer | None = None
                             ) -> set[tuple] | ColumnarTotal:
+        if compiled.auxiliary is not None:
+            return self._evaluate_auxiliary(compiled, edb, query, stats,
+                                            trace)
         if trace is not None:
             trace.begin_round("magic", 0, stats)
         magic, unrestricted = self._magic_bindings(compiled, edb, query,
@@ -361,6 +367,68 @@ class CompiledEngine:
                               rule.recursive_atom.args, rule.head.args,
                               total, delta, stats, trace,
                               relevant=None if unrestricted else relevant)
+
+    def _evaluate_auxiliary(self, compiled: CompiledFormula,
+                            edb: Database, query: Query,
+                            stats: EvaluationStats,
+                            trace: Tracer | None = None) -> set[tuple]:
+        """Example 9's plan, σE ∪ (σ detached) × R.
+
+        σE is the exit round with the query's bindings.  R, the
+        compiled auxiliary recursion, binds no query constant: its
+        exit round and delta rounds are an ordinary fixpoint's.  One
+        ``product`` round then places each detached row and each
+        selected row of R at their head positions.  When the query
+        binds all of R's positions, one lookup in R (the paper's
+        existence check) stands for R's side; an empty R side leaves
+        the detached atoms unprobed.
+        """
+        auxiliary = compiled.auxiliary
+        pattern = query.pattern
+        bound = tuple(sorted(query.adornment))
+        answers, _ = exit_round(edb, compiled.system.exits,
+                                [(bound, [tuple(pattern[i] for i in bound)])],
+                                stats, trace)
+        if stats.truncated:
+            return answers
+        recursion = auxiliary.system
+        total, delta = exit_round(edb, recursion.exits, [((), [()])],
+                                  stats, trace)
+        rule = recursion.recursive
+        # R's delta rule joins the detached copy, which shares no
+        # variable with R's entry, so it is never one fused probe and
+        # the loop hands back a row set
+        rows = run_delta_loop(edb, rule.nonrecursive_atoms,
+                              rule.recursive_atom.args, rule.head.args,
+                              total, delta, stats, trace)
+        if stats.truncated:
+            return answers
+
+        if trace is not None:
+            trace.begin_round("product", len(rows), stats)
+        positions = auxiliary.positions
+        rest = tuple(i for i in range(len(pattern)) if i not in positions)
+        wanted = tuple(pattern[i] for i in rest)
+        selected = ({wanted} & rows if None not in wanted
+                    else Query(recursion.predicate, wanted).filter(rows))
+        detached: set[tuple] = set()
+        if selected:
+            head = compiled.system.recursive.head.args
+            entry = [i for i in positions if pattern[i] is not None]
+            detached = apply_rule(edb, auxiliary.detached,
+                                  tuple(head[i] for i in entry),
+                                  tuple(head[i] for i in positions),
+                                  [tuple(pattern[i] for i in entry)], stats)
+        before = len(answers)
+        order = positions + rest
+        place = [order.index(i) for i in range(len(pattern))]
+        for left in detached:
+            for right in selected:
+                joined = left + right
+                answers.add(tuple([joined[j] for j in place]))
+        stats.close_round(len(answers) - before, len(answers), trace,
+                          detached=len(detached), auxiliary=len(selected))
+        return answers
 
     def _magic_bindings(self, compiled: CompiledFormula, edb: Database,
                         query: Query, stats: EvaluationStats

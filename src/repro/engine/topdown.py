@@ -45,6 +45,9 @@ class _GoalView:
         self._predicate = predicate
         #: subgoal pattern -> answers (full tuples) found so far
         self.tables: dict[tuple, set[tuple]] = {}
+        #: rows across every table, counted as they are added (the
+        #: solver ranks atoms by ``count`` at every step)
+        self.rows = 0
         #: patterns discovered during the current pass
         self.new_subgoals: list[tuple] = []
         #: the subgoal patterns probed during the current solving pass
@@ -76,7 +79,7 @@ class _GoalView:
     def count(self, name: str) -> int:
         if name != self._predicate:
             return self._base.count(name)
-        return sum(len(rows) for rows in self.tables.values())
+        return self.rows
 
 
 class TopDownEngine:
@@ -122,7 +125,6 @@ class TopDownEngine:
         dependents: dict[tuple, set[tuple]] = {}
         queue: dict[tuple, str] = {root: sort_key(root)}
         view.new_subgoals.clear()
-        tabled = 0  # rows across every table, the row budget's measure
         while queue:
             subgoal = min(queue, key=queue.get)  # type: ignore[arg-type]
             del queue[subgoal]
@@ -140,7 +142,6 @@ class TopDownEngine:
             view.new_subgoals.clear()
             # only the solved subgoal's table grows in its pass
             grown = len(view.tables[subgoal]) - before
-            tabled += grown
             if grown:
                 for waiter in dependents.get(subgoal, ()):
                     if waiter not in queue:
@@ -155,8 +156,9 @@ class TopDownEngine:
                 "subgoal": str(Query(system.predicate,
                                      edb.decode_pattern(subgoal))),
                 "table_growth": grown}
+            # every table's rows are the row budget's measure
             if stats.close_round(len(view.tables[root]) - root_before,
-                                 tabled, trace, **detail):
+                                 view.rows, trace, **detail):
                 break
 
         return answer_boundary(view.tables[root], enc_query, edb, stats,
@@ -184,4 +186,5 @@ class TopDownEngine:
             for row in derived:
                 if row not in table:
                     table.add(row)
+                    view.rows += 1
                     stats.derived += 1

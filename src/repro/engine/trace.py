@@ -66,10 +66,12 @@ class RoundSpan:
     ``kind`` names what the round did — ``exit`` (round 0 of the
     delta engines), ``delta`` (a semi-naive round), ``round`` (one
     naive sweep), ``depth`` (stable chain step), ``expansion`` (one
-    bounded exit expansion), ``subgoal`` (one top-down pass), ``seed``
-    (incremental differentiation).  ``delta_out`` is always the number
-    of genuinely new tuples the round contributed, so summing it over
-    a trace reproduces the final answer count (property-tested).
+    bounded exit expansion), ``product`` (Example 9's answer
+    assembly), ``subgoal`` (one top-down pass), ``seed`` (incremental
+    differentiation).  ``delta_out`` is always the number of genuinely
+    new tuples the round contributed, so summing it over a trace
+    reproduces the final answer count, plus the rows of the auxiliary
+    recursion when the compiled engine ran one (property-tested).
     """
 
     index: int
@@ -121,7 +123,8 @@ class Trace:
     @property
     def delta_total(self) -> int:
         """Sum of per-round new-tuple counts (== answers for full
-        queries; the property suite asserts this per engine)."""
+        queries, plus the auxiliary recursion's rows where one ran; the
+        property suite asserts this per engine)."""
         return sum(span.delta_out for span in self.rounds)
 
     def to_dict(self) -> dict:

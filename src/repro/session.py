@@ -32,6 +32,7 @@ from collections import OrderedDict
 from time import perf_counter
 from typing import Iterable, Mapping
 
+from .core.advisor import capability_table
 from .core.classifier import Classification, classify
 from .core.compile import CompiledFormula, compile_query
 from .datalog.errors import EvaluationError, RuleValidationError
@@ -719,13 +720,30 @@ class DeductiveDatabase:
         query = _as_query(query)
         label, arity = self._resolve(query.predicate)
         self._check_query_arity(query, arity)
+        return (self._not_recursive(query.predicate, label)
+                or self._compiled(query).describe())
+
+    def advise(self, predicate: str) -> str:
+        """The pushdown capability matrix of a recursive predicate
+        (:func:`~repro.core.advisor.capability_table`), as text.  A
+        stored relation or a view says what it is, as in
+        :meth:`explain`; an unknown predicate raises :meth:`query`'s
+        :class:`EvaluationError`."""
+        label, _ = self._resolve(predicate)
+        return (self._not_recursive(predicate, label)
+                or capability_table(self.system_for(predicate),
+                                    self.classification(predicate)))
+
+    @staticmethod
+    def _not_recursive(predicate: str, label: str) -> str | None:
+        """How a stored relation or a view is answered; None for a
+        recursive predicate (resolved as *label*)."""
         if label == "edb":
-            return (f"{query.predicate} is a stored relation; answered "
-                    f"by lookup")
+            return f"{predicate} is a stored relation; answered by lookup"
         if label == "view":
-            return (f"{query.predicate} is not recursive; evaluated by "
+            return (f"{predicate} is not recursive; evaluated by "
                     f"materialisation")
-        return self._compiled(query).describe()
+        return None
 
     def explain_analyze(self, query: Query | str,
                         engine: str = "compiled") -> str:

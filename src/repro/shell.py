@@ -19,7 +19,6 @@ from __future__ import annotations
 import sys
 from typing import Callable, TextIO
 
-from .core.advisor import capability_table
 from .core.report import text_table
 from .datalog.atoms import Atom
 from .datalog.errors import ReproError
@@ -176,11 +175,7 @@ class Shell:
         if not argument:
             self._print("usage: .advise <predicate>")
             return
-        system = self._session.system_for(argument)
-        if system is None:
-            self._print(f"{argument} is not recursive")
-            return
-        self._print(capability_table(system))
+        self._print(self._session.advise(argument))
 
     def _cmd_load(self, argument: str) -> None:
         with open(argument, encoding="utf-8") as handle:

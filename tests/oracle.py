@@ -3,9 +3,10 @@
 The engines share the join kernel and the conjunctive solver, so a
 bug there could hide in engine-agreement tests.  This oracle takes a
 *completely different* route: ground instantiation.  Every rule is
-instantiated with every combination of active-domain constants (no
-unification, no indexes, no join ordering), and the ground program is
-iterated to its fixpoint.  Exponentially slower — and that's the
+instantiated with every combination of the constants of the active
+domain and of the rules themselves (no unification, no indexes, no
+join ordering), and the ground program is iterated to its fixpoint.
+Exponentially slower — and that's the
 point: it shares no code path with the engines beyond the AST.
 """
 
@@ -50,7 +51,15 @@ def oracle_rounds(system: RecursionSystem, database: Database
     Only usable for tiny domains (|domain|^|vars| instantiations per
     rule) — which is exactly what property tests use.
     """
-    domain = tuple(sorted(database.active_domain(), key=repr))
+    rules = (system.recursive.rule, *system.exits)
+    # the Herbrand universe: a constant in an exit head
+    # (``P(x, 'k', x) :- F(x).``) reaches the recursive rule's
+    # variables too
+    domain = tuple(sorted(
+        set(database.active_domain()).union(*(
+            (term.value for term in body_atom.constants)
+            for rule in rules for body_atom in (rule.head, *rule.body))),
+        key=repr))
     if not domain:
         domain = ("_",)
 
@@ -60,7 +69,7 @@ def oracle_rounds(system: RecursionSystem, database: Database
     target = system.predicate
 
     grounded: list[tuple] = []
-    for rule in (system.recursive.rule, *system.exits):
+    for rule in rules:
         grounded.extend(_ground_rule(rule, domain))
 
     total: frozenset[tuple] = frozenset()

@@ -12,7 +12,7 @@ import pytest
 from repro.core.compile import (Strategy, compile_query, compile_stable)
 from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_system
-from repro.workloads import CATALOGUE
+from repro.workloads import CATALOGUE, EXTRA_CATALOGUE
 
 
 def compiled(name: str, form: str):
@@ -41,6 +41,13 @@ class TestStrategySelection:
     def test_adornment_string_accepted(self):
         system = CATALOGUE["s1a"].system()
         assert compile_query(system, "dv").adornment == frozenset({0})
+
+    def test_subscripted_variables_unfold_apart(self):
+        """Regression: Theorem 2/4's unfolding renamed ``x`` to the
+        rule's own ``x_1``, and the unfolded system was no longer
+        stable (``ValueError``)."""
+        system = parse_system("P(x, y, z) :- P(y, z, x_1), A(x, x_1).")
+        assert compile_query(system, "dvv").strategy is Strategy.TRANSFORM
 
     def test_arity_checked(self):
         with pytest.raises(EvaluationError, match="arity"):
@@ -158,3 +165,68 @@ class TestDescribe:
         for fragment in ("query form: P(dvv)", "class:", "strategy:",
                          "bindings:", "plan:"):
             assert fragment in text
+
+
+class TestAuxiliaryRecursion:
+    """Example 9's split P = E ∪ D × R, derived once by unfolding."""
+
+    def test_which_formulas_carry_it(self):
+        """Among the ITERATIVE formulas, the class C ones with a
+        detached atom (s1b, s9) carry R; s11 and s12 have none."""
+        iterative = {}
+        for name, entry in {**CATALOGUE, **EXTRA_CATALOGUE}.items():
+            system = entry.system()
+            formula = compile_query(system, "v" * system.dimension)
+            if formula.strategy is Strategy.ITERATIVE:
+                iterative[name] = formula.auxiliary is not None
+            else:
+                assert formula.auxiliary is None, name
+        assert {"s1b", "s9", "s11", "s12"} <= set(iterative)
+        assert {name for name, has in iterative.items() if has} == \
+            {"s1b", "s9"}
+
+    def test_s9_rules_and_note(self):
+        formula = compiled("s9", "dvv")
+        auxiliary = formula.auxiliary
+        assert [str(a) for a in auxiliary.detached] == ["A(x, y)"]
+        assert auxiliary.positions == (0, 1)
+        assert str(auxiliary.system) == (
+            "P__aux(z) :- B(u, v) ∧ A(u, z) ∧ P__aux(v).\n"
+            "P__aux(z) :- B(u, v) ∧ P__exit(u, z, v).")
+        assert formula.notes[-1] == (
+            "answers σE ∪ σ(A(x, y)) × P__aux(z), where "
+            "P__aux(z) :- B(u, v) ∧ P__exit(u, z, v). "
+            "P__aux(z) :- B(u, v) ∧ A(u, z) ∧ P__aux(v).")
+        assert "note:       answers σE ∪ σ(A(x, y)) × P__aux(z)" in \
+            formula.describe()
+
+    def test_unfolding_renames_apart(self):
+        """The unfolded copy's own variables never meet the rule's,
+        even when the rule already uses the subscripted names."""
+        system = parse_system(
+            "P(x, y, z) :- A(x, w), C(w, y), B(u, w_1), P(u, z, w_1).")
+        rule = compile_query(system, "dvv").auxiliary.system.recursive
+        assert str(rule) == ("P__aux(z) :- B(u, w_1) ∧ A(u, w_2) ∧ "
+                             "C(w_2, z) ∧ P__aux(w_1).")
+
+    def test_loose_rule_keeps_the_fixpoint(self):
+        """``--loose`` accepts a head variable in no body atom; its R
+        would not be range restricted, so the compiled engine runs the
+        plain fixpoint and fails as the semi-naive engine does."""
+        from repro.engine import (CompiledEngine, EvaluationStats, Query,
+                                  SemiNaiveEngine)
+        from repro.workloads import random_edb
+        system = parse_system(
+            "P(x, y, z, w) :- A(x, y), B(u, v), P(u, z, v, t).",
+            strict=False)
+        formula = compile_query(system, "dvvv")
+        assert formula.strategy is Strategy.ITERATIVE
+        assert formula.auxiliary is None
+        db = random_edb(system, nodes=3, tuples_per_relation=4, seed=0)
+        query = Query.all_free("P", 4)
+        with pytest.raises(EvaluationError) as semi:
+            SemiNaiveEngine().evaluate(system, db, query)
+        with pytest.raises(EvaluationError) as ours:
+            CompiledEngine().evaluate(system, db, query, EvaluationStats(),
+                                      compiled=compile_query(system, "vvvv"))
+        assert str(ours.value) == str(semi.value)

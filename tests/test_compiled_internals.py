@@ -3,7 +3,7 @@
 from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
-                          SemiNaiveEngine)
+                          SemiNaiveEngine, Tracer)
 from repro.ra import Database
 from repro.workloads import CATALOGUE, chain, cycle, reflexive_exit
 
@@ -147,6 +147,45 @@ class TestIterativeStrategy:
             compile_query(system, query.adornment), db, query,
             EvaluationStats())
         assert unrestricted and not magic
+
+
+class TestAuxiliaryStrategy:
+    """Example 9's plan on s9: the detached atom ``A`` is probed with
+    the query's constant, and R's side checks R for a bound value."""
+
+    DB = {"A": [("a", "b"), ("a", "c"), ("b", "z"), ("d", "e"),
+                ("f", "g")],
+          "B": [("a", "y"), ("b", "c"), ("c", "d")],
+          "P__exit": [("b", "y", "c"), ("c", "x", "d")]}
+
+    def run(self, text: str):
+        system = CATALOGUE["s9"].system()
+        db = Database.from_dict(self.DB)
+        query = Query.parse(text)
+        tracer, stats = Tracer(), EvaluationStats()
+        answers = CompiledEngine().evaluate(system, db, query, stats,
+                                            trace=tracer)
+        assert answers == SemiNaiveEngine().evaluate(system, db, query)
+        assert stats.strategy == "iterative"
+        return answers, tracer.trace.rounds
+
+    def test_detached_atoms_probed_with_the_constant(self):
+        answers, rounds = self.run("P(a, Y, Z)")
+        assert [span.kind for span in rounds] == \
+            ["exit", "exit", "delta", "delta", "delta", "product"]
+        # R = {x, y, b, c, z}; σA(a, y) has the two rows of ``a``
+        assert len(answers) == 2 * 5
+        assert rounds[-1].probes == 2
+        assert rounds[-1].detail == {"detached": 2, "auxiliary": 5}
+
+    def test_existence_check_on_r(self):
+        hit, rounds = self.run("P(X, Y, z)")
+        assert len(hit) == len(self.DB["A"])
+        assert rounds[-1].detail == {"detached": 5, "auxiliary": 1}
+        miss, rounds = self.run("P(X, Y, q)")
+        assert miss == frozenset()
+        # R lacks q: the detached atoms are never probed
+        assert rounds[-1].probes == 0
 
 
 class TestBoundedStrategy:

@@ -3,8 +3,9 @@
 A compiled query is resolved once, in :func:`repro.core.compile
 .compile_query`; the engines run what it produced.  So no engine module
 reads the graph layer, and the compiled engine reads nothing of the
-analysis side but the compiler — a new decision goes into the
-:class:`~repro.core.compile.CompiledFormula`, not into the engine.
+analysis side but the compiler, nor the unifier that derives rules — a
+new decision goes into the :class:`~repro.core.compile.CompiledFormula`,
+not into the engine.
 Checked on the syntax tree, lazy imports inside functions included.
 """
 
@@ -51,3 +52,10 @@ def test_compiled_engine_reads_only_the_compiler_of_the_core():
             if _within(name, "repro.core")]
     assert core, "compiled.py no longer imports the compiler?"
     assert all(_within(name, "repro.core.compile") for name in core), core
+
+
+def test_compiled_engine_derives_no_rules():
+    """The auxiliary recursion of a class C query is derived once, by
+    unfolding in the compiler; the engine only runs its rules."""
+    assert not [name for name in imported_modules(ENGINE / "compiled.py")
+                if _within(name, "repro.datalog.unify")]

@@ -26,7 +26,7 @@ from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, NaiveEngine,
                           Query, SemiNaiveEngine, TopDownEngine)
 from repro.ra import Database
-from repro.workloads import CATALOGUE, chain
+from repro.workloads import CATALOGUE, chain, random_edb
 
 from .oracle import oracle_evaluate, oracle_rounds
 from .strategies import linear_systems
@@ -37,7 +37,6 @@ TINY = settings(max_examples=15, deadline=None,
 
 def tiny_edb(system, seed: int) -> Database:
     """A very small database (the oracle is exponential)."""
-    from repro.workloads import random_edb
     return random_edb(system, nodes=3, tuples_per_relation=4, seed=seed)
 
 
@@ -127,6 +126,24 @@ def answer_patterns(expected, adornment, arity, domain) -> set[tuple]:
                   for i in range(arity)) for row in rows}
 
 
+def assert_every_form_matches_oracle(system, db, strategy) -> None:
+    """Every adornment compiles to *strategy* and answers as the oracle
+    does, with the constants of every oracle answer (queries that hit)
+    and tuples of the first domain values (mostly misses) bound."""
+    expected = oracle_evaluate(system, db)
+    domain = sorted(db.active_domain())
+    arity = system.dimension
+    rows = sorted(expected) + list(
+        itertools.product(domain[:3], repeat=arity))
+    for adornment in all_adornments(arity):
+        assert compile_query(system, adornment).strategy is strategy
+        patterns = {tuple(row[i] if i in adornment else None
+                          for i in range(arity)) for row in rows}
+        for pattern in patterns:
+            assert_bound_query_matches_oracle(system, db, expected,
+                                              pattern)
+
+
 class TestBoundQueries:
     """Every adornment, with constants bound, against the oracle."""
 
@@ -182,24 +199,9 @@ class TestBoundQueries:
         """The σ-first stable paths: several exits with a repeated
         head variable, a free position that walks its chain backward,
         and two bound positions (one probes the exit, one filters)."""
-        system = parse_system(rules)
-        db = Database.from_dict(relations)
-        expected = oracle_evaluate(system, db)
-        domain = sorted(db.active_domain())
-        arity = system.dimension
-        # every oracle answer (queries that hit) and tuples of the
-        # first domain values (mostly misses), projected per adornment
-        rows = sorted(expected) + list(
-            itertools.product(domain[:3], repeat=arity))
-        for adornment in all_adornments(arity):
-            if adornment:
-                assert compile_query(system, adornment).strategy is \
-                    Strategy.STABLE
-            patterns = {tuple(row[i] if i in adornment else None
-                              for i in range(arity)) for row in rows}
-            for pattern in patterns:
-                assert_bound_query_matches_oracle(system, db, expected,
-                                                  pattern)
+        assert_every_form_matches_oracle(
+            parse_system(rules), Database.from_dict(relations),
+            Strategy.STABLE)
 
     @pytest.mark.parametrize("rules,relations", [
         pytest.param("""
@@ -219,23 +221,49 @@ class TestBoundQueries:
          """, {"U": [("a",), ("c",)], "B": [("c",), ("d",)],
                "C": [("a", "c"), ("b", "c"), ("d", "a"), ("a", "d")]},
             id="D-repeated-exit-head"),
+        pytest.param("""
+            P(x, y) :- C(x, y_1), B(y_1, y), P(x_1, y_2).
+         """, {"B": [("c0", "c1"), ("c1", "c1"), ("c2", "c1")],
+               "C": [("c1", "c0"), ("c1", "c1"), ("c2", "c0")],
+               "P__exit": [("c0", "c1"), ("c0", "c2"), ("c1", "c2"),
+                           ("c2", "c2")]},
+            id="D-subscripted-variables"),
     ])
     def test_bounded_paths(self, rules, relations):
         """Bounded expansions whose head carries a constant or a
         repeated variable at a query-bound position: the query binds
-        it through the expansion's head terms."""
+        it through the expansion's head terms.  A rule that names its
+        variables like renamed ones (``y_1``) unfolds apart."""
+        assert_every_form_matches_oracle(
+            parse_system(rules), Database.from_dict(relations),
+            Strategy.BOUNDED)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rules", [
+        pytest.param("P(x, y, z) :- A(x, w), C(w, y), B(u, v), "
+                     "P(u, z, v).", id="C-two-atom-detached"),
+        pytest.param("P(x, y, z) :- A(x, y), B(u, v), C(v), P(u, z, v).",
+                     id="C-decorated-auxiliary"),
+        pytest.param("P(x, y, z, w) :- A(x, y), B(u, v), P(u, z, v, w).",
+                     id="F-binary-auxiliary"),
+        pytest.param("P(z, x, y) :- A(x, y), B(u, v), P(v, u, z).",
+                     id="C-detached-after-auxiliary"),
+        pytest.param("""
+            P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).
+            P(x, y, z) :- E(x, y, z).
+            P(x, 'k', x) :- F(x).
+         """, id="C-constant-repeated-exit"),
+    ])
+    def test_auxiliary_paths(self, rules, seed):
+        """Example 9's plan, σE ∪ (σ detached) × R, on every form: a
+        detached component of two atoms, a decoration in R's part, a
+        binary R beside a permutational position, s9 with its head
+        positions rotated (R's column comes first), and an exit whose
+        head carries a constant and a repeated variable."""
         system = parse_system(rules)
-        db = Database.from_dict(relations)
-        expected = oracle_evaluate(system, db)
-        domain = sorted(db.active_domain())
-        arity = system.dimension
-        rows = sorted(expected) + list(
-            itertools.product(domain[:3], repeat=arity))
-        for adornment in all_adornments(arity):
-            assert compile_query(system, adornment).strategy is \
-                Strategy.BOUNDED
-            patterns = {tuple(row[i] if i in adornment else None
-                              for i in range(arity)) for row in rows}
-            for pattern in patterns:
-                assert_bound_query_matches_oracle(system, db, expected,
-                                                  pattern)
+        for adornment in all_adornments(system.dimension):
+            assert compile_query(system, adornment).auxiliary is not None
+        assert_every_form_matches_oracle(
+            system, random_edb(system, nodes=4, tuples_per_relation=5,
+                               seed=seed),
+            Strategy.ITERATIVE)

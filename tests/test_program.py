@@ -127,6 +127,18 @@ class TestExitExpansion:
         for depth in (1, 2, 3):
             assert not tc_system.exit_expansion(depth).is_recursive()
 
+    def test_subscripted_names_stay_apart(self):
+        """Regression: the renamed exit was ``P__exit(x_1, y_1)``,
+        whose ``y_1`` unified the rule's own ``y_1`` with the call's
+        ``y_2`` and lost answers of this bounded rule."""
+        system = parse_system(
+            "P(x, y) :- C(x, y_1), B(y_1, y), P(x_1, y_2).")
+        assert str(system.exit_expansion(2)) == \
+            "P(x, y) :- C(x, y_1) ∧ B(y_1, y) ∧ P__exit(x_1, y_2)."
+        assert str(system.expansion(2)) == (
+            "P(x, y) :- C(x, y_1) ∧ B(y_1, y) ∧ C(x_1, y_1_3) ∧ "
+            "B(y_1_3, y_2) ∧ P(x_1_3, y_2_3).")
+
 
 class TestUnfolded:
     def test_unfold_once_is_identity(self, tc_system):

@@ -81,8 +81,16 @@ class TestCommands:
         assert "E(c, c)" in out
 
     def test_advise(self):
-        out = run_lines(*PROGRAM_LINES, ".advise P", ".quit")
+        """``.advise`` resolves its predicate as ``?-`` and ``.explain``
+        do: an unknown one is ``query``'s error, a stored relation and
+        a view say what they are."""
+        out = run_lines(*PROGRAM_LINES, "V(x) :- A(x, y).", ".advise P",
+                        ".advise Q", "?- Q(a).", ".advise A", ".advise V",
+                        ".quit")
         assert "pushdown" in out
+        assert out.count("error: unknown predicate 'Q'") == 2
+        assert "A is a stored relation" in out
+        assert "V is not recursive" in out
 
     def test_usage_messages(self):
         out = run_lines(".classify", ".explain", ".prove", ".advise",

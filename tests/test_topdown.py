@@ -5,7 +5,7 @@ import pytest
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
                           SemiNaiveEngine, TopDownEngine)
 from repro.ra import Database
-from repro.workloads import chain, random_edb, reflexive_exit
+from repro.workloads import CATALOGUE, chain, random_edb, reflexive_exit
 
 
 class TestBasics:
@@ -88,3 +88,40 @@ class TestAgreement:
             top_down = TopDownEngine().evaluate(system, db, query)
             semi = SemiNaiveEngine().evaluate(system, db, query)
             assert top_down == semi, (catalogue_entry.name, query)
+
+
+class TestGoalView:
+    def test_count_keeps_a_running_total(self, monkeypatch):
+        """Regression: ``count`` summed every table's size on each call,
+        and the solver ranks atoms by it at every step — quadratic in
+        the subgoals (93% of an s11 profile).  The spy tables refuse
+        iteration; ``count`` still equals their total size."""
+        from repro.engine import topdown
+
+        class Tables(dict):
+            def __iter__(self):
+                raise AssertionError("count iterated the tables")
+
+            def values(self):
+                raise AssertionError("count iterated the tables")
+
+            items = keys = values
+
+        views = []
+        init = topdown._GoalView.__init__
+
+        def spied(self, base, predicate):
+            init(self, base, predicate)
+            self.tables = Tables()
+            views.append(self)
+
+        monkeypatch.setattr(topdown._GoalView, "__init__", spied)
+        system = CATALOGUE["s11"].system()
+        db = random_edb(system, nodes=6, tuples_per_relation=12, seed=1)
+        query = Query.parse("P(c1, Y)")
+        answers = TopDownEngine().evaluate(system, db, query)
+        assert answers == SemiNaiveEngine().evaluate(system, db, query)
+        (view,) = views
+        assert len(view.tables) > 1
+        assert view.count(system.predicate) == sum(
+            len(rows) for rows in dict.values(view.tables)) > 0

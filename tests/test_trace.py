@@ -163,6 +163,24 @@ class TestRender:
         assert bound.trace.meta["strategy"] == "stable"
 
 
+    def test_class_c_shows_the_auxiliary_recursion(self):
+        """Example 9's plan: the header's note names R's rules, and the
+        trace shows σE, R's own exit and delta rounds, and the product."""
+        ddb = DeductiveDatabase()
+        ddb.load("""
+            P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).
+            P(x, y, z) :- E(x, y, z).
+            A(a, b). A(b, c). B(a, b). B(b, c). E(b, e, c).
+        """)
+        text = ddb.explain_analyze("P(a, Y, Z)")
+        assert ("note:       answers σE ∪ σ(A(x, y)) × P__aux(z), where "
+                "P__aux(z) :- B(u, v) ∧ E(u, z, v). ") in text
+        assert "exit[1] out=1" in text
+        assert "· exit[0]: P__aux(z) :- B(u, v) ∧ E(u, z, v).:" in text
+        assert "delta[2]" in text and "product[" in text
+        assert "answers=1" in text  # (a, b, e): σA(a, b) × R = {e}
+
+
 class TestEngineTraces:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
                                         "naive", "top-down"])

@@ -4,8 +4,9 @@ Two properties pin the tracing layer down:
 
 * **Conservation** — for every engine and every catalogue class, the
   sum of per-round ``delta_out`` values of a traced full evaluation
-  equals the final answer count, and equals ``sum(delta_sizes)`` of
-  the same run's stats.  Each engine counts rounds differently
+  equals the final answer count (plus the auxiliary recursion's rows,
+  when the compiled engine runs one), and equals ``sum(delta_sizes)``
+  of the same run's stats.  Each engine counts rounds differently
   (sweeps, deltas, depths, expansions, subgoals), but "new tuples
   contributed" must always add up to the result — and the trace and
   the stats dump must never disagree.
@@ -59,6 +60,35 @@ class TestDeltaConservation:
             f"{tracer.trace.delta_total} != answers {len(answers)}")
         assert tracer.trace.answers == len(answers)
         assert tracer.trace.delta_total == sum(stats.delta_sizes)
+
+    def test_auxiliary_rounds_add_their_own_rows(self):
+        """Class C runs Example 9's plan: P's exit round, R's exit and
+        delta rounds, then the product round.  R's rounds contribute
+        R's rows, P's two rounds the answers, and the trace still
+        agrees with the stats round for round; tracing changes no
+        counter."""
+        system = CATALOGUE["s9"].system()
+        db = random_edb(system, nodes=5, tuples_per_relation=8, seed=4)
+        query = Query.all_free("P", 3)
+        CompiledEngine().evaluate(system, db, query)  # warm the caches
+        plain = EvaluationStats()
+        CompiledEngine().evaluate(system, db, query, plain)
+        tracer, stats = Tracer(), EvaluationStats()
+        answers = CompiledEngine().evaluate(system, db, query, stats,
+                                            trace=tracer)
+        assert stats == plain
+        validate_trace_dict(tracer.trace.to_dict())
+        # R(z) = π_z(B(u, v) ⋈ P(u, z, v)), from the full fixpoint
+        edges = set(db.rows("B"))
+        auxiliary = {z for u, z, v in SemiNaiveEngine().evaluate(system, db)
+                     if (u, v) in edges}
+        spans = tracer.trace.rounds
+        assert [span.kind for span in spans] == \
+            ["exit", "exit", "delta", "delta", "delta", "product"]
+        assert spans[0].delta_out + spans[-1].delta_out == len(answers)
+        assert sum(span.delta_out for span in spans[1:-1]) == \
+            len(auxiliary) == 5
+        assert [span.delta_out for span in spans] == stats.delta_sizes
 
     def test_incremental_deltas_sum_to_added(self):
         from repro.datalog.parser import parse_system

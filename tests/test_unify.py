@@ -5,7 +5,7 @@ from repro.datalog.parser import parse_rule
 from repro.datalog.terms import Constant, Variable
 from repro.datalog.unify import (apply_to_atom, apply_to_rule,
                                  apply_to_term, compose, match_atom,
-                                 rename_rule, unify_atoms)
+                                 rename_apart, rename_rule, unify_atoms)
 
 X, Y, Z, U = (Variable(n) for n in "xyzu")
 
@@ -98,3 +98,10 @@ class TestRenameRule:
         rule = parse_rule("P(x, y) :- A(x, z), P(z, y).")
         renamed = rename_rule(rule, 1)
         assert not (rule.variables & renamed.variables)
+
+    def test_rename_apart_skips_taken_subscripts(self):
+        rule = parse_rule("P(x, y) :- A(x, y_1), P(y_1, y).")
+        assert rename_rule(rule, 1).variables & rule.variables
+        assert str(rename_apart(rule, rule.variables)) == \
+            "P(x_2, y_2) :- A(x_2, y_1_2) ∧ P(y_1_2, y_2)."
+        assert rename_apart(rule, frozenset(), 3) == rename_rule(rule, 3)
