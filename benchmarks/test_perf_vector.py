@@ -21,9 +21,9 @@ the timed region:
   scan.  Gated at ≥2.0x as well;
 * ``3hop-20k-compressed-chain`` — the catalogue's ``compressed_chain``
   rule (``P(x,y) :- A(x,m), B(m,n), C(n,z), P(z,y)``) on a ~20k-row
-  layered DAG.  Its three-step plan fails the vector certificate, so
-  both runs take the tuple-set loop: this leg pins the fallback cost
-  at ~1x (no silent regression for uncertified shapes);
+  layered DAG.  Both runs probe the paper's compressed ``ABC`` edge,
+  composed once per version of A, B and C, so each round is one fused
+  step and ``auto`` runs the kernel;
 * ``chain-700-deep`` — the closure of one 700-edge chain with
   reflexive exits: 246,051 answers in 702 rounds of a few hundred
   rows each.  Per-round work is small and the seen set large, so
@@ -50,15 +50,15 @@ from repro.engine.vector import HAVE_NUMPY
 from repro.ra import Database
 
 TC_SYSTEM_TEXT = "P(x, y) :- A(x, z), P(z, y)."  # the paper's (s1a), class A1
-#: the catalogue's ``compressed_chain`` shape (class A5): a three-step
-#: plan the vector certificate rejects — the fallback workload
+#: the catalogue's ``compressed_chain`` shape (class A5): its three
+#: atoms compose into one step relation, which the kernel certifies
 THREE_HOP_TEXT = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
 #: the ISSUE's acceptance gate for the numpy kernel on both 20k TC
 #: workloads (full enumeration and the bound query)
 TARGET_SPEEDUP = 2.0
-#: the uncertified fallback is a correctness path, and the deep chain
-#: leaves the kernel little work per round; both must stay within
-#: noise of the tuple-set loop
+#: the composed 3-hop chain and the deep chain, which leaves the
+#: kernel little work per round, must stay within noise of the
+#: tuple-set loop
 FLOOR_WITHIN_NOISE = 0.5
 
 
@@ -116,8 +116,7 @@ def _time_backend(system, db, query, backend, repeats):
     return best, answers, stats
 
 
-def _measure(name, system, db, query=None, repeats=5,
-             expect_vector=True) -> dict:
+def _measure(name, system, db, query=None, repeats=5) -> dict:
     vector_s, vector_answers, vector_stats = _time_backend(
         system, db, query, "auto", repeats)
     python_s, python_answers, python_stats = _time_backend(
@@ -125,11 +124,11 @@ def _measure(name, system, db, query=None, repeats=5,
     assert vector_answers == python_answers, f"{name}: answers differ"
     assert vector_answers.encoded == python_answers.encoded
     assert vector_stats.delta_sizes == python_stats.delta_sizes
-    if expect_vector and HAVE_NUMPY:
+    if HAVE_NUMPY:
         assert vector_stats.vector_batches > 0, (
             f"{name}: the vector backend never engaged")
     else:
-        # uncertified plan shape: the kernel must have stepped aside
+        # without numpy both sides run the tuple-set loop
         assert vector_stats.vector_batches == 0
         assert vector_stats.backend == "python"
     return {
@@ -155,7 +154,7 @@ def test_vector_backend_speedup(save_artifact, artifact_dir):
         _measure("tc-20k-full-enum", tc_system, tc_20k),
         _measure("tc-20k-bound-query", tc_system, tc_20k, query=bound),
         _measure("3hop-20k-compressed-chain", hop_system, hop_20k,
-                 repeats=3, expect_vector=False),
+                 repeats=3),
         _measure("chain-700-deep", tc_system,
                  _tc_database(_parallel_chains(1, 700))),
     ]

@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..datalog.atoms import Atom
+from ..datalog.atoms import Atom, connected_groups
 from ..datalog.errors import EvaluationError, RuleValidationError
 from ..datalog.program import RecursionSystem
 from ..datalog.rules import RecursiveRule, Rule
@@ -253,41 +253,13 @@ def _stage_order(atoms: list[Atom], seeds: set[Variable]
             remaining.remove(body_atom)
 
 
-def _connected_groups(atoms: list[Atom] | tuple[Atom, ...],
-                      constants: frozenset[Variable] = frozenset()
-                      ) -> dict[int, list[int]]:
-    """The indices of *atoms*, grouped by shared variables and keyed by
-    their group's root.  Union-find over shared non-constant variables:
-    two atoms that only share a query constant are independent
-    selections."""
-    group_of: dict[int, int] = {i: i for i in range(len(atoms))}
-
-    def find(i: int) -> int:
-        while group_of[i] != i:
-            group_of[i] = group_of[group_of[i]]
-            i = group_of[i]
-        return i
-
-    var_home: dict[Variable, int] = {}
-    for index, body_atom in enumerate(atoms):
-        for var in body_atom.variable_set() - constants:
-            if var in var_home:
-                group_of[find(index)] = find(var_home[var])
-            else:
-                var_home[var] = index
-    groups: dict[int, list[int]] = {}
-    for index in range(len(atoms)):
-        groups.setdefault(find(index), []).append(index)
-    return groups
-
-
 def _structure_body(atoms: tuple[Atom, ...], exit_atom: Atom | None,
                     constants: frozenset[Variable],
                     free_head_vars: frozenset[Variable]
                     ) -> list[_OrderedGroup]:
     """Split a body into connected groups and order each one."""
     everything = list(atoms) if exit_atom is None else [*atoms, exit_atom]
-    groups = _connected_groups(everything, constants)
+    groups = connected_groups(everything, constants)
     # the exit atom, when given, is the last index
     grouped = {root: [everything[i] for i in members if i < len(atoms)]
                for root, members in groups.items()}
@@ -632,7 +604,7 @@ def _auxiliary(system: RecursionSystem) -> AuxiliaryRecursion | None:
     call = rule.recursive_atom
     detached: set[int] = set()
     reached: set[Variable] = set()
-    for members in _connected_groups(atoms).values():
+    for members in connected_groups(atoms).values():
         found = frozenset().union(*(atoms[i].variable_set()
                                     for i in members))
         if found & set(head) and not found & call.variable_set():

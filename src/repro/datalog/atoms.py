@@ -9,7 +9,7 @@ rule bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .terms import Constant, Term, Variable
 
@@ -80,6 +80,40 @@ class Atom:
 
     def __iter__(self) -> Iterator[Term]:
         return iter(self.args)
+
+
+def connected_groups(atoms: Sequence[Atom],
+                     constants: frozenset[Variable] = frozenset()
+                     ) -> dict[int, list[int]]:
+    """The indices of *atoms*, grouped by shared variables and keyed by
+    their group's root.  Union-find over shared variables outside
+    *constants*: two atoms that only share one of those (a query
+    constant) are independent selections.
+
+    >>> groups = connected_groups((atom("A", "x", "m"), atom("B", "y"),
+    ...                            atom("C", "m", "z")))
+    >>> sorted(groups.values())
+    [[0, 2], [1]]
+    """
+    group_of: dict[int, int] = {i: i for i in range(len(atoms))}
+
+    def find(i: int) -> int:
+        while group_of[i] != i:
+            group_of[i] = group_of[group_of[i]]
+            i = group_of[i]
+        return i
+
+    var_home: dict[Variable, int] = {}
+    for index, body_atom in enumerate(atoms):
+        for var in body_atom.variable_set() - constants:
+            if var in var_home:
+                group_of[find(index)] = find(var_home[var])
+            else:
+                var_home[var] = index
+    groups: dict[int, list[int]] = {}
+    for index in range(len(atoms)):
+        groups.setdefault(find(index), []).append(index)
+    return groups
 
 
 def atom(predicate: str, *names: object) -> Atom:

@@ -120,18 +120,25 @@ class CompiledEngine:
 
         # The strategies run in storage space: the query's constants
         # are encoded once here, and the answers stay encoded inside a
-        # lazy AnswerSet at the end.
+        # lazy AnswerSet at the end.  Every strategy but the fixpoint
+        # binds those constants at their head positions, so only the
+        # fixpoint's rows are filtered by the query.
         enc_query = query.encoded(edb)
+        selection = None
         if strategy is Strategy.BOUNDED:
             total = self._evaluate_bounded(compiled, edb, enc_query, stats,
                                            trace)
-        elif strategy is Strategy.ITERATIVE:
-            total = self._evaluate_iterative(compiled, edb, enc_query,
-                                             stats, trace)
-        else:
+        elif strategy is not Strategy.ITERATIVE:
             total = self._evaluate_stable(compiled.stable, edb, enc_query,
                                           stats, trace)
-        return answer_boundary(total, enc_query, edb, stats, trace)
+        elif compiled.auxiliary is not None:
+            total = self._evaluate_auxiliary(compiled, edb, enc_query,
+                                             stats, trace)
+        else:
+            total = self._evaluate_iterative(compiled, edb, enc_query,
+                                             stats, trace)
+            selection = enc_query
+        return answer_boundary(total, selection, edb, stats, trace)
 
     # -- bounded -------------------------------------------------------
 
@@ -337,9 +344,6 @@ class CompiledEngine:
                             query: Query, stats: EvaluationStats,
                             trace: Tracer | None = None
                             ) -> set[tuple] | ColumnarTotal:
-        if compiled.auxiliary is not None:
-            return self._evaluate_auxiliary(compiled, edb, query, stats,
-                                            trace)
         if trace is not None:
             trace.begin_round("magic", 0, stats)
         magic, unrestricted = self._magic_bindings(compiled, edb, query,
@@ -395,12 +399,12 @@ class CompiledEngine:
         total, delta = exit_round(edb, recursion.exits, [((), [()])],
                                   stats, trace)
         rule = recursion.recursive
-        # R's delta rule joins the detached copy, which shares no
-        # variable with R's entry, so it is never one fused probe and
-        # the loop hands back a row set
+        # the product round selects and places R's rows one by one, so
+        # R's loop hands back a row set: its python rounds
         rows = run_delta_loop(edb, rule.nonrecursive_atoms,
                               rule.recursive_atom.args, rule.head.args,
-                              total, delta, stats, trace)
+                              total, delta, stats, trace,
+                              backend="python")
         if stats.truncated:
             return answers
 
@@ -409,8 +413,12 @@ class CompiledEngine:
         positions = auxiliary.positions
         rest = tuple(i for i in range(len(pattern)) if i not in positions)
         wanted = tuple(pattern[i] for i in rest)
-        selected = ({wanted} & rows if None not in wanted
-                    else Query(recursion.predicate, wanted).filter(rows))
+        if None not in wanted:
+            selected = {wanted} & rows
+        elif wanted.count(None) < len(wanted):
+            selected = Query(recursion.predicate, wanted).filter(rows)
+        else:
+            selected = rows
         detached: set[tuple] = set()
         if selected:
             head = compiled.system.recursive.head.args

@@ -15,6 +15,12 @@ variables, and the columns that extend the binding layout.  The
 resulting :class:`JoinPlan` is a straight-line program executed by
 :mod:`repro.engine.setjoin` over whole delta relations at once.
 
+A plan also records its body's compressed edge, when it has one
+(:class:`CompressedChain`, the paper's §3 Remark): a cluster of atoms
+between the entry and the output terms that a delta loop may probe as
+one composed step relation.  The decision depends on the shape alone,
+so it is made here, once, and cached with the plan.
+
 Plans are *storage-space* artifacts: every constant appearing in the
 body, the entry terms or the head is encoded through the database's
 symbol table at compile time, so the executing kernel never touches a
@@ -34,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..datalog.atoms import Atom
+from ..datalog.atoms import Atom, connected_groups
 from ..datalog.errors import EvaluationError
 from ..datalog.terms import Constant, Term, Variable
 from .stats import EvaluationStats
@@ -103,6 +109,79 @@ class FusedTail:
 
 
 @dataclass(frozen=True)
+class CompressedChain:
+    """A compressed edge of a delta rule (the paper's §3 Remark).
+
+    ``atoms`` are two or more body atoms, connected by shared
+    variables, whose variables meet the entry and output terms in
+    exactly two ``anchors``: the first an output variable that is no
+    entry variable (the head side), the second an entry variable that
+    is no output variable (the recursive call's side).  Their join
+    projected on the anchors is one binary step relation, composed once
+    per version of its ``inputs`` under ``name``, a name no parsed
+    predicate can take; ``body`` is the body with the cluster replaced
+    by that one atom.  ``label`` concatenates the cluster's predicates
+    in body order (``ABC``).
+    """
+
+    atoms: tuple[Atom, ...]
+    anchors: tuple[Variable, Variable]
+    label: str
+    name: str
+    body: tuple[Atom, ...]
+
+    @property
+    def inputs(self) -> tuple[str, ...]:
+        """The relations the composition reads, each once, sorted."""
+        return tuple(sorted({body_atom.predicate
+                             for body_atom in self.atoms}))
+
+
+def _chain_name(atoms: tuple[Atom, ...],
+                anchors: tuple[Variable, Variable]) -> str:
+    """The cluster with its variables numbered — ``$0`` the head
+    anchor, ``$1`` the call anchor, the rest in order of appearance —
+    so equal clusters of two rules share one composition; ``$`` and
+    ``⋈`` occur in no parsed predicate."""
+    numbers = {anchors[0]: 0, anchors[1]: 1}
+    parts = []
+    for body_atom in atoms:
+        args = [f"${numbers.setdefault(term, len(numbers))}"
+                if isinstance(term, Variable) else repr(term.value)
+                for term in body_atom.args]
+        parts.append(f"{body_atom.predicate}({', '.join(args)})")
+    return "⋈".join(parts)
+
+
+def _compressed_chain(body: tuple[Atom, ...],
+                      entry_terms: tuple[Term, ...],
+                      out_terms: tuple[Term, ...]
+                      ) -> CompressedChain | None:
+    """The first cluster of *body* that is a compressed edge between
+    the output and the entry terms (see :class:`CompressedChain`), or
+    None."""
+    head = {term for term in out_terms if isinstance(term, Variable)}
+    call = {term for term in entry_terms if isinstance(term, Variable)}
+    for members in connected_groups(body).values():
+        if len(members) < 2:
+            continue
+        atoms = tuple(body[i] for i in members)
+        found = frozenset().union(*(a.variable_set() for a in atoms))
+        on_head, on_call = found & head, found & call
+        if len(on_head) != 1 or len(on_call) != 1 or on_head == on_call:
+            continue
+        anchors = (*on_head, *on_call)
+        name = _chain_name(atoms, anchors)
+        label = "".join(dict.fromkeys(a.predicate for a in atoms))
+        first, *others = members
+        rest = tuple(Atom(name, anchors) if i == first else body_atom
+                     for i, body_atom in enumerate(body)
+                     if i not in others)
+        return CompressedChain(atoms, anchors, label, name, rest)
+    return None
+
+
+@dataclass(frozen=True)
 class JoinPlan:
     """An ordered join pipeline plus the output projection.
 
@@ -112,13 +191,16 @@ class JoinPlan:
     columns; ``out_sources`` projects the final layout onto the head
     terms.  ``fused`` certifies (at compile time) that the last step
     and the projection collapse into one columnar probe — see
-    :class:`FusedTail`.
+    :class:`FusedTail`.  ``chain`` is the body's compressed edge, when
+    it has one: a delta loop may probe its composition instead (see
+    :class:`CompressedChain`).
     """
 
     layout: EntryLayout
     steps: tuple[JoinStep, ...]
     out_sources: tuple[Source, ...]
     fused: FusedTail | None = None
+    chain: CompressedChain | None = None
 
     @property
     def width(self) -> int:
@@ -296,7 +378,8 @@ def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
     steps_t = tuple(steps)
     out_t = tuple(out_sources)
     return JoinPlan(layout, steps_t, out_t,
-                    _fused_tail(layout.variables, steps_t, out_t))
+                    _fused_tail(layout.variables, steps_t, out_t),
+                    _compressed_chain(body, entry_terms, out_terms))
 
 
 def compile_plan(body: Sequence[Atom], entry_terms: Sequence[Term],

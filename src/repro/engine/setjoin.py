@@ -207,23 +207,54 @@ def _run_step(database: Database, step: JoinStep,
     return out
 
 
+def _surfaced(database: Database, step: JoinStep,
+              batch: list[tuple]) -> int:
+    """The rows *step*'s probe would surface for *batch* — what
+    :func:`_run_step` counts as probes — read off the bucket sizes of
+    the same table, without building a binding."""
+    table = probe_table(database, step.predicate, step.key_positions)
+    if type(table) is list:
+        size = len(table)
+        if not step.key_is_all_vars:
+            code = step.key_sources[0][1]
+            return len(batch) * len(table[code]) if code < size else 0
+        slot = step.key_slots[0]
+        return sum(len(table[binding[slot]]) for binding in batch
+                   if binding[slot] < size)
+    get_key = _probe_key_getter(step) if step.key_positions else None
+    return sum(len(table.get(get_key(binding) if get_key else (),
+                             _NO_ROWS)) for binding in batch)
+
+
+def _run_steps(database: Database, steps: Sequence[JoinStep],
+               batch: list[tuple], stats: EvaluationStats | None,
+               limit: int | None) -> list[tuple] | None:
+    """*batch* pushed through *steps*; with a *limit*, None as soon as
+    a step would surface more rows than it, before the step builds
+    any."""
+    for step in steps:
+        if not batch:
+            return []
+        if limit is not None and _surfaced(database, step, batch) > limit:
+            return None
+        batch = _run_step(database, step, batch, stats)
+    return batch
+
+
 def join_batch(database: Database, plan: JoinPlan,
                batch: Iterable[tuple],
                stats: EvaluationStats | None = None) -> list[tuple]:
     """All full binding tuples reachable from *batch* through *plan*."""
     current = batch if isinstance(batch, list) else list(batch)
-    for step in plan.steps:
-        if not current:
-            return []
-        current = _run_step(database, step, current, stats)
-    return current
+    return _run_steps(database, plan.steps, current, stats, None)
 
 
 def _fused_final_rows(database: Database, plan: JoinPlan,
-                      batch: list[tuple],
-                      stats: EvaluationStats | None) -> set[tuple] | None:
-    """Output rows of *plan* with the projection fused into the last
-    probe, or None when the shape doesn't qualify.
+                      batch: list[tuple], stats: EvaluationStats | None,
+                      limit: int | None) -> set[tuple] | None:
+    """Output rows of *plan*, whose shape is certified, with the
+    projection fused into the last probe; with a *limit*, None as soon
+    as a step would surface more rows than it (see :func:`_run_steps`).
 
     For the hot linear-recursion shape — last step probes one bound
     slot, binds one new column, and the head projects two variables of
@@ -245,12 +276,10 @@ def _fused_final_rows(database: Database, plan: JoinPlan,
     same counted dense-table build, so ``hash_builds`` is too.
     """
     spec = plan.fused
-    if spec is None:
+    batch = _run_steps(database, plan.steps[:-1], batch, stats, limit)
+    if batch is None or (limit is not None and batch and _surfaced(
+            database, plan.steps[-1], batch) > limit):
         return None
-    for earlier in plan.steps[:-1]:
-        if not batch:
-            return set()
-        batch = _run_step(database, earlier, batch, stats)
     if not batch:
         return set()
     builds_before = database.hash_builds
@@ -294,10 +323,29 @@ def execute_plan(database: Database, plan: JoinPlan,
     """
     if not isinstance(batch, list):
         batch = list(batch)
-    fused = _fused_final_rows(database, plan, batch, stats)
-    if fused is not None:
-        return fused
-    bindings = join_batch(database, plan, batch, stats)
+    return _execute(database, plan, batch, stats, None)
+
+
+def compose_rows(database: Database, body: Sequence[Atom],
+                 out_terms: Sequence[Term], limit: int) -> set[tuple] | None:
+    """:func:`apply_rule` of *body* from the empty binding onto
+    *out_terms*, or None as soon as one of its steps would surface more
+    than *limit* rows, before that step builds any: the build of a
+    compressed chain's composition, which is kept, so a hub's product
+    is refused before it is held.  Counts into no stats."""
+    plan = compile_plan(body, (), out_terms, database)
+    return _execute(database, plan, [()], None, limit)
+
+
+def _execute(database: Database, plan: JoinPlan, batch: list[tuple],
+             stats: EvaluationStats | None,
+             limit: int | None) -> set[tuple] | None:
+    """:func:`execute_plan`, with :func:`_run_steps`'s *limit*."""
+    if plan.fused is not None:
+        return _fused_final_rows(database, plan, batch, stats, limit)
+    bindings = _run_steps(database, plan.steps, batch, stats, limit)
+    if bindings is None:
+        return None
     if stats is not None:
         stats.derived += len(bindings)
     if not bindings:

@@ -165,6 +165,14 @@ class Trace:
                          f"{span.hash_reuses}r")
             parts.append(f"[{_ms(span.duration_s)}]")
             lines.append(" ".join(parts))
+            detail = span.detail
+            if "chain" in detail:
+                head, call = detail["chain_anchors"]
+                rows = detail["chain_rows"]
+                lines.append(f"    · {head} —[{detail['chain']}]— {call}: "
+                             f"{detail['chain_status']}"
+                             + ("" if rows is None else f" rows={rows}")
+                             + f" inputs={detail['chain_inputs']}")
             for rule in span.rules:
                 lines.append(f"    · {rule.label}: "
                              f"derived={rule.derived} "
@@ -284,6 +292,11 @@ class Tracer:
             0, (now_lookups - lookups) - (now_builds - builds))
         span.detail.update(detail)
         self._spans.append(span)
+
+    def note(self, **detail: object) -> None:
+        """Add *detail* to the open round span."""
+        if self._current is not None:
+            self._current.detail.update(detail)
 
     # -- per-rule sub-spans --------------------------------------------
 

@@ -41,6 +41,15 @@ whose shape the certificate rejects (multi-step bodies), with
 identical counters, so callers never see a seam.  Only
 ``SemiNaiveEngine(backend="python")`` pins the tuple-set rounds: the
 reference the kernel's parity tests compare against.
+
+A loop with no relevance filter, whose exit rows are not sparse
+against the relations its rule's compressed chain reads (the paper's
+§3 Remark, found by the plan compiler:
+:class:`~repro.engine.plan.CompressedChain`), first swaps the chain for
+its composed step relation, built once per version of those relations
+and cached on the database; both backends then probe it.  The 3-hop
+rule ``A(x, m), B(m, n), C(n, z), P(z, y)`` thus runs as one fused
+probe.
 """
 
 from __future__ import annotations
@@ -50,8 +59,8 @@ from array import array
 from ..datalog.errors import EvaluationError
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .plan import FusedTail, compile_plan
-from .setjoin import apply_rule, execute_plan
+from .plan import CompressedChain, FusedTail, compile_plan
+from .setjoin import apply_rule, compose_rows, execute_plan
 from .stats import EvaluationStats
 from .trace import Tracer
 
@@ -67,6 +76,23 @@ HAVE_NUMPY = _np is not None
 #: kernel with per-shape fallback, ``python`` pins the tuple-set rounds
 #: (the reference path of the kernel's parity tests).
 BACKENDS = ("auto", "python")
+
+#: A compressed chain is composed only when the loop's exit rows number
+#: at least one per this many rows the chain reads.  The build joins
+#: the whole chain, while the plain plan walks only what the exits
+#: reach: on hop3's relations, rebuilt before each query, composing
+#: first pays between 10 and 100 exits on the deepest level (one per
+#: 2,000 and per 200 of the 19,980 rows A, B and C hold), and never for
+#: exits that reach nothing.
+CHAIN_EXIT_SHARE = 64
+
+#: A compressed chain's composition is declined as soon as one step of
+#: its join would surface more than this many rows per row it reads,
+#: before the step builds them.  The composition is kept, so without a
+#: bound a hub of 1,000 rows in and 1,000 out would keep a million
+#: pairs; checked after the build, it would hold them once (93 MB and
+#: 0.65 s on 2 CPUs).  hop3's join surfaces 3 rows per row read.
+CHAIN_FANOUT_LIMIT = 8
 
 
 def numpy_version() -> str | None:
@@ -323,7 +349,9 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     compiled engine's binding filter).
 
     Round 1 opens its trace span and compiles the plan (one counted
-    miss on a cold cache); only then is the certificate read off the
+    miss on a cold cache).  Without *relevant*, a plan that carries a
+    compressed chain may be swapped for the plan of its composed step
+    (:func:`_compose`); only then is the certificate read off the
     compiled plan.  With no filter, an entry layout of two distinct
     variables and a single fused step, the rounds run vectorised on
     the numpy kernel when numpy imports, unless *backend* is
@@ -341,6 +369,13 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     entry_terms = tuple(entry_terms)
     out_terms = tuple(out_terms)
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
+    if plan.chain is not None and relevant is None:
+        composed = _compose(database, plan.chain, len(delta), stats,
+                            trace)
+        if composed is not None:
+            body = composed
+            plan = compile_plan(body, entry_terms, out_terms, database,
+                                stats)
     n_symbols = len(database.symbols)
     certified = (
         backend != "python" and relevant is None
@@ -353,6 +388,44 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace)
+
+
+def _compose(database: Database, chain: CompressedChain, exits: int,
+             stats: EvaluationStats, trace: Tracer | None):
+    """*chain*'s body with the cluster probed as its composition, or
+    None when the plain plan runs instead.
+
+    The composition is one rule application of the cluster's atoms,
+    projected on its two anchors and cached on *database* per version
+    of the relations it reads (:meth:`Database.composition`).  It is
+    skipped when the *exits* rows number fewer than one per
+    :data:`CHAIN_EXIT_SHARE` rows it reads, and declined as soon as a
+    step of its join would surface more than :data:`CHAIN_FANOUT_LIMIT`
+    rows per row it reads (:func:`~repro.engine.setjoin.compose_rows`).
+    Both depend on the data alone, and a build counts in
+    ``hash_builds`` alone, so a query's probes and rounds do not depend
+    on whether an earlier one built it; the first delta round's trace
+    detail says what happened.
+    """
+    inputs = sum(database.count(body_atom.predicate)
+                 for body_atom in chain.atoms)
+    if exits * CHAIN_EXIT_SHARE < inputs:
+        rows, status = None, "skipped"
+    else:
+        builds_before = database.hash_builds
+        rows, built = database.composition(
+            chain.name, chain.inputs,
+            lambda: compose_rows(database, chain.atoms, chain.anchors,
+                                 CHAIN_FANOUT_LIMIT * inputs))
+        stats.hash_builds += database.hash_builds - builds_before
+        status = ("declined" if rows is None
+                  else "built" if built else "reused")
+    if trace is not None:
+        trace.note(chain=chain.label,
+                   chain_anchors=[str(anchor) for anchor in chain.anchors],
+                   chain_rows=None if rows is None else len(rows),
+                   chain_inputs=inputs, chain_status=status)
+    return None if rows is None else chain.body
 
 
 def _python_rounds(database, body, entry_terms, out_terms, total,

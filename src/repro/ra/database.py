@@ -30,6 +30,11 @@ join plans of :mod:`repro.engine.setjoin` probe them, and so does
 list indexed by key *code*, the array access path dictionary encoding
 exists to enable.
 
+The same tables serve a compressed chain's composed step relation
+(:meth:`composition`): one join of a rule's cluster of atoms, cached
+per version of the relations it reads, that is never a relation of
+the store.
+
 Bulk loads bump the version once per call instead of once per row, so
 a 10k-row load invalidates each derived structure a single time.
 Removals (:meth:`remove`, :meth:`bulk_remove`) go through the same
@@ -102,6 +107,11 @@ class Database:
         #: flat ``array('q')`` pairs; derived views, no ``hash_builds``
         self._csr_columns: dict[tuple[str, int, int],
                                 tuple[int, tuple]] = {}
+        #: composed step relations of compressed chains, keyed by a
+        #: name no parsed predicate can take → (the versions of the
+        #: relations they read, rows — None for a declined build); the
+        #: join tables above serve them under that name, at that key
+        self._composed: dict[str, tuple[tuple, tuple | None]] = {}
         #: the constant dictionary every stored row is encoded in
         self._symbols = symbols
         #: >0 while inside :meth:`bulk`: version upkeep deferred
@@ -223,6 +233,7 @@ class Database:
         db._dense_tables = dict(self._dense_tables)
         db._dense_columns = dict(self._dense_columns)
         db._csr_columns = dict(self._csr_columns)
+        db._composed = dict(self._composed)
         return db
 
     # -- mutation -------------------------------------------------------
@@ -405,8 +416,9 @@ class Database:
         return frozenset(self._relations.get(name, ()))
 
     def count(self, name: str) -> int:
-        """Number of rows in the relation."""
-        return len(self._relations.get(name, ()))
+        """Number of rows in the relation (or built composition)."""
+        rows = self._relations.get(name)
+        return len(rows) if rows is not None else len(self._relation(name)[1])
 
     def arity(self, name: str) -> int | None:
         """Known arity of the relation, None when never seen."""
@@ -415,6 +427,47 @@ class Database:
     def total_facts(self) -> int:
         """Number of rows across all relations."""
         return sum(len(rows) for rows in self._relations.values())
+
+    def _relation(self, name: str) -> tuple:
+        """``(version, rows)`` of what the join tables serve under
+        *name*: a stored relation, or a built composition (versioned
+        by the versions it was built at, so its tables go stale with
+        it)."""
+        rows = self._relations.get(name)
+        if rows is None:
+            entry = self._composed.get(name)
+            if entry is not None and entry[1] is not None:
+                return entry
+            rows = ()
+        return self._versions.get(name, 0), rows
+
+    def composition(self, name: str, inputs: Iterable[str], build
+                    ) -> tuple[tuple | None, bool]:
+        """The rows of the composed relation *name*, which reads the
+        relations *inputs*, and whether this call built them.
+
+        ``build()`` runs when no composition of *name* was built at the
+        inputs' current versions; it returns the rows, or None to
+        decline.  A decline is cached alike, so it is not retried until
+        an input changes.  A built composition counts one
+        ``hash_builds`` and is served to :meth:`hash_table`,
+        :meth:`dense_table` and their views under *name*, as a
+        relation is, and :meth:`count` sees it.  It is no relation:
+        no relation name, fact total or version of the store shows it,
+        :meth:`copy` shares it like a join table and a pickled snapshot
+        drops it.
+        """
+        versions = tuple(self._versions.get(input_name, 0)
+                         for input_name in inputs)
+        entry = self._composed.get(name)
+        if entry is not None and entry[0] == versions:
+            return entry[1], False
+        rows = build()
+        if rows is not None:
+            rows = tuple(rows)  # a quarter of a set's memory; tables probe it
+            self.hash_builds += 1
+        self._composed[name] = (versions, rows)
+        return rows, True
 
     def hash_table(self, name: str, key_positions: tuple[int, ...]
                    ) -> dict:
@@ -429,12 +482,14 @@ class Database:
         many rounds it runs.
         """
         cache_key = (name, key_positions)
-        version = self._versions.get(name, 0)
+        version = self._versions.get(name)
+        if version is None:  # a composition, or a relation never written
+            version = self._relation(name)[0]
         entry = self._hash_tables.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
+        rows = self._relation(name)[1]
         table: dict = {}
-        rows = self._relations.get(name, ())
         if not key_positions:
             table[()] = list(rows)
         elif len(key_positions) == 1:
@@ -468,12 +523,14 @@ class Database:
         the same ``hash_builds``.
         """
         cache_key = (name, position)
-        version = self._versions.get(name, 0)
+        version = self._versions.get(name)
+        if version is None:  # a composition, or a relation never written
+            version = self._relation(name)[0]
         entry = self._dense_tables.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
         table: list = [()] * len(self._symbols)
-        for row in self._relations.get(name, ()):
+        for row in self._relation(name)[1]:
             code = row[position]
             bucket = table[code]
             if bucket:
@@ -505,7 +562,9 @@ class Database:
         or column buckets.
         """
         cache_key = (name, key_position, value_position)
-        version = self._versions.get(name, 0)
+        version = self._versions.get(name)
+        if version is None:  # a composition, or a relation never written
+            version = self._relation(name)[0]
         entry = self._dense_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
@@ -535,7 +594,9 @@ class Database:
         row path pays.
         """
         cache_key = (name, key_position, value_position)
-        version = self._versions.get(name, 0)
+        version = self._versions.get(name)
+        if version is None:  # a composition, or a relation never written
+            version = self._relation(name)[0]
         entry = self._csr_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]

@@ -1,11 +1,14 @@
 """White-box tests of the compiled engine's strategy internals."""
 
+import pytest
+
 from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
                           SemiNaiveEngine, Tracer)
 from repro.ra import Database
-from repro.workloads import CATALOGUE, chain, cycle, reflexive_exit
+from repro.workloads import (CATALOGUE, chain, cycle, random_edb,
+                             reflexive_exit)
 
 
 class TestStableStrategy:
@@ -203,3 +206,37 @@ class TestBoundedStrategy:
                                          Query.parse("P(a, b)"))
         assert hit == {("a", "a")}
         assert miss == frozenset()
+
+
+class TestAnswerFilter:
+    """BOUNDED, STABLE and the auxiliary path bind the query's
+    constants at their head positions, so their rows reach the answer
+    boundary unfiltered; the binding-filtered fixpoint keeps a filter
+    pass over its rows."""
+
+    @pytest.mark.parametrize("name,text,strategy,filtered", [
+        ("s8", "P(c0, V1, V2, V3)", "bounded", False),
+        ("s1a", "P(c0, Y)", "stable", False),
+        ("s9", "P(c0, Y, Z)", "iterative", False),
+        ("s9", "P(X, Y, c2)", "iterative", False),
+        ("s12", "P(c0, Y, Z)", "iterative", True),
+    ])
+    def test_query_filter_runs_on_the_fixpoint_only(
+            self, monkeypatch, name, text, strategy, filtered):
+        system = CATALOGUE[name].system()
+        db = random_edb(system, nodes=5, tuples_per_relation=8, seed=4)
+        query = Query.parse(text)
+        expected = SemiNaiveEngine().evaluate(system, db, query)
+        calls = []
+        original = Query.filter
+
+        def spy(self, rows):
+            calls.append(self.predicate)
+            return original(self, rows)
+
+        monkeypatch.setattr(Query, "filter", spy)
+        stats = EvaluationStats()
+        answers = CompiledEngine().evaluate(system, db, query, stats)
+        assert answers == expected and answers
+        assert stats.strategy == strategy
+        assert bool(calls) is filtered, calls

@@ -24,9 +24,10 @@ from repro.core.bindings import all_adornments
 from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, NaiveEngine,
-                          Query, SemiNaiveEngine, TopDownEngine)
+                          Query, SemiNaiveEngine, TopDownEngine, Tracer)
+from repro.engine import vector as vector_module
 from repro.ra import Database
-from repro.workloads import CATALOGUE, chain, random_edb
+from repro.workloads import CATALOGUE, EXTRA_CATALOGUE, chain, random_edb
 
 from .oracle import oracle_evaluate, oracle_rounds
 from .strategies import linear_systems
@@ -81,6 +82,40 @@ class TestRoundSynchronous:
         """Every paper formula (classes A1 through F), round for round."""
         system = catalogue_entry.system()
         assert_rounds_match_oracle(system, tiny_edb(system, seed))
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    @pytest.mark.parametrize("rules", [
+        pytest.param(CATALOGUE["compressed"].text, id="compressed"),
+        pytest.param(EXTRA_CATALOGUE["compressed_chain"].text,
+                     id="compressed_chain"),
+        pytest.param(EXTRA_CATALOGUE["decorated_stable"].text,
+                     id="decorated_stable"),
+        pytest.param("P(x, y) :- A(x, m), B(m, z), P(z, y).",
+                     id="two-atom-path"),
+        pytest.param("P(x, y) :- A(x, m), B(m, n), C(n, o), D(o, z), "
+                     "P(z, y).", id="four-atom-path"),
+    ])
+    def test_compressed_chains(self, monkeypatch, rules, seed):
+        """A cluster between the head and the recursive call runs as
+        one composed step: semi-naive on both backends and with numpy
+        hidden, and the compiled engine's all-free fixpoint, still
+        answer and add rows round for round as the oracle does."""
+        system = parse_system(rules)
+        db = random_edb(system, nodes=4, tuples_per_relation=6,
+                        seed=seed)
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(system, db.copy(), trace=tracer)
+        assert tracer.trace.rounds[1].detail["chain_status"] == "built"
+        expected = assert_rounds_match_oracle(system, db)
+        sizes = [len(new) for new in oracle_rounds(system, db)[1]]
+        assert len(sizes) > 2  # a delta round adds rows
+        query = Query.all_free(system.predicate, system.dimension)
+        monkeypatch.setattr(vector_module, "_np", None)
+        for engine in (SemiNaiveEngine(), CompiledEngine()):
+            stats = EvaluationStats()
+            assert engine.evaluate(system, db, query, stats) == expected
+            assert stats.delta_sizes == sizes, engine.name
+            assert stats.backend == "python"
 
     def test_multi_exit_system(self):
         system = parse_system("""

@@ -62,6 +62,40 @@ class TestPlanCompilation:
         assert step.same_free == ((0, 1),)
         assert step.new_positions == (0,)
 
+    @pytest.mark.parametrize("body,entry,head,label,anchors,rest", [
+        (("A(x, m)", "B(m, n)", "C(n, z)"), "zy", "xy", "ABC", "xz", ()),
+        (("A(x, u)", "B(x, z)", "C(z, u)"), "uy", "xy", "ABC", "xu", ()),
+        (("A(x, u)", "B(y, w)", "C(u, m)"), "uy", "xy", "AC", "xu",
+         ("B",)),
+        (("B(u, v)", "A(u, z)"), "v", "z", "BA", "zv", ()),
+        (("A(x, z)",), "zy", "xy", None, None, None),
+        (("A(x, x1)", "B(y, y1)", "C(x1, y1)"), ("x1", "y1"), "xy",
+         None, None, None),
+        (("A(x, m)", "B(m, y)"), "zy", "xy", None, None, None),
+        (("A(x, m)", "B(m, z)"), "", "xz", None, None, None),
+    ], ids=["hop3", "triangle", "decorated", "s9-aux", "tc", "s11",
+            "persistent-y", "exit"])
+    def test_compressed_chain_decision(self, body, entry, head, label,
+                                       anchors, rest):
+        """A cluster of two or more atoms meeting the head in one
+        variable the call lacks, and the call in one the head lacks,
+        is the paper's compressed edge; its composed atom takes the
+        cluster's place."""
+        plan = compile_plan(atoms(*body), tuple(map(V, entry)),
+                            tuple(map(V, head)))
+        chain = plan.chain
+        if label is None:
+            assert chain is None
+            return
+        assert chain.label == label
+        assert chain.anchors == tuple(map(V, anchors))
+        assert chain.inputs == tuple(sorted(label))
+        composed = chain.body[0]
+        assert (composed.predicate, composed.args) == \
+            (chain.name, chain.anchors)
+        assert "$" in chain.name  # in no parsed predicate
+        assert tuple(a.predicate for a in chain.body[1:]) == rest
+
     def test_plan_cache_hits_recorded(self):
         db = Database.from_dict({"A": [("a", "b")]})
         body, entry, out = atoms("A(x, z)"), (V("z"),), (V("x"),)

@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.terms import Variable
-from repro.engine import apply_rule, solve_project
+from repro.engine import EvaluationStats, apply_rule, solve_project
+from repro.engine.plan import compile_plan
+from repro.engine.setjoin import _run_step, _surfaced
 from repro.workloads import CATALOGUE, random_edb
 
 from .strategies import linear_systems
@@ -48,7 +50,16 @@ def test_apply_rule_equals_solve_project_loop(system, seed, tuples):
         if consistent:
             expected |= solve_project(db, body, head, binding)
 
-    assert apply_rule(db, body, entry, head, delta) == expected
+    stats = EvaluationStats()
+    assert apply_rule(db, body, entry, head, delta, stats) == expected
+    # the fan-out bound of a composition build reads, before each step,
+    # the rows the step's probe surfaces: the probes it counts
+    plan = compile_plan(body, entry, head, db)
+    batch, surfaced = plan.layout.batch(delta), 0
+    for step in plan.steps:
+        surfaced += _surfaced(db, step, batch)
+        batch = _run_step(db, step, batch, None)
+    assert surfaced == stats.probes
 
 
 def test_catalogue_spans_the_paper_classes():

@@ -181,6 +181,26 @@ class TestRender:
         assert "answers=1" in text  # (a, b, e): σA(a, b) × R = {e}
 
 
+    def test_compressed_chain_shows_the_composed_step(self):
+        """The first delta round names the compressed edge with the
+        paper's label, the rows it composed from its input rows, and
+        whether this evaluation built it or reused it."""
+        ddb = DeductiveDatabase()
+        ddb.load("""
+            P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y).
+            P(x, y) :- E(x, y).
+            A(a, m). B(m, n). C(n, b). A(b, m2). B(m2, n2). C(n2, c).
+            E(c, c).
+        """)
+        first = ddb.explain_analyze("P(X, Y)")
+        assert ("delta[2] in=1 out=1 fan-out=1.00 probes=1 hash=5b/0r"
+                in first)
+        assert "    · x —[ABC]— z: built rows=2 inputs=6\n" in first
+        again = ddb.explain_analyze("P(X, Y)", engine="semi-naive")
+        assert "    · x —[ABC]— z: reused rows=2 inputs=6\n" in again
+        assert "answers=3" in first and "answers=3" in again
+
+
 class TestEngineTraces:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
                                         "naive", "top-down"])

@@ -14,11 +14,16 @@ shapes must be bit-identical.  Four layers pin this down:
 * **deep chains** — recursions deep enough that the kernel's seen
   set holds several sorted runs, to fixpoint and under a row budget;
 * **fallback paths** — an unknown backend name is refused;
-* **session laws** — a session answers the same with numpy hidden.
+* **session laws** — a session answers the same with numpy hidden;
+* **compressed chains** — the composed step a delta loop probes is
+  cached per version of the relations it reads, shared by copies,
+  dropped by pickling, and declined past its fan-out bound.
 """
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 
 import pytest
@@ -27,19 +32,22 @@ from hypothesis import strategies as st
 
 from repro.datalog.errors import EvaluationError
 from repro.datalog.parser import parse_system
-from repro.engine import CompiledEngine, Deadline, Query, SemiNaiveEngine
+from repro.engine import (CompiledEngine, Deadline, NaiveEngine, Query,
+                          SemiNaiveEngine)
 from repro.engine import vector as vector_module
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
 from repro.engine.vector import validate_backend
 from repro.ra import Database
 from repro.session import DeductiveDatabase
-from repro.workloads import CATALOGUE, chain, random_edb
+from repro.workloads import CATALOGUE, EXTRA_CATALOGUE, chain, random_edb
 
-#: one catalogue representative per paper class A1 … F
+#: one catalogue representative per paper class A1 … F, and the
+#: compressed chain the delta loops probe as one composed step
 CLASS_ENTRIES = {
     "A1": "s2a", "A3": "s4", "A4": "s5", "A5": "s1a",
     "B": "s8", "C": "s9", "D": "s10", "E": "s11", "F": "s12",
+    "A5-chain": "compressed_chain",
 }
 
 #: the engines that own a delta loop (and may hand it to the kernel)
@@ -59,7 +67,8 @@ def numpy_absent():
 
 
 def _workload(paper_class, seed, tuples):
-    system = CATALOGUE[CLASS_ENTRIES[paper_class]].system()
+    name = CLASS_ENTRIES[paper_class]
+    system = (CATALOGUE.get(name) or EXTRA_CATALOGUE[name]).system()
     db = random_edb(system, nodes=5, tuples_per_relation=tuples,
                     seed=seed)
     query = Query.all_free(system.predicate, system.dimension)
@@ -246,3 +255,163 @@ class TestSessionLaws:
             assert vector == python
             assert vector.encoded == python.encoded
             assert len(vector) == 3
+
+
+#: the catalogue's ``compressed_chain``: A∘B∘C composes into one step
+CHAIN_SYSTEM = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
+
+#: one A∘B∘C path, a → z, beside dead ends that one more row of A, B
+#: or C completes; exits on z and q
+CHAIN_DB = {"A": [("a", "m"), ("a2", "m2")], "B": [("m", "n")],
+            "C": [("n", "z"), ("n2", "q")],
+            "P__exit": [("z", "z"), ("q", "q")]}
+
+
+def _chain_run(db, backend="auto"):
+    """Semi-naive over :data:`CHAIN_SYSTEM` on *db*: the answers, the
+    stats and the first delta round's detail."""
+    tracer, stats = Tracer(), EvaluationStats()
+    answers = SemiNaiveEngine(backend=backend).evaluate(
+        parse_system(CHAIN_SYSTEM), db, stats=stats, trace=tracer)
+    return answers, stats, tracer.trace.rounds[1].detail
+
+
+def _count_builds(monkeypatch) -> list[str]:
+    """The names of the compositions built from here on."""
+    builds: list[str] = []
+    original = Database.composition
+
+    def spy(self, name, inputs, build):
+        def counted():
+            builds.append(name)
+            return build()
+        return original(self, name, inputs, counted)
+
+    monkeypatch.setattr(Database, "composition", spy)
+    return builds
+
+
+class TestCompressedChains:
+    @pytest.mark.parametrize("change,relation,row", [
+        ("add", "A", ("b", "m")), ("add", "B", ("m2", "n")),
+        ("add", "C", ("n", "q")), ("remove", "A", ("a", "m")),
+        ("remove", "B", ("m", "n")), ("remove", "C", ("n", "z")),
+    ])
+    def test_a_changed_input_rebuilds_the_composition(self, change,
+                                                      relation, row):
+        """Every change to a relation the composition reads changes
+        the answers here, so a stale composition, dense view or CSR
+        view would answer wrongly on one of the two backends."""
+        db = Database.from_dict(CHAIN_DB)
+        before, _, detail = _chain_run(db)
+        assert detail == {"chain": "ABC", "chain_anchors": ["x", "z"],
+                          "chain_rows": 1, "chain_inputs": 5,
+                          "chain_status": "built"}
+        assert _chain_run(db, "python")[2]["chain_status"] == "reused"
+        getattr(db, change)(relation, row)
+        expected = NaiveEngine().evaluate(parse_system(CHAIN_SYSTEM), db)
+        assert expected != before
+        for backend, status in (("auto", "built"), ("python", "reused")):
+            answers, _, detail = _chain_run(db, backend)
+            assert detail["chain_status"] == status
+            assert answers == expected, backend
+
+    def test_copies_share_and_snapshots_drop_it(self):
+        db = Database.from_dict(CHAIN_DB)
+        answers, built, _ = _chain_run(db)
+        assert built.hash_builds > 0
+        copy, _, detail = _chain_run(db.copy())
+        assert detail["chain_status"] == "reused"
+        snapshot = pickle.loads(pickle.dumps(db))
+        again, stats, detail = _chain_run(snapshot)
+        assert detail["chain_status"] == "built"
+        assert answers == copy == again
+        assert stats.hash_builds == built.hash_builds
+
+    def test_a_composition_is_no_relation(self):
+        db = Database.from_dict(CHAIN_DB)
+        shown = (db.relation_names, db.total_facts(),
+                 db.metrics_snapshot(), db.global_version())
+        _chain_run(db)
+        assert (db.relation_names, db.total_facts(),
+                db.metrics_snapshot(), db.global_version()) == shown
+
+    def test_counters_do_not_depend_on_an_earlier_build(self):
+        db = Database.from_dict(CHAIN_DB)
+        _, cold, _ = _chain_run(db)
+        _, warm, _ = _chain_run(db)
+        for name in ("rounds", "probes", "derived", "delta_sizes",
+                     "batch_sizes"):
+            assert getattr(cold, name) == getattr(warm, name), name
+        assert warm.hash_builds == 0 < cold.hash_builds
+
+    @pytest.mark.parametrize("rule", [
+        CHAIN_SYSTEM, "P(x, y) :- A(x, m), B(m, z), P(z, y).",
+    ], ids=["three-atom", "two-atom"])
+    def test_a_hub_declines_and_is_not_retried(self, monkeypatch, rule):
+        """400 A rows into one m and 400 B rows out of it: the B step
+        would surface 160,000 rows, past the bound for 1,200 (or 800)
+        input rows, whether a C step follows it or B is the last, fused
+        probe.  The composition is declined before any is held, once,
+        and the plain plan runs."""
+        system = parse_system(rule)
+        hub = {"A": [(f"a{i}", "m") for i in range(400)],
+               "B": [("m", f"n{i}") for i in range(400)],
+               "C": [(f"n{i}", f"a{i}") for i in range(400)],
+               "P__exit": [(f"{node}{i}",) * 2 for node in "an"
+                           for i in range(10)]}
+        db = Database.from_dict(hub)
+        expected = NaiveEngine().evaluate(system, db)
+        builds = _count_builds(monkeypatch)
+        for backend in ("auto", "python"):
+            tracer, stats = Tracer(), EvaluationStats()
+            tracemalloc.start()
+            try:
+                answers = SemiNaiveEngine(backend=backend).evaluate(
+                    system, db, stats=stats, trace=tracer)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            detail = tracer.trace.rounds[1].detail
+            assert detail["chain_status"] == "declined"
+            assert detail["chain_rows"] is None
+            assert answers == expected
+            assert stats.backend == "python"
+            assert peak < 4_000_000  # 160,000 pairs would hold ~15 MB
+        assert len(builds) == 1
+        assert len(expected) > 400  # the recursion derives through the hub
+
+    def test_sparse_exits_skip_the_composition(self, monkeypatch):
+        """Exit rows fewer than one per ``CHAIN_EXIT_SHARE`` rows the
+        chain reads run the plain plan, unbuilt; one more exit row
+        composes."""
+        share = vector_module.CHAIN_EXIT_SHARE
+        db = Database.from_dict({
+            "A": [(f"a{i}", f"m{i}") for i in range(share)],
+            "B": [(f"m{i}", f"n{i}") for i in range(share - 1)],
+            "C": [("n0", "z")], "P__exit": [("z", "y")]})
+        builds = _count_builds(monkeypatch)
+        answers, stats, detail = _chain_run(db)
+        assert detail == {"chain": "ABC", "chain_anchors": ["x", "z"],
+                          "chain_rows": None, "chain_inputs": 2 * share,
+                          "chain_status": "skipped"}
+        assert builds == [] and stats.backend == "python"
+        assert answers == NaiveEngine().evaluate(
+            parse_system(CHAIN_SYSTEM), db)
+        db.add("P__exit", ("q", "q"))
+        answers, stats, detail = _chain_run(db)
+        assert (detail["chain_status"], detail["chain_rows"]) == ("built", 1)
+        assert len(builds) == 1
+        assert stats.backend == ("numpy" if vector_module.HAVE_NUMPY
+                                 else "python")
+        assert answers == NaiveEngine().evaluate(
+            parse_system(CHAIN_SYSTEM), db)
+
+    @pytest.mark.parametrize("name", ["s1a", "s11"])
+    def test_tc_and_s11_do_not_compose(self, name):
+        """TC's cluster is one atom and s11's has four anchors."""
+        system = CATALOGUE[name].system()
+        db = random_edb(system, nodes=5, tuples_per_relation=8, seed=4)
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(system, db, trace=tracer)
+        assert not any(span.detail for span in tracer.trace.rounds)
