@@ -259,18 +259,12 @@ def _structure_body(atoms: tuple[Atom, ...], exit_atom: Atom | None,
                     ) -> list[_OrderedGroup]:
     """Split a body into connected groups and order each one."""
     everything = list(atoms) if exit_atom is None else [*atoms, exit_atom]
-    groups = connected_groups(everything, constants)
-    # the exit atom, when given, is the last index
-    grouped = {root: [everything[i] for i in members if i < len(atoms)]
-               for root, members in groups.items()}
-    exit_group = (None if exit_atom is None else
-                  next(root for root, members in groups.items()
-                       if len(atoms) in members))
-
     out: list[_OrderedGroup] = []
-    for root in sorted(grouped):
-        members = grouped[root]
-        has_exit = root == exit_group
+    # groups in order of their first atom, as the join kernel runs them
+    for indices in connected_groups(everything, constants).values():
+        # the exit atom, when given, is the last index
+        members = [everything[i] for i in indices if i < len(atoms)]
+        has_exit = exit_atom is not None and len(atoms) in indices
         down, determined = _stage_order(members, set(constants))
         seeded = bool(down) and bool(down[0].variable_set() & constants)
         up: list[Atom] = []

@@ -88,7 +88,9 @@ def connected_groups(atoms: Sequence[Atom],
     """The indices of *atoms*, grouped by shared variables and keyed by
     their group's root.  Union-find over shared variables outside
     *constants*: two atoms that only share one of those (a query
-    constant) are independent selections.
+    constant) are independent selections.  The groups come in order of
+    their first atom, each in body order; which atom is a group's root
+    follows set iteration order, so no caller should order by it.
 
     >>> groups = connected_groups((atom("A", "x", "m"), atom("B", "y"),
     ...                            atom("C", "m", "z")))

@@ -12,8 +12,7 @@ engines hand their fixpoint to
 """
 
 from .compiled import CompiledEngine
-from .conjunctive import (Binding, pattern_of, satisfiable, solve,
-                          solve_project)
+from .conjunctive import Binding, pattern_of, solve, solve_project
 from .deadline import Deadline, QueryCancelled, QueryTimeout
 from .naive import NaiveEngine
 from .incremental import MaterializedRecursion
@@ -21,7 +20,7 @@ from .plan import JoinPlan, JoinStep, compile_plan
 from .provenance import Derivation, explain_answer
 from .query import Query
 from .seminaive import SemiNaiveEngine
-from .setjoin import apply_rule, execute_plan, join_batch
+from .setjoin import apply_rule, execute_plan
 from .topdown import TopDownEngine
 from .stats import EvaluationStats
 from .trace import (TRACE_SCHEMA_VERSION, RoundSpan, RuleSpan, Trace,
@@ -40,6 +39,5 @@ __all__ = [
     "pattern_of",
     "TopDownEngine", "Derivation", "MaterializedRecursion",
     "apply_rule", "compile_plan", "execute_plan", "explain_answer",
-    "join_batch",
-    "satisfiable", "solve", "solve_project",
+    "solve", "solve_project",
 ]

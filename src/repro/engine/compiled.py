@@ -54,9 +54,9 @@ from ..datalog.program import RecursionSystem
 from ..datalog.terms import Variable
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import satisfiable
+from .plan import compile_plan
 from .query import Query
-from .setjoin import apply_rule
+from .setjoin import apply_rule, execute_plan, execute_split
 from .stats import EvaluationStats, open_stats
 from .trace import Tracer
 from .vector import (ColumnarTotal, answer_boundary, exit_round,
@@ -147,9 +147,14 @@ class CompiledEngine:
                           trace: Tracer | None = None) -> set[tuple]:
         """The union of the (bound + 1) × |exits| exit expansions.
 
-        BOUNDED knows its rounds in advance, so it checks the deadline
-        before each expansion instead of after it: a spent budget runs
-        no further expansion.
+        An expansion whose body falls apart into components runs as
+        the paper's plan prints it: existence checks, then the
+        selection, then the Cartesian product of the other components
+        (:mod:`~repro.engine.setjoin`); its trace round records how many
+        components ran and whether the checks held.  BOUNDED knows its
+        rounds in advance, so it checks the deadline before each
+        expansion instead of after it: a spent budget runs no further
+        expansion.
         """
         depths = len(compiled.expansions) // len(compiled.system.exits)
         deadline = stats.deadline
@@ -169,14 +174,23 @@ class CompiledEngine:
             if trace is not None:
                 trace.begin_round("expansion", 0, stats)
             before = len(answers)
-            answers |= apply_rule(edb, flattened.body,
-                                  tuple(head[i] for i in positions),
-                                  head, [entry], stats)
+            plan = compile_plan(flattened.body,
+                                tuple(head[i] for i in positions), head,
+                                edb, stats)
+            batch = plan.layout.batch([entry])
+            stats.record_batch(len(batch))
+            if plan.components:
+                rows, checked = execute_split(edb, plan, batch, stats)
+            else:
+                rows, checked = execute_plan(edb, plan, batch, stats), None
+            answers |= rows
             stats.record_round(len(answers) - before)
             if trace is not None:
                 exit_index, depth = divmod(index, depths)
+                checks = {} if checked is None else {"exists": checked}
                 trace.end_round(len(answers) - before, stats,
-                                exit=exit_index, depth=depth + 1)
+                                exit=exit_index, depth=depth + 1,
+                                components=plan.parts, **checks)
         return answers
 
     # -- stable ----------------------------------------------------------
@@ -278,8 +292,13 @@ class CompiledEngine:
                 for row in exit_rows:
                     exits_at[i].setdefault(row[i], []).append(row)
 
-        gate_open = (not stable.free_atoms
-                     or satisfiable(edb, stable.free_atoms, stats=stats))
+        # the atoms no chain carries: one existence check, the gate of
+        # every depth past the first
+        gate_open, gate = True, {}
+        if stable.free_atoms:
+            gate_open = bool(apply_rule(edb, stable.free_atoms, (), (),
+                                        [()], stats))
+            gate = {"gate": "held" if gate_open else "failed"}
 
         # Initial state at depth 0.
         frontiers: dict[int, frozenset] = {
@@ -323,7 +342,7 @@ class CompiledEngine:
             if not gate_open:
                 # nothing beyond depth 0 can ever be derived
                 stats.close_round(new_answers, len(answers), trace,
-                                  depth=depth)
+                                  depth=depth, **gate)
                 break
             depth += 1
             frontiers = {i: forward(i, frontiers[i])
@@ -333,7 +352,8 @@ class CompiledEngine:
             # The round closes after the chain step so its probe count
             # reflects the work done to *advance* past this depth.
             if (stats.close_round(new_answers, len(answers), trace,
-                                  depth=depth - 1)
+                                  depth=depth - 1,
+                                  **(gate if depth == 1 else {}))
                     or any(not frontiers[i] for i in bound_positions)):
                 break  # σE of an empty frontier is empty from here on
         return answers

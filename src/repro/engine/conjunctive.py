@@ -7,12 +7,11 @@ access path) is always evaluated next, which is precisely the paper's
 principle that "join operations will be performed only after selection
 operations".
 
-Rule application runs set-at-a-time in :mod:`repro.engine.setjoin`;
-this solver serves where one binding at a time is the point: top-down's
-tabled resolution, the first witness :func:`~repro.engine.provenance
-.explain_answer` shows, and the stable strategy's existence gate
-(:func:`satisfiable`).  It is also the reference the join kernel is
-tested against.
+Rule application runs set-at-a-time in :mod:`repro.engine.setjoin`,
+existence checks included; this solver serves where one binding at a
+time is the point: top-down's tabled resolution and the first witness
+:func:`~repro.engine.provenance.explain_answer` shows.  It is also the
+reference the join kernel is tested against.
 
 The solver runs in *storage space*: bindings, probe patterns and
 result rows hold the dense int codes the database stores.  Constants
@@ -151,10 +150,3 @@ def solve_project(database: Database, atoms: Sequence[Atom],
         if stats is not None:
             stats.derived += 1
     return results
-
-
-def satisfiable(database: Database, atoms: Sequence[Atom],
-                binding: Mapping[Variable, object] | None = None,
-                stats: EvaluationStats | None = None) -> bool:
-    """The paper's existence check ∃: is there at least one solution?"""
-    return next(solve(database, atoms, binding, stats), None) is not None

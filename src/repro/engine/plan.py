@@ -15,6 +15,17 @@ variables, and the columns that extend the binding layout.  The
 resulting :class:`JoinPlan` is a straight-line program executed by
 :mod:`repro.engine.setjoin` over whole delta relations at once.
 
+A body is *split* into its variable-connected components, counting
+the entry variables as bound, when one of them binds no output term or
+reads no entry variable although the entry binds some (or, with
+nothing bound at entry, when there are several): the components that
+read an entry variable and bind an output term stay one pipeline, and
+each other component runs on its own (:class:`Component`) — once per
+batch, projected onto its own output terms, or, when it binds no output
+term, as an existence check that stops at its first row.  The kernel
+then emits their product: the paper's Cartesian product and existence
+check.
+
 A plan also records its body's compressed edge, when it has one
 (:class:`CompressedChain`, the paper's §3 Remark): a cluster of atoms
 between the entry and the output terms that a delta loop may probe as
@@ -182,6 +193,23 @@ def _compressed_chain(body: tuple[Atom, ...],
 
 
 @dataclass(frozen=True)
+class Component:
+    """A component of a split body that runs apart from the pipeline.
+
+    ``out_slots`` are the slots of its final binding that feed the
+    output, in output order, and its ``steps`` join its atoms from the
+    empty binding.  None marks an existence check, a component that
+    binds no output term: its steps join from an entry binding, of
+    which it reads the ``entry_slots``, and its last step only asks
+    whether a row is there.
+    """
+
+    steps: tuple[JoinStep, ...]
+    entry_slots: tuple[int, ...]
+    out_slots: tuple[int, ...] | None
+
+
+@dataclass(frozen=True)
 class JoinPlan:
     """An ordered join pipeline plus the output projection.
 
@@ -194,6 +222,14 @@ class JoinPlan:
     :class:`FusedTail`.  ``chain`` is the body's compressed edge, when
     it has one: a delta loop may probe its composition instead (see
     :class:`CompressedChain`).
+
+    ``parts`` counts the body's variable-connected components, the
+    entry variables counted as bound.  ``components`` is empty when the
+    steps carry the whole body.  Otherwise the body is split: the steps
+    carry only the components that read an entry variable and bind an
+    output term, and ``components`` lists the others in order of their
+    first body atom.  The output then reads the final binding followed
+    by each projecting component's ``out_slots`` columns.
     """
 
     layout: EntryLayout
@@ -201,6 +237,8 @@ class JoinPlan:
     out_sources: tuple[Source, ...]
     fused: FusedTail | None = None
     chain: CompressedChain | None = None
+    parts: int = 1
+    components: tuple[Component, ...] = ()
 
     @property
     def width(self) -> int:
@@ -315,15 +353,13 @@ def _static_boundness(atom: Atom, bound: Mapping[Variable, int]) -> int:
     return count
 
 
-def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
-             out_terms: tuple[Term, ...],
-             counts: Mapping[str, int], encode=None) -> JoinPlan:
-    layout = entry_layout(entry_terms, encode)
-    bound: dict[Variable, int] = {
-        var: slot for slot, var in enumerate(layout.variables)}
+def _order(atoms: Sequence[Atom], bound: dict[Variable, int],
+           counts: Mapping[str, int], encode=None) -> tuple[JoinStep, ...]:
+    """*atoms* as a left-deep pipeline from the variables of *bound*
+    (variable → layout slot), most-bound atom first; *bound* gains
+    every variable the steps bind."""
     next_slot = len(bound)
-
-    remaining = list(body)
+    remaining = list(atoms)
     steps: list[JoinStep] = []
     while remaining:
         # Tie-break on the *coarse* (log-scale) cardinality — the same
@@ -362,6 +398,47 @@ def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
         steps.append(JoinStep(atom.predicate, tuple(key_positions),
                               tuple(key_sources), tuple(same_free),
                               new_positions))
+    return tuple(steps)
+
+
+def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
+             out_terms: tuple[Term, ...],
+             counts: Mapping[str, int], encode=None) -> JoinPlan:
+    layout = entry_layout(entry_terms, encode)
+    entry = layout.variables
+    outputs = [term for term in dict.fromkeys(out_terms)
+               if isinstance(term, Variable) and term not in entry]
+    groups = list(connected_groups(body, frozenset(entry)).values())
+    piped: set[int] = set()
+    apart: list[tuple[list[Atom], list[Variable], list[Variable]]] = []
+    for members in groups:
+        atoms = [body[i] for i in members]
+        found = frozenset().union(*(a.variable_set() for a in atoms))
+        reads = [var for var in entry if var in found]
+        binds = [var for var in outputs if var in found]
+        # a lone group read from no entry variable is the batch's whole
+        # join, as before any split
+        if binds and (reads or (not entry and len(groups) == 1)):
+            piped.update(members)
+        else:
+            apart.append((atoms, reads, binds))
+
+    bound: dict[Variable, int] = {
+        var: slot for slot, var in enumerate(entry)}
+    steps = _order([a for i, a in enumerate(body) if i in piped], bound,
+                   counts, encode)
+    width = len(bound)
+    components: list[Component] = []
+    for atoms, reads, binds in apart:
+        local = {} if binds else {
+            var: slot for slot, var in enumerate(entry)}
+        part = _order(atoms, local, counts, encode)
+        for var in binds:
+            bound[var] = width
+            width += 1
+        components.append(Component(
+            part, tuple(entry.index(var) for var in reads),
+            tuple(local[var] for var in binds) if binds else None))
 
     out_sources: list[Source] = []
     for term in out_terms:
@@ -375,11 +452,12 @@ def _compile(body: tuple[Atom, ...], entry_terms: tuple[Term, ...],
                 f"output term {term} is bound by neither the entry "
                 f"binding nor the body — the rule is not range "
                 f"restricted relative to its entry")
-    steps_t = tuple(steps)
     out_t = tuple(out_sources)
-    return JoinPlan(layout, steps_t, out_t,
-                    _fused_tail(layout.variables, steps_t, out_t),
-                    _compressed_chain(body, entry_terms, out_terms))
+    fused = (None if components
+             else _fused_tail(layout.variables, steps, out_t))
+    return JoinPlan(layout, steps, out_t, fused,
+                    _compressed_chain(body, entry_terms, out_terms),
+                    len(groups), tuple(components))
 
 
 def compile_plan(body: Sequence[Atom], entry_terms: Sequence[Term],

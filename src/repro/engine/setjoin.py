@@ -34,17 +34,28 @@ row-major — every round feeds a row-hash dedup (``new - total``), so
 rows are the native shape there — and the column representation
 resumes at the answer boundary
 (:class:`~repro.ra.answers.AnswerSet`).
+
+A split plan (:attr:`~repro.engine.plan.JoinPlan.components`) runs the
+paper's Cartesian product and existence check.  Its existence checks
+run first, in body order, each once per batch or once per distinct
+binding of the entry variables it reads, level by level: every step
+but the last as the pipeline runs it, then the last step, which stops
+at the first complete row (see :func:`_holding`).  The pipeline then
+runs from the surviving bindings, each other component once from the
+empty binding, projected onto its own output terms, and the output is
+their product.  Any empty part ends the application there.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.terms import Term
 from ..ra.database import Database
-from .plan import JoinPlan, JoinStep, compile_plan
+from .plan import Component, JoinPlan, JoinStep, compile_plan
 from .stats import EvaluationStats
 
 _NO_ROWS: tuple = ()
@@ -145,14 +156,22 @@ def _dense_probe(dense: list, step: JoinStep, batch: list[tuple],
     return out
 
 
-def _run_step(database: Database, step: JoinStep,
-              batch: list[tuple],
-              stats: EvaluationStats | None) -> list[tuple]:
+def _fetch(database: Database, step: JoinStep,
+           stats: EvaluationStats | None):
+    """*step*'s :func:`probe_table`, counted: a build, when the table
+    had to be built, and one lookup."""
     builds_before = database.hash_builds
     table = probe_table(database, step.predicate, step.key_positions)
     if stats is not None:
         stats.hash_builds += database.hash_builds - builds_before
         stats.hash_lookups += 1
+    return table
+
+
+def _run_step(database: Database, step: JoinStep,
+              batch: list[tuple],
+              stats: EvaluationStats | None) -> list[tuple]:
+    table = _fetch(database, step, stats)
     if type(table) is list:
         return _dense_probe(table, step, batch, stats)
     get_key = _probe_key_getter(step) if step.key_positions else None
@@ -207,23 +226,91 @@ def _run_step(database: Database, step: JoinStep,
     return out
 
 
+def _buckets(table, step: JoinStep, batch: list[tuple]):
+    """The rows of *table* (either access path of :func:`probe_table`)
+    that *step* probes for each binding of *batch*, in batch order."""
+    sources = step.key_sources
+    if type(table) is list:
+        ((is_const, payload),) = sources
+        size = len(table)
+        if is_const:
+            return repeat(table[payload] if payload < size else _NO_ROWS,
+                          len(batch))
+        return (table[binding[payload]] if binding[payload] < size
+                else _NO_ROWS for binding in batch)
+    get = table.get
+    if not sources:
+        return repeat(get((), _NO_ROWS), len(batch))
+    return map(get, map(_probe_key_getter(step), batch),
+               repeat(_NO_ROWS))
+
+
 def _surfaced(database: Database, step: JoinStep,
               batch: list[tuple]) -> int:
     """The rows *step*'s probe would surface for *batch* — what
     :func:`_run_step` counts as probes — read off the bucket sizes of
     the same table, without building a binding."""
     table = probe_table(database, step.predicate, step.key_positions)
-    if type(table) is list:
-        size = len(table)
-        if not step.key_is_all_vars:
-            code = step.key_sources[0][1]
-            return len(batch) * len(table[code]) if code < size else 0
-        slot = step.key_slots[0]
-        return sum(len(table[binding[slot]]) for binding in batch
-                   if binding[slot] < size)
-    get_key = _probe_key_getter(step) if step.key_positions else None
-    return sum(len(table.get(get_key(binding) if get_key else (),
-                             _NO_ROWS)) for binding in batch)
+    return sum(map(len, _buckets(table, step, batch)))
+
+
+def _slot_getter(slots: tuple[int, ...]):
+    """binding → the tuple of its *slots*."""
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda binding: (binding[slot],)
+    return itemgetter(*slots)
+
+
+def _with_rows(database: Database, step: JoinStep, batch: list[tuple],
+               stats: EvaluationStats | None) -> list[tuple]:
+    """The bindings of *batch* under which *step*'s probe keeps a row
+    (its table fetched and counted as :func:`_run_step` does)."""
+    pairs = zip(batch, _buckets(_fetch(database, step, stats), step,
+                                batch))
+    same_free = step.same_free
+    if not same_free:
+        return [binding for binding, rows in pairs if rows]
+    return [binding for binding, rows in pairs
+            if any(all(row[i] == row[j] for i, j in same_free)
+                   for row in rows)]
+
+
+def _holding(database: Database, part: Component, batch: list[tuple],
+             stats: EvaluationStats | None) -> list[tuple]:
+    """The bindings of *batch* (not empty) under which the existence
+    check *part* has a row.
+
+    The check runs level by level, once per distinct tuple of the entry
+    values it reads (once in all when it reads none): every step but
+    the last as the pipeline runs it, then one pass of the last step,
+    which asks only whether a row is there and counts one row for each
+    tuple that has one, its first complete row.  So what a check counts
+    follows from the rows each level holds, never from which of them
+    comes first.
+    """
+    steps, slots = part.steps, part.entry_slots
+    key_of = _slot_getter(slots) if slots else (lambda binding: ())
+    if not slots:
+        starts = batch[:1]
+    elif len(steps) == 1:
+        # one atom: a bucket read per binding, cheaper than finding
+        # the distinct tuples first
+        starts = batch
+    else:
+        starts = list({key_of(binding): binding
+                       for binding in batch}.values())
+    partial = _run_steps(database, steps[:-1], starts, stats, None)
+    found = (_with_rows(database, steps[-1], partial, stats)
+             if partial else [])
+    held = set(map(key_of, found))
+    if stats is not None:
+        stats.probes += len(held)
+    if starts is batch:  # one atom: *found* is the batch filtered
+        return found
+    if not slots:
+        return batch if held else []
+    return [binding for binding in batch if key_of(binding) in held]
 
 
 def _run_steps(database: Database, steps: Sequence[JoinStep],
@@ -239,14 +326,6 @@ def _run_steps(database: Database, steps: Sequence[JoinStep],
             return None
         batch = _run_step(database, step, batch, stats)
     return batch
-
-
-def join_batch(database: Database, plan: JoinPlan,
-               batch: Iterable[tuple],
-               stats: EvaluationStats | None = None) -> list[tuple]:
-    """All full binding tuples reachable from *batch* through *plan*."""
-    current = batch if isinstance(batch, list) else list(batch)
-    return _run_steps(database, plan.steps, current, stats, None)
 
 
 def _fused_final_rows(database: Database, plan: JoinPlan,
@@ -340,7 +419,10 @@ def compose_rows(database: Database, body: Sequence[Atom],
 def _execute(database: Database, plan: JoinPlan, batch: list[tuple],
              stats: EvaluationStats | None,
              limit: int | None) -> set[tuple] | None:
-    """:func:`execute_plan`, with :func:`_run_steps`'s *limit*."""
+    """:func:`execute_plan`, with :func:`_run_steps`'s *limit* (a
+    composition's plan is never split)."""
+    if plan.components:
+        return execute_split(database, plan, batch, stats)[0]
     if plan.fused is not None:
         return _fused_final_rows(database, plan, batch, stats, limit)
     bindings = _run_steps(database, plan.steps, batch, stats, limit)
@@ -348,21 +430,70 @@ def _execute(database: Database, plan: JoinPlan, batch: list[tuple],
         return None
     if stats is not None:
         stats.derived += len(bindings)
-    if not bindings:
+    return _project(bindings, plan.out_sources, plan.width)
+
+
+def _project(rows: list[tuple], sources: tuple, width: int) -> set[tuple]:
+    """*rows*, each *width* columns wide, projected on *sources*."""
+    if not rows:
         return set()
-    sources = plan.out_sources
+    if not sources:
+        return {()}
     if all(not is_const for is_const, _ in sources):
         slots = tuple(payload for _, payload in sources)
-        if slots == tuple(range(plan.width)):
-            return set(bindings)  # head == layout: no projection
+        if slots == tuple(range(width)):
+            return set(rows)  # head == layout: no projection
         if len(slots) == 1:
             slot = slots[0]
-            return {(binding[slot],) for binding in bindings}
-        getter = itemgetter(*slots)
-        return set(map(getter, bindings))
-    return {tuple(payload if is_const else binding[payload]
+            return {(row[slot],) for row in rows}
+        return set(map(itemgetter(*slots), rows))
+    return {tuple(payload if is_const else row[payload]
                   for is_const, payload in sources)
-            for binding in bindings}
+            for row in rows}
+
+
+def execute_split(database: Database, plan: JoinPlan,
+                  batch: list[tuple], stats: EvaluationStats | None
+                  ) -> tuple[set[tuple], str | None]:
+    """:func:`execute_plan` of a split *plan* (see the module
+    docstring), and whether its existence checks ``"held"`` or
+    ``"failed"`` (None when it has none, or the batch is empty)."""
+    if not batch:
+        return set(), None
+    checked = None
+    for part in plan.components:
+        if part.out_slots is None:
+            batch = _holding(database, part, batch, stats)
+            checked = "held" if batch else "failed"
+            if not batch:
+                return set(), checked
+    bindings = _run_steps(database, plan.steps, batch, stats, None)
+    extras: list[tuple] = [()]
+    for part in plan.components:
+        if part.out_slots is not None and bindings and extras:
+            found = _run_steps(database, part.steps, [()], stats, None)
+            projected = set(map(_slot_getter(part.out_slots), found))
+            extras = [left + right for left in extras
+                      for right in projected]
+    if stats is not None:
+        stats.derived += len(bindings) * len(extras)
+    if not extras:
+        return set(), checked
+    width = plan.width
+    if extras == [()]:
+        return _project(bindings, plan.out_sources, width), checked
+    # the output's binding columns first, each distinct tuple of them
+    # once, then the product with the other components' rows
+    keep = sorted({payload for is_const, payload in plan.out_sources
+                   if not is_const and payload < width})
+    left = set(map(_slot_getter(tuple(keep)), bindings)) if keep else {()}
+    sources = tuple(
+        (True, payload) if is_const
+        else (False, keep.index(payload) if payload < width
+              else len(keep) + payload - width)
+        for is_const, payload in plan.out_sources)
+    return _project([row + extra for row in left for extra in extras],
+                    sources, len(keep) + len(extras[0])), checked
 
 
 def apply_rule(database: Database, body: Sequence[Atom],

@@ -173,6 +173,11 @@ class Trace:
                              f"{detail['chain_status']}"
                              + ("" if rows is None else f" rows={rows}")
                              + f" inputs={detail['chain_inputs']}")
+            shown = [f"{key}={detail[key]}"
+                     for key in ("components", "exists", "gate")
+                     if key in detail]
+            if shown:
+                lines.append(f"    · {' '.join(shown)}")
             for rule in span.rules:
                 lines.append(f"    · {rule.label}: "
                              f"derived={rule.derived} "

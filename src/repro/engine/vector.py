@@ -77,13 +77,14 @@ HAVE_NUMPY = _np is not None
 #: (the reference path of the kernel's parity tests).
 BACKENDS = ("auto", "python")
 
-#: A compressed chain is composed only when the loop's exit rows number
-#: at least one per this many rows the chain reads.  The build joins
-#: the whole chain, while the plain plan walks only what the exits
-#: reach: on hop3's relations, rebuilt before each query, composing
-#: first pays between 10 and 100 exits on the deepest level (one per
-#: 2,000 and per 200 of the 19,980 rows A, B and C hold), and never for
-#: exits that reach nothing.
+#: A compressed chain is composed only when the loop's exit rows that
+#: the chain can extend — whose call-anchor value has a row in the
+#: chain's call-side atom — number at least one per this many rows the
+#: chain reads.  The build joins the whole chain, while the plain plan
+#: walks only what the exits reach: on hop3's relations, rebuilt before
+#: each query, composing first pays between 10 and 100 exits on the
+#: deepest level (one per 2,000 and per 200 of the 19,980 rows A, B and
+#: C hold), and never for exits that reach nothing.
 CHAIN_EXIT_SHARE = 64
 
 #: A compressed chain's composition is declined as soon as one step of
@@ -370,8 +371,8 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     out_terms = tuple(out_terms)
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
     if plan.chain is not None and relevant is None:
-        composed = _compose(database, plan.chain, len(delta), stats,
-                            trace)
+        composed = _compose(database, plan.chain, delta, entry_terms,
+                            stats, trace)
         if composed is not None:
             body = composed
             plan = compile_plan(body, entry_terms, out_terms, database,
@@ -390,15 +391,17 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace)
 
 
-def _compose(database: Database, chain: CompressedChain, exits: int,
-             stats: EvaluationStats, trace: Tracer | None):
+def _compose(database: Database, chain: CompressedChain, exits: set,
+             entry_terms: tuple, stats: EvaluationStats,
+             trace: Tracer | None):
     """*chain*'s body with the cluster probed as its composition, or
     None when the plain plan runs instead.
 
     The composition is one rule application of the cluster's atoms,
     projected on its two anchors and cached on *database* per version
     of the relations it reads (:meth:`Database.composition`).  It is
-    skipped when the *exits* rows number fewer than one per
+    skipped when the *exits* rows the chain can extend
+    (:func:`_extending`) number fewer than one per
     :data:`CHAIN_EXIT_SHARE` rows it reads, and declined as soon as a
     step of its join would surface more than :data:`CHAIN_FANOUT_LIMIT`
     rows per row it reads (:func:`~repro.engine.setjoin.compose_rows`).
@@ -409,23 +412,41 @@ def _compose(database: Database, chain: CompressedChain, exits: int,
     """
     inputs = sum(database.count(body_atom.predicate)
                  for body_atom in chain.atoms)
-    if exits * CHAIN_EXIT_SHARE < inputs:
+    builds_before = database.hash_builds
+    # no more exits extend than there are: read the call side's table
+    # only when every exit extending would compose
+    if len(exits) * CHAIN_EXIT_SHARE < inputs or (
+            _extending(database, chain, exits, entry_terms)
+            * CHAIN_EXIT_SHARE < inputs):
         rows, status = None, "skipped"
     else:
-        builds_before = database.hash_builds
         rows, built = database.composition(
             chain.name, chain.inputs,
             lambda: compose_rows(database, chain.atoms, chain.anchors,
                                  CHAIN_FANOUT_LIMIT * inputs))
-        stats.hash_builds += database.hash_builds - builds_before
         status = ("declined" if rows is None
                   else "built" if built else "reused")
+    stats.hash_builds += database.hash_builds - builds_before
     if trace is not None:
         trace.note(chain=chain.label,
                    chain_anchors=[str(anchor) for anchor in chain.anchors],
                    chain_rows=None if rows is None else len(rows),
                    chain_inputs=inputs, chain_status=status)
     return None if rows is None else chain.body
+
+
+def _extending(database: Database, chain: CompressedChain, exits: set,
+               entry_terms: tuple) -> int:
+    """How many *exits* rows *chain* can extend: their value at the
+    call anchor's entry position has a row in the first cluster atom
+    that holds the anchor (read off that column's dense table)."""
+    call = chain.anchors[1]
+    at = entry_terms.index(call)
+    side = next(body_atom for body_atom in chain.atoms
+                if call in body_atom.args)
+    table = database.dense_table(side.predicate, side.args.index(call))
+    size = len(table)
+    return sum(1 for row in exits if row[at] < size and table[row[at]])
 
 
 def _python_rounds(database, body, entry_terms, out_terms, total,

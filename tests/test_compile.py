@@ -7,6 +7,11 @@ reproduces the paper's notation verbatim (s11, s12 and the stable
 plans).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.compile import (Strategy, compile_query, compile_stable)
@@ -165,6 +170,33 @@ class TestDescribe:
         for fragment in ("query form: P(dvv)", "class:", "strategy:",
                          "bindings:", "plan:"):
             assert fragment in text
+
+    def test_plan_text_is_the_same_in_every_process(self):
+        """The plan of every catalogue entry's recorded query forms and
+        its all-bound form, compiled under four hash seeds: groups come
+        in order of their first atom, never in the order set iteration
+        happens to unite them (``dependent_bounded``'s ``dddd`` plan
+        used to swap its last two existence checks)."""
+        script = (
+            "from repro.core.compile import compile_query\n"
+            "from repro.workloads import CATALOGUE, EXTRA_CATALOGUE\n"
+            "for catalogue in (CATALOGUE, EXTRA_CATALOGUE):\n"
+            "    for name, entry in catalogue.items():\n"
+            "        system = entry.system()\n"
+            "        for form in (*entry.query_forms,\n"
+            "                     'd' * system.dimension):\n"
+            "            print(name, compile_query(system, form)"
+            ".describe())\n")
+        src = pathlib.Path(__file__).parent.parent / "src"
+        runs = [subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE,
+            text=True, env={**os.environ, "PYTHONHASHSEED": str(seed),
+                            "PYTHONPATH": str(src)})
+            for seed in range(4)]
+        outputs = [run.communicate(timeout=120)[0] for run in runs]
+        assert all(run.returncode == 0 for run in runs)
+        assert outputs[0].count("query form:") == 59
+        assert outputs[1:] == outputs[:1] * 3
 
 
 class TestAuxiliaryRecursion:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
-                          SemiNaiveEngine, Tracer)
+                          SemiNaiveEngine, Tracer, setjoin)
 from repro.ra import Database
 from repro.workloads import (CATALOGUE, chain, cycle, random_edb,
                              reflexive_exit)
@@ -49,9 +49,13 @@ class TestStableStrategy:
             "P__exit": reflexive_exit(3),
         })
         db.declare("D", 2)
+        tracer = Tracer()
         answers = CompiledEngine().evaluate(system, db,
-                                            Query.parse("P(n0, Y)"))
+                                            Query.parse("P(n0, Y)"),
+                                            trace=tracer)
         assert answers == {("n0", "n0")}  # only the exit survives
+        (depth,) = tracer.trace.rounds
+        assert depth.detail == {"depth": 0, "gate": "failed"}
 
     def test_gate_open_allows_recursion(self):
         system = parse_system(
@@ -61,9 +65,15 @@ class TestStableStrategy:
             "D": [("k1", "k2")],
             "P__exit": reflexive_exit(3),
         })
+        tracer = Tracer()
         answers = CompiledEngine().evaluate(system, db,
-                                            Query.parse("P(n0, Y)"))
+                                            Query.parse("P(n0, Y)"),
+                                            trace=tracer)
         assert len(answers) == 4
+        first, *deeper = tracer.trace.rounds
+        assert first.detail == {"depth": 0, "gate": "held"}
+        assert deeper and all("gate" not in span.detail
+                              for span in deeper)
 
     def test_decorated_self_loop_filters_each_step(self):
         """B(y, w) on the self-loop position must hold at every depth
@@ -206,6 +216,64 @@ class TestBoundedStrategy:
                                          Query.parse("P(a, b)"))
         assert hit == {("a", "a")}
         assert miss == frozenset()
+
+
+    @staticmethod
+    def s8_edb(k: int, m: int) -> Database:
+        """s8's data with m rows of σA(a, ·), one product row
+        A(c, d) ⋈ B(d, f), and k solutions of the depth-3 existence
+        check ``C-{B, C}-E``, which all project onto one (z, u) pair
+        at depth 2."""
+        return Database.from_dict({
+            "A": [("a", f"b{i}") for i in range(m)] + [("c", "d")],
+            "B": [("d", "f")],
+            "C": [("g", "f")] + [(f"w{j}", f"v{j}") for j in range(k)],
+            "P__exit": [("g", "d", f"w{j}", f"v{j}") for j in range(k)]})
+
+    def test_products_and_checks_take_linear_probes(self):
+        """The kernel runs σA once, each other component once and the
+        existence check level by level, its last step to its first
+        row: O(k + m) probes where one left-deep pipeline per expansion
+        took 4,140 (m × k)."""
+        k, m = 50, 20
+        db = self.s8_edb(k, m)
+        system = CATALOGUE["s8"].system()
+        query = Query.parse("P(a, Y, Z, U)")
+        stats = EvaluationStats()
+        answers = CompiledEngine().evaluate(system, db, query, stats)
+        assert answers == SemiNaiveEngine().evaluate(system, db, query)
+        assert len(answers) == 2 * m
+        assert stats.probes <= 3 * (k + m)
+
+    def test_the_existence_check_stops_at_its_first_row(self,
+                                                         monkeypatch):
+        """The check's levels before the last hold B's row, C's row and
+        the k rows of P__exit.  Each of those k partial rows completes
+        at the last step, which reads whether a row is there, extends
+        none, and counts one: the check's first complete row."""
+        k = 50
+        checks, last_steps = [], []
+        holding, with_rows = setjoin._holding, setjoin._with_rows
+
+        def spy_holding(database, part, batch, stats):
+            before = stats.probes
+            kept = holding(database, part, batch, stats)
+            checks.append((len(part.steps), stats.probes - before,
+                           bool(kept)))
+            return kept
+
+        def spy_last_step(database, step, batch, stats):
+            found = with_rows(database, step, batch, stats)
+            last_steps.append((len(batch), len(found)))
+            return found
+
+        monkeypatch.setattr(setjoin, "_holding", spy_holding)
+        monkeypatch.setattr(setjoin, "_with_rows", spy_last_step)
+        CompiledEngine().evaluate(CATALOGUE["s8"].system(),
+                                  self.s8_edb(k, 20),
+                                  Query.parse("P(a, Y, Z, U)"))
+        assert last_steps == [(k, k)]
+        assert checks == [(4, 1 + 1 + k + 1, True)]
 
 
 class TestAnswerFilter:

@@ -2,8 +2,7 @@
 
 from repro.datalog.parser import parse_atom
 from repro.datalog.terms import Variable
-from repro.engine.conjunctive import (pattern_of, satisfiable, solve,
-                                      solve_project)
+from repro.engine.conjunctive import pattern_of, solve, solve_project
 from repro.engine.stats import EvaluationStats
 from repro.ra.database import Database
 
@@ -96,14 +95,3 @@ class TestSolveProject:
         solve_project(make_db(), atoms("A(x, y)"), (V("x"),),
                       stats=stats)
         assert stats.derived == 3
-
-
-class TestSatisfiable:
-    def test_existence_check(self):
-        assert satisfiable(make_db(), atoms("A(x, y)", "B(y, w)"))
-        assert not satisfiable(make_db(), atoms("A(x, x)"))
-
-    def test_short_circuits(self):
-        stats = EvaluationStats()
-        satisfiable(make_db(), atoms("A(x, y)"), stats=stats)
-        assert stats.probes == 1

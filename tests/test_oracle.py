@@ -142,14 +142,16 @@ class TestDifferentialProperty:
                 engine.name
 
 
-def assert_bound_query_matches_oracle(system, db, expected,
-                                      pattern) -> None:
-    """Compiled and top-down answers to *pattern* equal the oracle's
-    fixpoint *expected* filtered by it."""
+def assert_bound_query_matches_oracle(system, db, expected, pattern,
+                                      engines=(CompiledEngine,
+                                               TopDownEngine)) -> None:
+    """Each of *engines*' answers to *pattern* (compiled and top-down
+    by default) equal the oracle's fixpoint *expected* filtered by
+    it."""
     query = Query(system.predicate, tuple(pattern))
     want = frozenset(row for row in expected if query.matches(row))
-    for engine in (CompiledEngine(), TopDownEngine()):
-        assert engine.evaluate(system, db, query) == want, \
+    for engine in engines:
+        assert engine().evaluate(system, db, query) == want, \
             (engine.name, str(query))
 
 
@@ -161,10 +163,15 @@ def answer_patterns(expected, adornment, arity, domain) -> set[tuple]:
                   for i in range(arity)) for row in rows}
 
 
-def assert_every_form_matches_oracle(system, db, strategy) -> None:
+def assert_every_form_matches_oracle(system, db, strategy,
+                                     every_engine=False) -> None:
     """Every adornment compiles to *strategy* and answers as the oracle
     does, with the constants of every oracle answer (queries that hit)
-    and tuples of the first domain values (mostly misses) bound."""
+    and tuples of the first domain values (mostly misses) bound, on
+    the compiled and top-down engines.  With *every_engine*, top-down
+    answers only :func:`answer_patterns` of every adornment, and so do
+    naive and semi-naive, which run the whole fixpoint whatever the
+    query binds."""
     expected = oracle_evaluate(system, db)
     domain = sorted(db.active_domain())
     arity = system.dimension
@@ -175,8 +182,16 @@ def assert_every_form_matches_oracle(system, db, strategy) -> None:
         patterns = {tuple(row[i] if i in adornment else None
                           for i in range(arity)) for row in rows}
         for pattern in patterns:
-            assert_bound_query_matches_oracle(system, db, expected,
-                                              pattern)
+            assert_bound_query_matches_oracle(
+                system, db, expected, pattern,
+                (CompiledEngine,) if every_engine
+                else (CompiledEngine, TopDownEngine))
+        if every_engine:
+            for pattern in answer_patterns(expected, adornment, arity,
+                                           domain):
+                assert_bound_query_matches_oracle(
+                    system, db, expected, pattern,
+                    (NaiveEngine, SemiNaiveEngine, TopDownEngine))
 
 
 class TestBoundQueries:
@@ -272,6 +287,33 @@ class TestBoundQueries:
         assert_every_form_matches_oracle(
             parse_system(rules), Database.from_dict(relations),
             Strategy.BOUNDED)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", ["s8", "s10", "dependent_bounded",
+                                      "double_d"])
+    def test_split_bodies(self, name, seed):
+        """Bounded expansions the join kernel splits into components:
+        a selection, Cartesian products of groups that read no query
+        constant, and existence checks of groups that bind no answer
+        column — on every engine."""
+        system = (CATALOGUE.get(name) or EXTRA_CATALOGUE[name]).system()
+        db = random_edb(system, nodes=3, tuples_per_relation=6, seed=seed)
+        assert_every_form_matches_oracle(system, db, Strategy.BOUNDED,
+                                         every_engine=True)
+
+    @pytest.mark.parametrize("b_rows", [[], [("p", "q")]],
+                             ids=["B-empty", "B-present"])
+    def test_stable_detached_atom(self, b_rows):
+        """A stable rule whose ``B(u, v)`` no chain carries: its
+        existence check gates every depth past the first."""
+        system = parse_system("P(x, y) :- A(x, z), B(u, v), P(z, y).")
+        db = Database.from_dict({"A": chain(3),
+                                 "P__exit": [("n3", "n3"), ("n1", "q")]})
+        db.declare("B", 2)
+        for row in b_rows:
+            db.add("B", row)
+        assert_every_form_matches_oracle(system, db, Strategy.STABLE,
+                                         every_engine=True)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("rules", [

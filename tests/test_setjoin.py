@@ -5,9 +5,9 @@ import pytest
 from repro.datalog.parser import parse_atom
 from repro.datalog.terms import Variable
 from repro.engine import (EvaluationStats, SemiNaiveEngine, apply_rule,
-                          compile_plan, execute_plan, join_batch,
-                          solve_project)
+                          compile_plan, execute_plan, solve_project)
 from repro.engine.plan import entry_layout
+from repro.engine.setjoin import _run_steps
 from repro.ra import Database
 
 V = Variable
@@ -123,6 +123,55 @@ class TestEntryLayout:
         assert layout.batch([("a", "b"), ("z", "q")]) == [("b",)]
 
 
+class TestComponents:
+    """A body split into variable-connected components: existence
+    checks, a pipeline and a product."""
+
+    DB = {"A": [("a", "b"), ("b", "c"), ("c", "d")],
+          "B": [("b", "x1"), ("c", "x2")]}
+
+    def test_existence_check(self):
+        db = Database.from_dict(self.DB)
+        assert apply_rule(db, atoms("A(x, y)", "B(y, w)"), (), (),
+                          [()]) == {()}
+        assert apply_rule(db, atoms("A(x, x)"), (), (), [()]) == set()
+        # bound from the entry, checked per value, projected on nothing
+        rows = [db.encode_row(("a",)), db.encode_row(("d",))]
+        assert apply_rule(db, atoms("A(x, y)", "B(y, w)"), (V("x"),), (),
+                          rows) == {()}
+        assert apply_rule(db, atoms("A(x, y)", "B(y, w)"), (V("x"),), (),
+                          rows[1:]) == set()
+
+    def test_short_circuits(self):
+        """The check stops at its first complete row."""
+        stats = EvaluationStats()
+        apply_rule(Database.from_dict(self.DB), atoms("A(x, y)"), (), (),
+                   [()], stats)
+        assert stats.probes == 1
+
+    def test_plan_records_the_components(self):
+        """s8's depth-2 expansion with x bound: σA is the pipeline, the
+        group that binds z and u runs once, and a check that reads the
+        entry value stands beside them."""
+        db = Database.from_dict(self.DB)
+        body = atoms("A(x, y)", "B(y1, u)", "C(z1, u1)", "E(z, y1, z1, u1)",
+                     "D(x, q)")
+        head = atoms("P(x, y, z, u)")[0].args
+        plan = compile_plan(body, (V("x"),), head, db)
+        assert plan.parts == 3 and plan.fused is None
+        assert [step.predicate for step in plan.steps] == ["A"]
+        free, check = plan.components
+        assert sorted(s.predicate for s in free.steps) == ["B", "C", "E"]
+        assert free.out_slots is not None and free.entry_slots == ()
+        assert [s.predicate for s in check.steps] == ["D"]
+        assert check.out_slots is None and check.entry_slots == (0,)
+        # one component: the plan of before, fused tail included
+        single = compile_plan(atoms("A(x, y)"), (V("x"),),
+                              atoms("P(x, y)")[0].args, db)
+        assert single.parts == 1 and single.components == ()
+        assert single.fused is not None and len(single.steps) == 1
+
+
 class TestExecuteAgainstSolveProject:
     """execute_plan and solve_project agree binding-for-binding."""
 
@@ -210,7 +259,7 @@ class TestExecuteAgainstSolveProject:
             db.encode_row((f"z{i}", f"y{i % 3}")) for i in range(width))
         fused_stats, unfused_stats = EvaluationStats(), EvaluationStats()
         got = execute_plan(db, plan, batch, fused_stats)
-        bindings = join_batch(db, plan, batch, unfused_stats)
+        bindings = _run_steps(db, plan.steps, batch, unfused_stats, None)
         slots = [slot for _, slot in plan.out_sources]
         expected = {tuple(binding[slot] for slot in slots)
                     for binding in bindings}

@@ -50,16 +50,23 @@ def test_apply_rule_equals_solve_project_loop(system, seed, tuples):
         if consistent:
             expected |= solve_project(db, body, head, binding)
 
-    stats = EvaluationStats()
-    assert apply_rule(db, body, entry, head, delta, stats) == expected
+    assert apply_rule(db, body, entry, head, delta) == expected
     # the fan-out bound of a composition build reads, before each step,
-    # the rows the step's probe surfaces: the probes it counts
+    # the rows the step's probe surfaces: the probes it counts.  So
+    # does every step of a split plan: the pipeline's and each
+    # existence check's from the entry bindings, each projecting
+    # component's from the empty one
     plan = compile_plan(body, entry, head, db)
-    batch, surfaced = plan.layout.batch(delta), 0
-    for step in plan.steps:
-        surfaced += _surfaced(db, step, batch)
-        batch = _run_step(db, step, batch, None)
-    assert surfaced == stats.probes
+    entry_rows = plan.layout.batch(delta)
+    runs = [(plan.steps, entry_rows)] + [
+        (part.steps, [()] if part.out_slots is not None else entry_rows)
+        for part in plan.components]
+    for steps, batch in runs:
+        for step in steps:
+            counted = EvaluationStats()
+            surfaced = _surfaced(db, step, batch)
+            batch = _run_step(db, step, batch, counted)
+            assert surfaced == counted.probes
 
 
 def test_catalogue_spans_the_paper_classes():

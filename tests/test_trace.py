@@ -184,7 +184,9 @@ class TestRender:
     def test_compressed_chain_shows_the_composed_step(self):
         """The first delta round names the compressed edge with the
         paper's label, the rows it composed from its input rows, and
-        whether this evaluation built it or reused it."""
+        whether this evaluation built it or reused it.  Its table
+        builds include C's on the call anchor, which counts the exits
+        the chain extends."""
         ddb = DeductiveDatabase()
         ddb.load("""
             P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y).
@@ -193,12 +195,43 @@ class TestRender:
             E(c, c).
         """)
         first = ddb.explain_analyze("P(X, Y)")
-        assert ("delta[2] in=1 out=1 fan-out=1.00 probes=1 hash=5b/0r"
+        assert ("delta[2] in=1 out=1 fan-out=1.00 probes=1 hash=6b/0r"
                 in first)
         assert "    · x —[ABC]— z: built rows=2 inputs=6\n" in first
         again = ddb.explain_analyze("P(X, Y)", engine="semi-naive")
         assert "    · x —[ABC]— z: reused rows=2 inputs=6\n" in again
         assert "answers=3" in first and "answers=3" in again
+
+
+    def test_bounded_expansions_show_their_components(self):
+        """Each expansion round of s8 says how many components its plan
+        ran and, at depth 3, whether the existence check held: its
+        ``C-{B, C}-E`` group binds no answer column.  Without the C row
+        it walks through, the check fails and depth 3 derives
+        nothing."""
+        program = """
+            P(x, y, z, u) :- A(x, y), B(y1, u), C(z1, u1), P(z, y1, z1, u1).
+            P(x, y, z, u) :- E(x, y, z, u).
+            A(a, b). A(c, d). A(k, d). B(d, f). C(g, h). C(g, f).
+            E(c, d, g, h). E(g, d, g, h).
+        """
+        ddb = DeductiveDatabase()
+        ddb.load(program)
+        text = ddb.explain_analyze("P(a, Y, Z, U)")
+        assert ("plan:       σE,  (σA) X ({B, C}-E),  "
+                "∃(C-{B, C}-E)-(σA) X (B-A)") in text
+        lines = text.splitlines()
+        details = [lines[i + 1] for i, line in enumerate(lines)
+                   if line.startswith("  expansion[")]
+        assert details == ["    · components=1", "    · components=2",
+                           "    · components=3 exists=held"]
+        assert "answers=3" in text  # (a, b, k, f) from depth 3 alone
+        ddb = DeductiveDatabase()
+        ddb.load(program.replace("C(g, f).", ""))
+        text = ddb.explain_analyze("P(a, Y, Z, U)")
+        assert ("  expansion[2] out=0 " in text
+                and "    · components=3 exists=failed" in text)
+        assert "answers=2" in text
 
 
 class TestEngineTraces:

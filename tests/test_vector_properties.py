@@ -22,6 +22,8 @@ shapes must be bit-identical.  Four layers pin this down:
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import pickle
 import tracemalloc
 from contextlib import contextmanager, nullcontext
@@ -260,6 +262,8 @@ class TestSessionLaws:
 #: the catalogue's ``compressed_chain``: A∘B∘C composes into one step
 CHAIN_SYSTEM = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
 
+ROOT = pathlib.Path(__file__).parent.parent
+
 #: one A∘B∘C path, a → z, beside dead ends that one more row of A, B
 #: or C completes; exits on z and q
 CHAIN_DB = {"A": [("a", "m"), ("a2", "m2")], "B": [("m", "n")],
@@ -353,13 +357,14 @@ class TestCompressedChains:
         would surface 160,000 rows, past the bound for 1,200 (or 800)
         input rows, whether a C step follows it or B is the last, fused
         probe.  The composition is declined before any is held, once,
-        and the plain plan runs."""
+        and the plain plan runs.  Twenty exits on each rule's call side
+        (the ``a`` nodes for C, the ``n`` nodes for B) let it try."""
         system = parse_system(rule)
         hub = {"A": [(f"a{i}", "m") for i in range(400)],
                "B": [("m", f"n{i}") for i in range(400)],
                "C": [(f"n{i}", f"a{i}") for i in range(400)],
                "P__exit": [(f"{node}{i}",) * 2 for node in "an"
-                           for i in range(10)]}
+                           for i in range(20)]}
         db = Database.from_dict(hub)
         expected = NaiveEngine().evaluate(system, db)
         builds = _count_builds(monkeypatch)
@@ -383,8 +388,8 @@ class TestCompressedChains:
 
     def test_sparse_exits_skip_the_composition(self, monkeypatch):
         """Exit rows fewer than one per ``CHAIN_EXIT_SHARE`` rows the
-        chain reads run the plain plan, unbuilt; one more exit row
-        composes."""
+        chain reads run the plain plan, unbuilt; one more exit row that
+        the chain extends composes."""
         share = vector_module.CHAIN_EXIT_SHARE
         db = Database.from_dict({
             "A": [(f"a{i}", f"m{i}") for i in range(share)],
@@ -398,7 +403,7 @@ class TestCompressedChains:
         assert builds == [] and stats.backend == "python"
         assert answers == NaiveEngine().evaluate(
             parse_system(CHAIN_SYSTEM), db)
-        db.add("P__exit", ("q", "q"))
+        db.add("P__exit", ("z", "q"))
         answers, stats, detail = _chain_run(db)
         assert (detail["chain_status"], detail["chain_rows"]) == ("built", 1)
         assert len(builds) == 1
@@ -406,6 +411,57 @@ class TestCompressedChains:
                                  else "python")
         assert answers == NaiveEngine().evaluate(
             parse_system(CHAIN_SYSTEM), db)
+
+    def test_exits_no_chain_extends_skip_the_composition(self,
+                                                         monkeypatch):
+        """320 exits on the top level of a layered A/B/C graph, which
+        no C row reaches, and one exit that one does: counted all, the
+        exits would compose the chain, but only the one it extends
+        counts.  The plain plan runs, no composition is built, and the
+        answers stay right."""
+        share = vector_module.CHAIN_EXIT_SHARE
+        width = 320
+        relations = {name: [(f"l{level}_{i}", f"l{level + 1}_{i}")
+                            for i in range(width)]
+                     for level, name in enumerate("ABC")}
+        relations["P__exit"] = [(f"l0_{i}",) * 2 for i in range(width)]
+        relations["P__exit"].append(("l3_0", "l3_0"))
+        db = Database.from_dict(relations)
+        assert len(relations["P__exit"]) * share >= 3 * width
+        builds = _count_builds(monkeypatch)
+        answers, stats, detail = _chain_run(db)
+        assert detail["chain_status"] == "skipped"
+        assert builds == []
+        assert answers == NaiveEngine().evaluate(
+            parse_system(CHAIN_SYSTEM), db)
+        assert ("l0_0", "l3_0") in answers
+
+    def test_the_benchmark_chains_still_compose(self):
+        """hop3 (2,220 of its 2,775 exits extend its ``ABC`` chain,
+        against 19,980 input rows) and s9's R (10 of 10 exits extend
+        its ``BA`` chain, against 594) compose on the end-to-end
+        benchmark's own data."""
+        spec = importlib.util.spec_from_file_location(
+            "e2e_gen", ROOT / "benchmarks" / "e2e" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        datasets = gen.lib_datasets()
+        rule, relations = datasets["hop3"]
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(parse_system(rule),
+                                   Database.from_dict(relations),
+                                   trace=tracer)
+        detail = tracer.trace.rounds[1].detail
+        assert (detail["chain"], detail["chain_status"]) == ("ABC", "built")
+        rule, relations = datasets["s9"]
+        tracer = Tracer()
+        CompiledEngine().evaluate(parse_system(rule),
+                                  Database.from_dict(relations),
+                                  Query.parse("P(c71, V1, V2)"),
+                                  trace=tracer)
+        (detail,) = [span.detail for span in tracer.trace.rounds
+                     if "chain" in span.detail]
+        assert (detail["chain"], detail["chain_status"]) == ("BA", "built")
 
     @pytest.mark.parametrize("name", ["s1a", "s11"])
     def test_tc_and_s11_do_not_compose(self, name):
