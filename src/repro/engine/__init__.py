@@ -12,7 +12,6 @@ engines hand their fixpoint to
 """
 
 from .compiled import CompiledEngine
-from .conjunctive import Binding, pattern_of, solve, solve_project
 from .deadline import Deadline, QueryCancelled, QueryTimeout
 from .naive import NaiveEngine
 from .incremental import MaterializedRecursion
@@ -31,13 +30,11 @@ ENGINES = {engine.name: engine for engine in (
     NaiveEngine, SemiNaiveEngine, CompiledEngine, TopDownEngine)}
 
 __all__ = [
-    "Binding", "CompiledEngine", "Deadline", "ENGINES",
+    "CompiledEngine", "Deadline", "ENGINES",
     "EvaluationStats", "QueryCancelled", "QueryTimeout",
     "JoinPlan", "JoinStep", "NaiveEngine", "Query", "SemiNaiveEngine",
     "TRACE_SCHEMA_VERSION", "RoundSpan", "RuleSpan", "Trace", "Tracer",
     "validate_trace_dict",
-    "pattern_of",
     "TopDownEngine", "Derivation", "MaterializedRecursion",
     "apply_rule", "compile_plan", "execute_plan", "explain_answer",
-    "solve", "solve_project",
 ]

@@ -27,9 +27,10 @@ This engine executes the strategies that the compiler
   matching one of them — selections pushed through the recursion
   exactly where the classification proves they persist.  The exit
   round probes the exit rules with those bindings (``σE``); the delta
-  rounds are the semi-naive engine's
-  (:func:`~repro.engine.vector.run_delta_loop`) with that relevance
-  filter applied to every derived row.  A system whose recursive rule
+  rounds are the semi-naive engine's with that relevance filter
+  applied to every derived row
+  (:func:`~repro.engine.vector.magic_fixpoint`, which the top-down
+  engine runs with its own steps).  A system whose recursive rule
   holds a *detached* component (class C's Example 9) runs no fixpoint
   of P at all: its answers are σE ∪ (σ detached) × R, with R the
   compiler's query-independent auxiliary recursion.
@@ -59,7 +60,7 @@ from .query import Query
 from .setjoin import apply_rule, execute_plan, execute_split
 from .stats import EvaluationStats, open_stats
 from .trace import Tracer
-from .vector import (ColumnarTotal, answer_boundary, exit_round,
+from .vector import (answer_boundary, exit_round, magic_fixpoint,
                      run_delta_loop)
 
 
@@ -135,8 +136,9 @@ class CompiledEngine:
             total = self._evaluate_auxiliary(compiled, edb, enc_query,
                                              stats, trace)
         else:
-            total = self._evaluate_iterative(compiled, edb, enc_query,
-                                             stats, trace)
+            total = magic_fixpoint(edb, compiled.system, compiled.magic,
+                                   enc_query, stats, trace,
+                                   loop=run_delta_loop)
             selection = enc_query
         return answer_boundary(total, selection, edb, stats, trace)
 
@@ -358,39 +360,7 @@ class CompiledEngine:
                 break  # σE of an empty frontier is empty from here on
         return answers
 
-    # -- iterative ---------------------------------------------------------
-
-    def _evaluate_iterative(self, compiled: CompiledFormula, edb: Database,
-                            query: Query, stats: EvaluationStats,
-                            trace: Tracer | None = None
-                            ) -> set[tuple] | ColumnarTotal:
-        if trace is not None:
-            trace.begin_round("magic", 0, stats)
-        magic, unrestricted = self._magic_bindings(compiled, edb, query,
-                                                   stats)
-        if trace is not None:
-            trace.end_round(0, stats, unrestricted=unrestricted,
-                            bindings=sum(len(v) for v in magic.values()))
-        keyed = [(tuple(sorted(adornment)), values)
-                 for adornment, values in magic.items() if values]
-
-        def relevant(row: tuple) -> bool:
-            for positions, values in keyed:
-                if tuple([row[i] for i in positions]) in values:
-                    return True
-            return False
-
-        # σE: the exit rules probed with each adornment's bindings, or
-        # read whole when the recursion below the query is unrestricted
-        system = compiled.system
-        total, delta = exit_round(
-            edb, system.exits, [((), [()])] if unrestricted else keyed,
-            stats, trace)
-        rule = system.recursive
-        return run_delta_loop(edb, rule.nonrecursive_atoms,
-                              rule.recursive_atom.args, rule.head.args,
-                              total, delta, stats, trace,
-                              relevant=None if unrestricted else relevant)
+    # -- iterative (auxiliary recursion) ----------------------------------
 
     def _evaluate_auxiliary(self, compiled: CompiledFormula,
                             edb: Database, query: Query,
@@ -457,39 +427,3 @@ class CompiledEngine:
         stats.close_round(len(answers) - before, len(answers), trace,
                           detached=len(detached), auxiliary=len(selected))
         return answers
-
-    def _magic_bindings(self, compiled: CompiledFormula, edb: Database,
-                        query: Query, stats: EvaluationStats
-                        ) -> tuple[dict[frozenset, set[tuple]], bool]:
-        """The relevant recursive-call bindings, per adornment.
-
-        *query* is in storage space.  Walks the compiled
-        sideways-information-passing steps set-at-a-time: each round
-        joins the new bound tuples at one adornment with its step's
-        atoms in one rule application, producing the bound tuples at
-        the one next adornment.  Finite: adornments × active domain
-        tuples.  A step to the empty adornment (None) means the
-        recursion below is unrestricted.  The deadline is checked once
-        per round.
-        """
-        start = query.adornment
-        magic: dict[frozenset, set[tuple]] = {}
-        if not start:
-            return magic, True
-        deadline = stats.deadline
-        frontier = {tuple(query.pattern[i] for i in sorted(start))}
-        magic[start] = set(frontier)
-        steps = compiled.magic
-        index = 0
-        while frontier:
-            if deadline is not None:
-                deadline.check_time()
-            step = steps[index]
-            if step is None:
-                return magic, True
-            bucket = magic.setdefault(step.next_adornment, set())
-            frontier = apply_rule(edb, step.atoms, step.entry, step.out,
-                                  frontier, stats) - bucket
-            bucket |= frontier
-            index = step.successor
-        return magic, False

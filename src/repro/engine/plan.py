@@ -1,15 +1,15 @@
 """Static join plans: compile a rule body once, execute set-at-a-time.
 
-The conjunctive solver in :mod:`repro.engine.conjunctive` re-ranks
-the body atoms and re-derives every access path *per binding*.  During
-a fixpoint that work is identical for every delta tuple of a round —
-the greedy most-bound-first order depends only on *which* variables
-are bound, never on their values — so it can be done once per rule.
+A solver that binds one tuple at a time would re-rank the body atoms
+and re-derive every access path *per binding*.  During a fixpoint that
+work is identical for every delta tuple of a round — the greedy
+most-bound-first order depends only on *which* variables are bound,
+never on their values — so it is done once per rule.
 
-:func:`compile_plan` performs that static simulation: starting from
+:func:`compile_plan` performs that static ranking: starting from
 the variables bound at entry (the recursive call's arguments), it
 repeatedly picks the most-bound atom (ties broken towards the smaller
-relation, mirroring the dynamic heuristic) and records, per atom, the
+relation) and records, per atom, the
 hash-key columns, the intra-atom equality checks for repeated free
 variables, and the columns that extend the binding layout.  The
 resulting :class:`JoinPlan` is a straight-line program executed by
@@ -344,8 +344,7 @@ def entry_layout(entry_terms: Sequence[Term],
 
 
 def _static_boundness(atom: Atom, bound: Mapping[Variable, int]) -> int:
-    """Argument positions bound under the current layout (mirrors the
-    dynamic ``_boundness`` of the conjunctive solver)."""
+    """Argument positions bound under the current layout."""
     count = 0
     for term in atom.args:
         if isinstance(term, Constant) or term in bound:

@@ -8,9 +8,12 @@ that chain:
 
 1. run semi-naive evaluation once, recording the *depth* at which each
    tuple is first derived (depth 0 = exit round);
-2. walk downward from the requested tuple: at depth d > 0 find a body
-   binding of the recursive rule whose recursive subgoal was derived
-   at a smaller depth; at depth 0 find the exit rule that produced it.
+2. walk downward from the requested tuple: at depth d > 0 find the
+   least body binding of the recursive rule whose recursive call was
+   derived at a smaller depth; at depth 0 find the first exit rule
+   that produced it, with its least body binding.  Each level's
+   bindings come from one rule application on the join kernel, with
+   the head bound to the tuple.
 
 Both steps run in storage space, like every engine; only the rows that
 end up in a :class:`Derivation` are decoded.
@@ -31,13 +34,13 @@ proof::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from ..datalog.errors import EvaluationError
 from ..datalog.program import RecursionSystem
 from ..datalog.rules import Rule
-from ..datalog.terms import Constant, Variable
+from ..datalog.terms import Variable
 from ..ra.database import Database
-from .conjunctive import solve
 from .setjoin import apply_rule
 
 
@@ -100,16 +103,22 @@ def _tuple_depths(system: RecursionSystem,
     return depths
 
 
-def _bind_head(rule: Rule, row: tuple,
-               encode) -> dict[Variable, object] | None:
-    binding: dict[Variable, object] = {}
-    for term, value in zip(rule.head.args, row):
-        if isinstance(term, Constant):
-            if encode(term.value) != value:
-                return None
-        elif binding.setdefault(term, value) != value:
-            return None
-    return binding
+def _variables(*atoms) -> tuple[Variable, ...]:
+    """The variables of *atoms*, by name: a witness row's columns."""
+    return tuple(sorted({variable for body_atom in atoms
+                         for variable in body_atom.variable_set()},
+                        key=lambda variable: variable.name))
+
+
+def _witnesses(database: Database, atoms, head, variables, row: tuple
+               ) -> Iterator[dict[Variable, object]]:
+    """The bindings of *variables* that satisfy *atoms* with the *head*
+    terms bound to the storage-space *row*, least row first: one
+    :func:`~repro.engine.setjoin.apply_rule`, so the witness a
+    derivation shows is deterministic."""
+    for values in sorted(apply_rule(database, atoms, head, variables,
+                                    [row])):
+        yield dict(zip(variables, values))
 
 
 def _edb_facts_of(rule: Rule, system_predicate: str, solution: dict,
@@ -135,7 +144,10 @@ def explain_answer(system: RecursionSystem, database: Database,
 
     Pass a precomputed *depths* map (from :func:`_tuple_depths` on the
     same database) to explain many answers against one database
-    cheaply.
+    cheaply.  Each level's premise is the recursive call's tuple read
+    off the witness and looked up in *depths*; only a call variable
+    that no body atom binds (s10's ``x1``) makes the level scan
+    *depths* for a sub-tuple derived earlier.
     """
     if depths is None:
         depths = _tuple_depths(system, database)
@@ -146,53 +158,50 @@ def explain_answer(system: RecursionSystem, database: Database,
     if None in encoded or encoded not in depths:
         raise EvaluationError(
             f"{system.predicate}{answer} is not derivable")
-    encode = database.encode_const
     decode = database.symbols.decode
+    rule = system.recursive.rule
+    call = system.recursive.recursive_atom
+    atoms = system.recursive.nonrecursive_atoms
+    variables = _variables(rule.head, *atoms)
+    scans = not call.variable_set() <= set(variables)
+
+    def premise(pattern: tuple, depth: int) -> tuple | None:
+        """The call's tuple derived before *depth*, None if none is."""
+        if not scans:
+            return pattern if depths.get(pattern, depth) < depth else None
+        return next((sub for sub, sub_depth in depths.items()
+                     if sub_depth < depth and all(
+                         p is None or p == v
+                         for p, v in zip(pattern, sub))), None)
 
     def build(row: tuple) -> Derivation:
         depth = depths[row]
         if depth == 0:
             for exit_rule in system.exits:
-                binding = _bind_head(exit_rule, row, encode)
-                if binding is None:
-                    continue
-                solution = next(solve(database, exit_rule.body,
-                                      binding), None)
+                solution = next(_witnesses(
+                    database, exit_rule.body, exit_rule.head.args,
+                    _variables(*exit_rule.body), row), None)
                 if solution is not None:
-                    merged = {**binding, **solution}
                     return Derivation(
                         tuple_=database.decode_row(row),
                         predicate=system.predicate, rule=exit_rule,
                         edb_facts=_edb_facts_of(
-                            exit_rule, system.predicate, merged, decode),
+                            exit_rule, system.predicate, solution,
+                            decode),
                         premise=None)
             raise EvaluationError(      # pragma: no cover - invariant
                 f"no exit derivation found for {row}")
-        rule = system.recursive.rule
-        binding = _bind_head(rule, row, encode)
-        assert binding is not None
-        recursive_atom = system.recursive.recursive_atom
-        for solution in solve(
-                database, list(system.recursive.nonrecursive_atoms),
-                binding):
-            merged = {**binding, **solution}
-            # the recursive subgoal: bound positions from the body
-            # solution, None where the variable is unconstrained
-            pattern = tuple(
-                merged.get(t) if isinstance(t, Variable)
-                else encode(t.value)
-                for t in recursive_atom.args)
-            for sub, sub_depth in depths.items():
-                if sub_depth >= depth:
-                    continue
-                if all(p is None or p == v
-                       for p, v in zip(pattern, sub)):
-                    return Derivation(
-                        tuple_=database.decode_row(row),
-                        predicate=system.predicate, rule=rule,
-                        edb_facts=_edb_facts_of(
-                            rule, system.predicate, merged, decode),
-                        premise=build(sub))
+        for solution in _witnesses(database, atoms, rule.head.args,
+                                   variables, row):
+            sub = premise(tuple(solution.get(t) for t in call.args),
+                          depth)
+            if sub is not None:
+                return Derivation(
+                    tuple_=database.decode_row(row),
+                    predicate=system.predicate, rule=rule,
+                    edb_facts=_edb_facts_of(
+                        rule, system.predicate, solution, decode),
+                    premise=build(sub))
         raise EvaluationError(          # pragma: no cover - invariant
             f"no recursive derivation found for {row} at depth {depth}")
 

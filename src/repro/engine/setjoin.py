@@ -1,18 +1,15 @@
 """Set-at-a-time execution of compiled join plans.
 
-Where :func:`repro.engine.conjunctive.solve_project` backtracks per
-binding, :func:`execute_plan` pushes a whole batch of bindings (one
-per delta tuple) through the plan's steps at once: each step probes a
+:func:`execute_plan` pushes a whole batch of bindings (one per delta
+tuple) through the plan's steps at once: each step probes a
 hash table built per (relation, key-columns) and cached on the
 :class:`~repro.ra.database.Database` against its version counter, so
 a fixpoint pays the table build once and every later round is pure
 dict lookups.
 
-``stats.probes`` counts the rows surfaced by each probe — the same
-quantity the conjunctive solver counts per :meth:`Database.match`
-row — so probe-based comparisons stay meaningful between the engines
-that batch through plans and the strategies that solve one binding
-at a time.
+``stats.probes`` counts the rows surfaced by each probe — the rows an
+index nested-loop join in the same atom order examines — so every
+engine and strategy counts its work in one unit.
 
 Under dictionary encoding every binding tuple, probe key and stored
 row is made of dense int codes, which unlocks a second access path:
@@ -396,8 +393,8 @@ def execute_plan(database: Database, plan: JoinPlan,
                  stats: EvaluationStats | None = None) -> set[tuple]:
     """Project the join of *batch* through *plan* onto the head terms.
 
-    Semantically identical to running ``solve_project`` once per batch
-    binding and unioning — property-tested in
+    Semantically identical to a nested-loop join of the body once per
+    batch binding, unioned — property-tested in
     ``tests/test_setjoin_properties.py``.
     """
     if not isinstance(batch, list):
@@ -503,9 +500,9 @@ def apply_rule(database: Database, body: Sequence[Atom],
     """One set-at-a-time rule application: bind *entry_terms* to each
     of *rows*, join through *body*, project onto *out_terms*.
 
-    Equal to a ``solve_project`` call per row, unioned; the fixpoint
-    engines run every exit rule, naive sweep and delta round through
-    it.
+    Equal to a nested-loop join of *body* per row, unioned; the
+    fixpoint engines run every exit rule, naive sweep, delta round and
+    magic round through it, and provenance its witnesses.
     """
     plan = compile_plan(body, entry_terms, out_terms, database, stats)
     batch = plan.layout.batch(rows)

@@ -1,8 +1,8 @@
 """Evaluation statistics shared by all engines.
 
 The benches compare engines by work done, not only wall-clock:
-``probes`` counts the stored rows that probes surface (join kernel
-and conjunctive solver alike), ``derived`` the tuples produced (before
+``probes`` counts the stored rows that the join kernel's probes
+surface, ``derived`` the tuples produced (before
 deduplication), ``rounds`` the fixpoint iterations.  ``delta_sizes``
 records the per-round new-tuple counts, from which the *measured rank*
 of a formula on a concrete database is read off (the quantity

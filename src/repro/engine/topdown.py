@@ -1,96 +1,94 @@
-"""Tabled top-down evaluation (QSQR-style), the fourth engine.
+"""Top-down evaluation by magic sets, the fourth engine.
 
 The paper's compilation lineage is top-down: [Hens 84] compiles
 queries by expanding the recursion symbolically and pushing the query
-constants through.  This engine is the *interpreted* counterpart:
-goal-directed SLD resolution with memoisation ("tabling"), sound and
-terminating on Datalog.
+constants through.  This engine is the *interpreted* counterpart: it
+reads no classification and passes the query's bindings sideways
+through the rule text, from left to right, as QSQ does.
 
-Mechanics: a *subgoal* is a match pattern over the recursive
-predicate.  Rule bodies are evaluated by the shared selection-first
-conjunctive solver against a view that serves EDB relations directly
-and, for the recursive predicate, serves the current table content
-while *registering* every pattern it is probed with as a new subgoal.
-Registered subgoals are re-solved until no table grows — the QSQR
-fixpoint.  Like the compiled engine, only goal-relevant facts are
-derived; unlike it, no classification is needed (and none of its
-per-class shortcuts are available).
+Mechanics: the magic-sets rewriting of the system for the query's
+adornment (Bancilhon, Maier, Sagiv and Ullman, PODS 1986).  The
+bindings of each recursive call are the facts QSQ would table as
+subgoals; :func:`sideways_steps` reads off the rule how one call's
+bindings produce the next call's, and
+:func:`~repro.engine.vector.magic_fixpoint` derives them set at a
+time, then runs the semi-naive fixpoint filtered by them — the frame
+the compiled engine's ITERATIVE strategy runs with the classified
+steps of its compiled formula.  Like the compiled engine, only
+goal-relevant facts are derived; unlike it, none of its per-class
+shortcuts are available.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
+from ..core.compile import MagicStep
 from ..datalog.program import RecursionSystem
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
-from .conjunctive import solve_project
 from .query import Query
 from .stats import EvaluationStats, open_stats
 from .trace import Tracer
-from .vector import answer_boundary
+from .vector import answer_boundary, magic_fixpoint
 
 
-class _GoalView:
-    """A database view that tables probes of the recursive predicate.
+def sideways_steps(system: RecursionSystem, adornment: frozenset[int]
+                   ) -> tuple[MagicStep | None, ...]:
+    """The magic steps of *system* for queries bound at *adornment*,
+    from the rule text alone.
 
-    Quacks like :class:`Database` for the conjunctive solver
-    (match_encoded / count / the encoding surface), delegating every
-    relation except *predicate* to the base.  Subgoal patterns, table
-    rows and solver bindings all live in the base's storage space.
+    A step starts from the head variables at its bound positions and
+    walks the body atoms left of the recursive call in body order: an
+    atom joins when it shares a variable with what is bound so far.
+    The call's next adornment is the set of positions whose variable
+    is then bound; the sequence closes when an adornment repeats, and
+    a step is None where nothing stays bound (the recursion below is
+    unrestricted).
+
+    >>> from ..datalog.parser import parse_system
+    >>> s = parse_system("P(x, y, z) :- A(x, u), B(y, v), C(u, v), "
+    ...                  "D(w, z), P(u, v, w).")
+    >>> [sorted(step.next_adornment) for step in
+    ...  sideways_steps(s, frozenset({0}))]
+    [[0, 1], [0, 1]]
     """
-
-    def __init__(self, base: Database, predicate: str) -> None:
-        self._base = base
-        self._predicate = predicate
-        #: subgoal pattern -> answers (full tuples) found so far
-        self.tables: dict[tuple, set[tuple]] = {}
-        #: rows across every table, counted as they are added (the
-        #: solver ranks atoms by ``count`` at every step)
-        self.rows = 0
-        #: patterns discovered during the current pass
-        self.new_subgoals: list[tuple] = []
-        #: the subgoal patterns probed during the current solving pass
-        self.probed: set[tuple] = set()
-
-    def _generalise(self, pattern: tuple) -> tuple:
-        """The tabled subgoal for a probe: its bound positions."""
-        return tuple(pattern)
-
-    def register(self, pattern: tuple) -> None:
-        """Ensure *pattern* has a table (and queue it when new)."""
-        if pattern not in self.tables:
-            self.tables[pattern] = set()
-            self.new_subgoals.append(pattern)
-
-    def encode_const(self, value):
-        return self._base.encode_const(value)
-
-    def match_encoded(self, name: str,
-                      pattern: tuple) -> Iterator[tuple]:
-        if name != self._predicate:
-            yield from self._base.match_encoded(name, pattern)
-            return
-        subgoal = self._generalise(pattern)
-        self.register(subgoal)
-        self.probed.add(subgoal)
-        yield from list(self.tables[subgoal])
-
-    def count(self, name: str) -> int:
-        if name != self._predicate:
-            return self._base.count(name)
-        return self.rows
+    rule = system.recursive
+    head = rule.head_variables
+    call = rule.body_recursive_variables
+    body = rule.rule.body
+    left = body[:body.index(rule.recursive_atom)]
+    states = [adornment]
+    steps: list[MagicStep | None] = []
+    while len(steps) < len(states):
+        entry = tuple(head[i] for i in sorted(states[len(steps)]))
+        bound = set(entry)
+        atoms = []
+        for body_atom in left:
+            if body_atom.variable_set() & bound:
+                atoms.append(body_atom)
+                bound |= body_atom.variable_set()
+        following = frozenset(i for i, variable in enumerate(call)
+                              if variable in bound)
+        if not following:
+            steps.append(None)
+            continue
+        if following not in states:
+            states.append(following)
+        steps.append(MagicStep(
+            following, entry, tuple(atoms),
+            tuple(call[i] for i in sorted(following)),
+            states.index(following)))
+    return tuple(steps)
 
 
 class TopDownEngine:
-    """Goal-directed tabled resolution for one recursion system."""
+    """Goal-directed evaluation by magic sets for one recursion system."""
 
     name = "top-down"
 
     def evaluate(self, system: RecursionSystem, edb: Database,
                  query: Query, stats: EvaluationStats | None = None,
                  trace: Tracer | None = None) -> AnswerSet:
-        """Answers to *query* by memoised top-down resolution.
+        """Answers to *query*, derived from the bindings it reaches.
 
         >>> from ..datalog.parser import parse_system
         >>> s = parse_system("P(x, y) :- A(x, z), P(z, y).")
@@ -100,91 +98,12 @@ class TopDownEngine:
         >>> sorted(TopDownEngine().evaluate(s, db, Query.parse("P(a, Y)")))
         [('a', 'c')]
         """
-        stats = open_stats(stats, self.name)
+        stats = open_stats(stats, self.name, "python")
         if trace is not None:
             trace.begin(self.name, predicate=system.predicate,
                         query=query)
-        view = _GoalView(edb, system.predicate)
-        # Subgoals are storage-space patterns: the root query's
-        # constants are encoded once here; every tabled row is a code
-        # tuple until the final decode.
         enc_query = query.encoded(edb)
-        root = tuple(enc_query.pattern)
-        view.register(root)
-        rules = [system.recursive.rule, *system.exits]
-
-        # Worklist QSQR: a subgoal is re-solved only when one of the
-        # subgoals it probes has grown (or when it is new).  Pops go in
-        # *decoded*-pattern order: every other per-round quantity is a
-        # function of (table state, chosen subgoal) alone, so the round
-        # sequence depends on the constants, never on the order in
-        # which the symbol table happened to issue their codes.
-        def sort_key(pattern: tuple) -> str:
-            return repr(edb.decode_pattern(pattern))
-
-        dependents: dict[tuple, set[tuple]] = {}
-        queue: dict[tuple, str] = {root: sort_key(root)}
-        view.new_subgoals.clear()
-        while queue:
-            subgoal = min(queue, key=queue.get)  # type: ignore[arg-type]
-            del queue[subgoal]
-            before = len(view.tables[subgoal])
-            root_before = len(view.tables[root])
-            if trace is not None:
-                trace.begin_round("subgoal", before, stats)
-            view.probed = set()
-            self._solve_subgoal(system, view, rules, subgoal, stats)
-            for probed in view.probed:
-                dependents.setdefault(probed, set()).add(subgoal)
-            for fresh in view.new_subgoals:
-                if fresh not in queue:
-                    queue[fresh] = sort_key(fresh)
-            view.new_subgoals.clear()
-            # only the solved subgoal's table grows in its pass
-            grown = len(view.tables[subgoal]) - before
-            if grown:
-                for waiter in dependents.get(subgoal, ()):
-                    if waiter not in queue:
-                        queue[waiter] = sort_key(waiter)
-            # Like ``delta_out``, the stats count *root-table* growth,
-            # so the per-round sizes sum to the answer count and the
-            # trace and the stats dump reconcile (asserted by
-            # tests/test_trace_properties.py); the solved subgoal's own
-            # growth rides along in the trace ``detail``, which names
-            # the subgoal in value space, never in codes.
-            detail = {} if trace is None else {
-                "subgoal": str(Query(system.predicate,
-                                     edb.decode_pattern(subgoal))),
-                "table_growth": grown}
-            # every table's rows are the row budget's measure
-            if stats.close_round(len(view.tables[root]) - root_before,
-                                 view.rows, trace, **detail):
-                break
-
-        return answer_boundary(view.tables[root], enc_query, edb, stats,
-                               trace)
-
-    def _solve_subgoal(self, system: RecursionSystem, view: _GoalView,
-                       rules, subgoal: tuple,
-                       stats: EvaluationStats) -> None:
-        """One resolution pass: every rule against one subgoal."""
-        for rule in rules:
-            binding = {}
-            consistent = True
-            for term, value in zip(rule.head.args, subgoal):
-                if value is None:
-                    continue
-                if binding.get(term, value) != value:
-                    consistent = False
-                    break
-                binding[term] = value
-            if not consistent:
-                continue
-            derived = solve_project(view, rule.body, rule.head.args,
-                                    binding, stats=stats)
-            table = view.tables[subgoal]
-            for row in derived:
-                if row not in table:
-                    table.add(row)
-                    view.rows += 1
-                    stats.derived += 1
+        total = magic_fixpoint(edb, system,
+                               sideways_steps(system, query.adornment),
+                               enc_query, stats, trace)
+        return answer_boundary(total, enc_query, edb, stats, trace)

@@ -63,15 +63,17 @@ class RuleSpan:
 class RoundSpan:
     """One fixpoint round: sizes, work counters and timing.
 
-    ``kind`` names what the round did — ``exit`` (round 0 of the
-    delta engines), ``delta`` (a semi-naive round), ``round`` (one
-    naive sweep), ``depth`` (stable chain step), ``expansion`` (one
-    bounded exit expansion), ``product`` (Example 9's answer
-    assembly), ``subgoal`` (one top-down pass), ``seed`` (incremental
-    differentiation).  ``delta_out`` is always the number of genuinely
-    new tuples the round contributed, so summing it over a trace
-    reproduces the final answer count, plus the rows of the auxiliary
-    recursion when the compiled engine ran one (property-tested).
+    ``kind`` names what the round did — ``magic`` (the binding pass
+    of top-down and of the compiled ITERATIVE strategy), ``exit``
+    (round 0 of the delta engines), ``delta`` (a semi-naive round),
+    ``round`` (one naive sweep), ``depth`` (stable chain step),
+    ``expansion`` (one bounded exit expansion), ``product`` (Example
+    9's answer assembly), ``seed`` (incremental differentiation).
+    ``delta_out`` is always the number of genuinely new tuples the
+    round contributed, so summing it over the trace of a full
+    evaluation reproduces the final answer count, plus the rows of the
+    auxiliary recursion when the compiled engine ran one
+    (property-tested).
     """
 
     index: int
@@ -84,7 +86,7 @@ class RoundSpan:
     hash_builds: int = 0
     hash_reuses: int = 0
     rules: list[RuleSpan] = field(default_factory=list)
-    #: engine-specific extras (e.g. the top-down subgoal pattern)
+    #: engine-specific extras (e.g. the magic pass's binding count)
     detail: dict = field(default_factory=dict)
 
     @property
@@ -174,7 +176,8 @@ class Trace:
                              + ("" if rows is None else f" rows={rows}")
                              + f" inputs={detail['chain_inputs']}")
             shown = [f"{key}={detail[key]}"
-                     for key in ("components", "exists", "gate")
+                     for key in ("components", "exists", "gate",
+                                 "vector")
                      if key in detail]
             if shown:
                 lines.append(f"    · {' '.join(shown)}")

@@ -1,15 +1,20 @@
 """The semi-naive delta loop, with a vectorised kernel for the hot shape.
 
 :func:`run_delta_loop` is the one semi-naive loop of the fixpoint
-engines: the semi-naive engine and the compiled engine's ITERATIVE
-strategy hand it the product of :func:`exit_round` and it runs every
-delta round after that.  A round pushes the whole delta relation
-through the recursive rule's compiled
+engines: the semi-naive engine hands it the product of
+:func:`exit_round` and it runs every delta round after that.  A round
+pushes the whole delta relation through the recursive rule's compiled
 :class:`~repro.engine.plan.JoinPlan`
 (:func:`~repro.engine.setjoin.apply_rule`), keeps the rows the
 caller's optional relevance filter admits, and subtracts the running
-total.  :func:`answer_boundary` is where every evaluation engine's
-fixpoint product becomes its answers.
+total.  :func:`magic_fixpoint` is the one way a query's binding
+reaches into a recursion: a set-at-a-time pass over the magic steps it
+is given, then the same exit round and delta loop, filtered by the
+bindings the pass found.  The compiled engine's ITERATIVE strategy
+runs it with the classified steps of its compiled formula, the
+top-down engine with the steps it reads off the rule text.
+:func:`answer_boundary` is where every evaluation engine's fixpoint
+product becomes its answers.
 
 The paper's thesis is that a formula's *class* dictates its cheapest
 evaluation plan; for the linear-recursion classes the compiled plan is
@@ -38,7 +43,9 @@ loop chooses the kernel itself, from what it can observe: the
 tuple-set rounds run instead without numpy, under a relevance filter,
 for entry layouts other than two distinct variables, and for plans
 whose shape the certificate rejects (multi-step bodies), with
-identical counters, so callers never see a seam.  Only
+identical counters, so callers never see a seam.  The first delta
+round's trace detail names the first of those conditions that held
+(``vector``; :func:`_declined`).  Only
 ``SemiNaiveEngine(backend="python")`` pins the tuple-set rounds: the
 reference the kernel's parity tests compare against.
 
@@ -309,6 +316,82 @@ def exit_round(database: Database, exits, bindings,
     return total, set(total)
 
 
+def magic_fixpoint(database: Database, system, steps, query,
+                   stats: EvaluationStats, trace: Tracer | None,
+                   loop=None) -> set[tuple] | ColumnarTotal:
+    """The fixpoint of *system* that answers the storage-space *query*:
+    a ``magic`` round finds the bindings relevant to the query
+    (:func:`_magic_bindings` over *steps*, a tuple of
+    :class:`~repro.core.compile.MagicStep`), the exit round probes the
+    exit rules with them (``σE``) and the delta loop keeps only the
+    derived rows that match one of them.  A pass that reaches a step
+    to no bound position (None) runs the unrestricted fixpoint.  Every
+    derived row is a fact of the recursion; the caller filters the
+    product by *query*.
+
+    *loop* is the delta loop to run, :func:`run_delta_loop` when None;
+    an engine passes the name its own module binds, so that whatever
+    wraps that name (``benchmarks/e2e/spans.py``) sees the loop."""
+    if trace is not None:
+        trace.begin_round("magic", 0, stats)
+    magic, unrestricted = _magic_bindings(database, steps, query, stats)
+    if trace is not None:
+        trace.end_round(0, stats, unrestricted=unrestricted,
+                        bindings=sum(len(v) for v in magic.values()))
+    keyed = [(tuple(sorted(adornment)), values)
+             for adornment, values in magic.items() if values]
+
+    def relevant(row: tuple) -> bool:
+        for positions, values in keyed:
+            if tuple([row[i] for i in positions]) in values:
+                return True
+        return False
+
+    total, delta = exit_round(
+        database, system.exits, [((), [()])] if unrestricted else keyed,
+        stats, trace)
+    rule = system.recursive
+    return (loop or run_delta_loop)(
+        database, rule.nonrecursive_atoms, rule.recursive_atom.args,
+        rule.head.args, total, delta, stats, trace,
+        relevant=None if unrestricted else relevant)
+
+
+def _magic_bindings(database: Database, steps, query,
+                    stats: EvaluationStats
+                    ) -> tuple[dict[frozenset, set[tuple]], bool]:
+    """The relevant recursive-call bindings, per adornment, and whether
+    the recursion below the query is unrestricted.
+
+    *query* is in storage space.  Walks *steps* set-at-a-time: each
+    round joins the new bound tuples at one adornment with its step's
+    atoms in one rule application, producing the bound tuples at the
+    one next adornment.  Finite: adornments × active domain tuples.  A
+    step to the empty adornment (None) means the recursion below is
+    unrestricted.  The deadline is checked once per round.
+    """
+    start = query.adornment
+    magic: dict[frozenset, set[tuple]] = {}
+    if not start:
+        return magic, True
+    deadline = stats.deadline
+    frontier = {tuple(query.pattern[i] for i in sorted(start))}
+    magic[start] = set(frontier)
+    index = 0
+    while frontier:
+        if deadline is not None:
+            deadline.check_time()
+        step = steps[index]
+        if step is None:
+            return magic, True
+        bucket = magic.setdefault(step.next_adornment, set())
+        frontier = apply_rule(database, step.atoms, step.entry, step.out,
+                              frontier, stats) - bucket
+        bucket |= frontier
+        index = step.successor
+    return magic, False
+
+
 def answer_boundary(total, query, database: Database,
                     stats: EvaluationStats,
                     trace: Tracer | None) -> AnswerSet:
@@ -347,7 +430,7 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     each round binds *entry_terms* to the delta rows, joins *body* and
     projects onto *out_terms*.  *relevant*, when given, is a predicate
     on derived rows: only the rows it admits enter the fixpoint (the
-    compiled engine's binding filter).
+    magic bindings' filter, :func:`magic_fixpoint`).
 
     Round 1 opens its trace span and compiles the plan (one counted
     miss on a cold cache).  Without *relevant*, a plan that carries a
@@ -359,8 +442,9 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
     ``"python"`` (the reference path).
     Anything else runs tuple-set rounds, *reusing* the compiled plan
     for round 1 and ``apply_rule`` — one counted plan-cache hit per
-    round — thereafter, so every counter is the same on either path.
-    ``stats.backend`` records what actually ran.
+    round — thereafter, so every counter is the same on either path;
+    the first round's trace detail says why (``vector``,
+    :func:`_declined`).  ``stats.backend`` records what actually ran.
     """
     if not delta:
         return total
@@ -378,17 +462,34 @@ def run_delta_loop(database: Database, body, entry_terms, out_terms,
             plan = compile_plan(body, entry_terms, out_terms, database,
                                 stats)
     n_symbols = len(database.symbols)
-    certified = (
-        backend != "python" and relevant is None
-        and len(entry_terms) == 2 and plan.layout.is_identity
-        and plan.fused is not None and len(plan.steps) == 1
-        and 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1))
-    if not certified or _np is None:
+    declined = _declined(backend, relevant, entry_terms, plan, n_symbols)
+    if declined is not None:
+        if trace is not None:
+            trace.note(vector=declined)
         return _python_rounds(database, body, entry_terms, out_terms,
                               total, delta, stats, trace, plan, relevant)
     state = _NumpyState(total, delta, n_symbols)
     return _vector_rounds(database, body, entry_terms, out_terms,
                           state, plan.fused, stats, trace)
+
+
+def _declined(backend: str, relevant, entry_terms: tuple, plan,
+              n_symbols: int) -> str | None:
+    """Why the numpy kernel does not run a loop, None when it does: the
+    first condition that fails, in the order they are checked."""
+    if backend == "python":
+        return "python"
+    if relevant is not None:
+        return "filtered"
+    if len(entry_terms) != 2 or not plan.layout.is_identity:
+        return "layout"
+    if plan.fused is None or len(plan.steps) != 1:
+        return "steps"
+    if not 0 < n_symbols <= (2 ** 63 - 1) // max(n_symbols, 1):
+        return "domain"
+    if _np is None:
+        return "no numpy"
+    return None
 
 
 def _compose(database: Database, chain: CompressedChain, exits: set,

@@ -13,19 +13,16 @@ and decoding happens exactly once at the answer boundary.  Two layers
 of API coexist:
 
 * the **value-space** methods (:meth:`add`, :meth:`bulk`,
-  :meth:`rows`, :meth:`match`, …) keep their historical semantics —
-  values in, values out — so users, tests and the I/O layer never see
-  a code;
+  :meth:`rows`, …) keep their historical semantics — values in,
+  values out — so users, tests and the I/O layer never see a code;
 * the **storage-space** methods (:meth:`add_encoded`,
-  :meth:`rows_encoded`, :meth:`match_encoded`, :meth:`hash_table`,
-  :meth:`dense_table`) speak int tuples and are what the engines run
-  on.
+  :meth:`rows_encoded`, :meth:`hash_table`, :meth:`dense_table`)
+  speak int tuples and are what the engines run on.
 
 One access path serves every reader: multi-column hash tables
 (:meth:`hash_table`), keyed by an arbitrary column combination and
 invalidated by a per-relation version counter.  The set-at-a-time
-join plans of :mod:`repro.engine.setjoin` probe them, and so does
-:meth:`match_encoded`, keyed on a pattern's bound positions.
+join plans of :mod:`repro.engine.setjoin` probe them.
 :meth:`dense_table` is their single-column variant stored as a plain
 list indexed by key *code*, the array access path dictionary encoding
 exists to enable.
@@ -48,14 +45,14 @@ and rebuilt on first use in the receiving process.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.errors import EvaluationError, RuleValidationError
 from ..datalog.terms import Constant
 from .symbols import SymbolTable
 
-#: A match pattern: one entry per position, None meaning "any value".
+#: A query pattern: one entry per position, None meaning "any value".
 Pattern = tuple
 
 
@@ -72,7 +69,7 @@ class Database:
     True
     >>> db.add("A", ("a", "b"))   # duplicates are ignored
     False
-    >>> sorted(db.match("A", ("a", None)))
+    >>> sorted(db.rows("A"))
     [('a', 'b')]
     """
 
@@ -156,11 +153,6 @@ class Database:
         constant can match anything)."""
         encode = self._symbols.encode
         return tuple(None if v is None else encode(v) for v in pattern)
-
-    def decode_pattern(self, pattern: Pattern) -> Pattern:
-        """Decode a storage-space pattern, preserving None wildcards."""
-        decode = self._symbols.decode
-        return tuple(None if v is None else decode(v) for v in pattern)
 
     def _lookup_pattern(self, pattern: Pattern) -> Pattern | None:
         """Encode a pattern without interning; None when a constant
@@ -612,32 +604,6 @@ class Database:
         csr = (values, offsets)
         self._csr_columns[cache_key] = (version, csr)
         return csr
-
-    def match(self, name: str, pattern: Pattern) -> Iterator[tuple]:
-        """All value rows matching *pattern* (None entries match any),
-        through :meth:`match_encoded`."""
-        encoded = self._lookup_pattern(pattern)
-        if encoded is None:
-            return  # a never-interned constant matches no stored row
-        decode = self._symbols.decode_row
-        for row in self.match_encoded(name, encoded):
-            yield decode(row)
-
-    def match_encoded(self, name: str,
-                      pattern: Pattern) -> Iterator[tuple]:
-        """All storage-space rows matching a storage-space *pattern*:
-        one :meth:`hash_table` lookup keyed on its bound positions."""
-        positions = tuple(i for i, v in enumerate(pattern)
-                          if v is not None)
-        if len(positions) == 1:
-            key = pattern[positions[0]]
-        else:
-            key = tuple(pattern[i] for i in positions)
-        return iter(self.hash_table(name, positions).get(key, ()))
-
-    def has_match(self, name: str, pattern: Pattern) -> bool:
-        """True when at least one value row matches *pattern*."""
-        return next(self.match(name, pattern), None) is not None
 
     def metrics_snapshot(self) -> dict:
         """Point-in-time state for the telemetry layer's gauges.

@@ -697,14 +697,19 @@ class DeductiveDatabase:
         """Derivation trees for the answers of a recursive query.
 
         Returns :class:`~repro.engine.provenance.Derivation` objects,
-        sorted by answer, at most *limit* of them.
+        sorted by answer, at most *limit* of them.  The predicate is
+        resolved as in :meth:`explain`: an unknown one or a wrong arity
+        raises :meth:`query`'s :class:`EvaluationError`, and a stored
+        relation or a view is not a recursive predicate.
         """
         from .engine.provenance import _tuple_depths, explain_answer
         query = _as_query(query)
-        system = self.system_for(query.predicate)
-        if system is None:
+        label, arity = self._resolve(query.predicate)
+        self._check_query_arity(query, arity)
+        if label in ("edb", "view"):
             raise EvaluationError(
                 f"{query.predicate!r} is not a recursive predicate")
+        system = self.system_for(query.predicate)
         base = self._materialise_below(query.predicate)
         answers = self.query(query).sorted_rows()
         if limit is not None:

@@ -3,6 +3,9 @@ a running query server."""
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.datalog import parse_system
@@ -38,6 +41,18 @@ def catalogue_entry(request):
 def engines():
     """One instance of each engine."""
     return (NaiveEngine(), SemiNaiveEngine(), CompiledEngine())
+
+
+@pytest.fixture(scope="session")
+def e2e_gen():
+    """The end-to-end benchmark's data generator, loaded by path, so a
+    test reads the data and constants the benchmark measures."""
+    spec = importlib.util.spec_from_file_location(
+        "e2e_gen", pathlib.Path(__file__).parent.parent / "benchmarks"
+        / "e2e" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def paper_system(name: str):

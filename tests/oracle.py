@@ -1,22 +1,27 @@
-"""An independent reference evaluator for differential testing.
+"""Independent reference evaluators for differential testing.
 
-The engines share the join kernel and the conjunctive solver, so a
-bug there could hide in engine-agreement tests.  This oracle takes a
-*completely different* route: ground instantiation.  Every rule is
-instantiated with every combination of the constants of the active
-domain and of the rules themselves (no unification, no indexes, no
-join ordering), and the ground program is iterated to its fixpoint.
-Exponentially slower — and that's the
-point: it shares no code path with the engines beyond the AST.
+The engines share the join kernel, so a bug there could hide in
+engine-agreement tests.  This oracle takes a *completely different*
+route: ground instantiation.  Every rule is instantiated with every
+combination of the constants of the active domain and of the rules
+themselves (no unification, no indexes, no join ordering), and the
+ground program is iterated to its fixpoint.  Exponentially slower —
+and that's the point: it shares no code path with the engines beyond
+the AST.
+
+The kernel itself, one rule application at a time, is checked against
+:func:`nested_loop_join`: value-space rows, one atom after the other
+in body order, no plans, indexes or ranking.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Iterable, Iterator, Sequence
 
 from repro.datalog.program import RecursionSystem
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Term, Variable
 from repro.ra.database import Database
 
 
@@ -89,3 +94,46 @@ def oracle_evaluate(system: RecursionSystem,
                     database: Database) -> frozenset[tuple]:
     """The full fixpoint of the recursion, by ground instantiation."""
     return oracle_rounds(system, database)[0]
+
+
+def _unify(terms: Sequence[Term], row: tuple,
+           binding: dict) -> dict | None:
+    """*binding* extended so that *terms* read *row*, None on a clash."""
+    binding = dict(binding)
+    for term, value in zip(terms, row):
+        if isinstance(term, Variable):
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term.value != value:
+            return None
+    return binding
+
+
+def _solutions(database: Database, atoms: Sequence,
+               binding: dict) -> Iterator[dict]:
+    if not atoms:
+        yield binding
+        return
+    for row in database.rows(atoms[0].predicate):
+        extended = _unify(atoms[0].args, row, binding)
+        if extended is not None:
+            yield from _solutions(database, atoms[1:], extended)
+
+
+def nested_loop_join(database: Database, atoms: Sequence,
+                     entry_terms: Sequence[Term],
+                     out_terms: Sequence[Term],
+                     rows: Iterable[tuple]) -> set[tuple]:
+    """What :func:`~repro.engine.setjoin.apply_rule` computes, in value
+    space: bind *entry_terms* to each of *rows*, satisfy *atoms* one
+    after the other by scanning each relation's decoded rows, and
+    project every solution onto *out_terms*."""
+    out: set[tuple] = set()
+    for row in rows:
+        binding = _unify(entry_terms, row, {})
+        if binding is None:
+            continue
+        for solution in _solutions(database, tuple(atoms), binding):
+            out.add(tuple(solution[term] if isinstance(term, Variable)
+                          else term.value for term in out_terms))
+    return out

@@ -408,6 +408,18 @@ class TestProve:
         """, encoding="utf-8")
         assert main(["prove", "--answer", "P(zz, Y)", str(path)]) == 1
 
+    def test_unknown_predicate_is_the_query_error(self, capsys, tmp_path):
+        path = tmp_path / "tc.dl"
+        path.write_text("""
+            P(x, y) :- A(x, z), P(z, y).
+            P(x, y) :- E(x, y).
+            A(a, b).
+            E(b, b).
+        """, encoding="utf-8")
+        assert main(["prove", "--answer", "Q(a, Y)", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown predicate 'Q'")
+
 
 class TestLint:
     def test_warnings_exit_zero(self, capsys):

@@ -6,6 +6,7 @@ from repro.core.compile import Strategy, compile_query
 from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, EvaluationStats, Query,
                           SemiNaiveEngine, Tracer, setjoin)
+from repro.engine.vector import _magic_bindings
 from repro.ra import Database
 from repro.workloads import (CATALOGUE, chain, cycle, random_edb,
                              reflexive_exit)
@@ -118,12 +119,11 @@ class TestIterativeStrategy:
         from repro.workloads import random_edb
         db = random_edb(system, nodes=6, tuples_per_relation=12, seed=1)
         constant = sorted(db.active_domain())[0]
-        engine = CompiledEngine()
         # _magic_bindings works in storage space: encode the query
         query = Query("P", (constant, None, None)).encoded(db)
         stats = EvaluationStats()
-        magic, unrestricted = engine._magic_bindings(
-            compile_query(system, query.adornment), db, query, stats)
+        magic, unrestricted = _magic_bindings(
+            db, compile_query(system, query.adornment).magic, query, stats)
         assert not unrestricted
         assert magic[frozenset({0})] == {(query.pattern[0],)}
         # after one expansion the steady adornment {0, 1} is reached,
@@ -141,10 +141,9 @@ class TestIterativeStrategy:
             "A": chain(3), "B": chain(3),
             "P__exit": [("n0", "n0", "n0")],
         })
-        engine = CompiledEngine()
         query = Query("P", ("n0", None, None)).encoded(db)
-        magic, unrestricted = engine._magic_bindings(
-            compile_query(system, query.adornment), db, query,
+        magic, unrestricted = _magic_bindings(
+            db, compile_query(system, query.adornment).magic, query,
             EvaluationStats())
         assert unrestricted
 
@@ -154,10 +153,9 @@ class TestIterativeStrategy:
             "A": chain(2), "B": chain(2), "C": chain(2),
             "P__exit": [("n0", "n0")],
         })
-        engine = CompiledEngine()
         query = Query.all_free("P", 2)
-        magic, unrestricted = engine._magic_bindings(
-            compile_query(system, query.adornment), db, query,
+        magic, unrestricted = _magic_bindings(
+            db, compile_query(system, query.adornment).magic, query,
             EvaluationStats())
         assert unrestricted and not magic
 

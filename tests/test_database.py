@@ -83,10 +83,11 @@ class TestRemoval:
         assert not db.remove("A", ("a", "b"))
         assert not db.remove("missing", ("a", "b"))
 
-    def test_remove_updates_match_index(self, db):
-        list(db.match("A", ("a", None)))  # force index build
+    def test_remove_updates_hash_table(self, db):
+        a = db.encode_const("a")
+        db.hash_table("A", (0,))  # force the table build
         db.remove("A", ("a", "b"))
-        assert set(db.match("A", ("a", None))) == {("a", "c")}
+        assert db.hash_table("A", (0,))[a] == [db.encode_row(("a", "c"))]
 
     def test_bulk_remove_counts_removed_rows(self, db):
         assert db.bulk_remove("A", [("a", "b"), ("zz", "zz")]) == 1
@@ -157,39 +158,44 @@ class TestSnapshotPickling:
     def test_roundtrip_drops_caches_and_rebuilds_lazily(self, db):
         import pickle
         db.hash_table("A", (0,))
-        list(db.match("A", ("a", None)))
+        db.hash_table("A", (1,))
         clone = pickle.loads(pickle.dumps(db))
         assert clone.hash_builds == 0
         # the symbol table travels with the pickle, so storage-space
         # keys survive the round trip
         key = clone.symbols.lookup("a")
         assert key is not None
-        assert clone.hash_table("A", (0,))[key]
-        assert clone.hash_builds == 1
-        assert set(clone.match("A", ("a", None))) == {("a", "b"),
+        assert {clone.decode_row(row) for row in
+                clone.hash_table("A", (0,))[key]} == {("a", "b"),
                                                       ("a", "c")}
+        assert clone.hash_builds == 1
 
 
 class TestAccess:
     def test_rows_of_unknown_relation_is_empty(self, db):
         assert db.rows("missing") == frozenset()
 
-    def test_match_full_wildcard(self, db):
-        assert set(db.match("A", (None, None))) == db.rows("A")
+    def test_empty_key_groups_every_row(self, db):
+        (rows,) = db.hash_table("A", ()).values()
+        assert {db.decode_row(row) for row in rows} == db.rows("A")
 
-    def test_match_uses_bound_positions(self, db):
-        assert set(db.match("A", ("a", None))) == {("a", "b"), ("a", "c")}
-        assert set(db.match("A", (None, "c"))) == {("b", "c"), ("a", "c")}
-        assert set(db.match("A", ("a", "c"))) == {("a", "c")}
+    def test_hash_table_keys_on_its_columns(self, db):
+        def bucket(positions, *values):
+            key = tuple(db.encode_const(value) for value in values)
+            table = db.hash_table("A", positions)
+            return {db.decode_row(row) for row in
+                    table.get(key[0] if len(key) == 1 else key, ())}
 
-    def test_match_after_insert_sees_new_rows(self, db):
-        list(db.match("A", ("a", None)))  # force index build
+        assert bucket((0,), "a") == {("a", "b"), ("a", "c")}
+        assert bucket((1,), "c") == {("b", "c"), ("a", "c")}
+        assert bucket((0, 1), "a", "c") == {("a", "c")}
+        assert bucket((0,), "c") == set()
+
+    def test_hash_table_after_insert_sees_new_rows(self, db):
+        db.hash_table("A", (0,))  # force the table build
         db.add("A", ("a", "z"))
-        assert ("a", "z") in set(db.match("A", ("a", None)))
-
-    def test_has_match(self, db):
-        assert db.has_match("A", ("a", None))
-        assert not db.has_match("A", ("zz", None))
+        assert db.encode_row(("a", "z")) in db.hash_table(
+            "A", (0,))[db.encode_const("a")]
 
     def test_contains_protocol(self, db):
         assert ("A", ("a", "b")) in db

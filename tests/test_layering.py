@@ -60,17 +60,3 @@ def test_compiled_engine_derives_no_rules():
     unfolding in the compiler; the engine only runs its rules."""
     assert not [name for name in imported_modules(ENGINE / "compiled.py")
                 if _within(name, "repro.datalog.unify")]
-
-
-def test_only_top_down_and_provenance_use_the_backtracking_solver():
-    """The compiled engine's existence checks run in the join kernel;
-    the backtracking solver is left to top-down's tabled resolution and
-    provenance's witness until they move onto the kernel too.  The
-    engine package itself re-exports the solver's public names."""
-    users = {str(path.relative_to(SRC))
-             for path in SRC.rglob("*.py")
-             if path != ENGINE / "__init__.py"
-             and any(_within(name, "repro.engine.conjunctive")
-                     for name in imported_modules(path))}
-    assert users == {"repro/engine/topdown.py",
-                     "repro/engine/provenance.py"}

@@ -108,6 +108,33 @@ class TestEveryClassExplainable:
             assert derivation.depth == expected
 
 
+class TestPremiseLookup:
+    def test_a_tc_derivation_reads_no_depth_listing(self, tc):
+        """Every call variable of TC is bound by the head or a body
+        atom, so each premise is one ``depths`` lookup: a depth map
+        that refuses to be listed still explains the deepest answer."""
+        system, db = tc
+
+        class Depths(dict):
+            def items(self):
+                raise AssertionError("explain_answer scanned the depths")
+
+        depths = Depths(_tuple_depths(system, db))
+        derivation = explain_answer(system, db, ("n0", "n3"), depths)
+        assert derivation.depth == 3
+
+    def test_the_least_witness_wins(self):
+        """Two body rows derive P(a, c) at depth 1; the least one in
+        storage order is the witness, every time."""
+        system = parse_system(
+            "P(x, y) :- A(x, z), P(z, y).\nP(x, y) :- E(x, y).")
+        db = Database.from_dict({"A": [("a", "m"), ("a", "b")],
+                                 "E": [("b", "c"), ("m", "c")]})
+        witness = min(db.encode_row(row) for row in db.rows("A"))
+        derivation = explain_answer(system, db, ("a", "c"))
+        assert derivation.edb_facts == (("A", db.decode_row(witness)),)
+
+
 class TestFreshVariableSubgoals:
     def test_s10_unconstrained_position(self):
         """s10's recursive subgoal has a variable (x1) bound by no

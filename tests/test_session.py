@@ -605,3 +605,19 @@ class TestProve:
         from repro.datalog.errors import EvaluationError
         with pytest.raises(EvaluationError):
             ddb.prove("mother(X, Y)")
+
+    def test_prove_resolves_as_explain_does(self, ddb):
+        """An unknown predicate or a wrong arity raises ``query``'s
+        error, as ``explain`` does; a stored relation and a view are
+        not recursive predicates."""
+        for text, message in [("nobody(ann, Y)", "unknown predicate"),
+                              ("anc(ann)", "has arity 2")]:
+            with pytest.raises(EvaluationError, match=message) as proved:
+                ddb.prove(text)
+            with pytest.raises(EvaluationError) as explained:
+                ddb.explain(text)
+            assert str(proved.value) == str(explained.value)
+        for text in ("parent(ann, Y)", "mother(ann, Y)"):
+            with pytest.raises(EvaluationError,
+                               match="is not a recursive predicate"):
+                ddb.prove(text)

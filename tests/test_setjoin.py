@@ -5,10 +5,12 @@ import pytest
 from repro.datalog.parser import parse_atom
 from repro.datalog.terms import Variable
 from repro.engine import (EvaluationStats, SemiNaiveEngine, apply_rule,
-                          compile_plan, execute_plan, solve_project)
+                          compile_plan, execute_plan)
 from repro.engine.plan import entry_layout
 from repro.engine.setjoin import _run_steps
 from repro.ra import Database
+
+from .oracle import nested_loop_join
 
 V = Variable
 
@@ -172,8 +174,8 @@ class TestComponents:
         assert single.fused is not None and len(single.steps) == 1
 
 
-class TestExecuteAgainstSolveProject:
-    """execute_plan and solve_project agree binding-for-binding."""
+class TestExecuteAgainstNestedLoops:
+    """execute_plan and a nested-loop join agree binding-for-binding."""
 
     DB = {
         "A": [("a", "b"), ("b", "c"), ("c", "d"), ("a", "a")],
@@ -191,9 +193,10 @@ class TestExecuteAgainstSolveProject:
         db = Database.from_dict(self.DB)
         body_atoms = atoms(*body)
         out_terms = tuple(V(name) for name in out)
-        expected = solve_project(db, body_atoms, out_terms)
+        expected = nested_loop_join(db, body_atoms, (), out_terms, [()])
         plan = compile_plan(body_atoms, (), out_terms, db)
-        assert execute_plan(db, plan, [()]) == expected
+        assert {db.decode_row(row) for row in
+                execute_plan(db, plan, [()])} == expected
 
     def test_batched_entry_agreement(self):
         # apply_rule takes rows in storage space: encode them
@@ -201,42 +204,11 @@ class TestExecuteAgainstSolveProject:
         body_atoms = atoms("A(z, w)")
         out_terms = (V("y"), V("w"))
         entry = (V("z"), V("y"))
-        rows = [db.encode_row(row)
-                for row in [("a", "p"), ("b", "q"), ("zz", "r")]]
-        expected = set()
-        for row in rows:
-            expected |= solve_project(
-                db, body_atoms, out_terms,
-                {V("z"): row[0], V("y"): row[1]})
-        assert apply_rule(db, body_atoms, entry, out_terms,
-                          rows) == expected
-
-    def test_probe_counts_match_solve_project_loop(self, tc_system,
-                                                   tc_chain_db):
-        """Round by round over the TC fixpoint, ``apply_rule`` counts
-        the same probes as a per-delta-row ``solve_project`` loop — so
-        the compiled engine's solver probes (PERF1) stay comparable
-        with semi-naive's batch-kernel probes."""
-        db = tc_chain_db
-        rule = tc_system.recursive
-        body, head = rule.nonrecursive_atoms, rule.head.args
-        entry = rule.recursive_atom.args
-        total = delta = set(db.rows_encoded("P__exit"))
-        rounds = 0
-        while delta:
-            batch_stats, loop_stats = EvaluationStats(), EvaluationStats()
-            new = apply_rule(db, body, entry, head, delta, batch_stats)
-            expected: set[tuple] = set()
-            for row in delta:
-                expected |= solve_project(db, body, head,
-                                          dict(zip(entry, row)),
-                                          stats=loop_stats)
-            assert new == expected
-            assert batch_stats.probes == loop_stats.probes
-            delta = new - total
-            total = total | delta
-            rounds += 1
-        assert rounds == 7  # the 6-edge chain's depths 1..6, then empty
+        rows = [("a", "p"), ("b", "q"), ("zz", "r")]
+        expected = nested_loop_join(db, body_atoms, entry, out_terms, rows)
+        assert {db.decode_row(row) for row in apply_rule(
+            db, body_atoms, entry, out_terms,
+            [db.encode_row(row) for row in rows])} == expected
 
     def test_multi_hop_fused_tail_equals_expanding_every_binding(self):
         """Behind earlier steps the fused last probe expands each
@@ -341,76 +313,21 @@ class TestBulkInvalidation:
 
     def test_bulk_invalidates_index_once(self):
         db = Database.from_dict({"A": [("a", "b")]})
-        list(db.match("A", ("a", None)))  # build the hash table
+        db.hash_table("A", (0,))  # build the hash table
         built = db.hash_builds
         db.bulk("A", [(f"n{i}", f"n{i+1}") for i in range(100)])
         # the bulk load staled the table; one rebuild serves every
         # later probe
         assert db.hash_builds == built
-        assert set(db.match("A", ("n5", None))) == {("n5", "n6")}
-        assert set(db.match("A", ("n7", None))) == {("n7", "n8")}
+        n5, n7 = db.encode_const("n5"), db.encode_const("n7")
+        assert db.hash_table("A", (0,))[n5] == [db.encode_row(("n5", "n6"))]
+        assert db.hash_table("A", (0,))[n7] == [db.encode_row(("n7", "n8"))]
         assert db.hash_builds == built + 1
 
-    def test_bulk_results_visible_to_match(self):
+    def test_bulk_results_visible_to_hash_table(self):
         db = Database.from_dict({"A": [("a", "b")]})
-        list(db.match("A", (None, "b")))
+        db.hash_table("A", (1,))
         db.bulk("A", [("q", "b")])
-        assert set(db.match("A", (None, "b"))) == {("a", "b"), ("q", "b")}
-
-
-class TestBindUnbindEquivalence:
-    """The in-place bind/unbind backtracker matches a copy-based
-    reference solver on answer sets (satellite regression guard)."""
-
-    @staticmethod
-    def _reference_solve(db, body_atoms, binding=None):
-        """The old copy-per-row implementation, kept as the oracle."""
-        from repro.datalog.terms import Constant
-        from repro.engine.conjunctive import pattern_of
-
-        def extend(atom, row, current):
-            new = dict(current)
-            for term, value in zip(atom.args, row):
-                if isinstance(term, Constant):
-                    continue
-                seen = new.get(term)
-                if seen is None:
-                    new[term] = value
-                elif seen != value:
-                    return None
-            return new
-
-        def backtrack(remaining, current):
-            if not remaining:
-                yield dict(current)
-                return
-            chosen, *rest = remaining
-            for row in db.match(chosen.predicate,
-                                pattern_of(chosen, current)):
-                extended = extend(chosen, row, current)
-                if extended is not None:
-                    yield from backtrack(rest, extended)
-
-        yield from backtrack(list(body_atoms), dict(binding or {}))
-
-    @pytest.mark.parametrize("body", [
-        ("A(x, y)", "A(y, z)"),
-        ("A(x, y)", "B(y, w)", "A(x, x)"),
-        ("A(x, x)",),
-        ("A(x, y)", "A(y, x)"),
-    ])
-    def test_same_answer_sets(self, body):
-        from repro.engine import solve
-        # the reference oracle binds values (Database.match) while
-        # solve binds storage-space codes: decode_row bridges them
-        db = Database.from_dict({
-            "A": [("a", "b"), ("b", "a"), ("a", "a"), ("b", "c")],
-            "B": [("b", "x1"), ("a", "x2")],
-        })
-        body_atoms = atoms(*body)
-        got = {tuple(sorted(zip((v.name for v in s),
-                                db.decode_row(tuple(s.values())))))
-               for s in solve(db, body_atoms)}
-        want = {tuple(sorted((v.name, val) for v, val in s.items()))
-                for s in self._reference_solve(db, body_atoms)}
-        assert got == want
+        bucket = db.hash_table("A", (1,))[db.encode_const("b")]
+        assert {db.decode_row(row) for row in bucket} == {("a", "b"),
+                                                          ("q", "b")}

@@ -1,9 +1,10 @@
-"""Property tests: set-at-a-time plans ≡ per-binding solving.
+"""Property tests: set-at-a-time plans ≡ nested-loop joins.
 
-:func:`apply_rule` equals a per-binding ``solve_project`` loop on
-random linear rules and EDBs — the exact contract the fixpoint engines
-rely on.  The engine-level reference for fixpoints and per-round delta
-sizes is the ground-instantiation oracle (``tests/test_oracle.py``).
+:func:`apply_rule` equals a nested-loop join per binding
+(``tests/oracle.py``) on random linear rules and EDBs — the exact
+contract the fixpoint engines rely on.  The engine-level reference for
+fixpoints and per-round delta sizes is the ground-instantiation oracle
+(``tests/test_oracle.py``).
 """
 
 from __future__ import annotations
@@ -11,46 +12,38 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datalog.terms import Variable
-from repro.engine import EvaluationStats, apply_rule, solve_project
+from repro.engine import EvaluationStats, apply_rule
 from repro.engine.plan import compile_plan
 from repro.engine.setjoin import _run_step, _surfaced
 from repro.workloads import CATALOGUE, random_edb
 
+from .oracle import nested_loop_join
 from .strategies import linear_systems
 
 
 @settings(max_examples=60, deadline=None)
 @given(system=linear_systems(), seed=st.integers(0, 5),
        tuples=st.integers(2, 16))
-def test_apply_rule_equals_solve_project_loop(system, seed, tuples):
+def test_apply_rule_equals_nested_loop_join(system, seed, tuples):
     """Batch execution of the recursive body over random delta rows
-    agrees with binding-at-a-time solve_project."""
+    agrees with a nested-loop join of each row."""
     db = random_edb(system, nodes=5, tuples_per_relation=tuples,
                     seed=seed)
     rule = system.recursive
     body = rule.nonrecursive_atoms
     entry = rule.recursive_atom.args
     head = rule.head.args
-    # delta rows: whatever the exits derive, plus junk rows (encoded
-    # into storage space — the kernel contract for delta rows)
-    delta = set(solve_project(db, system.exits[0].body,
-                              system.exits[0].head.args))
-    delta |= {db.encode_row(("zz",) * system.dimension)}
+    # delta rows: whatever the exits derive, plus a junk row
+    exit_rule = system.exits[0]
+    values = nested_loop_join(db, exit_rule.body, (),
+                              exit_rule.head.args, [()])
+    values.add(("zz",) * system.dimension)
+    # the kernel binds storage-space rows
+    delta = {db.encode_row(row) for row in values}
 
-    expected: set[tuple] = set()
-    for row in delta:
-        binding: dict[Variable, object] = {}
-        consistent = True
-        for term, value in zip(entry, row):
-            if binding.get(term, value) != value:
-                consistent = False
-                break
-            binding[term] = value
-        if consistent:
-            expected |= solve_project(db, body, head, binding)
-
-    assert apply_rule(db, body, entry, head, delta) == expected
+    expected = nested_loop_join(db, body, entry, head, values)
+    assert {db.decode_row(row) for row in
+            apply_rule(db, body, entry, head, delta)} == expected
     # the fan-out bound of a composition build reads, before each step,
     # the rows the step's probe surfaces: the probes it counts.  So
     # does every step of a split plan: the pipeline's and each

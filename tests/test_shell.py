@@ -80,6 +80,14 @@ class TestCommands:
         assert "premise:" in out
         assert "E(c, c)" in out
 
+    def test_prove_resolves_as_explain_does(self):
+        """``.prove`` of an unknown predicate prints ``query``'s error,
+        as ``.explain`` does; a stored relation is not recursive."""
+        out = run_lines(*PROGRAM_LINES, ".prove Q(a, Y)", ".explain Q(a, Y)",
+                        ".prove A(a, Y)", ".quit")
+        assert out.count("error: unknown predicate 'Q'") == 2
+        assert "error: 'A' is not a recursive predicate" in out
+
     def test_advise(self):
         """``.advise`` resolves its predicate as ``?-`` and ``.explain``
         do: an unknown one is ``query``'s error, a stored relation and

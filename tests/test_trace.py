@@ -5,13 +5,14 @@ import json
 import pytest
 
 from repro.datalog.parser import parse_system
-from repro.engine import ENGINES, MaterializedRecursion, TopDownEngine
+from repro.engine import (ENGINES, MaterializedRecursion, SemiNaiveEngine,
+                          TopDownEngine, vector)
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import (TRACE_SCHEMA_VERSION, Tracer,
                                 validate_trace_dict)
 from repro.ra import Database
 from repro.session import DeductiveDatabase
-from repro.workloads import chain
+from repro.workloads import CATALOGUE, chain, random_edb
 
 GENEALOGY = """
     anc(x, y) :- parent(x, z), anc(z, y).
@@ -234,6 +235,68 @@ class TestRender:
         assert "answers=2" in text
 
 
+class TestVectorReason:
+    """The first delta round of a loop that ran in python names the
+    first condition that kept the numpy kernel off, as one line."""
+
+    TC = """
+        P(x, y) :- A(x, z), P(z, y).
+        P(x, y) :- E(x, y).
+        A(a, b). A(b, c). E(c, c).
+    """
+
+    @staticmethod
+    def _reasons(text: str) -> list[str]:
+        return [line.strip() for line in text.splitlines()
+                if line.strip().startswith("· vector=")]
+
+    def test_a_bound_top_down_loop_is_filtered(self):
+        ddb = DeductiveDatabase()
+        ddb.load(self.TC)
+        text = ddb.explain_analyze("P(a, Y)", engine="top-down")
+        assert self._reasons(text) == ["· vector=filtered"]
+        lines = text.splitlines()
+        first = next(i for i, line in enumerate(lines)
+                     if line.startswith("  delta[2] "))
+        assert lines[first + 1] == "    · vector=filtered"
+
+    def test_s11_runs_several_steps(self):
+        system = CATALOGUE["s11"].system()
+        db = random_edb(system, nodes=5, tuples_per_relation=8, seed=4)
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(system, db, trace=tracer)
+        assert self._reasons(tracer.trace.render()) == ["· vector=steps"]
+        assert tracer.trace.meta["backend"] == "python"
+
+    def test_a_three_column_entry_says_layout(self):
+        """The kernel packs an entry of two distinct variables; a call
+        that carries a third column runs in python and says so."""
+        system = parse_system("P(x, y, w) :- A(x, z), P(z, y, w).")
+        db = Database.from_dict({"A": [("a", "b"), ("b", "c")],
+                                 "P__exit": [("c", "c", "d")]})
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(system, db, trace=tracer)
+        assert self._reasons(tracer.trace.render()) == ["· vector=layout"]
+        assert tracer.trace.meta["backend"] == "python"
+
+    def test_a_pinned_loop_says_python(self, tc_system, tc_chain_db):
+        tracer = Tracer()
+        SemiNaiveEngine(backend="python").evaluate(tc_system, tc_chain_db,
+                                                   trace=tracer)
+        assert self._reasons(tracer.trace.render()) == ["· vector=python"]
+
+    def test_a_certified_loop_without_numpy_says_so(self, tc_system,
+                                                    tc_chain_db):
+        """On the numpy-less leg TC's certified loop names the missing
+        kernel; with numpy it runs there and records no reason."""
+        tracer = Tracer()
+        SemiNaiveEngine().evaluate(tc_system, tc_chain_db, trace=tracer)
+        assert self._reasons(tracer.trace.render()) == (
+            [] if vector.HAVE_NUMPY else ["· vector=no numpy"])
+        assert tracer.trace.meta["backend"] == (
+            "numpy" if vector.HAVE_NUMPY else "python")
+
+
 class TestEngineTraces:
     @pytest.mark.parametrize("engine", ["compiled", "semi-naive",
                                         "naive", "top-down"])
@@ -251,13 +314,16 @@ class TestEngineTraces:
                            trace=Tracer())
         assert plain == traced
 
-    def test_topdown_trace_has_subgoals(self, ddb):
+    def test_topdown_trace_has_magic_exit_and_delta_rounds(self, ddb):
         tracer = Tracer()
         ddb.query("anc(ann, Y)", engine="top-down", trace=tracer)
-        kinds = {span.kind for span in tracer.trace.rounds}
-        assert kinds == {"subgoal"}
-        assert any("anc" in span.detail.get("subgoal", "")
-                   for span in tracer.trace.rounds)
+        kinds = [span.kind for span in tracer.trace.rounds]
+        assert kinds[:2] == ["magic", "exit"]
+        assert set(kinds[2:]) == {"delta"}
+        magic = tracer.trace.rounds[0].detail
+        assert magic["unrestricted"] is False and magic["bindings"] > 1
+        # a bound query's delta loop is filtered by its bindings
+        assert tracer.trace.rounds[2].detail["vector"] == "filtered"
 
     def test_incremental_trace(self):
         system = parse_system("P(x, y) :- A(x, z), P(z, y).")
@@ -282,14 +348,17 @@ class TestEngineTraces:
 
 
 class TestTopDownEngineDirect:
-    def test_bound_query_traces_root_growth(self, tc_system,
-                                            tc_chain_db):
+    def test_bound_query_traces_the_filtered_fixpoint(self, tc_system,
+                                                      tc_chain_db):
+        """The rounds add up to the rows of the fixpoint the bindings
+        admit, as the stats' ``delta_sizes`` do, not to the answers."""
         from repro.engine.query import Query
-        tracer = Tracer()
+        tracer, stats = Tracer(), EvaluationStats()
         answers = TopDownEngine().evaluate(
-            tc_system, tc_chain_db, Query.parse("P(n0, Y)"),
+            tc_system, tc_chain_db, Query.parse("P(n0, Y)"), stats,
             trace=tracer)
-        assert tracer.trace.delta_total == len(answers)
+        assert tracer.trace.delta_total == sum(stats.delta_sizes)
+        assert len(answers) <= tracer.trace.delta_total
 
 
 class TestPassiveTracer:

@@ -22,8 +22,6 @@ shapes must be bit-identical.  Four layers pin this down:
 
 from __future__ import annotations
 
-import importlib.util
-import pathlib
 import pickle
 import tracemalloc
 from contextlib import contextmanager, nullcontext
@@ -37,6 +35,7 @@ from repro.datalog.parser import parse_system
 from repro.engine import (CompiledEngine, Deadline, NaiveEngine, Query,
                           SemiNaiveEngine)
 from repro.engine import vector as vector_module
+from repro.engine.plan import compile_plan
 from repro.engine.stats import EvaluationStats
 from repro.engine.trace import Tracer
 from repro.engine.vector import validate_backend
@@ -113,14 +112,22 @@ def _trace_shape(tracer):
 
 
 def _trace_doc(tracer):
-    """The whole trace document minus its wall-clock fields."""
+    """The whole trace document minus its wall-clock fields and the
+    reason a loop ran in python (:func:`_declines`)."""
     document = tracer.trace.to_dict()
     document.pop("total_s")
     for span in document["rounds"]:
         span.pop("duration_s")
+        span["detail"].pop("vector", None)
         for rule in span["rules"]:
             rule.pop("duration_s")
     return document
+
+
+def _declines(tracer) -> list[str]:
+    """Why each delta loop of the trace ran in python, in order."""
+    return [span.detail["vector"] for span in tracer.trace.rounds
+            if "vector" in span.detail]
 
 
 def _stats_shape(stats):
@@ -170,6 +177,15 @@ class TestBackendParity:
         assert answers.encoded == answers_p.encoded
         # everything, backend name and vector counters included
         assert vars(stats) == vars(stats_p)
+        # but why each loop ran in python: pinned by semi-naive's
+        # backend="python", or the first reason the kernel declines
+        reasons, reasons_p = _declines(trace), _declines(trace_p)
+        if engine == "semi-naive":
+            assert len(reasons) == len(reasons_p)
+            assert "python" not in reasons
+            assert set(reasons_p) <= {"python"}
+        else:
+            assert reasons == reasons_p
         assert _trace_doc(trace) == _trace_doc(trace_p)
 
 
@@ -225,6 +241,56 @@ class TestFallbackPaths:
         assert validate_backend("auto") == "auto"
 
 
+#: a call that carries a third column past the kernel's entry layout
+THREE_COLUMNS = "P(x, y, w) :- A(x, z), P(z, y, w)."
+
+#: s11: a delta round of several steps
+S11_SYSTEM = "P(x, y) :- A(x, x1), B(y, y1), C(x1, y1), P(x1, y1)."
+
+
+class TestDeclineReasons:
+    """Why a delta loop runs in python: the first condition that fails,
+    in the order ``run_delta_loop`` checks them."""
+
+    @staticmethod
+    def _loop(rule):
+        system = parse_system(rule)
+        db = random_edb(system, nodes=5, tuples_per_relation=6, seed=0)
+        recursive = system.recursive
+        entry = tuple(recursive.recursive_atom.args)
+        plan = compile_plan(recursive.nonrecursive_atoms, entry,
+                            recursive.head.args, db)
+        return entry, plan
+
+    @pytest.mark.parametrize("rule, backend, filtered, symbols, reason", [
+        pytest.param(TC_SYSTEM, "python", True, 10, "python",
+                     id="pinned-before-filtered"),
+        pytest.param(THREE_COLUMNS, "auto", True, 10, "filtered",
+                     id="filtered-before-layout"),
+        pytest.param(S11_SYSTEM, "auto", False, 10, "steps", id="steps"),
+        pytest.param(TC_SYSTEM, "auto", False, 2 ** 32, "domain",
+                     id="domain"),
+        pytest.param(TC_SYSTEM, "auto", False, 10, None, id="certified"),
+    ])
+    def test_first_failing_condition(self, rule, backend, filtered,
+                                     symbols, reason):
+        entry, plan = self._loop(rule)
+        relevant = (lambda row: True) if filtered else None
+        if reason is None and not vector_module.HAVE_NUMPY:
+            reason = "no numpy"
+        assert vector_module._declined(backend, relevant, entry, plan,
+                                       symbols) == reason
+
+    def test_no_numpy_is_checked_last(self):
+        entry, plan = self._loop(TC_SYSTEM)
+        three, three_plan = self._loop(THREE_COLUMNS)
+        with numpy_absent():
+            assert vector_module._declined("auto", None, entry, plan,
+                                           10) == "no numpy"
+            assert vector_module._declined("auto", None, three,
+                                           three_plan, 10) == "layout"
+
+
 class TestSessionLaws:
     @staticmethod
     def _query(text, engine):
@@ -261,8 +327,6 @@ class TestSessionLaws:
 
 #: the catalogue's ``compressed_chain``: A∘B∘C composes into one step
 CHAIN_SYSTEM = "P(x, y) :- A(x, m), B(m, n), C(n, z), P(z, y)."
-
-ROOT = pathlib.Path(__file__).parent.parent
 
 #: one A∘B∘C path, a → z, beside dead ends that one more row of A, B
 #: or C completes; exits on z and q
@@ -310,7 +374,9 @@ class TestCompressedChains:
         before, _, detail = _chain_run(db)
         assert detail == {"chain": "ABC", "chain_anchors": ["x", "z"],
                           "chain_rows": 1, "chain_inputs": 5,
-                          "chain_status": "built"}
+                          "chain_status": "built",
+                          **({} if vector_module.HAVE_NUMPY
+                             else {"vector": "no numpy"})}
         assert _chain_run(db, "python")[2]["chain_status"] == "reused"
         getattr(db, change)(relation, row)
         expected = NaiveEngine().evaluate(parse_system(CHAIN_SYSTEM), db)
@@ -399,7 +465,7 @@ class TestCompressedChains:
         answers, stats, detail = _chain_run(db)
         assert detail == {"chain": "ABC", "chain_anchors": ["x", "z"],
                           "chain_rows": None, "chain_inputs": 2 * share,
-                          "chain_status": "skipped"}
+                          "chain_status": "skipped", "vector": "steps"}
         assert builds == [] and stats.backend == "python"
         assert answers == NaiveEngine().evaluate(
             parse_system(CHAIN_SYSTEM), db)
@@ -436,16 +502,12 @@ class TestCompressedChains:
             parse_system(CHAIN_SYSTEM), db)
         assert ("l0_0", "l3_0") in answers
 
-    def test_the_benchmark_chains_still_compose(self):
+    def test_the_benchmark_chains_still_compose(self, e2e_gen):
         """hop3 (2,220 of its 2,775 exits extend its ``ABC`` chain,
         against 19,980 input rows) and s9's R (10 of 10 exits extend
         its ``BA`` chain, against 594) compose on the end-to-end
         benchmark's own data."""
-        spec = importlib.util.spec_from_file_location(
-            "e2e_gen", ROOT / "benchmarks" / "e2e" / "gen.py")
-        gen = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(gen)
-        datasets = gen.lib_datasets()
+        datasets = e2e_gen.lib_datasets()
         rule, relations = datasets["hop3"]
         tracer = Tracer()
         SemiNaiveEngine().evaluate(parse_system(rule),
@@ -470,4 +532,5 @@ class TestCompressedChains:
         db = random_edb(system, nodes=5, tuples_per_relation=8, seed=4)
         tracer = Tracer()
         SemiNaiveEngine().evaluate(system, db, trace=tracer)
-        assert not any(span.detail for span in tracer.trace.rounds)
+        assert not any("chain" in span.detail
+                       for span in tracer.trace.rounds)
