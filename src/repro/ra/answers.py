@@ -29,20 +29,20 @@ transpose columns on demand, column-built sets
 materialise the row frozenset on demand — so a fixpoint that ran on
 flat vectors pays for row tuples only when set semantics are actually
 exercised;
-* the decoded side — built on first request by one flat
-  :meth:`SymbolTable.decode_column` pass over the row-major codes
-  (codes are dense, so the symbol list is itself the per-distinct-code
-  dictionary and each occurrence costs one C-level index) followed by
-  per-column stride slices zipped back to rows.  The materialisation
-  is two-tier: iteration, sorting and rendering need only the decoded
-  *list* (no hashing); the value-space ``frozenset`` the pre-columnar
-  API returned is built on top of it only when set semantics are
-  actually exercised (``==`` against a foreign set, ``hash``, set
-  operators).  Both tiers are cached on the instance, with the sort
-  and the rendered JSON array (:meth:`AnswerSet.json_array`), so the
-  session answer cache doubles as the decoded-column and
-  rendered-answer cache: entries are keyed by database epoch, and the
-  symbol table is append-only, so a cached decode can never go stale.
+* the decoded side — one tier at a time, built on first read: the
+  decoded *columns*, one :meth:`SymbolTable.decode_column` list each
+  (codes are dense, so the symbol list is itself the code→value
+  dictionary), which iteration zips into rows as its reader reads
+  them, so no row list is kept; or, once :meth:`sorted_rows` has
+  sorted that stream, the sorted list alone (the columns are dropped).
+  The value-space ``frozenset`` the pre-columnar API returned is built
+  from the same stream only when set semantics are exercised (``==``
+  against a foreign set, ``hash``, set operators).  Each tier is cached
+  on the instance, with the rendered JSON array
+  (:meth:`AnswerSet.json_array`), so the session answer cache doubles
+  as the decoded-answer and rendered-answer cache: entries are keyed by
+  database epoch, and the symbol table is append-only, so a cached
+  decode can never go stale.
 
 Compatibility
 -------------
@@ -88,7 +88,7 @@ class AnswerSet(Set):
     True
     """
 
-    __slots__ = ("_rows", "_symbols", "_columns", "_list", "_decoded",
+    __slots__ = ("_rows", "_symbols", "_columns", "_values", "_decoded",
                  "_sorted", "_json", "decode_seconds")
 
     def __init__(self, rows: Iterable[tuple],
@@ -97,12 +97,12 @@ class AnswerSet(Set):
             rows if isinstance(rows, frozenset) else frozenset(rows))
         self._symbols = symbols
         self._columns: tuple[array, ...] | None = None
-        self._list: list[tuple] | None = None
+        self._values: tuple[list, ...] | None = None
         self._decoded: frozenset[tuple] | None = None
         self._sorted: list[tuple] | None = None
         self._json: bytes | None = None
-        #: wall seconds of the first materialisation (None until then);
-        #: the server's decode histogram reads this
+        #: wall seconds of the column decode (None until then); the
+        #: server's decode histogram reads this
         self.decode_seconds: float | None = None
 
     @classmethod
@@ -119,15 +119,8 @@ class AnswerSet(Set):
         membership, set equality) materialises lazily from them, the
         mirror image of :meth:`columns` materialising from rows.
         """
-        answers = cls.__new__(cls)
-        answers._rows = None
-        answers._symbols = symbols
-        answers._columns = tuple(columns)
-        answers._list = None
-        answers._decoded = None
-        answers._sorted = None
-        answers._json = None
-        answers.decode_seconds = None
+        answers = cls((), symbols)
+        answers._rows, answers._columns = None, tuple(columns)
         return answers
 
     # -- the encoded side (never decodes) ------------------------------
@@ -156,8 +149,8 @@ class AnswerSet(Set):
 
     @property
     def is_decoded(self) -> bool:
-        """True once the value rows have been materialised."""
-        return self._list is not None
+        """True once the value columns have been decoded."""
+        return self.decode_seconds is not None
 
     def columns(self) -> tuple[array, ...]:
         """The rows as per-column flat code sequences (``array('q')``).
@@ -195,50 +188,55 @@ class AnswerSet(Set):
 
     # -- the decoded side (lazy, cached) -------------------------------
 
-    def _materialised(self) -> list[tuple]:
-        """The decoded value rows as a list — the cheap tier every
-        read-only consumer (iteration, sorting, JSON render) needs.
-        One flat ``decode_column`` pass over the row-major codes, then
-        per-column stride slices zipped back; no tuple hashing."""
-        if self._list is None:
+    def _decoded_columns(self) -> tuple[list, ...]:
+        """The value columns: one ``decode_column`` pass per code
+        column, or, for a row-built set, one over the row-major codes
+        then per-column stride slices.  Builds and hashes no row."""
+        values = self._values
+        if values is None:
             started = perf_counter()
-            arity = self.arity
-            if arity == 0:
-                # empty result, or nullary rows — nothing to decode
-                self._list = list(self._rows or ())
-            elif self._rows is None:
-                # column-first construction: decode each flat column
-                # in place and zip back — no row transpose needed
-                self._list = list(zip(
-                    *(self._symbols.decode_column(column)
-                      for column in self._columns)))
+            decode = self._symbols.decode_column
+            if self._rows is None:
+                values = tuple(map(decode, self._columns))
             else:
-                flat = self._symbols.decode_column(
-                    chain.from_iterable(self._rows))
-                self._list = list(
-                    zip(*(flat[i::arity] for i in range(arity))))
+                arity = self.arity
+                flat = decode(chain.from_iterable(self._rows))
+                values = tuple(flat[i::arity] for i in range(arity))
+            # timed first: a reader that finds the columns finds this
             self.decode_seconds = perf_counter() - started
-        return self._list
+            self._values = values
+        return values
 
     def decoded(self) -> frozenset[tuple]:
         """The value-space rows as the ``frozenset`` the pre-columnar
-        API returned; built over :meth:`_materialised` only when set
+        API returned; built from the row stream only when set
         semantics are exercised, cached forever after (the table is
         append-only, so the cache cannot go stale)."""
         if self._decoded is None:
-            self._decoded = frozenset(self._materialised())
+            self._decoded = frozenset(self)
         return self._decoded
 
     def __iter__(self) -> Iterator[tuple]:
-        return iter(self._materialised())
+        # Not a generator: the columns decode before this returns.  Each
+        # slot is read once, as another thread's sort may drop _values.
+        rows = self._sorted
+        if rows is not None:
+            return iter(rows)
+        values = self._decoded_columns()
+        if not values:  # nullary rows or none: zip() would yield nothing
+            return iter(self._rows or ())
+        return zip(*values)
 
     def sorted_rows(self) -> list[tuple]:
         """The decoded rows sorted by ``repr`` — the deterministic
         output order the CLI and the HTTP server print.  Cached, so a
-        cache-hit query renders without re-sorting."""
-        if self._sorted is None:
-            self._sorted = sorted(self._materialised(), key=repr)
-        return self._sorted
+        cache-hit query renders without re-sorting; the columns are
+        dropped, and later iteration reads this list."""
+        rows = self._sorted
+        if rows is None:
+            rows = self._sorted = sorted(self, key=repr)
+            self._values = None
+        return rows
 
     def json_array(self) -> bytes:
         """The :meth:`sorted_rows` as the UTF-8 JSON array the HTTP

@@ -81,7 +81,7 @@ class SymbolTable:
         return tuple(values[code] for code in row)
 
     def decode_column(self, codes) -> list:
-        """Decode one flat code column in a single C-level pass.
+        """Decode one flat code column in a single list comprehension.
 
         Codes are *dense*, so the value list is itself the complete
         code→value dictionary: the per-distinct-code decode work was
@@ -90,9 +90,12 @@ class SymbolTable:
         costs 100k O(1) list indexes — no per-row dict rebuilds, no
         hashing, no memo to populate.  This is the per-column
         discipline the columnar answer path
-        (:class:`~repro.ra.answers.AnswerSet`) is built on.
+        (:class:`~repro.ra.answers.AnswerSet`) is built on.  Over an
+        ``array('q')`` on CPython 3.11 the comprehension indexes faster
+        than ``list(map(values.__getitem__, codes))``.
         """
-        return list(map(self._values.__getitem__, codes))
+        values = self._values
+        return [values[code] for code in codes]
 
     def decode_rows(self, rows: Iterable[tuple]) -> frozenset[tuple]:
         """Bulk-decode a row collection (the eager answer boundary).
@@ -100,8 +103,8 @@ class SymbolTable:
         Column-wise: one flat :meth:`decode_column` pass over the
         row-major codes, then per-column stride slices zipped back to
         rows.  On a 100k-answer result this is several times faster
-        than calling :meth:`decode_row` per row — the transpose and
-        the decode both run in C.
+        than calling :meth:`decode_row` per row — the transpose runs in
+        C and the decode is one list comprehension.
         """
         rows = list(rows)
         if not rows:

@@ -3,7 +3,7 @@
 The lazy boundary is pure representation: every engine must hand back
 the same relation whether the caller reads it as a not-yet-decoded
 :class:`~repro.ra.answers.AnswerSet` or decodes it eagerly row by
-row.  Three layers pin this down:
+row.  Four layers pin this down:
 
 * **answer-set laws** — hypothesis round-trips over
   :class:`AnswerSet`: per-column decode ≡ per-row decode, the
@@ -11,6 +11,11 @@ row.  Three layers pin this down:
   agreeing with the decoded frozenset, and the laziness contract
   (``len``/``in``/same-table ``==`` never decode; iteration decodes
   exactly once);
+* **streamed read** — iteration zips the decoded value columns, so a
+  full read of 100,000 rows, built row- or column-first, runs no
+  garbage collection and keeps only those columns; ``iter()`` decodes
+  before its first row, an iterator opened before the sort still reads
+  every row, and interleaved, nullary and empty reads stay whole;
 * **engine parity** — classes A1–F × the four ``evaluate()`` engines
   on tiny EDBs: answers equal the ground-instantiation oracle
   (``tests/oracle.py``), come back as an un-decoded ``AnswerSet`` whose
@@ -25,6 +30,8 @@ row.  Three layers pin this down:
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from array import array
 
 import pytest
@@ -162,6 +169,121 @@ class TestAnswerSetLaws:
         assert "1 rows × 2 columns" in repr(answers)
         answers.decoded()
         assert "decoded" in repr(answers)
+
+
+# -- the streamed read: decoded columns, no row list --------------------
+
+
+def _built(rows: list[tuple], how: str) -> AnswerSet:
+    """*rows* as an answer set built row-first or column-first."""
+    answers, table = _answer_set(rows)
+    if how == "row-first":
+        return answers
+    return AnswerSet.from_columns(answers.columns(), table)
+
+
+def _large(how: str, n: int = 100_000) -> AnswerSet:
+    """*n* distinct two-column rows over 1,000 interned strings."""
+    table = SymbolTable()
+    codes = [table.encode(f"s{i}") for i in range(1000)]
+    columns = (array("q", (codes[i // 1000] for i in range(n))),
+               array("q", (codes[i % 1000] for i in range(n))))
+    if how == "row-first":
+        return AnswerSet(zip(*columns), table)
+    return AnswerSet.from_columns(columns, table)
+
+
+BUILDS = ["row-first", "column-first"]
+
+
+class TestStreamedRead:
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_a_full_read_runs_no_collection(self, how):
+        answers = _large(how)
+        collections = []
+
+        def count(phase, info):
+            if phase == "start":
+                collections.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            for _ in answers:
+                pass
+        finally:
+            gc.callbacks.remove(count)
+        assert collections == []
+
+    @pytest.mark.parametrize("how", BUILDS)
+    def test_a_read_keeps_only_the_value_columns(self, how):
+        answers = _large(how)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in answers:
+                pass
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # two lists of value references: 16 bytes a row (a kept row
+        # list of 2-tuples would be 64)
+        assert retained / len(answers) < 24
+
+    @pytest.mark.parametrize("how", BUILDS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_constants, _constants), max_size=20))
+    def test_iter_decodes_before_the_first_row(self, how, rows):
+        answers = _built(rows, how)
+        reader = iter(answers)
+        assert answers.is_decoded and answers.decode_seconds is not None
+        assert sorted(reader, key=repr) == sorted(set(rows), key=repr)
+
+    @pytest.mark.parametrize("how", BUILDS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_constants, _constants), min_size=1,
+                         max_size=20))
+    def test_an_open_iterator_survives_the_sort(self, how, rows):
+        answers = _built(rows, how)
+        reader = iter(answers)
+        first = next(reader)
+        ordered = answers.sorted_rows()
+        assert frozenset([first, *reader]) == frozenset(rows)
+        # the sorted list replaced the columns: iteration reads it
+        assert list(answers) == ordered == sorted(set(rows), key=repr)
+
+    @pytest.mark.parametrize("how", BUILDS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_constants, _constants), max_size=20))
+    def test_interleaved_iterators_each_read_every_row(self, how, rows):
+        answers = _built(rows, how)
+        pairs = list(zip(iter(answers), iter(answers)))
+        assert len(pairs) == len(answers)
+        assert (frozenset(one for one, _ in pairs)
+                == frozenset(two for _, two in pairs) == frozenset(rows))
+
+    @pytest.mark.parametrize("how", BUILDS)
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(_constants, _constants), max_size=20))
+    def test_set_semantics_after_a_streamed_read(self, how, rows):
+        answers, values = _built(rows, how), frozenset(rows)
+        assert sum(1 for _ in answers) == len(values)
+        assert answers == values and values == answers
+        assert hash(answers) == hash(values)
+        assert answers.decoded() == values
+
+    def test_nullary_and_empty_sets(self):
+        table = SymbolTable()
+        nullary = AnswerSet(frozenset({()}), table)
+        assert list(nullary) == [()] and list(nullary) == [()]
+        assert nullary.is_decoded and nullary.sorted_rows() == [()]
+        for empty in (AnswerSet(frozenset(), table),
+                      AnswerSet.from_columns((), table),
+                      AnswerSet.from_columns((array("q"), array("q")),
+                                             table)):
+            assert list(empty) == [] and empty.sorted_rows() == []
+            assert empty.is_decoded and empty == frozenset()
 
 
 # -- engine parity: oracle answers, lazy AnswerSet ≡ eager decode ------
