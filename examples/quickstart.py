@@ -50,7 +50,8 @@ def main() -> None:
         print(f"  {stats.engine:10s} -> {len(answers):2d} answers, "
               f"{stats.probes:4d} index probes")
 
-    answers = CompiledEngine().evaluate(system, db, query)
+    answers = CompiledEngine().evaluate(system, db, query,
+                                        compiled=compiled)
     reachable = sorted(row[1] for row in answers)
     print()
     print("nodes reachable from n0:", ", ".join(reachable))

@@ -11,7 +11,8 @@ from .classes import (Boundedness, ComponentClass, FormulaClass,
 from .classifier import Classification, ComponentAnalysis, classify
 from .compile import (AuxiliaryRecursion, CompiledFormula, CycleSpec,
                       MagicStep, StableCompilation, Strategy,
-                      compile_query, compile_stable)
+                      SystemCompilation, compile_query, compile_stable,
+                      compile_system)
 from .lint import Diagnostic, lint_report, lint_text
 from .minimize import find_homomorphism, minimize_rule, minimize_system
 from .plans import (Branches, Exists, JoinChain, PlanNode, Power, Product,
@@ -28,12 +29,12 @@ __all__ = [
     "ComponentClass", "CycleSpec", "Exists", "FormulaClass", "JoinChain",
     "MagicStep", "PlanNode", "Power", "Product", "Rel", "Select",
     "StabilityReport", "StableCompilation", "StableTransformation",
-    "Steps", "Strategy", "UnionOverK", "adornment_from_string",
-    "adornment_to_string",
+    "Steps", "Strategy", "SystemCompilation", "UnionOverK",
+    "adornment_from_string", "adornment_to_string",
     "all_adornments", "binding_sequence", "body_adornment",
     "classification_table", "classify", "combine_component_classes",
-    "compile_query", "compile_stable", "determined_closure",
-    "formula_dossier", "is_semantically_stable",
+    "compile_query", "compile_stable", "compile_system",
+    "determined_closure", "formula_dossier", "is_semantically_stable",
     "is_syntactically_stable", "relation_names", "render",
     "stability_report", "text_table", "to_nonrecursive", "to_stable",
     "freeze_body", "witness_database", "witness_rank",

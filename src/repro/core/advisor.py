@@ -26,8 +26,9 @@ from ..datalog.program import RecursionSystem
 from .bindings import (Adornment, BindingSequence, adornment_to_string,
                        all_adornments)
 from .classes import Boundedness
-from .classifier import Classification, classify
-from .compile import Strategy, compile_query
+from .classifier import Classification
+from .compile import (Strategy, SystemCompilation, compile_query,
+                      compile_system)
 from .report import text_table
 
 
@@ -66,21 +67,25 @@ def _verdict(classification: Classification, adornment: Adornment,
 
 
 def advise(system: RecursionSystem,
-           classification: Classification | None = None
+           classification: (Classification | SystemCompilation
+                            | None) = None
            ) -> tuple[QueryCapability, ...]:
-    """Capabilities for every adornment of *system*, 2**arity rows.
+    """Capabilities for every adornment of *system*, 2**arity rows,
+    which share one :func:`compile_system` (or *classification*, when
+    it is that already).
 
     >>> from ..datalog.parser import parse_system
     >>> caps = advise(parse_system("P(x, y) :- A(x, z), P(z, y)."))
     >>> sorted({c.pushdown for c in caps})
     ['full', 'none']
     """
-    if classification is None:
-        classification = classify(system)
+    shared = classification
+    if not isinstance(shared, SystemCompilation):
+        shared = compile_system(system, classification)
     out: list[QueryCapability] = []
     for adornment in sorted(all_adornments(system.dimension),
                             key=lambda a: (len(a), sorted(a))):
-        compiled = compile_query(system, adornment, classification)
+        compiled = compile_query(system, adornment, shared)
         sequence = compiled.binding
         out.append(QueryCapability(
             adornment=adornment,
@@ -88,12 +93,14 @@ def advise(system: RecursionSystem,
             binding=sequence,
             persistent=sequence.persistent_positions & adornment
             if adornment else frozenset(),
-            pushdown=_verdict(classification, adornment, sequence)))
+            pushdown=_verdict(shared.classification, adornment,
+                              sequence)))
     return tuple(out)
 
 
 def capability_table(system: RecursionSystem,
-                     classification: Classification | None = None) -> str:
+                     classification: (Classification | SystemCompilation
+                                      | None) = None) -> str:
     """The capability matrix as a plain-text table."""
     arity = system.dimension
     capabilities = advise(system, classification)

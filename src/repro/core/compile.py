@@ -1,10 +1,10 @@
 """Compilation of queries against classified recursive formulas.
 
-This module turns a recursion system plus a query form (adornment)
-into a :class:`CompiledFormula`: the strategy the classification
-licenses, the symbolic evaluation plan in the paper's notation, and —
-for stable formulas — the per-cycle chain specification the compiled
-engine executes.
+This module compiles a recursion system once (:func:`compile_system`:
+the strategy the classification licenses and what the compiled engine
+runs for it, such as the per-cycle chain specification of a stable
+formula), then each query form (adornment) into a
+:class:`CompiledFormula` with its plan in the paper's notation.
 
 Strategy selection follows the paper:
 
@@ -695,14 +695,67 @@ class CompiledFormula:
         return "\n".join(lines)
 
 
+@dataclass(frozen=True)
+class SystemCompilation:
+    """What every query form of a classified system shares: the
+    strategy, what it runs (``expansions``, ``stable`` and its
+    ``transformation``, or ``auxiliary``) and the notes of every form."""
+
+    system: RecursionSystem
+    classification: Classification
+    strategy: Strategy
+    notes: tuple[str, ...] = ()
+    expansions: tuple[Rule, ...] = ()
+    transformation: StableTransformation | None = None
+    stable: StableCompilation | None = None
+    auxiliary: AuxiliaryRecursion | None = None
+
+
+def compile_system(system: RecursionSystem,
+                   classification: Classification | None = None
+                   ) -> SystemCompilation:
+    """What every query form of *system* shares, compiled once: its
+    expansions, unfolding and stable factoring, or auxiliary recursion."""
+    if classification is None:
+        classification = classify(system)
+    if classification.boundedness is Boundedness.BOUNDED:
+        return SystemCompilation(
+            system, classification, Strategy.BOUNDED,
+            (f"bounded: rank ≤ {classification.rank_bound}; plan is a "
+             f"finite union over exit depths 1.."
+             f"{classification.rank_bound + 1}",),
+            expansions=to_nonrecursive(system, classification))
+    if classification.is_strongly_stable:
+        return SystemCompilation(
+            system, classification, Strategy.STABLE,
+            stable=compile_stable(system, classification))
+    if classification.is_transformable:
+        transformation = to_stable(system, classification)
+        return SystemCompilation(
+            system, classification, Strategy.TRANSFORM,
+            (f"unfolded {transformation.unfold_times}× (Theorem 2/4); "
+             f"{EXIT_NAME} ranges over the "
+             f"{len(transformation.system.exits)} exit expansions",),
+            transformation=transformation,
+            stable=compile_stable(transformation.system,
+                                  transformation.classification))
+    auxiliary = _auxiliary(system)
+    return SystemCompilation(
+        system, classification, Strategy.ITERATIVE,
+        () if auxiliary is None else (auxiliary.describe(),),
+        auxiliary=auxiliary)
+
+
 def compile_query(system: RecursionSystem,
                   adornment: Adornment | str,
-                  classification: Classification | None = None
+                  classification: (Classification | SystemCompilation
+                                   | None) = None
                   ) -> CompiledFormula:
     """Compile a query form against *system*.
 
     *adornment* is either a frozenset of bound positions or the
-    paper's ``"dvv"`` string notation.
+    paper's ``"dvv"`` string notation.  *classification* may be the
+    system's :func:`compile_system` result, which its forms share.
 
     >>> from ..datalog.parser import parse_system
     >>> s = parse_system(
@@ -721,56 +774,25 @@ def compile_query(system: RecursionSystem,
         raise EvaluationError(
             f"adornment mentions position {max(adornment) + 1} but the "
             f"predicate has arity {system.dimension}")
-    if classification is None:
-        classification = classify(system)
+    shared = classification
+    if not isinstance(shared, SystemCompilation):
+        shared = compile_system(system, classification)
     sequence = binding_sequence(system.recursive, adornment)
-    notes: list[str] = []
-
-    if classification.boundedness is Boundedness.BOUNDED:
-        expansions = to_nonrecursive(system, classification)
-        plan = bounded_plan(system, expansions, adornment)
-        notes.append(
-            f"bounded: rank ≤ {classification.rank_bound}; plan is a "
-            f"finite union over exit depths 1.."
-            f"{classification.rank_bound + 1}")
-        return CompiledFormula(system, classification, adornment,
-                               Strategy.BOUNDED, plan, None, None,
-                               sequence, tuple(notes),
-                               expansions=expansions)
-
-    if classification.is_strongly_stable:
-        stable = compile_stable(system, classification)
-        plan = stable_plan(stable, adornment)
-        return CompiledFormula(system, classification, adornment,
-                               Strategy.STABLE, plan, None, stable,
-                               sequence, tuple(notes))
-
-    if classification.is_transformable:
-        transformation = to_stable(system, classification)
-        stable = compile_stable(transformation.system,
-                                transformation.classification)
-        plan = stable_plan(stable, adornment)
-        notes.append(
-            f"unfolded {transformation.unfold_times}× (Theorem 2/4); "
-            f"{EXIT_NAME} ranges over the "
-            f"{len(transformation.system.exits)} exit expansions")
-        return CompiledFormula(system, classification, adornment,
-                               Strategy.TRANSFORM, plan, transformation,
-                               stable, sequence, tuple(notes))
-
-    plan = general_plan(system, adornment, sequence)
-    if sequence.persistent_positions:
-        arity = system.dimension
-        notes.append(
-            "query-dependently stable on positions "
-            f"{{{', '.join(str(i + 1) for i in sorted(sequence.persistent_positions))}}}"
-            f" (binding sequence {sequence.describe(arity)})")
-    auxiliary = _auxiliary(system)
-    if auxiliary is not None:
-        notes.append(auxiliary.describe())
-    return CompiledFormula(system, classification, adornment,
-                           Strategy.ITERATIVE, plan, None, None,
-                           sequence, tuple(notes),
-                           magic=_magic_steps(system, classification,
-                                              sequence),
-                           auxiliary=auxiliary)
+    notes, magic = shared.notes, ()
+    if shared.strategy is Strategy.BOUNDED:
+        plan = bounded_plan(system, shared.expansions, adornment)
+    elif shared.stable is not None:
+        plan = stable_plan(shared.stable, adornment)
+    else:
+        plan = general_plan(system, adornment, sequence)
+        magic = _magic_steps(system, shared.classification, sequence)
+        if sequence.persistent_positions:
+            positions = ", ".join(
+                str(i + 1) for i in sorted(sequence.persistent_positions))
+            notes = (f"query-dependently stable on positions "
+                     f"{{{positions}}} (binding sequence "
+                     f"{sequence.describe(system.dimension)})",) + notes
+    return CompiledFormula(system, shared.classification, adornment,
+                           shared.strategy, plan, shared.transformation,
+                           shared.stable, sequence, notes,
+                           shared.expansions, magic, shared.auxiliary)

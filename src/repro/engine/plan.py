@@ -48,6 +48,7 @@ between two different code spaces.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -64,6 +65,8 @@ Source = tuple[bool, object]
 _CACHE_LIMIT = 4096
 
 _PLAN_CACHE: dict[tuple, "JoinPlan"] = {}
+#: Held to evict and insert: concurrent readers of a fork miss together.
+_PLAN_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -508,9 +511,10 @@ def compile_plan(body: Sequence[Atom], entry_terms: Sequence[Term],
     if stats is not None:
         stats.plan_cache_misses += 1
     plan = _compile(body, entry_terms, out_terms, counts, encode)
-    if len(_PLAN_CACHE) >= _CACHE_LIMIT:
-        _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-    _PLAN_CACHE[key] = plan
+    with _PLAN_LOCK:
+        if len(_PLAN_CACHE) >= _CACHE_LIMIT:
+            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
+        _PLAN_CACHE[key] = plan
     return plan
 
 

@@ -34,7 +34,8 @@ from typing import Iterable, Mapping
 
 from .core.advisor import capability_table
 from .core.classifier import Classification, classify
-from .core.compile import CompiledFormula, compile_query
+from .core.compile import (CompiledFormula, SystemCompilation,
+                           compile_query, compile_system)
 from .datalog.errors import EvaluationError, RuleValidationError
 from .datalog.parser import parse_program, parse_rule
 from .datalog.program import Program, RecursionSystem
@@ -57,6 +58,25 @@ def _as_query(query: Query | str) -> Query:
     return Query.parse(query) if isinstance(query, str) else query
 
 
+class _RuleSet:
+    """One version of a session's rules and what they alone decide,
+    per derived predicate: its rules, then, each on first read, its
+    recursion system (None for a view), the order of the predicates
+    below it, its classification and system compilation, and each
+    query form's compiled formula.  A derivation that raises stores
+    nothing."""
+
+    def __init__(self, rules: tuple[Rule, ...]) -> None:
+        self.program = Program(rules)
+        self.rules = {predicate: self.program.rules_for(predicate)
+                      for predicate in self.program.idb_predicates}
+        self.systems: dict[str, RecursionSystem | None] = {}
+        self.below: dict[str, tuple[str, ...]] = {}
+        self.classifications: dict[str, Classification] = {}
+        self.compilations: dict[str, SystemCompilation] = {}
+        self.formulas: dict[tuple, CompiledFormula] = {}
+
+
 class DeductiveDatabase:
     """A mutable session over rules and facts with compiled queries."""
 
@@ -68,9 +88,8 @@ class DeductiveDatabase:
         self._rules: list[Rule] = []
         self._edb = Database()
         self._materialised: Database | None = None
-        self._plan_cache: dict[tuple[str, frozenset[int]],
-                               CompiledFormula] = {}
-        self._classification_cache: dict[str, Classification] = {}
+        #: None until the first read after a rule change (_rules_now)
+        self._rule_set: _RuleSet | None = None
         #: full answer sets keyed by (predicate, pattern, engine,
         #: database epoch) — any fact mutation moves the
         #: epoch, so entries self-invalidate; rule changes clear it.
@@ -259,10 +278,9 @@ class DeductiveDatabase:
     def _invalidate(self, rules_changed: bool) -> None:
         self._materialised = None
         if rules_changed:
-            # new dicts, not cleared ones: a fork shares these
-            # (:meth:`fork_reader`) and keeps its rules' entries
-            self._plan_cache = {}
-            self._classification_cache = {}
+            # dropped, not cleared: a fork shares it (:meth:`fork_reader`)
+            # and keeps its rules' entries
+            self._rule_set = None
             # fact changes are covered by the epoch in the cache key;
             # rule changes alter derivations at the same epoch
             with self._answer_lock:
@@ -281,19 +299,19 @@ class DeductiveDatabase:
         The rules and the answer cache are carried over by value, so
         the fork answers exactly what the base would have answered at
         this instant — later mutations of the base are invisible to
-        it.  The classification and plan caches depend on the rules
-        alone, so they are *shared* with the base and every fork taken
-        since its last rule change: one classification and one compile
-        serve every epoch of a fact-only write stream, and a rule
-        change gives the base new caches, leaving the forks theirs.
+        it.  What the rules decide (:class:`_RuleSet`) is *shared*
+        with the base and every fork taken since its last rule change:
+        one classification and one compile per query form serve every
+        epoch of a fact-only write stream, and a rule change drops the
+        base's, leaving the forks theirs.
 
         Concurrency contract of a fork: any number of threads may call
         :meth:`query` on it simultaneously.  Every fixpoint keeps its
         derived rows in private sets, and materialising views below a
         predicate works on a copy (:meth:`_materialise_below`), so
         per-request evaluation state is private; what *is* shared
-        between the fork's readers — the plan/classification caches
-        (with the base and its other forks, too), a lazily computed
+        between the fork's readers — the rule set's derivations (with
+        the base and its other forks, too), a lazily computed
         view materialisation, and the read-only database's lazily
         built join tables — is filled with deterministic,
         interchangeable values under single dict-slot assignments
@@ -306,8 +324,7 @@ class DeductiveDatabase:
         clone._edb = self._edb.copy()
         clone._edb.read_only = True
         clone._materialised = self._materialised
-        clone._plan_cache = self._plan_cache
-        clone._classification_cache = self._classification_cache
+        clone._rule_set = self._rules_now()
         clone._arities = self._arities
         with self._answer_lock:
             clone._answer_cache = OrderedDict(self._answer_cache)
@@ -318,70 +335,82 @@ class DeductiveDatabase:
 
     # -- structure -------------------------------------------------------
 
+    def _rules_now(self) -> _RuleSet:
+        """What the current rules decide (built on first read)."""
+        rule_set = self._rule_set
+        if rule_set is None:
+            rule_set = self._rule_set = _RuleSet(tuple(self._rules))
+        return rule_set
+
     @property
     def program(self) -> Program:
         """The current rule set as a :class:`Program` (facts excluded —
         they live in the fact store)."""
-        return Program(tuple(self._rules))
+        return self._rules_now().program
 
     @property
     def idb_predicates(self) -> frozenset[str]:
         """Predicates defined by rules."""
-        return self.program.idb_predicates
+        return frozenset(self._rules_now().rules)
 
     def rules_for(self, predicate: str) -> tuple[Rule, ...]:
         """The rules defining *predicate*."""
-        return self.program.rules_for(predicate)
+        return self._rules_now().rules.get(predicate, ())
 
     def system_for(self, predicate: str) -> RecursionSystem | None:
         """The recursion system of *predicate*, or None for a
         non-recursive view."""
-        rules = self.rules_for(predicate)
-        recursive = [r for r in rules if r.is_recursive()]
-        if not recursive:
-            return None
-        if len(recursive) > 1:
-            raise RuleValidationError(
-                f"{predicate!r} has {len(recursive)} recursive rules; "
-                f"the paper's setting is single recursion")
-        exits = tuple(r for r in rules if not r.is_recursive())
-        if not exits:
-            raise RuleValidationError(
-                f"recursive predicate {predicate!r} has no exit rule")
-        return RecursionSystem(RecursiveRule(recursive[0]), exits)
+        rule_set = self._rules_now()
+        if predicate not in rule_set.systems:
+            rules = rule_set.rules.get(predicate, ())
+            recursive = [r for r in rules if r.is_recursive()]
+            exits = tuple(r for r in rules if not r.is_recursive())
+            if len(recursive) > 1:
+                raise RuleValidationError(
+                    f"{predicate!r} has {len(recursive)} recursive rules; "
+                    f"the paper's setting is single recursion")
+            if recursive and not exits:
+                raise RuleValidationError(
+                    f"recursive predicate {predicate!r} has no exit rule")
+            rule_set.systems[predicate] = (RecursionSystem(
+                RecursiveRule(recursive[0]), exits) if recursive else None)
+        return rule_set.systems[predicate]
 
     def classification(self, predicate: str) -> Classification:
         """Classification of a recursive predicate (cached)."""
-        cached = self._classification_cache.get(predicate)
+        classifications = self._rules_now().classifications
+        cached = classifications.get(predicate)
         if cached is None:
             system = self.system_for(predicate)
             if system is None:
                 raise EvaluationError(
                     f"{predicate!r} is not a recursive predicate")
-            cached = classify(system)
-            self._classification_cache[predicate] = cached
+            cached = classifications[predicate] = classify(system)
         return cached
 
     # -- materialisation ----------------------------------------------
 
     def _materialise_below(self, target: str) -> Database:
-        """All IDB predicates strictly below *target*, bottom-up.
+        """All IDB predicates strictly below *target*, bottom-up (a
+        mutual recursion raises only when *target* reads it).
 
         With none below, the session's EDB itself: the engines only
         read it (the naive engine copies before it writes), and its
         cached join tables serve the next query too.
         """
-        program = self.program
-        graph = program.dependency_graph()
-        below: set[str] = set()
-        stack = [target]
-        while stack:
-            for predicate in graph.get(stack.pop(), ()):
-                if predicate != target and predicate not in below:
-                    below.add(predicate)
-                    stack.append(predicate)
-        order = [predicate for predicate in program.evaluation_order()
-                 if predicate in below]
+        rule_set = self._rules_now()
+        order = rule_set.below.get(target)
+        if order is None:
+            graph = rule_set.program.dependency_graph()
+            closure, stack = {target}, [target]
+            while stack:
+                reached = graph[stack.pop()] - closure
+                closure |= reached
+                stack.extend(reached)
+            reads = Program(sum((rule_set.rules[p] for p in closure), ()))
+            order = rule_set.below[target] = tuple(
+                predicate for predicate in reads.evaluation_order()
+                if predicate != target)
         if not order:
             return self._edb
         db = self._edb.copy()
@@ -572,7 +601,8 @@ class DeductiveDatabase:
         """The label (``edb``, ``view`` or the formula class) and the
         arity of *predicate*; :class:`EvaluationError` when neither a
         rule nor a fact defines it."""
-        if predicate not in self.idb_predicates:
+        rules = self.rules_for(predicate)
+        if not rules:
             arity = self._edb.arity(predicate)
             if arity is None:
                 raise EvaluationError(
@@ -581,19 +611,28 @@ class DeductiveDatabase:
             return "edb", arity
         label = ("view" if self.system_for(predicate) is None
                  else str(self.classification(predicate).formula_class))
-        return label, self.rules_for(predicate)[0].head.arity
+        return label, rules[0].head.arity
 
     def _compiled(self, query: Query) -> CompiledFormula:
         """The compiled formula of *query*'s recursive predicate for
-        its query form, from the plan cache (compiled on a miss)."""
+        its query form, compiled on the form's first query."""
+        formulas = self._rules_now().formulas
         key = (query.predicate, query.adornment)
-        compiled = self._plan_cache.get(key)
+        compiled = formulas.get(key)
         if compiled is None:
-            compiled = compile_query(self.system_for(query.predicate),
-                                     query.adornment,
-                                     self.classification(query.predicate))
-            self._plan_cache[key] = compiled
+            shared = self._system_compilation(query.predicate)
+            compiled = formulas[key] = compile_query(
+                shared.system, query.adornment, shared)
         return compiled
+
+    def _system_compilation(self, predicate: str) -> SystemCompilation:
+        """What every query form of *predicate* shares (compiled once)."""
+        compilations = self._rules_now().compilations
+        shared = compilations.get(predicate)
+        if shared is None:
+            shared = compilations[predicate] = compile_system(
+                self.system_for(predicate), self.classification(predicate))
+        return shared
 
     @staticmethod
     def _lookup(label: str, db: Database, query: Query,
@@ -720,7 +759,7 @@ class DeductiveDatabase:
 
     def explain(self, query: Query | str) -> str:
         """The compiled formula and strategy for a query, as text: the
-        plan-cache entry :meth:`query` runs.  An unknown predicate or a
+        one :meth:`query` runs.  An unknown predicate or a
         wrong arity raises :meth:`query`'s :class:`EvaluationError`."""
         query = _as_query(query)
         label, arity = self._resolve(query.predicate)
@@ -735,9 +774,8 @@ class DeductiveDatabase:
         :meth:`explain`; an unknown predicate raises :meth:`query`'s
         :class:`EvaluationError`."""
         label, _ = self._resolve(predicate)
-        return (self._not_recursive(predicate, label)
-                or capability_table(self.system_for(predicate),
-                                    self.classification(predicate)))
+        return (self._not_recursive(predicate, label) or capability_table(
+            self.system_for(predicate), self._system_compilation(predicate)))
 
     @staticmethod
     def _not_recursive(predicate: str, label: str) -> str | None:

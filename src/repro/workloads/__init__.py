@@ -7,8 +7,6 @@ from .formulas import (CATALOGUE, EXTRA_CATALOGUE, EXTRAS, PAPER_ORDER,
 from .generators import (GENERATORS, binary_tree, chain, cycle,
                          database_for, grid, random_digraph, random_tuples,
                          reflexive_exit)
-from .scenarios import (assembly, genealogy, genealogy_updown,
-                        org_hierarchy)
 
 __all__ = [
     "CATALOGUE", "CatalogueEntry", "EXTRA_CATALOGUE", "EXTRAS",
@@ -16,5 +14,4 @@ __all__ = [
     "all_systems", "binary_tree", "chain", "chain_edb", "cycle",
     "database_for", "grid", "paper_systems", "random_digraph",
     "random_edb", "random_tuples", "reflexive_exit",
-    "assembly", "genealogy", "genealogy_updown", "org_hierarchy",
 ]

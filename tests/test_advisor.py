@@ -76,6 +76,17 @@ class TestPartialPushdown:
 
 
 class TestTable:
+    def test_forms_share_one_unfolding(self, monkeypatch):
+        """All 128 forms of s7 read one system compilation: Theorem
+        2/4's unfolding runs once, not once per form."""
+        import repro.core.compile as compile_module
+        real, calls = compile_module.to_stable, []
+        monkeypatch.setattr(compile_module, "to_stable", lambda *args: (
+            calls.append(args), real(*args))[1])
+        table = capability_table(CATALOGUE["s7"].system())
+        assert len(table.splitlines()) == 2 + 2 ** 7
+        assert len(calls) == 1
+
     def test_table_shape(self):
         system = CATALOGUE["s12"].system()
         table = capability_table(system)

@@ -3,6 +3,10 @@ whole catalogue with several query forms."""
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,43 @@ class TestBenchmarkSeams:
         parameters = list(
             inspect.signature(CompiledEngine.evaluate).parameters)
         assert parameters[5] == "compiled"
+
+    def test_spans_install_finds_every_seam(self):
+        """``spans.install`` raises at a seam it cannot find.  It wraps
+        classes process-wide, so it runs in a child process."""
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import spans; "
+             "spans.install(spans.Recorder())"],
+            cwd=root / "benchmarks" / "e2e", capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(root / "src")})
+        assert done.returncode == 0, done.stderr
+
+    def test_session_compiles_once_per_query_form(self, monkeypatch):
+        """``core.compile`` spans time the session's compiles through
+        ``repro.session.compile_query``: once per query form and rules
+        version."""
+        import repro.session as session_module
+        from repro.session import DeductiveDatabase
+        real, forms = session_module.compile_query, []
+
+        def spy(system, adornment, *args):
+            forms.append(sorted(adornment))
+            return real(system, adornment, *args)
+
+        monkeypatch.setattr(session_module, "compile_query", spy)
+        session = DeductiveDatabase()
+        session.load("P(x, y) :- A(x, z), P(z, y).  P(x, y) :- A(x, y)."
+                     "  A(a, b).  A(b, c).")
+        session.query("P(a, Y)")
+        session.query("P(b, Y)")
+        assert forms == [[0]]
+        session.query("P(X, c)")
+        assert forms == [[0], [1]]
+        session.add_rule("Q(x, y) :- A(x, y).")
+        session.query("P(a, Y)")
+        assert forms == [[0], [1], [0]]
 
 
 QUERY_SEEDS = [0, 1]

@@ -1,8 +1,5 @@
 """Tests for the DeductiveDatabase session facade."""
 
-import sys
-import threading
-
 import pytest
 
 from repro.datalog.errors import (DatalogSyntaxError, EvaluationError,
@@ -10,6 +7,9 @@ from repro.datalog.errors import (DatalogSyntaxError, EvaluationError,
 from repro.engine import (ENGINES, EvaluationStats, Query, SemiNaiveEngine,
                           Tracer)
 from repro.session import DeductiveDatabase
+from repro.workloads import CATALOGUE, random_edb
+
+from .threads import race
 
 GENEALOGY = """
     parent(ann, bea).  parent(bea, cal).  parent(cal, dee).
@@ -357,6 +357,62 @@ class TestStructure:
         with pytest.raises(RuleValidationError, match="no exit"):
             session.query("p(a, Y)")
 
+    def test_mutual_recursion_fails_only_the_queries_that_reach_it(
+            self, ddb):
+        """Regression: a q/r cycle beside anc failed every query of
+        anc, because the whole program was ordered before what lies
+        below the queried predicate was picked."""
+        ddb.load("""
+            q(x) :- r(x).
+            r(x) :- q(x).
+            kin(x, y) :- anc(x, y).
+            line(x, y) :- kin(x, z), line(z, y).
+            line(x, y) :- kin(x, y).
+        """)
+        assert ddb.query("anc(ann, Y)") == ANC_OF_ANN
+        assert ddb.query("line(ann, Y)") == ANC_OF_ANN
+        for text in ("q(X)", "r(X)"):
+            with pytest.raises(RuleValidationError, match="mutually"):
+                ddb.query(text)
+        with pytest.raises(RuleValidationError, match="mutually"):
+            ddb.materialise()
+
+
+ANC_OF_ANN = {("ann", "bea"), ("ann", "cal"), ("ann", "dee")}
+
+
+class TestRuleErrors:
+    """A broken recursive predicate fails every query, explain and
+    advise that touches it, every time, and no query of another
+    predicate; a rule that mends it takes effect at once."""
+
+    @pytest.mark.parametrize("rules, match", [
+        (["p(x, y) :- parent(x, z), p(z, y).",
+          "p(x, y) :- parent(z, x), p(z, y).",
+          "p(x, y) :- parent(x, y)."], "'p' has 2 recursive rules"),
+        (["p(x, y) :- parent(x, z), p(z, y)."], "'p' has no exit rule"),
+    ])
+    def test_error_surfaces_wherever_p_is_read(self, ddb, rules, match):
+        for rule in rules:
+            ddb.add_rule(rule)
+        for _ in range(2):
+            for read in (lambda: ddb.query("p(ann, Y)"),
+                         lambda: ddb.explain("p(ann, Y)"),
+                         lambda: ddb.advise("p")):
+                with pytest.raises(RuleValidationError, match=match):
+                    read()
+            assert ddb.query("anc(ann, Y)") == ANC_OF_ANN
+
+    def test_an_exit_rule_mends_p_but_not_an_older_fork(self, ddb):
+        ddb.add_rule("p(x, y) :- parent(x, z), p(z, y).")
+        with pytest.raises(RuleValidationError, match="no exit"):
+            ddb.query("p(ann, Y)")
+        fork = ddb.fork_reader()
+        ddb.add_rule("p(x, y) :- parent(x, y).")
+        assert ddb.query("p(ann, Y)") == ANC_OF_ANN
+        with pytest.raises(RuleValidationError, match="no exit"):
+            fork.query("p(ann, Y)")
+
 
 class TestQuerying:
     def test_edb_query(self, ddb):
@@ -416,18 +472,121 @@ class TestQuerying:
         assert answers == direct
 
 
+def catalogue_session(name: str) -> tuple[DeductiveDatabase, str]:
+    """A session over a catalogue formula's rules and a random EDB,
+    with one warm query of the formula's first bound form."""
+    system = CATALOGUE[name].system()
+    db = random_edb(system, nodes=6, tuples_per_relation=8, seed=1)
+    session = DeductiveDatabase()
+    session.write_batch(
+        add={rel: db.rows(rel) for rel in db.relation_names},
+        rules=[system.recursive.rule, *system.exits])
+    session.query(Query(system.predicate, ("c0",) + (None,) *
+                        (system.dimension - 1)))
+    return session, system.predicate
+
+
+class TestRulesDecideOnce:
+    """What the rules alone decide is derived once per rules version:
+    an uncached query of a compiled form rebuilds and recompiles
+    nothing."""
+
+    @pytest.mark.parametrize("name", ["s8", "s1a", "s4", "s9"])
+    def test_an_uncached_query_derives_nothing(self, monkeypatch, name):
+        import repro.core.compile as compile_module
+        import repro.session as session_module
+        from repro.datalog.program import Program, RecursionSystem
+        from repro.datalog.rules import RecursiveRule
+        session, predicate = catalogue_session(name)
+        calls = []
+
+        def counting(label, real):
+            def spy(*args, **kwargs):
+                calls.append(label)
+                return real(*args, **kwargs)
+            return spy
+
+        for owner, attr in [(Program, "__post_init__"),
+                            (RecursiveRule, "__init__"),
+                            (RecursionSystem, "__init__"),
+                            (session_module, "classify"),
+                            (compile_module, "classify"),
+                            (compile_module, "to_stable"),
+                            (compile_module, "compile_stable"),
+                            (compile_module, "to_nonrecursive")]:
+            monkeypatch.setattr(owner, attr,
+                                counting(attr, getattr(owner, attr)))
+        stats = EvaluationStats()
+        session.query(Query(predicate, ("c1",) + (None,) *
+                            (session.system_for(predicate).dimension - 1)),
+                      stats=stats)
+        assert stats.answer_cache_hits == 0
+        assert calls == []
+
+    def test_advise_unfolds_s7_once_for_every_form(self, monkeypatch):
+        import repro.core.compile as compile_module
+        session, predicate = catalogue_session("s7")
+        calls = []
+        for attr in ("to_stable", "compile_stable"):
+            real = getattr(compile_module, attr)
+            monkeypatch.setattr(
+                compile_module, attr,
+                lambda *args, attr=attr, real=real: (
+                    calls.append(attr), real(*args))[1])
+        table = session.advise(predicate)
+        assert len(table.splitlines()) == 2 + 2 ** 7
+        # the warm query compiled what every form shares
+        assert calls == []
+        fresh = DeductiveDatabase()
+        fresh.write_batch(rules=session.program.rules)
+        assert fresh.advise(predicate) == table
+        assert calls == ["to_stable", "compile_stable"]
+
+    def test_readers_of_a_fork_fill_its_rule_set_at_once(self):
+        """The readers of a fork derive its shared entries
+        concurrently; a racing derivation stores an interchangeable
+        value, so every answer is right and every form is compiled."""
+        text = GENEALOGY + """
+            kin(x, y) :- anc(x, y).
+            line(x, y) :- kin(x, z), line(z, y).
+            line(x, y) :- kin(x, y).
+        """
+        queries = ["anc(ann, Y)", "anc(X, dee)", "anc(X, Y)",
+                   "line(ann, Y)", "line(X, cal)", "matriline(ann, Y)",
+                   "mother(X, Y)"]
+        reference = DeductiveDatabase()
+        reference.load(text)
+        expected = {text: reference.query(text, engine="semi-naive")
+                    for text in queries}
+        session = DeductiveDatabase()
+        session.load(text)
+        reader = session.fork_reader()
+
+        def ask(offset: int) -> None:
+            for step in range(3 * len(queries)):
+                text = queries[(offset + step) % len(queries)]
+                # an active tracer skips the answer cache
+                assert reader.query(text, trace=Tracer()) == expected[text]
+
+        assert race(ask) == []
+        assert sorted((p, sorted(a)) for p, a in
+                      reader._rules_now().formulas) == [
+            ("anc", []), ("anc", [0]), ("anc", [1]), ("line", [0]),
+            ("line", [1]), ("matriline", [0])]
+
+
 class TestPlanCache:
     def test_same_adornment_reuses_plan(self, ddb):
         ddb.query("anc(ann, Y)")
-        first = ddb._plan_cache[("anc", frozenset({0}))]
+        first = ddb._rules_now().formulas[("anc", frozenset({0}))]
         ddb.query("anc(bea, Y)")   # same form, different constant
-        assert ddb._plan_cache[("anc", frozenset({0}))] is first
+        assert ddb._rules_now().formulas[("anc", frozenset({0}))] is first
 
     def test_new_rule_invalidates(self, ddb):
         ddb.query("anc(ann, Y)")
-        assert ddb._plan_cache
+        assert ddb._rules_now().formulas
         ddb.add_rule("other(x, y) :- parent(x, y).")
-        assert not ddb._plan_cache
+        assert not ddb._rules_now().formulas
 
     def test_new_fact_keeps_plans_but_rematerialises(self, ddb):
         ddb.query("matriline(ann, Y)")
@@ -464,12 +623,12 @@ class TestExplain:
             ddb.explain(text)
 
     def test_explain_shows_the_cached_formula(self, ddb):
-        """EXPLAIN prints the plan-cache entry the query runs."""
+        """EXPLAIN prints the compiled formula the query runs."""
         text = ddb.explain("anc(ann, Y)")
-        (compiled,) = ddb._plan_cache.values()
+        (compiled,) = ddb._rules_now().formulas.values()
         assert text == compiled.describe()
         ddb.query("anc(bea, Y)")
-        (cached,) = ddb._plan_cache.values()
+        (cached,) = ddb._rules_now().formulas.values()
         assert cached is compiled
 
 
@@ -555,32 +714,13 @@ class TestAnswerCache:
                                        trace=Tracer())
                     for key in keys}
         reader = session.fork_reader()
-        barrier = threading.Barrier(8, timeout=30)
-        failures: list[str] = []
 
-        def ask(offset: int) -> None:
-            barrier.wait()
-            try:
-                for step in range(5 * len(keys)):
-                    text, engine = key = keys[(offset + step) % len(keys)]
-                    if reader.query(text, engine=engine) != expected[key]:
-                        failures.append(f"wrong answers for {key}")
-            except Exception as error:  # surfaced by the assert below
-                failures.append(repr(error))
+        def ask(n: int) -> None:
+            for step in range(5 * len(keys)):
+                text, engine = key = keys[(n * 3 + step) % len(keys)]
+                assert reader.query(text, engine=engine) == expected[key], key
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=ask, args=(n * 3,))
-                       for n in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert failures == []
+        assert race(ask) == []
         assert len(reader._answer_cache) <= 4
 
 

@@ -11,6 +11,7 @@ from repro.engine.setjoin import _run_steps
 from repro.ra import Database
 
 from .oracle import nested_loop_join
+from .threads import race
 
 V = Variable
 
@@ -107,6 +108,26 @@ class TestPlanCompilation:
         compile_plan(body, entry, out, db, again)
         assert again.plan_cache_hits == 1
         assert again.plan_cache_misses == 0
+
+    def test_concurrent_misses_evict_one_plan_each(self, monkeypatch):
+        """Regression: two threads missing on a full plan cache popped
+        the same oldest plan, and the second raised KeyError (seen with
+        eight readers of one fork)."""
+        import repro.engine.plan as plan_module
+        monkeypatch.setattr(plan_module, "_CACHE_LIMIT", 4)
+        plan_module.clear_plan_cache()
+        bodies = [[atoms(f"A{n}x{i}(x, z)") for i in range(200)]
+                  for n in range(8)]
+        entry, out = (V("z"),), (V("x"),)
+
+        def compile_all(n: int) -> None:
+            for body in bodies[n]:
+                compile_plan(body, entry, out)
+
+        try:
+            assert race(compile_all) == []
+        finally:
+            plan_module.clear_plan_cache()
 
 
 class TestEntryLayout:

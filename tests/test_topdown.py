@@ -238,6 +238,7 @@ class TestNoClassification:
         for module, name in [(classifier, "classify"),
                              (compile_module, "classify"),
                              (compile_module, "compile_query"),
+                             (compile_module, "compile_system"),
                              (igraph, "build_igraph"),
                              (bindings, "build_igraph")]:
             monkeypatch.setattr(module, name, refuse)
