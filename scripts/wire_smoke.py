@@ -618,7 +618,10 @@ Q40 = {(x, y) for x, y in P40 if (int(y[1:]) - int(x[1:])) % 2}
 MIXED_PROGRAM = chain_program(
     TC + ["Q(x, y) :- A(x, z), Q(z, u), B(u, y).",   # class A1
           "Q(x, y) :- B(x, y).",
-          "V(x, y) :- A(x, y)."]                      # non-recursive view
+          "V(x, y) :- A(x, y).",                      # non-recursive view
+          "R(x, y) :- V(x, z), R(z, y).",             # a recursion over V
+          "R(x, y) :- V(x, y).",
+          "W(x, y) :- P(x, y)."]                      # a view over P
     + [f"B({x}, {y})." for x, y in sorted(EDGES40)], 40)
 
 #: the per-thread request mix: (document, answers, or None when the
@@ -629,6 +632,7 @@ MIXED_MIX = [
     ({"query": "Q(X, Y)", "engine": "naive"}, Q40),
     ({"query": "P(n0, Y)", "engine": "top-down"}, from_node(P40, "n0")),
     ({"query": "V(X, Y)"}, EDGES40),
+    ({"query": "R(n0, Y)"}, from_node(P40, "n0")),
     ({"query": "A(n0, Y)"}, {("n0", "n1")}),
     # row budget: a shape asked *only* with the budget, so the
     # (never-cached) truncated evaluation happens every time
@@ -636,6 +640,9 @@ MIXED_MIX = [
     # zero budget: again a dedicated shape, so no cache hit can
     # short-circuit the deadline
     ({"query": "Q(n0, Y)", "timeout_s": 0}, None),
+    # zero budget on a view: P, below it, is built under the query's
+    # clock, so the view times out too
+    ({"query": "W(X, Y)", "timeout_s": 0}, None),
     # admitted, then refused by the parser: a 400 and an error outcome
     ({"query": "Q(n0, "}, None),
 ]
@@ -701,7 +708,7 @@ def mixed_load(workdir: str, checks: list) -> None:
             ("responses with wrong answers", wrong, []),
             # the deliberate outcomes land once per thread
             ("truncated responses", tally["truncated"], THREADS),
-            ("408 responses", tally[408], THREADS),
+            ("408 responses", tally[408], 2 * THREADS),
             ("400 responses", tally[400], THREADS),
             ("healthz queries_served", health["queries_served"], admitted),
             ("healthz admitted_total", health["admitted_total"],

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..datalog.atoms import Atom, connected_groups
 from ..datalog.errors import EvaluationError, RuleValidationError
@@ -570,13 +571,19 @@ class AuxiliaryRecursion:
     detached: tuple[Atom, ...]
     positions: tuple[int, ...]
 
+    @cached_property
+    def name(self) -> str:
+        """The name R's rows are kept under on a database: R's rules,
+        which no parsed predicate can spell.  Every R's predicate is
+        ``P__aux``, so two systems share R only when R's rules agree."""
+        return " ".join(str(r) for r in (*self.system.exits,
+                                         self.system.recursive.rule))
+
     def describe(self) -> str:
         """The answer assembly and R's rules, on one line."""
         detached = ", ".join(str(a) for a in self.detached)
-        rules = " ".join(str(r) for r in (*self.system.exits,
-                                         self.system.recursive.rule))
         return (f"answers σE ∪ σ({detached}) × "
-                f"{self.system.recursive.head}, where {rules}")
+                f"{self.system.recursive.head}, where {self.name}")
 
 
 def _auxiliary(system: RecursionSystem) -> AuxiliaryRecursion | None:

@@ -33,7 +33,8 @@ This engine executes the strategies that the compiler
   engine runs with its own steps).  A system whose recursive rule
   holds a *detached* component (class C's Example 9) runs no fixpoint
   of P at all: its answers are σE ∪ (σ detached) × R, with R the
-  compiler's query-independent auxiliary recursion.
+  compiler's query-independent auxiliary recursion, built once per
+  version of what it reads and kept on the database.
 
 A STABLE or TRANSFORM query with no bound position has no selection to
 push: it runs the unrestricted ITERATIVE fixpoint, and
@@ -57,6 +58,7 @@ from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .plan import compile_plan
 from .query import Query
+from .seminaive import derive
 from .setjoin import apply_rule, execute_plan, execute_split
 from .stats import EvaluationStats, open_stats
 from .trace import Tracer
@@ -369,13 +371,16 @@ class CompiledEngine:
         """Example 9's plan, σE ∪ (σ detached) × R.
 
         σE is the exit round with the query's bindings.  R, the
-        compiled auxiliary recursion, binds no query constant: its
-        exit round and delta rounds are an ordinary fixpoint's.  One
+        compiled auxiliary recursion, binds no query constant, so it is
+        a derived relation of *edb*: built once per version of what it
+        reads (:func:`~repro.engine.seminaive.derive`) and probed
+        through its hash table on the positions the query binds.  One
         ``product`` round then places each detached row and each
-        selected row of R at their head positions.  When the query
-        binds all of R's positions, one lookup in R (the paper's
-        existence check) stands for R's side; an empty R side leaves
-        the detached atoms unprobed.
+        selected row of R at their head positions, and its detail says
+        whether this query built R or reused it.  When the query binds
+        all of R's positions, one lookup in R (the paper's existence
+        check) stands for R's side; an empty R side leaves the detached
+        atoms unprobed.
         """
         auxiliary = compiled.auxiliary
         pattern = query.pattern
@@ -386,29 +391,21 @@ class CompiledEngine:
         if stats.truncated:
             return answers
         recursion = auxiliary.system
-        total, delta = exit_round(edb, recursion.exits, [((), [()])],
-                                  stats, trace)
-        rule = recursion.recursive
-        # the product round selects and places R's rows one by one, so
-        # R's loop hands back a row set: its python rounds
-        rows = run_delta_loop(edb, rule.nonrecursive_atoms,
-                              rule.recursive_atom.args, rule.head.args,
-                              total, delta, stats, trace,
-                              backend="python")
-        if stats.truncated:
-            return answers
+        rows, built = derive(edb, auxiliary.name, recursion.exits,
+                             recursion.recursive, stats)
 
         if trace is not None:
             trace.begin_round("product", len(rows), stats)
         positions = auxiliary.positions
         rest = tuple(i for i in range(len(pattern)) if i not in positions)
-        wanted = tuple(pattern[i] for i in rest)
-        if None not in wanted:
-            selected = {wanted} & rows
-        elif wanted.count(None) < len(wanted):
-            selected = Query(recursion.predicate, wanted).filter(rows)
-        else:
-            selected = rows
+        keys = tuple(j for j, i in enumerate(rest) if pattern[i] is not None)
+        selected = rows
+        if keys:
+            builds_before = edb.hash_builds
+            table = edb.hash_table(auxiliary.name, keys)
+            stats.hash_builds += edb.hash_builds - builds_before
+            wanted = tuple(pattern[rest[j]] for j in keys)
+            selected = table.get(wanted[0] if len(keys) == 1 else wanted, ())
         detached: set[tuple] = set()
         if selected:
             head = compiled.system.recursive.head.args
@@ -425,5 +422,6 @@ class CompiledEngine:
                 joined = left + right
                 answers.add(tuple([joined[j] for j in place]))
         stats.close_round(len(answers) - before, len(answers), trace,
-                          detached=len(detached), auxiliary=len(selected))
+                          detached=len(detached), auxiliary=len(selected),
+                          auxiliary_status="built" if built else "reused")
         return answers

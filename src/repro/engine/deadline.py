@@ -12,7 +12,11 @@ incremental-maintenance seed and propagation round.  Two checks run
 before the work instead: BOUNDED checks before each exit expansion,
 being the one strategy that knows which round is its last, and the
 magic-binding pass of top-down and ITERATIVE checks the clock before
-each of its rounds.  The three aborts behave differently, on purpose:
+each of its rounds.  A derived relation built below a query (a view or
+recursion the session derives, class C's auxiliary recursion) runs
+under :meth:`Deadline.clock`: the query's clock and cancel flag, once
+per round of the build, but not its row budget, which bounds answers.
+The three aborts behave differently, on purpose:
 
 * the **wall-clock budget** raises :class:`QueryTimeout` — time ran
   out, and a partial fixpoint at an arbitrary cut is not worth
@@ -103,6 +107,14 @@ class Deadline:
                 and perf_counter() >= self._expires_at):
             raise QueryTimeout(
                 f"query exceeded its {self.timeout_s}s budget")
+
+    def clock(self) -> "Deadline":
+        """This deadline's clock and cancel flag, with no row budget:
+        what bounds a derived relation built below a query, whose rows
+        are no answers."""
+        clock = Deadline(cancel=self.cancel)
+        clock.timeout_s, clock._expires_at = self.timeout_s, self._expires_at
+        return clock
 
     def out_of_rows(self, produced: int) -> bool:
         """True when *produced* rows exceed the row budget."""

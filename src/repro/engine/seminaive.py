@@ -16,18 +16,25 @@ linear-recursion shape (single fused step, identity entry layout) to
 the vectorised kernel — flat int-vector frontiers over CSR
 adjacency, answers/stats/traces bit-identical to the tuple-set
 rounds.
+
+:func:`derive` runs the same two steps to build a *derived relation*
+that a query reads but does not bind: a view or recursion the session
+evaluates below a queried predicate, and class C's auxiliary recursion
+R.  It caches the rows on the database, once per version of what they
+read (:meth:`Database.derived`).
 """
 
 from __future__ import annotations
 
 from ..datalog.program import RecursionSystem
+from ..datalog.rules import RecursiveRule, Rule
 from ..ra.answers import AnswerSet
 from ..ra.database import Database
 from .query import Query
 from .stats import EvaluationStats, open_stats
 from .trace import Tracer
-from .vector import (answer_boundary, exit_round, run_delta_loop,
-                     validate_backend)
+from .vector import (ColumnarTotal, answer_boundary, exit_round,
+                     run_delta_loop, validate_backend)
 
 
 class SemiNaiveEngine:
@@ -101,3 +108,45 @@ class SemiNaiveEngine:
         stats = EvaluationStats()
         self.evaluate(system, edb, stats=stats)
         return stats.measured_rank
+
+
+def derive(database: Database, name: str, exits: tuple[Rule, ...],
+           recursive: RecursiveRule | None, stats: EvaluationStats,
+           key=()) -> tuple[tuple, bool]:
+    """The rows of the derived relation *name* and whether this call
+    built them.
+
+    The rows are *exits* applied from the empty binding (a view's
+    rules), then, for a recursion, *recursive*'s delta loop to
+    fixpoint.  They are cached on *database* under *name*, keyed by
+    *key* and by the version of every relation the rules read
+    (:meth:`Database.derived`), so a later query reads them as it
+    reads a stored relation.  A build runs under the query's clock and
+    cancel flag, checked once per round, but not its row budget, which
+    bounds answers; it counts in the query's ``hash_builds`` alone (the
+    entry and the join tables it builds), so a query's other counters
+    do not depend on whether an earlier query built it.
+    """
+    inputs = {atom.predicate for rule in exits for atom in rule.body}
+    if recursive is not None:
+        inputs.update(atom.predicate
+                      for atom in recursive.nonrecursive_atoms)
+
+    def build():
+        deadline = stats.deadline
+        private = EvaluationStats(
+            deadline=None if deadline is None else deadline.clock())
+        total, delta = exit_round(database, exits, [((), [()])], private,
+                                  None)
+        if recursive is None:
+            return total
+        total = run_delta_loop(database, recursive.nonrecursive_atoms,
+                               recursive.recursive_atom.args,
+                               recursive.head.args, total, delta, private,
+                               None)
+        return total.rows() if isinstance(total, ColumnarTotal) else total
+
+    builds_before = database.hash_builds
+    rows, built = database.derived(name, sorted(inputs), build, key)
+    stats.hash_builds += database.hash_builds - builds_before
+    return rows, built

@@ -71,9 +71,7 @@ class RoundSpan:
     9's answer assembly), ``seed`` (incremental differentiation).
     ``delta_out`` is always the number of genuinely new tuples the
     round contributed, so summing it over the trace of a full
-    evaluation reproduces the final answer count, plus the rows of the
-    auxiliary recursion when the compiled engine ran one
-    (property-tested).
+    evaluation reproduces the final answer count (property-tested).
     """
 
     index: int
@@ -125,8 +123,7 @@ class Trace:
     @property
     def delta_total(self) -> int:
         """Sum of per-round new-tuple counts (== answers for full
-        queries, plus the auxiliary recursion's rows where one ran; the
-        property suite asserts this per engine)."""
+        queries; the property suite asserts this per engine)."""
         return sum(span.delta_out for span in self.rounds)
 
     def to_dict(self) -> dict:
@@ -177,7 +174,7 @@ class Trace:
                              + f" inputs={detail['chain_inputs']}")
             shown = [f"{key}={detail[key]}"
                      for key in ("components", "exists", "gate",
-                                 "vector")
+                                 "vector", "auxiliary_status")
                      if key in detail]
             if shown:
                 lines.append(f"    · {' '.join(shown)}")

@@ -158,6 +158,11 @@ class ColumnarTotal:
         return ColumnarTotal(tuple(vector[mask]
                                    for vector in self._vectors))
 
+    def rows(self):
+        """The rows, one int tuple each, for a caller that keeps them
+        (a derived relation)."""
+        return zip(*(vector.tolist() for vector in self._vectors))
+
     def columns(self) -> tuple:
         """The ``array('q')`` view :meth:`AnswerSet.from_columns`
         consumes — one buffer copy per column, no per-row objects."""
@@ -500,7 +505,7 @@ def _compose(database: Database, chain: CompressedChain, exits: set,
 
     The composition is one rule application of the cluster's atoms,
     projected on its two anchors and cached on *database* per version
-    of the relations it reads (:meth:`Database.composition`).  It is
+    of the relations it reads (:meth:`Database.derived`).  It is
     skipped when the *exits* rows the chain can extend
     (:func:`_extending`) number fewer than one per
     :data:`CHAIN_EXIT_SHARE` rows it reads, and declined as soon as a
@@ -521,7 +526,7 @@ def _compose(database: Database, chain: CompressedChain, exits: set,
             * CHAIN_EXIT_SHARE < inputs):
         rows, status = None, "skipped"
     else:
-        rows, built = database.composition(
+        rows, built = database.derived(
             chain.name, chain.inputs,
             lambda: compose_rows(database, chain.atoms, chain.anchors,
                                  CHAIN_FANOUT_LIMIT * inputs))

@@ -27,10 +27,10 @@ join plans of :mod:`repro.engine.setjoin` probe them.
 list indexed by key *code*, the array access path dictionary encoding
 exists to enable.
 
-The same tables serve a compressed chain's composed step relation
-(:meth:`composition`): one join of a rule's cluster of atoms, cached
-per version of the relations it reads, that is never a relation of
-the store.
+The same tables serve *derived relations* (:meth:`derived`): the
+views and recursions a session evaluates below a query, class C's
+auxiliary recursion and a compressed chain's composed step, each built
+once per version of what it reads and never a relation of the store.
 
 Bulk loads bump the version once per call instead of once per row, so
 a 10k-row load invalidates each derived structure a single time.
@@ -104,11 +104,11 @@ class Database:
         #: flat ``array('q')`` pairs; derived views, no ``hash_builds``
         self._csr_columns: dict[tuple[str, int, int],
                                 tuple[int, tuple]] = {}
-        #: composed step relations of compressed chains, keyed by a
-        #: name no parsed predicate can take → (the versions of the
-        #: relations they read, rows — None for a declined build); the
-        #: join tables above serve them under that name, at that key
-        self._composed: dict[str, tuple[tuple, tuple | None]] = {}
+        #: derived relations (:meth:`derived`), keyed by name → (their
+        #: key: what defines them and the versions of what they read,
+        #: rows — None for a declined build); the join tables above
+        #: serve them under that name, at that key
+        self._derived: dict[str, tuple[tuple, tuple | None]] = {}
         #: the constant dictionary every stored row is encoded in
         self._symbols = symbols
         #: >0 while inside :meth:`bulk`: version upkeep deferred
@@ -207,10 +207,11 @@ class Database:
         vice versa — which is what lets a fixpoint engine copy the EDB
         and still hand back rows the session can decode.
 
-        Cached join tables (hash and dense) carry over too: an entry
-        is an immutable ``(version, table)`` pair that is replaced, not
-        mutated, on rebuild, so a copy that later mutates a relation
-        simply bumps its own version and rebuilds into its own cache —
+        Cached join tables (hash and dense) and derived relations carry
+        over too: an entry is an immutable ``(version, table)`` pair
+        that is replaced, not mutated, on rebuild, so a copy that later
+        mutates a relation simply bumps its own version and rebuilds
+        into its own cache —
         while the common fixpoint discipline (engine copies the EDB,
         reads it, throws the copy away) pays each table build once per
         EDB version instead of once per evaluation.
@@ -225,7 +226,7 @@ class Database:
         db._dense_tables = dict(self._dense_tables)
         db._dense_columns = dict(self._dense_columns)
         db._csr_columns = dict(self._csr_columns)
-        db._composed = dict(self._composed)
+        db._derived = dict(self._derived)
         return db
 
     # -- mutation -------------------------------------------------------
@@ -408,7 +409,7 @@ class Database:
         return frozenset(self._relations.get(name, ()))
 
     def count(self, name: str) -> int:
-        """Number of rows in the relation (or built composition)."""
+        """Number of rows in the relation (or built derived relation)."""
         rows = self._relations.get(name)
         return len(rows) if rows is not None else len(self._relation(name)[1])
 
@@ -422,43 +423,55 @@ class Database:
 
     def _relation(self, name: str) -> tuple:
         """``(version, rows)`` of what the join tables serve under
-        *name*: a stored relation, or a built composition (versioned
-        by the versions it was built at, so its tables go stale with
-        it)."""
+        *name*: a stored relation, or else a built derived relation
+        (versioned by its key, so its tables go stale with it).  A
+        stored relation wins, even an empty one: an engine that writes
+        a predicate declares it first."""
         rows = self._relations.get(name)
         if rows is None:
-            entry = self._composed.get(name)
+            entry = self._derived.get(name)
             if entry is not None and entry[1] is not None:
                 return entry
             rows = ()
         return self._versions.get(name, 0), rows
 
-    def composition(self, name: str, inputs: Iterable[str], build
-                    ) -> tuple[tuple | None, bool]:
-        """The rows of the composed relation *name*, which reads the
+    def _version(self, name: str):
+        """The version the join tables key *name* by: a stored
+        relation's counter, a derived relation's key."""
+        version = self._versions.get(name)
+        return self._relation(name)[0] if version is None else version
+
+    def derived(self, name: str, inputs: Iterable[str], build,
+                key=()) -> tuple[tuple | None, bool]:
+        """The rows of the derived relation *name*, which reads the
         relations *inputs*, and whether this call built them.
 
-        ``build()`` runs when no composition of *name* was built at the
-        inputs' current versions; it returns the rows, or None to
-        decline.  A decline is cached alike, so it is not retried until
-        an input changes.  A built composition counts one
-        ``hash_builds`` and is served to :meth:`hash_table`,
-        :meth:`dense_table` and their views under *name*, as a
-        relation is, and :meth:`count` sees it.  It is no relation:
+        An entry is keyed by *key* (what else defines its rows, such as
+        the rules a session derives it by) and by the version of every
+        input: a stored input's counter, a derived input's own key, so
+        an entry goes stale with anything below it.  ``build()`` runs when
+        no entry of *name* was built at that key; it returns the rows,
+        or None to decline.  A decline is cached alike, so it is not
+        retried until the key moves; a build that raises caches
+        nothing.  A built entry counts one ``hash_builds`` and is
+        served to :meth:`hash_table`, :meth:`dense_table` and their
+        views under *name*, as a relation is, unless a stored relation
+        holds that name, and :meth:`count` sees it.  It is no relation:
         no relation name, fact total or version of the store shows it,
         :meth:`copy` shares it like a join table and a pickled snapshot
-        drops it.
+        drops it.  Concurrent callers may each build it; every one
+        stores whole rows in one assignment.
         """
-        versions = tuple(self._versions.get(input_name, 0)
-                         for input_name in inputs)
-        entry = self._composed.get(name)
-        if entry is not None and entry[0] == versions:
+        stamp = (key, tuple(self._version(input_name)
+                            for input_name in inputs))
+        entry = self._derived.get(name)
+        if entry is not None and entry[0] == stamp:
             return entry[1], False
         rows = build()
         if rows is not None:
             rows = tuple(rows)  # a quarter of a set's memory; tables probe it
             self.hash_builds += 1
-        self._composed[name] = (versions, rows)
+        self._derived[name] = (stamp, rows)
         return rows, True
 
     def hash_table(self, name: str, key_positions: tuple[int, ...]
@@ -474,9 +487,7 @@ class Database:
         many rounds it runs.
         """
         cache_key = (name, key_positions)
-        version = self._versions.get(name)
-        if version is None:  # a composition, or a relation never written
-            version = self._relation(name)[0]
+        version = self._version(name)
         entry = self._hash_tables.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
@@ -515,9 +526,7 @@ class Database:
         the same ``hash_builds``.
         """
         cache_key = (name, position)
-        version = self._versions.get(name)
-        if version is None:  # a composition, or a relation never written
-            version = self._relation(name)[0]
+        version = self._version(name)
         entry = self._dense_tables.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
@@ -554,9 +563,7 @@ class Database:
         or column buckets.
         """
         cache_key = (name, key_position, value_position)
-        version = self._versions.get(name)
-        if version is None:  # a composition, or a relation never written
-            version = self._relation(name)[0]
+        version = self._version(name)
         entry = self._dense_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
@@ -586,9 +593,7 @@ class Database:
         row path pays.
         """
         cache_key = (name, key_position, value_position)
-        version = self._versions.get(name)
-        if version is None:  # a composition, or a relation never written
-            version = self._relation(name)[0]
+        version = self._version(name)
         entry = self._csr_columns.get(cache_key)
         if entry is not None and entry[0] == version:
             return entry[1]
@@ -646,10 +651,11 @@ class Database:
         """Pickle as a snapshot: rows, arities, versions and the
         symbol table.
 
-        Derived structures (the hash and dense tables) are
-        process-local caches — they are dropped at the serialization
-        boundary and rebuilt lazily on first use in the receiver,
-        where the versioned cache makes each rebuild a one-time cost.
+        Derived structures (the hash and dense tables, the derived
+        relations) are process-local caches — they are dropped at the
+        serialization boundary and rebuilt lazily on first use in the
+        receiver, where the versioned cache makes each rebuild a
+        one-time cost.
         The rows are int tuples and the dictionary crosses the wire
         exactly once.
         """

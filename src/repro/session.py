@@ -7,10 +7,12 @@ predicate is evaluated.
 
 Programs may define *several* IDB predicates — non-recursive views and
 linear recursion systems — as long as distinct predicates are not
-mutually recursive (the paper's single-recursion setting).  Predicates
-are materialised bottom-up in dependency order; the *queried*
-predicate is evaluated with the compiled engine so query constants are
-pushed into the recursion whenever its class allows.
+mutually recursive (the paper's single-recursion setting).  The
+predicates below a queried one are derived bottom-up in dependency
+order, each once per version of its rules and of what it reads, and
+kept on the fact store as derived relations; the *queried* predicate
+is evaluated with the compiled engine so query constants are pushed
+into the recursion whenever its class allows.
 
 >>> ddb = DeductiveDatabase()
 >>> program = ddb.load('''
@@ -44,8 +46,7 @@ from .datalog.terms import Constant
 from .engine import ENGINES
 from .engine.compiled import CompiledEngine
 from .engine.query import Query
-from .engine.seminaive import SemiNaiveEngine
-from .engine.setjoin import apply_rule
+from .engine.seminaive import derive
 from .engine.stats import EvaluationStats, delta_between, open_stats
 from .engine.trace import Tracer
 from .logutil import new_query_id
@@ -87,7 +88,6 @@ class DeductiveDatabase:
     def __init__(self, metrics=None, query_log=None) -> None:
         self._rules: list[Rule] = []
         self._edb = Database()
-        self._materialised: Database | None = None
         #: None until the first read after a rule change (_rules_now)
         self._rule_set: _RuleSet | None = None
         #: full answer sets keyed by (predicate, pattern, engine,
@@ -176,8 +176,9 @@ class DeductiveDatabase:
         Raises :class:`~repro.datalog.errors.RuleValidationError` at
         the first predicate that would be used with two arities (the
         engines would misread an atom of any other width), and then at
-        the first that would be both stored and derived (a view would
-        answer its stored rows, a recursion ignore them).
+        the first that would be both stored and derived: a stored
+        relation, even one whose facts were all removed, shadows the
+        derived relation of the same name.
         """
         arities = dict(self._arities)
         relations = relations or {}
@@ -194,12 +195,13 @@ class DeductiveDatabase:
                         f"{atom.predicate!r} has arity {known}, but "
                         f"{rule} uses it with {atom.arity} argument(s)")
                 arities[atom.predicate] = atom.arity
+        stored = self._edb.relation_names  # never a derived relation
         for rule in rules:
             predicate = rule.head.predicate
-            if predicate in relations or self._edb.count(predicate):
+            if predicate in relations or predicate in stored:
                 raise RuleValidationError(
-                    f"{predicate!r} holds stored facts, so no rule may "
-                    f"derive it: {rule}")
+                    f"{predicate!r} holds stored facts (or held them), so "
+                    f"no rule may derive it: {rule}")
         return arities
 
     def _check_relation(self, predicate: str, width: int) -> None:
@@ -276,7 +278,6 @@ class DeductiveDatabase:
         return removed
 
     def _invalidate(self, rules_changed: bool) -> None:
-        self._materialised = None
         if rules_changed:
             # dropped, not cleared: a fork shares it (:meth:`fork_reader`)
             # and keeps its rules' entries
@@ -307,23 +308,22 @@ class DeductiveDatabase:
 
         Concurrency contract of a fork: any number of threads may call
         :meth:`query` on it simultaneously.  Every fixpoint keeps its
-        derived rows in private sets, and materialising views below a
-        predicate works on a copy (:meth:`_materialise_below`), so
-        per-request evaluation state is private; what *is* shared
-        between the fork's readers — the rule set's derivations (with
-        the base and its other forks, too), a lazily computed
-        view materialisation, and the read-only database's lazily
-        built join tables — is filled with deterministic,
-        interchangeable values under single dict-slot assignments
-        (atomic under the GIL), so a race costs at most a duplicated
-        computation, never a wrong answer.  The answer cache, whose
-        LRU bookkeeping is not a single assignment, is lock-guarded.
+        derived rows in private sets, so per-request evaluation state
+        is private; what *is* shared between the fork's readers — the
+        rule set's derivations (with the base and its other forks,
+        too), and the read-only database's lazily built join tables
+        and derived relations (those built before the fork are shared
+        with the base, those built after are the fork's own) — is
+        filled with deterministic, interchangeable values under single
+        dict-slot assignments (atomic under the GIL), so a race costs
+        at most a duplicated computation, never a wrong answer.  The
+        answer cache, whose LRU bookkeeping is not a single
+        assignment, is lock-guarded.
         """
         clone = object.__new__(DeductiveDatabase)
         clone._rules = list(self._rules)
         clone._edb = self._edb.copy()
         clone._edb.read_only = True
-        clone._materialised = self._materialised
         clone._rule_set = self._rules_now()
         clone._arities = self._arities
         with self._answer_lock:
@@ -388,16 +388,12 @@ class DeductiveDatabase:
             cached = classifications[predicate] = classify(system)
         return cached
 
-    # -- materialisation ----------------------------------------------
+    # -- derived relations ---------------------------------------------
 
-    def _materialise_below(self, target: str) -> Database:
-        """All IDB predicates strictly below *target*, bottom-up (a
-        mutual recursion raises only when *target* reads it).
-
-        With none below, the session's EDB itself: the engines only
-        read it (the naive engine copies before it writes), and its
-        cached join tables serve the next query too.
-        """
+    def _derive_below(self, target: str, stats: EvaluationStats) -> Database:
+        """The session's EDB, once every IDB predicate strictly below
+        *target* is derived on it, bottom-up (a mutual recursion or a
+        broken predicate raises only when *target* reads it)."""
         rule_set = self._rules_now()
         order = rule_set.below.get(target)
         if order is None:
@@ -411,39 +407,36 @@ class DeductiveDatabase:
             order = rule_set.below[target] = tuple(
                 predicate for predicate in reads.evaluation_order()
                 if predicate != target)
-        if not order:
-            return self._edb
-        db = self._edb.copy()
         for predicate in order:
-            self._materialise_one(predicate, db)
-        return db
+            self._derive(predicate, stats)
+        return self._edb
 
-    def _materialise_one(self, predicate: str, db: Database) -> None:
-        # apply_rule and the fixpoint hand back storage-space rows
-        # and *db* stores storage-space rows — bulk_encoded keeps them
-        # out of the encoder (a value-space ``bulk`` would re-encode
-        # int codes as if they were user values).
+    def _derive(self, predicate: str, stats: EvaluationStats) -> tuple:
+        """The storage-space rows of the IDB *predicate*, whose inputs
+        are derived already: a derived relation of the session's EDB
+        (:func:`~repro.engine.seminaive.derive`), keyed by the rules
+        that define it and built once per version of what it reads,
+        under the query's clock, counted in its ``hash_builds``
+        alone."""
+        rules = self.rules_for(predicate)
         system = self.system_for(predicate)
-        if system is None:
-            arity = self.rules_for(predicate)[0].head.arity
-            db.declare(predicate, arity)
-            for rule in self.rules_for(predicate):
-                db.bulk_encoded(
-                    predicate,
-                    apply_rule(db, rule.body, (), rule.head.args, [()]))
-        else:
-            db.bulk_encoded(
-                predicate, SemiNaiveEngine().evaluate(system, db).encoded)
+        exits, recursive = ((rules, None) if system is None
+                            else (system.exits, system.recursive))
+        return derive(self._edb, predicate, exits, recursive, stats,
+                      key=rules)[0]
 
     def materialise(self) -> Database:
-        """Fully materialise every IDB predicate (cached until the
-        session changes)."""
-        if self._materialised is None:
-            db = self._edb.copy()
-            for predicate in self.program.evaluation_order():
-                self._materialise_one(predicate, db)
-            self._materialised = db
-        return self._materialised
+        """A copy of the fact store with every IDB predicate stored
+        beside the facts, each derived through the session's cache."""
+        stats = EvaluationStats()
+        db = self._edb.copy()
+        for predicate in self.program.evaluation_order():
+            rows = self._derive(predicate, stats)
+            db.declare(predicate, self.rules_for(predicate)[0].head.arity)
+            # storage-space rows: bulk_encoded keeps them out of the
+            # encoder (a value-space ``bulk`` would re-encode int codes)
+            db.bulk_encoded(predicate, rows)
+        return db
 
     # -- querying --------------------------------------------------------
 
@@ -455,7 +448,7 @@ class DeductiveDatabase:
         """Answer a query, choosing the evaluation by classification.
 
         EDB predicates are looked up directly; non-recursive views are
-        materialised; recursive predicates go through the chosen
+        derived and looked up; recursive predicates go through the chosen
         *engine* (default: the compiled engine, with a cached plan so
         the constants are pushed into the recursion).  Passing a
         :class:`~repro.engine.trace.Tracer` as *trace* records the
@@ -564,10 +557,12 @@ class DeductiveDatabase:
         stats.formula_class, arity = self._resolve(predicate)
         self._check_query_arity(query, arity)
         if stats.formula_class == "edb":
-            return self._lookup("edb", self._edb, query, stats, trace)
+            return self._lookup("edb", self._edb.rows_encoded(predicate),
+                                query, stats, trace)
         if stats.formula_class == "view":
-            return self._lookup("view", self.materialise(), query, stats,
-                                trace)
+            self._derive_below(predicate, stats)
+            return self._lookup("view", self._derive(predicate, stats),
+                                query, stats, trace)
 
         if trace is None or trace.passive:
             # A query constant the symbol table has never seen occurs
@@ -587,7 +582,7 @@ class DeductiveDatabase:
                     trace.finish(0, stats)
                 return AnswerSet(frozenset(), self._edb.symbols)
 
-        base = self._materialise_below(predicate)
+        base = self._derive_below(predicate, stats)
         if engine != "compiled":
             return ENGINES[engine]().evaluate(
                 self.system_for(predicate), base, query, stats,
@@ -634,12 +629,12 @@ class DeductiveDatabase:
                 self.system_for(predicate), self.classification(predicate))
         return shared
 
-    @staticmethod
-    def _lookup(label: str, db: Database, query: Query,
+    def _lookup(self, label: str, rows, query: Query,
                 stats: EvaluationStats, trace: Tracer | None
                 ) -> AnswerSet:
-        """The rows of a stored relation matching *query*, answered as
-        engine *label* (``edb`` or ``view``).
+        """The storage-space *rows* of a stored relation or a view that
+        match *query*, answered as engine *label* (``edb`` or
+        ``view``).
 
         The filter runs over encoded rows (the query's constants are
         *looked up*, never interned — an unseen constant matches
@@ -648,11 +643,10 @@ class DeductiveDatabase:
         """
         if trace is not None:
             trace.begin(label, predicate=query.predicate, query=query)
-        pattern = db._lookup_pattern(query.pattern)
+        pattern = self._edb._lookup_pattern(query.pattern)
         rows = (frozenset() if pattern is None else
-                Query(query.predicate, pattern).filter(
-                    db.rows_encoded(query.predicate)))
-        answers = AnswerSet(rows, db.symbols)
+                Query(query.predicate, pattern).filter(rows))
+        answers = AnswerSet(rows, self._edb.symbols)
         stats.engine = label
         stats.answers = len(answers)
         if trace is not None:
@@ -749,7 +743,7 @@ class DeductiveDatabase:
             raise EvaluationError(
                 f"{query.predicate!r} is not a recursive predicate")
         system = self.system_for(query.predicate)
-        base = self._materialise_below(query.predicate)
+        base = self._derive_below(query.predicate, EvaluationStats())
         answers = self.query(query).sorted_rows()
         if limit is not None:
             answers = answers[:limit]

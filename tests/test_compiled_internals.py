@@ -11,6 +11,8 @@ from repro.ra import Database
 from repro.workloads import (CATALOGUE, chain, cycle, random_edb,
                              reflexive_exit)
 
+from .threads import race
+
 
 class TestStableStrategy:
     def test_cyclic_chain_state_detection(self):
@@ -182,21 +184,69 @@ class TestAuxiliaryStrategy:
 
     def test_detached_atoms_probed_with_the_constant(self):
         answers, rounds = self.run("P(a, Y, Z)")
-        assert [span.kind for span in rounds] == \
-            ["exit", "exit", "delta", "delta", "delta", "product"]
+        # R is a derived relation of the database: no round of the
+        # query computes it, and the product round says it was built
+        assert [span.kind for span in rounds] == ["exit", "product"]
         # R = {x, y, b, c, z}; σA(a, y) has the two rows of ``a``
         assert len(answers) == 2 * 5
         assert rounds[-1].probes == 2
-        assert rounds[-1].detail == {"detached": 2, "auxiliary": 5}
+        assert rounds[-1].detail == {"detached": 2, "auxiliary": 5,
+                                     "auxiliary_status": "built"}
 
     def test_existence_check_on_r(self):
         hit, rounds = self.run("P(X, Y, z)")
         assert len(hit) == len(self.DB["A"])
-        assert rounds[-1].detail == {"detached": 5, "auxiliary": 1}
+        assert rounds[-1].detail == {"detached": 5, "auxiliary": 1,
+                                     "auxiliary_status": "built"}
         miss, rounds = self.run("P(X, Y, q)")
         assert miss == frozenset()
         # R lacks q: the detached atoms are never probed
         assert rounds[-1].probes == 0
+
+
+    def test_r_is_built_once_per_version_of_what_it_reads(self):
+        """Two queries on one database read the same counters but for
+        the build; a write to one of R's relations builds it again."""
+        system = CATALOGUE["s9"].system()
+        db = Database.from_dict(self.DB)
+        runs = []
+        for _ in range(2):
+            tracer, stats = Tracer(), EvaluationStats()
+            CompiledEngine().evaluate(system, db, Query.parse("P(a, Y, Z)"),
+                                      stats, trace=tracer)
+            runs.append((stats, tracer.trace.rounds[-1].detail))
+        (cold, built), (warm, reused) = runs
+        assert built["auxiliary_status"] == "built"
+        assert reused["auxiliary_status"] == "reused"
+        for name in ("rounds", "probes", "derived", "delta_sizes",
+                     "batch_sizes"):
+            assert getattr(cold, name) == getattr(warm, name), name
+        assert warm.hash_builds == 0 < cold.hash_builds
+        db.add("B", ("z", "a"))
+        tracer = Tracer()
+        query = Query.parse("P(a, Y, Z)")
+        answers = CompiledEngine().evaluate(system, db, query, trace=tracer)
+        assert tracer.trace.rounds[-1].detail["auxiliary_status"] == "built"
+        assert answers == SemiNaiveEngine().evaluate(system, db, query)
+
+    def test_readers_racing_for_r_see_it_whole(self):
+        """Eight readers of one database ask for R at once: some may
+        build it twice, none may read a part of it."""
+        system = CATALOGUE["s9"].system()
+        db = random_edb(system, nodes=6, tuples_per_relation=10, seed=4)
+        texts = ["P(X, Y, Z)", "P(c0, Y, Z)", "P(X, Y, c1)", "P(X, c2, c3)"]
+        expected = {text: SemiNaiveEngine().evaluate(system, db,
+                                                     Query.parse(text))
+                    for text in texts}
+        db.read_only = True
+
+        def ask(n: int) -> None:
+            for step in range(3 * len(texts)):
+                text = texts[(n + step) % len(texts)]
+                assert CompiledEngine().evaluate(
+                    system, db, Query.parse(text)) == expected[text], text
+
+        assert race(ask) == []
 
 
 class TestBoundedStrategy:

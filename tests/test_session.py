@@ -1,14 +1,19 @@
 """Tests for the DeductiveDatabase session facade."""
 
+import pickle
+import threading
+
 import pytest
 
 from repro.datalog.errors import (DatalogSyntaxError, EvaluationError,
                                   RuleValidationError)
-from repro.engine import (ENGINES, EvaluationStats, Query, SemiNaiveEngine,
+from repro.engine import (ENGINES, Deadline, EvaluationStats, Query,
+                          QueryCancelled, QueryTimeout, SemiNaiveEngine,
                           Tracer)
 from repro.session import DeductiveDatabase
 from repro.workloads import CATALOGUE, random_edb
 
+from .test_vector_properties import _count_builds
 from .threads import race
 
 GENEALOGY = """
@@ -207,6 +212,14 @@ class TestStoredOrDerived:
     def test_rule_over_a_stored_predicate_refused(self, ddb, write):
         self._refused(ddb, write, "holds stored facts")
 
+    def test_rule_over_an_emptied_relation_refused(self, ddb):
+        """A stored relation whose facts were all removed is still
+        stored, and would shadow the derived relation of its name."""
+        ddb.remove_fact("female", "ann")
+        ddb.remove_fact("female", "cal")
+        self._refused(ddb, lambda s: s.add_rule("female(x) :- parent(x, y)."),
+                      "holds stored facts")
+
     @staticmethod
     def _refused(ddb, write, message):
         before = (ddb.program.rules, ddb._edb.relation_names,
@@ -375,6 +388,19 @@ class TestStructure:
             with pytest.raises(RuleValidationError, match="mutually"):
                 ddb.query(text)
         with pytest.raises(RuleValidationError, match="mutually"):
+            ddb.materialise()
+
+    @pytest.mark.parametrize("rules, match", [
+        ("q(x) :- r(x).  r(x) :- q(x).", "mutually"),
+        ("p(x, y) :- parent(x, z), p(z, y).", "no exit rule"),
+    ], ids=["cycle", "no-exit"])
+    def test_a_view_query_orders_only_what_it_reads(self, ddb, rules,
+                                                    match):
+        """Regression: a view query evaluated the whole program, so a
+        broken predicate it does not read failed it."""
+        ddb.load(rules + "  kin(x, y) :- anc(x, y).")
+        assert ddb.query("kin(ann, Y)") == ANC_OF_ANN
+        with pytest.raises(RuleValidationError, match=match):
             ddb.materialise()
 
 
@@ -761,3 +787,165 @@ class TestProve:
             with pytest.raises(EvaluationError,
                                match="is not a recursive predicate"):
                 ddb.prove(text)
+
+
+#: a recursion ``top`` over a recursion ``reach``, and a view ``near``
+#: over ``reach``, on a 30-edge chain
+CHAIN_BELOW = """
+    reach(x, y) :- e(x, z), reach(z, y).
+    reach(x, y) :- e(x, y).
+    top(x, y) :- e(x, z), top(z, y).
+    top(x, y) :- reach(x, y).
+    near(x, y) :- reach(x, y).
+"""
+
+FROM_N0 = {("n0", f"n{i}") for i in range(1, 31)}
+
+
+def _chain_session() -> DeductiveDatabase:
+    session = DeductiveDatabase()
+    session.load(CHAIN_BELOW)
+    session.add_facts("e", [(f"n{i}", f"n{i + 1}") for i in range(30)])
+    return session
+
+
+def _cancelled() -> threading.Event:
+    flag = threading.Event()
+    flag.set()
+    return flag
+
+
+class TestBudgetsBelowTheQuery:
+    """What a query derives below it runs under the query's clock and
+    cancel flag, checked once per round.  Regression: views and
+    recursions below the queried predicate were evaluated with fresh
+    stats, so a view query, or a recursion over a recursion, outran
+    both a timeout and a cancel."""
+
+    @pytest.mark.parametrize("text", ["near(n0, Y)", "top(n0, Y)"])
+    @pytest.mark.parametrize("deadline, error", [
+        (lambda: Deadline(timeout_s=0), QueryTimeout),
+        (lambda: Deadline(cancel=_cancelled()), QueryCancelled),
+    ], ids=["timeout", "cancel"])
+    def test_a_spent_budget_stops_the_build(self, text, deadline, error):
+        session = _chain_session()
+        stats = EvaluationStats(deadline=deadline())
+        with pytest.raises(error):
+            session.query(text, stats=stats)
+        assert stats.rounds == 0  # reach's build raised before any round
+        # the build that raised cached nothing
+        assert session.query(text) == FROM_N0
+
+    def test_the_row_budget_bounds_answers_not_builds(self):
+        session = _chain_session()
+        stats = EvaluationStats(deadline=Deadline(max_rows=2))
+        session.query("top(n0, Y)", stats=stats)
+        assert stats.truncated
+        # reach was built whole: the view over it answers every row
+        assert session.query("near(n0, Y)") == FROM_N0
+
+
+#: GENEALOGY, with a view over the view ``mother``, a recursion over
+#: it, and a view over the recursion ``anc``
+DERIVED = GENEALOGY + """
+    grandmother(x, y) :- mother(x, z), parent(z, y).
+    gline(x, y) :- grandmother(x, z), gline(z, y).
+    gline(x, y) :- grandmother(x, y).
+    kin(x, y) :- anc(x, y).
+    parent(dee, eve).  female(dee).
+"""
+
+
+class TestDerivedRelations:
+    """The views and recursions below a query are derived relations of
+    the session's fact store: each built once per version of its rules
+    and of what it reads, shared with the forks taken after, never
+    shown as a stored relation."""
+
+    @staticmethod
+    def _session() -> DeductiveDatabase:
+        session = DeductiveDatabase()
+        session.load(DERIVED)
+        return session
+
+    def test_a_warm_bound_query_over_a_view_builds_nothing(self):
+        session = self._session()
+        session.query("matriline(ann, Y)")
+        stats = EvaluationStats()
+        answers = session.query("matriline(cal, Y)", stats=stats)
+        assert stats.hash_builds == 0
+        assert answers == self._session().query("matriline(cal, Y)")
+
+    def test_a_write_rebuilds_what_reads_it_and_nothing_else(
+            self, monkeypatch):
+        session = self._session()
+        builds = _count_builds(monkeypatch)
+        assert session.query("gline(X, Y)") == {
+            ("ann", "cal"), ("ann", "eve"), ("cal", "eve")}
+        assert builds == ["mother", "grandmother"]
+        session.add_fact("female", "bea")  # an input of ``mother``
+        assert session.query("gline(X, Y)") == {
+            ("ann", "cal"), ("ann", "eve"), ("cal", "eve"), ("bea", "dee")}
+        assert builds == ["mother", "grandmother"] * 2
+        session.add_fact("unrelated", "x")
+        assert session.query("gline(X, Y)", stats=EvaluationStats()) == {
+            ("ann", "cal"), ("ann", "eve"), ("cal", "eve"), ("bea", "dee")}
+        assert builds == ["mother", "grandmother"] * 2
+
+    def test_a_new_rule_for_a_cached_view_takes_effect(self):
+        """At the same fact-store version, a second rule for a view
+        that is cached reads the same relations as the first; the
+        view's next query sees both rules."""
+        session = self._session()
+        session.query("kin(ann, Y)")
+        version = session._edb.global_version()
+        session.add_rule("kin(x, y) :- anc(y, x).")
+        assert session._edb.global_version() == version
+        fresh = self._session()
+        fresh.add_rule("kin(x, y) :- anc(y, x).")
+        assert session.query("kin(X, Y)") == fresh.query("kin(X, Y)")
+        assert ("cal", "ann") in session.query("kin(cal, Y)")
+
+    def test_no_entry_shows_as_a_relation(self):
+        session = self._session()
+        edb = session._edb
+        shown = (edb.relation_names, edb.total_facts(),
+                 edb.global_version(), edb.metrics_snapshot())
+        for text in ("gline(ann, Y)", "kin(ann, Y)", "mother(X, Y)"):
+            session.query(text)
+        assert edb.count("grandmother") > 0  # the join tables see it
+        assert (edb.relation_names, edb.total_facts(),
+                edb.global_version(), edb.metrics_snapshot()) == shown
+        snapshot = pickle.loads(pickle.dumps(edb))
+        for name in ("mother", "grandmother", "anc", "kin"):
+            assert snapshot.count(name) == 0
+
+    def test_a_stored_relation_shadows_an_entry(self):
+        """The naive engine declares the predicate it writes, so an
+        ``anc`` cached below ``kin`` leaves its run as it would be in a
+        cold session."""
+        warm = self._session()
+        warm.query("kin(ann, Y)")
+        cold = self._session()
+        runs = []
+        for session in (warm, cold):
+            stats = EvaluationStats()
+            runs.append((session.query("anc(ann, Y)", engine="naive",
+                                       stats=stats),
+                         stats.rounds, stats.probes))
+        assert runs[0] == runs[1]
+
+    def test_a_fork_shares_what_was_built_before_it(self, monkeypatch):
+        session = self._session()
+        session.query("kin(ann, Y)")
+        fork = session.fork_reader()
+        builds = _count_builds(monkeypatch)
+        stats = EvaluationStats()
+        assert fork.query("kin(bea, Y)", stats=stats) == {
+            ("bea", "cal"), ("bea", "dee"), ("bea", "eve")}
+        assert builds == [] and stats.hash_builds == 0
+        # a build on the fork is the fork's own
+        fork.query("gline(ann, Y)")
+        assert builds == ["mother", "grandmother"]
+        session.query("gline(ann, Y)")
+        assert builds == ["mother", "grandmother"] * 2

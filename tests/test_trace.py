@@ -166,7 +166,8 @@ class TestRender:
 
     def test_class_c_shows_the_auxiliary_recursion(self):
         """Example 9's plan: the header's note names R's rules, and the
-        trace shows σE, R's own exit and delta rounds, and the product."""
+        trace shows σE and the product, whose line says whether the
+        query built R or reused it."""
         ddb = DeductiveDatabase()
         ddb.load("""
             P(x, y, z) :- A(x, y), B(u, v), P(u, z, v).
@@ -176,10 +177,12 @@ class TestRender:
         text = ddb.explain_analyze("P(a, Y, Z)")
         assert ("note:       answers σE ∪ σ(A(x, y)) × P__aux(z), where "
                 "P__aux(z) :- B(u, v) ∧ E(u, z, v). ") in text
-        assert "exit[1] out=1" in text
-        assert "· exit[0]: P__aux(z) :- B(u, v) ∧ E(u, z, v).:" in text
-        assert "delta[2]" in text and "product[" in text
+        assert "product[1] in=1 out=1" in text  # R = {e}
+        assert "· auxiliary_status=built" in text
+        assert "P__aux(z) :- B(u, v) ∧ E(u, z, v).:" not in text
         assert "answers=1" in text  # (a, b, e): σA(a, b) × R = {e}
+        assert "· auxiliary_status=reused" in ddb.explain_analyze(
+            "P(b, Y, Z)")
 
 
     def test_compressed_chain_shows_the_composed_step(self):
